@@ -181,7 +181,7 @@ def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
             state = eg.update(state, p, y, config.loss)
             preds[t] = p
             losses[t] = config.loss.value(p, y)
-            cumulative += losses[t]
+            cumulative += float(losses[t])
         final = {"n_nodes": 1, "height": 0, "total_steps": T}
 
     elif config.forecaster == "tree":
@@ -194,7 +194,7 @@ def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
             tree.update(leaf, p, y)
             preds[t] = p
             losses[t] = config.loss.value(p, y)
-            cumulative += losses[t]
+            cumulative += float(losses[t])
             leaf_h[t] = h_t
             leaf_i[t] = i_t
             n_nodes[t] = tree.n_nodes
@@ -219,7 +219,7 @@ def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
             meta.update(y)
             preds[t] = p
             losses[t] = config.loss.value(p, y)
-            cumulative += losses[t]
+            cumulative += float(losses[t])
             expert_preds[t] = f_vec
             expert_weights[t] = w_vec
             total_nodes = sum(ex.tree.n_nodes for ex in meta.experts)

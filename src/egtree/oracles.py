@@ -1,14 +1,14 @@
 """Offline comparators: the right-hand sides of the regret guarantees.
 
-Everything here is computed by brute force, independently of the online
+Everything here is computed exactly, independently of the online
 forecasters, so the regret checks compare two genuinely separate routes:
 
-* :func:`best_constant`      convex search over a single value in [0,1]
+* :func:`best_constant`      closed-form best single value in [0,1]
 * :func:`best_histogram`     best constant per box of an equal partition
-* :func:`best_lipschitz_1d`  best slope-bounded function on a line, by
-  projected subgradient descent with diminishing steps
+* :func:`best_lipschitz_1d`  best slope-bounded function on a line, by an
+  exact DP over the sorted distinct covariates
 * ``*_grid`` twins           exhaustive grid evaluation used to verify the
-  search-based routes
+  exact routes
 
 The histogram and Lipschitz comparators consume (covariate, outcome)
 pairs; the constant comparator consumes outcomes only.
@@ -16,6 +16,7 @@ pairs; the constant comparator consumes outcomes only.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -44,37 +45,32 @@ class Comparator:
         return out
 
 
-def _weighted_objective(outcomes: np.ndarray, loss: LossSpec, weights):
-    if weights is None:
-        return lambda y: float(loss.value_array(y, outcomes).sum())
-    w = np.asarray(weights, dtype=float)
-    return lambda y: float(loss.value_array(y, outcomes) @ w)
-
-
 def best_constant(outcomes, loss: LossSpec, weights=None) -> Comparator:
-    """Minimize ``sum_t loss(y, y_t)`` over y in [0,1] by ternary search.
+    """Minimize ``sum_t w_t loss(y, y_t)`` over y in [0,1] in closed form.
 
-    The objective is convex, so bracketing on the two inner probe points is
-    exact; ties shrink the bracket from the right, biasing flat minima
-    toward the lower argmin.  Optional ``weights`` turn the sum into a
-    weighted sum (used for expected-loss computations).
+    Square loss is minimized by the weighted mean.  Absolute and pinball
+    loss are minimized by the smallest outcome whose cumulative weight, in
+    sorted order, reaches ``alpha`` of the total (alpha = 1/2 for absolute
+    loss: the lower weighted median).  ``weights`` default to 1 (they turn
+    the sum into an expected loss when given).
     """
     outcomes = np.asarray(outcomes, dtype=float)
     if outcomes.size == 0:
         raise RejectedInputError("best_constant needs a nonempty sequence")
-    if outcomes.min() < 0.0 or outcomes.max() > 1.0:
+    if not (outcomes.min() >= 0.0 and outcomes.max() <= 1.0):  # NaN fails both
         raise RejectedInputError("outcomes must lie in [0, 1]")
-    g = _weighted_objective(outcomes, loss, weights)
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-14:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if g(m1) <= g(m2):
-            hi = m2
-        else:
-            lo = m1
-    y_star = 0.5 * (lo + hi)
-    value = min(g(lo), g(y_star), g(hi))
+    w = np.ones(outcomes.size) if weights is None else np.asarray(weights, dtype=float)
+    # sorted first, so that the value does not depend on the input order
+    order = np.argsort(outcomes, kind="stable")
+    outcomes, w = outcomes[order], w[order]
+    if loss.kind == "square":
+        y_star = min(max(float(outcomes @ w / w.sum()), 0.0), 1.0)
+    else:
+        alpha = 0.5 if loss.kind == "absolute" else loss.alpha
+        cum = np.cumsum(w)
+        k = min(int(np.searchsorted(cum, alpha * cum[-1])), outcomes.size - 1)
+        y_star = float(outcomes[k])
+    value = float(loss.value_array(y_star, outcomes) @ w)
     return Comparator("constant", value, argmin=y_star)
 
 
@@ -132,209 +128,176 @@ def _group_by_x(xs, ys):
         xs = xs[:, 0]
     if xs.size == 0:
         raise RejectedInputError("need at least one data point")
+    if ys.shape != xs.shape:
+        raise RejectedInputError(f"{ys.size} outcomes for {xs.size} covariates")
+    if not (ys.min() >= 0.0 and ys.max() <= 1.0):  # NaN fails both
+        raise RejectedInputError("outcomes must lie in [0, 1]")
     order = np.argsort(xs, kind="stable")
     xs, ys = xs[order], ys[order]
     u, gidx = np.unique(xs, return_inverse=True)
     starts = np.searchsorted(gidx, np.arange(len(u)))
-    return u, xs, ys, gidx, starts
+    return u, ys, gidx, starts
 
 
-def _band_retract(g: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    """Nearest-in-spirit feasible point for the chain |f[i+1]-f[i]| <= caps[i].
+class _Side:
+    """Breakpoints on one side of the minimum of a convex piecewise function.
 
-    Returns the midpoint of the tightest slope-bounded envelopes above and
-    below ``g`` (both computed with two running extrema), which is feasible,
-    stays in the convex hull of ``g``'s values, and fixes feasible inputs.
+    Each breakpoint carries a weight (a jump in slope or curvature); equal
+    positions share one entry.  Positions sit in a heap behind a lazy
+    ``shift``, with ``sign`` -1 for the left side (nearest first means
+    largest first) and +1 for the right side.  Keys and weights are plain
+    floats, so the DP allocates no per-breakpoint objects that the garbage
+    collector tracks (tuple entries would be, and the collections they
+    trigger land in whatever runs next in the same process).
     """
-    if len(g) == 1:
-        return g.copy()
-    s = np.concatenate(([0.0], np.cumsum(caps)))
-    below_fwd = np.minimum.accumulate(g - s) + s
-    below_bwd = (np.minimum.accumulate((g + s)[::-1]) - s[::-1])[::-1]
-    above_fwd = np.maximum.accumulate(g + s) - s
-    above_bwd = (np.maximum.accumulate((g - s)[::-1]) + s[::-1])[::-1]
-    return 0.5 * (np.minimum(below_fwd, below_bwd) + np.maximum(above_fwd, above_bwd))
+
+    def __init__(self, sign: float):
+        self.sign = sign
+        self.shift = 0.0
+        self.keys: list = []
+        self.weight: dict = {}
+
+    def top(self) -> float:
+        """Position of the breakpoint nearest the minimum."""
+        return self.sign * self.keys[0] + self.shift
+
+    def add(self, pos: float, w: float) -> None:
+        key = self.sign * (pos - self.shift)
+        if key in self.weight:
+            self.weight[key] += w
+        else:
+            self.weight[key] = w
+            heapq.heappush(self.keys, key)
+
+    def pop(self) -> float:
+        """Remove the nearest breakpoint; returns its weight."""
+        return self.weight.pop(heapq.heappop(self.keys))
 
 
-def _unconstrained_minimizer(pts: np.ndarray, loss: LossSpec) -> float:
-    """Exact minimizer of ``sum loss(c, pts)`` over an unconstrained c."""
-    if loss.kind == "square":
-        return float(pts.mean())
-    if loss.kind == "absolute":
-        return float(np.median(pts))
-    # the check loss is minimized by an order statistic, not by the
-    # interpolated quantile
-    return float(np.quantile(pts, loss.alpha, method="inverted_cdf"))
+def _move_weight(src: _Side, dst: _Side, w: float) -> None:
+    """Move weight ``w`` from the nearest breakpoints of ``src`` to ``dst``, splitting the last."""
+    while w > 1e-12 and src.keys:
+        pos, wk = src.top(), src.weight[src.keys[0]]
+        if wk <= w + 1e-12:
+            src.pop()
+            w -= wk
+        else:
+            src.weight[src.keys[0]] = wk - w
+            wk, w = w, 0.0
+        dst.add(pos, wk)
 
 
-def _polish_pass(f, caps, ys, starts, loss: LossSpec) -> np.ndarray:
-    """Cyclic coordinate sweep with exact per-coordinate minimization.
+def _pinball_minimizers(ys: list, starts: list, ends: list, caps: list, alpha: float) -> list:
+    """Per-stage minimizers of the chain DP for ``alpha``-weighted check loss.
 
-    Each per-coordinate objective is convex, so its constrained optimum is
-    the unconstrained one clipped into the interval the neighbors allow.
+    Weighted slope trick: the value function is convex piecewise linear,
+    held as its breakpoints with their slope weights, split into those left
+    and right of the minimum.  A point y adds slope weight ``1 - alpha``
+    right of y and ``alpha`` left of it; the box min-convolution with
+    ``|f' - f| <= c`` shifts the left side by -c and the right side by +c.
+    Absolute loss is the case alpha = 1/2 scaled by 2.
     """
-    n = len(f)
-    ends = np.concatenate((starts[1:], [len(ys)]))
-    for i in range(n):
-        lo, hi = 0.0, 1.0
-        if i > 0:
-            lo = max(lo, f[i - 1] - caps[i - 1])
-            hi = min(hi, f[i - 1] + caps[i - 1])
-        if i < n - 1:
-            lo = max(lo, f[i + 1] - caps[i])
-            hi = min(hi, f[i + 1] + caps[i])
-        if lo > hi:  # numerical crumbs only; keep the current value
-            continue
-        c = _unconstrained_minimizer(ys[starts[i]:ends[i]], loss)
-        f[i] = min(max(c, lo), hi)
-    return f
-
-
-def _chain_min_over_candidates(cands, caps, cost_fn):
-    """Exact minimization when every variable is restricted to a finite set.
-
-    ``cands[i]`` is a sorted array of admissible values for variable i and
-    adjacent variables must differ by at most ``caps[i]``.  Classic chain
-    decomposition with a monotone-deque window minimum; equivalent to
-    enumerating every admissible assignment.  Returns ``(value, f)`` or
-    ``(inf, None)`` when no assignment is feasible.
-    """
-    n = len(cands)
-    V = cost_fn(0, cands[0])
-    parents = []
-    for i in range(1, n):
-        prev, cur = cands[i - 1], cands[i]
-        lows = np.searchsorted(prev, cur - caps[i - 1] - 1e-12, side="left")
-        highs = np.searchsorted(prev, cur + caps[i - 1] + 1e-12, side="right")
-        best = np.full(len(cur), math.inf)
-        arg = np.zeros(len(cur), dtype=np.int64)
-        dq: list = []  # indices into prev with increasing V
-        k = 0
-        for j in range(len(cur)):
-            hi = highs[j]
-            while k < hi:
-                while dq and V[dq[-1]] >= V[k]:
-                    dq.pop()
-                dq.append(k)
-                k += 1
-            lo = lows[j]
-            while dq and dq[0] < lo:
-                dq.pop(0)
-            if dq:
-                best[j] = V[dq[0]]
-                arg[j] = dq[0]
-        parents.append(arg)
-        V = cost_fn(i, cur) + best
-    j = int(V.argmin())
-    if not math.isfinite(V[j]):
-        return math.inf, None
-    value = float(V[j])
-    f = np.empty(n)
-    for i in range(n - 1, -1, -1):
-        f[i] = cands[i][j]
+    lo, hi = _Side(-1.0), _Side(1.0)
+    mins = [0.0] * len(starts)
+    for i in range(len(starts)):
         if i:
-            j = int(parents[i - 1][j])
-    return value, f
+            lo.shift -= caps[i - 1]
+            hi.shift += caps[i - 1]
+        for t in range(starts[i], ends[i]):
+            lo.add(ys[t], 1.0 - alpha)
+            _move_weight(lo, hi, 1.0 - alpha)
+            hi.add(ys[t], alpha)
+            _move_weight(hi, lo, alpha)
+        mins[i] = 0.5 * (lo.top() + hi.top())
+    return mins
 
 
-def best_lipschitz_1d(xs, ys, L: float, loss: LossSpec,
-                      iters: int | None = None) -> Comparator:
-    """Best L-slope-bounded predictor of y from a scalar covariate.
+def _square_minimizers(sums: list, counts: list, caps: list) -> list:
+    """Per-stage minimizers of the chain DP for square loss.
+
+    The value function V is strictly convex piecewise quadratic, so V' is
+    piecewise linear.  Its knots, with the jump of V'' at each, are split
+    into those left and right of the minimizer m; ``curv`` is V'' on the
+    piece that holds m.  The box min-convolution moves the two sides apart
+    by c each and puts a flat piece of V' = 0 in between; a group of k
+    points then adds ``2k(f - mean)`` to V', and the new zero is found by
+    walking out from the centre of that flat piece across as many knots as
+    it takes.
+    """
+    lo, hi = _Side(-1.0), _Side(1.0)
+    mins = [0.0] * len(sums)
+    m = sums[0] / counts[0]
+    curv = 2.0 * counts[0]
+    mins[0] = m
+    for i in range(1, len(sums)):
+        c = caps[i - 1]
+        lo.shift -= c
+        hi.shift += c
+        lo.add(m - c, -curv)
+        hi.add(m + c, curv)
+        curv = 2.0 * counts[i]
+        x = m
+        s = curv * (m - sums[i] / counts[i])  # V' at x
+        while s > 0.0 and lo.keys and s - curv * (x - lo.top()) > 0.0:
+            q = lo.top()
+            s -= curv * (x - q)
+            x = q
+            jump = lo.pop()
+            hi.add(q, jump)
+            curv -= jump
+        while s < 0.0 and hi.keys and s + curv * (hi.top() - x) < 0.0:
+            q = hi.top()
+            s += curv * (q - x)
+            x = q
+            jump = hi.pop()
+            lo.add(q, jump)
+            curv += jump
+        m = x - s / curv
+        mins[i] = m
+    return mins
+
+
+def best_lipschitz_1d(xs, ys, L: float, loss: LossSpec) -> Comparator:
+    """Best L-slope-bounded predictor of y from a scalar covariate, exactly.
 
     Minimizes ``sum_t loss(f(x_t), y_t)`` over functions f: [0,1] -> [0,1]
-    with ``|f(x) - f(x')| <= L |x - x'|``; on a line only the constraints
-    between consecutive distinct covariates bind, so the problem is a
-    convex program over one value per distinct x.
+    with ``|f(x) - f(x')| <= L |x - x'|``.  On a line only the constraints
+    between consecutive distinct covariates bind, so this is a chain of
+    convex stage costs with ``|f[i+1] - f[i]| <= L (u[i+1] - u[i])``, solved
+    by an exact dynamic program over the sorted distinct x (the fused-lasso
+    DP of N. Johnson, JCGS 2013, with a box min-convolution in place of the
+    fusion penalty): a weighted slope trick for absolute and pinball loss,
+    O(n log n), and its piecewise-quadratic analogue for square loss, whose
+    walk between consecutive minimizers can cross many knots, so it grows
+    faster than n log n on long inputs.
 
-    Projected subgradient descent with diminishing steps runs first, from
-    a retracted per-group fit.  Because plain subgradient iterations on a
-    non-smooth chain stall well short of the optimum, the incumbent is
-    then refined by two exact finite restrictions of the same program: a
-    pattern search over a shrinking offset lattice around the incumbent
-    (joint moves across all variables) and, on small inputs, the lattice
-    of data-anchored values where an optimal vertex of the piecewise
-    linear program must lie.  The best value seen is returned.
+    The argmin backtracks through one stored minimizer per stage and is
+    then clipped to [0,1]; clipping keeps every slope constraint and never
+    moves a value away from outcomes in [0,1], so the box costs nothing.
+    The returned value is the loss recomputed at that argmin.
     """
-    if L < 0:
-        raise RejectedInputError("the slope bound L must be >= 0")
-    u, xs1, ys1, gidx, starts = _group_by_x(xs, ys)
+    if not 0.0 <= L < math.inf:
+        raise RejectedInputError("the slope bound L must be finite and >= 0")
+    u, ys1, gidx, starts = _group_by_x(xs, ys)
     n = len(u)
     if L == 0.0 or n == 1:
         fit = best_constant(ys1, loss)
         return Comparator("lipschitz", fit.value, argmin=(u, np.full(n, fit.argmin)),
                           params={"L": L})
-    caps = L * np.diff(u)
-    ends = np.concatenate((starts[1:], [len(ys1)]))
-
-    def objective(f):
-        return float(loss.value_array(f[gidx], ys1).sum())
-
-    def group_cost(i, values):
-        pts = ys1[starts[i]:ends[i]]
-        return loss.value_array(values[:, None], pts[None, :]).sum(axis=1)
-
-    # start from the per-group exact minimizers, made feasible
-    f0 = np.empty(n)
-    for i in range(n):
-        f0[i] = _unconstrained_minimizer(ys1[starts[i]:ends[i]], loss)
-    f = _band_retract(np.clip(f0, 0.0, 1.0), caps)
-    best_f = f.copy()
-    best_v = objective(f)
-
-    if iters is None:
-        iters = 1000 if len(ys1) <= 2000 else max(400, 2_000_000 // len(ys1))
-    diameter = math.sqrt(n)
-    for k in range(1, iters + 1):
-        sg_data = loss.subgradient_array(f[gidx], ys1)
-        sg = np.add.reduceat(sg_data, starts)
-        norm = float(np.linalg.norm(sg))
-        if norm == 0.0:
-            break
-        f = _band_retract(np.clip(f - (diameter / (norm * math.sqrt(k))) * sg, 0.0, 1.0), caps)
-        v = objective(f)
-        if v < best_v:
-            best_v, best_f = v, f.copy()
-
-    if n <= 20000:
-        f = best_f.copy()
-        for _ in range(4):
-            f = _polish_pass(f, caps, ys1, starts, loss)
-            v = objective(f)
-            if v < best_v - 1e-15:
-                best_v, best_f = v, f.copy()
-            else:
-                break
-
-    if n <= 2000:
-        offsets = np.array([-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0])
-        eps = 0.25
-        while eps > 1e-6:
-            cands = [np.unique(np.clip(best_f[i] + eps * offsets, 0.0, 1.0))
-                     for i in range(n)]
-            v, g = _chain_min_over_candidates(cands, caps, group_cost)
-            if g is not None and v < best_v - 1e-15:
-                best_v, best_f = v, g
-            else:
-                eps /= 2.0
-
-    if n <= 64 and len(ys1) <= 256:
-        # a vertex of the piecewise-linear program anchors every value to a
-        # data point, a box face, or a chain of tight slope constraints
-        s = np.concatenate(([0.0], np.cumsum(caps)))
-        anchors = np.unique(ys1)
-        cands = []
-        for i in range(n):
-            vals = np.concatenate([
-                anchors + d for d in np.unique(np.abs(s - s[i]))
-            ] + [
-                anchors - d for d in np.unique(np.abs(s - s[i]))
-            ] + [np.array([0.0, 1.0, best_f[i]])])
-            cands.append(np.unique(np.clip(vals, 0.0, 1.0)))
-        v, g = _chain_min_over_candidates(cands, caps, group_cost)
-        if g is not None and v < best_v:
-            best_v, best_f = v, g
-
-    return Comparator("lipschitz", best_v, argmin=(u, best_f), params={"L": L})
+    caps = (L * np.diff(u)).tolist()
+    ends = np.append(starts[1:], len(ys1))
+    if loss.kind == "square":
+        f = _square_minimizers(np.add.reduceat(ys1, starts).tolist(),
+                               (ends - starts).tolist(), caps)
+    else:
+        alpha = 0.5 if loss.kind == "absolute" else loss.alpha
+        f = _pinball_minimizers(ys1.tolist(), starts.tolist(), ends.tolist(), caps, alpha)
+    # backtrack: the best value at stage i given the value chosen at i + 1
+    for i in range(n - 2, -1, -1):
+        f[i] = min(max(f[i], f[i + 1] - caps[i]), f[i + 1] + caps[i])
+    f = np.clip(f, 0.0, 1.0)
+    value = float(loss.value_array(f[gidx], ys1).sum())
+    return Comparator("lipschitz", value, argmin=(u, f), params={"L": L})
 
 
 def lipschitz_grid_1d(xs, ys, L: float, loss: LossSpec, step: float = 0.02) -> Comparator:
@@ -344,7 +307,7 @@ def lipschitz_grid_1d(xs, ys, L: float, loss: LossSpec, step: float = 0.02) -> C
     force scan over all grid assignments would find; the verification twin
     of :func:`best_lipschitz_1d`.
     """
-    u, _, ys1, _, starts = _group_by_x(xs, ys)
+    u, ys1, _, starts = _group_by_x(xs, ys)
     n = len(u)
     grid = np.linspace(0.0, 1.0, int(round(1.0 / step)) + 1)
     m = len(grid)

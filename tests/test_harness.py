@@ -47,6 +47,13 @@ class TestRun:
             acc += float(v)
         assert acc == log.summary["cumulative_loss"]
 
+    @pytest.mark.parametrize("forecaster", ["eg", "tree", "meta"])
+    def test_cumulative_loss_is_a_python_float(self, forecaster):
+        xs, ys = uniform(200, 6, d=1)
+        covariates = xs if forecaster == "tree" else None
+        log = run(RunConfig(forecaster, ABS, d=1), ys, covariates)
+        assert type(log.summary["cumulative_loss"]) is float
+
     def test_covariates_required_for_tree(self):
         with pytest.raises(RejectedInputError):
             run(RunConfig("tree", ABS), uniform(10, 0))

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egtree.errors import RejectedInputError
 from egtree.losses import LossSpec
@@ -41,6 +44,8 @@ class TestBestConstant:
             best_constant([], ABS)
         with pytest.raises(RejectedInputError):
             best_constant([1.3], ABS)
+        with pytest.raises(RejectedInputError):
+            best_constant([0.5, math.nan], ABS)
 
     @pytest.mark.parametrize("loss", [ABS, SQ, PIN])
     def test_search_matches_grid_scan(self, loss):
@@ -141,6 +146,18 @@ class TestBestLipschitz1d:
     def test_negative_slope_bound_rejected(self):
         with pytest.raises(RejectedInputError):
             best_lipschitz_1d([0.1], [0.1], -1.0, ABS)
+        for L in (math.inf, math.nan):
+            with pytest.raises(RejectedInputError):
+                best_lipschitz_1d([0.1, 0.5], [0.1, 0.9], L, ABS)
+
+    @pytest.mark.parametrize("oracle", [best_lipschitz_1d, lipschitz_grid_1d])
+    def test_mismatched_or_out_of_range_outcomes_rejected(self, oracle):
+        with pytest.raises(RejectedInputError):
+            oracle([0.1, 0.5, 0.9], [0.2, 0.4, 0.6, 0.9, 0.9], 1.0, ABS)
+        with pytest.raises(RejectedInputError):
+            oracle([0.1, 0.5], [1.5, 2.0], 1.0, ABS)
+        with pytest.raises(RejectedInputError):
+            oracle([0.1, 0.5], [0.5, math.nan], 1.0, ABS)
 
     @pytest.mark.parametrize("loss", [ABS, SQ, PIN])
     def test_value_nonincreasing_in_slope_bound(self, loss):
@@ -175,9 +192,17 @@ class TestBestLipschitz1d:
                 gap = best_constant(ys, ABS).value - best_lipschitz_1d(xs, ys, L, ABS).value
                 assert gap <= constant_gap_bound(ABS.M, L, n, delta) + 1e-9
 
-    def test_iteration_budget_argument(self):
-        fit = best_lipschitz_1d([0.0, 0.5, 1.0], [0.2, 0.8, 0.3], 1.0, ABS, iters=50)
-        assert 0.0 <= fit.value
+    def test_three_point_instance_matches_brute_force(self):
+        # one slope constraint binds: 0.8 - 0.2 exceeds the cap 0.5 by 0.1
+        xs, ys, L = [0.0, 0.5, 1.0], [0.2, 0.8, 0.3], 1.0
+        grid = np.linspace(0.0, 1.0, 21)
+        brute = min(
+            abs(f1 - 0.2) + abs(f2 - 0.8) + abs(f3 - 0.3)
+            for f1, f2, f3 in itertools.product(grid, repeat=3)
+            if abs(f2 - f1) <= 0.5 + 1e-12 and abs(f3 - f2) <= 0.5 + 1e-12)
+        fit = best_lipschitz_1d(xs, ys, L, ABS)
+        assert brute == pytest.approx(0.1, abs=1e-12)
+        assert fit.value == pytest.approx(brute, abs=1e-12)
 
 
 class TestGridTwin:
@@ -211,3 +236,121 @@ class TestGridTwin:
             fit = best_lipschitz_1d(xs, ys, L, loss)
             grid = lipschitz_grid_1d(xs, ys, L, loss)
             assert abs(fit.value - grid.value) <= 2e-2
+
+
+# -- exactness of the slope-bounded DP ------------------------------------
+
+PIN_HIGH = LossSpec("pinball", alpha=0.9)
+SLOPES = (0.0, 0.3, 1.0, 5.0)
+
+
+def _values_at(fit, xs):
+    u, f = fit.argmin
+    return f[np.searchsorted(u, np.asarray(xs, dtype=float))]
+
+
+@st.composite
+def chain_instances(draw):
+    n = draw(st.integers(1, 8))
+    xs = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))  # duplicates likely
+    ys = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    return np.array(xs) / 6.0, np.array(ys)
+
+
+class TestLipschitzExactness:
+    @settings(max_examples=150, deadline=None)
+    @given(chain_instances(), st.sampled_from([ABS, SQ, PIN, PIN_HIGH]))
+    def test_properties(self, instance, loss):
+        xs, ys = instance
+        values = []
+        for L in SLOPES:
+            fit = best_lipschitz_1d(xs, ys, L, loss)
+            assert fit.value <= lipschitz_grid_1d(xs, ys, L, loss).value + 1e-12
+            u, f = fit.argmin
+            assert np.all((0.0 <= f) & (f <= 1.0))
+            assert np.all(np.abs(np.diff(f)) <= L * np.diff(u) + 1e-12)
+            recomputed = float(loss.value_array(_values_at(fit, xs), ys).sum())
+            assert recomputed == pytest.approx(fit.value, abs=1e-9)
+            values.append(fit.value)
+        assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+
+    @staticmethod
+    def _lp_value(xs, ys, L, loss):
+        """The same program as an LP: f, then the parts p, q of y - f = p - q."""
+        sparse = pytest.importorskip("scipy.sparse")
+        optimize = pytest.importorskip("scipy.optimize")
+        u, gidx = np.unique(np.asarray(xs, dtype=float), return_inverse=True)
+        n, T = len(u), len(ys)
+        a = 1.0 if loss.kind == "absolute" else loss.alpha
+        b = 1.0 if loss.kind == "absolute" else 1.0 - loss.alpha
+        cost = np.concatenate([np.zeros(n), np.full(T, a), np.full(T, b)])
+        eye = sparse.identity(T, format="csr")
+        pick = sparse.csr_matrix((np.ones(T), (np.arange(T), gidx)), shape=(T, n))
+        a_eq = sparse.hstack([pick, eye, -eye])
+        diff = sparse.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1], shape=(n - 1, n))
+        zeros = sparse.csr_matrix((n - 1, 2 * T))
+        a_ub = sparse.vstack([sparse.hstack([diff, zeros]), sparse.hstack([-diff, zeros])])
+        caps = L * np.diff(u)
+        res = optimize.linprog(cost, A_ub=a_ub, b_ub=np.concatenate([caps, caps]),
+                               A_eq=a_eq, b_eq=ys,
+                               bounds=[(0.0, 1.0)] * n + [(0.0, None)] * (2 * T),
+                               method="highs")
+        assert res.status == 0
+        return res.fun
+
+    @pytest.mark.parametrize("loss", [ABS, PIN, PIN_HIGH])
+    def test_piecewise_linear_losses_match_lp(self, loss):
+        rng = np.random.default_rng(32)
+        for _ in range(40):
+            n = int(rng.integers(2, 15))
+            xs = rng.integers(0, 9, size=n) / 8.0
+            ys = rng.random(n)
+            L = float(rng.choice([0.3, 1.0, 5.0]))
+            fit = best_lipschitz_1d(xs, ys, L, loss)
+            assert fit.value == pytest.approx(self._lp_value(xs, ys, L, loss), abs=1e-9)
+
+    @pytest.mark.parametrize("loss", [ABS, PIN])
+    def test_piecewise_linear_losses_match_lp_at_n_2000(self, loss):
+        rng = np.random.default_rng(33)
+        xs = rng.random(2000)
+        ys = np.clip(0.5 + 0.6 * (xs - 0.5) + 0.15 * rng.standard_normal(2000), 0.0, 1.0)
+        fit = best_lipschitz_1d(xs, ys, 1.0, loss)
+        lp = self._lp_value(xs, ys, 1.0, loss)
+        assert fit.value == pytest.approx(lp, rel=1e-9, abs=1e-9)
+
+    @staticmethod
+    def _enumerated_square_value(xs, ys, L):
+        """Minimum over every slack / tight-up / tight-down pattern of the chain.
+
+        Each pattern fixes the differences across its tight links, so every
+        block of linked values has a closed-form best level (a mean); the
+        feasible pattern solutions include the optimum.  The box [0,1] is
+        left out: clipping an optimum into it keeps it feasible and lowers
+        no loss term, so the optimal value is the same.
+        """
+        u, gidx = np.unique(np.asarray(xs, dtype=float), return_inverse=True)
+        n = len(u)
+        caps = L * np.diff(u)
+        best = math.inf
+        for pattern in itertools.product((0, 1, -1), repeat=n - 1):
+            offset = np.concatenate(([0.0], np.cumsum(np.array(pattern) * caps)))
+            block = np.concatenate(([0], np.cumsum(np.array(pattern) == 0)))
+            f = np.empty(n)
+            for k in np.unique(block):
+                members = block[gidx] == k
+                level = float(np.mean(ys[members] - offset[gidx[members]]))
+                f[block == k] = level + offset[block == k]
+            if np.all(np.abs(np.diff(f)) <= caps + 1e-12):
+                best = min(best, float(((f[gidx] - ys) ** 2).sum()))
+        return best
+
+    def test_square_loss_matches_active_set_enumeration(self):
+        rng = np.random.default_rng(34)
+        for _ in range(60):
+            T = int(rng.integers(1, 12))
+            xs = rng.integers(0, 7, size=T) / 6.0  # at most 7 distinct values
+            ys = rng.random(T)
+            L = float(rng.choice(SLOPES))
+            fit = best_lipschitz_1d(xs, ys, L, SQ)
+            assert fit.value == pytest.approx(
+                self._enumerated_square_value(xs, ys, L), abs=1e-12)
