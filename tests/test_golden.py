@@ -1,0 +1,161 @@
+"""Golden digests of fixed runs.
+
+Each case runs one forecaster over seeded data and pins the sha256 of
+``steps.csv`` and of ``summary.json`` without its ``wall_clock_sec``
+field, so a refactor or a speed-up of the forecasting path cannot change
+a single byte of a log without this file noticing.  The inputs mix
+uniform draws with exact dyadic values (0, 1/4, 1/2, 3/4, 1), so that
+midpoint ties and the closed upper face x = 1 are routed on every run.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from egtree.harness import RunConfig, run, write_run_log
+from egtree.losses import LossSpec
+
+LOSSES = {
+    "absolute": LossSpec("absolute"),
+    "square": LossSpec("square"),
+    "pinball": LossSpec("pinball", 0.35),
+}
+DYADIC = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+def dyadic_mix(rng, shape):
+    """Uniform draws, about half of them replaced by exact dyadic values."""
+    values = rng.random(shape)
+    snap = rng.random(shape) < 0.5
+    values[snap] = DYADIC[rng.integers(0, len(DYADIC), size=int(snap.sum()))]
+    return values
+
+
+def digests(log, tmp_path):
+    write_run_log(log, tmp_path)
+    steps = hashlib.sha256((tmp_path / "steps.csv").read_bytes()).hexdigest()
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    summary.pop("wall_clock_sec")
+    return steps, hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
+
+
+# (steps.csv sha256, summary.json sha256 without wall_clock_sec)
+GOLDEN = {
+    "eg-absolute": (
+        "e8e92c6a5d305022ab4810464fcc0c5a5eafcadf8c064a1a8b0a27a4a6545e52",
+        "255030fbf2f3476b93544fc887900b8b19e97c4f1e210facb84e38f69df2cc7b"),
+    "tree-d1-box-absolute": (
+        "ef9d635e24ecf1d5a6515bd4d46f4fe448580e2a46019e3482ee70013bca6a30",
+        "48041e278f2c2b7e277f106dc99caeb41051c19a45f17b0e5004ccd587cc2666"),
+    "tree-d1-range-absolute": (
+        "2c9953ece3a613f8b3bfd0d1765e0793ab63ff42417c210269d513b25a114cad",
+        "224e1e579534848344ca26397f5e7abeef98d1865fc66764035c5784f85d14d9"),
+    "tree-d3-box-absolute": (
+        "7cb3ce0e6e0d84b35070edf33aeaeb68bd7e998eee647fc88cc3beb9fa41b625",
+        "3636c8003c58cd457aa513f9eba205ac3beeedb23c7a773da9eaa160344699d5"),
+    "tree-d3-range-absolute": (
+        "a36598f62749eeb9dd383e2196ad9458af61597c17e90cbb0be6b21928c031d1",
+        "d27d23340daa28fb14e2206a8b7373aa5f1193437ecf9f6fcdd543d13a9c3e81"),
+    "meta-powers_of_two-box-absolute": (
+        "65c5f51fe9c5047928a808deb12e2b0b0afa291e1523515fd791a684bd1d8219",
+        "23fa1d338c84663b085531917572e986d688bf4afa1ed705f687317a04d62634"),
+    "meta-powers_of_two-range-absolute": (
+        "6e51a44a2631896d2110be5564079c2102acc1472df4396a437997cbde37546c",
+        "2cb8c67575ec09738cfdb355cf3c059f0370f69bd1be39090e65a0ef881f2662"),
+    "meta-quadratic-box-absolute": (
+        "74a3dda99f24c790e12be2f298cc6d5b96d5324be136e4afece1b69ae0018876",
+        "620deb315a924fac17ceb5eae4141aa23bdbe0b02b303087996058a92fe1bd6d"),
+    "meta-quadratic-range-absolute": (
+        "650e9332128793d175d01e6ea0ea6d438c9c0765ade004ff1741adb429e6a627",
+        "dd7420a4aba600f410928a39ff3b8ed9b9e4074665ef6fedb8762159b0d793a9"),
+    "eg-square": (
+        "c07239e1aba8df5e8a0873f7de11a0be5b4b3e274269d4b3ee0a8fc2bac37295",
+        "49edb3607ed2958253aadc1bd9970d5589e69d0d36a9dafecdbbbbc1a5e1fe38"),
+    "tree-d1-box-square": (
+        "c23f90b657953c5d6bda4e68fa92b3a3fbdb3ea69d0d8f8a60187d6b34583941",
+        "b01f93093eb524cf0ea4e08c400af56440496d149f8a1e389a907fd86aa5f089"),
+    "tree-d1-range-square": (
+        "2b97871749f4fc966b6674fefd2bf34c4f0af748c16fb11e3d889d2360dbd6bb",
+        "df515e633c176eed9faf3a11c187141e6a24bc45446662f7f8e8ee9a4aa7be33"),
+    "tree-d3-box-square": (
+        "3f6cda6b5e5ec126ccc3b2df40acfa56c76db3e71e0cd16e42415627500f6478",
+        "aee761edb9e0c77e60a07f583c8949a096a4143ef4023fc7c9722ef80cde5aa9"),
+    "tree-d3-range-square": (
+        "60fc55e727636ae2eee5cd0fb64c500aec77654a7f903e5cc8ca1d964cb21cb5",
+        "07f6ab3e479d3f918b9dcc821779394205fb8206a2b04b5bb50a71d77a13faeb"),
+    "meta-powers_of_two-box-square": (
+        "8e3c34fb8f933e298d053d8e52f59c16b721fc376f6e47b1cb6e8ffd86bcb2b0",
+        "f890adbc6edbef847f262a1875249f553af2e9c63962c1b5850335249be27e61"),
+    "meta-powers_of_two-range-square": (
+        "0575566ed6610ebd9db0d3fa51aa6aeb38b9e8c8de73354a1d8b72be4d916d61",
+        "ea9de4e6c0444410ec24f11c54ad1b817702b643b002307c76fbef70786c4d42"),
+    "meta-quadratic-box-square": (
+        "afb1c89fee2a5034f9e7b7094cd87caca3af93775ff2e9795a6f0168d2221d64",
+        "cba9cff83d6d349acb4bb0af65f4a851beb19db368190569752c2955c492bfa1"),
+    "meta-quadratic-range-square": (
+        "b02a306ab860fa6ed20e0f433b8a51157eb9be0551ed8bb0f8fbd487b0889b2b",
+        "2dbecf93fab5f82a4ee5b5a9265d9f8a799591167a4867e9cc59bbe94b2020f9"),
+    "eg-pinball": (
+        "18e07527d7ec156bb1d98840a08cf47eeb134312d0b7a2cc387a1b6ca1e292b8",
+        "11f6933d39da23ef83eb2415b109a94f76e5f72a0a42642862b2366c32324a34"),
+    "tree-d1-box-pinball": (
+        "20a1cf52bad9be011a01acc5cb316f5c7a8e0d01c80e218ea13564916ba9db77",
+        "6ed4e568f967d7eba54e07a96a2eb0e186dfda90f16ec1d6429270e9777c2f1c"),
+    "tree-d1-range-pinball": (
+        "f16bf75ceaba05e6316c674c015f416080938589e5e5c1fabfa2e55ac0d16197",
+        "0013228eca07d3896b22c78a0236002a2f0efe92e5c650e411fe5415129b7f2f"),
+    "tree-d3-box-pinball": (
+        "ffc0e37712f5b2ac390a295c1ad30d79984d6da31886a97e17510a885cc3683d",
+        "6952934a4b60251425fdae6586d21189fcb7ec70b79625c2d9108a9db3326eac"),
+    "tree-d3-range-pinball": (
+        "1f097ff317cff7d819b27b0ce05dd8a66a5379d85132f53e83d7f4c1bd325e3c",
+        "a5b3bc08fa78d9d86bd6953a9f15fb891e693f44f90f191295f130c2f63e5afd"),
+    "meta-powers_of_two-box-pinball": (
+        "09e4f10749d168f16dde6014aa21f1f3d3af2236c4ef314fef35c0b30cb4f956",
+        "91a0e14024e0eb02a0224f10ed5f1beb109606b98809e92ec70bb75309c470e1"),
+    "meta-powers_of_two-range-pinball": (
+        "e06c71593e4dc49f0c9c517c447782308ab32c244937869f079131ef3931d8da",
+        "430f6886b4fd4043f1221171a372fafb0f773d8f2cfc4ad107da40183e1d8de3"),
+    "meta-quadratic-box-pinball": (
+        "d0574df9c83aec057980a1809288db4aa78b1989311ae32208b323eee0bb5c90",
+        "284ed38339fc4abe13516ea857604f3f371ea4560eb0cae42f1e356893e685d6"),
+    "meta-quadratic-range-pinball": (
+        "11e631056eeea8b6166eadb3147a54dc0fce543a83612acfd2aaab93edf55580",
+        "13d59269917487809fa43698e2a2e1b6cd7c003b90f1fbcb7caaa8f016f09fb1"),
+}
+
+
+def cases():
+    for loss in LOSSES:
+        yield f"eg-{loss}"
+        for d in (1, 3):
+            for mode in ("box", "range"):
+                yield f"tree-d{d}-{mode}-{loss}"
+        for schedule in ("powers_of_two", "quadratic"):
+            for mode in ("box", "range"):
+                yield f"meta-{schedule}-{mode}-{loss}"
+
+
+def run_case(name):
+    parts = name.split("-")
+    forecaster, loss = parts[0], LOSSES[parts[-1]]
+    if forecaster == "eg":
+        ys = dyadic_mix(np.random.default_rng(11), 300)
+        return run(RunConfig("eg", loss, seed=11), ys)
+    if forecaster == "tree":
+        d, effective_range = int(parts[1][1:]), parts[2] == "range"
+        rng = np.random.default_rng(20 + d)
+        xs = dyadic_mix(rng, (400, d))
+        ys = dyadic_mix(rng, 400)
+        return run(RunConfig("tree", loss, d=d, effective_range=effective_range, seed=20 + d),
+                   ys, xs)
+    ys = dyadic_mix(np.random.default_rng(31), 400)
+    return run(RunConfig("meta", loss, schedule=parts[1], effective_range=parts[2] == "range",
+                         seed=31), ys)
+
+
+@pytest.mark.parametrize("name", list(cases()))
+def test_golden_digest(name, tmp_path):
+    assert digests(run_case(name), tmp_path) == GOLDEN[name]
