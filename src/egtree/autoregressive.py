@@ -23,6 +23,7 @@ import math
 
 from .errors import ContractViolationError, RejectedInputError
 from .losses import LossSpec
+from .oracles import lipschitz_regret_bound
 from .tree import PartitionTree
 
 POWERS_OF_TWO = "powers_of_two"
@@ -162,7 +163,7 @@ class MetaForecaster:
                 2.0 / math.sqrt(t + 1.0),
             )
 
-        self.history.append(outcome)
+        self.history.append(float(outcome))
         self._admit(self.t + 1)
         self.t += 1
 
@@ -213,6 +214,4 @@ def mixture_regret_bound_raw(T: int, n_active: int, start: int) -> float:
 
 def combined_regret_bound(M: float, L: float, d: int, T: int, start: int, n_active: int) -> float:
     """End-to-end cap versus the order-d Lipschitz comparator."""
-    from .oracles import lipschitz_regret_bound
-
     return start + mixture_regret_bound(T, n_active) + lipschitz_regret_bound(M, L, d, T)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import RejectedInputError
 from .losses import LossSpec
 
 _LOG2 = math.log(2.0)
@@ -36,8 +35,13 @@ class EgState:
 
 def predict(state: EgState) -> float:
     """Prediction for the upcoming step; always strictly inside (0,1)."""
-    eta = math.sqrt(_LOG2 / (state.t + 1)) / state.M
-    z = -eta * state.G
+    return prediction(state.t, state.G, state.M)
+
+
+def prediction(t: int, G: float, M: float) -> float:
+    """Scalar core of :func:`predict`, for callers that keep ``t``, ``G`` unboxed."""
+    eta = math.sqrt(_LOG2 / (t + 1)) / M
+    z = -eta * G
     if z > _ZMAX:
         z = _ZMAX
     elif z < -_ZMAX:
@@ -50,9 +54,10 @@ def predict(state: EgState) -> float:
 
 
 def update(state: EgState, pred: float, outcome: float, loss: LossSpec) -> EgState:
-    """Absorb one (prediction, outcome) pair; returns the successor state."""
-    if not 0.0 <= outcome <= 1.0:
-        raise RejectedInputError(f"outcome must lie in [0, 1], got {outcome!r}")
+    """Absorb one (prediction, outcome) pair; returns the successor state.
+
+    ``loss.subgradient`` rejects an outcome outside [0, 1].
+    """
     return EgState(state.t + 1, state.G + loss.subgradient(pred, outcome), state.M)
 
 

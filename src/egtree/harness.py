@@ -30,6 +30,7 @@ from . import eg
 from .autoregressive import (
     MetaForecaster,
     POWERS_OF_TWO,
+    combined_regret_bound,
     entry_step,
     mixture_regret_bound,
     mixture_regret_bound_raw,
@@ -50,18 +51,23 @@ def fmt17(x: float) -> str:
 
 
 def data_digest(ys, xs=None) -> str:
-    """Canonical digest of a dataset, independent of CSV cosmetics."""
-    h = hashlib.sha256()
+    """Canonical digest of a dataset, independent of CSV cosmetics.
+
+    The digest covers the text ``x1,..,xd,y;`` of every row, each value
+    rendered by :func:`fmt17`; a one-dimensional ``xs`` is one covariate.
+    """
     ys = np.asarray(ys, dtype=float)
+    columns = []
     if xs is not None:
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    for t in range(len(ys)):
-        if xs is not None:
-            for v in xs[t]:
-                h.update(fmt17(v).encode())
-                h.update(b",")
-        h.update(fmt17(ys[t]).encode())
-        h.update(b";")
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim == 1:
+            xs = xs[:, None]
+        if len(xs) != len(ys):
+            raise RejectedInputError(f"{len(xs)} covariate rows for {len(ys)} observations")
+        columns = xs.T.tolist()
+    h = hashlib.sha256()
+    for row in zip(*columns, ys.tolist()):
+        h.update((",".join([f"{v:.17g}" for v in row]) + ";").encode())
     return h.hexdigest()
 
 
@@ -78,6 +84,9 @@ class RunConfig:
     def __post_init__(self):
         if self.forecaster not in ("eg", "tree", "meta"):
             raise RejectedInputError(f"unknown forecaster {self.forecaster!r}")
+        entry_step(self.schedule, 1)  # rejects an unknown schedule
+        if self.max_d is not None and not (isinstance(self.max_d, int) and self.max_d >= 1):
+            raise RejectedInputError(f"max_d must be an integer >= 1, got {self.max_d!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -177,7 +186,7 @@ def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
         state = eg.EgState(M=config.loss.M)
         for t in range(T):
             p = eg.predict(state)
-            y = ys[t]
+            y = float(ys[t])  # forecasters see Python floats
             state = eg.update(state, p, y, config.loss)
             preds[t] = p
             losses[t] = config.loss.value(p, y)
@@ -187,9 +196,9 @@ def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
     elif config.forecaster == "tree":
         tree = PartitionTree(config.d, config.loss, config.effective_range)
         for t in range(T):
-            x = xs[t]
+            x = xs[t].tolist()
             p, leaf = tree.predict(x)
-            y = ys[t]
+            y = float(ys[t])
             h_t, i_t = leaf.h, leaf.i
             tree.update(leaf, p, y)
             preds[t] = p
@@ -208,15 +217,16 @@ def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
     else:
         meta = MetaForecaster(config.loss, config.schedule,
                               config.effective_range, config.max_d)
+        history_text = []  # fmt17 of every observation so far
         for t in range(T):
             p = meta.predict()
             f_vec = meta.last_expert_preds
             w_vec = meta.last_weights
-            window = meta.history[-len(meta.experts):] if meta.experts else []
-            x_text[t] = hashlib.sha256(
-                ",".join(fmt17(v) for v in window).encode()).hexdigest()[:12]
-            y = ys[t]
+            window = history_text[-len(meta.experts):] if meta.experts else []
+            x_text[t] = hashlib.sha256(",".join(window).encode()).hexdigest()[:12]
+            y = float(ys[t])
             meta.update(y)
+            history_text.append(fmt17(y))
             preds[t] = p
             losses[t] = config.loss.value(p, y)
             cumulative += float(losses[t])
@@ -524,8 +534,7 @@ def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCh
         if lipschitz_L is not None and T >= 2:
             fit = best_lipschitz_1d(log.ys[:-1], log.ys[1:], lipschitz_L, loss)
             regret = resummed - fit.value
-            bound = (start_1 + mixture_regret_bound(T, n_active)
-                     + lipschitz_regret_bound(M, lipschitz_L, 1, T))
+            bound = combined_regret_bound(M, lipschitz_L, 1, T, start_1, n_active)
             checks.append(BoundCheck(f"combined-regret(d=1,L={lipschitz_L})", bound,
                                      regret, regret <= bound))
     return checks

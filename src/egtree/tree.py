@@ -17,8 +17,10 @@ never forces a split.
 Geometry is fully determined by depth: after ``h = k*d + r`` splits the
 first ``r`` coordinates of a box have side ``2^-(k+1)`` and the remaining
 ``d - r`` have side ``2^-k``, hence ``diam <= sqrt(2d) * 2^(-h/d)``.
-Boxes are therefore never stored per node; they are reconstructed while
-descending from the root.
+Boxes are therefore never stored per node.  A node that splits keeps only
+its cut, the coordinate ``c = h mod d`` and the midpoint of its box along
+it, so routing costs one comparison per level; the boxes themselves are
+reconstructed from the root when they are inspected.
 """
 
 from __future__ import annotations
@@ -55,23 +57,37 @@ class Bin:
 
 
 class TreeNode:
-    """One tree node: depth/index pair, visit count, local forecaster."""
+    """One tree node: depth/index pair, visit count, local forecaster.
 
-    __slots__ = ("h", "i", "count", "eg", "left", "right", "obs_lo", "obs_hi")
+    The forecaster state is kept unboxed: ``count`` is also its step count
+    ``t`` and ``G`` its subgradient sum.  An inner node keeps its cut: it
+    sends ``x`` left when ``x[c] < mid``.
+    """
+
+    __slots__ = ("h", "i", "count", "G", "M", "left", "right", "c", "mid",
+                 "obs_lo", "obs_hi")
 
     def __init__(self, h: int, i: int, M: float):
         self.h = h
         self.i = i
         self.count = 0
-        self.eg = eg.EgState(M=M)
+        self.G = 0.0
+        self.M = M
         self.left = None
         self.right = None
+        self.c = None
+        self.mid = None
         self.obs_lo = None  # per-coordinate min of observed covariates
         self.obs_hi = None  # per-coordinate max, effective-range mode only
 
     @property
     def is_leaf(self) -> bool:
         return self.left is None
+
+    @property
+    def eg(self) -> eg.EgState:
+        """The node's forecaster state, as a read-only snapshot."""
+        return eg.EgState(self.count, self.G, self.M)
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,21 +115,11 @@ class PartitionTree:
         self.n_nodes = 1
         self.height = 0
         self.total_steps = 0
-        self._diam_sq = [float(d)]  # squared box diameter, indexed by depth
+        self._split_at = [1.0 / d]  # count + 1 that splits a depth-h box
         self._pending = None
 
-    # -- geometry ------------------------------------------------------
-
-    def _diameter_sq(self, h: int) -> float:
-        cache = self._diam_sq
-        while len(cache) <= h:
-            hh = len(cache)
-            k, r = divmod(hh, self.d)
-            cache.append(r * 4.0 ** -(k + 1) + (self.d - r) * 4.0 ** -k)
-        return cache[h]
-
     def _check_point(self, x) -> tuple:
-        x = tuple(float(v) for v in x)
+        x = tuple(map(float, x))
         if len(x) != self.d:
             raise RejectedInputError(f"expected a point of dimension {self.d}, got {len(x)}")
         for v in x:
@@ -123,44 +129,45 @@ class PartitionTree:
 
     # -- online protocol -----------------------------------------------
 
+    def _descend(self, x: tuple) -> TreeNode:
+        node = self.root
+        while node.left is not None:
+            # midpoint ties fall in the right box
+            node = node.left if x[node.c] < node.mid else node.right
+        return node
+
     def route(self, x) -> TreeNode:
         """Leaf whose box contains ``x``; cost proportional to the height."""
-        x = self._check_point(x)
-        node = self.root
-        lo = [0.0] * self.d
-        hi = [1.0] * self.d
-        while node.left is not None:
-            c = node.h % self.d
-            mid = (lo[c] + hi[c]) / 2.0
-            if x[c] < mid:
-                node = node.left
-                hi[c] = mid
-            else:
-                node = node.right  # midpoint ties fall in the right box
-                lo[c] = mid
-        return node
+        return self._descend(self._check_point(x))
 
     def predict(self, x):
         """Return ``(prediction, leaf)`` and arm the leaf for ``update``."""
         x = self._check_point(x)
-        leaf = self.route(x)
+        leaf = self._descend(x)
         self._pending = (leaf, x)
-        return eg.predict(leaf.eg), leaf
+        return eg.prediction(leaf.count, leaf.G, leaf.M), leaf
 
     def update(self, leaf: TreeNode, pred: float, outcome: float) -> None:
         """Feed the observed outcome to the leaf that produced ``pred``.
 
         The leaf may split afterwards, in which case it becomes an inner
-        node and its two children start with fresh forecasters.
+        node and its two children start with fresh forecasters.  A rejected
+        outcome leaves the tree and the pending prediction untouched.
         """
         if leaf.left is not None:
             raise ContractViolationError(
                 f"node ({leaf.h},{leaf.i}) is no longer a leaf; stale reference"
             )
-        if self._pending is None or self._pending[0] is not leaf:
+        pending = self._pending
+        if pending is None or pending[0] is not leaf:
             raise ContractViolationError("update must follow predict on the same leaf")
-        _, x = self._pending
+        g = self.loss.subgradient(pred, outcome)
+        x = pending[1]
         self._pending = None
+
+        leaf.G += g
+        leaf.count += 1
+        self.total_steps += 1
 
         if self.effective_range:
             if leaf.obs_lo is None:
@@ -172,28 +179,42 @@ class PartitionTree:
                         leaf.obs_lo[j] = v
                     elif v > leaf.obs_hi[j]:
                         leaf.obs_hi[j] = v
-
-        leaf.eg = eg.update(leaf.eg, pred, outcome, self.loss)
-        leaf.count += 1
-        self.total_steps += 1
-
-        if self.effective_range:
             diam_sq = sum((b - a) ** 2 for a, b in zip(leaf.obs_lo, leaf.obs_hi))
             if diam_sq <= 0.0:
                 return  # zero observed range: the split threshold is infinite
-        else:
-            diam_sq = self._diameter_sq(leaf.h)
-        if leaf.count + 1 >= 1.0 / diam_sq:
-            self._split(leaf)
+            if leaf.count + 1 >= 1.0 / diam_sq:
+                self._split(leaf, x)
+        elif leaf.count + 1 >= self._split_at[leaf.h]:
+            self._split(leaf, x)
 
-    def _split(self, node: TreeNode) -> None:
-        M = self.loss.M
-        node.left = TreeNode(node.h + 1, 2 * node.i - 1, M)
-        node.right = TreeNode(node.h + 1, 2 * node.i, M)
+    def _cut(self, h: int, x) -> tuple:
+        """Cut ``(c, mid)`` of the depth-``h`` box that contains ``x``.
+
+        After ``k = h // d`` earlier cuts on coordinate ``c`` the box spans
+        ``[j, j + 1] / 2^k`` there, with ``j = floor(x_c 2^k)`` (``2^k - 1``
+        at ``x_c = 1``); both ends and the midpoint are exact doubles.
+        """
+        k, c = divmod(h, self.d)
+        j = min(math.floor(math.ldexp(x[c], k)), (1 << k) - 1)
+        return c, math.ldexp(2 * j + 1, -(k + 1))
+
+    def _split(self, node: TreeNode, x) -> None:
+        h = node.h + 1
+        node.c, node.mid = self._cut(node.h, x)
+        node.left = TreeNode(h, 2 * node.i - 1, node.M)
+        node.right = TreeNode(h, 2 * node.i, node.M)
         node.obs_lo = node.obs_hi = None
         self.n_nodes += 2
-        if node.h + 1 > self.height:
-            self.height = node.h + 1
+        if h > self.height:
+            self._deepen(h)
+
+    def _deepen(self, h: int) -> None:
+        """Raise the height to ``h`` and extend the split counts to match."""
+        self.height = h
+        split_at = self._split_at
+        while len(split_at) <= h:
+            k, r = divmod(len(split_at), self.d)
+            split_at.append(1.0 / (r * 4.0 ** -(k + 1) + (self.d - r) * 4.0 ** -k))
 
     # -- inspection ------------------------------------------------------
 
@@ -248,7 +269,7 @@ class PartitionTree:
                 "h": node.h,
                 "i": node.i,
                 "count": node.count,
-                "eg": {"t": node.eg.t, "G": node.eg.G, "M": node.eg.M},
+                "eg": {"t": node.count, "G": node.G, "M": node.M},
                 "bin": {"lo": list(box.lo), "hi": list(box.hi)},
             }
             if self.effective_range and node.obs_lo is not None:
@@ -272,17 +293,31 @@ class PartitionTree:
             loss=LossSpec.from_dict(data["loss"]),
             effective_range=bool(data.get("effective_range", False)),
         )
+        M = tree.loss.M
         by_key = {}
         for entry in data["nodes"]:
-            node = TreeNode(int(entry["h"]), int(entry["i"]), tree.loss.M)
+            node = TreeNode(int(entry["h"]), int(entry["i"]), M)
+            key = (node.h, node.i)
+            if key in by_key:
+                raise RejectedInputError(f"node {key} appears twice")
             node.count = int(entry["count"])
             e = entry["eg"]
-            node.eg = eg.EgState(int(e["t"]), float(e["G"]), float(e["M"]))
+            node.G = float(e["G"])
+            if node.count < 0 or int(e["t"]) != node.count:
+                raise RejectedInputError(
+                    f"node {key}: count {node.count} must be >= 0 and equal eg.t {e['t']}")
+            if not math.isfinite(node.G):
+                raise RejectedInputError(f"node {key}: eg.G {node.G!r} is not finite")
+            if float(e["M"]) != M:
+                raise RejectedInputError(
+                    f"node {key}: eg.M {e['M']!r} does not match the loss's M = {M!r}")
             rng = entry.get("obs_range")
             if rng is not None:
                 node.obs_lo = [float(v) for v in rng["lo"]]
                 node.obs_hi = [float(v) for v in rng["hi"]]
-            by_key[(node.h, node.i)] = node
+                if len(node.obs_lo) != tree.d or len(node.obs_hi) != tree.d:
+                    raise RejectedInputError(f"node {key}: obs_range must hold {tree.d} values")
+            by_key[key] = node
         if (0, 1) not in by_key:
             raise RejectedInputError("serialized tree has no root node")
         for (h, i), node in by_key.items():
@@ -292,8 +327,16 @@ class PartitionTree:
                 raise RejectedInputError(f"node ({h},{i}) has exactly one child")
             node.left, node.right = left, right
         tree.root = by_key[(0, 1)]
-        tree.n_nodes = len(by_key)
-        tree.height = max(h for h, _ in by_key)
+        reached = 0
+        for node, box in tree.walk():
+            reached += 1
+            if node.left is not None:
+                node.c, node.mid = tree._cut(node.h, box.lo)
+        if reached != len(by_key):
+            raise RejectedInputError(
+                f"{len(by_key) - reached} serialized nodes cannot be reached from the root")
+        tree.n_nodes = reached
+        tree._deepen(max(h for h, _ in by_key))
         tree.total_steps = int(data.get("total_steps", sum(n.count for n in by_key.values())))
         return tree
 

@@ -149,6 +149,13 @@ class TestMetaProtocol:
         with pytest.raises(ContractViolationError):
             meta.update(0.5)
 
+    def test_history_holds_python_floats(self):
+        meta = MetaForecaster(ABS)
+        for y in np.random.default_rng(8).random(20):
+            meta.predict()
+            meta.update(y)  # a numpy scalar
+        assert all(type(v) is float for v in meta.history)
+
     def test_outcome_domain(self):
         meta = MetaForecaster(ABS)
         meta.predict()

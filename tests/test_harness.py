@@ -84,6 +84,17 @@ class TestRun:
         with pytest.raises(RejectedInputError):
             run(RunConfig("eg", ABS), np.array([0.5, 1.5, 0.2]))
 
+    def test_config_rejects_unknown_schedule(self):
+        with pytest.raises(RejectedInputError):
+            RunConfig("meta", ABS, schedule="linear")
+        with pytest.raises(RejectedInputError):
+            RunConfig.from_dict({"forecaster": "meta", "schedule": "cubic"})
+
+    @pytest.mark.parametrize("max_d", [0, -3, 2.5, "3"])
+    def test_config_rejects_max_d_below_one(self, max_d):
+        with pytest.raises(RejectedInputError):
+            RunConfig.from_dict({"forecaster": "meta", "max_d": max_d})
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("forecaster", ["eg", "tree", "meta"])
@@ -243,6 +254,34 @@ class TestVerifyBounds:
         ys = uniform(30, 19)
         assert data_digest(ys) != data_digest(ys[::-1].copy())
         assert data_digest(ys) == data_digest(list(map(float, ys)))
+
+    def test_digest_bytes_are_pinned(self):
+        # values computed by the per-value digest this one replaced
+        rng = np.random.default_rng(5)
+        xs = rng.random((200, 2))
+        xs[:4] = [[0.0, 1.0], [0.5, 0.25], [1.0, 1.0], [1e-300, 0.1]]
+        ys = rng.random(200)
+        ys[:3] = [0.0, 1.0, 0.5]
+        assert data_digest(ys, xs) == (
+            "989732a66dcb6e511fbde7101a359a48c0f984cc4c7145fcab9cb1c5c8dd5661")
+        assert data_digest(ys) == (
+            "4849fe9a9438029e9f303b63f2e022b6062b963a443fae0966a6c38a20ef3167")
+
+    def test_digest_reads_flat_covariates_as_one_column(self):
+        xs, ys = uniform(40, 22, d=1)
+        assert data_digest(ys, xs[:, 0]) == data_digest(ys, xs)
+        with pytest.raises(RejectedInputError):
+            data_digest(ys, xs[:-1])
+
+    def test_combined_bound_comes_from_autoregressive(self):
+        from egtree.autoregressive import combined_regret_bound
+
+        T = 600
+        log = run(RunConfig("meta", ABS), uniform(T, 23))
+        check = next(c for c in verify_bounds(log, lipschitz_L=1.0)
+                     if c.name.startswith("combined-regret"))
+        n_active = log.summary["final"]["n_active"]
+        assert check.bound == combined_regret_bound(ABS.M, 1.0, 1, T, 2, n_active)
 
 
 class TestReport:

@@ -25,6 +25,16 @@ def uniform_stream(d, T, seed):
     return rng.random((T, d)), rng.random(T)
 
 
+def dyadic_stream(d, T, seed):
+    """Uniform covariates, about half snapped to dyadic midpoints k/16 or to 1."""
+    rng = np.random.default_rng(seed)
+    xs = rng.random((T, d))
+    snap = rng.random((T, d)) < 0.5
+    xs[snap] = rng.integers(0, 17, size=int(snap.sum())) / 16.0
+    xs[::50] = 1.0
+    return xs, rng.random(T)
+
+
 class TestRouting:
     def test_fresh_tree_routes_to_root(self):
         tree = PartitionTree(1, ABS)
@@ -122,6 +132,16 @@ class TestSplitting:
         with pytest.raises(ContractViolationError):
             tree.update(leaf, p2, 0.9)
 
+    def test_rejected_outcome_leaves_the_tree_untouched(self):
+        tree = PartitionTree(1, ABS, effective_range=True)
+        p, leaf = tree.predict([0.3])
+        before = tree.to_dict()
+        with pytest.raises(RejectedInputError):
+            tree.update(leaf, p, 1.5)
+        assert tree.to_dict() == before
+        tree.update(leaf, p, 0.5)  # the prediction is still pending
+        assert leaf.count == 1
+
     def test_update_requires_matching_predict(self):
         tree = PartitionTree(1, ABS)
         p, leaf = tree.predict([0.3])
@@ -178,6 +198,21 @@ class TestPartitionInvariants:
                 assert (node.left.h, node.left.i) == (node.h + 1, 2 * node.i - 1)
                 assert (node.right.h, node.right.i) == (node.h + 1, 2 * node.i)
             assert tree.node_bin(node) == box
+
+    @pytest.mark.parametrize("effective_range", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_stored_cut_is_the_box_midpoint(self, d, effective_range):
+        xs, ys = dyadic_stream(d, 1500, seed=50 + d)
+        tree = grow(d, xs, ys, effective_range=effective_range)
+        inner = [node for node, _ in tree.walk() if not node.is_leaf]
+        assert len(inner) >= 5
+        for node in inner:
+            box = tree.node_bin(node)
+            assert node.c == node.h % d
+            assert node.mid == (box.lo[node.c] + box.hi[node.c]) / 2.0
+        for node, _ in tree.walk():
+            if node.is_leaf:
+                assert node.c is None and node.mid is None
 
     def test_node_count_is_odd(self):
         for seed in range(4):
@@ -278,9 +313,84 @@ class TestSerialization:
             clone.update(l2, p2, y)
         assert clone.n_nodes == tree.n_nodes
 
+    @pytest.mark.parametrize("effective_range", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_restored_mid_run_keeps_forecasting_identically(self, d, effective_range):
+        xs, ys = dyadic_stream(d, 1200, seed=60 + d)
+        tree = grow(d, xs[:600], ys[:600], effective_range=effective_range)
+        clone = PartitionTree.from_json(tree.to_json())
+        for original, restored in zip(tree.walk(), clone.walk()):
+            a, b = original[0], restored[0]
+            assert (a.h, a.i, a.c, a.mid) == (b.h, b.i, b.c, b.mid)
+        for x, y in zip(xs[600:], ys[600:]):
+            p1, l1 = tree.predict(x)
+            p2, l2 = clone.predict(x)
+            assert p1 == p2 and (l1.h, l1.i) == (l2.h, l2.i)
+            tree.update(l1, p1, float(y))
+            clone.update(l2, p2, float(y))
+        assert clone.to_dict() == tree.to_dict()
+
     def test_rejects_orphaned_children(self):
         tree = grow(1, [[0.2]], [0.7])
         data = tree.to_dict()
         data["nodes"] = [n for n in data["nodes"] if (n["h"], n["i"]) != (1, 2)]
+        with pytest.raises(RejectedInputError):
+            PartitionTree.from_dict(data)
+
+    def test_rejects_unreachable_nodes(self):
+        data = grow(1, [[0.2]], [0.7]).to_dict()
+        stray = dict(data["nodes"][0], h=5, i=3)
+        data["nodes"] = [data["nodes"][0], stray]  # root without children
+        with pytest.raises(RejectedInputError, match="cannot be reached"):
+            PartitionTree.from_dict(data)
+
+    def test_rejects_duplicate_nodes(self):
+        data = grow(1, [[0.2]], [0.7]).to_dict()
+        data["nodes"].append(data["nodes"][-1])
+        with pytest.raises(RejectedInputError):
+            PartitionTree.from_dict(data)
+
+    @staticmethod
+    def _tampered(edit):
+        data = grow(1, [[0.2], [0.7], [0.9]], [0.7, 0.1, 0.4]).to_dict()
+        edit(data["nodes"][-1])
+        return data
+
+    def test_rejects_negative_count(self):
+        def edit(node):
+            node["count"] = -1
+            node["eg"]["t"] = -1
+
+        with pytest.raises(RejectedInputError):
+            PartitionTree.from_dict(self._tampered(edit))
+
+    def test_rejects_count_that_differs_from_eg_steps(self):
+        def edit(node):
+            node["count"] += 1
+
+        with pytest.raises(RejectedInputError):
+            PartitionTree.from_dict(self._tampered(edit))
+
+    @pytest.mark.parametrize("M", [float("nan"), float("inf"), -1.0, 2.0])
+    def test_rejects_bad_or_mismatched_M(self, M):
+        def edit(node):
+            node["eg"]["M"] = M
+
+        with pytest.raises(RejectedInputError):
+            PartitionTree.from_dict(self._tampered(edit))
+
+    @pytest.mark.parametrize("G", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_G(self, G):
+        def edit(node):
+            node["eg"]["G"] = G
+
+        with pytest.raises(RejectedInputError):
+            PartitionTree.from_dict(self._tampered(edit))
+
+    def test_rejects_obs_range_of_wrong_dimension(self):
+        xs, ys = uniform_stream(2, 40, seed=7)
+        data = grow(2, xs, ys, effective_range=True).to_dict()
+        node = next(n for n in data["nodes"] if "obs_range" in n)
+        node["obs_range"]["lo"] = node["obs_range"]["lo"][:1]
         with pytest.raises(RejectedInputError):
             PartitionTree.from_dict(data)
