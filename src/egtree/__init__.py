@@ -10,10 +10,16 @@ The package provides, bottom-up:
 * :mod:`egtree.processes`       seeded ergodic generators with a computable loss floor
 * :mod:`egtree.harness`         experiment runner, logs, and bound verification
 * :mod:`egtree.cli`             the ``egtree`` command
+
+Every forecaster (:class:`~egtree.eg.EgTracker`, :class:`PartitionTree`,
+:class:`LaggedForecaster`, :class:`MetaForecaster`) follows one protocol:
+``predict(x) -> float``, then exactly one ``update(y)``; a rejected ``y``
+leaves the prediction pending.  ``trace()`` then returns the log columns of
+that step, by name (see :data:`egtree.harness.STEP_COLUMNS`).
 """
 
 from .autoregressive import LaggedForecaster, MetaForecaster, default_schedule
-from .eg import EgState
+from .eg import EgState, EgTracker
 from .errors import ContractViolationError, RejectedInputError
 from .harness import RunConfig, RunLog, run, verify_bounds
 from .losses import LossSpec
@@ -24,6 +30,7 @@ from .tree import PartitionTree
 __all__ = [
     "ContractViolationError",
     "EgState",
+    "EgTracker",
     "LaggedForecaster",
     "LossSpec",
     "MetaForecaster",

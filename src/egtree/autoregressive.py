@@ -14,11 +14,13 @@ members, learning rates ``eta_t = 2/sqrt(t)`` and per-step losses
 
 renormalized to sum to ``D_t / D_{t+1}``, while a member entering at step
 ``t+1`` receives weight ``1 / D_{t+1}``.  Weights are kept in the log
-domain; the power-and-normalize update underflows otherwise.
+domain; the power-and-normalize update underflows otherwise.  The mixture
+forecasts from its own history and ignores the ``x`` of ``predict(x)``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 from .errors import ContractViolationError, RejectedInputError
@@ -28,8 +30,6 @@ from .tree import PartitionTree
 
 POWERS_OF_TWO = "powers_of_two"
 QUADRATIC = "quadratic"
-
-_SCHEDULES = (POWERS_OF_TWO, QUADRATIC)
 
 
 def entry_step(kind: str, d: int) -> int:
@@ -68,7 +68,7 @@ class LaggedForecaster:
     """Order-d autoregressive wrapper around a partition tree.
 
     Inactive before ``start``; from then on each step consumes the lag
-    window ``y[t-d] ... y[t-1]`` as covariate.
+    window ``y[t-d] ... y[t-1]`` as covariate; the tree keeps the pending step.
     """
 
     def __init__(self, d: int, start: int, loss: LossSpec, effective_range: bool = False):
@@ -77,7 +77,6 @@ class LaggedForecaster:
         self.d = d
         self.start = start
         self.tree = PartitionTree(d, loss, effective_range=effective_range)
-        self._pending = None
 
     def predict(self, history: list) -> float:
         """Prediction from the last ``d`` entries of ``history``."""
@@ -85,16 +84,13 @@ class LaggedForecaster:
             raise ContractViolationError(
                 f"order-{self.d} forecaster asked to predict from {len(history)} observations"
             )
-        pred, leaf = self.tree.predict(history[-self.d:])
-        self._pending = (leaf, pred)
-        return pred
+        return self.tree.predict(history[-self.d:])
 
     def update(self, outcome: float) -> None:
-        if self._pending is None:
-            raise ContractViolationError("update must follow predict")
-        leaf, pred = self._pending
-        self._pending = None
-        self.tree.update(leaf, pred, outcome)
+        self.tree.update(outcome)
+
+    def trace(self) -> dict:
+        return self.tree.trace()
 
 
 class MetaForecaster:
@@ -107,8 +103,7 @@ class MetaForecaster:
         effective_range: bool = False,
         max_d: int | None = None,
     ):
-        if schedule not in _SCHEDULES:
-            raise RejectedInputError(f"unknown schedule {schedule!r}")
+        entry_step(schedule, 1)  # rejects an unknown schedule
         if max_d is not None and max_d < 1:
             raise RejectedInputError("max_d must be >= 1")
         self.loss = loss
@@ -119,7 +114,9 @@ class MetaForecaster:
         self.history: list = []
         self.experts: list[LaggedForecaster] = []
         self._logw: list[float] = []
-        self._pending = None
+        self._pending = None  # (member predictions, weights) awaiting the outcome
+        self._last = None     # the same pair for the last completed step
+        self._history_text: list = []  # .17g text of history, filled by trace()
 
     @property
     def n_active(self) -> int:
@@ -130,7 +127,7 @@ class MetaForecaster:
         """Current mixture weights, one per active forecaster."""
         return [math.exp(lw) for lw in self._logw]
 
-    def predict(self) -> float:
+    def predict(self, x=None) -> float:
         """Mixture prediction for the current step (1/2 before any entry)."""
         if not self.experts:
             self._pending = ((), ())
@@ -145,12 +142,12 @@ class MetaForecaster:
 
     def update(self, outcome: float) -> None:
         """Observe the step's outcome: feed members, reweight, admit entrants."""
-        if not 0.0 <= outcome <= 1.0:
-            raise RejectedInputError(f"outcome must lie in [0, 1], got {outcome!r}")
         if self._pending is None:
             raise ContractViolationError("update must follow predict")
+        if not 0.0 <= outcome <= 1.0:
+            raise RejectedInputError(f"outcome must lie in [0, 1], got {outcome!r}")
         preds, _ = self._pending
-        self._pending = None
+        self._last, self._pending = self._pending, None
 
         if self.experts:
             for ex in self.experts:
@@ -167,6 +164,19 @@ class MetaForecaster:
         self._admit(self.t + 1)
         self.t += 1
 
+    def trace(self) -> dict:
+        """Log columns of the last step; ``x`` digests the lag window it mixed."""
+        preds, weights = self._last
+        text = self._history_text
+        text.extend([format(v, ".17g") for v in self.history[len(text):]])
+        # the window the members saw: the observations before the step's outcome
+        window = text[-len(preds) - 1:-1] if preds else []
+        trees = [ex.tree for ex in self.experts]
+        return {"x": hashlib.sha256(",".join(window).encode()).hexdigest()[:12],
+                "n_nodes": sum(tree.n_nodes for tree in trees) or 1,
+                "height": max((tree.height for tree in trees), default=0),
+                "experts": preds, "weights": weights}
+
     def _admit(self, next_t: int) -> None:
         d_next = len(self.experts) + 1
         if self.max_d is not None and d_next > self.max_d:
@@ -181,20 +191,6 @@ class MetaForecaster:
             shift = math.log(incumbents / d_next)
             self._logw = [lw + shift for lw in self._logw]
         self._logw.append(-math.log(d_next))
-
-    @property
-    def last_expert_preds(self) -> tuple:
-        """Member predictions of the most recent predict() call."""
-        if self._pending is None:
-            raise ContractViolationError("no prediction pending")
-        return self._pending[0]
-
-    @property
-    def last_weights(self) -> tuple:
-        """Mixture weights used by the most recent predict() call."""
-        if self._pending is None:
-            raise ContractViolationError("no prediction pending")
-        return self._pending[1]
 
 
 def mixture_regret_bound(T: int, n_active: int) -> float:

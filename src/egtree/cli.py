@@ -28,7 +28,13 @@ from .losses import LossSpec
 
 def _load_json(path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise RejectedInputError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise RejectedInputError(f"{path} must hold a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _cmd_simulate(args) -> int:

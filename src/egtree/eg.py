@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import ContractViolationError
 from .losses import LossSpec
 
 _LOG2 = math.log(2.0)
@@ -59,6 +60,27 @@ def update(state: EgState, pred: float, outcome: float, loss: LossSpec) -> EgSta
     ``loss.subgradient`` rejects an outcome outside [0, 1].
     """
     return EgState(state.t + 1, state.G + loss.subgradient(pred, outcome), state.M)
+
+
+class EgTracker:
+    """:func:`predict` and :func:`update` behind the forecaster protocol; ``x`` is ignored."""
+
+    def __init__(self, loss: LossSpec):
+        self.loss, self.state = loss, EgState(M=loss.M)
+        self._pending = None  # prediction awaiting its outcome
+
+    def predict(self, x=None) -> float:
+        self._pending = predict(self.state)
+        return self._pending
+
+    def update(self, outcome: float) -> None:
+        if self._pending is None:
+            raise ContractViolationError("update must follow predict")
+        self.state = update(self.state, self._pending, outcome, self.loss)
+        self._pending = None
+
+    def trace(self) -> dict:
+        return {}  # no covariate, leaf or members to log
 
 
 def regret_bound(M: float, T: int) -> float:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -35,7 +36,7 @@ from .autoregressive import (
     mixture_regret_bound,
     mixture_regret_bound_raw,
 )
-from .errors import ContractViolationError, RejectedInputError
+from .errors import RejectedInputError
 from .losses import LossSpec
 from .oracles import best_constant, best_lipschitz_1d, lipschitz_regret_bound
 from .tree import PartitionTree, height_bound, node_count_bound
@@ -85,7 +86,12 @@ class RunConfig:
         if self.forecaster not in ("eg", "tree", "meta"):
             raise RejectedInputError(f"unknown forecaster {self.forecaster!r}")
         entry_step(self.schedule, 1)  # rejects an unknown schedule
-        if self.max_d is not None and not (isinstance(self.max_d, int) and self.max_d >= 1):
+        if type(self.d) is not int:
+            raise RejectedInputError(f"d must be an integer, got {self.d!r}")
+        if type(self.effective_range) is not bool:
+            raise RejectedInputError(
+                f"effective_range must be true or false, got {self.effective_range!r}")
+        if self.max_d is not None and not (type(self.max_d) is int and self.max_d >= 1):
             raise RejectedInputError(f"max_d must be an integer >= 1, got {self.max_d!r}")
 
     def to_dict(self) -> dict:
@@ -104,9 +110,9 @@ class RunConfig:
         return cls(
             forecaster=data.get("forecaster", "eg"),
             loss=LossSpec.from_dict(data.get("loss", {"kind": "absolute"})),
-            d=int(data.get("d", 1)),
+            d=data.get("d", 1),
             schedule=data.get("schedule", POWERS_OF_TWO),
-            effective_range=bool(data.get("effective_range", False)),
+            effective_range=data.get("effective_range", False),
             max_d=data.get("max_d"),
             seed=data.get("seed"),
         )
@@ -143,14 +149,25 @@ def _check_series(ys) -> np.ndarray:
     return ys
 
 
+def _forecaster(config: RunConfig):
+    if config.forecaster == "eg":
+        return eg.EgTracker(config.loss)
+    if config.forecaster == "tree":
+        return PartitionTree(config.d, config.loss, config.effective_range)
+    return MetaForecaster(config.loss, config.schedule, config.effective_range,
+                          config.max_d)
+
+
 def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
     """Drive the configured forecaster over a series; returns the full log.
 
     ``xs`` (shape (T, d), values in [0,1]) is required for tree runs and
-    must be absent otherwise.  Outcomes are never shown to a forecaster
-    before its prediction for the step is collected.  With ``save_state``
-    the final tree of a tree run is embedded in the summary for later
-    snapshot/restore.
+    must be absent otherwise.  Every forecaster is driven by the same
+    loop: ``predict(x)`` with the step's covariate (``None`` without
+    covariates), then ``update(y)``, then ``trace()`` for the step's log
+    columns, so an outcome is never shown before its prediction.  With
+    ``save_state`` the final tree of a tree run is embedded in the summary
+    for later snapshot/restore.
     """
     started = time.perf_counter()
     ys = _check_series(ys)
@@ -172,81 +189,32 @@ def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
     t_col = np.arange(1, T + 1, dtype=np.int64)
     preds = np.empty(T)
     losses = np.empty(T)
-    leaf_h = np.full(T, -1, dtype=np.int64)
-    leaf_i = np.full(T, -1, dtype=np.int64)
-    n_nodes = np.ones(T, dtype=np.int64)
-    height = np.zeros(T, dtype=np.int64)
-    x_text = [""] * T
-    expert_preds: list = [()] * T
-    expert_weights: list = [()] * T
+    # the step-log columns that trace() fills by name; a column a forecaster
+    # does not trace keeps its default
+    columns = {"x": [""] * T, "leaf_h": np.full(T, -1, dtype=np.int64),
+               "leaf_i": np.full(T, -1, dtype=np.int64), "n_nodes": np.ones(T, dtype=np.int64),
+               "height": np.zeros(T, dtype=np.int64), "experts": [()] * T, "weights": [()] * T}
     cumulative = 0.0
-    summary_extra: dict = {}
+    loss = config.loss
 
-    if config.forecaster == "eg":
-        state = eg.EgState(M=config.loss.M)
-        for t in range(T):
-            p = eg.predict(state)
-            y = float(ys[t])  # forecasters see Python floats
-            state = eg.update(state, p, y, config.loss)
-            preds[t] = p
-            losses[t] = config.loss.value(p, y)
-            cumulative += float(losses[t])
-        final = {"n_nodes": 1, "height": 0, "total_steps": T}
+    forecaster = _forecaster(config)
+    # forecasters see Python floats
+    points = itertools.repeat(None, T) if xs is None else (row.tolist() for row in xs)
+    for t, (x, y) in enumerate(zip(points, ys.tolist())):
+        p = forecaster.predict(x)
+        forecaster.update(y)
+        preds[t] = p
+        losses[t] = step_loss = loss.value(p, y)
+        cumulative += step_loss
+        for name, value in forecaster.trace().items():
+            columns[name][t] = value
 
-    elif config.forecaster == "tree":
-        tree = PartitionTree(config.d, config.loss, config.effective_range)
-        for t in range(T):
-            x = xs[t].tolist()
-            p, leaf = tree.predict(x)
-            y = float(ys[t])
-            h_t, i_t = leaf.h, leaf.i
-            tree.update(leaf, p, y)
-            preds[t] = p
-            losses[t] = config.loss.value(p, y)
-            cumulative += float(losses[t])
-            leaf_h[t] = h_t
-            leaf_i[t] = i_t
-            n_nodes[t] = tree.n_nodes
-            height[t] = tree.height
-            x_text[t] = ";".join(fmt17(v) for v in x)
-        final = {"n_nodes": tree.n_nodes, "height": tree.height,
-                 "total_steps": tree.total_steps}
-        if save_state:
-            summary_extra["tree"] = tree.to_dict()
-
-    else:
-        meta = MetaForecaster(config.loss, config.schedule,
-                              config.effective_range, config.max_d)
-        history_text = []  # fmt17 of every observation so far
-        for t in range(T):
-            p = meta.predict()
-            f_vec = meta.last_expert_preds
-            w_vec = meta.last_weights
-            window = history_text[-len(meta.experts):] if meta.experts else []
-            x_text[t] = hashlib.sha256(",".join(window).encode()).hexdigest()[:12]
-            y = float(ys[t])
-            meta.update(y)
-            history_text.append(fmt17(y))
-            preds[t] = p
-            losses[t] = config.loss.value(p, y)
-            cumulative += float(losses[t])
-            expert_preds[t] = f_vec
-            expert_weights[t] = w_vec
-            total_nodes = sum(ex.tree.n_nodes for ex in meta.experts)
-            n_nodes[t] = total_nodes if total_nodes else 1
-            height[t] = max((ex.tree.height for ex in meta.experts), default=0)
-        final = {
-            "n_nodes": int(n_nodes[-1]),
-            "height": int(height[-1]),
-            "total_steps": T,
-            "n_active": meta.n_active,  # pool size for step T+1
-            "experts": [
-                {"d": ex.d, "start": ex.start, "n_nodes": ex.tree.n_nodes,
-                 "height": ex.tree.height}
-                for ex in meta.experts
-            ],
-        }
-
+    final = {"n_nodes": int(columns["n_nodes"][-1]), "height": int(columns["height"][-1]),
+             "total_steps": T}
+    if config.forecaster == "meta":
+        final["n_active"] = forecaster.n_active  # pool size for step T+1
+        final["experts"] = [{"d": ex.d, "start": ex.start, "n_nodes": ex.tree.n_nodes,
+                             "height": ex.tree.height} for ex in forecaster.experts]
     summary = {
         "format": LOG_FORMAT,
         "T": T,
@@ -257,9 +225,11 @@ def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
         "final": final,
         "wall_clock_sec": time.perf_counter() - started,
     }
-    summary.update(summary_extra)
-    return RunLog(t_col, x_text, preds, ys, losses, leaf_h, leaf_i,
-                  n_nodes, height, expert_preds, expert_weights, summary)
+    if save_state and config.forecaster == "tree":
+        summary["tree"] = forecaster.to_dict()
+    return RunLog(t_col, columns["x"], preds, ys, losses, columns["leaf_h"], columns["leaf_i"],
+                  columns["n_nodes"], columns["height"], columns["experts"],
+                  columns["weights"], summary)
 
 
 # -- log persistence -----------------------------------------------------
@@ -294,20 +264,25 @@ def read_run_log(outdir) -> RunLog:
     outdir = Path(outdir)
     with open(outdir / "summary.json") as fh:
         summary = json.load(fh)
-    cols: dict = {name: [] for name in STEP_COLUMNS}
+    cols = {name: [] for name in STEP_COLUMNS}
+    width = len(STEP_COLUMNS)
     with open(outdir / "steps.csv", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if tuple(header or ()) != STEP_COLUMNS:
             raise RejectedInputError(f"unrecognized step log header: {header}")
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(STEP_COLUMNS):
-                raise RejectedInputError(
-                    f"row {row_no}: expected {len(STEP_COLUMNS)} fields, got {len(row)}")
-            for name, cell in zip(STEP_COLUMNS, row):
-                cols[name].append(cell)
-    T = len(cols["t"])
-    if T == 0:
+        row_no = 2
+        # transpose a block of rows at a time: all rows at once would hold
+        # every row list next to the columns
+        for rows in iter(lambda: list(itertools.islice(reader, 1024)), []):
+            for row in rows:
+                if len(row) != width:
+                    raise RejectedInputError(
+                        f"row {row_no}: expected {width} fields, got {len(row)}")
+                row_no += 1
+            for name, cells in zip(STEP_COLUMNS, zip(*rows)):
+                cols[name] += cells
+    if not cols["t"]:
         raise RejectedInputError("step log is empty")
 
     def ints(name, sentinel=None):
@@ -468,11 +443,10 @@ def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCh
     checks.append(BoundCheck("per-step-loss-consistency", 0.0, recomputed,
                              recomputed == 0.0, "log rows must round-trip"))
 
-    if config.forecaster in ("eg", "tree", "meta"):
-        mono_n = bool(np.all(np.diff(log.n_nodes) >= 0))
-        mono_h = bool(np.all(np.diff(log.height) >= 0))
-        checks.append(BoundCheck("tree-size-monotone", 1.0, float(mono_n and mono_h),
-                                 mono_n and mono_h, "N_t and H_t never shrink"))
+    mono_n = bool(np.all(np.diff(log.n_nodes) >= 0))
+    mono_h = bool(np.all(np.diff(log.height) >= 0))
+    checks.append(BoundCheck("tree-size-monotone", 1.0, float(mono_n and mono_h),
+                             mono_n and mono_h, "N_t and H_t never shrink"))
 
     if config.forecaster == "eg":
         fit = best_constant(log.ys, loss)
@@ -481,10 +455,8 @@ def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCh
         checks.append(BoundCheck("constant-regret", bound, regret, regret < bound))
 
     if config.forecaster == "tree":
-        n_ok = all(log.n_nodes[k] <= node_count_bound(config.d, int(log.t[k]))
-                   for k in range(T))
-        h_ok = all(log.height[k] <= height_bound(config.d, int(log.t[k]))
-                   for k in range(T))
+        n_ok = bool(np.all(log.n_nodes <= node_count_bound(config.d, log.t)))
+        h_ok = bool(np.all(log.height <= height_bound(config.d, log.t)))
         checks.append(BoundCheck("node-count-growth", 1.0, float(n_ok), n_ok,
                                  "N_t <= 1 + 8 (d t)^(d/(d+2)) at every step"))
         checks.append(BoundCheck("height-growth", 1.0, float(h_ok), h_ok,

@@ -41,7 +41,7 @@ class LossSpec:
         if self.kind not in _KINDS:
             raise RejectedInputError(f"unknown loss kind {self.kind!r}")
         if self.kind == PINBALL:
-            if self.alpha is None or not 0.0 < self.alpha < 1.0:
+            if not isinstance(self.alpha, float) or not 0.0 < self.alpha < 1.0:
                 raise RejectedInputError("pinball loss requires alpha in (0, 1)")
         elif self.alpha is not None:
             raise RejectedInputError(f"alpha is only meaningful for {PINBALL!r}")
@@ -121,4 +121,6 @@ class LossSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LossSpec":
+        if not isinstance(data, dict) or "kind" not in data:
+            raise RejectedInputError(f"a loss must be an object with a 'kind', got {data!r}")
         return cls(kind=data["kind"], alpha=data.get("alpha"))

@@ -20,7 +20,7 @@ reported so that archived series can be regenerated bit-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -20,7 +20,8 @@ first ``r`` coordinates of a box have side ``2^-(k+1)`` and the remaining
 Boxes are therefore never stored per node.  A node that splits keeps only
 its cut, the coordinate ``c = h mod d`` and the midpoint of its box along
 it, so routing costs one comparison per level; the boxes themselves are
-reconstructed from the root when they are inspected.
+reconstructed from the root when they are inspected.  Between ``predict``
+and ``update`` the tree itself remembers the leaf and the checked point.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import eg
 from .errors import ContractViolationError, RejectedInputError
@@ -90,19 +93,11 @@ class TreeNode:
         return eg.EgState(self.count, self.G, self.M)
 
 
-@dataclass(frozen=True, slots=True)
-class TreeStats:
-    n_nodes: int
-    height: int
-    total_steps: int
-    leaf_counts: tuple  # of (h, i, count)
-
-
 class PartitionTree:
     """Covariate-partitioning forecaster over [0,1]^d.
 
     A single instance must be driven sequentially: each ``predict`` is
-    followed by exactly one ``update`` with the leaf it returned.
+    followed by exactly one ``update``, applied to the predicting leaf.
     """
 
     def __init__(self, d: int, loss: LossSpec, effective_range: bool = False):
@@ -116,7 +111,8 @@ class PartitionTree:
         self.height = 0
         self.total_steps = 0
         self._split_at = [1.0 / d]  # count + 1 that splits a depth-h box
-        self._pending = None
+        self._pending = None  # (leaf, point, prediction) awaiting its outcome
+        self._last = None     # the same triple for the last completed step
 
     def _check_point(self, x) -> tuple:
         x = tuple(map(float, x))
@@ -140,30 +136,26 @@ class PartitionTree:
         """Leaf whose box contains ``x``; cost proportional to the height."""
         return self._descend(self._check_point(x))
 
-    def predict(self, x):
-        """Return ``(prediction, leaf)`` and arm the leaf for ``update``."""
+    def predict(self, x) -> float:
+        """Prediction of the leaf whose box contains ``x``."""
         x = self._check_point(x)
         leaf = self._descend(x)
-        self._pending = (leaf, x)
-        return eg.prediction(leaf.count, leaf.G, leaf.M), leaf
+        pred = eg.prediction(leaf.count, leaf.G, leaf.M)
+        self._pending = (leaf, x, pred)
+        return pred
 
-    def update(self, leaf: TreeNode, pred: float, outcome: float) -> None:
-        """Feed the observed outcome to the leaf that produced ``pred``.
+    def update(self, outcome: float) -> None:
+        """Feed the observed outcome to the leaf of the pending prediction.
 
         The leaf may split afterwards, in which case it becomes an inner
         node and its two children start with fresh forecasters.  A rejected
         outcome leaves the tree and the pending prediction untouched.
         """
-        if leaf.left is not None:
-            raise ContractViolationError(
-                f"node ({leaf.h},{leaf.i}) is no longer a leaf; stale reference"
-            )
-        pending = self._pending
-        if pending is None or pending[0] is not leaf:
-            raise ContractViolationError("update must follow predict on the same leaf")
+        if self._pending is None:
+            raise ContractViolationError("update must follow predict")
+        leaf, x, pred = self._pending
         g = self.loss.subgradient(pred, outcome)
-        x = pending[1]
-        self._pending = None
+        self._last, self._pending = self._pending, None
 
         leaf.G += g
         leaf.count += 1
@@ -216,13 +208,13 @@ class PartitionTree:
             k, r = divmod(len(split_at), self.d)
             split_at.append(1.0 / (r * 4.0 ** -(k + 1) + (self.d - r) * 4.0 ** -k))
 
-    # -- inspection ------------------------------------------------------
+    def trace(self) -> dict:
+        """Log columns of the last step: its point, its leaf, the tree's size."""
+        leaf, x, _ = self._last
+        return {"x": ";".join([format(v, ".17g") for v in x]), "leaf_h": leaf.h,
+                "leaf_i": leaf.i, "n_nodes": self.n_nodes, "height": self.height}
 
-    def stats(self) -> TreeStats:
-        leaves = tuple(
-            (node.h, node.i, node.count) for node, _ in self.walk() if node.is_leaf
-        )
-        return TreeStats(self.n_nodes, self.height, self.total_steps, leaves)
+    # -- inspection ------------------------------------------------------
 
     def walk(self):
         """Depth-first iteration over ``(node, bin)`` pairs."""
@@ -345,14 +337,14 @@ class PartitionTree:
         return cls.from_dict(json.loads(text))
 
 
-def node_count_bound(d: int, t: int) -> float:
-    """Growth cap on the number of nodes after t steps: 1 + 8*(d*t)^(d/(d+2))."""
+def node_count_bound(d: int, t):
+    """Growth cap on the node count after t (or an array of t) steps: 1 + 8*(d*t)^(d/(d+2))."""
     return 1.0 + 8.0 * (d * t) ** (d / (d + 2.0))
 
 
-def height_bound(d: int, t: int) -> float:
-    """Growth cap on the tree height after t steps: 1 + (d/2)*log2(4*d*t)."""
-    return 1.0 + 0.5 * d * math.log2(4.0 * d * t)
+def height_bound(d: int, t):
+    """Growth cap on the tree height after t (or an array of t) steps: 1 + (d/2)*log2(4*d*t)."""
+    return 1.0 + 0.5 * d * np.log2(4.0 * d * t)
 
 
 def diameter_bound(d: int, h: int) -> float:

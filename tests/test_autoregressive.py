@@ -60,8 +60,9 @@ def drive(meta, ys):
     records = []
     for y in ys:
         p = meta.predict()
-        records.append((p, meta.last_expert_preds, meta.last_weights))
         meta.update(float(y))
+        step = meta.trace()
+        records.append((p, step["experts"], step["weights"]))
     return records
 
 
@@ -82,17 +83,20 @@ class TestMetaProtocol:
         meta = MetaForecaster(ABS, max_d=1)
         rng = np.random.default_rng(0)
         for y in rng.random(50):
+            active = meta.n_active
             p = meta.predict()
-            if meta.n_active == 1:
-                assert p == meta.last_expert_preds[0]
             meta.update(float(y))
+            if active == 1:
+                assert p == meta.trace()["experts"][0]
 
     def test_mixture_is_the_logged_dot_product(self):
         meta = MetaForecaster(ABS)
         rng = np.random.default_rng(1)
         for y in rng.random(200):
             p = meta.predict()
-            preds, weights = meta.last_expert_preds, meta.last_weights
+            meta.update(float(y))
+            step = meta.trace()
+            preds, weights = step["experts"], step["weights"]
             if preds:
                 acc = 0.0
                 for w, f in zip(weights, preds):
@@ -100,7 +104,6 @@ class TestMetaProtocol:
                 assert p == min(max(acc, 0.0), 1.0)
             else:
                 assert p == 0.5  # nothing active yet
-            meta.update(float(y))
 
     def test_entrant_weight_splits_evenly_from_single_incumbent(self):
         meta = MetaForecaster(ABS)
@@ -172,7 +175,11 @@ class TestLaggedForecaster:
         ex = LaggedForecaster(d=2, start=3, loss=ABS)
         history = [0.1, 0.9, 0.3]
         ex.predict(history)
-        assert ex._pending[0] is ex.tree.route((0.9, 0.3))
+        leaf = ex.tree.route((0.9, 0.3))
+        ex.update(0.5)
+        step = ex.trace()
+        assert (step["leaf_h"], step["leaf_i"]) == (leaf.h, leaf.i)
+        assert step["x"] == "0.90000000000000002;0.29999999999999999"
 
     def test_short_history_rejected(self):
         ex = LaggedForecaster(d=4, start=5, loss=ABS)

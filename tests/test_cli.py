@@ -165,3 +165,49 @@ def test_domain_errors_exit_two(tmp_path, capsys):
                "--forecaster", "eg"])
     assert rc == 2
     assert "row 2" in capsys.readouterr().err
+
+
+def _run_with_config(tmp_path, text):
+    series = tmp_path / "s.csv"
+    write_series(series, [0.2, 0.4, 0.9, 0.1])
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    return main(["run", "--config", str(config), "--input", str(series),
+                 "--out", str(tmp_path / "r")])
+
+
+def test_malformed_config_json_exits_two(tmp_path, capsys):
+    assert _run_with_config(tmp_path, '{"forecaster": "eg",') == 2
+    assert "not valid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_config_top_level_must_be_an_object(tmp_path, capsys):
+    assert _run_with_config(tmp_path, '["eg"]') == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_config_effective_range_must_be_a_boolean(tmp_path, capsys):
+    text = json.dumps({"forecaster": "eg", "effective_range": "false"})
+    assert _run_with_config(tmp_path, text) == 2
+    assert "effective_range" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("d", [2.5, "x"])
+def test_config_d_must_be_an_integer(tmp_path, capsys, d):
+    assert _run_with_config(tmp_path, json.dumps({"forecaster": "eg", "d": d})) == 2
+    assert "d must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_config_loss_needs_a_kind(tmp_path, capsys):
+    text = json.dumps({"forecaster": "eg", "loss": {"alpha": 0.3}})
+    assert _run_with_config(tmp_path, text) == 2
+    assert "'kind'" in capsys.readouterr().err
+
+
+def test_config_pinball_alpha_must_be_a_number(tmp_path, capsys):
+    text = json.dumps({"forecaster": "eg", "loss": {"kind": "pinball", "alpha": "0.3"}})
+    assert _run_with_config(tmp_path, text) == 2
+    assert "alpha in (0, 1)" in capsys.readouterr().err

@@ -1,10 +1,9 @@
 import json
-import math
 
 import numpy as np
 import pytest
 
-from egtree.errors import ContractViolationError, RejectedInputError
+from egtree.errors import RejectedInputError
 from egtree.harness import (
     RunConfig,
     RunLog,
@@ -22,7 +21,7 @@ from egtree.harness import (
     report,
 )
 from egtree.losses import LossSpec
-from egtree.tree import node_count_bound
+from egtree.tree import height_bound, node_count_bound
 
 ABS = LossSpec("absolute")
 
@@ -90,7 +89,7 @@ class TestRun:
         with pytest.raises(RejectedInputError):
             RunConfig.from_dict({"forecaster": "meta", "schedule": "cubic"})
 
-    @pytest.mark.parametrize("max_d", [0, -3, 2.5, "3"])
+    @pytest.mark.parametrize("max_d", [0, -3, 2.5, "3", True])
     def test_config_rejects_max_d_below_one(self, max_d):
         with pytest.raises(RejectedInputError):
             RunConfig.from_dict({"forecaster": "meta", "max_d": max_d})
@@ -124,6 +123,32 @@ class TestDeterminism:
         assert back.expert_preds == [tuple(v) for v in log.expert_preds]
         assert back.expert_weights == [tuple(v) for v in log.expert_weights]
         assert back.summary == json.loads(json.dumps(log.summary))
+
+    def test_long_tree_log_round_trip(self, tmp_path):
+        xs, ys = uniform(2500, 10, d=2)
+        log = run(RunConfig("tree", ABS, d=2), ys, xs)
+        write_run_log(log, tmp_path)
+        back = read_run_log(tmp_path)
+        for name in ("t", "preds", "ys", "losses", "leaf_h", "leaf_i", "n_nodes", "height"):
+            assert np.array_equal(getattr(back, name), getattr(log, name)), name
+        assert back.x_text == log.x_text
+        assert back.expert_preds == back.expert_weights == [()] * 2500
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda lines: lines[:1], "step log is empty"),
+        (lambda lines: ["t,x,pred"] + lines[1:], "unrecognized step log header"),
+        (lambda lines: lines[:1499] + [lines[1499] + ",9"] + lines[1500:],
+         "row 1500: expected 11 fields, got 12"),
+        (lambda lines: lines[:2100] + [lines[2100].rsplit(",", 1)[0]] + lines[2101:],
+         "row 2101: expected 11 fields, got 10"),
+    ])
+    def test_damaged_step_log_rejected(self, tmp_path, damage, message):
+        xs, ys = uniform(2500, 10, d=2)
+        write_run_log(run(RunConfig("tree", ABS, d=2), ys, xs), tmp_path)
+        steps = tmp_path / "steps.csv"
+        steps.write_text("\n".join(damage(steps.read_text().splitlines())) + "\n")
+        with pytest.raises(RejectedInputError, match=message):
+            read_run_log(tmp_path)
 
 
 class TestCsvFormats:
@@ -190,6 +215,21 @@ class TestVerifyBounds:
         names = {c.name for c in checks}
         assert {"node-count-growth", "height-growth",
                 "per-leaf-decomposition", "visit-concentration"} <= names
+
+    @pytest.mark.parametrize("column, name, cap", [
+        ("n_nodes", "node-count-growth", node_count_bound),
+        ("height", "height-growth", height_bound),
+    ])
+    def test_growth_checks_compare_each_step_with_its_own_cap(self, column, name, cap):
+        xs, ys = uniform(500, 12, d=2)
+        log = run(RunConfig("tree", ABS, d=2), ys, xs)
+        # a step t whose successor's cap passes the next integer
+        t = next(t for t in range(100, 500) if int(cap(2, t + 1)) > int(cap(2, t)))
+        value = int(cap(2, t + 1))
+        getattr(log, column)[t] = value  # step t + 1, at its cap: passes
+        assert next(c for c in verify_bounds(log) if c.name == name).passed
+        getattr(log, column)[t - 1] = value  # step t, over its own cap
+        assert not next(c for c in verify_bounds(log) if c.name == name).passed
 
     def test_tree_run_with_lipschitz_comparator(self):
         xs, ys = uniform(1500, 13, d=1)

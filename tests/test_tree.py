@@ -15,8 +15,8 @@ ABS = LossSpec("absolute")
 def grow(d, xs, ys, effective_range=False, loss=ABS):
     tree = PartitionTree(d, loss, effective_range=effective_range)
     for x, y in zip(xs, ys):
-        pred, leaf = tree.predict(x)
-        tree.update(leaf, pred, float(y))
+        tree.predict(x)
+        tree.update(float(y))
     return tree
 
 
@@ -66,7 +66,7 @@ class TestRouting:
 class TestPrediction:
     def test_fresh_tree_predicts_half(self):
         tree = PartitionTree(3, ABS)
-        pred, _ = tree.predict([0.1, 0.9, 0.5])
+        pred = tree.predict([0.1, 0.9, 0.5])
         assert pred == 0.5
 
     def test_prediction_comes_from_leaf_state(self):
@@ -74,19 +74,18 @@ class TestPrediction:
         # root accumulates: after one +1 subgradient the next prediction is
         # the frozen one-unit-gradient value
         tree = PartitionTree(1, ABS, effective_range=True)
-        pred, leaf = tree.predict([0.3])
+        pred = tree.predict([0.3])
         assert pred == 0.5
-        tree.update(leaf, pred, 0.0)
-        pred2, _ = tree.predict([0.3])
+        tree.update(0.0)
+        pred2 = tree.predict([0.3])
         assert pred2 == pytest.approx(0.3569320399887234, abs=1e-15)
 
 
 class TestSplitting:
     def test_first_observation_splits_root_1d(self):
         tree = grow(1, [[0.2]], [0.7])
-        stats = tree.stats()
-        assert stats.n_nodes == 3 and stats.height == 1
-        assert all(c == 0 for _, _, c in stats.leaf_counts)
+        assert tree.n_nodes == 3 and tree.height == 1
+        assert all(n.count == 0 for n, _ in tree.walk() if n.is_leaf)
         bins = {(n.h, n.i): b for n, b in tree.walk() if n.is_leaf}
         assert bins[(1, 1)].lo == (0.0,) and bins[(1, 1)].hi == (0.5,)
         assert bins[(1, 2)].lo == (0.5,) and bins[(1, 2)].hi == (1.0,)
@@ -104,14 +103,15 @@ class TestSplitting:
         # once count + 1 >= 64
         tree = PartitionTree(1, ABS)
         for _ in range(1 + 3 + 15):
-            p, leaf = tree.predict([0.9])
-            tree.update(leaf, p, 0.4)
+            tree.predict([0.9])
+            tree.update(0.4)
         leaf = tree.route([0.9])
         assert leaf.h == 3
         for k in range(1, 64):
-            p, node = tree.predict([0.9])
-            assert node is leaf
-            tree.update(node, p, 0.4)
+            tree.predict([0.9])
+            tree.update(0.4)
+            step = tree.trace()
+            assert (step["leaf_h"], step["leaf_i"]) == (leaf.h, leaf.i)
             if k < 63:
                 assert leaf.is_leaf and leaf.count == k
             else:
@@ -123,31 +123,23 @@ class TestSplitting:
             if node.is_leaf:
                 assert node.count == 0 and node.eg == eg.EgState(M=ABS.M)
 
-    def test_stale_leaf_reference_rejected(self):
-        tree = PartitionTree(1, ABS)
-        p, leaf = tree.predict([0.3])
-        tree.update(leaf, p, 0.9)  # splits the root
-        p2, fresh = tree.predict([0.3])
-        assert fresh is not leaf
-        with pytest.raises(ContractViolationError):
-            tree.update(leaf, p2, 0.9)
-
     def test_rejected_outcome_leaves_the_tree_untouched(self):
         tree = PartitionTree(1, ABS, effective_range=True)
-        p, leaf = tree.predict([0.3])
+        tree.predict([0.3])
+        leaf = tree.route([0.3])
         before = tree.to_dict()
         with pytest.raises(RejectedInputError):
-            tree.update(leaf, p, 1.5)
+            tree.update(1.5)
         assert tree.to_dict() == before
-        tree.update(leaf, p, 0.5)  # the prediction is still pending
+        tree.update(0.5)  # the prediction is still pending
         assert leaf.count == 1
 
     def test_update_requires_matching_predict(self):
         tree = PartitionTree(1, ABS)
-        p, leaf = tree.predict([0.3])
-        tree.update(leaf, p, 0.9)
+        tree.predict([0.3])
+        tree.update(0.9)
         with pytest.raises(ContractViolationError):
-            tree.update(tree.route([0.3]), 0.5, 0.9)
+            tree.update(0.9)
 
 
 class TestPartitionInvariants:
@@ -228,10 +220,18 @@ class TestStructuralBounds:
         rng = np.random.default_rng(40 + d)
         for t in range(1, 4001):
             x = rng.random(d)
-            pred, leaf = tree.predict(x)
-            tree.update(leaf, pred, float(rng.random()))
+            tree.predict(x)
+            tree.update(float(rng.random()))
             assert tree.n_nodes <= node_count_bound(d, t)
             assert tree.height <= height_bound(d, t)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_caps_take_an_array_of_steps(self, d):
+        t = np.arange(1, 5001)
+        nodes = [1.0 + 8.0 * (d * k) ** (d / (d + 2.0)) for k in range(1, 5001)]
+        heights = [1.0 + 0.5 * d * math.log2(4.0 * d * k) for k in range(1, 5001)]
+        np.testing.assert_allclose(node_count_bound(d, t), nodes, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(height_bound(d, t), heights, rtol=1e-15, atol=0)
 
     def test_inner_node_count_and_average_depth(self):
         for d, seed in [(1, 0), (2, 1), (3, 2)]:
@@ -250,8 +250,8 @@ class TestEffectiveRange:
         tree = PartitionTree(1, ABS, effective_range=True)
         rng = np.random.default_rng(9)
         for y in rng.random(500):
-            p, leaf = tree.predict([0.42])
-            tree.update(leaf, p, float(y))
+            tree.predict([0.42])
+            tree.update(float(y))
         assert tree.n_nodes == 1 and tree.height == 0
 
     def test_split_condition_uses_observed_range(self):
@@ -260,8 +260,8 @@ class TestEffectiveRange:
         tree = PartitionTree(1, ABS, effective_range=True)
         for k, x in enumerate([0.25, 0.75, 0.25, 0.75], start=1):
             if tree.n_nodes == 1:
-                p, leaf = tree.predict([x])
-                tree.update(leaf, p, 0.5)
+                tree.predict([x])
+                tree.update(0.5)
                 assert (tree.n_nodes == 1) == (k < 3)
 
     def test_split_still_uses_geometric_midpoint(self):
@@ -270,8 +270,8 @@ class TestEffectiveRange:
         # not at the observed-range midpoint 0.4
         tree = PartitionTree(1, ABS, effective_range=True)
         for x in [0.1, 0.7]:
-            p, leaf = tree.predict([x])
-            tree.update(leaf, p, 0.5)
+            tree.predict([x])
+            tree.update(0.5)
         assert tree.n_nodes == 3
         bins = {(n.h, n.i): b for n, b in tree.walk() if n.is_leaf}
         assert bins[(1, 1)].hi == (0.5,)
@@ -282,8 +282,8 @@ class TestEffectiveRange:
         ys = rng.random(2000)
         cum = 0.0
         for y in ys:
-            p, leaf = tree.predict([0.9])
-            tree.update(leaf, p, float(y))
+            p = tree.predict([0.9])
+            tree.update(float(y))
             cum += ABS.value(p, float(y))
         best = best_constant(ys, ABS).value
         assert cum - best < eg.regret_bound(ABS.M, len(ys))
@@ -306,11 +306,10 @@ class TestSerialization:
         for _ in range(200):
             x = rng.random(2)
             y = float(rng.random())
-            p1, l1 = tree.predict(x)
-            p2, l2 = clone.predict(x)
-            assert p1 == p2 and (l1.h, l1.i) == (l2.h, l2.i)
-            tree.update(l1, p1, y)
-            clone.update(l2, p2, y)
+            assert tree.predict(x) == clone.predict(x)
+            tree.update(y)
+            clone.update(y)
+            assert tree.trace() == clone.trace()  # same leaf, same growth
         assert clone.n_nodes == tree.n_nodes
 
     @pytest.mark.parametrize("effective_range", [False, True])
@@ -323,11 +322,10 @@ class TestSerialization:
             a, b = original[0], restored[0]
             assert (a.h, a.i, a.c, a.mid) == (b.h, b.i, b.c, b.mid)
         for x, y in zip(xs[600:], ys[600:]):
-            p1, l1 = tree.predict(x)
-            p2, l2 = clone.predict(x)
-            assert p1 == p2 and (l1.h, l1.i) == (l2.h, l2.i)
-            tree.update(l1, p1, float(y))
-            clone.update(l2, p2, float(y))
+            assert tree.predict(x) == clone.predict(x)
+            tree.update(float(y))
+            clone.update(float(y))
+            assert tree.trace() == clone.trace()  # same leaf, same growth
         assert clone.to_dict() == tree.to_dict()
 
     def test_rejects_orphaned_children(self):
