@@ -8,6 +8,14 @@ aggregated runs.  Logs are written as a CSV of steps plus a JSON summary;
 floats are printed with 17 significant digits so they round-trip exactly
 and two identical runs produce byte-identical step files.
 
+Every value is rendered or parsed once.  The writers take each column of
+a log or dataset once (``tolist``) and render a row with a single ``%``
+format; no field ever needs CSV quoting.  The readers split rows with one
+``csv.reader`` pass, a block of rows at a time, and parse each column of a
+block at once; the series and covariate readers then check the [0, 1]
+range on arrays and report the first bad row, field and value, as a
+row-by-row scan would.
+
 :func:`verify_bounds` replays the inequalities the forecasters are
 guaranteed to satisfy (regret versus the offline comparators, partition
 growth caps, mixture-weight accounting) against a finished log and
@@ -46,29 +54,44 @@ STEP_COLUMNS = ("t", "x", "pred", "y", "loss", "leaf_h", "leaf_i",
                 "n_nodes", "height", "experts", "weights")
 
 
+_DIGEST_BLOCK = 4096   # rows hashed per sha256 update
+_ROW_BLOCK = 1024      # CSV rows read and transposed at a time
+
+
 def fmt17(x: float) -> str:
     """Decimal rendering that round-trips IEEE doubles exactly."""
     return format(float(x), ".17g")
 
 
-def data_digest(ys, xs=None) -> str:
+def data_digest(ys, xs=None, *, x_text=None) -> str:
     """Canonical digest of a dataset, independent of CSV cosmetics.
 
     The digest covers the text ``x1,..,xd,y;`` of every row, each value
     rendered by :func:`fmt17`; a one-dimensional ``xs`` is one covariate.
+    ``x_text`` stands in for ``xs`` when the covariate rows are already
+    rendered: the ``;``-joined ``.17g`` text of a tree run's ``x`` column.
     """
     ys = np.asarray(ys, dtype=float)
-    columns = []
-    if xs is not None:
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim == 1:
-            xs = xs[:, None]
-        if len(xs) != len(ys):
-            raise RejectedInputError(f"{len(xs)} covariate rows for {len(ys)} observations")
-        columns = xs.T.tolist()
+    y_list = ys.tolist()
+    if x_text is not None:
+        if len(x_text) != len(ys):
+            raise RejectedInputError(f"{len(x_text)} covariate rows for {len(ys)} observations")
+        texts = (f"{x.replace(';', ',')},{y:.17g};" for x, y in zip(x_text, y_list))
+    else:
+        columns = []
+        if xs is not None:
+            xs = np.asarray(xs, dtype=float)
+            if xs.ndim == 1:
+                xs = xs[:, None]
+            if len(xs) != len(ys):
+                raise RejectedInputError(f"{len(xs)} covariate rows for {len(ys)} observations")
+            columns = xs.T.tolist()
+        row_format = ",".join(["%.17g"] * (len(columns) + 1)) + ";"
+        texts = (row_format % row for row in zip(*columns, y_list))
     h = hashlib.sha256()
-    for row in zip(*columns, ys.tolist()):
-        h.update((",".join([f"{v:.17g}" for v in row]) + ";").encode())
+    # a block of rows per update: few calls, and never the whole file as one string
+    for block in iter(lambda: "".join(itertools.islice(texts, _DIGEST_BLOCK)), ""):
+        h.update(block.encode())
     return h.hexdigest()
 
 
@@ -93,6 +116,8 @@ class RunConfig:
                 f"effective_range must be true or false, got {self.effective_range!r}")
         if self.max_d is not None and not (type(self.max_d) is int and self.max_d >= 1):
             raise RejectedInputError(f"max_d must be an integer >= 1, got {self.max_d!r}")
+        if self.seed is not None and type(self.seed) is not int:
+            raise RejectedInputError(f"seed must be an integer, got {self.seed!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -186,14 +211,12 @@ def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
     elif xs is not None:
         raise RejectedInputError(f"{config.forecaster!r} runs take no covariates")
 
-    t_col = np.arange(1, T + 1, dtype=np.int64)
-    preds = np.empty(T)
-    losses = np.empty(T)
+    preds = [0.0] * T
+    losses = [0.0] * T
     # the step-log columns that trace() fills by name; a column a forecaster
     # does not trace keeps its default
-    columns = {"x": [""] * T, "leaf_h": np.full(T, -1, dtype=np.int64),
-               "leaf_i": np.full(T, -1, dtype=np.int64), "n_nodes": np.ones(T, dtype=np.int64),
-               "height": np.zeros(T, dtype=np.int64), "experts": [()] * T, "weights": [()] * T}
+    columns = {"x": [""] * T, "leaf_h": [-1] * T, "leaf_i": [-1] * T, "n_nodes": [1] * T,
+               "height": [0] * T, "experts": [()] * T, "weights": [()] * T}
     cumulative = 0.0
     loss = config.loss
 
@@ -221,43 +244,75 @@ def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
         "cumulative_loss": cumulative,
         "config": config.to_dict(),
         "seed": config.seed,
-        "data_digest": data_digest(ys, xs),
+        # a tree run's x column already holds its covariates as .17g text
+        "data_digest": (data_digest(ys, x_text=columns["x"]) if xs is not None
+                        else data_digest(ys)),
         "final": final,
         "wall_clock_sec": time.perf_counter() - started,
     }
     if save_state and config.forecaster == "tree":
         summary["tree"] = forecaster.to_dict()
-    return RunLog(t_col, columns["x"], preds, ys, losses, columns["leaf_h"], columns["leaf_i"],
-                  columns["n_nodes"], columns["height"], columns["experts"],
-                  columns["weights"], summary)
+    ints = {name: np.array(columns[name], dtype=np.int64)
+            for name in ("leaf_h", "leaf_i", "n_nodes", "height")}
+    return RunLog(np.arange(1, T + 1, dtype=np.int64), columns["x"], np.array(preds), ys,
+                  np.array(losses), ints["leaf_h"], ints["leaf_i"], ints["n_nodes"],
+                  ints["height"], columns["experts"], columns["weights"], summary)
 
 
 # -- log persistence -----------------------------------------------------
+
+# Every step-log field is an integer, a float, a 12-hex digest or
+# ";"-joined floats, so no field ever needs CSV quoting and a row is one
+# % format.
+_STEP_ROW = "%d,%s,%.17g,%.17g,%.17g,%s,%s,%d,%d,%s,%s\n"
+
+
+def _joined17(tuples) -> list:
+    """The ``;``-joined .17g text of each tuple of floats."""
+    formats = {}
+    out = []
+    for values in tuples:
+        values = tuple(values)
+        fmt = formats.get(len(values))
+        if fmt is None:
+            fmt = formats[len(values)] = ";".join(["%.17g"] * len(values))
+        out.append(fmt % values)
+    return out
 
 
 def write_run_log(log: RunLog, outdir) -> None:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    leaf_h = ["" if v < 0 else v for v in log.leaf_h.tolist()]
+    leaf_i = ["" if v < 0 else v for v in log.leaf_i.tolist()]
+    rows = zip(log.t.tolist(), log.x_text, log.preds.tolist(), log.ys.tolist(),
+               log.losses.tolist(), leaf_h, leaf_i, log.n_nodes.tolist(),
+               log.height.tolist(), _joined17(log.expert_preds),
+               _joined17(log.expert_weights))
     with open(outdir / "steps.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(STEP_COLUMNS)
-        for k in range(len(log)):
-            writer.writerow((
-                int(log.t[k]),
-                log.x_text[k],
-                fmt17(log.preds[k]),
-                fmt17(log.ys[k]),
-                fmt17(log.losses[k]),
-                int(log.leaf_h[k]) if log.leaf_h[k] >= 0 else "",
-                int(log.leaf_i[k]) if log.leaf_i[k] >= 0 else "",
-                int(log.n_nodes[k]),
-                int(log.height[k]),
-                ";".join(fmt17(v) for v in log.expert_preds[k]),
-                ";".join(fmt17(v) for v in log.expert_weights[k]),
-            ))
+        fh.write(",".join(STEP_COLUMNS) + "\n")
+        fh.writelines(_STEP_ROW % row for row in rows)
     with open(outdir / "summary.json", "w") as fh:
         json.dump(log.summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _column_blocks(reader, width):
+    """Yield ``(row number of the first row, columns)`` per block of CSV rows.
+
+    A block is transposed at once; all rows at once would hold every row
+    list next to the columns.  A row without ``width`` fields raises, after
+    the rows before it have been yielded.
+    """
+    row_no = 2
+    while rows := list(itertools.islice(reader, _ROW_BLOCK)):
+        short = next((k for k, row in enumerate(rows) if len(row) != width), None)
+        if short != 0:
+            yield row_no, list(zip(*rows[:short]))
+        if short is not None:
+            raise RejectedInputError(
+                f"row {row_no + short}: expected {width} fields, got {len(rows[short])}")
+        row_no += len(rows)
 
 
 def read_run_log(outdir) -> RunLog:
@@ -265,36 +320,28 @@ def read_run_log(outdir) -> RunLog:
     with open(outdir / "summary.json") as fh:
         summary = json.load(fh)
     cols = {name: [] for name in STEP_COLUMNS}
-    width = len(STEP_COLUMNS)
     with open(outdir / "steps.csv", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if tuple(header or ()) != STEP_COLUMNS:
             raise RejectedInputError(f"unrecognized step log header: {header}")
-        row_no = 2
-        # transpose a block of rows at a time: all rows at once would hold
-        # every row list next to the columns
-        for rows in iter(lambda: list(itertools.islice(reader, 1024)), []):
-            for row in rows:
-                if len(row) != width:
-                    raise RejectedInputError(
-                        f"row {row_no}: expected {width} fields, got {len(row)}")
-                row_no += 1
-            for name, cells in zip(STEP_COLUMNS, zip(*rows)):
+        for _, columns in _column_blocks(reader, len(STEP_COLUMNS)):
+            for name, cells in zip(STEP_COLUMNS, columns):
                 cols[name] += cells
     if not cols["t"]:
         raise RejectedInputError("step log is empty")
 
     def ints(name, sentinel=None):
-        return np.array(
-            [int(v) if v != "" else sentinel for v in cols[name]], dtype=np.int64)
+        cells = cols[name]
+        values = map(int, cells) if sentinel is None else (
+            int(v) if v != "" else sentinel for v in cells)
+        return np.array(list(values), dtype=np.int64)
 
     def floats(name):
-        return np.array([float(v) for v in cols[name]])
+        return np.array(list(map(float, cols[name])))
 
     def tuples(name):
-        return [tuple(float(v) for v in cell.split(";")) if cell else ()
-                for cell in cols[name]]
+        return [tuple(map(float, cell.split(";"))) if cell else () for cell in cols[name]]
 
     return RunLog(
         t=ints("t"),
@@ -316,11 +363,10 @@ def read_run_log(outdir) -> RunLog:
 
 
 def write_series(path, ys) -> None:
+    ys = np.asarray(ys, dtype=float)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("t", "y"))
-        for t, y in enumerate(np.asarray(ys, dtype=float), start=1):
-            writer.writerow((t, fmt17(y)))
+        fh.write("t,y\n")
+        fh.writelines("%d,%.17g\n" % row for row in enumerate(ys.tolist(), start=1))
 
 
 def _parse_unit(cell: str, row_no: int, what: str) -> float:
@@ -333,50 +379,81 @@ def _parse_unit(cell: str, row_no: int, what: str) -> float:
     return v
 
 
+def _unit_column(cells) -> tuple:
+    """Parse one column of cells; returns (values, index of the first bad cell or None)."""
+    try:
+        values = np.array(list(map(float, cells)))
+    except ValueError:
+        # some cell is no number: find the first cell, of either kind, that is bad
+        for k, cell in enumerate(cells):
+            try:
+                _parse_unit(cell, 0, "")
+            except RejectedInputError:
+                return None, k
+    bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))  # NaN fails both
+    return values, (int(bad[0]) if bad.size else None)
+
+
+def _read_unit_rows(reader, whats) -> list:
+    """Parse the rows left in ``reader``: ``len(whats)`` fields per row.
+
+    Column ``j`` holds values in [0, 1] named ``whats[j]`` in messages, or
+    is left unparsed where ``whats[j]`` is None.  Returns one float array
+    per parsed column.  Each column of a block of rows is parsed at once; a
+    malformed row or cell raises the message of the first fault in
+    row-major order, as a row-by-row scan with :func:`_parse_unit` would.
+    """
+    parsed = {j: [] for j, what in enumerate(whats) if what is not None}
+    for row_no, columns in _column_blocks(reader, len(whats)):
+        firsts = []
+        for j, blocks in parsed.items():
+            values, bad = _unit_column(columns[j])
+            blocks.append(values)
+            if bad is not None:
+                firsts.append((bad, j))
+        if firsts:
+            k, j = min(firsts)
+            _parse_unit(columns[j][k], row_no + k, whats[j])
+    return [np.concatenate(blocks) if blocks else np.empty(0) for blocks in parsed.values()]
+
+
 def read_series(path) -> np.ndarray:
     """Read a ``t,y`` CSV; malformed rows raise with their row number."""
-    ys = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip() for c in header] != ["t", "y"]:
             raise RejectedInputError(f"expected header 't,y', got {header}")
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise RejectedInputError(f"row {row_no}: expected 2 fields, got {len(row)}")
-            ys.append(_parse_unit(row[1], row_no, "observation"))
-    if not ys:
+        (ys,) = _read_unit_rows(reader, (None, "observation"))  # t is not parsed
+    if not ys.size:
         raise RejectedInputError("series file has no observations")
-    return np.array(ys)
+    return ys
 
 
 def write_covariates(path, xs, ys) -> None:
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    ys = np.asarray(ys, dtype=float)
+    if len(xs) != len(ys):
+        raise RejectedInputError(f"{len(xs)} covariate rows for {len(ys)} observations")
+    d = xs.shape[1]
+    row_format = ",".join(["%.17g"] * (d + 1)) + "\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{j + 1}" for j in range(xs.shape[1])] + ["y"])
-        for t in range(len(ys)):
-            writer.writerow([fmt17(v) for v in xs[t]] + [fmt17(ys[t])])
+        fh.write(",".join([f"x{j + 1}" for j in range(d)] + ["y"]) + "\n")
+        fh.writelines(row_format % row for row in zip(*xs.T.tolist(), ys.tolist()))
 
 
 def read_covariates(path):
     """Read an ``x1,..,xd,y`` CSV into (xs, ys) arrays."""
-    xs, ys = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or len(header) < 2 or header[-1].strip() != "y":
             raise RejectedInputError(f"expected header 'x1,..,xd,y', got {header}")
         d = len(header) - 1
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != d + 1:
-                raise RejectedInputError(
-                    f"row {row_no}: expected {d + 1} fields, got {len(row)}")
-            xs.append([_parse_unit(c, row_no, "covariate") for c in row[:-1]])
-            ys.append(_parse_unit(row[-1], row_no, "observation"))
-    if not ys:
+        *xs, ys = _read_unit_rows(reader, ("covariate",) * d + ("observation",))
+    if not ys.size:
         raise RejectedInputError("covariate file has no observations")
-    return np.array(xs), np.array(ys)
+    return np.column_stack(xs), ys
 
 
 # -- bound verification ----------------------------------------------------
@@ -430,15 +507,15 @@ def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCh
     checks: list[BoundCheck] = []
 
     resummed = 0.0
-    for v in log.losses:
-        resummed += float(v)
+    for v in log.losses.tolist():
+        resummed += v
     recorded = log.summary["cumulative_loss"]
     checks.append(BoundCheck("cumulative-loss-resummation", recorded, resummed,
                              resummed == recorded, "exact equality required"))
 
     recomputed = max(
-        abs(loss.value(float(p), float(y)) - float(l))
-        for p, y, l in zip(log.preds, log.ys, log.losses)
+        abs(loss.value(p, y) - l)
+        for p, y, l in zip(log.preds.tolist(), log.ys.tolist(), log.losses.tolist())
     )
     checks.append(BoundCheck("per-step-loss-consistency", 0.0, recomputed,
                              recomputed == 0.0, "log rows must round-trip"))
@@ -463,8 +540,8 @@ def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCh
                                  "H_t <= 1 + (d/2) log2(4 d t) at every step"))
 
         groups: dict = {}
-        for k in range(T):
-            groups.setdefault((int(log.leaf_h[k]), int(log.leaf_i[k])), []).append(k)
+        for k, leaf in enumerate(zip(log.leaf_h.tolist(), log.leaf_i.tolist())):
+            groups.setdefault(leaf, []).append(k)
         node_best = sum(
             best_constant(log.ys[idx], loss).value for idx in groups.values())
         sqrt_sum = sum(math.sqrt(len(idx)) for idx in groups.values())
@@ -529,8 +606,9 @@ def report(run_dirs, outdir) -> dict:
         log = read_run_log(path)
         s = log.summary
         T = s["T"]
+        name = path.name
         rows.append({
-            "run": path.name,
+            "run": name,
             "forecaster": s["config"]["forecaster"],
             "T": T,
             "seed": s.get("seed"),
@@ -539,11 +617,11 @@ def report(run_dirs, outdir) -> dict:
             "n_nodes": s["final"]["n_nodes"],
             "height": s["final"]["height"],
         })
-        for k in range(len(log)):
-            growth_rows.append((path.name, int(log.t[k]), int(log.n_nodes[k]),
-                                int(log.height[k])))
-            for d, w in enumerate(log.expert_weights[k], start=1):
-                weight_rows.append((path.name, int(log.t[k]), d, w))
+        t_col = log.t.tolist()
+        growth_rows += zip(itertools.repeat(name), t_col, log.n_nodes.tolist(),
+                           log.height.tolist())
+        for t, weights in zip(t_col, log.expert_weights):
+            weight_rows += [(name, t, d, w) for d, w in enumerate(weights, start=1)]
 
     with open(outdir / "runs.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -574,6 +652,5 @@ def report(run_dirs, outdir) -> dict:
         with open(outdir / "weights.csv", "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(("run", "t", "d", "weight"))
-            for run_name, t, d, w in weight_rows:
-                writer.writerow((run_name, t, d, fmt17(w)))
+            writer.writerows((run_name, t, d, "%.17g" % w) for run_name, t, d, w in weight_rows)
     return {"runs": rows, "groups": {f"{fc}/T={T}": len(v) for (fc, T), v in by_group.items()}}

@@ -7,8 +7,6 @@ forecasters, so the regret checks compare two genuinely separate routes:
 * :func:`best_histogram`     best constant per box of an equal partition
 * :func:`best_lipschitz_1d`  best slope-bounded function on a line, by an
   exact DP over the sorted distinct covariates
-* ``*_grid`` twins           exhaustive grid evaluation used to verify the
-  exact routes
 
 The histogram and Lipschitz comparators consume (covariate, outcome)
 pairs; the constant comparator consumes outcomes only.
@@ -72,19 +70,6 @@ def best_constant(outcomes, loss: LossSpec, weights=None) -> Comparator:
         y_star = float(outcomes[k])
     value = float(loss.value_array(y_star, outcomes) @ w)
     return Comparator("constant", value, argmin=y_star)
-
-
-def best_constant_grid(outcomes, loss: LossSpec, step: float = 1e-4, weights=None) -> Comparator:
-    """Same minimization on an explicit value grid; the verification twin."""
-    outcomes = np.asarray(outcomes, dtype=float)
-    if outcomes.size == 0:
-        raise RejectedInputError("best_constant_grid needs a nonempty sequence")
-    grid = np.linspace(0.0, 1.0, int(round(1.0 / step)) + 1)
-    w = np.ones(outcomes.size) if weights is None else np.asarray(weights, dtype=float)
-    values = loss.value_array(grid[:, None], outcomes[None, :]) @ w
-    k = int(values.argmin())
-    return Comparator("constant", float(values[k]), argmin=float(grid[k]),
-                      params={"step": step})
 
 
 def best_histogram(xs, ys, n_boxes: int, d: int, loss: LossSpec) -> Comparator:
@@ -300,40 +285,7 @@ def best_lipschitz_1d(xs, ys, L: float, loss: LossSpec) -> Comparator:
     return Comparator("lipschitz", value, argmin=(u, f), params={"L": L})
 
 
-def lipschitz_grid_1d(xs, ys, L: float, loss: LossSpec, step: float = 0.02) -> Comparator:
-    """Exhaustive minimization with every f-value restricted to a grid.
-
-    Enumerates, via chain decomposition, exactly the same minimum a brute
-    force scan over all grid assignments would find; the verification twin
-    of :func:`best_lipschitz_1d`.
-    """
-    u, ys1, _, starts = _group_by_x(xs, ys)
-    n = len(u)
-    grid = np.linspace(0.0, 1.0, int(round(1.0 / step)) + 1)
-    m = len(grid)
-    ends = np.concatenate((starts[1:], [len(ys1)]))
-
-    def cost(i):
-        pts = ys1[starts[i]:ends[i]]
-        return loss.value_array(grid[:, None], pts[None, :]).sum(axis=1)
-
-    V = cost(0)
-    for i in range(1, n):
-        reach = L * (u[i] - u[i - 1]) + 1e-12
-        W = np.empty(m)
-        for j in range(m):
-            mask = np.abs(grid - grid[j]) <= reach
-            W[j] = V[mask].min()
-        V = cost(i) + W
-    return Comparator("lipschitz_grid", float(V.min()), params={"L": L, "step": step})
-
-
 # -- bound formulas -------------------------------------------------------
-
-
-def constant_gap_bound(M: float, L: float, count: int, diam: float) -> float:
-    """Cap on (best constant - best Lipschitz) over one region: M*L*count*diam."""
-    return M * L * count * diam
 
 
 def lipschitz_regret_bound(M: float, L: float, d: int, T: int) -> float:

@@ -111,6 +111,7 @@ class PartitionTree:
         self.height = 0
         self.total_steps = 0
         self._split_at = [1.0 / d]  # count + 1 that splits a depth-h box
+        self._x_format = ";".join(["%.17g"] * d)  # a point as log text
         self._pending = None  # (leaf, point, prediction) awaiting its outcome
         self._last = None     # the same triple for the last completed step
 
@@ -211,7 +212,7 @@ class PartitionTree:
     def trace(self) -> dict:
         """Log columns of the last step: its point, its leaf, the tree's size."""
         leaf, x, _ = self._last
-        return {"x": ";".join([format(v, ".17g") for v in x]), "leaf_h": leaf.h,
+        return {"x": self._x_format % x, "leaf_h": leaf.h,
                 "leaf_i": leaf.i, "n_nodes": self.n_nodes, "height": self.height}
 
     # -- inspection ------------------------------------------------------
@@ -345,8 +346,3 @@ def node_count_bound(d: int, t):
 def height_bound(d: int, t):
     """Growth cap on the tree height after t (or an array of t) steps: 1 + (d/2)*log2(4*d*t)."""
     return 1.0 + 0.5 * d * np.log2(4.0 * d * t)
-
-
-def diameter_bound(d: int, h: int) -> float:
-    """Box-diameter cap at depth h: sqrt(2d) * 2^(-h/d)."""
-    return math.sqrt(2.0 * d) * 2.0 ** (-h / d)

@@ -211,3 +211,10 @@ def test_config_pinball_alpha_must_be_a_number(tmp_path, capsys):
     text = json.dumps({"forecaster": "eg", "loss": {"kind": "pinball", "alpha": "0.3"}})
     assert _run_with_config(tmp_path, text) == 2
     assert "alpha in (0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["abc", True, 1.5])
+def test_config_seed_must_be_an_integer(tmp_path, capsys, seed):
+    assert _run_with_config(tmp_path, json.dumps({"forecaster": "eg", "seed": seed})) == 2
+    assert "seed must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()

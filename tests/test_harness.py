@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -93,6 +94,15 @@ class TestRun:
     def test_config_rejects_max_d_below_one(self, max_d):
         with pytest.raises(RejectedInputError):
             RunConfig.from_dict({"forecaster": "meta", "max_d": max_d})
+
+    @pytest.mark.parametrize("seed", ["abc", True, 1.5])
+    def test_config_rejects_a_seed_that_is_not_an_integer(self, seed):
+        with pytest.raises(RejectedInputError, match="seed must be an integer"):
+            RunConfig.from_dict({"forecaster": "eg", "seed": seed})
+
+    @pytest.mark.parametrize("seed", [None, 0, 7, -2])
+    def test_config_keeps_an_integer_seed(self, seed):
+        assert RunConfig.from_dict({"forecaster": "eg", "seed": seed}).seed == seed
 
 
 class TestDeterminism:
@@ -351,3 +361,24 @@ class TestReport:
     def test_requires_runs(self, tmp_path):
         with pytest.raises(RejectedInputError):
             report([], tmp_path)
+
+    def test_table_bytes_are_pinned(self, tmp_path):
+        # digests of the tables written by the row-by-row report this one replaced
+        rng = np.random.default_rng(41)
+        write_run_log(run(RunConfig("meta", ABS, seed=41), rng.random(600)),
+                      tmp_path / "meta-run")
+        rng = np.random.default_rng(42)
+        xs, ys = rng.random((600, 2)), rng.random(600)
+        write_run_log(run(RunConfig("tree", ABS, d=2, seed=42), ys, xs), tmp_path / "tree-run")
+        report([tmp_path / "meta-run", tmp_path / "tree-run"], tmp_path / "tables")
+        pinned = {
+            "runs.csv": "90d959ef5dbaa5640fc9949524f41e626a722411f0d04904c86051d18d9fa5de",
+            "avg_loss_vs_T.csv":
+                "68cb6116df0152777771267eec03931e1e9cb2e077a290c0e1743928a930f079",
+            "node_growth.csv":
+                "b6d04a5f2a36a9b8a8ba4f8e1e64ce32528d31995cef2cfc2693c6af6d93f5c0",
+            "weights.csv": "afcd8011bd8ccf146becd4c492299ab625d565e21edccae590057be3b3fca1fb",
+        }
+        for name, digest in pinned.items():
+            data = (tmp_path / "tables" / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name

@@ -8,14 +8,8 @@ from hypothesis import strategies as st
 
 from egtree.errors import RejectedInputError
 from egtree.losses import LossSpec
-from egtree.oracles import (
-    best_constant,
-    best_constant_grid,
-    best_histogram,
-    best_lipschitz_1d,
-    constant_gap_bound,
-    lipschitz_grid_1d,
-)
+from egtree.oracles import best_constant, best_histogram, best_lipschitz_1d
+from reference import best_constant_grid, constant_gap_bound, lipschitz_grid_1d
 
 ABS = LossSpec("absolute")
 SQ = LossSpec("square")

@@ -7,7 +7,8 @@ from egtree import eg
 from egtree.errors import ContractViolationError, RejectedInputError
 from egtree.losses import LossSpec
 from egtree.oracles import best_constant
-from egtree.tree import PartitionTree, diameter_bound, height_bound, node_count_bound
+from egtree.tree import PartitionTree, height_bound, node_count_bound
+from reference import diameter_bound
 
 ABS = LossSpec("absolute")
 
