@@ -110,7 +110,6 @@ class MetaForecaster:
         self.schedule = schedule
         self.effective_range = effective_range
         self.max_d = max_d
-        self.t = 1
         self.history: list = []
         self.experts: list[LaggedForecaster] = []
         self._logw: list[float] = []
@@ -148,11 +147,11 @@ class MetaForecaster:
             raise RejectedInputError(f"outcome must lie in [0, 1], got {outcome!r}")
         preds, _ = self._pending
         self._last, self._pending = self._pending, None
+        t = len(self.history) + 1  # the step whose outcome this is
 
         if self.experts:
             for ex in self.experts:
                 ex.update(outcome)
-            t = self.t
             self._logw = reweight(
                 self._logw,
                 [self.loss.value(f, outcome) for f in preds],
@@ -161,8 +160,7 @@ class MetaForecaster:
             )
 
         self.history.append(float(outcome))
-        self._admit(self.t + 1)
-        self.t += 1
+        self._admit(t + 1)
 
     def trace(self) -> dict:
         """Log columns of the last step; ``x`` digests the lag window it mixed."""

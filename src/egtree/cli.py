@@ -53,10 +53,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _loss_from_args(args) -> LossSpec:
-    return LossSpec(kind=args.loss, alpha=args.alpha)
-
-
 def _cmd_run(args) -> int:
     config_dict = _load_json(args.config) if args.config else {}
     if args.forecaster:
@@ -69,8 +65,11 @@ def _cmd_run(args) -> int:
 
     if config.forecaster == "tree":
         xs, ys = harness.read_covariates(args.input)
-        if xs.shape[1] != config.d:
-            config = harness.RunConfig.from_dict({**config.to_dict(), "d": xs.shape[1]})
+        # the file's width is d unless the config sets one, which must match
+        config = harness.RunConfig.from_dict({"d": xs.shape[1], **config_dict})
+        if config.d != xs.shape[1]:
+            raise RejectedInputError(
+                f"config sets d = {config.d}, but {args.input} has {xs.shape[1]} covariates")
     else:
         xs, ys = None, harness.read_series(args.input)
 
@@ -93,15 +92,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    loss = _loss_from_args(args)
-    path = Path(args.input)
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-    if header == ["t", "y"]:
-        ys = harness.read_series(path)
-        xs = None
-    else:
-        xs, ys = harness.read_covariates(path)
+    loss = LossSpec(kind=args.loss, alpha=args.alpha)
+    xs, ys = harness.read_input(args.input)
     if args.lag:
         if xs is not None:
             raise RejectedInputError("--lag applies to series input only")
@@ -134,14 +126,8 @@ def _cmd_verify(args) -> int:
     outdir = Path(args.out)
     log = harness.read_run_log(outdir)
     if args.input:
-        path = Path(args.input)
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-        if header == ["t", "y"]:
-            digest = harness.data_digest(harness.read_series(path))
-        else:
-            xs, ys = harness.read_covariates(path)
-            digest = harness.data_digest(ys, xs)
+        xs, ys = harness.read_input(args.input)
+        digest = harness.data_digest(ys, xs)
         if digest != log.summary["data_digest"]:
             print(f"REFUSED: input digest {digest[:12]}.. does not match "
                   f"the run's {log.summary['data_digest'][:12]}..", file=sys.stderr)

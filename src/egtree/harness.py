@@ -297,6 +297,16 @@ def write_run_log(log: RunLog, outdir) -> None:
         fh.write("\n")
 
 
+def _csv_rows(fh):
+    """Rows of a CSV file; a row the csv module cannot split is rejected by number."""
+    row_no = 0
+    try:
+        for row_no, row in enumerate(csv.reader(fh), start=1):
+            yield row
+    except csv.Error as exc:
+        raise RejectedInputError(f"row {row_no + 1}: {exc}") from None
+
+
 def _column_blocks(reader, width):
     """Yield ``(row number of the first row, columns)`` per block of CSV rows.
 
@@ -321,7 +331,7 @@ def read_run_log(outdir) -> RunLog:
         summary = json.load(fh)
     cols = {name: [] for name in STEP_COLUMNS}
     with open(outdir / "steps.csv", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh)
         header = next(reader, None)
         if tuple(header or ()) != STEP_COLUMNS:
             raise RejectedInputError(f"unrecognized step log header: {header}")
@@ -343,8 +353,15 @@ def read_run_log(outdir) -> RunLog:
     def tuples(name):
         return [tuple(map(float, cell.split(";"))) if cell else () for cell in cols[name]]
 
+    t = ints("t")
+    bad = np.flatnonzero(t != np.arange(1, len(t) + 1))
+    if bad.size:
+        raise RejectedInputError(f"row {bad[0] + 2}: t is {t[bad[0]]}, expected {bad[0] + 1}")
+    if len(t) != summary.get("T"):
+        raise RejectedInputError(f"step log has {len(t)} steps, its summary says T = "
+                                 f"{summary.get('T')!r}")
     return RunLog(
-        t=ints("t"),
+        t=t,
         x_text=cols["x"],
         preds=floats("pred"),
         ys=floats("y"),
@@ -417,12 +434,16 @@ def _read_unit_rows(reader, whats) -> list:
     return [np.concatenate(blocks) if blocks else np.empty(0) for blocks in parsed.values()]
 
 
+def _is_series_header(header) -> bool:
+    return header is not None and [c.strip() for c in header] == ["t", "y"]
+
+
 def read_series(path) -> np.ndarray:
     """Read a ``t,y`` CSV; malformed rows raise with their row number."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh)
         header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["t", "y"]:
+        if not _is_series_header(header):
             raise RejectedInputError(f"expected header 't,y', got {header}")
         (ys,) = _read_unit_rows(reader, (None, "observation"))  # t is not parsed
     if not ys.size:
@@ -445,7 +466,7 @@ def write_covariates(path, xs, ys) -> None:
 def read_covariates(path):
     """Read an ``x1,..,xd,y`` CSV into (xs, ys) arrays."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh)
         header = next(reader, None)
         if header is None or len(header) < 2 or header[-1].strip() != "y":
             raise RejectedInputError(f"expected header 'x1,..,xd,y', got {header}")
@@ -454,6 +475,15 @@ def read_covariates(path):
     if not ys.size:
         raise RejectedInputError("covariate file has no observations")
     return np.column_stack(xs), ys
+
+
+def read_input(path) -> tuple:
+    """Read a series (header ``t,y``) as ``(None, ys)`` or a covariate file as ``(xs, ys)``."""
+    with open(path, newline="") as fh:
+        header = next(_csv_rows(fh), None)
+    if _is_series_header(header):
+        return None, read_series(path)
+    return read_covariates(path)
 
 
 # -- bound verification ----------------------------------------------------

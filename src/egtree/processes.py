@@ -8,11 +8,12 @@ Three process families are available, all emitting values in [0,1]:
 * ``ar1``     a mean-reverting Gaussian recursion around 1/2, clipped to
   the unit interval (the clipping rate is reported alongside the draw)
 
-For ``iid`` and ``markov`` the smallest achievable expected per-step loss
-of any predictor with access to the full past is computable exactly: one
-observation of a first-order chain carries as much information as the
-whole history, so the floor is the stationary average of the per-state
-best-constant losses.  :func:`minimal_expected_loss` returns it.
+For ``iid``, and for ``markov`` chains whose states emit distinct values,
+:func:`minimal_expected_loss` gives the smallest expected per-step loss of
+any predictor that sees the full past: the last observation names the
+state, which holds all that the past tells, so the floor is the stationary
+average of the per-state best-constant losses.  With a repeated emission
+the state is hidden and that average understates the floor; it is rejected.
 
 All draws use numpy's PCG64 generator; the algorithm identifier is
 reported so that archived series can be regenerated bit-identically.
@@ -178,15 +179,18 @@ def generate(spec: ProcessSpec, T: int) -> np.ndarray:
 def minimal_expected_loss(spec: ProcessSpec, loss: LossSpec) -> float:
     """Expected per-step loss of the best predictor given the infinite past.
 
-    Supported for ``iid`` (best constant under the marginal) and ``markov``
-    (stationary average of each state's best constant for the next
-    emission).  The ``ar1`` family has no closed form here.
+    Supported for ``iid`` (best constant under the marginal) and for
+    ``markov`` with distinct emissions (stationary average of each state's
+    best constant for the next emission); ``ar1`` has no closed form here.
     """
     if spec.kind == IID:
         return best_constant(spec.support, loss, weights=spec.probs).value
     if spec.kind == MARKOV:
         P = np.asarray(spec.transition, dtype=float)
         em = np.asarray(spec.emissions, dtype=float)
+        if np.unique(em).size != em.size:
+            raise RejectedInputError("markov emissions repeat a value, so the state is "
+                                     "hidden and no exact loss floor is known")
         pi = stationary_distribution(P)
         total = 0.0
         for s in range(P.shape[0]):

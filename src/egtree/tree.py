@@ -16,19 +16,18 @@ never forces a split.
 
 Geometry is fully determined by depth: after ``h = k*d + r`` splits the
 first ``r`` coordinates of a box have side ``2^-(k+1)`` and the remaining
-``d - r`` have side ``2^-k``, hence ``diam <= sqrt(2d) * 2^(-h/d)``.
-Boxes are therefore never stored per node.  A node that splits keeps only
-its cut, the coordinate ``c = h mod d`` and the midpoint of its box along
-it, so routing costs one comparison per level; the boxes themselves are
-reconstructed from the root when they are inspected.  Between ``predict``
-and ``update`` the tree itself remembers the leaf and the checked point.
+``d - r`` have side ``2^-k``, hence ``diam <= sqrt(2d) * 2^(-h/d)``.  The
+box of node ``(h, i)`` follows from ``d``, ``h`` and ``i`` alone, so boxes
+are neither stored nor rebuilt.  A node that splits keeps only its cut,
+the coordinate ``c = h mod d`` and the midpoint of its box along it, which
+:meth:`PartitionTree._cut` derives from any point of the box; routing then
+costs one comparison per level.  Between ``predict`` and ``update`` the
+tree itself remembers the leaf and the checked point.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,45 +36,22 @@ from .errors import ContractViolationError, RejectedInputError
 from .losses import LossSpec
 
 
-@dataclass(frozen=True, slots=True)
-class Bin:
-    """Axis-aligned box; upper faces are open except where they touch 1."""
-
-    lo: tuple
-    hi: tuple
-
-    def contains(self, x) -> bool:
-        for lo_j, hi_j, x_j in zip(self.lo, self.hi, x):
-            if x_j < lo_j:
-                return False
-            if x_j >= hi_j and not (hi_j == 1.0 and x_j == 1.0):
-                return False
-        return True
-
-    def side_lengths(self) -> tuple:
-        return tuple(h - l for l, h in zip(self.lo, self.hi))
-
-    def diameter(self) -> float:
-        return math.sqrt(sum((h - l) ** 2 for l, h in zip(self.lo, self.hi)))
-
-
 class TreeNode:
     """One tree node: depth/index pair, visit count, local forecaster.
 
     The forecaster state is kept unboxed: ``count`` is also its step count
-    ``t`` and ``G`` its subgradient sum.  An inner node keeps its cut: it
-    sends ``x`` left when ``x[c] < mid``.
+    ``t`` and ``G`` its subgradient sum; its ``M`` is the tree's.  An inner
+    node keeps its cut: it sends ``x`` left when ``x[c] < mid``.
     """
 
-    __slots__ = ("h", "i", "count", "G", "M", "left", "right", "c", "mid",
+    __slots__ = ("h", "i", "count", "G", "left", "right", "c", "mid",
                  "obs_lo", "obs_hi")
 
-    def __init__(self, h: int, i: int, M: float):
+    def __init__(self, h: int, i: int):
         self.h = h
         self.i = i
         self.count = 0
         self.G = 0.0
-        self.M = M
         self.left = None
         self.right = None
         self.c = None
@@ -86,11 +62,6 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.left is None
-
-    @property
-    def eg(self) -> eg.EgState:
-        """The node's forecaster state, as a read-only snapshot."""
-        return eg.EgState(self.count, self.G, self.M)
 
 
 class PartitionTree:
@@ -105,11 +76,11 @@ class PartitionTree:
             raise RejectedInputError(f"dimension must be >= 1, got {d}")
         self.d = d
         self.loss = loss
+        self.M = loss.M  # every node's forecaster uses the loss's M
         self.effective_range = effective_range
-        self.root = TreeNode(0, 1, loss.M)
+        self.root = TreeNode(0, 1)
         self.n_nodes = 1
         self.height = 0
-        self.total_steps = 0
         self._split_at = [1.0 / d]  # count + 1 that splits a depth-h box
         self._x_format = ";".join(["%.17g"] * d)  # a point as log text
         self._pending = None  # (leaf, point, prediction) awaiting its outcome
@@ -141,7 +112,7 @@ class PartitionTree:
         """Prediction of the leaf whose box contains ``x``."""
         x = self._check_point(x)
         leaf = self._descend(x)
-        pred = eg.prediction(leaf.count, leaf.G, leaf.M)
+        pred = eg.prediction(leaf.count, leaf.G, self.M)
         self._pending = (leaf, x, pred)
         return pred
 
@@ -160,7 +131,6 @@ class PartitionTree:
 
         leaf.G += g
         leaf.count += 1
-        self.total_steps += 1
 
         if self.effective_range:
             if leaf.obs_lo is None:
@@ -194,8 +164,8 @@ class PartitionTree:
     def _split(self, node: TreeNode, x) -> None:
         h = node.h + 1
         node.c, node.mid = self._cut(node.h, x)
-        node.left = TreeNode(h, 2 * node.i - 1, node.M)
-        node.right = TreeNode(h, 2 * node.i, node.M)
+        node.left = TreeNode(h, 2 * node.i - 1)
+        node.right = TreeNode(h, 2 * node.i)
         node.obs_lo = node.obs_hi = None
         self.n_nodes += 2
         if h > self.height:
@@ -218,52 +188,24 @@ class PartitionTree:
     # -- inspection ------------------------------------------------------
 
     def walk(self):
-        """Depth-first iteration over ``(node, bin)`` pairs."""
-        lo = [0.0] * self.d
-        hi = [1.0] * self.d
-
-        def visit(node):
-            yield node, Bin(tuple(lo), tuple(hi))
-            if node.left is None:
-                return
-            c = node.h % self.d
-            mid = (lo[c] + hi[c]) / 2.0
-            old_lo, old_hi = lo[c], hi[c]
-            hi[c] = mid
-            yield from visit(node.left)
-            hi[c] = old_hi
-            lo[c] = mid
-            yield from visit(node.right)
-            lo[c] = old_lo
-
-        yield from visit(self.root)
-
-    def node_bin(self, node: TreeNode) -> Bin:
-        """Reconstruct the box of a node from its (depth, index) pair."""
-        lo = [0.0] * self.d
-        hi = [1.0] * self.d
-        # bits of i-1, most significant first, encode the root-to-node path
-        for level in range(node.h):
-            right = (node.i - 1 >> (node.h - 1 - level)) & 1
-            c = level % self.d
-            mid = (lo[c] + hi[c]) / 2.0
-            if right:
-                lo[c] = mid
-            else:
-                hi[c] = mid
-        return Bin(tuple(lo), tuple(hi))
+        """Depth-first iteration over the nodes, left child before right."""
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            yield node
+            if node.left is not None:
+                stack += (node.right, node.left)
 
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:
         nodes = []
-        for node, box in self.walk():
+        for node in self.walk():
             entry = {
                 "h": node.h,
                 "i": node.i,
                 "count": node.count,
-                "eg": {"t": node.count, "G": node.G, "M": node.M},
-                "bin": {"lo": list(box.lo), "hi": list(box.hi)},
+                "eg": {"t": node.count, "G": node.G, "M": self.M},
             }
             if self.effective_range and node.obs_lo is not None:
                 entry["obs_range"] = {"lo": list(node.obs_lo), "hi": list(node.obs_hi)}
@@ -272,12 +214,8 @@ class PartitionTree:
             "d": self.d,
             "loss": self.loss.to_dict(),
             "effective_range": self.effective_range,
-            "total_steps": self.total_steps,
             "nodes": nodes,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
     @classmethod
     def from_dict(cls, data: dict) -> "PartitionTree":
@@ -286,10 +224,10 @@ class PartitionTree:
             loss=LossSpec.from_dict(data["loss"]),
             effective_range=bool(data.get("effective_range", False)),
         )
-        M = tree.loss.M
+        M = tree.M
         by_key = {}
         for entry in data["nodes"]:
-            node = TreeNode(int(entry["h"]), int(entry["i"]), M)
+            node = TreeNode(int(entry["h"]), int(entry["i"]))
             key = (node.h, node.i)
             if key in by_key:
                 raise RejectedInputError(f"node {key} appears twice")
@@ -313,29 +251,31 @@ class PartitionTree:
             by_key[key] = node
         if (0, 1) not in by_key:
             raise RejectedInputError("serialized tree has no root node")
-        for (h, i), node in by_key.items():
-            left = by_key.get((h + 1, 2 * i - 1))
-            right = by_key.get((h + 1, 2 * i))
-            if (left is None) != (right is None):
-                raise RejectedInputError(f"node ({h},{i}) has exactly one child")
-            node.left, node.right = left, right
         tree.root = by_key[(0, 1)]
         reached = 0
-        for node, box in tree.walk():
+        # link the nodes reachable from the root and set each inner node's
+        # cut from the lower corner of its box; a right child's corner
+        # moves to the cut
+        stack = [(tree.root, (0.0,) * tree.d)]
+        while stack:
+            node, lo = stack.pop()
             reached += 1
-            if node.left is not None:
-                node.c, node.mid = tree._cut(node.h, box.lo)
+            h, i = node.h, node.i
+            left, right = by_key.get((h + 1, 2 * i - 1)), by_key.get((h + 1, 2 * i))
+            if (left is None) != (right is None):
+                raise RejectedInputError(f"node ({h},{i}) has exactly one child")
+            if left is not None:
+                node.left, node.right = left, right
+                node.c, node.mid = tree._cut(h, lo)
+                right_lo = list(lo)
+                right_lo[node.c] = node.mid
+                stack += ((right, tuple(right_lo)), (left, lo))
         if reached != len(by_key):
             raise RejectedInputError(
                 f"{len(by_key) - reached} serialized nodes cannot be reached from the root")
         tree.n_nodes = reached
         tree._deepen(max(h for h, _ in by_key))
-        tree.total_steps = int(data.get("total_steps", sum(n.count for n in by_key.values())))
         return tree
-
-    @classmethod
-    def from_json(cls, text: str) -> "PartitionTree":
-        return cls.from_dict(json.loads(text))
 
 
 def node_count_bound(d: int, t):

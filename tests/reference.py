@@ -2,6 +2,8 @@
 
 * Exhaustive grid twins of the exact comparators in :mod:`egtree.oracles`.
 * Bound formulas that only tests evaluate.
+* The box of a tree node rebuilt from its ``(h, i)`` path bits, the
+  independent geometry that routing and the stored cuts are checked against.
 * Row-by-row CSV readers and a ``csv.writer`` step-log writer: the
   straightforward versions of the column-wise I/O in :mod:`egtree.harness`,
   which must match them message for message and byte for byte.
@@ -73,6 +75,33 @@ def constant_gap_bound(M: float, L: float, count: int, diam: float) -> float:
 def diameter_bound(d: int, h: int) -> float:
     """Box-diameter cap at depth h: sqrt(2d) * 2^(-h/d)."""
     return math.sqrt(2.0 * d) * 2.0 ** (-h / d)
+
+
+# -- tree geometry ---------------------------------------------------------
+
+
+def node_box(d: int, h: int, i: int) -> tuple:
+    """Box ``(lo, hi)`` of tree node ``(h, i)`` in [0,1]^d.
+
+    The bits of ``i - 1``, most significant first, spell the root-to-node
+    path (1 = right child); the cut at depth ``level`` halves coordinate
+    ``level mod d``.
+    """
+    lo, hi = [0.0] * d, [1.0] * d
+    for level in range(h):
+        c = level % d
+        mid = (lo[c] + hi[c]) / 2.0
+        if (i - 1 >> (h - 1 - level)) & 1:
+            lo[c] = mid
+        else:
+            hi[c] = mid
+    return tuple(lo), tuple(hi)
+
+
+def contains(box, x) -> bool:
+    """Whether ``x`` lies in the half-open ``box``; a face at 1 is closed."""
+    lo, hi = box
+    return all(l <= v < u or v == u == 1.0 for l, u, v in zip(lo, hi, x))
 
 
 # -- row-by-row CSV I/O ----------------------------------------------------

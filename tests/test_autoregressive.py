@@ -76,7 +76,7 @@ class TestMetaProtocol:
         meta = MetaForecaster(ABS)
         meta.predict()
         meta.update(0.3)
-        assert meta.t == 2 and meta.n_active == 1
+        assert len(meta.history) == 1 and meta.n_active == 1
         assert meta.weights == [1.0]
 
     def test_single_member_prediction_passes_through(self):
@@ -111,7 +111,7 @@ class TestMetaProtocol:
         for _ in range(3):  # steps 1..3; member 2 enters at t=4
             meta.predict()
             meta.update(float(rng.random()))
-        assert meta.t == 4 and meta.n_active == 2
+        assert len(meta.history) == 3 and meta.n_active == 2
         w = meta.weights
         assert w[0] == pytest.approx(0.5, abs=1e-15)
         assert w[1] == pytest.approx(0.5, abs=1e-15)
@@ -120,7 +120,7 @@ class TestMetaProtocol:
         meta = MetaForecaster(ABS)
         rng = np.random.default_rng(3)
         for t in range(1, 70):
-            assert meta.t == t
+            assert len(meta.history) == t - 1
             expected = max((d for d in range(1, 8) if entry_step("powers_of_two", d) <= t),
                            default=0)
             assert meta.n_active == expected

@@ -218,3 +218,47 @@ def test_config_seed_must_be_an_integer(tmp_path, capsys, seed):
     assert _run_with_config(tmp_path, json.dumps({"forecaster": "eg", "seed": seed})) == 2
     assert "seed must be an integer" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+def test_oversized_csv_field_exits_two(tmp_path, capsys):
+    series = tmp_path / "s.csv"
+    write_series(series, [0.2, 0.4, 0.9, 0.1])
+    rundir = tmp_path / "run"
+    assert main(["run", "--input", str(series), "--out", str(rundir), "--forecaster", "eg"]) == 0
+    huge = "t,y\n1,0.5\n2," + "5" * 200_000 + "\n"
+    bad = tmp_path / "bad.csv"
+    bad.write_text(huge)
+    assert main(["run", "--input", str(bad), "--out", str(tmp_path / "r"),
+                 "--forecaster", "eg"]) == 2
+    assert "row 3: field larger than field limit" in capsys.readouterr().err
+    steps = rundir / "steps.csv"
+    steps.write_text(steps.read_text() + "7" * 200_000 + "\n")
+    assert main(["verify-bounds", "--out", str(rundir)]) == 2
+    assert "row 6: field larger than field limit" in capsys.readouterr().err
+
+
+def test_spaced_series_header_is_one_rule_for_every_command(tmp_path, capsys):
+    series = tmp_path / "s.csv"
+    series.write_text("t, y\n1,0.25\n2,0.75\n3,0.25\n4,0.75\n")
+    rundir = tmp_path / "run"
+    assert main(["run", "--input", str(series), "--out", str(rundir), "--forecaster", "eg"]) == 0
+    assert main(["verify-bounds", "--out", str(rundir), "--input", str(series)]) == 0
+    assert main(["oracle", "--input", str(series), "--kind", "lipschitz", "--lag", "1"]) == 0
+    out = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert out["loss"] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_config_d_must_match_the_covariate_file(tmp_path, capsys):
+    cov = tmp_path / "cov.csv"
+    write_covariates(cov, [[0.1, 0.2], [0.8, 0.9], [0.5, 0.5]], [0.0, 1.0, 0.5])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"forecaster": "tree", "d": 3}))
+    assert main(["run", "--config", str(config), "--input", str(cov),
+                 "--out", str(tmp_path / "r")]) == 2
+    assert "d = 3" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+    # without a d in the config the file's width is used
+    assert main(["run", "--input", str(cov), "--out", str(tmp_path / "r"),
+                 "--forecaster", "tree"]) == 0
+    assert read_run_log(tmp_path / "r").summary["config"]["d"] == 2
+    capsys.readouterr()

@@ -151,6 +151,14 @@ class TestDeterminism:
          "row 1500: expected 11 fields, got 12"),
         (lambda lines: lines[:2100] + [lines[2100].rsplit(",", 1)[0]] + lines[2101:],
          "row 2101: expected 11 fields, got 10"),
+        (lambda lines: lines[:700] + ["7" * 200_000] + lines[701:],
+         "row 701: field larger than field limit"),
+        (lambda lines: lines[:1] + [f"{1000 * k}," + line.split(",", 1)[1]
+                                    for k, line in enumerate(lines[1:], start=1)],
+         "row 2: t is 1000, expected 1"),
+        (lambda lines: lines[:100] + [lines[101], lines[100]] + lines[102:],
+         "row 101: t is 101, expected 100"),
+        (lambda lines: lines[:2000], "step log has 1999 steps, its summary says T = 2500"),
     ])
     def test_damaged_step_log_rejected(self, tmp_path, damage, message):
         xs, ys = uniform(2500, 10, d=2)

@@ -171,6 +171,10 @@ class TestDamagedInput:
         ("x1,y\n0.5,0.5\n0.5,-1\n2,0.5\n", "row 3: observation -1.0 outside [0, 1]"),
         ("x1,y\n0.5,0.5\n\n", "row 3: expected 2 fields, got 0"),
         ("t,y\n", "series file has no observations"),
+        pytest.param("t,y\n1,0.5\n2," + "5" * 200_000 + "\n",
+                     "row 3: field larger than field limit (131072)", id="oversized-field"),
+        pytest.param("x1," + "x" * 200_000 + ",y\n0.5,0.5\n",
+                     "row 1: field larger than field limit (131072)", id="oversized-header"),
     ])
     def test_first_fault_in_row_order_is_reported(self, tmp_path, text, message):
         path = tmp_path / "in.csv"

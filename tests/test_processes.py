@@ -144,6 +144,15 @@ class TestLossFloor:
         spec = ProcessSpec("iid", seed=1, support=(0.0, 1.0), probs=(0.5, 0.5))
         assert minimal_expected_loss(spec, ABS) == pytest.approx(0.5, abs=1e-9)
 
+    def test_repeated_emissions_rejected(self):
+        # two states emit 0, so one observation no longer reveals the state:
+        # the per-state formula would claim the floor of emissions (0, 0.5, 1)
+        spec = ProcessSpec("markov", seed=1, emissions=(0.0, 0.0, 1.0),
+                           transition=((0.1, 0.9, 0.0), (0.0, 0.1, 0.9), (0.9, 0.0, 0.1)))
+        with pytest.raises(RejectedInputError, match="repeat"):
+            minimal_expected_loss(spec, ABS)
+        assert len(generate(spec, 50)) == 50  # such a chain still generates
+
     def test_ar1_unsupported(self):
         with pytest.raises(RejectedInputError):
             minimal_expected_loss(ProcessSpec("ar1", a=0.5, sigma=0.1), ABS)

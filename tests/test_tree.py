@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +10,10 @@ from egtree.errors import ContractViolationError, RejectedInputError
 from egtree.losses import LossSpec
 from egtree.oracles import best_constant
 from egtree.tree import PartitionTree, height_bound, node_count_bound
-from reference import diameter_bound
+from reference import contains, diameter_bound, node_box
 
 ABS = LossSpec("absolute")
+DATA = Path(__file__).parent / "data"
 
 
 def grow(d, xs, ys, effective_range=False, loss=ABS):
@@ -53,8 +56,8 @@ class TestRouting:
     def test_boundary_one_is_contained(self):
         tree = grow(1, [[0.9], [0.95], [0.99]], [0.5, 0.5, 0.5])
         node = tree.route([1.0])
-        box = tree.node_bin(node)
-        assert box.hi[-1] == 1.0 and box.contains([1.0])
+        box = node_box(1, node.h, node.i)
+        assert box[1][-1] == 1.0 and contains(box, [1.0])
 
     def test_domain_checks(self):
         tree = PartitionTree(2, ABS)
@@ -86,17 +89,15 @@ class TestSplitting:
     def test_first_observation_splits_root_1d(self):
         tree = grow(1, [[0.2]], [0.7])
         assert tree.n_nodes == 3 and tree.height == 1
-        assert all(n.count == 0 for n, _ in tree.walk() if n.is_leaf)
-        bins = {(n.h, n.i): b for n, b in tree.walk() if n.is_leaf}
-        assert bins[(1, 1)].lo == (0.0,) and bins[(1, 1)].hi == (0.5,)
-        assert bins[(1, 2)].lo == (0.5,) and bins[(1, 2)].hi == (1.0,)
+        assert all(n.count == 0 for n in tree.walk() if n.is_leaf)
+        assert [(n.h, n.i) for n in tree.walk()] == [(0, 1), (1, 1), (1, 2)]
+        assert (tree.root.c, tree.root.mid) == (0, 0.5)
 
     def test_first_observation_splits_root_2d_on_first_coordinate(self):
         tree = grow(2, [[0.2, 0.8]], [0.7])
-        bins = {(n.h, n.i): b for n, b in tree.walk() if n.is_leaf}
         # split touches coordinate 1 only
-        assert bins[(1, 1)].hi == (0.5, 1.0)
-        assert bins[(1, 2)].lo == (0.5, 0.0)
+        assert (tree.root.c, tree.root.mid) == (0, 0.5)
+        assert tree.route([0.49, 1.0]).i == 1 and tree.route([0.5, 0.0]).i == 2
 
     def test_depth_three_leaf_splits_at_sixty_third_observation(self):
         # constant covariate 0.9 drills: root at obs 1, (1,2) at obs 3 more,
@@ -120,9 +121,10 @@ class TestSplitting:
 
     def test_children_have_fresh_state(self):
         tree = grow(1, [[0.2]], [0.7])
-        for node, _ in tree.walk():
+        assert tree.M == ABS.M
+        for node in tree.walk():
             if node.is_leaf:
-                assert node.count == 0 and node.eg == eg.EgState(M=ABS.M)
+                assert (node.count, node.G) == (0, 0.0)
 
     def test_rejected_outcome_leaves_the_tree_untouched(self):
         tree = PartitionTree(1, ABS, effective_range=True)
@@ -148,64 +150,73 @@ class TestPartitionInvariants:
     def test_leaves_tile_the_cube(self, d):
         xs, ys = uniform_stream(d, 1500, seed=d)
         tree = grow(d, xs, ys)
-        leaf_bins = [b for n, b in tree.walk() if n.is_leaf]
+        leaf_boxes = [node_box(d, n.h, n.i) for n in tree.walk() if n.is_leaf]
         rng = np.random.default_rng(100 + d)
         pts = rng.random((2000, d))
         pts[:5] = 1.0  # exercise the closed faces
         for x in pts:
-            hits = sum(b.contains(x) for b in leaf_bins)
+            hits = sum(contains(box, x) for box in leaf_boxes)
             assert hits == 1
-            assert tree.node_bin(tree.route(x)).contains(x)
+            leaf = tree.route(x)
+            assert contains(node_box(d, leaf.h, leaf.i), x)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_children_partition_their_parent(self, d):
         xs, ys = uniform_stream(d, 800, seed=10 + d)
         tree = grow(d, xs, ys)
         rng = np.random.default_rng(3)
-        for node, box in tree.walk():
+        for node in tree.walk():
             if node.is_leaf:
                 continue
-            left, right = tree.node_bin(node.left), tree.node_bin(node.right)
-            pts = box.lo + rng.random((50, d)) * (np.array(box.hi) - np.array(box.lo))
+            lo, hi = node_box(d, node.h, node.i)
+            left = node_box(d, node.left.h, node.left.i)
+            right = node_box(d, node.right.h, node.right.i)
+            pts = lo + rng.random((50, d)) * (np.array(hi) - np.array(lo))
             for x in pts:
-                assert left.contains(x) != right.contains(x)
+                assert contains(left, x) != contains(right, x)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_dyadic_ranges_exact(self, d):
         xs, ys = uniform_stream(d, 2000, seed=20 + d)
         tree = grow(d, xs, ys)
-        for node, box in tree.walk():
+        for node in tree.walk():
+            lo, hi = node_box(d, node.h, node.i)
             k, r = divmod(node.h, d)
-            for j, side in enumerate(box.side_lengths()):
+            sides = [b - a for a, b in zip(lo, hi)]
+            for j, side in enumerate(sides):
                 expected = 2.0 ** -(k + 1) if j < r else 2.0 ** -k
                 assert side == expected
-            assert box.diameter() <= diameter_bound(d, node.h) + 1e-12
+            assert math.hypot(*sides) <= diameter_bound(d, node.h) + 1e-12
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_indices_consistent(self, d):
         xs, ys = uniform_stream(d, 500, seed=30 + d)
         tree = grow(d, xs, ys)
-        for node, box in tree.walk():
+        nodes = list(tree.walk())
+        assert len(nodes) == tree.n_nodes
+        for k, node in enumerate(nodes):
             assert 1 <= node.i <= 2 ** node.h
             if not node.is_leaf:
                 assert (node.left.h, node.left.i) == (node.h + 1, 2 * node.i - 1)
                 assert (node.right.h, node.right.i) == (node.h + 1, 2 * node.i)
-            assert tree.node_bin(node) == box
+                assert nodes[k + 1] is node.left  # depth-first, left before right
 
     @pytest.mark.parametrize("effective_range", [False, True])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_stored_cut_is_the_box_midpoint(self, d, effective_range):
         xs, ys = dyadic_stream(d, 1500, seed=50 + d)
-        tree = grow(d, xs, ys, effective_range=effective_range)
-        inner = [node for node, _ in tree.walk() if not node.is_leaf]
-        assert len(inner) >= 5
-        for node in inner:
-            box = tree.node_bin(node)
-            assert node.c == node.h % d
-            assert node.mid == (box.lo[node.c] + box.hi[node.c]) / 2.0
-        for node, _ in tree.walk():
-            if node.is_leaf:
-                assert node.c is None and node.mid is None
+        grown = grow(d, xs, ys, effective_range=effective_range)
+        restored = PartitionTree.from_dict(grown.to_dict())
+        for tree in (grown, restored):
+            inner = [node for node in tree.walk() if not node.is_leaf]
+            assert len(inner) >= 5
+            for node in inner:
+                lo, hi = node_box(d, node.h, node.i)
+                assert node.c == node.h % d
+                assert node.mid == (lo[node.c] + hi[node.c]) / 2.0
+            for node in tree.walk():
+                if node.is_leaf:
+                    assert node.c is None and node.mid is None
 
     def test_node_count_is_odd(self):
         for seed in range(4):
@@ -238,7 +249,7 @@ class TestStructuralBounds:
         for d, seed in [(1, 0), (2, 1), (3, 2)]:
             xs, ys = uniform_stream(d, 3000, seed)
             tree = grow(d, xs, ys)
-            inner = [n for n, _ in tree.walk() if not n.is_leaf]
+            inner = [n for n in tree.walk() if not n.is_leaf]
             N = tree.n_nodes
             assert len(inner) == (N - 1) // 2
             if N >= 3:
@@ -274,8 +285,7 @@ class TestEffectiveRange:
             tree.predict([x])
             tree.update(0.5)
         assert tree.n_nodes == 3
-        bins = {(n.h, n.i): b for n, b in tree.walk() if n.is_leaf}
-        assert bins[(1, 1)].hi == (0.5,)
+        assert tree.root.mid == 0.5
 
     def test_constant_stream_matches_constant_tracker_regret(self):
         tree = PartitionTree(1, ABS, effective_range=True)
@@ -295,12 +305,12 @@ class TestSerialization:
     def test_round_trip_preserves_structure_and_behavior(self, effective_range):
         xs, ys = uniform_stream(2, 600, seed=5)
         tree = grow(2, xs, ys, effective_range=effective_range)
-        clone = PartitionTree.from_json(tree.to_json())
+        clone = PartitionTree.from_dict(json.loads(json.dumps(tree.to_dict())))
         assert clone.n_nodes == tree.n_nodes
         assert clone.height == tree.height
-        assert clone.total_steps == tree.total_steps
-        a = [(n.h, n.i, n.count, n.eg, b) for n, b in tree.walk()]
-        b = [(n.h, n.i, n.count, n.eg, b2) for n, b2 in clone.walk()]
+        assert sum(n.count for n in clone.walk()) == 600
+        a = [(n.h, n.i, n.count, n.G, n.c, n.mid) for n in tree.walk()]
+        b = [(n.h, n.i, n.count, n.G, n.c, n.mid) for n in clone.walk()]
         assert a == b
         # both copies must keep forecasting identically
         rng = np.random.default_rng(6)
@@ -318,9 +328,8 @@ class TestSerialization:
     def test_restored_mid_run_keeps_forecasting_identically(self, d, effective_range):
         xs, ys = dyadic_stream(d, 1200, seed=60 + d)
         tree = grow(d, xs[:600], ys[:600], effective_range=effective_range)
-        clone = PartitionTree.from_json(tree.to_json())
-        for original, restored in zip(tree.walk(), clone.walk()):
-            a, b = original[0], restored[0]
+        clone = PartitionTree.from_dict(json.loads(json.dumps(tree.to_dict())))
+        for a, b in zip(tree.walk(), clone.walk()):
             assert (a.h, a.i, a.c, a.mid) == (b.h, b.i, b.c, b.mid)
         for x, y in zip(xs[600:], ys[600:]):
             assert tree.predict(x) == clone.predict(x)
@@ -328,6 +337,30 @@ class TestSerialization:
             clone.update(float(y))
             assert tree.trace() == clone.trace()  # same leaf, same growth
         assert clone.to_dict() == tree.to_dict()
+
+    def test_loads_file_with_boxes_and_total_steps(self):
+        # written before to_dict dropped each node's "bin" and the top-level
+        # "total_steps": an effective-range d=2 tree grown on this stream
+        data = json.loads((DATA / "tree_d2_effective_range.json").read_text())
+        rng = np.random.default_rng(2024)
+        xs = rng.random((60, 2))
+        xs[::7] = np.round(xs[::7] * 4) / 4
+        xs[::25] = 1.0
+        ys = rng.random(60)
+        loaded = PartitionTree.from_dict(data)
+        grown = grow(2, xs, ys, effective_range=True)
+        for node in data["nodes"]:
+            lo, hi = node_box(2, node["h"], node["i"])
+            assert node.pop("bin") == {"lo": list(lo), "hi": list(hi)}
+        assert data.pop("total_steps") == 60
+        assert loaded.to_dict() == grown.to_dict() == data
+        rng = np.random.default_rng(2025)
+        for x, y in zip(rng.random((300, 2)), rng.random(300)):
+            assert loaded.predict(x) == grown.predict(x)
+            loaded.update(float(y))
+            grown.update(float(y))
+            assert loaded.trace() == grown.trace()
+        assert loaded.to_dict() == grown.to_dict()
 
     def test_rejects_orphaned_children(self):
         tree = grow(1, [[0.2]], [0.7])
