@@ -18,8 +18,8 @@ leaves the prediction pending.  ``trace()`` then returns the log columns of
 that step, by name (see :data:`egtree.harness.STEP_COLUMNS`).
 """
 
-from .autoregressive import LaggedForecaster, MetaForecaster, default_schedule
-from .eg import EgState, EgTracker
+from .autoregressive import LaggedForecaster, MetaForecaster
+from .eg import EgTracker
 from .errors import ContractViolationError, RejectedInputError
 from .harness import RunConfig, RunLog, run, verify_bounds
 from .losses import LossSpec
@@ -29,7 +29,6 @@ from .tree import PartitionTree
 
 __all__ = [
     "ContractViolationError",
-    "EgState",
     "EgTracker",
     "LaggedForecaster",
     "LossSpec",
@@ -42,7 +41,6 @@ __all__ = [
     "best_constant",
     "best_histogram",
     "best_lipschitz_1d",
-    "default_schedule",
     "generate",
     "minimal_expected_loss",
     "run",

@@ -41,15 +41,6 @@ def entry_step(kind: str, d: int) -> int:
     raise RejectedInputError(f"unknown schedule {kind!r}")
 
 
-def default_schedule(kind: str):
-    """Infinite generator of entry steps t_1, t_2, ... for the schedule."""
-    entry_step(kind, 1)  # validate the name eagerly
-    d = 1
-    while True:
-        yield entry_step(kind, d)
-        d += 1
-
-
 def reweight(logw: list[float], losses: list[float], eta_t: float, eta_next: float) -> list[float]:
     """One exponential-weights step in the log domain, normalized to sum 1.
 

@@ -26,19 +26,8 @@ from .errors import RejectedInputError
 from .losses import LossSpec
 
 
-def _load_json(path) -> dict:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise RejectedInputError(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise RejectedInputError(f"{path} must hold a JSON object, got {type(data).__name__}")
-    return data
-
-
 def _cmd_simulate(args) -> int:
-    spec_dict = _load_json(args.spec)
+    spec_dict = harness.load_json(args.spec)
     if args.seed is not None:
         spec_dict["seed"] = args.seed
     spec = processes.ProcessSpec.from_dict(spec_dict)
@@ -54,7 +43,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config_dict = _load_json(args.config) if args.config else {}
+    config_dict = harness.load_json(args.config) if args.config else {}
     if args.forecaster:
         config_dict["forecaster"] = args.forecaster
     if args.effective_range:
@@ -93,6 +82,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_oracle(args) -> int:
     loss = LossSpec(kind=args.loss, alpha=args.alpha)
+    if args.lag < 0:
+        raise RejectedInputError(f"--lag must be >= 0, got {args.lag}")
     xs, ys = harness.read_input(args.input)
     if args.lag:
         if xs is not None:
@@ -173,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--effective-range", action="store_true")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--save-state", action="store_true",
-                   help="also write the final tree as tree.json")
+                   help="tree runs only: also write the final tree as tree.json")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("oracle", help="evaluate an offline comparator")
@@ -210,6 +201,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except RejectedInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FileNotFoundError as exc:
+        print(f"error: no such file or directory: {exc.filename}", file=sys.stderr)
         return 2
 
 

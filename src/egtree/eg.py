@@ -1,20 +1,21 @@
 """Gradient-based exponentially weighted forecaster over the constants 0 and 1.
 
 The forecaster tracks the best constant prediction in [0,1] for a convex
-M-Lipschitz loss.  With ``G`` the running sum of loss subgradients after
-``t`` observed steps, the next prediction is
+M-Lipschitz loss.  Its whole state is ``(t, G)``: the number of observed
+steps and the running sum of loss subgradients.  The next prediction is
 
     eta = sqrt(log(2) / (t+1)) / M
     pred = exp(-eta * G) / (1 + exp(-eta * G))
 
 and its cumulative loss over any T outcomes exceeds the best constant's by
-at most ``2 * M * sqrt(T * log 2)``.
+at most ``2 * M * sqrt(T * log 2)``.  :func:`predict` and :func:`update`
+are the only implementation of this rule: the ``eg`` forecaster
+(:class:`EgTracker`) and every leaf of a partition tree call them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ContractViolationError
 from .losses import LossSpec
@@ -25,22 +26,8 @@ _ZMAX = 700.0
 _SUP = math.nextafter(1.0, 0.0)  # largest double strictly below 1
 
 
-@dataclass(frozen=True, slots=True)
-class EgState:
-    """Immutable forecaster state: steps seen, subgradient sum, constant M."""
-
-    t: int = 0
-    G: float = 0.0
-    M: float = 1.0
-
-
-def predict(state: EgState) -> float:
-    """Prediction for the upcoming step; always strictly inside (0,1)."""
-    return prediction(state.t, state.G, state.M)
-
-
-def prediction(t: int, G: float, M: float) -> float:
-    """Scalar core of :func:`predict`, for callers that keep ``t``, ``G`` unboxed."""
+def predict(t: int, G: float, M: float) -> float:
+    """Prediction after ``t`` steps with subgradient sum ``G``; strictly inside (0,1)."""
     eta = math.sqrt(_LOG2 / (t + 1)) / M
     z = -eta * G
     if z > _ZMAX:
@@ -54,29 +41,30 @@ def prediction(t: int, G: float, M: float) -> float:
     return e / (1.0 + e)
 
 
-def update(state: EgState, pred: float, outcome: float, loss: LossSpec) -> EgState:
-    """Absorb one (prediction, outcome) pair; returns the successor state.
+def update(t: int, G: float, pred: float, outcome: float, loss: LossSpec) -> tuple:
+    """Absorb one (prediction, outcome) pair; returns the successor ``(t, G)``.
 
     ``loss.subgradient`` rejects an outcome outside [0, 1].
     """
-    return EgState(state.t + 1, state.G + loss.subgradient(pred, outcome), state.M)
+    return t + 1, G + loss.subgradient(pred, outcome)
 
 
 class EgTracker:
     """:func:`predict` and :func:`update` behind the forecaster protocol; ``x`` is ignored."""
 
     def __init__(self, loss: LossSpec):
-        self.loss, self.state = loss, EgState(M=loss.M)
+        self.loss = loss
+        self.t, self.G = 0, 0.0
         self._pending = None  # prediction awaiting its outcome
 
     def predict(self, x=None) -> float:
-        self._pending = predict(self.state)
+        self._pending = predict(self.t, self.G, self.loss.M)
         return self._pending
 
     def update(self, outcome: float) -> None:
         if self._pending is None:
             raise ContractViolationError("update must follow predict")
-        self.state = update(self.state, self._pending, outcome, self.loss)
+        self.t, self.G = update(self.t, self.G, self._pending, outcome, self.loss)
         self._pending = None
 
     def trace(self) -> dict:

@@ -14,7 +14,9 @@ format; no field ever needs CSV quoting.  The readers split rows with one
 ``csv.reader`` pass, a block of rows at a time, and parse each column of a
 block at once; the series and covariate readers then check the [0, 1]
 range on arrays and report the first bad row, field and value, as a
-row-by-row scan would.
+row-by-row scan would.  The step-log reader names the row and column of a
+cell that does not parse, and checks the fields of ``summary.json`` that
+the verifier and the report read.
 
 :func:`verify_bounds` replays the inequalities the forecasters are
 guaranteed to satisfy (regret versus the offline comparators, partition
@@ -44,7 +46,7 @@ from .autoregressive import (
     mixture_regret_bound,
     mixture_regret_bound_raw,
 )
-from .errors import RejectedInputError
+from .errors import RejectedInputError, json_field
 from .losses import LossSpec
 from .oracles import best_constant, best_lipschitz_1d, lipschitz_regret_bound
 from .tree import PartitionTree, height_bound, node_count_bound
@@ -93,6 +95,18 @@ def data_digest(ys, xs=None, *, x_text=None) -> str:
     for block in iter(lambda: "".join(itertools.islice(texts, _DIGEST_BLOCK)), ""):
         h.update(block.encode())
     return h.hexdigest()
+
+
+def load_json(path) -> dict:
+    """The JSON object in the file ``path``; anything else is rejected, naming the path."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise RejectedInputError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise RejectedInputError(f"{path} must hold a JSON object, got {type(data).__name__}")
+    return data
 
 
 @dataclass(frozen=True)
@@ -192,9 +206,11 @@ def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
     covariates), then ``update(y)``, then ``trace()`` for the step's log
     columns, so an outcome is never shown before its prediction.  With
     ``save_state`` the final tree of a tree run is embedded in the summary
-    for later snapshot/restore.
+    for later snapshot/restore; no other forecaster can save its state yet.
     """
     started = time.perf_counter()
+    if save_state and config.forecaster != "tree":
+        raise RejectedInputError(f"only a tree run can save its state, not {config.forecaster!r}")
     ys = _check_series(ys)
     T = len(ys)
     if config.forecaster == "tree":
@@ -250,7 +266,7 @@ def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
         "final": final,
         "wall_clock_sec": time.perf_counter() - started,
     }
-    if save_state and config.forecaster == "tree":
+    if save_state:
         summary["tree"] = forecaster.to_dict()
     ints = {name: np.array(columns[name], dtype=np.int64)
             for name in ("leaf_h", "leaf_i", "n_nodes", "height")}
@@ -325,10 +341,37 @@ def _column_blocks(reader, width):
         row_no += len(rows)
 
 
+def _parsed(cells: list, parse, name: str) -> list:
+    """``parse`` applied to a step-log column; a cell it cannot parse is rejected by row."""
+    try:
+        return list(map(parse, cells))
+    except ValueError:
+        for row_no, cell in enumerate(cells, start=2):  # the header is row 1
+            try:
+                parse(cell)
+            except ValueError:
+                raise RejectedInputError(f"row {row_no}: {name} {cell!r} does not parse") from None
+        raise
+
+
+def _leaf_int(cell: str) -> int:
+    return int(cell) if cell else -1  # no leaf outside tree runs
+
+
+def _floats_tuple(cell: str) -> tuple:
+    return tuple(map(float, cell.split(";"))) if cell else ()
+
+
 def read_run_log(outdir) -> RunLog:
     outdir = Path(outdir)
-    with open(outdir / "summary.json") as fh:
-        summary = json.load(fh)
+    path = outdir / "summary.json"
+    summary = load_json(path)
+    for key, kind in (("T", int), ("cumulative_loss", float), ("data_digest", str),
+                      ("config", dict), ("final", dict)):
+        json_field(summary, key, kind, str(path))
+    config = RunConfig.from_dict(summary["config"])
+    for key in ("n_nodes", "height") + (("n_active",) if config.forecaster == "meta" else ()):
+        json_field(summary["final"], key, int, f"{path}: final")
     cols = {name: [] for name in STEP_COLUMNS}
     with open(outdir / "steps.csv", newline="") as fh:
         reader = _csv_rows(fh)
@@ -341,37 +384,29 @@ def read_run_log(outdir) -> RunLog:
     if not cols["t"]:
         raise RejectedInputError("step log is empty")
 
-    def ints(name, sentinel=None):
-        cells = cols[name]
-        values = map(int, cells) if sentinel is None else (
-            int(v) if v != "" else sentinel for v in cells)
-        return np.array(list(values), dtype=np.int64)
+    def column(name, parse, dtype=None):
+        values = _parsed(cols[name], parse, name)
+        return values if dtype is None else np.array(values, dtype=dtype)
 
-    def floats(name):
-        return np.array(list(map(float, cols[name])))
-
-    def tuples(name):
-        return [tuple(map(float, cell.split(";"))) if cell else () for cell in cols[name]]
-
-    t = ints("t")
+    t = column("t", int, np.int64)
     bad = np.flatnonzero(t != np.arange(1, len(t) + 1))
     if bad.size:
         raise RejectedInputError(f"row {bad[0] + 2}: t is {t[bad[0]]}, expected {bad[0] + 1}")
-    if len(t) != summary.get("T"):
+    if len(t) != summary["T"]:
         raise RejectedInputError(f"step log has {len(t)} steps, its summary says T = "
-                                 f"{summary.get('T')!r}")
+                                 f"{summary['T']!r}")
     return RunLog(
         t=t,
         x_text=cols["x"],
-        preds=floats("pred"),
-        ys=floats("y"),
-        losses=floats("loss"),
-        leaf_h=ints("leaf_h", sentinel=-1),
-        leaf_i=ints("leaf_i", sentinel=-1),
-        n_nodes=ints("n_nodes"),
-        height=ints("height"),
-        expert_preds=tuples("experts"),
-        expert_weights=tuples("weights"),
+        preds=column("pred", float, float),
+        ys=column("y", float, float),
+        losses=column("loss", float, float),
+        leaf_h=column("leaf_h", _leaf_int, np.int64),
+        leaf_i=column("leaf_i", _leaf_int, np.int64),
+        n_nodes=column("n_nodes", int, np.int64),
+        height=column("height", int, np.int64),
+        expert_preds=column("experts", _floats_tuple),
+        expert_weights=column("weights", _floats_tuple),
         summary=summary,
     )
 
@@ -583,7 +618,7 @@ def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCh
         checks.append(BoundCheck("visit-concentration", cap, sqrt_sum,
                                  sqrt_sum <= cap, "sum sqrt(T_node) <= sqrt(N_T T)"))
         if lipschitz_L is not None and config.d == 1:
-            xs = np.array([float(s) for s in log.x_text])
+            xs = np.array(_parsed(log.x_text, float, "x"))
             fit = best_lipschitz_1d(xs, log.ys, lipschitz_L, loss)
             regret = resummed - fit.value
             bound = lipschitz_regret_bound(M, lipschitz_L, 1, T)
@@ -639,7 +674,7 @@ def report(run_dirs, outdir) -> dict:
         name = path.name
         rows.append({
             "run": name,
-            "forecaster": s["config"]["forecaster"],
+            "forecaster": RunConfig.from_dict(s["config"]).forecaster,
             "T": T,
             "seed": s.get("seed"),
             "cumulative_loss": s["cumulative_loss"],

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RejectedInputError
+from .errors import RejectedInputError, json_field
 
 ABSOLUTE = "absolute"
 SQUARE = "square"
@@ -90,7 +90,7 @@ class LossSpec:
             return -self.alpha
         return 0.0
 
-    # Vectorized twins, used by the offline oracles and property tests.
+    # Vectorized loss values, used by the offline oracles.
 
     def value_array(self, pred, outcome) -> np.ndarray:
         pred = np.asarray(pred, dtype=float)
@@ -102,17 +102,6 @@ class LossSpec:
         u = outcome - pred
         return np.where(u >= 0.0, self.alpha * u, (self.alpha - 1.0) * u)
 
-    def subgradient_array(self, pred, outcome) -> np.ndarray:
-        pred = np.asarray(pred, dtype=float)
-        outcome = np.asarray(outcome, dtype=float)
-        if self.kind == ABSOLUTE:
-            return np.sign(pred - outcome)
-        if self.kind == SQUARE:
-            return 2.0 * (pred - outcome)
-        return np.where(
-            pred > outcome, 1.0 - self.alpha, np.where(pred < outcome, -self.alpha, 0.0)
-        )
-
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
         if self.kind == PINBALL:
@@ -121,6 +110,4 @@ class LossSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LossSpec":
-        if not isinstance(data, dict) or "kind" not in data:
-            raise RejectedInputError(f"a loss must be an object with a 'kind', got {data!r}")
-        return cls(kind=data["kind"], alpha=data.get("alpha"))
+        return cls(kind=json_field(data, "kind", str, "loss"), alpha=data.get("alpha"))

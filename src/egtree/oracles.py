@@ -85,8 +85,10 @@ def best_histogram(xs, ys, n_boxes: int, d: int, loss: LossSpec) -> Comparator:
         xs = xs[:, None]
     if xs.shape[1] != d:
         raise RejectedInputError(f"covariates have dimension {xs.shape[1]}, expected {d}")
+    if n_boxes < 1:
+        raise RejectedInputError(f"need at least one box, got {n_boxes}")
     per_axis = round(n_boxes ** (1.0 / d))
-    if per_axis < 1 or per_axis ** d != n_boxes:
+    if per_axis ** d != n_boxes:
         raise RejectedInputError(f"{n_boxes} boxes cannot tile [0,1]^{d} evenly")
     idx = np.minimum((xs * per_axis).astype(int), per_axis - 1)
     flat = np.zeros(len(xs), dtype=int)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RejectedInputError
+from .errors import RejectedInputError, json_field
 from .losses import LossSpec
 from .oracles import best_constant
 
@@ -48,19 +48,21 @@ class ProcessSpec:
     sigma: float = 0.0         # ar1: innovation scale
 
     def __post_init__(self):
+        if type(self.seed) is not int or self.seed < 0:
+            raise RejectedInputError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.kind == IID:
-            support = np.asarray(self.support, dtype=float)
-            probs = np.asarray(self.probs, dtype=float)
-            if support.size == 0 or support.size != probs.size:
+            support = _finite_array(self.support, "iid support")
+            probs = _finite_array(self.probs, "iid probs")
+            if support.ndim != 1 or support.size == 0 or support.shape != probs.shape:
                 raise RejectedInputError("iid spec needs matching support and probs")
             if support.min() < 0.0 or support.max() > 1.0:
                 raise RejectedInputError("iid support must lie in [0, 1]")
             if probs.min() < 0.0 or abs(probs.sum() - 1.0) > 1e-12:
                 raise RejectedInputError("iid probs must be a distribution (sum 1 within 1e-12)")
         elif self.kind == MARKOV:
-            em = np.asarray(self.emissions, dtype=float)
-            P = np.asarray(self.transition, dtype=float)
-            if em.size == 0 or P.shape != (em.size, em.size):
+            em = _finite_array(self.emissions, "markov emissions")
+            P = _finite_array(self.transition, "markov transition")
+            if em.ndim != 1 or em.size == 0 or P.shape != (em.size, em.size):
                 raise RejectedInputError("markov spec needs a square transition matrix")
             if em.min() < 0.0 or em.max() > 1.0:
                 raise RejectedInputError("markov emissions must lie in [0, 1]")
@@ -69,9 +71,10 @@ class ProcessSpec:
             if not _is_ergodic(P):
                 raise RejectedInputError("transition matrix is not ergodic (reducible or periodic)")
         elif self.kind == AR1:
-            if not 0.0 <= self.a < 1.0:
+            a, sigma = _finite_array((self.a, self.sigma), "ar1 a and sigma")
+            if not 0.0 <= a < 1.0:
                 raise RejectedInputError("ar1 persistence must lie in [0, 1)")
-            if self.sigma < 0.0:
+            if sigma < 0.0:
                 raise RejectedInputError("ar1 sigma must be >= 0")
         else:
             raise RejectedInputError(f"unknown process kind {self.kind!r}")
@@ -91,15 +94,35 @@ class ProcessSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProcessSpec":
-        kind = data["kind"]
-        seed = int(data.get("seed", 0))
+        kind = json_field(data, "kind", str, "process spec")
+        seed = json_field(data, "seed", int, "process spec", default=0)
+        where = f"{kind} spec"
         if kind == IID:
-            return cls(kind, seed, support=tuple(data["support"]), probs=tuple(data["probs"]))
+            return cls(kind, seed, support=tuple(json_field(data, "support", list, where)),
+                       probs=tuple(json_field(data, "probs", list, where)))
         if kind == MARKOV:
-            return cls(kind, seed,
-                       emissions=tuple(data["emissions"]),
-                       transition=tuple(tuple(row) for row in data["transition"]))
-        return cls(kind, seed, a=float(data.get("a", 0.0)), sigma=float(data.get("sigma", 0.0)))
+            rows = json_field(data, "transition", list, where)
+            if not all(type(row) is list for row in rows):
+                raise RejectedInputError(f"{where}: 'transition' must be a list of rows")
+            return cls(kind, seed, emissions=tuple(json_field(data, "emissions", list, where)),
+                       transition=tuple(map(tuple, rows)))
+        return cls(kind, seed, a=float(json_field(data, "a", float, where, default=0.0)),
+                   sigma=float(json_field(data, "sigma", float, where, default=0.0)))
+
+
+def _finite_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array; anything but finite numbers is rejected."""
+    try:
+        out = np.asarray(values)
+        numeric = out.dtype.kind in "iuf"  # not strings, booleans or objects
+    except ValueError:  # ragged rows
+        numeric = False
+    if not numeric:
+        raise RejectedInputError(f"{what} must be numbers, got {values!r:.80}")
+    out = out.astype(float)
+    if not np.isfinite(out).all():
+        raise RejectedInputError(f"{what} must be finite, got {values!r:.80}")
+    return out
 
 
 def _is_ergodic(P: np.ndarray) -> bool:

@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from . import eg
-from .errors import ContractViolationError, RejectedInputError
+from .errors import ContractViolationError, RejectedInputError, json_field
 from .losses import LossSpec
 
 
@@ -40,8 +40,10 @@ class TreeNode:
     """One tree node: depth/index pair, visit count, local forecaster.
 
     The forecaster state is kept unboxed: ``count`` is also its step count
-    ``t`` and ``G`` its subgradient sum; its ``M`` is the tree's.  An inner
-    node keeps its cut: it sends ``x`` left when ``x[c] < mid``.
+    ``t`` and ``G`` its subgradient sum, the ``(t, G)`` that
+    :func:`egtree.eg.predict` and :func:`egtree.eg.update` take; its ``M``
+    is the tree's.  An inner node keeps its cut: it sends ``x`` left when
+    ``x[c] < mid``.
     """
 
     __slots__ = ("h", "i", "count", "G", "left", "right", "c", "mid",
@@ -112,7 +114,7 @@ class PartitionTree:
         """Prediction of the leaf whose box contains ``x``."""
         x = self._check_point(x)
         leaf = self._descend(x)
-        pred = eg.prediction(leaf.count, leaf.G, self.M)
+        pred = eg.predict(leaf.count, leaf.G, self.M)
         self._pending = (leaf, x, pred)
         return pred
 
@@ -126,11 +128,8 @@ class PartitionTree:
         if self._pending is None:
             raise ContractViolationError("update must follow predict")
         leaf, x, pred = self._pending
-        g = self.loss.subgradient(pred, outcome)
+        leaf.count, leaf.G = eg.update(leaf.count, leaf.G, pred, outcome, self.loss)
         self._last, self._pending = self._pending, None
-
-        leaf.G += g
-        leaf.count += 1
 
         if self.effective_range:
             if leaf.obs_lo is None:
@@ -219,35 +218,41 @@ class PartitionTree:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PartitionTree":
+        """Load :meth:`to_dict` output; any other input is a :class:`RejectedInputError`."""
         tree = cls(
-            d=int(data["d"]),
-            loss=LossSpec.from_dict(data["loss"]),
-            effective_range=bool(data.get("effective_range", False)),
+            d=json_field(data, "d", int, "tree"),
+            loss=LossSpec.from_dict(json_field(data, "loss", dict, "tree")),
+            effective_range=json_field(data, "effective_range", bool, "tree", default=False),
         )
         M = tree.M
         by_key = {}
-        for entry in data["nodes"]:
-            node = TreeNode(int(entry["h"]), int(entry["i"]))
+        for entry in json_field(data, "nodes", list, "tree"):
+            node = TreeNode(json_field(entry, "h", int, "node"),
+                            json_field(entry, "i", int, "node"))
             key = (node.h, node.i)
+            where = f"node {key}"
             if key in by_key:
-                raise RejectedInputError(f"node {key} appears twice")
-            node.count = int(entry["count"])
-            e = entry["eg"]
-            node.G = float(e["G"])
-            if node.count < 0 or int(e["t"]) != node.count:
+                raise RejectedInputError(f"{where} appears twice")
+            node.count = json_field(entry, "count", int, where)
+            e = json_field(entry, "eg", dict, where)
+            t, node.G = json_field(e, "t", int, where), float(json_field(e, "G", float, where))
+            if node.count < 0 or t != node.count:
                 raise RejectedInputError(
-                    f"node {key}: count {node.count} must be >= 0 and equal eg.t {e['t']}")
+                    f"{where}: count {node.count} must be >= 0 and equal eg.t {t}")
             if not math.isfinite(node.G):
-                raise RejectedInputError(f"node {key}: eg.G {node.G!r} is not finite")
-            if float(e["M"]) != M:
+                raise RejectedInputError(f"{where}: eg.G {node.G!r} is not finite")
+            if json_field(e, "M", float, where) != M:
                 raise RejectedInputError(
-                    f"node {key}: eg.M {e['M']!r} does not match the loss's M = {M!r}")
-            rng = entry.get("obs_range")
+                    f"{where}: eg.M {e['M']!r} does not match the loss's M = {M!r}")
+            rng = json_field(entry, "obs_range", dict, where, default=None)
             if rng is not None:
-                node.obs_lo = [float(v) for v in rng["lo"]]
-                node.obs_hi = [float(v) for v in rng["hi"]]
-                if len(node.obs_lo) != tree.d or len(node.obs_hi) != tree.d:
-                    raise RejectedInputError(f"node {key}: obs_range must hold {tree.d} values")
+                lo, hi = json_field(rng, "lo", list, where), json_field(rng, "hi", list, where)
+                if not (len(lo) == len(hi) == tree.d and all(
+                        type(a) in (int, float) and type(b) in (int, float) and 0 <= a <= b <= 1
+                        for a, b in zip(lo, hi))):
+                    raise RejectedInputError(f"{where}: obs_range must hold {tree.d} numbers "
+                                             f"per end, with 0 <= lo <= hi <= 1")
+                node.obs_lo, node.obs_hi = list(map(float, lo)), list(map(float, hi))
             by_key[key] = node
         if (0, 1) not in by_key:
             raise RejectedInputError("serialized tree has no root node")

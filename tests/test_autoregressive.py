@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 from egtree.autoregressive import (
     LaggedForecaster,
     MetaForecaster,
-    default_schedule,
     entry_step,
     mixture_regret_bound,
     mixture_regret_bound_raw,
@@ -22,10 +20,10 @@ ABS = LossSpec("absolute")
 
 class TestSchedules:
     def test_powers_of_two_prefix(self):
-        assert list(itertools.islice(default_schedule("powers_of_two"), 4)) == [2, 4, 8, 16]
+        assert [entry_step("powers_of_two", d) for d in range(1, 5)] == [2, 4, 8, 16]
 
     def test_quadratic_prefix(self):
-        assert list(itertools.islice(default_schedule("quadratic"), 4)) == [2, 5, 10, 17]
+        assert [entry_step("quadratic", d) for d in range(1, 5)] == [2, 5, 10, 17]
 
     @pytest.mark.parametrize("kind", ["powers_of_two", "quadratic"])
     def test_entry_steps_valid_for_lag_window(self, kind):

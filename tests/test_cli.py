@@ -262,3 +262,78 @@ def test_config_d_must_match_the_covariate_file(tmp_path, capsys):
                  "--forecaster", "tree"]) == 0
     assert read_run_log(tmp_path / "r").summary["config"]["d"] == 2
     capsys.readouterr()
+
+
+def test_damaged_step_log_cell_exits_two(markov_spec, tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    main(["simulate", "--spec", str(markov_spec), "--T", "40", "--out", str(series)])
+    rundir = tmp_path / "run"
+    assert main(["run", "--input", str(series), "--out", str(rundir),
+                 "--forecaster", "meta"]) == 0
+    steps = rundir / "steps.csv"
+    lines = steps.read_text().splitlines()
+    fields = lines[20].split(",")
+    fields[9] = "x;y"  # the experts cell of row 21
+    steps.write_text("\n".join(lines[:20] + [",".join(fields)] + lines[21:]) + "\n")
+    capsys.readouterr()
+    assert main(["verify-bounds", "--out", str(rundir)]) == 2
+    assert main(["report", "--out", str(tmp_path / "tables"), str(rundir)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: row 21: experts 'x;y' does not parse"] * 2
+    (rundir / "summary.json").write_text("{not json")
+    assert main(["verify-bounds", "--out", str(rundir)]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("forecaster", ["eg", "meta"])
+def test_save_state_needs_a_tree_run(tmp_path, capsys, forecaster):
+    series = tmp_path / "s.csv"
+    write_series(series, [0.2, 0.4, 0.9, 0.1])
+    rundir = tmp_path / "r"
+    assert main(["run", "--input", str(series), "--out", str(rundir),
+                 "--forecaster", forecaster, "--save-state"]) == 2
+    assert "only a tree run can save its state" in capsys.readouterr().err
+    assert not rundir.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--lag", "-1"], "--lag must be >= 0"),
+    (["--kind", "histogram", "--lag", "2", "--bins", "-4"], "need at least one box"),
+    (["--kind", "histogram", "--lag", "2", "--bins", "0"], "need at least one box"),
+])
+def test_oracle_rejects_bad_lag_and_bins(tmp_path, capsys, argv, message):
+    series = tmp_path / "s.csv"
+    write_series(series, [0.2, 0.4, 0.9, 0.1, 0.6])
+    assert main(["oracle", "--input", str(series), *argv]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_missing_files_exit_two_naming_the_path(markov_spec, tmp_path, capsys):
+    series = tmp_path / "s.csv"
+    write_series(series, [0.2, 0.4, 0.9, 0.1])
+    missing = str(tmp_path / "missing")
+    for argv in (["run", "--input", missing, "--out", str(tmp_path / "r")],
+                 ["run", "--config", missing, "--input", str(series),
+                  "--out", str(tmp_path / "r")],
+                 ["simulate", "--spec", missing, "--T", "5", "--out", str(tmp_path / "o.csv")],
+                 ["oracle", "--input", missing],
+                 ["verify-bounds", "--out", missing],
+                 ["report", "--out", str(tmp_path / "tables"), missing]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and missing in err[0], argv
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "ar1", "a": 0.5, "sigma": float("nan")},
+    {"kind": "ar1", "a": 0.5, "sigma": float("inf")},
+    {"kind": "markov", "emissions": [0.1, 0.9]},
+    {"kind": "iid", "support": "ab", "probs": [0.5, 0.5]},
+])
+def test_bad_process_spec_exits_two(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))  # NaN and Infinity are written as such
+    out = tmp_path / "series.csv"
+    assert main(["simulate", "--spec", str(path), "--T", "20", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

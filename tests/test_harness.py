@@ -6,6 +6,7 @@ import pytest
 
 from egtree.errors import RejectedInputError
 from egtree.harness import (
+    STEP_COLUMNS,
     RunConfig,
     RunLog,
     data_digest,
@@ -105,6 +106,13 @@ class TestRun:
         assert RunConfig.from_dict({"forecaster": "eg", "seed": seed}).seed == seed
 
 
+def with_cell(lines, row, column, text):
+    """Step-log ``lines`` with the ``column`` cell of ``row`` (the header is row 1) replaced."""
+    fields = lines[row - 1].split(",")
+    fields[STEP_COLUMNS.index(column)] = text
+    return lines[:row - 1] + [",".join(fields)] + lines[row:]
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("forecaster", ["eg", "tree", "meta"])
     def test_identical_runs_are_byte_identical(self, forecaster, tmp_path):
@@ -159,12 +167,40 @@ class TestDeterminism:
         (lambda lines: lines[:100] + [lines[101], lines[100]] + lines[102:],
          "row 101: t is 101, expected 100"),
         (lambda lines: lines[:2000], "step log has 1999 steps, its summary says T = 2500"),
+        (lambda lines: with_cell(lines, 5, "pred", "abc"), "row 5: pred 'abc' does not parse"),
+        (lambda lines: with_cell(lines, 1800, "experts", "x;y"),
+         "row 1800: experts 'x;y' does not parse"),
+        (lambda lines: with_cell(lines, 2501, "weights", "0.5;"),
+         "row 2501: weights '0.5;' does not parse"),
+        (lambda lines: with_cell(lines, 9, "leaf_h", "1.5"), "row 9: leaf_h '1.5' does not parse"),
+        (lambda lines: with_cell(lines, 3, "n_nodes", ""), "row 3: n_nodes '' does not parse"),
     ])
     def test_damaged_step_log_rejected(self, tmp_path, damage, message):
         xs, ys = uniform(2500, 10, d=2)
         write_run_log(run(RunConfig("tree", ABS, d=2), ys, xs), tmp_path)
         steps = tmp_path / "steps.csv"
         steps.write_text("\n".join(damage(steps.read_text().splitlines())) + "\n")
+        with pytest.raises(RejectedInputError, match=message):
+            read_run_log(tmp_path)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda summary: "{not json", "is not valid JSON"),
+        (lambda summary: "[1, 2]", "must hold a JSON object, got list"),
+        (lambda summary: {k: v for k, v in summary.items() if k != "config"}, "has no 'config'"),
+        (lambda summary: {k: v for k, v in summary.items() if k != "T"}, "has no 'T'"),
+        (lambda summary: {k: v for k, v in summary.items() if k != "final"}, "has no 'final'"),
+        (lambda summary: {k: v for k, v in summary.items() if k != "cumulative_loss"},
+         "has no 'cumulative_loss'"),
+        (lambda summary: {**summary, "T": "2500"}, "'T' must be an integer"),
+        (lambda summary: {**summary, "config": {"forecaster": "lstm"}}, "unknown forecaster"),
+        (lambda summary: {**summary, "final": {"height": 3}}, "final has no 'n_nodes'"),
+    ])
+    def test_damaged_summary_rejected(self, tmp_path, damage, message):
+        xs, ys = uniform(2500, 10, d=2)
+        write_run_log(run(RunConfig("tree", ABS, d=2), ys, xs), tmp_path)
+        path = tmp_path / "summary.json"
+        damaged = damage(json.loads(path.read_text()))
+        path.write_text(damaged if isinstance(damaged, str) else json.dumps(damaged))
         with pytest.raises(RejectedInputError, match=message):
             read_run_log(tmp_path)
 

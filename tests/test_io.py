@@ -94,11 +94,15 @@ class TestRoundTrips:
                   for _ in range(3)]
         tuples = [[tuple(data.draw(st.lists(finite, min_size=k, max_size=k))) for k in sizes]
                   for _ in range(2)]
+        # the fields read_run_log requires of a summary
+        summary = {"T": n, "cumulative_loss": 0.0, "data_digest": "0" * 64,
+                   "config": RunConfig(kind, d=d if kind == "tree" else 1).to_dict(),
+                   "final": {"n_nodes": 1, "height": 0, "n_active": 1}}
         log = RunLog(np.arange(1, n + 1, dtype=np.int64), x_text, *floats,
                      np.array(leaf_h, dtype=np.int64), np.array(leaf_i, dtype=np.int64),
                      np.array(data.draw(st.lists(ints, min_size=n, max_size=n))),
                      np.array(data.draw(st.lists(ints, min_size=n, max_size=n))),
-                     *tuples, {"T": n})
+                     *tuples, summary)
         out = tmp_path_factory.mktemp("log")
         write_run_log(log, out)
         reference.write_steps_csv(log, out / "reference.csv")
@@ -108,7 +112,7 @@ class TestRoundTrips:
             assert same_bits(getattr(back, name), getattr(log, name)), name
         assert back.x_text == x_text
         assert back.expert_preds == tuples[0] and back.expert_weights == tuples[1]
-        assert back.summary == {"T": n}
+        assert back.summary == summary
 
 
 # replacement cells: not numbers, below 0, above 1, NaN and infinities

@@ -52,6 +52,36 @@ class TestSpecValidation:
         with pytest.raises(RejectedInputError):
             ProcessSpec("garch")
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "ar1", "a": 0.5, "sigma": float("nan")}, "must be finite"),
+        ({"kind": "ar1", "a": 0.5, "sigma": float("inf")}, "must be finite"),
+        ({"kind": "ar1", "a": float("nan"), "sigma": 0.1}, "must be finite"),
+        ({"kind": "iid", "support": [0.2, float("nan")], "probs": [0.5, 0.5]}, "must be finite"),
+        ({"kind": "iid", "support": [0.2, 0.8], "probs": [float("nan"), 0.5]}, "must be finite"),
+        ({"kind": "markov", "emissions": [0.1, 0.9],
+          "transition": [[0.5, 0.5], [float("nan"), 0.5]]}, "must be finite"),
+        ({"kind": "markov", "emissions": [0.1, float("inf")],
+          "transition": [[0.5, 0.5], [0.5, 0.5]]}, "must be finite"),
+        ({"a": 0.5, "sigma": 0.1}, "has no 'kind'"),
+        ({"kind": "markov", "emissions": [0.1, 0.9]}, "has no 'transition'"),
+        ({"kind": "markov", "emissions": [0.1, 0.9], "transition": [[0.5, 0.5], 1.0]},
+         "list of rows"),
+        ({"kind": "markov", "emissions": [0.1, 0.9], "transition": [[0.5, 0.5], [1.0]]},
+         "must be numbers"),
+        ({"kind": "iid", "support": "ab", "probs": [0.5, 0.5]}, "'support' must be a list"),
+        ({"kind": "iid", "support": [[0.2], [0.8]], "probs": [0.5, 0.5]},
+         "matching support and probs"),
+        ({"kind": "iid", "support": ["0.25", "0.75"], "probs": [0.5, 0.5]}, "must be numbers"),
+        ({"kind": "iid", "support": [0.25, 0.75], "probs": [True, False]}, "must be numbers"),
+        ({"kind": "ar1", "a": "x", "sigma": 0.1}, "'a' must be a number"),
+        ({"kind": "ar1", "a": 0.5, "sigma": 0.1, "seed": "5"}, "'seed' must be an integer"),
+        ({"kind": "ar1", "a": 0.5, "sigma": 0.1, "seed": -1}, "seed must be an integer >= 0"),
+        ([{"kind": "ar1"}], "process spec must be an object"),
+    ])
+    def test_from_dict_rejects(self, spec, message):
+        with pytest.raises(RejectedInputError, match=message):
+            ProcessSpec.from_dict(spec)
+
     def test_dict_round_trip(self):
         for spec in (STICKY,
                      ProcessSpec("iid", seed=3, support=(0.0, 0.5, 1.0),
@@ -162,12 +192,12 @@ class TestLossFloor:
         T = 100_000
         y = generate(STICKY, T)
         floor = minimal_expected_loss(STICKY, ABS)
-        state = eg.EgState(M=ABS.M)
+        tracker = eg.EgTracker(ABS)
         cum_eg = 0.0
         for v in y:
-            p = eg.predict(state)
+            p = tracker.predict()
             cum_eg += ABS.value(p, float(v))
-            state = eg.update(state, p, float(v), ABS)
+            tracker.update(float(v))
         cum_const = float(np.abs(y - 0.5).sum())
         assert cum_eg / T >= floor - 0.02
         assert cum_const / T >= floor - 0.02

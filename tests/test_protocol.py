@@ -1,10 +1,13 @@
 """The predict(x) / update(y) / trace() protocol that every forecaster follows."""
 
+import numpy as np
 import pytest
 
+from egtree import eg
 from egtree.autoregressive import LaggedForecaster, MetaForecaster
 from egtree.eg import EgTracker
 from egtree.errors import ContractViolationError, RejectedInputError
+from egtree.harness import RunConfig, run
 from egtree.losses import LossSpec
 from egtree.tree import PartitionTree
 
@@ -44,3 +47,33 @@ def test_protocol(kind):
     forecaster.update(0.5)
     with pytest.raises(ContractViolationError):
         forecaster.update(0.5)  # one update per predict
+
+
+@pytest.mark.parametrize("kind", ["eg", "tree", "meta"])
+def test_one_eg_path(kind, monkeypatch):
+    # the eg forecaster and every tree leaf run eg.predict and eg.update,
+    # once per leaf step each, and have no EG arithmetic of their own
+    from egtree import eg
+    from egtree.harness import RunConfig, run
+
+    calls = {"predict": 0, "update": 0}
+
+    def counted(name):
+        inner = getattr(eg, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    monkeypatch.setattr(eg, "predict", counted("predict"))
+    monkeypatch.setattr(eg, "update", counted("update"))
+    rng = np.random.default_rng(4)
+    T = 300
+    xs = rng.random((T, 2)) if kind == "tree" else None
+    log = run(RunConfig(kind, ABS, d=2), rng.random(T), xs)
+    leaf_steps = T
+    if kind == "meta":
+        leaf_steps = sum(map(len, log.expert_preds))
+        assert leaf_steps > T  # several members per step
+    assert calls == {"predict": leaf_steps, "update": leaf_steps}

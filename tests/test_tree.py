@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egtree import eg
 from egtree.errors import ContractViolationError, RejectedInputError
@@ -426,3 +428,96 @@ class TestSerialization:
         node["obs_range"]["lo"] = node["obs_range"]["lo"][:1]
         with pytest.raises(RejectedInputError):
             PartitionTree.from_dict(data)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: data.update(effective_range="false"), "'effective_range' must be true"),
+        (lambda data: data["nodes"][-1].update(count=2.5, eg={**data["nodes"][-1]["eg"],
+                                                              "t": 2.5}),
+         "'count' must be an integer"),
+        (lambda data: data.pop("nodes"), "tree has no 'nodes'"),
+        (lambda data: data["nodes"][-1].pop("h"), "node has no 'h'"),
+        (lambda data: data["nodes"][-1].pop("eg"), r"node \(1, 2\) has no 'eg'"),
+        (lambda data: data.update(d="x"), "'d' must be an integer"),
+        (lambda data: data["nodes"][-1].update(h="a"), "'h' must be an integer"),
+        (lambda data: data["nodes"][-1].update(obs_range="lo"), "'obs_range' must be an object"),
+        (lambda data: data["nodes"][-1].update(obs_range={"lo": [0.2], "hi": [float("nan")]}),
+         "obs_range must hold 1 numbers per end"),
+        (lambda data: data["nodes"][-1].update(obs_range={"lo": [0.9], "hi": [0.2]}),
+         "obs_range must hold 1 numbers per end"),
+        (lambda data: data.update(nodes=5), "'nodes' must be a list"),
+        (lambda data: data["nodes"].append([0, 1]), "node must be an object"),
+    ])
+    def test_rejects_malformed_fields(self, edit, message):
+        data = grow(1, [[0.2], [0.7], [0.9]], [0.7, 0.1, 0.4]).to_dict()
+        edit(data)
+        with pytest.raises(RejectedInputError, match=message):
+            PartitionTree.from_dict(data)
+
+    def test_rejects_a_top_level_list(self):
+        data = grow(1, [[0.2]], [0.7]).to_dict()
+        with pytest.raises(RejectedInputError, match="tree must be an object"):
+            PartitionTree.from_dict([data])
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([1, 2, 3]), effective_range=st.booleans(),
+           loss=st.sampled_from([ABS, LossSpec("square"), LossSpec("pinball", alpha=0.3)]),
+           T=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+    def test_json_round_trip_keeps_forecasting(self, d, effective_range, loss, T, seed):
+        xs, ys = dyadic_stream(d, T + 100, seed)
+        tree = grow(d, xs[:T], ys[:T], effective_range=effective_range, loss=loss)
+        clone = PartitionTree.from_dict(json.loads(json.dumps(tree.to_dict())))
+        assert clone.to_dict() == tree.to_dict()
+        for x, y in zip(xs[T:], ys[T:]):
+            assert tree.predict(x) == clone.predict(x)
+            tree.update(float(y))
+            clone.update(float(y))
+            assert tree.trace() == clone.trace()
+        assert clone.to_dict() == tree.to_dict()
+
+
+def _json_paths(value, path=()):
+    """Every path of keys and list indices inside a decoded JSON value, the root first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, inner in items:
+        yield from _json_paths(inner, path + (key,))
+
+
+FUZZ_BASE = grow(2, *dyadic_stream(2, 40, seed=9), effective_range=True,
+                 loss=LossSpec("pinball", alpha=0.3)).to_dict()
+FUZZ_PATHS = list(_json_paths(FUZZ_BASE))
+DELETE = object()
+FUZZ_VALUES = [DELETE, None, "x", "false", "0.5", 2.5, -1, 0, 7, True, [], {}, [0.5, 0.5],
+               float("nan"), float("inf"), float("-inf")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(FUZZ_PATHS), st.sampled_from(FUZZ_VALUES)),
+                min_size=1, max_size=3))
+def test_fuzzed_tree_json_loads_or_is_rejected(edits):
+    data = json.loads(json.dumps(FUZZ_BASE))
+    for path, value in edits:
+        if not path:
+            data = [data] if value is DELETE else value
+            continue
+        parent = data
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier edit removed or replaced this path
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    try:
+        tree = PartitionTree.from_dict(data)
+    except RejectedInputError:
+        return
+    # a tree that loads must forecast
+    for x, y in ((0.3, 0.6), (0.9, 0.1), (1.0, 0.5)):
+        assert 0.0 < tree.predict([x] * tree.d) < 1.0
+        tree.update(y)
+
