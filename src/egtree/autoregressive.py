@@ -16,6 +16,12 @@ renormalized to sum to ``D_t / D_{t+1}``, while a member entering at step
 ``t+1`` receives weight ``1 / D_{t+1}``.  Weights are kept in the log
 domain; the power-and-normalize update underflows otherwise.  The mixture
 forecasts from its own history and ignores the ``x`` of ``predict(x)``.
+
+``MetaForecaster.update`` range-checks each outcome before it enters the
+history, so every lag window already holds checked floats: the mixture
+hands its members' trees the window as is, through
+``PartitionTree._predict``, and never re-checks it.  ``LaggedForecaster``
+on its own is driven through the checking ``PartitionTree.predict``.
 """
 
 from __future__ import annotations
@@ -51,7 +57,10 @@ def reweight(logw: list[float], losses: list[float], eta_t: float, eta_next: flo
     ratio = eta_next / eta_t
     out = [ratio * lw - eta_next * l for lw, l in zip(logw, losses)]
     m = max(out)
-    lse = m + math.log(sum(math.exp(lw - m) for lw in out))
+    total = 0.0
+    for lw in out:
+        total += math.exp(lw - m)  # left to right: sum() rounds differently from 3.12
+    lse = m + math.log(total)
     return [lw - lse for lw in out]
 
 
@@ -122,7 +131,8 @@ class MetaForecaster:
         if not self.experts:
             self._pending = ((), ())
             return 0.5
-        preds = tuple(ex.predict(self.history) for ex in self.experts)
+        history = self.history  # checked outcomes only: see update()
+        preds = tuple([ex.tree._predict(tuple(history[-ex.d:])) for ex in self.experts])
         weights = tuple(math.exp(lw) for lw in self._logw)
         y = 0.0
         for w, f in zip(weights, preds):
@@ -142,7 +152,7 @@ class MetaForecaster:
 
         if self.experts:
             for ex in self.experts:
-                ex.update(outcome)
+                ex.tree.update(outcome)
             self._logw = reweight(
                 self._logw,
                 [self.loss.value(f, outcome) for f in preds],

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -222,8 +223,11 @@ def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
         if xs.shape != (T, config.d):
             raise RejectedInputError(
                 f"covariates have shape {xs.shape}, expected {(T, config.d)}")
-        if xs.min() < 0.0 or xs.max() > 1.0:
-            raise RejectedInputError("covariates must lie in [0, 1]^d")
+        bad = np.argwhere(~((xs >= 0.0) & (xs <= 1.0)))  # NaN fails both
+        if bad.size:
+            k, j = bad[0]
+            raise RejectedInputError(f"observation {k + 1}: covariate {j + 1} outside "
+                                     f"[0, 1]: {float(xs[k, j])!r}")
     elif xs is not None:
         raise RejectedInputError(f"{config.forecaster!r} runs take no covariates")
 
@@ -553,11 +557,10 @@ def expert_regret(log: RunLog, d: int) -> float:
     loss = RunConfig.from_dict(log.summary["config"]).loss
     total = 0.0
     seen = False
-    for k in range(len(log)):
-        if len(log.expert_preds[k]) >= d:
+    for preds, step_loss, y in zip(log.expert_preds, log.losses.tolist(), log.ys.tolist()):
+        if len(preds) >= d:
             seen = True
-            total += float(log.losses[k]) - loss.value(log.expert_preds[k][d - 1],
-                                                       float(log.ys[k]))
+            total += step_loss - loss.value(preds[d - 1], y)
     if not seen:
         raise RejectedInputError(f"order-{d} member was never active in this run")
     return total
@@ -657,6 +660,13 @@ def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCh
 # -- aggregation -----------------------------------------------------------
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as :mod:`csv` writes it among other fields, quoted where needed."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]  # drop the empty field's "," and the line end
+
+
 def report(run_dirs, outdir) -> dict:
     """Aggregate finished runs into summary tables and plot-ready CSVs."""
     run_dirs = [Path(p) for p in run_dirs]
@@ -666,7 +676,7 @@ def report(run_dirs, outdir) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     growth_rows = []
-    weight_rows = []
+    weight_lines = []
     for path in run_dirs:
         log = read_run_log(path)
         s = log.summary
@@ -685,8 +695,9 @@ def report(run_dirs, outdir) -> dict:
         t_col = log.t.tolist()
         growth_rows += zip(itertools.repeat(name), t_col, log.n_nodes.tolist(),
                            log.height.tolist())
+        row_format = _csv_field(name).replace("%", "%%") + ",%d,%d,%.17g\n"
         for t, weights in zip(t_col, log.expert_weights):
-            weight_rows += [(name, t, d, w) for d, w in enumerate(weights, start=1)]
+            weight_lines += [row_format % (t, d, w) for d, w in enumerate(weights, start=1)]
 
     with open(outdir / "runs.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -713,9 +724,8 @@ def report(run_dirs, outdir) -> dict:
         writer.writerow(("run", "t", "n_nodes", "height"))
         writer.writerows(growth_rows)
 
-    if weight_rows:
+    if weight_lines:
         with open(outdir / "weights.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("run", "t", "d", "weight"))
-            writer.writerows((run_name, t, d, "%.17g" % w) for run_name, t, d, w in weight_rows)
+            fh.write("run,t,d,weight\n")
+            fh.writelines(weight_lines)
     return {"runs": rows, "groups": {f"{fc}/T={T}": len(v) for (fc, T), v in by_group.items()}}

@@ -25,9 +25,15 @@ PINBALL = "pinball"
 _KINDS = (ABSOLUTE, SQUARE, PINBALL)
 
 
-def _check_unit(value: float, name: str) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise RejectedInputError(f"{name} must lie in [0, 1], got {value!r}")
+def _reject(pred: float, outcome: float) -> None:
+    """Raise for the first of ``pred`` and ``outcome`` outside [0, 1], NaN included.
+
+    Callers test both at once with one chained comparison and come here
+    only when it fails.
+    """
+    for name, value in (("pred", pred), ("outcome", outcome)):
+        if not 0.0 <= value <= 1.0:
+            raise RejectedInputError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,8 +63,8 @@ class LossSpec:
 
     def value(self, pred: float, outcome: float) -> float:
         """Loss of predicting ``pred`` against ``outcome``; both in [0,1]."""
-        _check_unit(pred, "pred")
-        _check_unit(outcome, "outcome")
+        if not (0.0 <= pred <= 1.0 and 0.0 <= outcome <= 1.0):
+            _reject(pred, outcome)
         if self.kind == ABSOLUTE:
             return abs(pred - outcome)
         if self.kind == SQUARE:
@@ -74,8 +80,8 @@ class LossSpec:
         subgradient and leaves gradient-based forecasters stationary at the
         optimum.
         """
-        _check_unit(pred, "pred")
-        _check_unit(outcome, "outcome")
+        if not (0.0 <= pred <= 1.0 and 0.0 <= outcome <= 1.0):
+            _reject(pred, outcome)
         if self.kind == ABSOLUTE:
             if pred > outcome:
                 return 1.0

@@ -23,6 +23,11 @@ the coordinate ``c = h mod d`` and the midpoint of its box along it, which
 :meth:`PartitionTree._cut` derives from any point of the box; routing then
 costs one comparison per level.  Between ``predict`` and ``update`` the
 tree itself remembers the leaf and the checked point.
+
+The public ``predict`` and ``route`` check their point; ``predict`` then
+hands it to the private ``_predict``, the only prediction code.  A caller
+that has already checked its point, a lag-window member of
+:class:`~egtree.autoregressive.MetaForecaster`, calls ``_predict`` directly.
 """
 
 from __future__ import annotations
@@ -112,7 +117,10 @@ class PartitionTree:
 
     def predict(self, x) -> float:
         """Prediction of the leaf whose box contains ``x``."""
-        x = self._check_point(x)
+        return self._predict(self._check_point(x))
+
+    def _predict(self, x: tuple) -> float:
+        """:meth:`predict` for a point already checked: a tuple of d floats in [0, 1]."""
         leaf = self._descend(x)
         pred = eg.predict(leaf.count, leaf.G, self.M)
         self._pending = (leaf, x, pred)
@@ -141,7 +149,9 @@ class PartitionTree:
                         leaf.obs_lo[j] = v
                     elif v > leaf.obs_hi[j]:
                         leaf.obs_hi[j] = v
-            diam_sq = sum((b - a) ** 2 for a, b in zip(leaf.obs_lo, leaf.obs_hi))
+            diam_sq = 0.0
+            for a, b in zip(leaf.obs_lo, leaf.obs_hi):
+                diam_sq += (b - a) ** 2  # left to right: sum() rounds differently from 3.12
             if diam_sq <= 0.0:
                 return  # zero observed range: the split threshold is infinite
             if leaf.count + 1 >= 1.0 / diam_sq:

@@ -53,6 +53,16 @@ class TestReweight:
                        [0.9, 0.1, 0.4], eta_t=2.0, eta_next=1.5)
         assert sum(map(math.exp, out)) == pytest.approx(1.0, abs=1e-14)
 
+    def test_sums_left_to_right(self):
+        # exponentials 1, 1e-16, 1e-16: added left to right the tail rounds
+        # away, while a compensated sum (sum() of floats from Python 3.12)
+        # gives the next double above 1; the logged weights must not depend
+        # on the interpreter
+        logw = [0.0, math.log(1e-16), math.log(1e-16)]
+        exps = [math.exp(lw) for lw in logw]
+        assert (exps[0] + exps[1]) + exps[2] == 1.0 < math.fsum(exps)
+        assert reweight(logw, [0.0] * 3, eta_t=1.0, eta_next=1.0) == logw
+
 
 def drive(meta, ys):
     records = []

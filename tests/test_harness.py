@@ -1,5 +1,8 @@
+import csv
 import hashlib
+import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from egtree.harness import (
     report,
 )
 from egtree.losses import LossSpec
-from egtree.tree import height_bound, node_count_bound
+from egtree.tree import PartitionTree, height_bound, node_count_bound
 
 ABS = LossSpec("absolute")
 
@@ -84,6 +87,16 @@ class TestRun:
     def test_rejects_out_of_range(self):
         with pytest.raises(RejectedInputError):
             run(RunConfig("eg", ABS), np.array([0.5, 1.5, 0.2]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1.5, -0.1])
+    def test_rejects_bad_covariates_before_any_step(self, bad, monkeypatch):
+        steps = []
+        monkeypatch.setattr(PartitionTree, "predict", lambda self, x: steps.append(x))
+        xs = [[0.5, 0.2], [0.4, bad], [bad, 0.3]]
+        message = rf"^observation 2: covariate 2 outside \[0, 1\]: {re.escape(repr(bad))}$"
+        with pytest.raises(RejectedInputError, match=message):
+            run(RunConfig("tree", ABS, d=2), [0.1, 0.2, 0.3], xs)
+        assert steps == []
 
     def test_config_rejects_unknown_schedule(self):
         with pytest.raises(RejectedInputError):
@@ -401,6 +414,20 @@ class TestReport:
         lines = (tmp_path / "tables" / "avg_loss_vs_T.csv").read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("eg,100,3,")
+
+    def test_weights_rows_are_csv_rows(self, tmp_path):
+        # the run name is quoted as csv quotes it; a % in it is text
+        name = 'a,b"c%d'
+        log = run(RunConfig("meta", ABS), uniform(60, 3))
+        write_run_log(log, tmp_path / name)
+        report([tmp_path / name], tmp_path / "tables")
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(("run", "t", "d", "weight"))
+        writer.writerows((name, t, d, "%.17g" % w) for t, weights in
+                         zip(log.t.tolist(), log.expert_weights)
+                         for d, w in enumerate(weights, start=1))
+        assert (tmp_path / "tables" / "weights.csv").read_text() == expected.getvalue()
 
     def test_requires_runs(self, tmp_path):
         with pytest.raises(RejectedInputError):

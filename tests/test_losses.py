@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,22 @@ class TestValues:
             ABS.value(0.5, -0.1)
         with pytest.raises(RejectedInputError):
             ABS.subgradient(-0.5, 0.5)
+
+    @pytest.mark.parametrize("spec", [ABS, SQ, pin(0.3)])
+    @pytest.mark.parametrize("method", ["value", "subgradient"])
+    @pytest.mark.parametrize("pred, outcome, named", [
+        (1.5, -0.1, "pred"),
+        (float("nan"), float("nan"), "pred"),
+        (float("nan"), 0.5, "pred"),
+        (-0.1, float("inf"), "pred"),
+        (0.5, float("nan"), "outcome"),
+        (0.5, 1.0001, "outcome"),
+    ])
+    def test_first_bad_argument_is_named(self, spec, method, pred, outcome, named):
+        bad = pred if named == "pred" else outcome
+        message = rf"^{named} must lie in \[0, 1\], got {re.escape(repr(bad))}$"
+        with pytest.raises(RejectedInputError, match=message):
+            getattr(spec, method)(pred, outcome)
 
 
 class TestSubgradients:

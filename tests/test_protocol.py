@@ -22,6 +22,17 @@ FORECASTERS = {
 }
 
 
+def trees_state(forecaster) -> list:
+    """Pending step and every node's EG state of each tree the forecaster drives."""
+    if isinstance(forecaster, MetaForecaster):
+        trees = [ex.tree for ex in forecaster.experts]
+    elif isinstance(forecaster, LaggedForecaster):
+        trees = [forecaster.tree]
+    else:
+        trees = [forecaster] if isinstance(forecaster, PartitionTree) else []
+    return [(tree._pending, [(node.count, node.G) for node in tree.walk()]) for tree in trees]
+
+
 @pytest.mark.parametrize("kind", sorted(FORECASTERS))
 def test_protocol(kind):
     make, x = FORECASTERS[kind]
@@ -35,9 +46,13 @@ def test_protocol(kind):
             f.predict(x)
             f.update(y)
     assert forecaster.predict(x) == twin.predict(x)
+    before = trees_state(forecaster)
+    assert len(before) == {"eg": 0, "tree": 1, "lagged": 1, "meta": 2}[kind]
     for bad in (1.5, -0.1, float("nan")):
         with pytest.raises(RejectedInputError):
             forecaster.update(bad)
+    # no tree, member trees included, saw a rejected outcome
+    assert trees_state(forecaster) == before
     # the rejected outcomes changed nothing: the retry matches the twin
     for y in (0.6, 0.3, 0.8):
         forecaster.update(y)
@@ -77,3 +92,45 @@ def test_one_eg_path(kind, monkeypatch):
         leaf_steps = sum(map(len, log.expert_preds))
         assert leaf_steps > T  # several members per step
     assert calls == {"predict": leaf_steps, "update": leaf_steps}
+
+
+@pytest.mark.parametrize("kind", ["tree", "meta"])
+def test_each_point_checked_once(kind, monkeypatch):
+    # a tree run checks each covariate in PartitionTree.predict; the mixture
+    # checks each outcome as it enters its history, and its members take the
+    # lag windows of that history unchecked
+    calls = [0]
+    check = PartitionTree._check_point
+
+    def counted(self, x):
+        calls[0] += 1
+        return check(self, x)
+
+    monkeypatch.setattr(PartitionTree, "_check_point", counted)
+    rng = np.random.default_rng(5)
+    T = 300
+    xs = rng.random((T, 2)) if kind == "tree" else None
+    run(RunConfig(kind, ABS, d=2), rng.random(T), xs)
+    assert calls[0] == (T if kind == "tree" else 0)
+
+
+BAD_POINTS = [[float("nan"), 0.5], [1.5, 0.5], [0.5, -0.1]]
+
+
+@pytest.mark.parametrize("entry", ["predict", "route"])
+@pytest.mark.parametrize("point", BAD_POINTS + [[0.5, 0.5, 0.5]])
+def test_tree_entries_check_their_point(entry, point):
+    tree = PartitionTree(2, ABS)
+    with pytest.raises(RejectedInputError):
+        getattr(tree, entry)(point)
+    assert tree._pending is None
+
+
+@pytest.mark.parametrize("point", BAD_POINTS)
+def test_lagged_predict_checks_its_window(point):
+    # the window is the last d = 2 entries of the history, so it cannot have
+    # the wrong length; a shorter history is a ContractViolationError
+    lagged = LaggedForecaster(d=2, start=3, loss=ABS)
+    with pytest.raises(RejectedInputError):
+        lagged.predict([0.2] + point)
+    assert lagged.tree._pending is None
