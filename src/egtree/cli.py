@@ -3,13 +3,17 @@
 Subcommands:
 
 * ``simulate``       draw a synthetic series to CSV
-* ``run``            drive a forecaster over a CSV series, write the log
-* ``oracle``         evaluate an offline comparator on a CSV
+* ``run``            drive a forecaster over a CSV input, write the log
+* ``oracle``         evaluate an offline comparator on a CSV input
 * ``verify-bounds``  re-check a finished run's guarantees
 * ``report``         aggregate several run logs into tables
 
+``run``, ``oracle`` and ``verify-bounds`` tell a series (header ``t,y``)
+from a covariate file (``x1,..,xd,y``) by its header, whatever the
+forecaster.  JSON inputs reject keys they do not know.
+
 Every command is deterministic given its inputs; exit code 0 means all
-requested checks passed.
+requested checks passed, 1 that one failed, 2 that an input was rejected.
 """
 
 from __future__ import annotations
@@ -50,19 +54,11 @@ def _cmd_run(args) -> int:
         config_dict["effective_range"] = True
     if args.seed is not None:
         config_dict["seed"] = args.seed
-    config = harness.RunConfig.from_dict(config_dict)
-
-    if config.forecaster == "tree":
-        xs, ys = harness.read_covariates(args.input)
-        # the file's width is d unless the config sets one, which must match
-        config = harness.RunConfig.from_dict({"d": xs.shape[1], **config_dict})
-        if config.d != xs.shape[1]:
-            raise RejectedInputError(
-                f"config sets d = {config.d}, but {args.input} has {xs.shape[1]} covariates")
-    else:
-        xs, ys = None, harness.read_series(args.input)
-
-    log = harness.run(config, ys, xs, save_state=args.save_state)
+    xs, ys = harness.read_input(args.input)
+    if xs is not None:  # the file's width is d unless the config sets one
+        config_dict.setdefault("d", xs.shape[1])
+    log = harness.run(harness.RunConfig.from_dict(config_dict), ys, xs,
+                      save_state=args.save_state)
     outdir = Path(args.out)
     tree_state = log.summary.pop("tree", None)
     harness.write_run_log(log, outdir)
@@ -95,21 +91,13 @@ def _cmd_oracle(args) -> int:
 
     if args.kind == "constant":
         fit = oracles.best_constant(ys, loss)
+    elif xs is None:
+        raise RejectedInputError(f"{args.kind} oracle needs covariates (or --lag)")
     elif args.kind == "histogram":
-        if xs is None:
-            raise RejectedInputError("histogram oracle needs covariates (or --lag)")
         fit = oracles.best_histogram(xs, ys, args.bins, xs.shape[1], loss)
-    else:
-        if xs is None:
-            raise RejectedInputError("lipschitz oracle needs covariates (or --lag)")
-        if xs.shape[1] != 1:
-            raise RejectedInputError("lipschitz oracle supports d=1 only")
-        fit = oracles.best_lipschitz_1d(xs[:, 0], ys, args.L, loss)
-    out = fit.to_dict()
-    if args.kind == "lipschitz" and fit.argmin is not None:
-        u, f = fit.argmin
-        out["argmin"] = {"x": [float(v) for v in u], "f": [float(v) for v in f]}
-    print(json.dumps(out, sort_keys=True))
+    else:  # the comparator rejects d > 1 itself
+        fit = oracles.best_lipschitz_1d(xs, ys, args.L, loss)
+    print(json.dumps(fit.to_dict(), sort_keys=True))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Exception types, and the one check of a decoded JSON field, shared across the package."""
+"""Exception types, and the checks of a decoded JSON object, shared across the package."""
 
 
 class RejectedInputError(ValueError):
@@ -12,6 +12,16 @@ class ContractViolationError(RuntimeError):
 _TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
                str: "a string", list: "a list", dict: "an object"}
 _REQUIRED = object()
+
+
+def json_keys(data, keys, where: str) -> None:
+    """Reject ``data`` unless it is an object whose every key is one of ``keys``."""
+    if type(data) is not dict:
+        raise RejectedInputError(f"{where} must be an object, got {data!r:.80}")
+    unknown = [key for key in data if key not in keys]
+    if unknown:
+        raise RejectedInputError(f"{where} has an unknown key {unknown[0]!r}; "
+                                 f"known keys: {', '.join(keys)}")
 
 
 def json_field(data, key: str, kind: type, where: str, default=_REQUIRED):

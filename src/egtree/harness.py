@@ -11,12 +11,12 @@ and two identical runs produce byte-identical step files.
 Every value is rendered or parsed once.  The writers take each column of
 a log or dataset once (``tolist``) and render a row with a single ``%``
 format; no field ever needs CSV quoting.  The readers split rows with one
-``csv.reader`` pass, a block of rows at a time, and parse each column of a
-block at once; the series and covariate readers then check the [0, 1]
-range on arrays and report the first bad row, field and value, as a
-row-by-row scan would.  The step-log reader names the row and column of a
-cell that does not parse, and checks the fields of ``summary.json`` that
-the verifier and the report read.
+``csv.reader`` pass, a block of rows at a time.  :func:`read_input` tells a
+series from a covariate file by its header alone.  The values of a block
+are parsed as one array and range-checked at once; a block that fails is
+rescanned row by row for the first bad row, field and value.  The step-log
+reader names the row and column of a cell that does not parse, and checks
+the fields of ``summary.json`` that the verifier and the report read.
 
 :func:`verify_bounds` replays the inequalities the forecasters are
 guaranteed to satisfy (regret versus the offline comparators, partition
@@ -33,7 +33,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,7 @@ from .autoregressive import (
     mixture_regret_bound,
     mixture_regret_bound_raw,
 )
-from .errors import RejectedInputError, json_field
+from .errors import RejectedInputError, json_field, json_keys
 from .losses import LossSpec
 from .oracles import best_constant, best_lipschitz_1d, lipschitz_regret_bound
 from .tree import PartitionTree, height_bound, node_count_bound
@@ -135,27 +135,15 @@ class RunConfig:
             raise RejectedInputError(f"seed must be an integer, got {self.seed!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "forecaster": self.forecaster,
-            "loss": self.loss.to_dict(),
-            "d": self.d,
-            "schedule": self.schedule,
-            "effective_range": self.effective_range,
-            "max_d": self.max_d,
-            "seed": self.seed,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return out | {"loss": self.loss.to_dict()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        return cls(
-            forecaster=data.get("forecaster", "eg"),
-            loss=LossSpec.from_dict(data.get("loss", {"kind": "absolute"})),
-            d=data.get("d", 1),
-            schedule=data.get("schedule", POWERS_OF_TWO),
-            effective_range=data.get("effective_range", False),
-            max_d=data.get("max_d"),
-            seed=data.get("seed"),
-        )
+        json_keys(data, [f.name for f in fields(cls)], "config")
+        if "loss" in data:
+            data = {**data, "loss": LossSpec.from_dict(data["loss"])}
+        return cls(**data)
 
 
 @dataclass
@@ -221,8 +209,8 @@ def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
         if xs.ndim == 1:
             xs = xs[:, None]
         if xs.shape != (T, config.d):
-            raise RejectedInputError(
-                f"covariates have shape {xs.shape}, expected {(T, config.d)}")
+            raise RejectedInputError(f"config sets d = {config.d}, but the covariates have "
+                                     f"shape {xs.shape} for T = {T}")
         bad = np.argwhere(~((xs >= 0.0) & (xs <= 1.0)))  # NaN fails both
         if bad.size:
             k, j = bad[0]
@@ -435,42 +423,29 @@ def _parse_unit(cell: str, row_no: int, what: str) -> float:
     return v
 
 
-def _unit_column(cells) -> tuple:
-    """Parse one column of cells; returns (values, index of the first bad cell or None)."""
-    try:
-        values = np.array(list(map(float, cells)))
-    except ValueError:
-        # some cell is no number: find the first cell, of either kind, that is bad
-        for k, cell in enumerate(cells):
-            try:
-                _parse_unit(cell, 0, "")
-            except RejectedInputError:
-                return None, k
-    bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))  # NaN fails both
-    return values, (int(bad[0]) if bad.size else None)
-
-
 def _read_unit_rows(reader, whats) -> list:
     """Parse the rows left in ``reader``: ``len(whats)`` fields per row.
 
     Column ``j`` holds values in [0, 1] named ``whats[j]`` in messages, or
-    is left unparsed where ``whats[j]`` is None.  Returns one float array
-    per parsed column.  Each column of a block of rows is parsed at once; a
-    malformed row or cell raises the message of the first fault in
-    row-major order, as a row-by-row scan with :func:`_parse_unit` would.
+    is left unparsed where ``whats[j]`` is None; returns one float array per
+    parsed column.  A block of rows is parsed and range-checked as one array;
+    a block that fails is rescanned row by row with :func:`_parse_unit`,
+    which raises the first fault in row-major order.
     """
-    parsed = {j: [] for j, what in enumerate(whats) if what is not None}
+    parsed = [j for j, what in enumerate(whats) if what is not None]
+    blocks = []
     for row_no, columns in _column_blocks(reader, len(whats)):
-        firsts = []
-        for j, blocks in parsed.items():
-            values, bad = _unit_column(columns[j])
-            blocks.append(values)
-            if bad is not None:
-                firsts.append((bad, j))
-        if firsts:
-            k, j = min(firsts)
-            _parse_unit(columns[j][k], row_no + k, whats[j])
-    return [np.concatenate(blocks) if blocks else np.empty(0) for blocks in parsed.values()]
+        cells = itertools.chain.from_iterable(columns[j] for j in parsed)
+        try:
+            values = np.array(list(map(float, cells))).reshape(len(parsed), -1)
+        except ValueError:  # some cell is no number
+            values = None
+        if values is None or not ((values >= 0.0) & (values <= 1.0)).all():  # NaN fails both
+            for k, row in enumerate(zip(*columns), start=row_no):
+                for j in parsed:
+                    _parse_unit(row[j], k, whats[j])
+        blocks.append(values)
+    return list(np.concatenate(blocks, axis=1) if blocks else np.empty((len(parsed), 0)))
 
 
 def _is_series_header(header) -> bool:
@@ -567,7 +542,12 @@ def expert_regret(log: RunLog, d: int) -> float:
 
 
 def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCheck]:
-    """Check every guarantee the logged run is supposed to satisfy."""
+    """Check every guarantee the logged run is supposed to satisfy.
+
+    ``lipschitz_L`` adds the regret check against the best L-Lipschitz
+    predictor: for tree runs with d = 1 and meta runs with T >= 2; asked
+    of any other run, it is rejected, not skipped.
+    """
     if len(log) == 0:
         raise RejectedInputError("cannot verify an empty log")
     config = RunConfig.from_dict(log.summary["config"])
@@ -594,8 +574,7 @@ def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCh
                              mono_n and mono_h, "N_t and H_t never shrink"))
 
     if config.forecaster == "eg":
-        fit = best_constant(log.ys, loss)
-        regret = resummed - fit.value
+        regret = resummed - best_constant(log.ys, loss).value
         bound = eg.regret_bound(M, T)
         checks.append(BoundCheck("constant-regret", bound, regret, regret < bound))
 
@@ -620,13 +599,6 @@ def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCh
         cap = math.sqrt(float(log.n_nodes[-1]) * T)
         checks.append(BoundCheck("visit-concentration", cap, sqrt_sum,
                                  sqrt_sum <= cap, "sum sqrt(T_node) <= sqrt(N_T T)"))
-        if lipschitz_L is not None and config.d == 1:
-            xs = np.array(_parsed(log.x_text, float, "x"))
-            fit = best_lipschitz_1d(xs, log.ys, lipschitz_L, loss)
-            regret = resummed - fit.value
-            bound = lipschitz_regret_bound(M, lipschitz_L, 1, T)
-            checks.append(BoundCheck(f"lipschitz-regret(L={lipschitz_L})", bound,
-                                     regret, regret <= bound))
 
     if config.forecaster == "meta":
         worst = max((abs(math.fsum(w) - 1.0) for w in log.expert_weights if w),
@@ -648,12 +620,22 @@ def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCh
                 note = "single-member pool: pre-simplification form"
             checks.append(BoundCheck(f"mixture-regret(d={d})", bound, regret,
                                      regret <= bound, note))
-        if lipschitz_L is not None and T >= 2:
-            fit = best_lipschitz_1d(log.ys[:-1], log.ys[1:], lipschitz_L, loss)
-            regret = resummed - fit.value
-            bound = combined_regret_bound(M, lipschitz_L, 1, T, start_1, n_active)
-            checks.append(BoundCheck(f"combined-regret(d=1,L={lipschitz_L})", bound,
-                                     regret, regret <= bound))
+
+    # the Lipschitz comparator comes last, after the checks of the run's kind
+    if lipschitz_L is not None:
+        L = lipschitz_L
+        if config.forecaster == "tree" and config.d == 1:
+            xs, ys = np.array(_parsed(log.x_text, float, "x")), log.ys
+            name, bound = f"lipschitz-regret(L={L})", lipschitz_regret_bound(M, L, 1, T)
+        elif config.forecaster == "meta" and T >= 2:
+            xs, ys = log.ys[:-1], log.ys[1:]
+            name = f"combined-regret(d=1,L={L})"
+            bound = combined_regret_bound(M, L, 1, T, start_1, n_active)
+        else:
+            raise RejectedInputError(f"no Lipschitz-comparator check exists for this "
+                                     f"{config.forecaster} run (only tree d = 1, meta T >= 2)")
+        regret = resummed - best_lipschitz_1d(xs, ys, L, loss).value
+        checks.append(BoundCheck(name, bound, regret, regret <= bound))
     return checks
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RejectedInputError, json_field
+from .errors import RejectedInputError, json_field, json_keys
 
 ABSOLUTE = "absolute"
 SQUARE = "square"
@@ -116,4 +116,5 @@ class LossSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LossSpec":
+        json_keys(data, ("kind", "alpha"), "loss")
         return cls(kind=json_field(data, "kind", str, "loss"), alpha=data.get("alpha"))

@@ -35,11 +35,11 @@ class Comparator:
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "params": self.params, "loss": self.value}
-        if self.argmin is not None:
-            arg = self.argmin
-            if isinstance(arg, np.ndarray):
-                arg = arg.tolist()
-            out["argmin"] = arg
+        if self.kind == "lipschitz":  # the fit f at each distinct covariate u
+            u, f = self.argmin
+            out["argmin"] = {"x": u.tolist(), "f": f.tolist()}
+        elif self.argmin is not None:
+            out["argmin"] = self.argmin
         return out
 
 

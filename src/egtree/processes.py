@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RejectedInputError, json_field
+from .errors import RejectedInputError, json_field, json_keys
 from .losses import LossSpec
 from .oracles import best_constant
 
@@ -34,6 +34,7 @@ RNG_ALGORITHM = "pcg64"
 IID = "iid"
 MARKOV = "markov"
 AR1 = "ar1"
+_PARAMS = {IID: ("support", "probs"), MARKOV: ("emissions", "transition"), AR1: ("a", "sigma")}
 
 
 @dataclass(frozen=True)
@@ -95,8 +96,11 @@ class ProcessSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "ProcessSpec":
         kind = json_field(data, "kind", str, "process spec")
-        seed = json_field(data, "seed", int, "process spec", default=0)
+        if kind not in _PARAMS:
+            raise RejectedInputError(f"unknown process kind {kind!r}")
         where = f"{kind} spec"
+        json_keys(data, ("kind", "seed") + _PARAMS[kind], where)
+        seed = json_field(data, "seed", int, "process spec", default=0)
         if kind == IID:
             return cls(kind, seed, support=tuple(json_field(data, "support", list, where)),
                        probs=tuple(json_field(data, "probs", list, where)))

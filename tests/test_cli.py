@@ -337,3 +337,63 @@ def test_bad_process_spec_exits_two(tmp_path, capsys, spec):
     assert main(["simulate", "--spec", str(path), "--T", "20", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n_rows", [1, 2])
+def test_tree_run_on_a_series_exits_two(tmp_path, capsys, n_rows):
+    # a t,y file is a series whatever the forecaster: its t column is no covariate
+    series = tmp_path / "s.csv"
+    write_series(series, [0.25, 0.75][:n_rows])
+    assert main(["run", "--input", str(series), "--out", str(tmp_path / "r"),
+                 "--forecaster", "tree"]) == 2
+    assert capsys.readouterr().err == "error: tree runs need covariates\n"
+    assert not (tmp_path / "r").exists()
+
+
+def test_meta_run_on_a_covariate_file_exits_two(tmp_path, capsys):
+    cov = tmp_path / "cov.csv"
+    write_covariates(cov, [[0.1], [0.8], [0.5]], [0.0, 1.0, 0.5])
+    assert main(["run", "--input", str(cov), "--out", str(tmp_path / "r"),
+                 "--forecaster", "meta"]) == 2
+    assert capsys.readouterr().err == "error: 'meta' runs take no covariates\n"
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"forcaster": "meta"}, "forcaster"),
+    ({"forecaster": "eg", "loss": {"kind": "pinball", "alhpa": 0.3}}, "alhpa"),
+])
+def test_misspelled_config_key_exits_two(tmp_path, capsys, config, key):
+    assert _run_with_config(tmp_path, json.dumps(config)) == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"kind": "ar1", "a": 0.5, "sgima": 0.1}, "sgima"),
+    ({"kind": "iid", "support": [0.5], "probs": [1.0], "a": 0.5}, "a"),
+    ({"kind": "markov", "seed": 1, "emission": [0.5], "transition": [[1.0]]}, "emission"),
+])
+def test_misspelled_spec_key_exits_two(tmp_path, capsys, spec, key):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "series.csv"
+    assert main(["simulate", "--spec", str(path), "--T", "20", "--out", str(out)]) == 2
+    assert f"{spec['kind']} spec has an unknown key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_lipschitz_without_a_check_exits_two(tmp_path, capsys):
+    series = tmp_path / "s.csv"
+    write_series(series, [0.2, 0.4, 0.9, 0.1])
+    cov = tmp_path / "cov.csv"
+    write_covariates(cov, [[0.1, 0.2], [0.8, 0.9], [0.5, 0.5]], [0.0, 1.0, 0.5])
+    for forecaster, path in (("eg", series), ("tree", cov)):
+        rundir = tmp_path / forecaster
+        assert main(["run", "--input", str(path), "--out", str(rundir),
+                     "--forecaster", forecaster]) == 0
+        capsys.readouterr()
+        assert main(["verify-bounds", "--out", str(rundir), "--L", "1.0"]) == 2
+        assert "no Lipschitz-comparator check" in capsys.readouterr().err
+        assert not (rundir / "bounds.json").exists()
+        assert main(["verify-bounds", "--out", str(rundir)]) == 0

@@ -138,24 +138,31 @@ def cases():
                 yield f"meta-{schedule}-{mode}-{loss}"
 
 
-def run_case(name):
+def case(name):
+    """The config and the input ``(ys, xs)`` of a golden case."""
     parts = name.split("-")
     forecaster, loss = parts[0], LOSSES[parts[-1]]
     if forecaster == "eg":
         ys = dyadic_mix(np.random.default_rng(11), 300)
-        return run(RunConfig("eg", loss, seed=11), ys)
+        return RunConfig("eg", loss, seed=11), ys, None
     if forecaster == "tree":
         d, effective_range = int(parts[1][1:]), parts[2] == "range"
         rng = np.random.default_rng(20 + d)
         xs = dyadic_mix(rng, (400, d))
         ys = dyadic_mix(rng, 400)
-        return run(RunConfig("tree", loss, d=d, effective_range=effective_range, seed=20 + d),
-                   ys, xs)
+        return (RunConfig("tree", loss, d=d, effective_range=effective_range, seed=20 + d),
+                ys, xs)
     ys = dyadic_mix(np.random.default_rng(31), 400)
-    return run(RunConfig("meta", loss, schedule=parts[1], effective_range=parts[2] == "range",
-                         seed=31), ys)
+    return (RunConfig("meta", loss, schedule=parts[1], effective_range=parts[2] == "range",
+                      seed=31), ys, None)
 
 
 @pytest.mark.parametrize("name", list(cases()))
 def test_golden_digest(name, tmp_path):
-    assert digests(run_case(name), tmp_path) == GOLDEN[name]
+    assert digests(run(*case(name)), tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", list(cases()))
+def test_config_round_trips_through_json(name):
+    config = case(name)[0]
+    assert RunConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config

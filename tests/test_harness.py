@@ -206,6 +206,8 @@ class TestDeterminism:
          "has no 'cumulative_loss'"),
         (lambda summary: {**summary, "T": "2500"}, "'T' must be an integer"),
         (lambda summary: {**summary, "config": {"forecaster": "lstm"}}, "unknown forecaster"),
+        (lambda summary: {**summary, "config": {**summary["config"], "depth": 3}},
+         "config has an unknown key 'depth'"),
         (lambda summary: {**summary, "final": {"height": 3}}, "final has no 'n_nodes'"),
     ])
     def test_damaged_summary_rejected(self, tmp_path, damage, message):
@@ -255,6 +257,17 @@ class TestCsvFormats:
         p.write_text("t,y\n1,abc\n")
         with pytest.raises(RejectedInputError, match="row 2"):
             read_series(p)
+
+    def test_first_fault_of_a_block_in_row_major_order(self, tmp_path):
+        # the range fault sits in an earlier row, but a later column, than a
+        # cell that is no number; both share one block of rows
+        p = tmp_path / "bad.csv"
+        p.write_text("x1,x2,y\n0.1,0.2,0.3\n0.5,1.5,0.2\nabc,0.1,0.1\n")
+        with pytest.raises(RejectedInputError, match=r"^row 3: covariate 1.5 outside"):
+            read_covariates(p)
+        p.write_text("x1,x2,y\n0.1,0.2,0.3\n0.5,0.5,abc\n1.5,0.1,0.1\n")
+        with pytest.raises(RejectedInputError, match=r"^row 3: observation 'abc' is not"):
+            read_covariates(p)
 
     def test_empty_series_rejected(self, tmp_path):
         p = tmp_path / "empty.csv"
@@ -313,6 +326,15 @@ class TestVerifyBounds:
         assert any(n.startswith("mixture-regret") for n in names)
         assert any(n.startswith("combined-regret") for n in names)
 
+    @pytest.mark.parametrize("forecaster, d, T", [("eg", 1, 50), ("tree", 2, 50),
+                                                  ("meta", 1, 1)])
+    def test_lipschitz_check_that_does_not_apply_is_rejected(self, forecaster, d, T):
+        xs, ys = uniform(T, 24, d=d) if forecaster == "tree" else (None, uniform(T, 24))
+        log = run(RunConfig(forecaster, ABS, d=d), ys, xs)
+        assert verify_bounds(log)
+        with pytest.raises(RejectedInputError, match="no Lipschitz-comparator check"):
+            verify_bounds(log, lipschitz_L=1.0)
+
     def test_single_member_pool_uses_raw_form(self):
         log = run(RunConfig("meta", ABS, max_d=1), uniform(500, 15))
         checks = verify_bounds(log)
@@ -348,7 +370,7 @@ class TestVerifyBounds:
         else:
             xs, ys = None, uniform(200, 21)
         log = run(RunConfig(forecaster, loss), ys, xs)
-        checks = verify_bounds(log, lipschitz_L=1.0)
+        checks = verify_bounds(log, lipschitz_L=None if forecaster == "eg" else 1.0)
         for c in checks:
             d = c.to_dict()
             assert json.loads(json.dumps(d)) == d, c.name
