@@ -112,7 +112,12 @@ class MetaForecaster:
         self.max_d = max_d
         self.history: list = []
         self.experts: list[LaggedForecaster] = []
+        # flat views of the members, in the order of ``experts``, for the step loop
+        self._members: list = []  # (tree._predict, d)
+        self._updates: list = []  # tree.update
+        self._trees: list[PartitionTree] = []
         self._logw: list[float] = []
+        self._next_entry = entry_step(schedule, 1)  # None once max_d is reached
         self._pending = None  # (member predictions, weights) awaiting the outcome
         self._last = None     # the same pair for the last completed step
         self._history_text: list = []  # .17g text of history, filled by trace()
@@ -128,12 +133,12 @@ class MetaForecaster:
 
     def predict(self, x=None) -> float:
         """Mixture prediction for the current step (1/2 before any entry)."""
-        if not self.experts:
+        if not self._members:
             self._pending = ((), ())
             return 0.5
         history = self.history  # checked outcomes only: see update()
-        preds = tuple([ex.tree._predict(tuple(history[-ex.d:])) for ex in self.experts])
-        weights = tuple(math.exp(lw) for lw in self._logw)
+        preds = tuple([predict(tuple(history[-d:])) for predict, d in self._members])
+        weights = tuple(map(math.exp, self._logw))
         y = 0.0
         for w, f in zip(weights, preds):
             y += w * f
@@ -150,18 +155,20 @@ class MetaForecaster:
         self._last, self._pending = self._pending, None
         t = len(self.history) + 1  # the step whose outcome this is
 
-        if self.experts:
-            for ex in self.experts:
-                ex.tree.update(outcome)
+        if self._updates:
+            for update in self._updates:
+                update(outcome)
+            value = self.loss.value
             self._logw = reweight(
                 self._logw,
-                [self.loss.value(f, outcome) for f in preds],
+                [value(f, outcome) for f in preds],
                 2.0 / math.sqrt(t),
                 2.0 / math.sqrt(t + 1.0),
             )
 
         self.history.append(float(outcome))
-        self._admit(t + 1)
+        if t + 1 == self._next_entry:
+            self._admit(t + 1)
 
     def trace(self) -> dict:
         """Log columns of the last step; ``x`` digests the lag window it mixed."""
@@ -170,21 +177,22 @@ class MetaForecaster:
         text.extend([format(v, ".17g") for v in self.history[len(text):]])
         # the window the members saw: the observations before the step's outcome
         window = text[-len(preds) - 1:-1] if preds else []
-        trees = [ex.tree for ex in self.experts]
+        trees = self._trees
         return {"x": hashlib.sha256(",".join(window).encode()).hexdigest()[:12],
-                "n_nodes": sum(tree.n_nodes for tree in trees) or 1,
-                "height": max((tree.height for tree in trees), default=0),
+                "n_nodes": sum([tree.n_nodes for tree in trees]) or 1,
+                "height": max([tree.height for tree in trees], default=0),
                 "experts": preds, "weights": weights}
 
     def _admit(self, next_t: int) -> None:
+        """Admit the next member, whose entry step is ``next_t``, and note the one after."""
         d_next = len(self.experts) + 1
-        if self.max_d is not None and d_next > self.max_d:
-            return
-        if entry_step(self.schedule, d_next) != next_t:
-            return
-        self.experts.append(
-            LaggedForecaster(d_next, next_t, self.loss, self.effective_range)
-        )
+        member = LaggedForecaster(d_next, next_t, self.loss, self.effective_range)
+        self.experts.append(member)
+        self._members.append((member.tree._predict, d_next))
+        self._updates.append(member.tree.update)
+        self._trees.append(member.tree)
+        self._next_entry = (None if self.max_d is not None and d_next >= self.max_d
+                            else entry_step(self.schedule, d_next + 1))
         incumbents = d_next - 1
         if incumbents:
             shift = math.log(incumbents / d_next)

@@ -27,7 +27,13 @@ _SUP = math.nextafter(1.0, 0.0)  # largest double strictly below 1
 
 
 def predict(t: int, G: float, M: float) -> float:
-    """Prediction after ``t`` steps with subgradient sum ``G``; strictly inside (0,1)."""
+    """Prediction after ``t`` steps with subgradient sum ``G``; strictly inside (0,1).
+
+    When ``G`` is 0 it is exactly 1/2 for every ``t``, and it returns at once;
+    every fresh tree leaf predicts through this case.
+    """
+    if G == 0.0:
+        return 0.5
     eta = math.sqrt(_LOG2 / (t + 1)) / M
     z = -eta * G
     if z > _ZMAX:

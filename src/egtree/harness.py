@@ -530,14 +530,18 @@ class BoundCheck:
 def expert_regret(log: RunLog, d: int) -> float:
     """Cumulative loss gap of the mixture versus its order-d member."""
     loss = RunConfig.from_dict(log.summary["config"]).loss
-    total = 0.0
-    seen = False
-    for preds, step_loss, y in zip(log.expert_preds, log.losses.tolist(), log.ys.tolist()):
-        if len(preds) >= d:
-            seen = True
-            total += step_loss - loss.value(preds[d - 1], y)
-    if not seen:
+    steps = [k for k, preds in enumerate(log.expert_preds) if len(preds) >= d]
+    if not steps:
         raise RejectedInputError(f"order-{d} member was never active in this run")
+    member = np.array([log.expert_preds[k][d - 1] for k in steps])
+    ys = log.ys[steps]
+    bad = np.flatnonzero(~((member >= 0.0) & (member <= 1.0) & (ys >= 0.0) & (ys <= 1.0)))
+    if bad.size:
+        k = bad[0]
+        loss.value(member[k].item(), ys[k].item())  # raises the scalar check's message
+    total = 0.0
+    for diff in (log.losses[steps] - loss.value_array(member, ys)).tolist():
+        total += diff  # left to right: sum() rounds differently from 3.12
     return total
 
 

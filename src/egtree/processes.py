@@ -21,6 +21,7 @@ reported so that archived series can be regenerated bit-identically.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,13 +175,16 @@ def generate_with_info(spec: ProcessSpec, T: int) -> tuple[np.ndarray, dict]:
         P = np.asarray(spec.transition, dtype=float)
         em = np.asarray(spec.emissions, dtype=float)
         pi = stationary_distribution(P)
-        cum = np.cumsum(P, axis=1)
+        # a row's cumsum can end at or below the largest draw, 1 - 2^-53,
+        # where bisect_right passes the last state: clamp to it
+        cum = np.cumsum(P, axis=1).tolist()
+        last = P.shape[0] - 1
         u = rng.random(T)
         state = int(rng.choice(P.shape[0], p=pi))
-        states = np.empty(T, dtype=np.int64)
-        for t in range(T):
-            state = int(np.searchsorted(cum[state], u[t], side="right"))
-            states[t] = state
+        states = []
+        for v in u.tolist():
+            state = min(bisect_right(cum[state], v), last)
+            states.append(state)
         info["stationary"] = pi.tolist()
         return em[states], info
     scale = spec.sigma / np.sqrt(1.0 - spec.a ** 2) if spec.sigma > 0 else 0.0

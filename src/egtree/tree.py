@@ -24,6 +24,12 @@ the coordinate ``c = h mod d`` and the midpoint of its box along it, which
 costs one comparison per level.  Between ``predict`` and ``update`` the
 tree itself remembers the leaf and the checked point.
 
+A split only records the cut.  Each child is built the first time a point
+reaches it; until then it is a fresh leaf (no steps, ``G = 0``) that
+exists only in ``n_nodes`` and in :meth:`PartitionTree.walk`, which yields
+a stand-in for it.  At most one side of most splits is ever reached, so
+about half of the counted nodes are never built.
+
 The public ``predict`` and ``route`` check their point; ``predict`` then
 hands it to the private ``_predict``, the only prediction code.  A caller
 that has already checked its point, a lag-window member of
@@ -48,7 +54,8 @@ class TreeNode:
     ``t`` and ``G`` its subgradient sum, the ``(t, G)`` that
     :func:`egtree.eg.predict` and :func:`egtree.eg.update` take; its ``M``
     is the tree's.  An inner node keeps its cut: it sends ``x`` left when
-    ``x[c] < mid``.
+    ``x[c] < mid``.  Its ``left`` and ``right`` stay ``None`` until a point
+    first reaches that side; the tree's ``n_nodes`` counts them either way.
     """
 
     __slots__ = ("h", "i", "count", "G", "left", "right", "c", "mid",
@@ -68,7 +75,7 @@ class TreeNode:
 
     @property
     def is_leaf(self) -> bool:
-        return self.left is None
+        return self.c is None
 
 
 class PartitionTree:
@@ -89,6 +96,7 @@ class PartitionTree:
         self.n_nodes = 1
         self.height = 0
         self._split_at = [1.0 / d]  # count + 1 that splits a depth-h box
+        self._cuts = [(0, 1.0)]     # (c, 2^k) of a depth-h box, k = h // d
         self._x_format = ";".join(["%.17g"] * d)  # a point as log text
         self._pending = None  # (leaf, point, prediction) awaiting its outcome
         self._last = None     # the same triple for the last completed step
@@ -106,13 +114,21 @@ class PartitionTree:
 
     def _descend(self, x: tuple) -> TreeNode:
         node = self.root
-        while node.left is not None:
+        while node.c is not None:
             # midpoint ties fall in the right box
-            node = node.left if x[node.c] < node.mid else node.right
+            if x[node.c] < node.mid:
+                child = node.left
+                if child is None:
+                    child = node.left = TreeNode(node.h + 1, 2 * node.i - 1)
+            else:
+                child = node.right
+                if child is None:
+                    child = node.right = TreeNode(node.h + 1, 2 * node.i)
+            node = child
         return node
 
     def route(self, x) -> TreeNode:
-        """Leaf whose box contains ``x``; cost proportional to the height."""
+        """Leaf whose box contains ``x``, built if no point reached it before."""
         return self._descend(self._check_point(x))
 
     def predict(self, x) -> float:
@@ -163,30 +179,34 @@ class PartitionTree:
         """Cut ``(c, mid)`` of the depth-``h`` box that contains ``x``.
 
         After ``k = h // d`` earlier cuts on coordinate ``c`` the box spans
-        ``[j, j + 1] / 2^k`` there, with ``j = floor(x_c 2^k)`` (``2^k - 1``
-        at ``x_c = 1``); both ends and the midpoint are exact doubles.
+        ``[j, j + 1] / s`` there, with ``s = 2^k`` read from a per-depth
+        table and ``j = floor(x_c s)`` (``s - 1`` at ``x_c = 1``).  Scaling
+        by a power of two is exact, so both ends and the midpoint are exact
+        doubles while ``k <= 52``; a box that deep needs about ``4^52`` visits
+        before it splits.
         """
-        k, c = divmod(h, self.d)
-        j = min(math.floor(math.ldexp(x[c], k)), (1 << k) - 1)
-        return c, math.ldexp(2 * j + 1, -(k + 1))
+        c, s = self._cuts[h]
+        j = int(x[c] * s)
+        if j == s:
+            j -= 1
+        return c, (j + 0.5) / s
 
     def _split(self, node: TreeNode, x) -> None:
-        h = node.h + 1
+        """Cut the leaf's box; its children are built on their first visit."""
         node.c, node.mid = self._cut(node.h, x)
-        node.left = TreeNode(h, 2 * node.i - 1)
-        node.right = TreeNode(h, 2 * node.i)
         node.obs_lo = node.obs_hi = None
         self.n_nodes += 2
-        if h > self.height:
-            self._deepen(h)
+        if node.h >= self.height:
+            self._deepen(node.h + 1)
 
     def _deepen(self, h: int) -> None:
-        """Raise the height to ``h`` and extend the split counts to match."""
+        """Raise the height to ``h`` and extend the per-depth tables to match."""
         self.height = h
-        split_at = self._split_at
+        split_at, cuts = self._split_at, self._cuts
         while len(split_at) <= h:
             k, r = divmod(len(split_at), self.d)
             split_at.append(1.0 / (r * 4.0 ** -(k + 1) + (self.d - r) * 4.0 ** -k))
+            cuts.append((r, math.ldexp(1.0, k)))
 
     def trace(self) -> dict:
         """Log columns of the last step: its point, its leaf, the tree's size."""
@@ -197,13 +217,20 @@ class PartitionTree:
     # -- inspection ------------------------------------------------------
 
     def walk(self):
-        """Depth-first iteration over the nodes, left child before right."""
+        """Depth-first iteration over the nodes, left child before right.
+
+        A child that was never built is yielded as a fresh stand-in leaf,
+        so every one of the ``n_nodes`` nodes appears.
+        """
         stack = [self.root]
         while stack:
             node = stack.pop()
             yield node
-            if node.left is not None:
-                stack += (node.right, node.left)
+            if node.c is not None:
+                h, i = node.h + 1, 2 * node.i
+                right = node.right if node.right is not None else TreeNode(h, i)
+                left = node.left if node.left is not None else TreeNode(h, i - 1)
+                stack += (right, left)
 
     # -- serialization ---------------------------------------------------
 
@@ -270,12 +297,15 @@ class PartitionTree:
         reached = 0
         # link the nodes reachable from the root and set each inner node's
         # cut from the lower corner of its box; a right child's corner
-        # moves to the cut
+        # moves to the cut.  The per-depth tables grow with the depth
+        # reached, never past a depth whose nodes all exist.
         stack = [(tree.root, (0.0,) * tree.d)]
         while stack:
             node, lo = stack.pop()
             reached += 1
             h, i = node.h, node.i
+            if h > tree.height:
+                tree._deepen(h)
             left, right = by_key.get((h + 1, 2 * i - 1)), by_key.get((h + 1, 2 * i))
             if (left is None) != (right is None):
                 raise RejectedInputError(f"node ({h},{i}) has exactly one child")
@@ -289,7 +319,6 @@ class PartitionTree:
             raise RejectedInputError(
                 f"{len(by_key) - reached} serialized nodes cannot be reached from the root")
         tree.n_nodes = reached
-        tree._deepen(max(h for h, _ in by_key))
         return tree
 
 

@@ -14,8 +14,19 @@ from egtree.autoregressive import (
 from egtree.errors import ContractViolationError, RejectedInputError
 from egtree.losses import LossSpec
 from egtree.oracles import best_lipschitz_1d, lipschitz_regret_bound
+from egtree.processes import ProcessSpec, generate
 
 ABS = LossSpec("absolute")
+
+
+def built_nodes(tree) -> int:
+    """Nodes reachable through the child links: those a point has reached."""
+    stack, count = [tree.root], 0
+    while stack:
+        node = stack.pop()
+        count += 1
+        stack += [child for child in (node.left, node.right) if child is not None]
+    return count
 
 
 class TestSchedules:
@@ -142,6 +153,18 @@ class TestMetaProtocol:
             meta.predict()
             meta.update(float(rng.random()))
         assert meta.n_active == 2
+
+    def test_members_build_only_the_children_they_visit(self):
+        sticky = ProcessSpec("markov", seed=7, emissions=(0.1, 0.5, 0.9),
+                             transition=((0.8, 0.1, 0.1), (0.1, 0.8, 0.1), (0.1, 0.1, 0.8)))
+        meta = MetaForecaster(ABS)
+        for y in generate(sticky, 2000).tolist():
+            meta.predict()
+            meta.update(y)
+        trees = [ex.tree for ex in meta.experts]
+        for tree in trees:
+            assert built_nodes(tree) <= tree.n_nodes == len(list(tree.walk()))
+        assert sum(map(built_nodes, trees)) < sum(tree.n_nodes for tree in trees)
 
     def test_weight_simplex_every_step(self):
         meta = MetaForecaster(ABS, schedule="quadratic")

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import re
 
 import numpy as np
@@ -360,6 +361,29 @@ class TestVerifyBounds:
         log = run(RunConfig("meta", ABS), uniform(100, 18))
         with pytest.raises(RejectedInputError):
             expert_regret(log, 25)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan")])
+    def test_expert_regret_rejects_an_out_of_range_member_prediction(self, bad):
+        log = run(RunConfig("meta", ABS), uniform(100, 18))
+        k = 60
+        preds = list(log.expert_preds[k])
+        preds[1] = bad
+        log.expert_preds[k] = tuple(preds)
+        assert math.isfinite(expert_regret(log, 1))  # order 1 is untouched
+        with pytest.raises(RejectedInputError, match=rf"pred must lie in \[0, 1\], got {bad!r}"):
+            expert_regret(log, 2)
+
+    @pytest.mark.parametrize("loss", [ABS, LossSpec("square"), LossSpec("pinball", 0.3)],
+                             ids=lambda spec: spec.kind)
+    def test_expert_regret_adds_the_per_step_gaps_left_to_right(self, loss):
+        log = run(RunConfig("meta", loss), uniform(700, 23))
+        for d in range(1, len(log.expert_preds[-1]) + 1):
+            total = 0.0
+            for preds, step_loss, y in zip(log.expert_preds, log.losses.tolist(),
+                                           log.ys.tolist()):
+                if len(preds) >= d:
+                    total += step_loss - loss.value(preds[d - 1], y)
+            assert expert_regret(log, d) == total
 
     @pytest.mark.parametrize("loss", [ABS, LossSpec("square"), LossSpec("pinball", 0.3)],
                              ids=lambda spec: spec.kind)

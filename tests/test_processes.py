@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from egtree import eg
+from egtree import eg, processes
 from egtree.errors import RejectedInputError
 from egtree.losses import LossSpec
 from egtree.processes import (
@@ -18,6 +19,10 @@ ABS = LossSpec("absolute")
 
 STICKY = ProcessSpec("markov", seed=7, emissions=(0.25, 0.75),
                      transition=((0.9, 0.1), (0.1, 0.9)))
+# the chain of perfbench's meta-markov workload; the cumsum of its first
+# row is 1 - 2^-53, the largest draw
+BENCH_CHAIN = {"emissions": (0.1, 0.5, 0.9),
+               "transition": ((0.6, 0.3, 0.1), (0.2, 0.5, 0.3), (0.1, 0.3, 0.6))}
 
 
 class TestSpecValidation:
@@ -125,6 +130,30 @@ class TestGeneration:
     def test_markov_emits_only_declared_values(self):
         y = generate(STICKY, 500)
         assert set(np.unique(y)) <= {0.25, 0.75}
+
+    def test_markov_survives_the_largest_draw(self, monkeypatch):
+        top = math.nextafter(1.0, 0.0)  # the largest value rng.random() returns
+        assert np.cumsum(BENCH_CHAIN["transition"][0])[-1] <= top  # no state left above
+
+        class PinnedRng:
+            def random(self, size):
+                return np.full(size, top)
+
+            def choice(self, n, p):
+                return 0
+
+        monkeypatch.setattr(processes.np.random, "default_rng", lambda seed: PinnedRng())
+        y = generate(ProcessSpec("markov", seed=3, **BENCH_CHAIN), 5)
+        assert y.tolist() == [0.9] * 5  # the last state, from every state
+
+    @pytest.mark.parametrize("seed, digest", [
+        (1, "eef4057caf68ee5d7f251721d8d6764ddd0a86098f387d26326fde364e50629e"),
+        (801, "ade3ab6b45a33004004343975b8d8402d1609b4117d869273f0fac2217de8968"),
+    ])
+    def test_markov_series_bytes_are_pinned(self, seed, digest):
+        # taken from np.searchsorted draws: bisect must walk the same states
+        y = generate(ProcessSpec("markov", seed=seed, **BENCH_CHAIN), 6000)
+        assert hashlib.sha256(y.tobytes()).hexdigest() == digest
 
 
 class TestStationary:

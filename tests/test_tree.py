@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -139,6 +140,16 @@ class TestSplitting:
         tree.update(0.5)  # the prediction is still pending
         assert leaf.count == 1
 
+    def test_rejected_outcome_after_building_a_child_leaves_the_json_unchanged(self):
+        tree = grow(1, [[0.8]], [0.5])  # the root splits; neither child is built
+        before = tree.to_dict()
+        assert tree.root.left is None
+        tree.predict([0.3])
+        assert tree.root.left is not None  # built by the prediction
+        with pytest.raises(RejectedInputError):
+            tree.update(-0.5)
+        assert tree.to_dict() == before
+
     def test_update_requires_matching_predict(self):
         tree = PartitionTree(1, ABS)
         tree.predict([0.3])
@@ -167,12 +178,15 @@ class TestPartitionInvariants:
         xs, ys = uniform_stream(d, 800, seed=10 + d)
         tree = grow(d, xs, ys)
         rng = np.random.default_rng(3)
+        walked = {(n.h, n.i) for n in tree.walk()}  # unbuilt children included
         for node in tree.walk():
             if node.is_leaf:
                 continue
+            h, i = node.h + 1, 2 * node.i
+            assert {(h, i - 1), (h, i)} <= walked  # both children exist
             lo, hi = node_box(d, node.h, node.i)
-            left = node_box(d, node.left.h, node.left.i)
-            right = node_box(d, node.right.h, node.right.i)
+            left = node_box(d, h, i - 1)
+            right = node_box(d, h, i)
             pts = lo + rng.random((50, d)) * (np.array(hi) - np.array(lo))
             for x in pts:
                 assert contains(left, x) != contains(right, x)
@@ -196,12 +210,22 @@ class TestPartitionInvariants:
         tree = grow(d, xs, ys)
         nodes = list(tree.walk())
         assert len(nodes) == tree.n_nodes
-        for k, node in enumerate(nodes):
+        keys = [(n.h, n.i) for n in nodes]
+        assert len(set(keys)) == len(keys)
+        # a subtree is a contiguous run of the depth-first order: its root,
+        # then the left child's run, then the right child's
+        end = [0] * len(nodes)  # one past the last node of each subtree
+        for k in reversed(range(len(nodes))):
+            node = nodes[k]
             assert 1 <= node.i <= 2 ** node.h
-            if not node.is_leaf:
-                assert (node.left.h, node.left.i) == (node.h + 1, 2 * node.i - 1)
-                assert (node.right.h, node.right.i) == (node.h + 1, 2 * node.i)
-                assert nodes[k + 1] is node.left  # depth-first, left before right
+            if node.is_leaf:
+                end[k] = k + 1
+            else:
+                assert keys[k + 1] == (node.h + 1, 2 * node.i - 1)
+                right = end[k + 1]
+                assert keys[right] == (node.h + 1, 2 * node.i)
+                end[k] = end[right]
+        assert end[0] == len(nodes)
 
     @pytest.mark.parametrize("effective_range", [False, True])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -219,6 +243,28 @@ class TestPartitionInvariants:
             for node in tree.walk():
                 if node.is_leaf:
                     assert node.c is None and node.mid is None
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 13])
+    def test_cut_table_gives_the_box_midpoint(self, d):
+        # every depth up to 60, on the faces, on dyadic ties and off them
+        tree = PartitionTree(d, ABS)
+        tree._deepen(60)
+        rng = np.random.default_rng(80 + d)
+        ties = [0.5, 0.25, 0.75, 3 / 8, 5 / 16, 2.0 ** -20, 1 - 2.0 ** -30, 2.0 ** -52]
+        points = ([[0.0] * d, [1.0] * d, [1.0, 0.0] * d]
+                  + [rng.choice(ties, d) for _ in range(6)]
+                  + [np.where(rng.random(d) < 0.5, rng.choice(ties, d), rng.random(d))
+                     for _ in range(3)]
+                  + list(rng.random((6, d))))
+        for x in points:
+            x = tuple(map(float, x[:d]))
+            i = 1
+            for h in range(61):
+                lo, hi = node_box(d, h, i)
+                c = h % d
+                mid = (lo[c] + hi[c]) / 2.0
+                assert tree._cut(h, x) == (c, mid), (x, h)
+                i = 2 * i - 1 if x[c] < mid else 2 * i
 
     def test_node_count_is_odd(self):
         for seed in range(4):
@@ -339,6 +385,22 @@ class TestSerialization:
             clone.update(float(y))
             assert tree.trace() == clone.trace()  # same leaf, same growth
         assert clone.to_dict() == tree.to_dict()
+
+    @pytest.mark.parametrize("d, effective_range, digest", [
+        (1, False, "f2bb071266f8fd86dcd00065107ee9820b3aabcf72aa551e84bc48ae3f47b850"),
+        (1, True, "0bb0b2141b0a59f0ee0bdc12855fd75e00feb81d96bdc1f032b2eb0eae8f8eef"),
+        (2, False, "21be21508e186b75c57ab570006b8e1b532e28af5694f97486c86483aae4e1d4"),
+        (2, True, "6c7fbf6a054d17ed8de380ac05a5aeedd3339ae4d3d4e7151cca53ce9741af02"),
+        (3, False, "52ef2bce6d28f0cd1cfc7bc47a8c1a64a1b976f3e48182ccf3aa8d5568d0a0ea"),
+        (3, True, "2994033f91e391c884e481e47d2f4e7557a2b7b0032a1f6638f01106d262a6de"),
+    ])
+    def test_tree_json_bytes_are_pinned(self, d, effective_range, digest):
+        # digests of trees that built both children at every split, so the
+        # stand-ins for children never built must serialize as those did
+        xs, ys = dyadic_stream(d, 1500, seed=70 + d)
+        tree = grow(d, xs, ys, effective_range=effective_range, loss=LossSpec("square"))
+        text = json.dumps(tree.to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_loads_file_with_boxes_and_total_steps(self):
         # written before to_dict dropped each node's "bin" and the top-level
