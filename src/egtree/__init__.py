@@ -15,7 +15,15 @@ Every forecaster (:class:`~egtree.eg.EgTracker`, :class:`PartitionTree`,
 :class:`LaggedForecaster`, :class:`MetaForecaster`) follows one protocol:
 ``predict(x) -> float``, then exactly one ``update(y)``; a rejected ``y``
 leaves the prediction pending.  ``trace()`` then returns the log columns of
-that step, by name (see :data:`egtree.harness.STEP_COLUMNS`).
+that step, by name (see :data:`egtree.harness.STEP_COLUMNS`).  The
+forecasters that :func:`egtree.harness.run` drives (``EgTracker``,
+``PartitionTree``, ``MetaForecaster``) name those columns once, in the
+class-level tuple ``TRACED``; the private ``_traced()`` returns one step's
+values in that order, and ``trace()`` is ``dict(zip(TRACED, _traced()))``.
+The harness runs all three through one loop that keeps ``_traced()`` per
+step.  It checks a tree run's covariates once, as an array, and hands the
+rows to ``PartitionTree._predict``, which checks nothing again; the public
+``predict`` checks its point for every other caller.
 """
 
 from .autoregressive import LaggedForecaster, MetaForecaster

@@ -96,6 +96,8 @@ class LaggedForecaster:
 class MetaForecaster:
     """Exponentially weighted mixture over a growing pool of lag orders."""
 
+    TRACED = ("x", "n_nodes", "height", "experts", "weights")  # step-log columns, in order
+
     def __init__(
         self,
         loss: LossSpec,
@@ -120,7 +122,7 @@ class MetaForecaster:
         self._next_entry = entry_step(schedule, 1)  # None once max_d is reached
         self._pending = None  # (member predictions, weights) awaiting the outcome
         self._last = None     # the same pair for the last completed step
-        self._history_text: list = []  # .17g text of history, filled by trace()
+        self._history_text: list = []  # .17g text of history, filled by _traced()
 
     @property
     def n_active(self) -> int:
@@ -171,17 +173,20 @@ class MetaForecaster:
             self._admit(t + 1)
 
     def trace(self) -> dict:
-        """Log columns of the last step; ``x`` digests the lag window it mixed."""
+        """Log columns of the last step by name; ``x`` digests the lag window it mixed."""
+        return dict(zip(self.TRACED, self._traced()))
+
+    def _traced(self) -> tuple:
+        """The values of :meth:`trace`, in the order of ``TRACED``."""
         preds, weights = self._last
         text = self._history_text
         text.extend([format(v, ".17g") for v in self.history[len(text):]])
         # the window the members saw: the observations before the step's outcome
         window = text[-len(preds) - 1:-1] if preds else []
         trees = self._trees
-        return {"x": hashlib.sha256(",".join(window).encode()).hexdigest()[:12],
-                "n_nodes": sum([tree.n_nodes for tree in trees]) or 1,
-                "height": max([tree.height for tree in trees], default=0),
-                "experts": preds, "weights": weights}
+        return (hashlib.sha256(",".join(window).encode()).hexdigest()[:12],
+                sum([tree.n_nodes for tree in trees]) or 1,
+                max([tree.height for tree in trees], default=0), preds, weights)
 
     def _admit(self, next_t: int) -> None:
         """Admit the next member, whose entry step is ``next_t``, and note the one after."""

@@ -58,6 +58,8 @@ def update(t: int, G: float, pred: float, outcome: float, loss: LossSpec) -> tup
 class EgTracker:
     """:func:`predict` and :func:`update` behind the forecaster protocol; ``x`` is ignored."""
 
+    TRACED = ()  # no covariate, leaf or members to log
+
     def __init__(self, loss: LossSpec):
         self.loss = loss
         self.t, self.G = 0, 0.0
@@ -74,7 +76,10 @@ class EgTracker:
         self._pending = None
 
     def trace(self) -> dict:
-        return {}  # no covariate, leaf or members to log
+        return dict(zip(self.TRACED, self._traced()))
+
+    def _traced(self) -> tuple:
+        return ()
 
 
 def regret_bound(M: float, T: int) -> float:

@@ -8,6 +8,12 @@ aggregated runs.  Logs are written as a CSV of steps plus a JSON summary;
 floats are printed with 17 significant digits so they round-trip exactly
 and two identical runs produce byte-identical step files.
 
+:func:`run` checks its inputs as whole arrays before the first step and
+then drives every forecaster through one loop; a tree takes its checked
+covariate rows through ``PartitionTree._predict``, and each step's log
+fields (the forecaster's ``_traced()``) go into one flat list that is cut
+into columns after the loop.
+
 Every value is rendered or parsed once.  The writers take each column of
 a log or dataset once (``tolist``) and render a row with a single ``%``
 format; no field ever needs CSV quoting.  The readers split rows with one
@@ -15,8 +21,9 @@ format; no field ever needs CSV quoting.  The readers split rows with one
 series from a covariate file by its header alone.  The values of a block
 are parsed as one array and range-checked at once; a block that fails is
 rescanned row by row for the first bad row, field and value.  The step-log
-reader names the row and column of a cell that does not parse, and checks
-the fields of ``summary.json`` that the verifier and the report read.
+reader parses each block as it reads it, names the row and column of a
+cell that does not parse, and checks the fields of ``summary.json`` that
+the verifier and the report read.
 
 :func:`verify_bounds` replays the inequalities the forecasters are
 guaranteed to satisfy (regret versus the offline comparators, partition
@@ -75,11 +82,10 @@ def data_digest(ys, xs=None, *, x_text=None) -> str:
     rendered: the ``;``-joined ``.17g`` text of a tree run's ``x`` column.
     """
     ys = np.asarray(ys, dtype=float)
-    y_list = ys.tolist()
     if x_text is not None:
         if len(x_text) != len(ys):
             raise RejectedInputError(f"{len(x_text)} covariate rows for {len(ys)} observations")
-        texts = (f"{x.replace(';', ',')},{y:.17g};" for x, y in zip(x_text, y_list))
+        columns, formats = [x_text], ["%s"]
     else:
         columns = []
         if xs is not None:
@@ -89,12 +95,17 @@ def data_digest(ys, xs=None, *, x_text=None) -> str:
             if len(xs) != len(ys):
                 raise RejectedInputError(f"{len(xs)} covariate rows for {len(ys)} observations")
             columns = xs.T.tolist()
-        row_format = ",".join(["%.17g"] * (len(columns) + 1)) + ";"
-        texts = (row_format % row for row in zip(*columns, y_list))
+        formats = ["%.17g"] * len(columns)
+    columns.append(ys.tolist())
+    row_format = ",".join(formats + ["%.17g"]) + ";"
     h = hashlib.sha256()
-    # a block of rows per update: few calls, and never the whole file as one string
-    for block in iter(lambda: "".join(itertools.islice(texts, _DIGEST_BLOCK)), ""):
-        h.update(block.encode())
+    # one % format and one update per block of rows: never the whole file as one string
+    for k in range(0, len(ys), _DIGEST_BLOCK):
+        block = [column[k:k + _DIGEST_BLOCK] for column in columns]
+        if x_text is not None:
+            block[0] = [x.replace(";", ",") for x in block[0]]
+        text = row_format * len(block[-1]) % tuple(itertools.chain.from_iterable(zip(*block)))
+        h.update(text.encode())
     return h.hexdigest()
 
 
@@ -190,12 +201,18 @@ def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
     """Drive the configured forecaster over a series; returns the full log.
 
     ``xs`` (shape (T, d), values in [0,1]) is required for tree runs and
-    must be absent otherwise.  Every forecaster is driven by the same
-    loop: ``predict(x)`` with the step's covariate (``None`` without
-    covariates), then ``update(y)``, then ``trace()`` for the step's log
-    columns, so an outcome is never shown before its prediction.  With
-    ``save_state`` the final tree of a tree run is embedded in the summary
-    for later snapshot/restore; no other forecaster can save its state yet.
+    must be absent otherwise.  Both are checked here, as whole arrays,
+    before the first step.  Every forecaster is then driven by one loop:
+    predict with the step's covariate (``None`` without covariates), then
+    ``update(y)``, then ``_traced()`` for the step's log fields, so an
+    outcome is never shown before its prediction.  A tree predicts through
+    ``PartitionTree._predict``, which takes the checked rows as tuples of
+    floats and does not check them again.  Each step's fields, in the
+    order of the forecaster's ``TRACED``, go into one flat list that is cut
+    into columns after the loop, where ``LossSpec.value_array`` (the floats
+    of ``LossSpec.value``) computes the losses.  With ``save_state`` the final
+    tree of a tree run is embedded in the summary for later
+    snapshot/restore; no other forecaster can save its state yet.
     """
     started = time.perf_counter()
     if save_state and config.forecaster != "tree":
@@ -219,26 +236,32 @@ def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
     elif xs is not None:
         raise RejectedInputError(f"{config.forecaster!r} runs take no covariates")
 
-    preds = [0.0] * T
-    losses = [0.0] * T
-    # the step-log columns that trace() fills by name; a column a forecaster
-    # does not trace keeps its default
+    forecaster = _forecaster(config)
+    if xs is None:
+        points, predict = itertools.repeat(None, T), forecaster.predict
+    else:
+        # the rows checked above, as tuples of Python floats
+        points, predict = zip(*xs.T.tolist()), forecaster._predict
+    update, traced = forecaster.update, forecaster._traced
+    # the fields of every step in one flat list: no container per step
+    # outlives its step, so the loop adds no work for the garbage collector
+    preds, fields = [], []
+    for x, y in zip(points, ys.tolist()):
+        preds.append(predict(x))
+        update(y)
+        fields.extend(traced())
+
+    # a column the forecaster does not trace keeps its default
     columns = {"x": [""] * T, "leaf_h": [-1] * T, "leaf_i": [-1] * T, "n_nodes": [1] * T,
                "height": [0] * T, "experts": [()] * T, "weights": [()] * T}
+    width = len(forecaster.TRACED)
+    columns.update((name, fields[j::width]) for j, name in enumerate(forecaster.TRACED))
+    del fields  # the columns hold every field now
+    preds = np.array(preds)
+    losses = config.loss.value_array(preds, ys)
     cumulative = 0.0
-    loss = config.loss
-
-    forecaster = _forecaster(config)
-    # forecasters see Python floats
-    points = itertools.repeat(None, T) if xs is None else (row.tolist() for row in xs)
-    for t, (x, y) in enumerate(zip(points, ys.tolist())):
-        p = forecaster.predict(x)
-        forecaster.update(y)
-        preds[t] = p
-        losses[t] = step_loss = loss.value(p, y)
-        cumulative += step_loss
-        for name, value in forecaster.trace().items():
-            columns[name][t] = value
+    for v in losses.tolist():
+        cumulative += v  # left to right, as verify_bounds resums it
 
     final = {"n_nodes": int(columns["n_nodes"][-1]), "height": int(columns["height"][-1]),
              "total_steps": T}
@@ -262,8 +285,8 @@ def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
         summary["tree"] = forecaster.to_dict()
     ints = {name: np.array(columns[name], dtype=np.int64)
             for name in ("leaf_h", "leaf_i", "n_nodes", "height")}
-    return RunLog(np.arange(1, T + 1, dtype=np.int64), columns["x"], np.array(preds), ys,
-                  np.array(losses), ints["leaf_h"], ints["leaf_i"], ints["n_nodes"],
+    return RunLog(np.arange(1, T + 1, dtype=np.int64), columns["x"], preds, ys,
+                  losses, ints["leaf_h"], ints["leaf_i"], ints["n_nodes"],
                   ints["height"], columns["experts"], columns["weights"], summary)
 
 
@@ -277,6 +300,8 @@ _STEP_ROW = "%d,%s,%.17g,%.17g,%.17g,%s,%s,%d,%d,%s,%s\n"
 
 def _joined17(tuples) -> list:
     """The ``;``-joined .17g text of each tuple of floats."""
+    if not any(tuples):  # no run but a mixture logs members
+        return [""] * len(tuples)
     formats = {}
     out = []
     for values in tuples:
@@ -333,12 +358,15 @@ def _column_blocks(reader, width):
         row_no += len(rows)
 
 
-def _parsed(cells: list, parse, name: str) -> list:
-    """``parse`` applied to a step-log column; a cell it cannot parse is rejected by row."""
+def _parsed(cells, parse, name: str, first_row: int = 2) -> list:
+    """``parse`` applied to a step-log column; a cell it cannot parse is rejected by row.
+
+    ``first_row`` is the row number of the first cell; the header is row 1.
+    """
     try:
         return list(map(parse, cells))
     except ValueError:
-        for row_no, cell in enumerate(cells, start=2):  # the header is row 1
+        for row_no, cell in enumerate(cells, start=first_row):
             try:
                 parse(cell)
             except ValueError:
@@ -354,7 +382,24 @@ def _floats_tuple(cell: str) -> tuple:
     return tuple(map(float, cell.split(";"))) if cell else ()
 
 
+# per step-log column: the parser of a cell and the dtype of the parsed
+# column; the x text is kept as is, and the member tuples stay a list
+_STEP_PARSERS = (
+    (int, np.int64), (None, None), (float, float), (float, float), (float, float),
+    (_leaf_int, np.int64), (_leaf_int, np.int64), (int, np.int64), (int, np.int64),
+    (_floats_tuple, None), (_floats_tuple, None))
+
+
 def read_run_log(outdir) -> RunLog:
+    """Load a run log; a damaged ``steps.csv`` is rejected at its first fault.
+
+    The rows are parsed a block at a time, and the first block with a fault
+    decides which is reported.  A row with the wrong number of fields ends
+    its block, so the rows above it are checked first.  Within a block, a
+    cell that does not parse comes first (columns in log order, then rows),
+    then a step number out of sequence.  A step count that differs from the
+    summary's ``T`` is found last.
+    """
     outdir = Path(outdir)
     path = outdir / "summary.json"
     summary = load_json(path)
@@ -364,43 +409,38 @@ def read_run_log(outdir) -> RunLog:
     config = RunConfig.from_dict(summary["config"])
     for key in ("n_nodes", "height") + (("n_active",) if config.forecaster == "meta" else ()):
         json_field(summary["final"], key, int, f"{path}: final")
-    cols = {name: [] for name in STEP_COLUMNS}
+    # each block of rows is parsed as it is read, so no more than one
+    # block of cell strings is held next to the parsed columns
+    blocks = [[] for _ in STEP_COLUMNS]
     with open(outdir / "steps.csv", newline="") as fh:
         reader = _csv_rows(fh)
         header = next(reader, None)
         if tuple(header or ()) != STEP_COLUMNS:
             raise RejectedInputError(f"unrecognized step log header: {header}")
-        for _, columns in _column_blocks(reader, len(STEP_COLUMNS)):
-            for name, cells in zip(STEP_COLUMNS, columns):
-                cols[name] += cells
-    if not cols["t"]:
+        for row_no, columns in _column_blocks(reader, len(STEP_COLUMNS)):
+            for name, (parse, dtype), cells, parsed in zip(STEP_COLUMNS, _STEP_PARSERS,
+                                                           columns, blocks):
+                if parse is None:
+                    parsed.append(cells)
+                    continue
+                values = _parsed(cells, parse, name, row_no)
+                parsed.append(values if dtype is None else np.array(values, dtype=dtype))
+            t = blocks[0][-1]
+            bad = np.flatnonzero(t != np.arange(row_no - 1, row_no - 1 + len(t)))
+            if bad.size:
+                k = bad[0]
+                raise RejectedInputError(
+                    f"row {row_no + k}: t is {t[k]}, expected {row_no - 1 + k}")
+    if not blocks[0]:
         raise RejectedInputError("step log is empty")
-
-    def column(name, parse, dtype=None):
-        values = _parsed(cols[name], parse, name)
-        return values if dtype is None else np.array(values, dtype=dtype)
-
-    t = column("t", int, np.int64)
-    bad = np.flatnonzero(t != np.arange(1, len(t) + 1))
-    if bad.size:
-        raise RejectedInputError(f"row {bad[0] + 2}: t is {t[bad[0]]}, expected {bad[0] + 1}")
+    t, x, pred, y, loss, leaf_h, leaf_i, n_nodes, height, experts, weights = [
+        np.concatenate(parsed) if dtype is not None else list(itertools.chain(*parsed))
+        for parsed, (_, dtype) in zip(blocks, _STEP_PARSERS)]
     if len(t) != summary["T"]:
         raise RejectedInputError(f"step log has {len(t)} steps, its summary says T = "
                                  f"{summary['T']!r}")
-    return RunLog(
-        t=t,
-        x_text=cols["x"],
-        preds=column("pred", float, float),
-        ys=column("y", float, float),
-        losses=column("loss", float, float),
-        leaf_h=column("leaf_h", _leaf_int, np.int64),
-        leaf_i=column("leaf_i", _leaf_int, np.int64),
-        n_nodes=column("n_nodes", int, np.int64),
-        height=column("height", int, np.int64),
-        expert_preds=column("experts", _floats_tuple),
-        expert_weights=column("weights", _floats_tuple),
-        summary=summary,
-    )
+    return RunLog(t, x, pred, y, loss, leaf_h, leaf_i, n_nodes, height, experts, weights,
+                  summary)
 
 
 # -- series / covariate CSV ------------------------------------------------
@@ -527,6 +567,17 @@ class BoundCheck:
                 "slack": self.slack, "passed": self.passed, "note": self.note}
 
 
+def _check_loss_args(loss: LossSpec, preds: np.ndarray, ys: np.ndarray) -> None:
+    """Reject the first step whose prediction or outcome lies outside [0, 1], NaN included.
+
+    ``loss.value_array`` checks nothing; the message is the scalar ``loss.value``'s.
+    """
+    bad = np.flatnonzero(~((preds >= 0.0) & (preds <= 1.0) & (ys >= 0.0) & (ys <= 1.0)))
+    if bad.size:
+        k = bad[0]
+        loss.value(preds[k].item(), ys[k].item())  # raises the scalar check's message
+
+
 def expert_regret(log: RunLog, d: int) -> float:
     """Cumulative loss gap of the mixture versus its order-d member."""
     loss = RunConfig.from_dict(log.summary["config"]).loss
@@ -535,10 +586,7 @@ def expert_regret(log: RunLog, d: int) -> float:
         raise RejectedInputError(f"order-{d} member was never active in this run")
     member = np.array([log.expert_preds[k][d - 1] for k in steps])
     ys = log.ys[steps]
-    bad = np.flatnonzero(~((member >= 0.0) & (member <= 1.0) & (ys >= 0.0) & (ys <= 1.0)))
-    if bad.size:
-        k = bad[0]
-        loss.value(member[k].item(), ys[k].item())  # raises the scalar check's message
+    _check_loss_args(loss, member, ys)
     total = 0.0
     for diff in (log.losses[steps] - loss.value_array(member, ys)).tolist():
         total += diff  # left to right: sum() rounds differently from 3.12
@@ -565,10 +613,9 @@ def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCh
     checks.append(BoundCheck("cumulative-loss-resummation", recorded, resummed,
                              resummed == recorded, "exact equality required"))
 
-    recomputed = max(
-        abs(loss.value(p, y) - l)
-        for p, y, l in zip(log.preds.tolist(), log.ys.tolist(), log.losses.tolist())
-    )
+    _check_loss_args(loss, log.preds, log.ys)
+    # np.max, not max(): a NaN anywhere must make the check fail
+    recomputed = np.max(np.abs(loss.value_array(log.preds, log.ys) - log.losses))
     checks.append(BoundCheck("per-step-loss-consistency", 0.0, recomputed,
                              recomputed == 0.0, "log rows must round-trip"))
 
@@ -605,8 +652,12 @@ def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCh
                                  sqrt_sum <= cap, "sum sqrt(T_node) <= sqrt(N_T T)"))
 
     if config.forecaster == "meta":
-        worst = max((abs(math.fsum(w) - 1.0) for w in log.expert_weights if w),
-                    default=0.0)
+        try:
+            deviations = [abs(math.fsum(w) - 1.0) for w in log.expert_weights if w]
+        except ValueError:  # fsum of inf and -inf: the weights have no sum
+            deviations = [math.nan]
+        # np.max, not max(): a NaN weight must make the check fail
+        worst = np.max(deviations or [0.0])
         checks.append(BoundCheck("weight-simplex", 1e-12, worst, worst <= 1e-12,
                                  "mixture weights sum to 1 at every step"))
         sizes = [len(w) for w in log.expert_preds]

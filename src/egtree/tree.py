@@ -28,12 +28,16 @@ A split only records the cut.  Each child is built the first time a point
 reaches it; until then it is a fresh leaf (no steps, ``G = 0``) that
 exists only in ``n_nodes`` and in :meth:`PartitionTree.walk`, which yields
 a stand-in for it.  At most one side of most splits is ever reached, so
-about half of the counted nodes are never built.
+about half of the counted nodes are never built.  A tree loaded by
+:meth:`PartitionTree.from_dict` leaves such a fresh child unbuilt too.
 
 The public ``predict`` and ``route`` check their point; ``predict`` then
 hands it to the private ``_predict``, the only prediction code.  A caller
-that has already checked its point, a lag-window member of
-:class:`~egtree.autoregressive.MetaForecaster`, calls ``_predict`` directly.
+that has already checked its points calls ``_predict`` directly, with a
+tuple of ``d`` floats in [0, 1]: :func:`egtree.harness.run`, which checks a
+tree run's covariates as one array before the first step, and
+:class:`~egtree.autoregressive.MetaForecaster`, whose members take lag
+windows of outcomes it has checked.
 """
 
 from __future__ import annotations
@@ -84,6 +88,8 @@ class PartitionTree:
     A single instance must be driven sequentially: each ``predict`` is
     followed by exactly one ``update``, applied to the predicting leaf.
     """
+
+    TRACED = ("x", "leaf_h", "leaf_i", "n_nodes", "height")  # step-log columns, in order
 
     def __init__(self, d: int, loss: LossSpec, effective_range: bool = False):
         if d < 1:
@@ -209,10 +215,13 @@ class PartitionTree:
             cuts.append((r, math.ldexp(1.0, k)))
 
     def trace(self) -> dict:
-        """Log columns of the last step: its point, its leaf, the tree's size."""
+        """Log columns of the last step by name: its point, its leaf, the tree's size."""
+        return dict(zip(self.TRACED, self._traced()))
+
+    def _traced(self) -> tuple:
+        """The values of :meth:`trace`, in the order of ``TRACED``."""
         leaf, x, _ = self._last
-        return {"x": self._x_format % x, "leaf_h": leaf.h,
-                "leaf_i": leaf.i, "n_nodes": self.n_nodes, "height": self.height}
+        return self._x_format % x, leaf.h, leaf.i, self.n_nodes, self.height
 
     # -- inspection ------------------------------------------------------
 
@@ -294,11 +303,20 @@ class PartitionTree:
         if (0, 1) not in by_key:
             raise RejectedInputError("serialized tree has no root node")
         tree.root = by_key[(0, 1)]
+
+        def unbuilt(node) -> bool:
+            # a fresh leaf, as walk() yields for a child no point reached:
+            # no steps, G bit-identical to +0.0, no observed range, no children
+            return (node.count == 0 and node.G == 0.0 and math.copysign(1.0, node.G) > 0.0
+                    and node.obs_lo is None and (node.h + 1, 2 * node.i) not in by_key
+                    and (node.h + 1, 2 * node.i - 1) not in by_key)
+
         reached = 0
         # link the nodes reachable from the root and set each inner node's
         # cut from the lower corner of its box; a right child's corner
-        # moves to the cut.  The per-depth tables grow with the depth
-        # reached, never past a depth whose nodes all exist.
+        # moves to the cut.  A fresh child is counted but left unbuilt, as
+        # in the tree that was saved.  The per-depth tables grow with the
+        # depth reached, never past a depth whose nodes all exist.
         stack = [(tree.root, (0.0,) * tree.d)]
         while stack:
             node, lo = stack.pop()
@@ -310,7 +328,8 @@ class PartitionTree:
             if (left is None) != (right is None):
                 raise RejectedInputError(f"node ({h},{i}) has exactly one child")
             if left is not None:
-                node.left, node.right = left, right
+                node.left = None if unbuilt(left) else left
+                node.right = None if unbuilt(right) else right
                 node.c, node.mid = tree._cut(h, lo)
                 right_lo = list(lo)
                 right_lo[node.c] = node.mid

@@ -3,7 +3,8 @@
 * Exhaustive grid twins of the exact comparators in :mod:`egtree.oracles`.
 * Bound formulas that only tests evaluate.
 * The box of a tree node rebuilt from its ``(h, i)`` path bits, the
-  independent geometry that routing and the stored cuts are checked against.
+  independent geometry that routing and the stored cuts are checked against,
+  and the count of the nodes a tree has built.
 * Row-by-row CSV readers and a ``csv.writer`` step-log writer: the
   straightforward versions of the column-wise I/O in :mod:`egtree.harness`,
   which must match them message for message and byte for byte.
@@ -102,6 +103,16 @@ def contains(box, x) -> bool:
     """Whether ``x`` lies in the half-open ``box``; a face at 1 is closed."""
     lo, hi = box
     return all(l <= v < u or v == u == 1.0 for l, u, v in zip(lo, hi, x))
+
+
+def built_nodes(tree) -> int:
+    """Nodes reachable through the child links: those a point has reached."""
+    stack, count = [tree.root], 0
+    while stack:
+        node = stack.pop()
+        count += 1
+        stack += [child for child in (node.left, node.right) if child is not None]
+    return count
 
 
 # -- row-by-row CSV I/O ----------------------------------------------------

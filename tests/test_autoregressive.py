@@ -15,18 +15,9 @@ from egtree.errors import ContractViolationError, RejectedInputError
 from egtree.losses import LossSpec
 from egtree.oracles import best_lipschitz_1d, lipschitz_regret_bound
 from egtree.processes import ProcessSpec, generate
+from reference import built_nodes
 
 ABS = LossSpec("absolute")
-
-
-def built_nodes(tree) -> int:
-    """Nodes reachable through the child links: those a point has reached."""
-    stack, count = [tree.root], 0
-    while stack:
-        node = stack.pop()
-        count += 1
-        stack += [child for child in (node.left, node.right) if child is not None]
-    return count
 
 
 class TestSchedules:

@@ -92,7 +92,8 @@ class TestRun:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1.5, -0.1])
     def test_rejects_bad_covariates_before_any_step(self, bad, monkeypatch):
         steps = []
-        monkeypatch.setattr(PartitionTree, "predict", lambda self, x: steps.append(x))
+        # a tree run predicts through _predict, which trusts its point
+        monkeypatch.setattr(PartitionTree, "_predict", lambda self, x: steps.append(x))
         xs = [[0.5, 0.2], [0.4, bad], [bad, 0.3]]
         message = rf"^observation 2: covariate 2 outside \[0, 1\]: {re.escape(repr(bad))}$"
         with pytest.raises(RejectedInputError, match=message):
@@ -188,6 +189,13 @@ class TestDeterminism:
          "row 2501: weights '0.5;' does not parse"),
         (lambda lines: with_cell(lines, 9, "leaf_h", "1.5"), "row 9: leaf_h '1.5' does not parse"),
         (lambda lines: with_cell(lines, 3, "n_nodes", ""), "row 3: n_nodes '' does not parse"),
+        # the first and the last row of the second block of rows
+        (lambda lines: with_cell(lines, 1026, "loss", "abc"),
+         "row 1026: loss 'abc' does not parse"),
+        (lambda lines: with_cell(lines, 2049, "height", "1e3"),
+         "row 2049: height '1e3' does not parse"),
+        (lambda lines: with_cell(lines, 1026, "experts", "0.5;x"),
+         "row 1026: experts '0.5;x' does not parse"),
     ])
     def test_damaged_step_log_rejected(self, tmp_path, damage, message):
         xs, ys = uniform(2500, 10, d=2)
@@ -195,6 +203,28 @@ class TestDeterminism:
         steps = tmp_path / "steps.csv"
         steps.write_text("\n".join(damage(steps.read_text().splitlines())) + "\n")
         with pytest.raises(RejectedInputError, match=message):
+            read_run_log(tmp_path)
+
+    @pytest.mark.parametrize("faults, message", [
+        # an earlier block of rows wins, whatever the columns
+        ([(1100, "pred", "abc"), (1000, "weights", "x")], "row 1000: weights 'x'"),
+        ([(1500, "t", "9"), (1025, "experts", "x")], "row 1025: experts 'x'"),
+        # within a block, a cell that does not parse: the columns in log
+        # order, then the rows; then a step number out of sequence
+        ([(900, "pred", "abc"), (500, "weights", "x")], "row 900: pred 'abc'"),
+        ([(1300, "y", "abc"), (1200, "y", "def")], "row 1200: y 'def'"),
+        ([(1100, "t", "9"), (1200, "weights", "x")], "row 1200: weights 'x'"),
+        ([(1100, "t", "9"), (1200, "t", "7")], "row 1100: t is 9, expected 1099"),
+    ])
+    def test_first_fault_of_a_damaged_step_log(self, tmp_path, faults, message):
+        xs, ys = uniform(2500, 10, d=2)
+        write_run_log(run(RunConfig("tree", ABS, d=2), ys, xs), tmp_path)
+        steps = tmp_path / "steps.csv"
+        lines = steps.read_text().splitlines()
+        for row, column, text in faults:
+            lines = with_cell(lines, row, column, text)
+        steps.write_text("\n".join(lines) + "\n")
+        with pytest.raises(RejectedInputError, match=f"^{message}"):
             read_run_log(tmp_path)
 
     @pytest.mark.parametrize("damage, message", [
@@ -356,6 +386,40 @@ class TestVerifyBounds:
         log.summary["cumulative_loss"] += 0.25
         checks = verify_bounds(log)
         assert not all(c.passed for c in checks)
+
+    def test_a_nan_loss_fails_the_per_step_check(self, tmp_path):
+        # the NaN sits after the first row, where max() would drop it
+        xs, ys = uniform(50, 17, d=1)
+        write_run_log(run(RunConfig("tree", ABS, d=1), ys, xs), tmp_path)
+        steps = tmp_path / "steps.csv"
+        steps.write_text("\n".join(with_cell(steps.read_text().splitlines(), 30, "loss", "nan"))
+                         + "\n")
+        check = next(c for c in verify_bounds(read_run_log(tmp_path))
+                     if c.name == "per-step-loss-consistency")
+        assert not check.passed and math.isnan(check.achieved)
+
+    @pytest.mark.parametrize("weights", [("nan",), ("inf", "-inf")])
+    def test_a_weight_without_a_sum_fails_the_simplex_check(self, tmp_path, weights):
+        write_run_log(run(RunConfig("meta", ABS), uniform(60, 17)), tmp_path)
+        steps = tmp_path / "steps.csv"
+        lines = steps.read_text().splitlines()
+        cell = lines[39].split(",")[STEP_COLUMNS.index("weights")].split(";")
+        assert len(cell) == 5
+        cell[1:1 + len(weights)] = weights
+        steps.write_text("\n".join(with_cell(lines, 40, "weights", ";".join(cell))) + "\n")
+        checks = verify_bounds(read_run_log(tmp_path))
+        check = next(c for c in checks if c.name == "weight-simplex")
+        assert not check.passed and math.isnan(check.achieved)
+        assert [c.name for c in checks if not c.passed] == ["weight-simplex"]
+
+    @pytest.mark.parametrize("column, named", [("preds", "pred"), ("ys", "outcome")])
+    @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan")])
+    def test_an_out_of_range_logged_value_is_rejected(self, column, named, bad):
+        log = run(RunConfig("eg", ABS), uniform(100, 18))
+        getattr(log, column)[[40, 70]] = bad, 2.0  # the first bad step is named
+        with pytest.raises(RejectedInputError,
+                           match=rf"^{named} must lie in \[0, 1\], got {re.escape(repr(bad))}$"):
+            verify_bounds(log)
 
     def test_expert_regret_requires_active_member(self):
         log = run(RunConfig("meta", ABS), uniform(100, 18))

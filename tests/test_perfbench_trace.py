@@ -2,7 +2,8 @@
 
 ``perfbench/tracing.py`` wraps functions and methods of ``src/egtree`` by
 name, so a refactor that renames or deletes one of them breaks the traced
-benchmark run.  This runs one short traced pipeline per forecaster kind.
+benchmark run, and one whose wrapper the run no longer calls reads zero.
+This runs one short traced pipeline per workload.
 """
 
 import json
@@ -15,7 +16,7 @@ import pytest
 PIPELINE = Path(__file__).resolve().parent.parent / "perfbench" / "pipeline.py"
 
 
-@pytest.mark.parametrize("workload", ["meta-markov", "tree-ar1-lag1"])
+@pytest.mark.parametrize("workload", ["meta-markov", "tree-ar1-lag1", "tree-uniform-d2"])
 def test_traced_pipeline_runs(workload, tmp_path):
     proc = subprocess.run(
         [sys.executable, str(PIPELINE), "--workload", workload, "--seed", "1", "--T", "60",
@@ -24,4 +25,7 @@ def test_traced_pipeline_runs(workload, tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert [op["error"] for op in result["ops"]] == [None] * len(result["ops"])
-    assert result["trace"]["calls"]["tree._split"] > 0
+    # a patched name that no longer reaches the run's code counts nothing
+    calls = result["trace"]["calls"]
+    for name in ("tree.update", "eg.predict", "tree._split"):
+        assert calls.get(name, 0) > 0, name

@@ -7,7 +7,7 @@ from egtree import eg
 from egtree.autoregressive import LaggedForecaster, MetaForecaster
 from egtree.eg import EgTracker
 from egtree.errors import ContractViolationError, RejectedInputError
-from egtree.harness import RunConfig, run
+from egtree.harness import STEP_COLUMNS, RunConfig, run
 from egtree.losses import LossSpec
 from egtree.tree import PartitionTree
 
@@ -96,22 +96,50 @@ def test_one_eg_path(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["tree", "meta"])
 def test_each_point_checked_once(kind, monkeypatch):
-    # a tree run checks each covariate in PartitionTree.predict; the mixture
-    # checks each outcome as it enters its history, and its members take the
-    # lag windows of that history unchecked
-    calls = [0]
-    check = PartitionTree._check_point
+    # harness.run checks a tree run's covariates as one array and hands the
+    # tree each row through _predict, as a tuple of d Python floats; the
+    # mixture checks each outcome as it enters its history, and its members
+    # take the lag windows of that history unchecked.  No point is checked
+    # again per step.
+    checks = [0]
+    check, predict = PartitionTree._check_point, PartitionTree._predict
+    seen = []
 
     def counted(self, x):
-        calls[0] += 1
+        checks[0] += 1
         return check(self, x)
 
+    def recorded(self, x):
+        seen.append((self.d, x))
+        return predict(self, x)
+
     monkeypatch.setattr(PartitionTree, "_check_point", counted)
+    monkeypatch.setattr(PartitionTree, "_predict", recorded)
     rng = np.random.default_rng(5)
     T = 300
     xs = rng.random((T, 2)) if kind == "tree" else None
-    run(RunConfig(kind, ABS, d=2), rng.random(T), xs)
-    assert calls[0] == (T if kind == "tree" else 0)
+    log = run(RunConfig(kind, ABS, d=2), rng.random(T), xs)
+    assert checks[0] == 0
+    assert all(type(x) is tuple and len(x) == d and all(type(v) is float for v in x)
+               for d, x in seen)
+    if kind == "tree":
+        assert [x for _, x in seen] == [tuple(row) for row in xs.tolist()]
+    else:
+        assert len(seen) == sum(map(len, log.expert_preds))
+
+
+@pytest.mark.parametrize("kind", ["eg", "tree", "meta"])
+def test_traced_fields_are_named_step_columns(kind):
+    # harness.run cuts its flat list of fields into columns by the names
+    # of TRACED, so _traced() must return exactly one value per name
+    make, x = FORECASTERS[kind]
+    forecaster = make()
+    for y in (0.2, 0.9, 0.4):
+        forecaster.predict(x)
+        forecaster.update(y)
+    assert set(forecaster.TRACED) <= set(STEP_COLUMNS) - {"t", "pred", "y", "loss"}
+    assert len(forecaster._traced()) == len(forecaster.TRACED)
+    assert list(forecaster.trace()) == list(forecaster.TRACED)
 
 
 BAD_POINTS = [[float("nan"), 0.5], [1.5, 0.5], [0.5, -0.1]]
@@ -134,3 +162,38 @@ def test_lagged_predict_checks_its_window(point):
     with pytest.raises(RejectedInputError):
         lagged.predict([0.2] + point)
     assert lagged.tree._pending is None
+
+
+LOSSES = [ABS, LossSpec("square"), LossSpec("pinball", alpha=0.3)]
+
+
+@pytest.mark.parametrize("loss", LOSSES, ids=lambda loss: loss.kind)
+@pytest.mark.parametrize("effective_range", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_run_matches_the_checked_tree_path(d, effective_range, loss):
+    # harness.run hands the tree its checked rows through _predict and
+    # computes the losses after the loop; a hand loop through the public,
+    # checking predict, update and trace must give the same columns
+    rng = np.random.default_rng(30 + d)
+    T = 400
+    xs = rng.random((T, d))
+    xs[::9] = np.round(xs[::9] * 4) / 4  # box edges, and points at 1
+    ys = rng.random(T)
+    log = run(RunConfig("tree", loss, d=d, effective_range=effective_range), ys, xs)
+    tree = PartitionTree(d, loss, effective_range)
+    preds, losses, steps = [], [], []
+    for x, y in zip(xs, ys.tolist()):
+        preds.append(tree.predict(x))
+        tree.update(y)
+        losses.append(loss.value(preds[-1], y))
+        steps.append(tree.trace())
+    assert log.preds.tolist() == preds
+    assert log.losses.tolist() == losses
+    assert log.x_text == [step["x"] for step in steps]
+    for name in ("leaf_h", "leaf_i", "n_nodes", "height"):
+        assert getattr(log, name).tolist() == [step[name] for step in steps], name
+    cumulative = 0.0
+    for value in losses:
+        cumulative += value
+    assert log.summary["cumulative_loss"] == cumulative
+    assert log.expert_preds == log.expert_weights == [()] * T

@@ -13,7 +13,7 @@ from egtree.errors import ContractViolationError, RejectedInputError
 from egtree.losses import LossSpec
 from egtree.oracles import best_constant
 from egtree.tree import PartitionTree, height_bound, node_count_bound
-from reference import contains, diameter_bound, node_box
+from reference import built_nodes, contains, diameter_bound, node_box
 
 ABS = LossSpec("absolute")
 DATA = Path(__file__).parent / "data"
@@ -425,6 +425,40 @@ class TestSerialization:
             grown.update(float(y))
             assert loaded.trace() == grown.trace()
         assert loaded.to_dict() == grown.to_dict()
+
+    # trees whose splits left some children unreached (d = 1 reaches all)
+    @pytest.mark.parametrize("d, effective_range", [(2, True), (3, False), (3, True)])
+    def test_round_trip_leaves_unreached_children_unbuilt(self, d, effective_range):
+        xs, ys = uniform_stream(d, 4000, seed=80 + d)
+        tree = grow(d, xs, ys, effective_range=effective_range)
+        built = built_nodes(tree)
+        assert built < tree.n_nodes  # the lazy saving a reload must keep
+        text = json.dumps(tree.to_dict(), sort_keys=True)
+        clone = PartitionTree.from_dict(json.loads(text))
+        assert built_nodes(clone) == built
+        assert (clone.n_nodes, clone.height) == (tree.n_nodes, tree.height)
+        assert json.dumps(clone.to_dict(), sort_keys=True) == text
+        # a child first reached after the reload is built then
+        for x, y in zip(*uniform_stream(d, 300, seed=90 + d)):
+            assert clone.predict(x) == tree.predict(x)
+            clone.update(float(y))
+            tree.update(float(y))
+        assert built_nodes(clone) == built_nodes(tree)
+
+    @pytest.mark.parametrize("edit", [
+        lambda data, node: node["eg"].update(G=-0.0),
+        lambda data, node: node.update(count=2, eg={**node["eg"], "t": 2}),
+        lambda data, node: (data.update(effective_range=True),
+                            node.update(obs_range={"lo": [0.6], "hi": [0.6]})),
+    ], ids=["G=-0.0", "count=2", "obs_range"])
+    def test_reload_builds_a_child_that_is_not_fresh(self, edit):
+        data = grow(1, [[0.2]], [0.7]).to_dict()  # the root splits; no child is reached
+        assert PartitionTree.from_dict(data).root.right is None  # (1, 2) is fresh
+        edit(data, next(n for n in data["nodes"] if (n["h"], n["i"]) == (1, 2)))
+        text = json.dumps(data, sort_keys=True)
+        clone = PartitionTree.from_dict(json.loads(text))
+        assert clone.root.left is None and clone.root.right is not None
+        assert json.dumps(clone.to_dict(), sort_keys=True) == text
 
     def test_rejects_orphaned_children(self):
         tree = grow(1, [[0.2]], [0.7])
