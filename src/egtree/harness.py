@@ -396,9 +396,10 @@ def read_run_log(outdir) -> RunLog:
     The rows are parsed a block at a time, and the first block with a fault
     decides which is reported.  A row with the wrong number of fields ends
     its block, so the rows above it are checked first.  Within a block, a
-    cell that does not parse comes first (columns in log order, then rows),
-    then a step number out of sequence.  A step count that differs from the
-    summary's ``T`` is found last.
+    cell that does not parse, or holds an integer beyond 64 bits, comes
+    first (columns in log order, then rows), then a step number out of
+    sequence.  A step count that differs from the summary's ``T`` is found
+    last.
     """
     outdir = Path(outdir)
     path = outdir / "summary.json"
@@ -424,7 +425,15 @@ def read_run_log(outdir) -> RunLog:
                     parsed.append(cells)
                     continue
                 values = _parsed(cells, parse, name, row_no)
-                parsed.append(values if dtype is None else np.array(values, dtype=dtype))
+                if dtype is None:
+                    parsed.append(values)
+                    continue
+                try:
+                    parsed.append(np.array(values, dtype=dtype))
+                except OverflowError:  # an integer column holds a value beyond int64
+                    k = next(k for k, v in enumerate(values) if not -2**63 <= v < 2**63)
+                    raise RejectedInputError(f"row {row_no + k}: {name} {cells[k]!r} "
+                                             "does not fit in 64 bits") from None
             t = blocks[0][-1]
             bad = np.flatnonzero(t != np.arange(row_no - 1, row_no - 1 + len(t)))
             if bad.size:

@@ -6,7 +6,9 @@ forecasters, so the regret checks compare two genuinely separate routes:
 * :func:`best_constant`      closed-form best single value in [0,1]
 * :func:`best_histogram`     best constant per box of an equal partition
 * :func:`best_lipschitz_1d`  best slope-bounded function on a line, by an
-  exact DP over the sorted distinct covariates
+  exact DP over the sorted distinct covariates: two plain heaps for
+  absolute loss, weighted heaps (:class:`_Side`) for pinball loss and a
+  knot walk for square loss
 
 The histogram and Lipschitz comparators consume (covariate, outcome)
 pairs; the constant comparator consumes outcomes only.
@@ -129,10 +131,12 @@ def _group_by_x(xs, ys):
 class _Side:
     """Breakpoints on one side of the minimum of a convex piecewise function.
 
-    Each breakpoint carries a weight (a jump in slope or curvature); equal
-    positions share one entry.  Positions sit in a heap behind a lazy
-    ``shift``, with ``sign`` -1 for the left side (nearest first means
-    largest first) and +1 for the right side.  Keys and weights are plain
+    Serves the pinball and square-loss DPs, whose breakpoints carry
+    unequal weights (a jump in slope or curvature; absolute loss needs none,
+    see :func:`_absolute_minimizers`); equal positions share one entry.
+    Positions sit in a heap behind a lazy ``shift``, with ``sign`` -1 for
+    the left side (nearest first means largest first) and +1 for the right
+    side.  Keys and weights are plain
     floats, so the DP allocates no per-breakpoint objects that the garbage
     collector tracks (tuple entries would be, and the collections they
     trigger land in whatever runs next in the same process).
@@ -174,6 +178,36 @@ def _move_weight(src: _Side, dst: _Side, w: float) -> None:
         dst.add(pos, wk)
 
 
+def _absolute_minimizers(ys: list, starts: list, ends: list, caps: list) -> list:
+    """Per-stage minimizers of the chain DP for absolute loss.
+
+    The slope trick of :func:`_pinball_minimizers` at alpha = 1/2, where
+    every breakpoint has the same weight: each side is a plain heap with
+    one key per breakpoint, and a point moves exactly one breakpoint each
+    way, by one ``heappushpop`` into a side and one ``heappush`` of the
+    popped top into the other.  Keys and positions are computed as in
+    :class:`_Side` (``-(y - shift)`` is its ``-1.0 * (y - shift)``), so
+    the minimizers equal the weighted DP's at alpha = 1/2 bit for bit.
+    """
+    lo: list = []  # keys -(pos - lo_shift): largest position first
+    hi: list = []  # keys pos - hi_shift: smallest position first
+    lo_shift = hi_shift = 0.0
+    push, pushpop = heapq.heappush, heapq.heappushpop
+    mins = [0.0] * len(starts)
+    for i in range(len(starts)):
+        if i:
+            lo_shift -= caps[i - 1]
+            hi_shift += caps[i - 1]
+        for t in range(starts[i], ends[i]):
+            y = ys[t]
+            pos = -pushpop(lo, -(y - lo_shift)) + lo_shift
+            push(hi, pos - hi_shift)
+            pos = pushpop(hi, y - hi_shift) + hi_shift
+            push(lo, -(pos - lo_shift))
+        mins[i] = 0.5 * ((-lo[0] + lo_shift) + (hi[0] + hi_shift))
+    return mins
+
+
 def _pinball_minimizers(ys: list, starts: list, ends: list, caps: list, alpha: float) -> list:
     """Per-stage minimizers of the chain DP for ``alpha``-weighted check loss.
 
@@ -182,7 +216,8 @@ def _pinball_minimizers(ys: list, starts: list, ends: list, caps: list, alpha: f
     and right of the minimum.  A point y adds slope weight ``1 - alpha``
     right of y and ``alpha`` left of it; the box min-convolution with
     ``|f' - f| <= c`` shifts the left side by -c and the right side by +c.
-    Absolute loss is the case alpha = 1/2 scaled by 2.
+    Absolute loss is the case alpha = 1/2 scaled by 2, which
+    :func:`_absolute_minimizers` solves without weights.
     """
     lo, hi = _Side(-1.0), _Side(1.0)
     mins = [0.0] * len(starts)
@@ -253,15 +288,27 @@ def best_lipschitz_1d(xs, ys, L: float, loss: LossSpec) -> Comparator:
     convex stage costs with ``|f[i+1] - f[i]| <= L (u[i+1] - u[i])``, solved
     by an exact dynamic program over the sorted distinct x (the fused-lasso
     DP of N. Johnson, JCGS 2013, with a box min-convolution in place of the
-    fusion penalty): a weighted slope trick for absolute and pinball loss,
-    O(n log n), and its piecewise-quadratic analogue for square loss, whose
-    walk between consecutive minimizers can cross many knots, so it grows
-    faster than n log n on long inputs.
+    fusion penalty).  Each loss takes its own DP, all O(n log n) in the
+    number n of outcomes except the last:
+
+    * absolute: the slope trick on two plain heaps (one push-pop and one
+      push per side and point, :func:`_absolute_minimizers`);
+    * pinball: the weighted slope trick (:func:`_pinball_minimizers`);
+    * square: its piecewise-quadratic analogue, whose walk between
+      consecutive minimizers can cross many knots, so it grows faster than
+      n log n on long inputs (:func:`_square_minimizers`).
 
     The argmin backtracks through one stored minimizer per stage and is
     then clipped to [0,1]; clipping keeps every slope constraint and never
     moves a value away from outcomes in [0,1], so the box costs nothing.
-    The returned value is the loss recomputed at that argmin.
+    For the same reason each link is capped at ``min(L * du, 1)``: values
+    in [0,1] never differ by more than 1, so the cap removes no point of
+    the box and leaves the optimum unchanged.  It keeps the DP's lazy shift
+    below the number of distinct x, which an uncapped large L would push to
+    ``L * (u_max - u_min)`` and wash out the bits of every outcome.  What
+    rounding remains moves breakpoint positions by about (number of
+    distinct x) * 2**-52.  The returned value is the loss recomputed at the
+    argmin.
     """
     if not 0.0 <= L < math.inf:
         raise RejectedInputError("the slope bound L must be finite and >= 0")
@@ -271,14 +318,15 @@ def best_lipschitz_1d(xs, ys, L: float, loss: LossSpec) -> Comparator:
         fit = best_constant(ys1, loss)
         return Comparator("lipschitz", fit.value, argmin=(u, np.full(n, fit.argmin)),
                           params={"L": L})
-    caps = (L * np.diff(u)).tolist()
+    caps = np.minimum(L * np.diff(u), 1.0).tolist()
     ends = np.append(starts[1:], len(ys1))
     if loss.kind == "square":
         f = _square_minimizers(np.add.reduceat(ys1, starts).tolist(),
                                (ends - starts).tolist(), caps)
+    elif loss.kind == "absolute":
+        f = _absolute_minimizers(ys1.tolist(), starts.tolist(), ends.tolist(), caps)
     else:
-        alpha = 0.5 if loss.kind == "absolute" else loss.alpha
-        f = _pinball_minimizers(ys1.tolist(), starts.tolist(), ends.tolist(), caps, alpha)
+        f = _pinball_minimizers(ys1.tolist(), starts.tolist(), ends.tolist(), caps, loss.alpha)
     # backtrack: the best value at stage i given the value chosen at i + 1
     for i in range(n - 2, -1, -1):
         f[i] = min(max(f[i], f[i + 1] - caps[i]), f[i + 1] + caps[i])

@@ -285,6 +285,24 @@ def test_damaged_step_log_cell_exits_two(markov_spec, tmp_path, capsys):
     assert "is not valid JSON" in capsys.readouterr().err
 
 
+def test_step_log_integer_beyond_int64_exits_two(tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    write_series(series, [0.2, 0.4, 0.9, 0.1])
+    rundir = tmp_path / "run"
+    assert main(["run", "--input", str(series), "--out", str(rundir),
+                 "--forecaster", "eg"]) == 0
+    steps = rundir / "steps.csv"
+    lines = steps.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[7] = "99999999999999999999"  # the n_nodes cell of row 3
+    steps.write_text("\n".join(lines[:2] + [",".join(fields)] + lines[3:]) + "\n")
+    capsys.readouterr()
+    assert main(["verify-bounds", "--out", str(rundir)]) == 2
+    assert main(["report", "--out", str(tmp_path / "tables"), str(rundir)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: row 3: n_nodes '99999999999999999999' does not fit in 64 bits"] * 2
+
+
 @pytest.mark.parametrize("forecaster", ["eg", "meta"])
 def test_save_state_needs_a_tree_run(tmp_path, capsys, forecaster):
     series = tmp_path / "s.csv"

@@ -205,6 +205,18 @@ class TestDeterminism:
         with pytest.raises(RejectedInputError, match=message):
             read_run_log(tmp_path)
 
+    @pytest.mark.parametrize("column, text", [
+        ("n_nodes", "99999999999999999999"), ("height", "-9223372036854775809"),
+        ("t", "9223372036854775808"), ("leaf_h", "99999999999999999999")])
+    def test_integer_beyond_int64_rejected(self, tmp_path, column, text):
+        write_run_log(run(RunConfig("eg", ABS), [0.2, 0.4, 0.9, 0.1]), tmp_path)
+        steps = tmp_path / "steps.csv"
+        steps.write_text("\n".join(with_cell(steps.read_text().splitlines(), 3, column, text))
+                         + "\n")
+        with pytest.raises(RejectedInputError,
+                           match=f"^row 3: {column} '{text}' does not fit in 64 bits$"):
+            read_run_log(tmp_path)
+
     @pytest.mark.parametrize("faults, message", [
         # an earlier block of rows wins, whatever the columns
         ([(1100, "pred", "abc"), (1000, "weights", "x")], "row 1000: weights 'x'"),

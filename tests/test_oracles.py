@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 
 from egtree.errors import RejectedInputError
 from egtree.losses import LossSpec
-from egtree.oracles import best_constant, best_histogram, best_lipschitz_1d
+from egtree.oracles import (
+    _absolute_minimizers,
+    _group_by_x,
+    _pinball_minimizers,
+    best_constant,
+    best_histogram,
+    best_lipschitz_1d,
+)
+from egtree.processes import ProcessSpec, generate
 from reference import best_constant_grid, constant_gap_bound, lipschitz_grid_1d
 
 ABS = LossSpec("absolute")
@@ -348,3 +356,76 @@ class TestLipschitzExactness:
             fit = best_lipschitz_1d(xs, ys, L, SQ)
             assert fit.value == pytest.approx(
                 self._enumerated_square_value(xs, ys, L), abs=1e-12)
+
+
+# -- the unweighted absolute-loss DP and large slope bounds ---------------
+
+HUGE_SLOPES = (0.0, 1.0, 1e2, 1e6, 1e10, 1e14, 1e20)
+
+
+def _ar1_pairs(n, seed=5):
+    """Lag-1 pairs of an AR(1) series (a=0.8, sigma=0.1)."""
+    y = generate(ProcessSpec("ar1", seed=seed, a=0.8, sigma=0.1), n + 1)
+    return y[:-1], y[1:]
+
+
+def _stages(xs, ys):
+    """The distinct covariates, then the DP's sorted outcomes and stage bounds."""
+    u, ys1, _, starts = _group_by_x(xs, ys)
+    return u, ys1.tolist(), starts.tolist(), np.append(starts[1:], len(ys1)).tolist()
+
+
+@st.composite
+def grid_chains(draw):
+    """Coarse grids for x and y, so that duplicate covariates and tied outcomes are likely."""
+    n = draw(st.integers(1, 30))
+    xs = np.array(draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))) / 8.0
+    ys = np.array(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))) / 6.0
+    u, *stages = _stages(xs, ys)
+    caps = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.125, 1.0]), st.floats(0.0, 1.0)),
+                         min_size=len(u) - 1, max_size=len(u) - 1))
+    return (*stages, caps)
+
+
+class TestAbsoluteDP:
+    @staticmethod
+    def _bits(values):
+        return [v.hex() for v in values]  # tells -0.0 from 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_chains())
+    def test_bit_identical_to_weighted_dp(self, chain):
+        assert (self._bits(_absolute_minimizers(*chain))
+                == self._bits(_pinball_minimizers(*chain, 0.5)))
+
+    def test_bit_identical_to_weighted_dp_on_ar1_pairs(self):
+        u, *stages = _stages(*_ar1_pairs(20_000))
+        chain = (*stages, np.minimum(np.diff(u), 1.0).tolist())
+        assert (self._bits(_absolute_minimizers(*chain))
+                == self._bits(_pinball_minimizers(*chain, 0.5)))
+
+    @pytest.mark.parametrize("loss, pinned", [
+        (ABS, "0x1.33d65c7b0218ep+7"),
+        (PIN, "0x1.1fec488bf681ap+6"),
+        (SQ, "0x1.2dd29ecb290dep+4"),
+    ])
+    def test_value_bits_are_pinned(self, loss, pinned):
+        # recorded before the unweighted DP and the link cap were added
+        assert best_lipschitz_1d(*_ar1_pairs(2000), 1.0, loss).value.hex() == pinned
+
+    @settings(max_examples=100, deadline=None)
+    @given(chain_instances(), st.sampled_from([ABS, SQ, PIN, PIN_HIGH]))
+    def test_value_nonincreasing_up_to_huge_slope_bounds(self, instance, loss):
+        # the comparator class grows with L, so its best loss cannot rise
+        values = [best_lipschitz_1d(*instance, L, loss).value for L in HUGE_SLOPES]
+        assert all(a >= b - 1e-12 for a, b in zip(values, values[1:])), values
+
+    @pytest.mark.parametrize("loss", [ABS, PIN])
+    def test_huge_slope_bound_keeps_the_outcome_bits(self, loss):
+        # an uncapped link let the lazy shift reach L * (u_max - u_min), and
+        # the loss rose from 4e-4 at L=1e10 to 985.5 at L=1e20
+        rng = np.random.default_rng(1)
+        xs, ys = rng.random(2000), rng.random(2000)
+        values = [best_lipschitz_1d(xs, ys, L, loss).value for L in (1e10, 1e12, 1e14, 1e20)]
+        assert all(a >= b for a, b in zip(values, values[1:])), values
+        assert max(values) < 1e-9

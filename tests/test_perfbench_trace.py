@@ -29,3 +29,9 @@ def test_traced_pipeline_runs(workload, tmp_path):
     calls = result["trace"]["calls"]
     for name in ("tree.update", "eg.predict", "tree._split"):
         assert calls.get(name, 0) > 0, name
+    # only the workloads that verify with --L reach the Lipschitz comparator
+    lipschitz_calls = calls.get("oracles.best_lipschitz_1d", 0)
+    if workload == "tree-uniform-d2":
+        assert lipschitz_calls == 0
+    else:
+        assert lipschitz_calls > 0

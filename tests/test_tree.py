@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from egtree import eg
@@ -591,6 +591,8 @@ FUZZ_VALUES = [DELETE, None, "x", "false", "0.5", 2.5, -1, 0, 7, True, [], {}, [
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(FUZZ_PATHS), st.sampled_from(FUZZ_VALUES)),
                 min_size=1, max_size=3))
+@example([(("nodes", 11, "obs_range", "hi"), "x"), (("nodes", 11, "obs_range", "hi", 0), None)])
+@example([(("nodes", 11, "obs_range", "hi"), "x"), (("nodes", 11, "obs_range", "hi", 0), DELETE)])
 def test_fuzzed_tree_json_loads_or_is_rejected(edits):
     data = json.loads(json.dumps(FUZZ_BASE))
     for path, value in edits:
@@ -604,6 +606,8 @@ def test_fuzzed_tree_json_loads_or_is_rejected(edits):
             parent[path[-1]]
         except (KeyError, IndexError, TypeError):
             continue  # an earlier edit removed or replaced this path
+        if not isinstance(parent, (dict, list)):
+            continue  # an earlier edit put a string where a container was
         if value is DELETE:
             del parent[path[-1]]
         else:
