@@ -19,6 +19,7 @@ requested checks passed, 1 that one failed, 2 that an input was rejected.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -28,6 +29,12 @@ import numpy as np
 from . import harness, oracles, processes
 from .errors import RejectedInputError
 from .losses import LossSpec
+
+# The objects the imports (numpy above all) leave behind live as long as the
+# process; frozen, they are walked by no later full garbage collection.
+# This runs once, at import: in main() it would also freeze the garbage of a
+# caller that runs many commands in one process.
+gc.freeze()
 
 
 def _cmd_simulate(args) -> int:

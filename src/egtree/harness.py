@@ -16,8 +16,11 @@ into columns after the loop.
 
 Every value is rendered or parsed once.  The writers take each column of
 a log or dataset once (``tolist``) and render a row with a single ``%``
-format; no field ever needs CSV quoting.  The readers split rows with one
-``csv.reader`` pass, a block of rows at a time.  :func:`read_input` tells a
+format; no field ever needs CSV quoting.  The readers take a file a block
+of lines at a time and cut a block that ``csv.reader`` would split plainly
+with one ``str.split``; from the first block with a quote, a ``\\r``, a
+wrong field count or an oversized line on, ``csv.reader`` splits the rest
+(:func:`_column_blocks`).  :func:`read_input` tells a
 series from a covariate file by its header alone.  The values of a block
 are parsed as one array and range-checked at once; a block that fails is
 rescanned row by row for the first bad row, field and value.  The step-log
@@ -330,32 +333,86 @@ def write_run_log(log: RunLog, outdir) -> None:
         fh.write("\n")
 
 
-def _csv_rows(fh):
-    """Rows of a CSV file; a row the csv module cannot split is rejected by number."""
-    row_no = 0
+def _header(fh):
+    """The first row of ``fh``, or None for an empty file.
+
+    ``csv.reader`` pulls only the lines of that one row, so ``fh`` is left
+    at the first data row.
+    """
     try:
-        for row_no, row in enumerate(csv.reader(fh), start=1):
-            yield row
+        return next(csv.reader(fh), None)
     except csv.Error as exc:
-        raise RejectedInputError(f"row {row_no + 1}: {exc}") from None
+        raise RejectedInputError(f"row 1: {exc}") from None
 
 
-def _column_blocks(reader, width):
-    """Yield ``(row number of the first row, columns)`` per block of CSV rows.
+def _csv_rows(lines, row_no: int):
+    """CSV rows of ``lines``, the first being row ``row_no``; a row the csv
+    module cannot split is rejected by number."""
+    try:
+        for row in csv.reader(lines):
+            yield row
+            row_no += 1
+    except csv.Error as exc:
+        raise RejectedInputError(f"row {row_no}: {exc}") from None
 
-    A block is transposed at once; all rows at once would hold every row
-    list next to the columns.  A row without ``width`` fields raises, after
-    the rows before it have been yielded.
+
+def _column_blocks(fh, width: int):
+    """Yield ``(row number of the first row, columns)`` per block of rows.
+
+    ``fh`` is an open file past its header row (row 1); every row must
+    have ``width`` >= 2 fields.  The rows are read ``_ROW_BLOCK`` lines at
+    a time: all rows at once would hold every cell string next to the
+    parsed columns.  A block is *plain* when it holds no ``"``, ``\\r`` or
+    NUL, every line ends in ``\\n`` and holds exactly ``width - 1`` commas,
+    and no line is longer than ``csv.field_size_limit()``.  ``csv.reader``
+    splits such a block exactly as ``str.split(",")`` does (a blank line,
+    which it reads as no fields, has no comma), so a plain block is cut
+    into cells by one split, a row per line.  Every file this module
+    writes is plain.  From the first block that is not plain on, the rest
+    of the file goes through ``csv.reader`` and :func:`_row_blocks`, so
+    quoted fields, CRLF line ends and damaged rows read exactly as the csv
+    module reads them, with the same row numbers and messages.
     """
     row_no = 2
-    while rows := list(itertools.islice(reader, _ROW_BLOCK)):
-        short = next((k for k, row in enumerate(rows) if len(row) != width), None)
+    while lines := list(itertools.islice(fh, _ROW_BLOCK)):
+        text = "".join(lines)
+        if not _is_plain(text, lines, width):
+            yield from _row_blocks(itertools.chain(lines, fh), width, row_no)
+            return
+        # one copy of the block's text at a time, and none once it is cut
+        n = len(lines)
+        del lines
+        text = text.replace("\n", ",")
+        flat = text.split(",")
+        del text
+        flat.pop()  # the empty cell after the last line end
+        yield row_no, [flat[j::width] for j in range(width)]
+        row_no += n
+
+
+def _is_plain(text: str, lines: list, width: int) -> bool:
+    """Whether ``csv.reader`` would split ``lines`` (joined: ``text``) as
+    ``str.split(",")`` does, into ``width`` fields a line."""
+    limit = csv.field_size_limit()
+    return not ('"' in text or "\r" in text or "\0" in text or text[-1] != "\n"
+                or list(map(str.count, lines, itertools.repeat(","))).count(width - 1)
+                != len(lines)
+                or len(text) > limit and max(map(len, lines)) > limit)
+
+
+def _row_blocks(lines, width: int, row_no: int):
+    """:func:`_column_blocks` by ``csv.reader``: the rows of ``lines``, the
+    first being row ``row_no``, transposed a block at a time.  A row without
+    ``width`` fields raises, after the rows before it have been yielded."""
+    rows = _csv_rows(lines, row_no)
+    while block := list(itertools.islice(rows, _ROW_BLOCK)):
+        short = next((k for k, row in enumerate(block) if len(row) != width), None)
         if short != 0:
-            yield row_no, list(zip(*rows[:short]))
+            yield row_no, list(zip(*block[:short]))
         if short is not None:
             raise RejectedInputError(
-                f"row {row_no + short}: expected {width} fields, got {len(rows[short])}")
-        row_no += len(rows)
+                f"row {row_no + short}: expected {width} fields, got {len(block[short])}")
+        row_no += len(block)
 
 
 def _parsed(cells, parse, name: str, first_row: int = 2) -> list:
@@ -374,20 +431,18 @@ def _parsed(cells, parse, name: str, first_row: int = 2) -> list:
         raise
 
 
-def _leaf_int(cell: str) -> int:
-    return int(cell) if cell else -1  # no leaf outside tree runs
+def _floats(cell: str) -> tuple:
+    return tuple(map(float, cell.split(";")))
 
 
-def _floats_tuple(cell: str) -> tuple:
-    return tuple(map(float, cell.split(";"))) if cell else ()
-
-
-# per step-log column: the parser of a cell and the dtype of the parsed
-# column; the x text is kept as is, and the member tuples stay a list
+# per step-log column: the parser of a cell, the dtype of the parsed column
+# and what an empty cell stands for where one may be empty (no leaf outside
+# tree runs, no members outside mixtures); the x text is kept as is, and
+# the member tuples stay a list
 _STEP_PARSERS = (
-    (int, np.int64), (None, None), (float, float), (float, float), (float, float),
-    (_leaf_int, np.int64), (_leaf_int, np.int64), (int, np.int64), (int, np.int64),
-    (_floats_tuple, None), (_floats_tuple, None))
+    (int, np.int64, None), (None, None, None), (float, float, None), (float, float, None),
+    (float, float, None), (int, np.int64, -1), (int, np.int64, -1), (int, np.int64, None),
+    (int, np.int64, None), (_floats, None, ()), (_floats, None, ()))
 
 
 def read_run_log(outdir) -> RunLog:
@@ -414,17 +469,24 @@ def read_run_log(outdir) -> RunLog:
     # block of cell strings is held next to the parsed columns
     blocks = [[] for _ in STEP_COLUMNS]
     with open(outdir / "steps.csv", newline="") as fh:
-        reader = _csv_rows(fh)
-        header = next(reader, None)
+        header = _header(fh)
         if tuple(header or ()) != STEP_COLUMNS:
             raise RejectedInputError(f"unrecognized step log header: {header}")
-        for row_no, columns in _column_blocks(reader, len(STEP_COLUMNS)):
-            for name, (parse, dtype), cells, parsed in zip(STEP_COLUMNS, _STEP_PARSERS,
-                                                           columns, blocks):
+        for row_no, columns in _column_blocks(fh, len(STEP_COLUMNS)):
+            for name, (parse, dtype, empty), cells, parsed in zip(
+                    STEP_COLUMNS, _STEP_PARSERS, columns, blocks):
                 if parse is None:
                     parsed.append(cells)
                     continue
-                values = _parsed(cells, parse, name, row_no)
+                # a block of a column that may hold empty cells is all empty
+                # or all set, rarely both
+                if empty is None or all(cells):
+                    values = _parsed(cells, parse, name, row_no)
+                elif any(cells):
+                    values = _parsed(cells, lambda cell, parse=parse, empty=empty:
+                                     parse(cell) if cell else empty, name, row_no)
+                else:
+                    values = [empty] * len(cells)
                 if dtype is None:
                     parsed.append(values)
                     continue
@@ -444,7 +506,7 @@ def read_run_log(outdir) -> RunLog:
         raise RejectedInputError("step log is empty")
     t, x, pred, y, loss, leaf_h, leaf_i, n_nodes, height, experts, weights = [
         np.concatenate(parsed) if dtype is not None else list(itertools.chain(*parsed))
-        for parsed, (_, dtype) in zip(blocks, _STEP_PARSERS)]
+        for parsed, (_, dtype, _) in zip(blocks, _STEP_PARSERS)]
     if len(t) != summary["T"]:
         raise RejectedInputError(f"step log has {len(t)} steps, its summary says T = "
                                  f"{summary['T']!r}")
@@ -472,8 +534,8 @@ def _parse_unit(cell: str, row_no: int, what: str) -> float:
     return v
 
 
-def _read_unit_rows(reader, whats) -> list:
-    """Parse the rows left in ``reader``: ``len(whats)`` fields per row.
+def _read_unit_rows(fh, whats) -> list:
+    """Parse the rows left in the open file ``fh``: ``len(whats)`` fields per row.
 
     Column ``j`` holds values in [0, 1] named ``whats[j]`` in messages, or
     is left unparsed where ``whats[j]`` is None; returns one float array per
@@ -483,7 +545,7 @@ def _read_unit_rows(reader, whats) -> list:
     """
     parsed = [j for j, what in enumerate(whats) if what is not None]
     blocks = []
-    for row_no, columns in _column_blocks(reader, len(whats)):
+    for row_no, columns in _column_blocks(fh, len(whats)):
         cells = itertools.chain.from_iterable(columns[j] for j in parsed)
         try:
             values = np.array(list(map(float, cells))).reshape(len(parsed), -1)
@@ -504,11 +566,10 @@ def _is_series_header(header) -> bool:
 def read_series(path) -> np.ndarray:
     """Read a ``t,y`` CSV; malformed rows raise with their row number."""
     with open(path, newline="") as fh:
-        reader = _csv_rows(fh)
-        header = next(reader, None)
+        header = _header(fh)
         if not _is_series_header(header):
             raise RejectedInputError(f"expected header 't,y', got {header}")
-        (ys,) = _read_unit_rows(reader, (None, "observation"))  # t is not parsed
+        (ys,) = _read_unit_rows(fh, (None, "observation"))  # t is not parsed
     if not ys.size:
         raise RejectedInputError("series file has no observations")
     return ys
@@ -529,12 +590,11 @@ def write_covariates(path, xs, ys) -> None:
 def read_covariates(path):
     """Read an ``x1,..,xd,y`` CSV into (xs, ys) arrays."""
     with open(path, newline="") as fh:
-        reader = _csv_rows(fh)
-        header = next(reader, None)
+        header = _header(fh)
         if header is None or len(header) < 2 or header[-1].strip() != "y":
             raise RejectedInputError(f"expected header 'x1,..,xd,y', got {header}")
         d = len(header) - 1
-        *xs, ys = _read_unit_rows(reader, ("covariate",) * d + ("observation",))
+        *xs, ys = _read_unit_rows(fh, ("covariate",) * d + ("observation",))
     if not ys.size:
         raise RejectedInputError("covariate file has no observations")
     return np.column_stack(xs), ys
@@ -543,7 +603,7 @@ def read_covariates(path):
 def read_input(path) -> tuple:
     """Read a series (header ``t,y``) as ``(None, ys)`` or a covariate file as ``(xs, ys)``."""
     with open(path, newline="") as fh:
-        header = next(_csv_rows(fh), None)
+        header = _header(fh)
     if _is_series_header(header):
         return None, read_series(path)
     return read_covariates(path)
@@ -721,7 +781,7 @@ def report(run_dirs, outdir) -> dict:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
-    growth_rows = []
+    growth_lines = []
     weight_lines = []
     for path in run_dirs:
         log = read_run_log(path)
@@ -739,11 +799,13 @@ def report(run_dirs, outdir) -> dict:
             "height": s["final"]["height"],
         })
         t_col = log.t.tolist()
-        growth_rows += zip(itertools.repeat(name), t_col, log.n_nodes.tolist(),
-                           log.height.tolist())
-        row_format = _csv_field(name).replace("%", "%%") + ",%d,%d,%.17g\n"
+        run_field = _csv_field(name).replace("%", "%%")
+        growth_format = run_field + ",%d,%d,%d\n"
+        growth_lines += [growth_format % row for row in zip(t_col, log.n_nodes.tolist(),
+                                                            log.height.tolist())]
+        weight_format = run_field + ",%d,%d,%.17g\n"
         for t, weights in zip(t_col, log.expert_weights):
-            weight_lines += [row_format % (t, d, w) for d, w in enumerate(weights, start=1)]
+            weight_lines += [weight_format % (t, d, w) for d, w in enumerate(weights, start=1)]
 
     with open(outdir / "runs.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -766,9 +828,8 @@ def report(run_dirs, outdir) -> dict:
                              fmt17(min(vals)), fmt17(max(vals))))
 
     with open(outdir / "node_growth.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("run", "t", "n_nodes", "height"))
-        writer.writerows(growth_rows)
+        fh.write("run,t,n_nodes,height\n")
+        fh.writelines(growth_lines)
 
     if weight_lines:
         with open(outdir / "weights.csv", "w", newline="") as fh:

@@ -121,6 +121,8 @@ def _group_by_x(xs, ys):
         raise RejectedInputError(f"{ys.size} outcomes for {xs.size} covariates")
     if not (ys.min() >= 0.0 and ys.max() <= 1.0):  # NaN fails both
         raise RejectedInputError("outcomes must lie in [0, 1]")
+    if not np.isfinite(xs).all():
+        raise RejectedInputError("covariates must be finite")
     order = np.argsort(xs, kind="stable")
     xs, ys = xs[order], ys[order]
     u, gidx = np.unique(xs, return_inverse=True)

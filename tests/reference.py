@@ -5,12 +5,14 @@
 * The box of a tree node rebuilt from its ``(h, i)`` path bits, the
   independent geometry that routing and the stored cuts are checked against,
   and the count of the nodes a tree has built.
-* Row-by-row CSV readers and a ``csv.writer`` step-log writer: the
-  straightforward versions of the column-wise I/O in :mod:`egtree.harness`,
-  which must match them message for message and byte for byte.
+* Row-by-row CSV readers, the ``csv.reader`` block transposition and a
+  ``csv.writer`` step-log writer: the straightforward versions of the
+  column-wise I/O in :mod:`egtree.harness`, which must match them message
+  for message and byte for byte.
 """
 
 import csv
+import itertools
 import math
 from pathlib import Path
 
@@ -161,6 +163,35 @@ def read_covariates(path):
     if not ys:
         raise RejectedInputError("covariate file has no observations")
     return np.array(xs), np.array(ys)
+
+
+def column_blocks(fh, width: int, block: int):
+    """Yield ``(row number of the first row, columns)`` per ``block`` rows of ``fh``.
+
+    ``fh`` is past its header (row 1); every row goes through ``csv.reader``
+    and each block is transposed.  A row the csv module cannot split raises
+    before its block is yielded; a row without ``width`` fields raises after
+    the rows before it have been yielded.
+    """
+    def rows():
+        row_no = 2
+        try:
+            for row in csv.reader(fh):
+                yield row
+                row_no += 1
+        except csv.Error as exc:
+            raise RejectedInputError(f"row {row_no}: {exc}") from None
+
+    reader = rows()
+    row_no = 2
+    while chunk := list(itertools.islice(reader, block)):
+        short = next((k for k, row in enumerate(chunk) if len(row) != width), None)
+        if short != 0:
+            yield row_no, list(zip(*chunk[:short]))
+        if short is not None:
+            raise RejectedInputError(
+                f"row {row_no + short}: expected {width} fields, got {len(chunk[short])}")
+        row_no += len(chunk)
 
 
 def write_steps_csv(log, path) -> None:

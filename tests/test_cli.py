@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +16,14 @@ def markov_spec(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     return path
+
+
+def test_import_freezes_the_heap():
+    # a fresh interpreter: this test process may have frozen its heap already
+    code = "import gc, egtree.cli; print(gc.get_freeze_count())"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert int(out) > 0
 
 
 def test_simulate_writes_series_and_metadata(markov_spec, tmp_path, capsys):

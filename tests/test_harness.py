@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import re
@@ -550,6 +551,12 @@ class TestReport:
                          zip(log.t.tolist(), log.expert_weights)
                          for d, w in enumerate(weights, start=1))
         assert (tmp_path / "tables" / "weights.csv").read_text() == expected.getvalue()
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(("run", "t", "n_nodes", "height"))
+        writer.writerows(zip(itertools.repeat(name), log.t.tolist(), log.n_nodes.tolist(),
+                             log.height.tolist()))
+        assert (tmp_path / "tables" / "node_growth.csv").read_text() == expected.getvalue()
 
     def test_requires_runs(self, tmp_path):
         with pytest.raises(RejectedInputError):

@@ -6,6 +6,9 @@ row-by-row readers in ``reference`` return, and on a damaged file raise
 the very same message: same row, same field, same value.
 """
 
+import csv
+import io
+import shutil
 from unittest import mock
 
 import numpy as np
@@ -199,6 +202,74 @@ class TestDamagedInput:
             read_covariates(path)
         assert str(exc.value) == f"row {n - 50 + 2}: observation 1.25 outside [0, 1]"
         assert str(exc.value) == outcome(reference.read_covariates, path)
+
+
+@st.composite
+def csv_texts(draw):
+    """A width and the text after a header: rows that split plainly mixed with
+    rows and lines of commas, quotes, CRs, NULs, long cells and blanks, the
+    final newline optional."""
+    width = draw(st.integers(2, 4))
+
+    def row(cell):
+        return st.lists(cell, min_size=width, max_size=width).map(",".join)
+
+    plain = row(st.text("0123456789;", max_size=3))
+    quoted = st.text("0123456789,\n", max_size=4).map(lambda c: f'"{c}"')
+    odd = row(st.one_of(st.text('0123456789;"\r\0', max_size=10), quoted))  # long cells too
+    other = st.text(',"\r\n\0;0123456789', max_size=12)
+    lines = draw(st.lists(st.one_of(plain, plain, plain, odd, other, st.just("")),
+                          max_size=14))
+    return width, "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def blocks_of(split, text, width):
+    """The blocks ``split`` yields for ``text`` (after a header line), then its
+    error message or None."""
+    fh = io.StringIO("h\n" + text, newline="")
+    next(fh)
+    out = []
+    try:
+        for row_no, columns in split(fh, width):
+            out.append((row_no, [list(column) for column in columns]))
+    except RejectedInputError as exc:
+        return out, str(exc)
+    return out, None
+
+
+class TestSplitter:
+    @settings(max_examples=400, deadline=None)
+    @given(csv_texts(), blocks, st.sampled_from([None, 4, 9]))
+    def test_blocks_match_the_csv_reader_reference(self, case, block, limit):
+        width, text = case
+        old_limit = csv.field_size_limit(limit) if limit else None
+        try:
+            with mock.patch.object(harness, "_ROW_BLOCK", block):
+                got = blocks_of(harness._column_blocks, text, width)
+            want = blocks_of(lambda fh, w: reference.column_blocks(fh, w, block), text, width)
+        finally:
+            if old_limit is not None:
+                csv.field_size_limit(old_limit)
+        assert got == want
+
+    @pytest.mark.parametrize("block", [3, harness._ROW_BLOCK])
+    def test_crlf_copies_read_back_bit_identical(self, tmp_path, block):
+        rng = np.random.default_rng(59)
+        xs, ys = rng.random((2100, 2)), rng.random(2100)
+        write_covariates(tmp_path / "c.csv", xs, ys)
+        log = run(RunConfig("tree", ABS, d=2), ys, xs)
+        write_run_log(log, tmp_path / "log")
+        shutil.copytree(tmp_path / "log", tmp_path / "log-crlf")
+        for name, copy in (("c.csv", "c-crlf.csv"), ("log/steps.csv", "log-crlf/steps.csv")):
+            (tmp_path / copy).write_bytes((tmp_path / name).read_bytes().replace(b"\n", b"\r\n"))
+        with mock.patch.object(harness, "_ROW_BLOCK", block):
+            xs2, ys2 = read_covariates(tmp_path / "c-crlf.csv")
+            back = read_run_log(tmp_path / "log-crlf")
+        assert same_bits(xs2, xs) and same_bits(ys2, ys)
+        for name in ("t", "preds", "ys", "losses", "leaf_h", "leaf_i", "n_nodes", "height"):
+            assert same_bits(getattr(back, name), getattr(log, name)), name
+        assert back.x_text == log.x_text
+        assert back.expert_preds == back.expert_weights == [()] * 2100
 
 
 ABS = LossSpec("absolute")

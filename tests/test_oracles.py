@@ -160,6 +160,9 @@ class TestBestLipschitz1d:
             oracle([0.1, 0.5], [1.5, 2.0], 1.0, ABS)
         with pytest.raises(RejectedInputError):
             oracle([0.1, 0.5], [0.5, math.nan], 1.0, ABS)
+        for bad in (math.nan, math.inf, -math.inf):  # a covariate, not an outcome
+            with pytest.raises(RejectedInputError, match="covariates must be finite"):
+                oracle([0.1, bad, 0.5], [0.2, 0.9, 0.3], 1.0, ABS)
 
     @pytest.mark.parametrize("loss", [ABS, SQ, PIN])
     def test_value_nonincreasing_in_slope_bound(self, loss):
