@@ -5,25 +5,23 @@ The package provides, bottom-up:
 * :mod:`egtree.losses`          bounded convex losses on [0,1]^2
 * :mod:`egtree.eg`              constant-tracking exponentiated-gradient forecaster
 * :mod:`egtree.tree`            the adaptive partition tree over [0,1]^d
-* :mod:`egtree.autoregressive`  lag-window wrappers and their growing mixture
+* :mod:`egtree.autoregressive`  the growing mixture of lag-window trees
 * :mod:`egtree.oracles`         offline comparators (constant / histogram / Lipschitz)
 * :mod:`egtree.processes`       seeded ergodic generators with a computable loss floor
 * :mod:`egtree.harness`         experiment runner, logs, and bound verification
 * :mod:`egtree.cli`             the ``egtree`` command
 
 Every forecaster (:class:`~egtree.eg.EgTracker`, :class:`PartitionTree`,
-:class:`LaggedForecaster`, :class:`MetaForecaster`) follows one protocol:
-``predict(x) -> float``, then exactly one ``update(y)``; a rejected ``y``
-leaves the prediction pending.  ``trace()`` then returns the log columns of
-that step, by name (see :data:`egtree.harness.STEP_COLUMNS`).  The
-forecasters that :func:`egtree.harness.run` drives (``EgTracker``,
-``PartitionTree``, ``MetaForecaster``) name those columns once, in the
-class-level tuple ``TRACED``; the private ``_traced()`` returns one step's
-values in that order, and ``trace()`` is ``dict(zip(TRACED, _traced()))``.
-The harness runs all three through one loop that keeps ``_traced()`` per
-step.  It checks a tree run's covariates once, as an array, and hands the
-rows to ``PartitionTree._predict``, which checks nothing again; the public
-``predict`` checks its point for every other caller.
+:class:`MetaForecaster`) follows one protocol: ``predict(x) -> float``,
+then exactly one ``update(y)``; a rejected ``y`` leaves the prediction
+pending.  ``trace()`` then returns that step's log fields as a tuple, in
+the order of the class-level tuple ``TRACED`` of their column names (see
+:data:`egtree.harness.STEP_COLUMNS`).  :func:`egtree.harness.run` drives
+all three through one loop that keeps ``trace()`` per step.  It checks a
+tree run's covariates once, as an array, and hands the rows to
+``PartitionTree._predict``, which checks nothing again; the public
+``predict`` checks its point for every other caller.  The members of a
+``MetaForecaster`` are plain ``PartitionTree`` objects, one per lag order.
 """
 
 from .autoregressive import LaggedForecaster, MetaForecaster

@@ -1,14 +1,13 @@
 """Self-forecasting a series by aggregating lag-window tree forecasters.
 
-A :class:`LaggedForecaster` of order ``d`` feeds the window of the last
-``d`` observations (oldest first) as the covariate of a ``d``-dimensional
-:class:`~egtree.tree.PartitionTree`, starting at its scheduled entry step.
-
-A :class:`MetaForecaster` maintains the growing pool of lagged forecasters
-prescribed by a schedule of entry steps ``t_1 = 2 < t_2 < t_3 < ...`` and
-mixes their predictions with exponential weights.  With ``D_t`` active
-members, learning rates ``eta_t = 2/sqrt(t)`` and per-step losses
-``l_d = loss(f_d, y_t)``, the weights evolve as
+A :class:`MetaForecaster` maintains the growing pool of lag-window trees
+prescribed by a schedule of entry steps ``t_1 = 2 < t_2 < t_3 < ...``: the
+member of order ``d`` is a ``d``-dimensional
+:class:`~egtree.tree.PartitionTree`, admitted at step ``t_d`` and fed the
+window of the last ``d`` observations (oldest first) as its covariate.  The
+mixture combines the members' predictions with exponential weights.  With
+``D_t`` active members, learning rates ``eta_t = 2/sqrt(t)`` and per-step
+losses ``l_d = loss(f_d, y_t)``, the weights evolve as
 
     p'_d  propto  p_d^(eta_{t+1}/eta_t) * exp(-eta_{t+1} * l_d)
 
@@ -19,9 +18,8 @@ forecasts from its own history and ignores the ``x`` of ``predict(x)``.
 
 ``MetaForecaster.update`` range-checks each outcome before it enters the
 history, so every lag window already holds checked floats: the mixture
-hands its members' trees the window as is, through
-``PartitionTree._predict``, and never re-checks it.  ``LaggedForecaster``
-on its own is driven through the checking ``PartitionTree.predict``.
+hands its members the window as is, through ``PartitionTree._predict``,
+and never re-checks it.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import math
 
-from .errors import ContractViolationError, RejectedInputError
+from .errors import ContractViolationError, RejectedInputError, positive_int
 from .losses import LossSpec
 from .oracles import lipschitz_regret_bound
 from .tree import PartitionTree
@@ -65,10 +63,11 @@ def reweight(logw: list[float], losses: list[float], eta_t: float, eta_next: flo
 
 
 class LaggedForecaster:
-    """Order-d autoregressive wrapper around a partition tree.
+    """Standalone order-d wrapper that feeds a tree the lag window ``y[t-d] ... y[t-1]``.
 
-    Inactive before ``start``; from then on each step consumes the lag
-    window ``y[t-d] ... y[t-1]`` as covariate; the tree keeps the pending step.
+    Its window goes through the checking ``PartitionTree.predict``.  The
+    mixture no longer uses it; it stays because the benchmark's tracer
+    (``perfbench/tracing.py``) patches its methods by name.
     """
 
     def __init__(self, d: int, start: int, loss: LossSpec, effective_range: bool = False):
@@ -106,23 +105,17 @@ class MetaForecaster:
         max_d: int | None = None,
     ):
         entry_step(schedule, 1)  # rejects an unknown schedule
-        if max_d is not None and max_d < 1:
-            raise RejectedInputError("max_d must be >= 1")
         self.loss = loss
         self.schedule = schedule
         self.effective_range = effective_range
-        self.max_d = max_d
+        self.max_d = max_d if max_d is None else positive_int(max_d, "max_d")
         self.history: list = []
-        self.experts: list[LaggedForecaster] = []
-        # flat views of the members, in the order of ``experts``, for the step loop
-        self._members: list = []  # (tree._predict, d)
-        self._updates: list = []  # tree.update
-        self._trees: list[PartitionTree] = []
+        self.experts: list[PartitionTree] = []  # the order-d member is experts[d - 1]
         self._logw: list[float] = []
         self._next_entry = entry_step(schedule, 1)  # None once max_d is reached
         self._pending = None  # (member predictions, weights) awaiting the outcome
         self._last = None     # the same pair for the last completed step
-        self._history_text: list = []  # .17g text of history, filled by _traced()
+        self._history_text: list = []  # .17g text of history, filled by trace()
 
     @property
     def n_active(self) -> int:
@@ -135,11 +128,11 @@ class MetaForecaster:
 
     def predict(self, x=None) -> float:
         """Mixture prediction for the current step (1/2 before any entry)."""
-        if not self._members:
+        if not self.experts:
             self._pending = ((), ())
             return 0.5
         history = self.history  # checked outcomes only: see update()
-        preds = tuple([predict(tuple(history[-d:])) for predict, d in self._members])
+        preds = tuple([tree._predict(tuple(history[-tree.d:])) for tree in self.experts])
         weights = tuple(map(math.exp, self._logw))
         y = 0.0
         for w, f in zip(weights, preds):
@@ -157,9 +150,9 @@ class MetaForecaster:
         self._last, self._pending = self._pending, None
         t = len(self.history) + 1  # the step whose outcome this is
 
-        if self._updates:
-            for update in self._updates:
-                update(outcome)
+        if self.experts:
+            for tree in self.experts:
+                tree.update(outcome)
             value = self.loss.value
             self._logw = reweight(
                 self._logw,
@@ -170,32 +163,23 @@ class MetaForecaster:
 
         self.history.append(float(outcome))
         if t + 1 == self._next_entry:
-            self._admit(t + 1)
+            self._admit()
 
-    def trace(self) -> dict:
-        """Log columns of the last step by name; ``x`` digests the lag window it mixed."""
-        return dict(zip(self.TRACED, self._traced()))
-
-    def _traced(self) -> tuple:
-        """The values of :meth:`trace`, in the order of ``TRACED``."""
+    def trace(self) -> tuple:
+        """The last step's log fields in ``TRACED`` order; ``x`` digests the lag window it mixed."""
         preds, weights = self._last
         text = self._history_text
         text.extend([format(v, ".17g") for v in self.history[len(text):]])
         # the window the members saw: the observations before the step's outcome
         window = text[-len(preds) - 1:-1] if preds else []
-        trees = self._trees
         return (hashlib.sha256(",".join(window).encode()).hexdigest()[:12],
-                sum([tree.n_nodes for tree in trees]) or 1,
-                max([tree.height for tree in trees], default=0), preds, weights)
+                sum([tree.n_nodes for tree in self.experts]) or 1,
+                max([tree.height for tree in self.experts], default=0), preds, weights)
 
-    def _admit(self, next_t: int) -> None:
-        """Admit the next member, whose entry step is ``next_t``, and note the one after."""
+    def _admit(self) -> None:
+        """Admit the member of the next order, whose entry step is now, and note the one after."""
         d_next = len(self.experts) + 1
-        member = LaggedForecaster(d_next, next_t, self.loss, self.effective_range)
-        self.experts.append(member)
-        self._members.append((member.tree._predict, d_next))
-        self._updates.append(member.tree.update)
-        self._trees.append(member.tree)
+        self.experts.append(PartitionTree(d_next, self.loss, self.effective_range))
         self._next_entry = (None if self.max_d is not None and d_next >= self.max_d
                             else entry_step(self.schedule, d_next + 1))
         incumbents = d_next - 1

@@ -75,10 +75,8 @@ class EgTracker:
         self.t, self.G = update(self.t, self.G, self._pending, outcome, self.loss)
         self._pending = None
 
-    def trace(self) -> dict:
-        return dict(zip(self.TRACED, self._traced()))
-
-    def _traced(self) -> tuple:
+    def trace(self) -> tuple:
+        """The last step's log fields in ``TRACED`` order: none."""
         return ()
 
 

@@ -1,4 +1,4 @@
-"""Exception types, and the checks of a decoded JSON object, shared across the package."""
+"""Exception types, and the checks of JSON fields and counts, shared across the package."""
 
 
 class RejectedInputError(ValueError):
@@ -40,4 +40,11 @@ def json_field(data, key: str, kind: type, where: str, default=_REQUIRED):
     if type(value) is not kind and not (kind is float and type(value) is int):
         raise RejectedInputError(f"{where}: {key!r} must be {_TYPE_NAMES[kind]}, "
                                  f"got {value!r:.80}")
+    return value
+
+
+def positive_int(value, what: str) -> int:
+    """``value``, rejected unless it is an integer >= 1; a boolean is no integer here."""
+    if type(value) is not int or value < 1:
+        raise RejectedInputError(f"{what} must be an integer >= 1, got {value!r}")
     return value

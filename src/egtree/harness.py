@@ -11,7 +11,7 @@ and two identical runs produce byte-identical step files.
 :func:`run` checks its inputs as whole arrays before the first step and
 then drives every forecaster through one loop; a tree takes its checked
 covariate rows through ``PartitionTree._predict``, and each step's log
-fields (the forecaster's ``_traced()``) go into one flat list that is cut
+fields (the forecaster's ``trace()``) go into one flat list that is cut
 into columns after the loop.
 
 Every value is rendered or parsed once.  The writers take each column of
@@ -57,7 +57,7 @@ from .autoregressive import (
     mixture_regret_bound,
     mixture_regret_bound_raw,
 )
-from .errors import RejectedInputError, json_field, json_keys
+from .errors import RejectedInputError, json_field, json_keys, positive_int
 from .losses import LossSpec
 from .oracles import best_constant, best_lipschitz_1d, lipschitz_regret_bound
 from .tree import PartitionTree, height_bound, node_count_bound
@@ -143,8 +143,8 @@ class RunConfig:
         if type(self.effective_range) is not bool:
             raise RejectedInputError(
                 f"effective_range must be true or false, got {self.effective_range!r}")
-        if self.max_d is not None and not (type(self.max_d) is int and self.max_d >= 1):
-            raise RejectedInputError(f"max_d must be an integer >= 1, got {self.max_d!r}")
+        if self.max_d is not None:
+            positive_int(self.max_d, "max_d")
         if self.seed is not None and type(self.seed) is not int:
             raise RejectedInputError(f"seed must be an integer, got {self.seed!r}")
 
@@ -207,7 +207,7 @@ def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
     must be absent otherwise.  Both are checked here, as whole arrays,
     before the first step.  Every forecaster is then driven by one loop:
     predict with the step's covariate (``None`` without covariates), then
-    ``update(y)``, then ``_traced()`` for the step's log fields, so an
+    ``update(y)``, then ``trace()`` for the step's log fields, so an
     outcome is never shown before its prediction.  A tree predicts through
     ``PartitionTree._predict``, which takes the checked rows as tuples of
     floats and does not check them again.  Each step's fields, in the
@@ -245,7 +245,7 @@ def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
     else:
         # the rows checked above, as tuples of Python floats
         points, predict = zip(*xs.T.tolist()), forecaster._predict
-    update, traced = forecaster.update, forecaster._traced
+    update, traced = forecaster.update, forecaster.trace
     # the fields of every step in one flat list: no container per step
     # outlives its step, so the loop adds no work for the garbage collector
     preds, fields = [], []
@@ -270,8 +270,9 @@ def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
              "total_steps": T}
     if config.forecaster == "meta":
         final["n_active"] = forecaster.n_active  # pool size for step T+1
-        final["experts"] = [{"d": ex.d, "start": ex.start, "n_nodes": ex.tree.n_nodes,
-                             "height": ex.tree.height} for ex in forecaster.experts]
+        final["experts"] = [{"d": tree.d, "start": entry_step(config.schedule, tree.d),
+                             "n_nodes": tree.n_nodes, "height": tree.height}
+                            for tree in forecaster.experts]
     summary = {
         "format": LOG_FORMAT,
         "T": T,

@@ -36,8 +36,8 @@ hands it to the private ``_predict``, the only prediction code.  A caller
 that has already checked its points calls ``_predict`` directly, with a
 tuple of ``d`` floats in [0, 1]: :func:`egtree.harness.run`, which checks a
 tree run's covariates as one array before the first step, and
-:class:`~egtree.autoregressive.MetaForecaster`, whose members take lag
-windows of outcomes it has checked.
+:class:`~egtree.autoregressive.MetaForecaster`, whose member trees take
+lag windows of outcomes it has checked.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import math
 import numpy as np
 
 from . import eg
-from .errors import ContractViolationError, RejectedInputError, json_field
+from .errors import ContractViolationError, RejectedInputError, json_field, positive_int
 from .losses import LossSpec
 
 
@@ -92,9 +92,7 @@ class PartitionTree:
     TRACED = ("x", "leaf_h", "leaf_i", "n_nodes", "height")  # step-log columns, in order
 
     def __init__(self, d: int, loss: LossSpec, effective_range: bool = False):
-        if d < 1:
-            raise RejectedInputError(f"dimension must be >= 1, got {d}")
-        self.d = d
+        self.d = positive_int(d, "dimension")
         self.loss = loss
         self.M = loss.M  # every node's forecaster uses the loss's M
         self.effective_range = effective_range
@@ -214,12 +212,8 @@ class PartitionTree:
             split_at.append(1.0 / (r * 4.0 ** -(k + 1) + (self.d - r) * 4.0 ** -k))
             cuts.append((r, math.ldexp(1.0, k)))
 
-    def trace(self) -> dict:
-        """Log columns of the last step by name: its point, its leaf, the tree's size."""
-        return dict(zip(self.TRACED, self._traced()))
-
-    def _traced(self) -> tuple:
-        """The values of :meth:`trace`, in the order of ``TRACED``."""
+    def trace(self) -> tuple:
+        """The last step's log fields in ``TRACED`` order: its point, its leaf, the tree's size."""
         leaf, x, _ = self._last
         return self._x_format % x, leaf.h, leaf.i, self.n_nodes, self.height
 

@@ -15,9 +15,15 @@ from egtree.errors import ContractViolationError, RejectedInputError
 from egtree.losses import LossSpec
 from egtree.oracles import best_lipschitz_1d, lipschitz_regret_bound
 from egtree.processes import ProcessSpec, generate
+from egtree.tree import PartitionTree
 from reference import built_nodes
 
 ABS = LossSpec("absolute")
+
+
+def traced(forecaster) -> dict:
+    """The fields of the forecaster's last step, by name."""
+    return dict(zip(forecaster.TRACED, forecaster.trace()))
 
 
 class TestSchedules:
@@ -29,8 +35,9 @@ class TestSchedules:
 
     @pytest.mark.parametrize("kind", ["powers_of_two", "quadratic"])
     def test_entry_steps_valid_for_lag_window(self, kind):
-        steps = [entry_step(kind, d) for d in range(1, 21)]
+        steps = [entry_step(kind, d) for d in range(1, 65)]
         assert steps[0] == 2
+        # the order-d member reads the d observations before its entry step
         assert all(t >= d + 1 for d, t in enumerate(steps, start=1))
         assert all(a < b for a, b in zip(steps, steps[1:]))
 
@@ -71,7 +78,7 @@ def drive(meta, ys):
     for y in ys:
         p = meta.predict()
         meta.update(float(y))
-        step = meta.trace()
+        step = traced(meta)
         records.append((p, step["experts"], step["weights"]))
     return records
 
@@ -97,7 +104,7 @@ class TestMetaProtocol:
             p = meta.predict()
             meta.update(float(y))
             if active == 1:
-                assert p == meta.trace()["experts"][0]
+                assert p == traced(meta)["experts"][0]
 
     def test_mixture_is_the_logged_dot_product(self):
         meta = MetaForecaster(ABS)
@@ -105,7 +112,7 @@ class TestMetaProtocol:
         for y in rng.random(200):
             p = meta.predict()
             meta.update(float(y))
-            step = meta.trace()
+            step = traced(meta)
             preds, weights = step["experts"], step["weights"]
             if preds:
                 acc = 0.0
@@ -152,7 +159,7 @@ class TestMetaProtocol:
         for y in generate(sticky, 2000).tolist():
             meta.predict()
             meta.update(y)
-        trees = [ex.tree for ex in meta.experts]
+        trees = meta.experts
         for tree in trees:
             assert built_nodes(tree) <= tree.n_nodes == len(list(tree.walk()))
         assert sum(map(built_nodes, trees)) < sum(tree.n_nodes for tree in trees)
@@ -181,6 +188,19 @@ class TestMetaProtocol:
             meta.update(y)  # a numpy scalar
         assert all(type(v) is float for v in meta.history)
 
+    def test_members_are_the_trees_of_each_order(self):
+        meta = MetaForecaster(ABS, schedule="quadratic", effective_range=True)
+        for y in np.random.default_rng(9).random(30).tolist():
+            meta.predict()
+            meta.update(y)
+        assert [tree.d for tree in meta.experts] == [1, 2, 3, 4, 5]  # entries 2, 5, 10, 17, 26
+        assert all(type(tree) is PartitionTree and tree.effective_range for tree in meta.experts)
+
+    @pytest.mark.parametrize("max_d", [0, -1, 1.0, 2.5, True, "2"])
+    def test_max_d_must_be_a_positive_integer(self, max_d):
+        with pytest.raises(RejectedInputError, match="max_d must be an integer >= 1"):
+            MetaForecaster(ABS, max_d=max_d)
+
     def test_outcome_domain(self):
         meta = MetaForecaster(ABS)
         meta.predict()
@@ -199,7 +219,8 @@ class TestLaggedForecaster:
         ex.predict(history)
         leaf = ex.tree.route((0.9, 0.3))
         ex.update(0.5)
-        step = ex.trace()
+        assert ex.trace() == ex.tree.trace()
+        step = traced(ex.tree)
         assert (step["leaf_h"], step["leaf_i"]) == (leaf.h, leaf.i)
         assert step["x"] == "0.90000000000000002;0.29999999999999999"
 
@@ -249,7 +270,8 @@ class TestRegretGuarantees:
         rng = np.random.default_rng(13)
         ys = np.where(rng.random(2500) < 0.5, 0.2, 0.8)
         meta, records, _ = meta_regrets(ABS, ys, max_d=1)
-        start = meta.experts[0].start
+        assert meta.experts[0].d == 1
+        start = entry_step("powers_of_two", 1)
         member_losses = [
             ABS.value(preds[0], float(y))
             for (p, preds, _), y in zip(records, ys) if preds

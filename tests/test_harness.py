@@ -78,6 +78,27 @@ class TestRun:
         assert len(log.expert_preds[-1]) == 8
         assert log.x_text[-1] != ""
 
+    @pytest.mark.parametrize("schedule, max_d, T", [
+        ("powers_of_two", None, 255),  # order 8 enters at step 256 = T + 1
+        ("quadratic", None, 300),
+        ("powers_of_two", 3, 300),
+        ("quadratic", 2, 300),
+    ])
+    def test_final_members_match_the_log(self, schedule, max_d, T):
+        log = run(RunConfig("meta", ABS, schedule=schedule, max_d=max_d), uniform(T, 7))
+        final = log.summary["final"]
+        members = final["experts"]
+        assert [m["d"] for m in members] == list(range(1, final["n_active"] + 1))
+        for m in members:
+            # the first step whose experts cell holds d predictions; T + 1 if none does
+            first = next((t for t, preds in enumerate(log.expert_preds, start=1)
+                          if len(preds) >= m["d"]), T + 1)
+            assert m["start"] == first, m
+        assert sum(m["n_nodes"] for m in members) == final["n_nodes"] == log.n_nodes[-1]
+        assert max(m["height"] for m in members) == final["height"] == log.height[-1]
+        if max_d is not None:
+            assert len(members) == max_d
+
     def test_save_state_embeds_tree(self):
         xs, ys = uniform(50, 5, d=1)
         log = run(RunConfig("tree", ABS, d=1), ys, xs, save_state=True)

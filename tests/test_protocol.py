@@ -13,6 +13,12 @@ from egtree.tree import PartitionTree
 
 ABS = LossSpec("absolute")
 
+
+def traced(forecaster) -> dict:
+    """The fields of the forecaster's last step, by name."""
+    return dict(zip(forecaster.TRACED, forecaster.trace()))
+
+
 # factory and the x each predict() receives
 FORECASTERS = {
     "eg": (lambda: EgTracker(ABS), None),
@@ -25,7 +31,7 @@ FORECASTERS = {
 def trees_state(forecaster) -> list:
     """Pending step and every node's EG state of each tree the forecaster drives."""
     if isinstance(forecaster, MetaForecaster):
-        trees = [ex.tree for ex in forecaster.experts]
+        trees = forecaster.experts
     elif isinstance(forecaster, LaggedForecaster):
         trees = [forecaster.tree]
     else:
@@ -131,15 +137,15 @@ def test_each_point_checked_once(kind, monkeypatch):
 @pytest.mark.parametrize("kind", ["eg", "tree", "meta"])
 def test_traced_fields_are_named_step_columns(kind):
     # harness.run cuts its flat list of fields into columns by the names
-    # of TRACED, so _traced() must return exactly one value per name
+    # of TRACED, so trace() must return exactly one value per name
     make, x = FORECASTERS[kind]
     forecaster = make()
     for y in (0.2, 0.9, 0.4):
         forecaster.predict(x)
         forecaster.update(y)
     assert set(forecaster.TRACED) <= set(STEP_COLUMNS) - {"t", "pred", "y", "loss"}
-    assert len(forecaster._traced()) == len(forecaster.TRACED)
-    assert list(forecaster.trace()) == list(forecaster.TRACED)
+    assert type(forecaster.trace()) is tuple
+    assert len(forecaster.trace()) == len(forecaster.TRACED)
 
 
 BAD_POINTS = [[float("nan"), 0.5], [1.5, 0.5], [0.5, -0.1]]
@@ -186,7 +192,7 @@ def test_run_matches_the_checked_tree_path(d, effective_range, loss):
         preds.append(tree.predict(x))
         tree.update(y)
         losses.append(loss.value(preds[-1], y))
-        steps.append(tree.trace())
+        steps.append(traced(tree))
     assert log.preds.tolist() == preds
     assert log.losses.tolist() == losses
     assert log.x_text == [step["x"] for step in steps]

@@ -19,6 +19,11 @@ ABS = LossSpec("absolute")
 DATA = Path(__file__).parent / "data"
 
 
+def traced(tree) -> dict:
+    """The fields of the tree's last step, by name."""
+    return dict(zip(tree.TRACED, tree.trace()))
+
+
 def grow(d, xs, ys, effective_range=False, loss=ABS):
     tree = PartitionTree(d, loss, effective_range=effective_range)
     for x, y in zip(xs, ys):
@@ -69,6 +74,11 @@ class TestRouting:
         with pytest.raises(RejectedInputError):
             tree.route([0.5, 1.5])
 
+    @pytest.mark.parametrize("d", [0, -1, 1.0, 2.5, True, "2"])
+    def test_dimension_must_be_a_positive_integer(self, d):
+        with pytest.raises(RejectedInputError, match="dimension must be an integer >= 1"):
+            PartitionTree(d, ABS)
+
 
 class TestPrediction:
     def test_fresh_tree_predicts_half(self):
@@ -115,7 +125,7 @@ class TestSplitting:
         for k in range(1, 64):
             tree.predict([0.9])
             tree.update(0.4)
-            step = tree.trace()
+            step = traced(tree)
             assert (step["leaf_h"], step["leaf_i"]) == (leaf.h, leaf.i)
             if k < 63:
                 assert leaf.is_leaf and leaf.count == k
