@@ -112,11 +112,11 @@ def _cmd_verify(args) -> int:
     outdir = Path(args.out)
     log = harness.read_run_log(outdir)
     if args.input:
-        xs, ys = harness.read_input(args.input)
-        digest = harness.data_digest(ys, xs)
-        if digest != log.summary["data_digest"]:
+        expected = log.summary["data_digest"]
+        digest = harness.input_digest(args.input, expected)
+        if digest != expected:
             print(f"REFUSED: input digest {digest[:12]}.. does not match "
-                  f"the run's {log.summary['data_digest'][:12]}..", file=sys.stderr)
+                  f"the run's {expected[:12]}..", file=sys.stderr)
             return 2
     checks = harness.verify_bounds(log, lipschitz_L=args.L)
     for c in checks:
@@ -178,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-bounds", help="re-check a finished run")
     p.add_argument("--out", required=True, help="run directory to verify")
     p.add_argument("--input", default=None,
-                   help="original input CSV; digests must match")
+                   help="original input CSV; its digest must match the run's "
+                        "(a canonical file is hashed as it stands, unparsed)")
     p.add_argument("--L", type=float, default=None,
                    help="also check the Lipschitz-comparator bound at this L")
     p.set_defaults(func=_cmd_verify)

@@ -14,19 +14,24 @@ covariate rows through ``PartitionTree._predict``, and each step's log
 fields (the forecaster's ``trace()``) go into one flat list that is cut
 into columns after the loop.
 
-Every value is rendered or parsed once.  The writers take each column of
-a log or dataset once (``tolist``) and render a row with a single ``%``
-format; no field ever needs CSV quoting.  The readers take a file a block
-of lines at a time and cut a block that ``csv.reader`` would split plainly
-with one ``str.split``; from the first block with a quote, a ``\\r``, a
-wrong field count or an oversized line on, ``csv.reader`` splits the rest
-(:func:`_column_blocks`).  :func:`read_input` tells a
-series from a covariate file by its header alone.  The values of a block
-are parsed as one array and range-checked at once; a block that fails is
-rescanned row by row for the first bad row, field and value.  The step-log
-reader parses each block as it reads it, names the row and column of a
-cell that does not parse, and checks the fields of ``summary.json`` that
-the verifier and the report read.
+Every value is rendered or parsed once, and a canonical input not even
+once.  The writers take each column of a log or dataset once (``tolist``)
+and render a row with a single ``%`` format; no field ever needs CSV
+quoting.  The readers take a file a block of lines at a time and cut a
+block that ``csv.reader`` would split plainly with one ``str.split``; from
+the first block with a quote, a ``\\r``, a wrong field count or an
+oversized line on, ``csv.reader`` splits the rest (:func:`_column_blocks`).
+:func:`read_input` tells a series from a covariate file by its header
+alone.  The values of a block are parsed as one array and range-checked at
+once; a block that fails is rescanned row by row for the first bad row,
+field and value.  The step-log reader parses each block as it reads it,
+names the row and column of a cell that does not parse, and checks the
+fields of ``summary.json`` that the verifier and the report read.  A file
+that does not decode is rejected, naming it.  Every input file this module
+writes holds the text that :func:`data_digest` hashes, as it stands, so
+:func:`input_digest` checks such a file against a run by hashing it block
+by block; it parses and renders only a file that does not hash to the
+run's digest.
 
 :func:`verify_bounds` replays the inequalities the forecasters are
 guaranteed to satisfy (regret versus the offline comparators, partition
@@ -36,12 +41,14 @@ reports bound, achieved value and slack for each.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
 import itertools
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -112,6 +119,20 @@ def data_digest(ys, xs=None, *, x_text=None) -> str:
     return h.hexdigest()
 
 
+def _undecodable(path, exc: UnicodeDecodeError) -> RejectedInputError:
+    return RejectedInputError(f"{path} is not {exc.encoding} text: {exc.reason}")
+
+
+@contextlib.contextmanager
+def _open_csv(path):
+    """``path`` opened to read CSV rows; bytes that do not decode are rejected, naming it."""
+    with open(path, newline="") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc) from None
+
+
 def load_json(path) -> dict:
     """The JSON object in the file ``path``; anything else is rejected, naming the path."""
     with open(path) as fh:
@@ -119,6 +140,8 @@ def load_json(path) -> dict:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise RejectedInputError(f"{path} is not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc) from None
     if not isinstance(data, dict):
         raise RejectedInputError(f"{path} must hold a JSON object, got {type(data).__name__}")
     return data
@@ -469,7 +492,7 @@ def read_run_log(outdir) -> RunLog:
     # each block of rows is parsed as it is read, so no more than one
     # block of cell strings is held next to the parsed columns
     blocks = [[] for _ in STEP_COLUMNS]
-    with open(outdir / "steps.csv", newline="") as fh:
+    with _open_csv(outdir / "steps.csv") as fh:
         header = _header(fh)
         if tuple(header or ()) != STEP_COLUMNS:
             raise RejectedInputError(f"unrecognized step log header: {header}")
@@ -564,9 +587,13 @@ def _is_series_header(header) -> bool:
     return header is not None and [c.strip() for c in header] == ["t", "y"]
 
 
+def _is_covariate_header(header) -> bool:
+    return header is not None and len(header) >= 2 and header[-1].strip() == "y"
+
+
 def read_series(path) -> np.ndarray:
     """Read a ``t,y`` CSV; malformed rows raise with their row number."""
-    with open(path, newline="") as fh:
+    with _open_csv(path) as fh:
         header = _header(fh)
         if not _is_series_header(header):
             raise RejectedInputError(f"expected header 't,y', got {header}")
@@ -590,9 +617,9 @@ def write_covariates(path, xs, ys) -> None:
 
 def read_covariates(path):
     """Read an ``x1,..,xd,y`` CSV into (xs, ys) arrays."""
-    with open(path, newline="") as fh:
+    with _open_csv(path) as fh:
         header = _header(fh)
-        if header is None or len(header) < 2 or header[-1].strip() != "y":
+        if not _is_covariate_header(header):
             raise RejectedInputError(f"expected header 'x1,..,xd,y', got {header}")
         d = len(header) - 1
         *xs, ys = _read_unit_rows(fh, ("covariate",) * d + ("observation",))
@@ -603,11 +630,60 @@ def read_covariates(path):
 
 def read_input(path) -> tuple:
     """Read a series (header ``t,y``) as ``(None, ys)`` or a covariate file as ``(xs, ys)``."""
-    with open(path, newline="") as fh:
+    with _open_csv(path) as fh:
         header = _header(fh)
     if _is_series_header(header):
         return None, read_series(path)
     return read_covariates(path)
+
+
+def input_digest(path, expected: str) -> str:
+    """The :func:`data_digest` of the input file ``path``, as :func:`read_input` reads it.
+
+    ``expected`` is the digest of a run's data, as its summary records it.
+    A file that this module writes holds the digest's canonical text as it
+    stands, with ``\\n`` where the text has ``;``: a covariate file in its
+    body, a series in the part of each line after its first comma.  A file
+    whose text hashes to ``expected`` that way (:func:`_plain_digest`) is
+    the canonical rendering of the run's data, which :func:`read_input`
+    would read back exactly and :func:`data_digest` render to the same
+    text; it is not parsed.  Any other file is read and digested in full,
+    so it is rejected, or gets its digest, exactly as there.
+    """
+    if _plain_digest(path) == expected:
+        return expected
+    xs, ys = read_input(path)
+    return data_digest(ys, xs)
+
+
+def _plain_digest(path) -> str | None:
+    """sha256 of the canonical text an input file holds as it stands, or None.
+
+    Only a file that decodes, has a header :func:`read_input` accepts,
+    holds no ``;`` and would be cut wholly with ``str.split`` by
+    :func:`_column_blocks` is hashed: with no ``;`` in it, its lines are
+    the rows of the text one for one.  It is hashed a block of lines at a
+    time, never as a whole.
+    """
+    h = hashlib.sha256()
+    try:
+        with open(path, newline="") as fh:
+            header = _header(fh)
+            series = _is_series_header(header)
+            if not (series or _is_covariate_header(header)):
+                return None
+            while lines := list(itertools.islice(fh, _ROW_BLOCK)):
+                text = "".join(lines)
+                if ";" in text or not _is_plain(text, lines, len(header)):
+                    return None
+                if series:  # the y cell of every line: the t cells are not data
+                    text = ";".join(text.replace("\n", ",").split(",")[1::2]) + ";"
+                else:
+                    text = text.replace("\n", ";")
+                h.update(text.encode())
+    except (UnicodeDecodeError, RejectedInputError):  # read_input says what is wrong
+        return None
+    return h.hexdigest()
 
 
 # -- bound verification ----------------------------------------------------
@@ -648,13 +724,26 @@ def _check_loss_args(loss: LossSpec, preds: np.ndarray, ys: np.ndarray) -> None:
         loss.value(preds[k].item(), ys[k].item())  # raises the scalar check's message
 
 
-def expert_regret(log: RunLog, d: int) -> float:
-    """Cumulative loss gap of the mixture versus its order-d member."""
+def _pool_sizes(log: RunLog) -> np.ndarray:
+    """The number of member predictions logged at each step."""
+    return np.fromiter(map(len, log.expert_preds), np.int64, len(log.expert_preds))
+
+
+def expert_regret(log: RunLog, d: int, sizes=None) -> float:
+    """Cumulative loss gap of the mixture versus its order-d member.
+
+    ``sizes`` are the log's pool sizes (:func:`_pool_sizes`), found here
+    when not given: a caller that asks for several orders finds them once.
+    """
     loss = RunConfig.from_dict(log.summary["config"]).loss
-    steps = [k for k, preds in enumerate(log.expert_preds) if len(preds) >= d]
-    if not steps:
+    if sizes is None:
+        sizes = _pool_sizes(log)
+    steps = np.flatnonzero(sizes >= d)
+    if not steps.size:
         raise RejectedInputError(f"order-{d} member was never active in this run")
-    member = np.array([log.expert_preds[k][d - 1] for k in steps])
+    member = np.fromiter(map(operator.itemgetter(d - 1),
+                             map(log.expert_preds.__getitem__, steps.tolist())),
+                         float, steps.size)
     ys = log.ys[steps]
     _check_loss_args(loss, member, ys)
     total = 0.0
@@ -730,13 +819,14 @@ def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCh
         worst = np.max(deviations or [0.0])
         checks.append(BoundCheck("weight-simplex", 1e-12, worst, worst <= 1e-12,
                                  "mixture weights sum to 1 at every step"))
-        sizes = [len(w) for w in log.expert_preds]
-        steps_ok = all(0 <= b - a <= 1 for a, b in zip(sizes, sizes[1:]))
+        sizes = _pool_sizes(log)
+        entrants = np.diff(sizes)
+        steps_ok = bool(np.all((entrants >= 0) & (entrants <= 1)))
         checks.append(BoundCheck("one-entrant-per-step", 1.0, float(steps_ok), steps_ok))
         n_active = int(log.summary["final"]["n_active"])
         start_1 = entry_step(config.schedule, 1)
-        for d in range(1, max(sizes) + 1):
-            regret = expert_regret(log, d)
+        for d in range(1, int(sizes.max()) + 1):
+            regret = expert_regret(log, d, sizes)
             if n_active >= 2:
                 bound = mixture_regret_bound(T, n_active)
                 note = ""

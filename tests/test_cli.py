@@ -5,8 +5,16 @@ import sys
 import numpy as np
 import pytest
 
+from egtree import harness
 from egtree.cli import main
-from egtree.harness import BoundCheck, read_run_log, write_covariates, write_series
+from egtree.harness import (
+    BoundCheck,
+    data_digest,
+    read_input,
+    read_run_log,
+    write_covariates,
+    write_series,
+)
 
 
 @pytest.fixture
@@ -425,3 +433,161 @@ def test_verify_lipschitz_without_a_check_exits_two(tmp_path, capsys):
         assert "no Lipschitz-comparator check" in capsys.readouterr().err
         assert not (rundir / "bounds.json").exists()
         assert main(["verify-bounds", "--out", str(rundir)]) == 0
+
+
+# -- verify-bounds --input: a canonical file is hashed as it stands ----------
+
+# values whose .17g text is shortest, longest, subnormal and at the ends
+EDGE_VALUES = [0.0, 1.0, 0.5, 1e-300, 5e-324, 0.1, 2 / 3, 0.123456789]
+
+
+def _verified_runs(tmp_path):
+    """An eg run over a series and a d=2 tree run over covariates, each with
+    the input file it was run on; both files hold every value of EDGE_VALUES."""
+    rng = np.random.default_rng(67)
+    ys = np.concatenate([EDGE_VALUES, rng.random(32)])
+    xs = np.column_stack([ys[::-1], rng.random(len(ys))])
+    series, cov = tmp_path / "s.csv", tmp_path / "c.csv"
+    write_series(series, ys)
+    write_covariates(cov, xs, ys)
+    runs = {}
+    for kind, forecaster, path in (("series", "eg", series), ("covariates", "tree", cov)):
+        rundir = tmp_path / f"run-{kind}"
+        assert main(["run", "--input", str(path), "--out", str(rundir),
+                     "--forecaster", forecaster]) == 0
+        runs[kind] = rundir, path
+    return runs
+
+
+def _old_input_digest(path, expected):
+    """The check before inputs were hashed as they stand: parse, then render."""
+    xs, ys = read_input(path)
+    return data_digest(ys, xs)
+
+
+def _with_lines(edit):
+    def respell(text):
+        header, *lines = text.splitlines()
+        return "\n".join(edit(header, lines)) + "\n"
+    return respell
+
+
+def _joined_pairs(header, lines):
+    """Two rows per line, joined by ";": a covariate line then has 2d commas,
+    a series line keeps one comma and holds two y cells."""
+    if header == "t,y":
+        return [header] + [a + ";" + b.split(",")[1] for a, b in zip(lines[::2], lines[1::2])]
+    width = 2 * header.count(",") + 1
+    return ([",".join([f"x{j + 1}" for j in range(width - 1)] + ["y"])]
+            + [a + ";" + b for a, b in zip(lines[::2], lines[1::2])])
+
+
+def _spelled_half(header, lines):
+    lines = list(lines)
+    cells = lines[2].split(",")
+    assert cells[-1] == "0.5"
+    lines[2] = ",".join(cells[:-1] + ["0.50"])
+    return [header] + lines
+
+
+def _first_cell(cell):
+    """The first cell of the third row replaced: a series' t, a covariate file's x1."""
+    return _with_lines(lambda header, lines: [header] + lines[:2]
+                       + [cell + lines[2][lines[2].index(","):]] + lines[3:])
+
+
+RESPELLINGS = {
+    "as-written": lambda text: text,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "cell-0.50": _with_lines(_spelled_half),
+    "comma-space": lambda text: text.replace(",", ", "),
+    "spaced-header": _with_lines(lambda header, lines: [
+        " t , y " if header == "t,y" else " , ".join(header.split(","))] + lines),
+    "quoted-header": _with_lines(lambda header, lines: [
+        ",".join(f'"{cell}"' for cell in header.split(","))] + lines),
+    "quote-across-lines": _first_cell('"3'),
+    "nul-byte": _first_cell("3\0"),
+    "oversized-first-cell": _first_cell("3" * 200_000),
+    "non-ascii-first-cell": _first_cell("\u00e9"),
+    "non-utf8-byte": _first_cell("3\udcff"),  # the byte 0xff, by surrogateescape
+    "no-final-newline": lambda text: text[:-1],
+    "extra-column": _with_lines(lambda header, lines: [header, lines[0] + ",0.5"] + lines[1:]),
+    "empty-body": lambda text: text.splitlines()[0] + "\n",
+    "rows-joined-by-semicolons": _with_lines(_joined_pairs),
+    "wrong-header": _with_lines(lambda header, lines: [header[:-1] + "z"] + lines),
+    "wrong-file": _with_lines(lambda header, lines: [header] + lines[1:] + lines[:1]),
+}
+
+
+@pytest.mark.parametrize("kind", ["series", "covariates"])
+@pytest.mark.parametrize("respelling", list(RESPELLINGS))
+def test_verify_input_verdicts_match_the_parsing_check(tmp_path, capsys, monkeypatch,
+                                                       kind, respelling):
+    rundir, path = _verified_runs(tmp_path)[kind]
+    copy = tmp_path / "copy.csv"
+    copy.write_bytes(RESPELLINGS[respelling](path.read_text()).encode("utf-8",
+                                                                      "surrogateescape"))
+    capsys.readouterr()
+    outcomes = []
+    for check in (harness.input_digest, _old_input_digest):
+        monkeypatch.setattr(harness, "input_digest", check)
+        (rundir / "bounds.json").unlink(missing_ok=True)
+        rc = main(["verify-bounds", "--out", str(rundir), "--input", str(copy)])
+        bounds = (rundir / "bounds.json").read_text() if rc != 2 else None
+        outcomes.append((rc, capsys.readouterr(), bounds))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("kind, respelling", [
+    (kind, respelling) for kind in ("series", "covariates")
+    for respelling in ("as-written", "spaced-header", "quoted-header")]
+    + [("series", "non-ascii-first-cell")])  # a t cell is no data
+def test_verify_hashes_a_canonical_input_as_it_stands(tmp_path, capsys, monkeypatch,
+                                                      kind, respelling):
+    rundir, path = _verified_runs(tmp_path)[kind]
+    path.write_text(RESPELLINGS[respelling](path.read_text()), newline="")
+
+    def unused(*args, **kwargs):
+        raise AssertionError("a canonical input is neither parsed nor rendered")
+
+    monkeypatch.setattr(harness, "read_input", unused)
+    monkeypatch.setattr(harness, "data_digest", unused)
+    capsys.readouterr()
+    assert main(["verify-bounds", "--out", str(rundir), "--input", str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_verify_refuses_a_respelled_wrong_file(tmp_path, capsys):
+    runs = _verified_runs(tmp_path)
+    rundir, path = runs["covariates"]
+    _, other = runs["series"]
+    capsys.readouterr()
+    assert main(["verify-bounds", "--out", str(rundir), "--input", str(other)]) == 2
+    want = _old_input_digest(other, None)
+    expected = read_run_log(rundir).summary["data_digest"]
+    assert capsys.readouterr().err == (f"REFUSED: input digest {want[:12]}.. does not "
+                                       f"match the run's {expected[:12]}..\n")
+
+
+def test_undecodable_bytes_exit_two_naming_the_file(tmp_path, capsys):
+    runs = _verified_runs(tmp_path)
+    rundir, series = runs["series"]
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"t,y\n1,0.5\n\xff,0.25\n")
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"forecaster": "eg\xff"}')
+    capsys.readouterr()
+    for argv, path in ((["run", "--input", str(bad), "--out", str(tmp_path / "r")], bad),
+                       (["run", "--config", str(config), "--input", str(series),
+                         "--out", str(tmp_path / "r")], config),
+                       (["verify-bounds", "--out", str(rundir), "--input", str(bad)], bad)):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} is not ") and " text: " in err, argv
+    assert not (tmp_path / "r").exists()
+    steps = rundir / "steps.csv"
+    steps.write_bytes(steps.read_bytes() + b"\xff\n")
+    for argv in (["verify-bounds", "--out", str(rundir)],
+                 ["report", "--out", str(tmp_path / "tables"), str(rundir)]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(f"error: {steps} is not "), argv

@@ -455,6 +455,16 @@ class TestVerifyBounds:
                            match=rf"^{named} must lie in \[0, 1\], got {re.escape(repr(bad))}$"):
             verify_bounds(log)
 
+    @pytest.mark.parametrize("edit", ["member-leaves", "two-entrants"])
+    def test_a_pool_that_does_not_grow_one_at_a_time_fails(self, edit):
+        log = run(RunConfig("meta", ABS), uniform(100, 18))
+        k = next(k for k in range(1, 100)
+                 if len(log.expert_preds[k]) == len(log.expert_preds[k - 1]) >= 2)
+        preds = log.expert_preds[k]
+        log.expert_preds[k] = preds[:-1] if edit == "member-leaves" else preds + (0.5, 0.5)
+        checks = verify_bounds(log)
+        assert [c.name for c in checks if not c.passed] == ["one-entrant-per-step"]
+
     def test_expert_regret_requires_active_member(self):
         log = run(RunConfig("meta", ABS), uniform(100, 18))
         with pytest.raises(RejectedInputError):

@@ -8,6 +8,7 @@ the very same message: same row, same field, same value.
 
 import csv
 import io
+import re
 import shutil
 from unittest import mock
 
@@ -22,7 +23,11 @@ from egtree.errors import RejectedInputError
 from egtree.harness import (
     RunConfig,
     RunLog,
+    data_digest,
+    input_digest,
+    load_json,
     read_covariates,
+    read_input,
     read_run_log,
     read_series,
     run,
@@ -273,6 +278,71 @@ class TestSplitter:
 
 
 ABS = LossSpec("absolute")
+
+
+# both ends of [0, 1], a short .17g text, a tiny normal and the least subnormal
+edge_units = st.one_of(units, st.sampled_from([0.0, 1.0, 0.5, 1e-300, 5e-324]))
+
+
+class TestInputDigest:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([None, 1, 2, 3]).flatmap(lambda d: st.tuples(
+        st.just(d), st.lists(st.lists(edge_units, min_size=(d or 0) + 1,
+                                      max_size=(d or 0) + 1), min_size=1, max_size=30))),
+        blocks)
+    def test_written_inputs_hash_as_they_stand(self, tmp_path_factory, case, block):
+        d, table = case
+        table = np.array(table)
+        xs, ys = (None, table[:, 0]) if d is None else (table[:, :-1], table[:, -1])
+        path = tmp_path_factory.mktemp("input") / "in.csv"
+        if d is None:
+            write_series(path, ys)
+        else:
+            write_covariates(path, xs, ys)
+        want = data_digest(*read_input(path)[::-1])
+        # the digest a run records, from its own rendering of the covariates
+        assert run(RunConfig("eg" if d is None else "tree", ABS, d=d or 1),
+                   ys, xs).summary["data_digest"] == want
+        with mock.patch.object(harness, "_ROW_BLOCK", block), \
+                mock.patch.object(harness, "read_input", side_effect=AssertionError), \
+                mock.patch.object(harness, "data_digest", side_effect=AssertionError):
+            assert input_digest(path, want) == want
+        # any other expectation reads the file in full
+        assert input_digest(path, "0" * 64) == want
+
+
+class TestUndecodableInput:
+    """Bytes that do not decode are rejected, naming the file, wherever they lie."""
+
+    @pytest.mark.parametrize("reader, text", [
+        (read_series, b"t,y\n1,0.5\n\xff,0.25\n"),
+        (read_covariates, b"x1,y\n0.5,0.5\n0.25,\xff\n"),
+        (read_input, b"t,y\n1,0.5\n\xff,0.25\n"),
+        (read_input, b"x1,y\n0.5,\xff\n"),
+        (read_input, b"x\xff1,y\n0.5,0.5\n"),
+        (load_json, b'{"forecaster": "eg\xff"}'),
+        (read_covariates, b"x1,y\n" + b"0.25,0.5\n" * 20_000 + b"0.25,\xff\n"),
+    ])
+    def test_readers(self, tmp_path, reader, text):
+        path = tmp_path / "in"
+        path.write_bytes(text)
+        with pytest.raises(RejectedInputError, match=self.message(path)):
+            reader(path)
+        if reader is not load_json:  # the digest check reads the file in full
+            with pytest.raises(RejectedInputError, match=self.message(path)):
+                input_digest(path, "0" * 64)
+
+    @pytest.mark.parametrize("name", ["steps.csv", "summary.json"])
+    def test_run_log(self, tmp_path, name):
+        write_run_log(run(RunConfig("eg", ABS), [0.25, 0.5, 0.75]), tmp_path)
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        with pytest.raises(RejectedInputError, match=self.message(path)):
+            read_run_log(tmp_path)
+
+    @staticmethod
+    def message(path) -> str:
+        return rf"^{re.escape(str(path))} is not \S+ text: "
 
 
 @pytest.mark.parametrize("forecaster, d", [("eg", None), ("tree", 1), ("tree", 3),
