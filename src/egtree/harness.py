@@ -15,12 +15,15 @@ fields (the forecaster's ``trace()``) go into one flat list that is cut
 into columns after the loop.
 
 Every value is rendered or parsed once, and a canonical input not even
-once.  The writers take each column of a log or dataset once (``tolist``)
-and render a row with a single ``%`` format; no field ever needs CSV
-quoting.  The readers take a file a block of lines at a time and cut a
-block that ``csv.reader`` would split plainly with one ``str.split``; from
-the first block with a quote, a ``\\r``, a wrong field count or an
-oversized line on, ``csv.reader`` splits the rest (:func:`_column_blocks`).
+once.  The writers (the step log, series and covariate files, the
+report's per-step tables) and :func:`data_digest` take each column once
+(``tolist``) and render a block of ``_ROW_BLOCK`` rows with a single ``%``
+format (:func:`_rendered`); no field but a report's run name ever needs
+CSV quoting, and that one is quoted once per run.  The readers take a
+file a block of lines at a time and cut a block that ``csv.reader`` would
+split plainly with one ``str.split``; from the first block with a quote,
+a ``\\r``, a wrong field count or an oversized line on, ``csv.reader``
+splits the rest (:func:`_column_blocks`).
 :func:`read_input` tells a series from a covariate file by its header
 alone.  The values of a block are parsed as one array and range-checked at
 once; a block that fails is rescanned row by row for the first bad row,
@@ -74,13 +77,24 @@ STEP_COLUMNS = ("t", "x", "pred", "y", "loss", "leaf_h", "leaf_i",
                 "n_nodes", "height", "experts", "weights")
 
 
-_DIGEST_BLOCK = 4096   # rows hashed per sha256 update
-_ROW_BLOCK = 1024      # CSV rows read and transposed at a time
+_ROW_BLOCK = 1024      # CSV rows read, or rendered, at a time
 
 
 def fmt17(x: float) -> str:
     """Decimal rendering that round-trips IEEE doubles exactly."""
     return format(float(x), ".17g")
+
+
+def _rendered(row_format: str, columns):
+    """The text of the rows of ``columns``, one ``%`` format per block of rows.
+
+    ``columns`` are equal-length sequences, one per field of ``row_format``;
+    each block of ``_ROW_BLOCK`` rows is rendered as one string, so no text
+    is built row by row and the whole table is never one string.
+    """
+    for k in range(0, len(columns[0]), _ROW_BLOCK):
+        block = [column[k:k + _ROW_BLOCK] for column in columns]
+        yield row_format * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block)))
 
 
 def data_digest(ys, xs=None, *, x_text=None) -> str:
@@ -95,7 +109,9 @@ def data_digest(ys, xs=None, *, x_text=None) -> str:
     if x_text is not None:
         if len(x_text) != len(ys):
             raise RejectedInputError(f"{len(x_text)} covariate rows for {len(ys)} observations")
-        columns, formats = [x_text], ["%s"]
+        # rows rendered as "x1;..;xd;y\n", then respelled as "x1,..,xd,y;"
+        texts = (text.replace(";", ",").replace("\n", ";")
+                 for text in _rendered("%s;%.17g\n", [x_text, ys.tolist()]))
     else:
         columns = []
         if xs is not None:
@@ -105,16 +121,9 @@ def data_digest(ys, xs=None, *, x_text=None) -> str:
             if len(xs) != len(ys):
                 raise RejectedInputError(f"{len(xs)} covariate rows for {len(ys)} observations")
             columns = xs.T.tolist()
-        formats = ["%.17g"] * len(columns)
-    columns.append(ys.tolist())
-    row_format = ",".join(formats + ["%.17g"]) + ";"
+        texts = _rendered("%.17g," * len(columns) + "%.17g;", columns + [ys.tolist()])
     h = hashlib.sha256()
-    # one % format and one update per block of rows: never the whole file as one string
-    for k in range(0, len(ys), _DIGEST_BLOCK):
-        block = [column[k:k + _DIGEST_BLOCK] for column in columns]
-        if x_text is not None:
-            block[0] = [x.replace(";", ",") for x in block[0]]
-        text = row_format * len(block[-1]) % tuple(itertools.chain.from_iterable(zip(*block)))
+    for text in texts:
         h.update(text.encode())
     return h.hexdigest()
 
@@ -320,38 +329,44 @@ def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
 # -- log persistence -----------------------------------------------------
 
 # Every step-log field is an integer, a float, a 12-hex digest or
-# ";"-joined floats, so no field ever needs CSV quoting and a row is one
-# % format.
+# ";"-joined floats, so no field ever needs CSV quoting and a block of rows
+# is one % format.
 _STEP_ROW = "%d,%s,%.17g,%.17g,%.17g,%s,%s,%d,%d,%s,%s\n"
 
 
 def _joined17(tuples) -> list:
-    """The ``;``-joined .17g text of each tuple of floats."""
+    """The ``;``-joined .17g text of each tuple of floats.
+
+    A block of tuples is rendered by one ``%`` format, joined from the
+    format of each tuple's length with a line end between tuples, and the
+    text is cut at the line ends.
+    """
     if not any(tuples):  # no run but a mixture logs members
         return [""] * len(tuples)
-    formats = {}
+    formats = {k: ";".join(["%.17g"] * k) for k in set(map(len, tuples))}
     out = []
-    for values in tuples:
-        values = tuple(values)
-        fmt = formats.get(len(values))
-        if fmt is None:
-            fmt = formats[len(values)] = ";".join(["%.17g"] * len(values))
-        out.append(fmt % values)
+    for k in range(0, len(tuples), _ROW_BLOCK):
+        block = tuples[k:k + _ROW_BLOCK]
+        block_format = "\n".join(map(formats.__getitem__, map(len, block)))
+        out += (block_format % tuple(itertools.chain.from_iterable(block))).split("\n")
     return out
+
+
+def _leaf_column(values: np.ndarray) -> list:
+    """A leaf column's cells: its integers, and no text where no leaf is logged (-1)."""
+    return np.where(values < 0, "", values.astype(object)).tolist()
 
 
 def write_run_log(log: RunLog, outdir) -> None:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    leaf_h = ["" if v < 0 else v for v in log.leaf_h.tolist()]
-    leaf_i = ["" if v < 0 else v for v in log.leaf_i.tolist()]
-    rows = zip(log.t.tolist(), log.x_text, log.preds.tolist(), log.ys.tolist(),
-               log.losses.tolist(), leaf_h, leaf_i, log.n_nodes.tolist(),
-               log.height.tolist(), _joined17(log.expert_preds),
-               _joined17(log.expert_weights))
+    columns = [log.t.tolist(), log.x_text, log.preds.tolist(), log.ys.tolist(),
+               log.losses.tolist(), _leaf_column(log.leaf_h), _leaf_column(log.leaf_i),
+               log.n_nodes.tolist(), log.height.tolist(), _joined17(log.expert_preds),
+               _joined17(log.expert_weights)]
     with open(outdir / "steps.csv", "w", newline="") as fh:
         fh.write(",".join(STEP_COLUMNS) + "\n")
-        fh.writelines(_STEP_ROW % row for row in rows)
+        fh.writelines(_rendered(_STEP_ROW, columns))
     with open(outdir / "summary.json", "w") as fh:
         json.dump(log.summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -545,7 +560,7 @@ def write_series(path, ys) -> None:
     ys = np.asarray(ys, dtype=float)
     with open(path, "w", newline="") as fh:
         fh.write("t,y\n")
-        fh.writelines("%d,%.17g\n" % row for row in enumerate(ys.tolist(), start=1))
+        fh.writelines(_rendered("%d,%.17g\n", [range(1, len(ys) + 1), ys.tolist()]))
 
 
 def _parse_unit(cell: str, row_no: int, what: str) -> float:
@@ -604,15 +619,17 @@ def read_series(path) -> np.ndarray:
 
 
 def write_covariates(path, xs, ys) -> None:
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    """Write an ``x1,..,xd,y`` CSV; a one-dimensional ``xs`` is one covariate."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim == 1:
+        xs = xs[:, None]
     ys = np.asarray(ys, dtype=float)
     if len(xs) != len(ys):
         raise RejectedInputError(f"{len(xs)} covariate rows for {len(ys)} observations")
     d = xs.shape[1]
-    row_format = ",".join(["%.17g"] * (d + 1)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join([f"x{j + 1}" for j in range(d)] + ["y"]) + "\n")
-        fh.writelines(row_format % row for row in zip(*xs.T.tolist(), ys.tolist()))
+        fh.writelines(_rendered("%.17g," * d + "%.17g\n", xs.T.tolist() + [ys.tolist()]))
 
 
 def read_covariates(path):
@@ -724,20 +741,21 @@ def _check_loss_args(loss: LossSpec, preds: np.ndarray, ys: np.ndarray) -> None:
         loss.value(preds[k].item(), ys[k].item())  # raises the scalar check's message
 
 
-def _pool_sizes(log: RunLog) -> np.ndarray:
-    """The number of member predictions logged at each step."""
-    return np.fromiter(map(len, log.expert_preds), np.int64, len(log.expert_preds))
+def _pool_sizes(members: list) -> np.ndarray:
+    """The number of member values (predictions or weights) logged at each step."""
+    return np.fromiter(map(len, members), np.int64, len(members))
 
 
 def expert_regret(log: RunLog, d: int, sizes=None) -> float:
     """Cumulative loss gap of the mixture versus its order-d member.
 
-    ``sizes`` are the log's pool sizes (:func:`_pool_sizes`), found here
-    when not given: a caller that asks for several orders finds them once.
+    ``sizes`` are the log's pool sizes (:func:`_pool_sizes` of its member
+    predictions), found here when not given: a caller that asks for several
+    orders finds them once.
     """
     loss = RunConfig.from_dict(log.summary["config"]).loss
     if sizes is None:
-        sizes = _pool_sizes(log)
+        sizes = _pool_sizes(log.expert_preds)
     steps = np.flatnonzero(sizes >= d)
     if not steps.size:
         raise RejectedInputError(f"order-{d} member was never active in this run")
@@ -819,7 +837,7 @@ def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCh
         worst = np.max(deviations or [0.0])
         checks.append(BoundCheck("weight-simplex", 1e-12, worst, worst <= 1e-12,
                                  "mixture weights sum to 1 at every step"))
-        sizes = _pool_sizes(log)
+        sizes = _pool_sizes(log.expert_preds)
         entrants = np.diff(sizes)
         steps_ok = bool(np.all((entrants >= 0) & (entrants <= 1)))
         checks.append(BoundCheck("one-entrant-per-step", 1.0, float(steps_ok), steps_ok))
@@ -872,13 +890,13 @@ def report(run_dirs, outdir) -> dict:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
-    growth_lines = []
-    weight_lines = []
+    growth_text = []
+    weight_text = []
     for path in run_dirs:
         log = read_run_log(path)
         s = log.summary
         T = s["T"]
-        name = path.name
+        name = path.name or path.resolve().name  # "." names the directory it stands for
         rows.append({
             "run": name,
             "forecaster": RunConfig.from_dict(s["config"]).forecaster,
@@ -889,14 +907,19 @@ def report(run_dirs, outdir) -> dict:
             "n_nodes": s["final"]["n_nodes"],
             "height": s["final"]["height"],
         })
-        t_col = log.t.tolist()
         run_field = _csv_field(name).replace("%", "%%")
-        growth_format = run_field + ",%d,%d,%d\n"
-        growth_lines += [growth_format % row for row in zip(t_col, log.n_nodes.tolist(),
-                                                            log.height.tolist())]
-        weight_format = run_field + ",%d,%d,%.17g\n"
-        for t, weights in zip(t_col, log.expert_weights):
-            weight_lines += [weight_format % (t, d, w) for d, w in enumerate(weights, start=1)]
+        t_col = log.t.tolist()
+        growth_text += _rendered(run_field + ",%d,%d,%d\n",
+                                 [t_col, log.n_nodes.tolist(), log.height.tolist()])
+        # one row per member weight: t repeated by the pool size, d = 1..size;
+        # repeating t_col's own ints, not new ones, keeps a column one pointer a row
+        sizes = _pool_sizes(log.expert_weights)
+        if sizes.any():
+            chained = itertools.chain.from_iterable
+            weight_text += _rendered(run_field + ",%d,%d,%.17g\n", [
+                list(chained(map(itertools.repeat, t_col, sizes.tolist()))),
+                list(chained(map(range, itertools.repeat(1), (sizes + 1).tolist()))),
+                list(chained(log.expert_weights))])
 
     with open(outdir / "runs.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -920,10 +943,10 @@ def report(run_dirs, outdir) -> dict:
 
     with open(outdir / "node_growth.csv", "w", newline="") as fh:
         fh.write("run,t,n_nodes,height\n")
-        fh.writelines(growth_lines)
+        fh.writelines(growth_text)
 
-    if weight_lines:
+    if weight_text:
         with open(outdir / "weights.csv", "w", newline="") as fh:
             fh.write("run,t,d,weight\n")
-            fh.writelines(weight_lines)
+            fh.writelines(weight_text)
     return {"runs": rows, "groups": {f"{fc}/T={T}": len(v) for (fc, T), v in by_group.items()}}

@@ -5,13 +5,16 @@
 * The box of a tree node rebuilt from its ``(h, i)`` path bits, the
   independent geometry that routing and the stored cuts are checked against,
   and the count of the nodes a tree has built.
-* Row-by-row CSV readers, the ``csv.reader`` block transposition and a
-  ``csv.writer`` step-log writer: the straightforward versions of the
-  column-wise I/O in :mod:`egtree.harness`, which must match them message
-  for message and byte for byte.
+* Row-by-row CSV readers, the ``csv.reader`` block transposition,
+  ``csv.writer`` writers of every file and table the harness writes, and a
+  row-by-row data digest: the straightforward versions of the block-wise
+  I/O in :mod:`egtree.harness`, which must match them message for message
+  and byte for byte.
 """
 
 import csv
+import hashlib
+import io
 import itertools
 import math
 from pathlib import Path
@@ -213,3 +216,51 @@ def write_steps_csv(log, path) -> None:
                 ";".join(fmt17(v) for v in log.expert_preds[k]),
                 ";".join(fmt17(v) for v in log.expert_weights[k]),
             ))
+
+
+def csv_text(header, rows) -> str:
+    """``header`` and ``rows`` as ``csv.writer`` writes them, one row at a time."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)
+    return out.getvalue()
+
+
+def series_csv(ys) -> str:
+    return csv_text(("t", "y"), ((t, fmt17(y)) for t, y in enumerate(ys, start=1)))
+
+
+def covariates_csv(xs, ys) -> str:
+    """A covariate file's text; ``xs`` is a list of rows."""
+    d = len(xs[0]) if len(xs) else 0
+    return csv_text([f"x{j + 1}" for j in range(d)] + ["y"],
+                    ([fmt17(x) for x in row] + [fmt17(y)] for row, y in zip(xs, ys)))
+
+
+def data_digest(ys, xs=None, x_text=None) -> str:
+    """sha256 of ``x1,..,xd,y;`` per row, hashed a row at a time."""
+    h = hashlib.sha256()
+    for k, y in enumerate(ys):
+        if x_text is not None:
+            cells = x_text[k].split(";")
+        else:
+            cells = [] if xs is None else [fmt17(x) for x in xs[k]]
+        h.update((",".join(cells + [fmt17(y)]) + ";").encode())
+    return h.hexdigest()
+
+
+def node_growth_csv(named_logs) -> str:
+    """The report's ``node_growth.csv`` of ``(run name, log)`` pairs."""
+    return csv_text(("run", "t", "n_nodes", "height"),
+                    ((name, int(log.t[k]), int(log.n_nodes[k]), int(log.height[k]))
+                     for name, log in named_logs for k in range(len(log))))
+
+
+def weights_csv(named_logs) -> str:
+    """The report's ``weights.csv``: one row per logged member weight."""
+    return csv_text(("run", "t", "d", "weight"),
+                    ((name, int(log.t[k]), d, fmt17(w))
+                     for name, log in named_logs for k in range(len(log))
+                     for d, w in enumerate(log.expert_weights[k], start=1)))

@@ -80,6 +80,21 @@ def test_run_verify_report_pipeline(markov_spec, tmp_path, capsys):
     assert (tables / "runs.csv").exists()
 
 
+def test_report_from_inside_the_run_directory(markov_spec, tmp_path, capsys, monkeypatch):
+    series = tmp_path / "series.csv"
+    main(["simulate", "--spec", str(markov_spec), "--T", "50", "--out", str(series)])
+    rundir = tmp_path / "run-meta"
+    assert main(["run", "--input", str(series), "--out", str(rundir),
+                 "--forecaster", "meta"]) == 0
+    capsys.readouterr()
+    monkeypatch.chdir(rundir)
+    assert main(["report", "--out", "t", "."]) == 0
+    assert capsys.readouterr().out.startswith("run-meta: meta T=50 ")
+    for table in ("runs.csv", "node_growth.csv", "weights.csv"):
+        rows = (rundir / "t" / table).read_text().splitlines()[1:]
+        assert rows and all(row.startswith("run-meta,") for row in rows), table
+
+
 def test_verify_refuses_mismatched_input(markov_spec, tmp_path, capsys):
     series = tmp_path / "series.csv"
     other = tmp_path / "other.csv"

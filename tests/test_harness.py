@@ -17,6 +17,7 @@ from egtree.harness import (
     data_digest,
     expert_regret,
     fmt17,
+    input_digest,
     read_covariates,
     read_run_log,
     read_series,
@@ -298,6 +299,19 @@ class TestCsvFormats:
         write_covariates(path, xs, ys)
         xs2, ys2 = read_covariates(path)
         assert np.array_equal(xs2, xs) and np.array_equal(ys2, ys)
+
+    def test_flat_covariates_are_one_column(self, tmp_path):
+        # as in run and data_digest, a one-dimensional xs is one covariate
+        xs, ys = [0.1, 0.2, 0.3], uniform(3, 10)
+        path = tmp_path / "cov.csv"
+        write_covariates(path, xs, ys)
+        assert path.read_text().splitlines()[0] == "x1,y"
+        xs2, ys2 = read_covariates(path)
+        assert xs2.shape == (3, 1)
+        assert np.array_equal(xs2[:, 0], xs) and np.array_equal(ys2, ys)
+        assert input_digest(path, "0" * 64) == data_digest(ys, xs)
+        with pytest.raises(RejectedInputError, match="2 covariate rows for 3 observations"):
+            write_covariates(path, xs[:2], ys)
 
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -592,6 +606,15 @@ class TestReport:
     def test_requires_runs(self, tmp_path):
         with pytest.raises(RejectedInputError):
             report([], tmp_path)
+
+    def test_a_rejected_run_leaves_no_tables(self, tmp_path):
+        for name in ("good", "bad"):
+            write_run_log(run(RunConfig("meta", ABS), uniform(50, 4)), tmp_path / name)
+        steps = tmp_path / "bad" / "steps.csv"
+        steps.write_text(steps.read_text().replace("\n30,", "\n31,", 1))
+        with pytest.raises(RejectedInputError, match="row 31: t is 31, expected 30"):
+            report([tmp_path / "good", tmp_path / "bad"], tmp_path / "tables")
+        assert not list((tmp_path / "tables").iterdir())
 
     def test_table_bytes_are_pinned(self, tmp_path):
         # digests of the tables written by the row-by-row report this one replaced

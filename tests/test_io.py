@@ -1,12 +1,13 @@
 """The CSV readers and writers against their row-by-row references.
 
-Writers must round-trip every double exactly and, for the step log, write
-the bytes a ``csv.writer`` would.  Readers must return what the
+Writers must round-trip every double exactly and write the bytes a
+``csv.writer`` would, however their rows fall into rendered blocks.  Readers must return what the
 row-by-row readers in ``reference`` return, and on a damaged file raise
 the very same message: same row, same field, same value.
 """
 
 import csv
+import functools
 import io
 import re
 import shutil
@@ -30,6 +31,7 @@ from egtree.harness import (
     read_input,
     read_run_log,
     read_series,
+    report,
     run,
     write_covariates,
     write_run_log,
@@ -357,3 +359,75 @@ def test_log_writer_matches_csv_writer(tmp_path, forecaster, d):
     written = (tmp_path / "steps.csv").read_bytes()
     assert written.count(b"\n") == 701
     assert written == (tmp_path / "reference.csv").read_bytes()
+
+
+# T one row short of, at and one past a rendered block of rows
+BOUNDARIES = [(block, block + k) for block in (1, 2, 5, harness._ROW_BLOCK)
+              for k in (-1, 0, 1) if block + k > 0]
+
+
+@functools.lru_cache(maxsize=None)
+def logged(forecaster: str, T: int) -> RunLog:
+    """A run of ``forecaster`` on T uniform steps; a tree has d = 2."""
+    rng = np.random.default_rng(T)
+    ys = rng.random(T)
+    return run(RunConfig(forecaster, ABS, d=2), ys,
+               rng.random((T, 2)) if forecaster == "tree" else None)
+
+
+@pytest.mark.parametrize("block, T", BOUNDARIES)
+class TestRenderedBlocks:
+    """Each block-rendered file, table and digest against its row-by-row reference."""
+
+    def test_series(self, tmp_path, block, T):
+        ys = np.random.default_rng(T).random(T)
+        with mock.patch.object(harness, "_ROW_BLOCK", block):
+            write_series(tmp_path / "s.csv", ys)
+        assert (tmp_path / "s.csv").read_text() == reference.series_csv(ys.tolist())
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_covariates(self, tmp_path, block, T, d):
+        rng = np.random.default_rng(T)
+        xs, ys = rng.random((T, d)), rng.random(T)
+        with mock.patch.object(harness, "_ROW_BLOCK", block):
+            write_covariates(tmp_path / "c.csv", xs, ys)
+        assert (tmp_path / "c.csv").read_text() == reference.covariates_csv(xs.tolist(),
+                                                                            ys.tolist())
+
+    def test_data_digest(self, block, T):
+        rng = np.random.default_rng(T)
+        xs, ys = rng.random((T, 2)), rng.random(T)
+        x_text = [";".join(f"{v:.17g}" for v in row) for row in xs.tolist()]
+        with mock.patch.object(harness, "_ROW_BLOCK", block):
+            digests = [data_digest(ys), data_digest(ys, xs), data_digest(ys, x_text=x_text)]
+        assert digests == [reference.data_digest(ys), reference.data_digest(ys, xs),
+                           reference.data_digest(ys, x_text=x_text)]
+        assert digests[1] == digests[2]
+
+    @pytest.mark.parametrize("forecaster", ["eg", "tree", "meta"])
+    def test_run_log(self, tmp_path, block, T, forecaster):
+        log = logged(forecaster, T)
+        if forecaster == "meta" and min(block, T) > 1:  # a member enters inside a block
+            assert len(set(map(len, log.expert_weights[:block]))) > 1
+        with mock.patch.object(harness, "_ROW_BLOCK", block):
+            write_run_log(log, tmp_path)
+        reference.write_steps_csv(log, tmp_path / "reference.csv")
+        assert (tmp_path / "steps.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_report(self, tmp_path, block, T):
+        # one run name csv must quote, with a % that is text; only meta logs
+        # weights, and its first member enters at step 2
+        names = {"eg": "eg", "tree": 'a,b"c%d', "meta": "meta%s"}
+        named_logs = [(names[f], logged(f, T)) for f in ("eg", "tree", "meta")]
+        for name, log in named_logs:
+            write_run_log(log, tmp_path / name)
+        tables = tmp_path / "tables"
+        with mock.patch.object(harness, "_ROW_BLOCK", block):
+            report([tmp_path / name for name, _ in named_logs], tables)
+        assert (tables / "node_growth.csv").read_text() == reference.node_growth_csv(named_logs)
+        if T == 1:
+            assert not (tables / "weights.csv").exists()
+            return
+        weights = (tables / "weights.csv").read_text()
+        assert weights == reference.weights_csv(named_logs)
+        assert {row[0] for row in csv.reader(io.StringIO(weights))} == {"run", "meta%s"}
