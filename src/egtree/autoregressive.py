@@ -24,7 +24,6 @@ and never re-checks it.
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 from .errors import ContractViolationError, RejectedInputError, positive_int
@@ -88,14 +87,14 @@ class LaggedForecaster:
     def update(self, outcome: float) -> None:
         self.tree.update(outcome)
 
-    def trace(self) -> dict:
+    def trace(self) -> tuple:
         return self.tree.trace()
 
 
 class MetaForecaster:
     """Exponentially weighted mixture over a growing pool of lag orders."""
 
-    TRACED = ("x", "n_nodes", "height", "experts", "weights")  # step-log columns, in order
+    TRACED = ("n_nodes", "height", "experts", "weights")  # step-log columns, in order
 
     def __init__(
         self,
@@ -115,7 +114,6 @@ class MetaForecaster:
         self._next_entry = entry_step(schedule, 1)  # None once max_d is reached
         self._pending = None  # (member predictions, weights) awaiting the outcome
         self._last = None     # the same pair for the last completed step
-        self._history_text: list = []  # .17g text of history, filled by trace()
 
     @property
     def n_active(self) -> int:
@@ -166,14 +164,9 @@ class MetaForecaster:
             self._admit()
 
     def trace(self) -> tuple:
-        """The last step's log fields in ``TRACED`` order; ``x`` digests the lag window it mixed."""
+        """The last step's log fields in ``TRACED`` order; the log's ``y`` has its lag windows."""
         preds, weights = self._last
-        text = self._history_text
-        text.extend([format(v, ".17g") for v in self.history[len(text):]])
-        # the window the members saw: the observations before the step's outcome
-        window = text[-len(preds) - 1:-1] if preds else []
-        return (hashlib.sha256(",".join(window).encode()).hexdigest()[:12],
-                sum([tree.n_nodes for tree in self.experts]) or 1,
+        return (sum([tree.n_nodes for tree in self.experts]) or 1,
                 max([tree.height for tree in self.experts], default=0), preds, weights)
 
     def _admit(self) -> None:

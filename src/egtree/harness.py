@@ -10,9 +10,9 @@ and two identical runs produce byte-identical step files.
 
 :func:`run` checks its inputs as whole arrays before the first step and
 then drives every forecaster through one loop; a tree takes its checked
-covariate rows through ``PartitionTree._predict``, and each step's log
-fields (the forecaster's ``trace()``) go into one flat list that is cut
-into columns after the loop.
+covariate rows through ``PartitionTree._predict``.  Each step's log fields
+(``trace()``) go into one flat list, cut into columns after the loop, where
+the harness renders a tree run's rows as its ``x`` cells (others are empty).
 
 Every value is rendered or parsed once, and a canonical input not even
 once.  The writers (the step log, series and covariate files, the
@@ -97,13 +97,23 @@ def _rendered(row_format: str, columns):
         yield row_format * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block)))
 
 
+def _covariate_columns(xs, ys) -> list:
+    """The columns of ``xs``, one row per observation of ``ys``; a 1-D ``xs`` is one column."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim == 1:
+        xs = xs[:, None]
+    if len(xs) != len(ys):
+        raise RejectedInputError(f"{len(xs)} covariate rows for {len(ys)} observations")
+    return xs.T.tolist()
+
+
 def data_digest(ys, xs=None, *, x_text=None) -> str:
     """Canonical digest of a dataset, independent of CSV cosmetics.
 
     The digest covers the text ``x1,..,xd,y;`` of every row, each value
     rendered by :func:`fmt17`; a one-dimensional ``xs`` is one covariate.
-    ``x_text`` stands in for ``xs`` when the covariate rows are already
-    rendered: the ``;``-joined ``.17g`` text of a tree run's ``x`` column.
+    ``x_text`` stands in for ``xs`` when the rows are already rendered as
+    the ``x`` cells :func:`run` writes, ``x1;..;xd`` with each value by ``fmt17``.
     """
     ys = np.asarray(ys, dtype=float)
     if x_text is not None:
@@ -113,14 +123,7 @@ def data_digest(ys, xs=None, *, x_text=None) -> str:
         texts = (text.replace(";", ",").replace("\n", ";")
                  for text in _rendered("%s;%.17g\n", [x_text, ys.tolist()]))
     else:
-        columns = []
-        if xs is not None:
-            xs = np.asarray(xs, dtype=float)
-            if xs.ndim == 1:
-                xs = xs[:, None]
-            if len(xs) != len(ys):
-                raise RejectedInputError(f"{len(xs)} covariate rows for {len(ys)} observations")
-            columns = xs.T.tolist()
+        columns = [] if xs is None else _covariate_columns(xs, ys)
         texts = _rendered("%.17g," * len(columns) + "%.17g;", columns + [ys.tolist()])
     h = hashlib.sha256()
     for text in texts:
@@ -197,7 +200,7 @@ class RunLog:
     """Per-step records plus the run summary."""
 
     t: np.ndarray
-    x_text: list
+    x_text: list            # a tree run's covariate rows, "x1;..;xd"; "" elsewhere
     preds: np.ndarray
     ys: np.ndarray
     losses: np.ndarray
@@ -245,7 +248,8 @@ def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
     floats and does not check them again.  Each step's fields, in the
     order of the forecaster's ``TRACED``, go into one flat list that is cut
     into columns after the loop, where ``LossSpec.value_array`` (the floats
-    of ``LossSpec.value``) computes the losses.  With ``save_state`` the final
+    of ``LossSpec.value``) computes the losses and a tree run's covariate
+    rows become its ``x`` cells, ``x1;..;xd``.  With ``save_state`` the final
     tree of a tree run is embedded in the summary for later
     snapshot/restore; no other forecaster can save its state yet.
     """
@@ -276,7 +280,8 @@ def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
         points, predict = itertools.repeat(None, T), forecaster.predict
     else:
         # the rows checked above, as tuples of Python floats
-        points, predict = zip(*xs.T.tolist()), forecaster._predict
+        x_columns = xs.T.tolist()
+        points, predict = zip(*x_columns), forecaster._predict
     update, traced = forecaster.update, forecaster.trace
     # the fields of every step in one flat list: no container per step
     # outlives its step, so the loop adds no work for the garbage collector
@@ -292,6 +297,10 @@ def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
     width = len(forecaster.TRACED)
     columns.update((name, fields[j::width]) for j, name in enumerate(forecaster.TRACED))
     del fields  # the columns hold every field now
+    if xs is not None:  # each covariate row as "x1;..;xd", a block of rows per % format
+        x_text = columns["x"] = []
+        for text in _rendered(";".join(["%.17g"] * config.d) + "\n", x_columns):
+            x_text += text[:-1].split("\n")  # no cell after the block's last line end
     preds = np.array(preds)
     losses = config.loss.value_array(preds, ys)
     cumulative = 0.0
@@ -328,9 +337,8 @@ def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
 
 # -- log persistence -----------------------------------------------------
 
-# Every step-log field is an integer, a float, a 12-hex digest or
-# ";"-joined floats, so no field ever needs CSV quoting and a block of rows
-# is one % format.
+# Every step-log field is an integer, a float, ";"-joined floats or empty,
+# so no field ever needs CSV quoting and a block of rows is one % format.
 _STEP_ROW = "%d,%s,%.17g,%.17g,%.17g,%s,%s,%d,%d,%s,%s\n"
 
 
@@ -492,8 +500,8 @@ def read_run_log(outdir) -> RunLog:
     its block, so the rows above it are checked first.  Within a block, a
     cell that does not parse, or holds an integer beyond 64 bits, comes
     first (columns in log order, then rows), then a step number out of
-    sequence.  A step count that differs from the summary's ``T`` is found
-    last.
+    sequence, then a step with more or fewer ``experts`` than ``weights``.
+    A step count that differs from the summary's ``T`` is found last.
     """
     outdir = Path(outdir)
     path = outdir / "summary.json"
@@ -541,6 +549,12 @@ def read_run_log(outdir) -> RunLog:
                 k = bad[0]
                 raise RejectedInputError(
                     f"row {row_no + k}: t is {t[k]}, expected {row_no - 1 + k}")
+            # equal lists (all () where no step logs members) hold equal counts
+            experts, weights = (parsed[-1] for parsed in blocks[-2:])
+            if experts != weights and list(map(len, experts)) != list(map(len, weights)):
+                k = next(k for k, (e, w) in enumerate(zip(experts, weights)) if len(e) != len(w))
+                raise RejectedInputError(f"row {row_no + k}: {len(experts[k])} experts but "
+                                         f"{len(weights[k])} weights")
     if not blocks[0]:
         raise RejectedInputError("step log is empty")
     t, x, pred, y, loss, leaf_h, leaf_i, n_nodes, height, experts, weights = [
@@ -620,16 +634,12 @@ def read_series(path) -> np.ndarray:
 
 def write_covariates(path, xs, ys) -> None:
     """Write an ``x1,..,xd,y`` CSV; a one-dimensional ``xs`` is one covariate."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[:, None]
     ys = np.asarray(ys, dtype=float)
-    if len(xs) != len(ys):
-        raise RejectedInputError(f"{len(xs)} covariate rows for {len(ys)} observations")
-    d = xs.shape[1]
+    columns = _covariate_columns(xs, ys)
+    d = len(columns)
     with open(path, "w", newline="") as fh:
         fh.write(",".join([f"x{j + 1}" for j in range(d)] + ["y"]) + "\n")
-        fh.writelines(_rendered("%.17g," * d + "%.17g\n", xs.T.tolist() + [ys.tolist()]))
+        fh.writelines(_rendered("%.17g," * d + "%.17g\n", columns + [ys.tolist()]))
 
 
 def read_covariates(path):

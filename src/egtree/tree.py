@@ -35,9 +35,9 @@ The public ``predict`` and ``route`` check their point; ``predict`` then
 hands it to the private ``_predict``, the only prediction code.  A caller
 that has already checked its points calls ``_predict`` directly, with a
 tuple of ``d`` floats in [0, 1]: :func:`egtree.harness.run`, which checks a
-tree run's covariates as one array before the first step, and
+tree run's covariates as one array up front and logs them itself, and
 :class:`~egtree.autoregressive.MetaForecaster`, whose member trees take
-lag windows of outcomes it has checked.
+lag windows of outcomes it has checked; ``trace`` omits the point.
 """
 
 from __future__ import annotations
@@ -77,10 +77,6 @@ class TreeNode:
         self.obs_lo = None  # per-coordinate min of observed covariates
         self.obs_hi = None  # per-coordinate max, effective-range mode only
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.c is None
-
 
 class PartitionTree:
     """Covariate-partitioning forecaster over [0,1]^d.
@@ -89,7 +85,7 @@ class PartitionTree:
     followed by exactly one ``update``, applied to the predicting leaf.
     """
 
-    TRACED = ("x", "leaf_h", "leaf_i", "n_nodes", "height")  # step-log columns, in order
+    TRACED = ("leaf_h", "leaf_i", "n_nodes", "height")  # step-log columns, in order
 
     def __init__(self, d: int, loss: LossSpec, effective_range: bool = False):
         self.d = positive_int(d, "dimension")
@@ -101,7 +97,6 @@ class PartitionTree:
         self.height = 0
         self._split_at = [1.0 / d]  # count + 1 that splits a depth-h box
         self._cuts = [(0, 1.0)]     # (c, 2^k) of a depth-h box, k = h // d
-        self._x_format = ";".join(["%.17g"] * d)  # a point as log text
         self._pending = None  # (leaf, point, prediction) awaiting its outcome
         self._last = None     # the same triple for the last completed step
 
@@ -213,9 +208,9 @@ class PartitionTree:
             cuts.append((r, math.ldexp(1.0, k)))
 
     def trace(self) -> tuple:
-        """The last step's log fields in ``TRACED`` order: its point, its leaf, the tree's size."""
-        leaf, x, _ = self._last
-        return self._x_format % x, leaf.h, leaf.i, self.n_nodes, self.height
+        """The last step's log fields in ``TRACED`` order: its leaf, the tree's size."""
+        leaf = self._last[0]
+        return leaf.h, leaf.i, self.n_nodes, self.height
 
     # -- inspection ------------------------------------------------------
 

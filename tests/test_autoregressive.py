@@ -214,7 +214,8 @@ class TestLaggedForecaster:
             LaggedForecaster(d=3, start=3, loss=ABS)
 
     def test_window_is_the_most_recent_lags_oldest_first(self):
-        ex = LaggedForecaster(d=2, start=3, loss=ABS)
+        # an effective-range leaf records the points it observed, in order
+        ex = LaggedForecaster(d=2, start=3, loss=ABS, effective_range=True)
         history = [0.1, 0.9, 0.3]
         ex.predict(history)
         leaf = ex.tree.route((0.9, 0.3))
@@ -222,7 +223,7 @@ class TestLaggedForecaster:
         assert ex.trace() == ex.tree.trace()
         step = traced(ex.tree)
         assert (step["leaf_h"], step["leaf_i"]) == (leaf.h, leaf.i)
-        assert step["x"] == "0.90000000000000002;0.29999999999999999"
+        assert leaf.obs_lo == leaf.obs_hi == [0.9, 0.3]
 
     def test_short_history_rejected(self):
         ex = LaggedForecaster(d=4, start=5, loss=ABS)

@@ -318,6 +318,26 @@ def test_damaged_step_log_cell_exits_two(markov_spec, tmp_path, capsys):
     assert "is not valid JSON" in capsys.readouterr().err
 
 
+def test_member_count_mismatch_exits_two(tmp_path, capsys):
+    # one member prediction more than the step has weights
+    series = tmp_path / "series.csv"
+    write_series(series, np.random.default_rng(3).random(300))
+    rundir = tmp_path / "run"
+    assert main(["run", "--input", str(series), "--out", str(rundir),
+                 "--forecaster", "meta"]) == 0
+    steps = rundir / "steps.csv"
+    lines = steps.read_text().splitlines()
+    fields = lines[-1].split(",")
+    fields[9] += ";0.5"  # the experts cell of row 301
+    steps.write_text("\n".join(lines[:-1] + [",".join(fields)]) + "\n")
+    capsys.readouterr()
+    assert main(["verify-bounds", "--out", str(rundir), "--L", "1.0"]) == 2
+    assert main(["report", "--out", str(tmp_path / "tables"), str(rundir)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: row 301: 9 experts but 8 weights"] * 2
+    assert not (rundir / "bounds.json").exists()
+
+
 def test_step_log_integer_beyond_int64_exits_two(tmp_path, capsys):
     series = tmp_path / "series.csv"
     write_series(series, [0.2, 0.4, 0.9, 0.1])

@@ -59,16 +59,16 @@ GOLDEN = {
         "a36598f62749eeb9dd383e2196ad9458af61597c17e90cbb0be6b21928c031d1",
         "d27d23340daa28fb14e2206a8b7373aa5f1193437ecf9f6fcdd543d13a9c3e81"),
     "meta-powers_of_two-box-absolute": (
-        "65c5f51fe9c5047928a808deb12e2b0b0afa291e1523515fd791a684bd1d8219",
+        "dbcc329907fbe3827badee75046761e7ed297480ced8dfbe6776f80bac7f4e53",
         "23fa1d338c84663b085531917572e986d688bf4afa1ed705f687317a04d62634"),
     "meta-powers_of_two-range-absolute": (
-        "6e51a44a2631896d2110be5564079c2102acc1472df4396a437997cbde37546c",
+        "d5f0a58c370e784b29c0d4e72027407bcd980e614480f19222695dcd20fe9700",
         "2cb8c67575ec09738cfdb355cf3c059f0370f69bd1be39090e65a0ef881f2662"),
     "meta-quadratic-box-absolute": (
-        "74a3dda99f24c790e12be2f298cc6d5b96d5324be136e4afece1b69ae0018876",
+        "c0edcb6d85bc86111aca6a8769b38309c203b0c950d78ca4a3f48c16772e6c6a",
         "620deb315a924fac17ceb5eae4141aa23bdbe0b02b303087996058a92fe1bd6d"),
     "meta-quadratic-range-absolute": (
-        "650e9332128793d175d01e6ea0ea6d438c9c0765ade004ff1741adb429e6a627",
+        "876840d2c0d356f238edcc454ba85ff340943ea34307ec98606b6e500264fe6a",
         "dd7420a4aba600f410928a39ff3b8ed9b9e4074665ef6fedb8762159b0d793a9"),
     "eg-square": (
         "c07239e1aba8df5e8a0873f7de11a0be5b4b3e274269d4b3ee0a8fc2bac37295",
@@ -86,16 +86,16 @@ GOLDEN = {
         "60fc55e727636ae2eee5cd0fb64c500aec77654a7f903e5cc8ca1d964cb21cb5",
         "07f6ab3e479d3f918b9dcc821779394205fb8206a2b04b5bb50a71d77a13faeb"),
     "meta-powers_of_two-box-square": (
-        "8e3c34fb8f933e298d053d8e52f59c16b721fc376f6e47b1cb6e8ffd86bcb2b0",
+        "13efb8bea5e4845df536b98203d78c00a96005d901d6e4b174b300cf53fbe395",
         "f890adbc6edbef847f262a1875249f553af2e9c63962c1b5850335249be27e61"),
     "meta-powers_of_two-range-square": (
-        "0575566ed6610ebd9db0d3fa51aa6aeb38b9e8c8de73354a1d8b72be4d916d61",
+        "c3d95d24d542feb7e872ea75610b8ba24852bb1a99f313c4069c8763697a0062",
         "ea9de4e6c0444410ec24f11c54ad1b817702b643b002307c76fbef70786c4d42"),
     "meta-quadratic-box-square": (
-        "afb1c89fee2a5034f9e7b7094cd87caca3af93775ff2e9795a6f0168d2221d64",
+        "584d9d63e332a5c7f598fc280ac948e4aaa1b88a416e300546488ec0d283bd5d",
         "cba9cff83d6d349acb4bb0af65f4a851beb19db368190569752c2955c492bfa1"),
     "meta-quadratic-range-square": (
-        "b02a306ab860fa6ed20e0f433b8a51157eb9be0551ed8bb0f8fbd487b0889b2b",
+        "a3a47d9dce25fbf8f76589581d0a38f4c5bbef87d2feec9431d701dc8b92f0f8",
         "2dbecf93fab5f82a4ee5b5a9265d9f8a799591167a4867e9cc59bbe94b2020f9"),
     "eg-pinball": (
         "18e07527d7ec156bb1d98840a08cf47eeb134312d0b7a2cc387a1b6ca1e292b8",
@@ -113,16 +113,16 @@ GOLDEN = {
         "1f097ff317cff7d819b27b0ce05dd8a66a5379d85132f53e83d7f4c1bd325e3c",
         "a5b3bc08fa78d9d86bd6953a9f15fb891e693f44f90f191295f130c2f63e5afd"),
     "meta-powers_of_two-box-pinball": (
-        "09e4f10749d168f16dde6014aa21f1f3d3af2236c4ef314fef35c0b30cb4f956",
+        "d6efc19b64f4d1ee0f9a0d34aa668e4b9deb5efb1e4873a7a7971b1b2335c8fa",
         "91a0e14024e0eb02a0224f10ed5f1beb109606b98809e92ec70bb75309c470e1"),
     "meta-powers_of_two-range-pinball": (
-        "e06c71593e4dc49f0c9c517c447782308ab32c244937869f079131ef3931d8da",
+        "8b86beff6e1305b08a8dffdebc2f0934e53ee180a1decf5d8e4cb44ec85081f6",
         "430f6886b4fd4043f1221171a372fafb0f773d8f2cfc4ad107da40183e1d8de3"),
     "meta-quadratic-box-pinball": (
-        "d0574df9c83aec057980a1809288db4aa78b1989311ae32208b323eee0bb5c90",
+        "d0887198efd02dafb8cc1161ba2314c244808aec2eff69222286f7ceb35b7a13",
         "284ed38339fc4abe13516ea857604f3f371ea4560eb0cae42f1e356893e685d6"),
     "meta-quadratic-range-pinball": (
-        "11e631056eeea8b6166eadb3147a54dc0fce543a83612acfd2aaab93edf55580",
+        "20ba39ccb17027fbd69f17ffc3100f024741a7fa7822b599fa68520be5ec0647",
         "13d59269917487809fa43698e2a2e1b6cd7c003b90f1fbcb7caaa8f016f09fb1"),
 }
 

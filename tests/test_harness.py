@@ -77,7 +77,7 @@ class TestRun:
         log = run(RunConfig("meta", ABS), uniform(300, 4))
         assert log.summary["final"]["n_active"] == 8  # next entry at 512
         assert len(log.expert_preds[-1]) == 8
-        assert log.x_text[-1] != ""
+        assert log.x_text == [""] * 300  # the y column holds the lag windows
 
     @pytest.mark.parametrize("schedule, max_d, T", [
         ("powers_of_two", None, 255),  # order 8 enters at step 256 = T + 1
@@ -219,6 +219,11 @@ class TestDeterminism:
          "row 2049: height '1e3' does not parse"),
         (lambda lines: with_cell(lines, 1026, "experts", "0.5;x"),
          "row 1026: experts '0.5;x' does not parse"),
+        # member predictions without their weights, and weights without members
+        (lambda lines: with_cell(lines, 1700, "experts", "0.5"),
+         "row 1700: 1 experts but 0 weights"),
+        (lambda lines: with_cell(lines, 2049, "weights", "0.5;0.5"),
+         "row 2049: 0 experts but 2 weights"),
     ])
     def test_damaged_step_log_rejected(self, tmp_path, damage, message):
         xs, ys = uniform(2500, 10, d=2)
@@ -226,6 +231,15 @@ class TestDeterminism:
         steps = tmp_path / "steps.csv"
         steps.write_text("\n".join(damage(steps.read_text().splitlines())) + "\n")
         with pytest.raises(RejectedInputError, match=message):
+            read_run_log(tmp_path)
+
+    def test_meta_step_with_an_extra_member_prediction_rejected(self, tmp_path):
+        write_run_log(run(RunConfig("meta", ABS), uniform(300, 3)), tmp_path)
+        steps = tmp_path / "steps.csv"
+        lines = steps.read_text().splitlines()
+        experts = lines[-1].split(",")[STEP_COLUMNS.index("experts")]
+        steps.write_text("\n".join(with_cell(lines, 301, "experts", experts + ";0.5")) + "\n")
+        with pytest.raises(RejectedInputError, match="^row 301: 9 experts but 8 weights$"):
             read_run_log(tmp_path)
 
     @pytest.mark.parametrize("column, text", [
@@ -245,11 +259,15 @@ class TestDeterminism:
         ([(1100, "pred", "abc"), (1000, "weights", "x")], "row 1000: weights 'x'"),
         ([(1500, "t", "9"), (1025, "experts", "x")], "row 1025: experts 'x'"),
         # within a block, a cell that does not parse: the columns in log
-        # order, then the rows; then a step number out of sequence
+        # order, then the rows; then a step number out of sequence; then a
+        # step whose experts and weights counts differ
         ([(900, "pred", "abc"), (500, "weights", "x")], "row 900: pred 'abc'"),
         ([(1300, "y", "abc"), (1200, "y", "def")], "row 1200: y 'def'"),
         ([(1100, "t", "9"), (1200, "weights", "x")], "row 1200: weights 'x'"),
         ([(1100, "t", "9"), (1200, "t", "7")], "row 1100: t is 9, expected 1099"),
+        ([(1100, "experts", "0.5"), (1200, "t", "9")], "row 1200: t is 9, expected 1199"),
+        ([(1000, "experts", "0.5"), (1100, "t", "9")], "row 1000: 1 experts but 0 weights"),
+        ([(1100, "experts", "0.5"), (1200, "pred", "abc")], "row 1200: pred 'abc'"),
     ])
     def test_first_fault_of_a_damaged_step_log(self, tmp_path, faults, message):
         xs, ys = uniform(2500, 10, d=2)

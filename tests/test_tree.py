@@ -102,7 +102,7 @@ class TestSplitting:
     def test_first_observation_splits_root_1d(self):
         tree = grow(1, [[0.2]], [0.7])
         assert tree.n_nodes == 3 and tree.height == 1
-        assert all(n.count == 0 for n in tree.walk() if n.is_leaf)
+        assert all(n.count == 0 for n in tree.walk() if n.c is None)
         assert [(n.h, n.i) for n in tree.walk()] == [(0, 1), (1, 1), (1, 2)]
         assert (tree.root.c, tree.root.mid) == (0, 0.5)
 
@@ -128,15 +128,15 @@ class TestSplitting:
             step = traced(tree)
             assert (step["leaf_h"], step["leaf_i"]) == (leaf.h, leaf.i)
             if k < 63:
-                assert leaf.is_leaf and leaf.count == k
+                assert leaf.c is None and leaf.count == k
             else:
-                assert not leaf.is_leaf and leaf.count == 63
+                assert leaf.c is not None and leaf.count == 63
 
     def test_children_have_fresh_state(self):
         tree = grow(1, [[0.2]], [0.7])
         assert tree.M == ABS.M
         for node in tree.walk():
-            if node.is_leaf:
+            if node.c is None:
                 assert (node.count, node.G) == (0, 0.0)
 
     def test_rejected_outcome_leaves_the_tree_untouched(self):
@@ -173,7 +173,7 @@ class TestPartitionInvariants:
     def test_leaves_tile_the_cube(self, d):
         xs, ys = uniform_stream(d, 1500, seed=d)
         tree = grow(d, xs, ys)
-        leaf_boxes = [node_box(d, n.h, n.i) for n in tree.walk() if n.is_leaf]
+        leaf_boxes = [node_box(d, n.h, n.i) for n in tree.walk() if n.c is None]
         rng = np.random.default_rng(100 + d)
         pts = rng.random((2000, d))
         pts[:5] = 1.0  # exercise the closed faces
@@ -190,7 +190,7 @@ class TestPartitionInvariants:
         rng = np.random.default_rng(3)
         walked = {(n.h, n.i) for n in tree.walk()}  # unbuilt children included
         for node in tree.walk():
-            if node.is_leaf:
+            if node.c is None:
                 continue
             h, i = node.h + 1, 2 * node.i
             assert {(h, i - 1), (h, i)} <= walked  # both children exist
@@ -228,7 +228,7 @@ class TestPartitionInvariants:
         for k in reversed(range(len(nodes))):
             node = nodes[k]
             assert 1 <= node.i <= 2 ** node.h
-            if node.is_leaf:
+            if node.c is None:
                 end[k] = k + 1
             else:
                 assert keys[k + 1] == (node.h + 1, 2 * node.i - 1)
@@ -244,15 +244,15 @@ class TestPartitionInvariants:
         grown = grow(d, xs, ys, effective_range=effective_range)
         restored = PartitionTree.from_dict(grown.to_dict())
         for tree in (grown, restored):
-            inner = [node for node in tree.walk() if not node.is_leaf]
+            inner = [node for node in tree.walk() if node.c is not None]
             assert len(inner) >= 5
             for node in inner:
                 lo, hi = node_box(d, node.h, node.i)
                 assert node.c == node.h % d
                 assert node.mid == (lo[node.c] + hi[node.c]) / 2.0
             for node in tree.walk():
-                if node.is_leaf:
-                    assert node.c is None and node.mid is None
+                if node.c is None:
+                    assert node.mid is None
 
     @pytest.mark.parametrize("d", [1, 2, 3, 13])
     def test_cut_table_gives_the_box_midpoint(self, d):
@@ -307,7 +307,7 @@ class TestStructuralBounds:
         for d, seed in [(1, 0), (2, 1), (3, 2)]:
             xs, ys = uniform_stream(d, 3000, seed)
             tree = grow(d, xs, ys)
-            inner = [n for n in tree.walk() if not n.is_leaf]
+            inner = [n for n in tree.walk() if n.c is not None]
             N = tree.n_nodes
             assert len(inner) == (N - 1) // 2
             if N >= 3:
