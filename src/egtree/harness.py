@@ -27,8 +27,9 @@ splits the rest (:func:`_column_blocks`).
 :func:`read_input` tells a series from a covariate file by its header
 alone.  The values of a block are parsed as one array and range-checked at
 once; a block that fails is rescanned row by row for the first bad row,
-field and value.  The step-log reader parses each block as it reads it,
-names the row and column of a cell that does not parse, and checks the
+field and value.  The step-log reader parses each block as it reads it
+(the leaf and tree-size columns once per distinct cell), names the row
+and column of a cell that does not parse, and checks the
 fields of ``summary.json`` that the verifier and the report read.  A file
 that does not decode is rejected, naming it.  Every input file this module
 writes holds the text that :func:`data_digest` hashes, as it stands, so
@@ -39,7 +40,9 @@ run's digest.
 :func:`verify_bounds` replays the inequalities the forecasters are
 guaranteed to satisfy (regret versus the offline comparators, partition
 growth caps, mixture-weight accounting) against a finished log and
-reports bound, achieved value and slack for each.
+reports bound, achieved value and slack for each.  It works on whole
+columns: a tree run's per-leaf checks fit the best constant of every
+visited leaf in one grouped pass (:func:`oracles.best_constants`).
 """
 
 from __future__ import annotations
@@ -69,7 +72,8 @@ from .autoregressive import (
 )
 from .errors import RejectedInputError, json_field, json_keys, positive_int
 from .losses import LossSpec
-from .oracles import best_constant, best_lipschitz_1d, lipschitz_regret_bound
+from .oracles import (best_constant, best_constants, best_lipschitz_1d,
+                      lipschitz_regret_bound)
 from .tree import PartitionTree, height_bound, node_count_bound
 
 LOG_FORMAT = "egtree-runlog-v1"
@@ -328,8 +332,14 @@ def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
     }
     if save_state:
         summary["tree"] = forecaster.to_dict()
-    ints = {name: np.array(columns[name], dtype=np.int64)
-            for name in ("leaf_h", "leaf_i", "n_nodes", "height")}
+    try:
+        ints = {name: np.array(columns[name], dtype=np.int64)
+                for name in ("leaf_h", "leaf_i", "n_nodes", "height")}
+    except OverflowError:  # only a leaf index passes 2**63, at depth 64 or more
+        k = next(k for k, i in enumerate(columns["leaf_i"]) if i >= 2**63)
+        raise RejectedInputError(
+            f"step {k + 1}: the leaf at depth {columns['leaf_h'][k]} has index "
+            f"{columns['leaf_i'][k]}, beyond the 64 bits of the step log's leaf_i") from None
     return RunLog(np.arange(1, T + 1, dtype=np.int64), columns["x"], preds, ys,
                   losses, ints["leaf_h"], ints["leaf_i"], ints["n_nodes"],
                   ints["height"], columns["experts"], columns["weights"], summary)
@@ -462,12 +472,18 @@ def _row_blocks(lines, width: int, row_no: int):
         row_no += len(block)
 
 
-def _parsed(cells, parse, name: str, first_row: int = 2) -> list:
+def _parsed(cells, parse, name: str, first_row: int = 2, few: bool = False) -> list:
     """``parse`` applied to a step-log column; a cell it cannot parse is rejected by row.
 
     ``first_row`` is the row number of the first cell; the header is row 1.
+    A column that may hold ``few`` distinct cells (a count bounded by the
+    tree) is parsed once per distinct cell where at most half are distinct.
     """
     try:
+        if few:
+            distinct = dict.fromkeys(cells)
+            if 2 * len(distinct) <= len(cells):
+                return list(map(dict(zip(distinct, map(parse, distinct))).__getitem__, cells))
         return list(map(parse, cells))
     except ValueError:
         for row_no, cell in enumerate(cells, start=first_row):
@@ -482,14 +498,17 @@ def _floats(cell: str) -> tuple:
     return tuple(map(float, cell.split(";")))
 
 
-# per step-log column: the parser of a cell, the dtype of the parsed column
-# and what an empty cell stands for where one may be empty (no leaf outside
-# tree runs, no members outside mixtures); the x text is kept as is, and
-# the member tuples stay a list
+# per step-log column: the parser of a cell, the dtype of the parsed column,
+# what an empty cell stands for where one may be empty (no leaf outside
+# tree runs, no members outside mixtures) and whether the column holds few
+# distinct cells (the leaf and the tree's size, bounded by
+# node_count_bound and height_bound); the x text is kept as is, and the
+# member tuples stay a list
 _STEP_PARSERS = (
-    (int, np.int64, None), (None, None, None), (float, float, None), (float, float, None),
-    (float, float, None), (int, np.int64, -1), (int, np.int64, -1), (int, np.int64, None),
-    (int, np.int64, None), (_floats, None, ()), (_floats, None, ()))
+    (int, np.int64, None, False), (None, None, None, False), (float, float, None, False),
+    (float, float, None, False), (float, float, None, False), (int, np.int64, -1, True),
+    (int, np.int64, -1, True), (int, np.int64, None, True), (int, np.int64, None, True),
+    (_floats, None, (), False), (_floats, None, (), False))
 
 
 def read_run_log(outdir) -> RunLog:
@@ -520,7 +539,7 @@ def read_run_log(outdir) -> RunLog:
         if tuple(header or ()) != STEP_COLUMNS:
             raise RejectedInputError(f"unrecognized step log header: {header}")
         for row_no, columns in _column_blocks(fh, len(STEP_COLUMNS)):
-            for name, (parse, dtype, empty), cells, parsed in zip(
+            for name, (parse, dtype, empty, few), cells, parsed in zip(
                     STEP_COLUMNS, _STEP_PARSERS, columns, blocks):
                 if parse is None:
                     parsed.append(cells)
@@ -528,10 +547,10 @@ def read_run_log(outdir) -> RunLog:
                 # a block of a column that may hold empty cells is all empty
                 # or all set, rarely both
                 if empty is None or all(cells):
-                    values = _parsed(cells, parse, name, row_no)
+                    values = _parsed(cells, parse, name, row_no, few)
                 elif any(cells):
                     values = _parsed(cells, lambda cell, parse=parse, empty=empty:
-                                     parse(cell) if cell else empty, name, row_no)
+                                     parse(cell) if cell else empty, name, row_no, few)
                 else:
                     values = [empty] * len(cells)
                 if dtype is None:
@@ -559,7 +578,7 @@ def read_run_log(outdir) -> RunLog:
         raise RejectedInputError("step log is empty")
     t, x, pred, y, loss, leaf_h, leaf_i, n_nodes, height, experts, weights = [
         np.concatenate(parsed) if dtype is not None else list(itertools.chain(*parsed))
-        for parsed, (_, dtype, _) in zip(blocks, _STEP_PARSERS)]
+        for parsed, (_, dtype, _, _) in zip(blocks, _STEP_PARSERS)]
     if len(t) != summary["T"]:
         raise RejectedInputError(f"step log has {len(t)} steps, its summary says T = "
                                  f"{summary['T']!r}")
@@ -785,7 +804,11 @@ def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCh
 
     ``lipschitz_L`` adds the regret check against the best L-Lipschitz
     predictor: for tree runs with d = 1 and meta runs with T >= 2; asked
-    of any other run, it is rejected, not skipped.
+    of any other run, it is rejected, not skipped.  A tree run's
+    ``per-leaf-decomposition`` and ``visit-concentration`` group the steps
+    by logged leaf ``(leaf_h, leaf_i)`` with one sort
+    (:func:`oracles.best_constants`) and sum the leaves' best-constant
+    losses and square-rooted visit counts in the order of first visits.
     """
     if len(log) == 0:
         raise RejectedInputError("cannot verify an empty log")
@@ -824,12 +847,11 @@ def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCh
         checks.append(BoundCheck("height-growth", 1.0, float(h_ok), h_ok,
                                  "H_t <= 1 + (d/2) log2(4 d t) at every step"))
 
-        groups: dict = {}
-        for k, leaf in enumerate(zip(log.leaf_h.tolist(), log.leaf_i.tolist())):
-            groups.setdefault(leaf, []).append(k)
-        node_best = sum(
-            best_constant(log.ys[idx], loss).value for idx in groups.values())
-        sqrt_sum = sum(math.sqrt(len(idx)) for idx in groups.values())
+        # every visited leaf's best constant, summed in the order of first visits
+        fits = best_constants(log.ys, (log.leaf_h, log.leaf_i), loss)
+        visits = np.argsort(fits.first)
+        node_best = sum(fits.value[visits].tolist())
+        sqrt_sum = sum(map(math.sqrt, fits.count[visits].tolist()))
         decomposed = resummed - node_best
         checks.append(BoundCheck("per-leaf-decomposition", 3.0 * M * sqrt_sum,
                                  decomposed, decomposed <= 3.0 * M * sqrt_sum,

@@ -3,15 +3,18 @@
 Everything here is computed exactly, independently of the online
 forecasters, so the regret checks compare two genuinely separate routes:
 
-* :func:`best_constant`      closed-form best single value in [0,1]
+* :func:`best_constants`     closed-form best single value in [0,1] of
+  every group of outcomes that share their keys, after one stable sort
+* :func:`best_constant`      its one-group case
 * :func:`best_histogram`     best constant per box of an equal partition
+  (one group per box)
 * :func:`best_lipschitz_1d`  best slope-bounded function on a line, by an
   exact DP over the sorted distinct covariates: two plain heaps for
   absolute loss, weighted heaps (:class:`_Side`) for pinball loss and a
   knot walk for square loss
 
 The histogram and Lipschitz comparators consume (covariate, outcome)
-pairs; the constant comparator consumes outcomes only.
+pairs; the constant comparators consume outcomes (and group keys) only.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import RejectedInputError
+from .errors import RejectedInputError, positive_int
 from .losses import LossSpec
 
 
@@ -45,41 +49,84 @@ class Comparator:
         return out
 
 
-def best_constant(outcomes, loss: LossSpec, weights=None) -> Comparator:
-    """Minimize ``sum_t w_t loss(y, y_t)`` over y in [0,1] in closed form.
+class ConstantFits(NamedTuple):
+    """The best constant of each group of :func:`best_constants`, in key order."""
 
-    Square loss is minimized by the weighted mean.  Absolute and pinball
-    loss are minimized by the smallest outcome whose cumulative weight, in
-    sorted order, reaches ``alpha`` of the total (alpha = 1/2 for absolute
-    loss: the lower weighted median).  ``weights`` default to 1 (they turn
-    the sum into an expected loss when given).
+    value: np.ndarray   # the group's optimal cumulative loss
+    argmin: np.ndarray  # its best constant
+    count: np.ndarray   # its number of outcomes
+    first: np.ndarray   # the input index of its first outcome
+
+
+def best_constants(outcomes, keys, loss: LossSpec, weights=None) -> ConstantFits:
+    """Minimize ``sum_t w_t loss(y, y_t)`` over y in [0,1], per group, in closed form.
+
+    A group is the outcomes whose ``keys`` (a sequence of arrays shaped
+    like ``outcomes``; none makes one group) are all equal.  One stable
+    ``np.lexsort`` orders the outcomes by keys, then value, so every group
+    is one sorted run, its outcomes in the order a stable sort of the group
+    alone gives.  Square loss is minimized by the weighted mean.  Absolute
+    and pinball loss are minimized by the smallest outcome whose cumulative
+    weight, in sorted order, reaches ``alpha`` of the total (alpha = 1/2 for
+    absolute loss: the lower weighted median); with unit weights that is
+    the outcome at index ``ceil(alpha n) - 1`` of a group of n.
+    ``weights`` default to 1 (they turn the sum into an expected loss when
+    given).  A group's value is ``loss.value_array(y, outcomes) @ w`` over
+    its sorted run, the same dot on the same floats whatever the grouping.
     """
     outcomes = np.asarray(outcomes, dtype=float)
-    if outcomes.size == 0:
-        raise RejectedInputError("best_constant needs a nonempty sequence")
+    if outcomes.ndim != 1 or outcomes.size == 0:
+        raise RejectedInputError("the best constant needs a nonempty sequence of outcomes")
     if not (outcomes.min() >= 0.0 and outcomes.max() <= 1.0):  # NaN fails both
         raise RejectedInputError("outcomes must lie in [0, 1]")
-    w = np.ones(outcomes.size) if weights is None else np.asarray(weights, dtype=float)
-    # sorted first, so that the value does not depend on the input order
-    order = np.argsort(outcomes, kind="stable")
-    outcomes, w = outcomes[order], w[order]
+    n = outcomes.size
+    keys = [np.asarray(key) for key in keys]
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    if any(column.shape != outcomes.shape for column in (w, *keys)):
+        raise RejectedInputError(f"every weight and group key needs one value per outcome ({n})")
+    # the last key of lexsort is its primary one
+    order = np.lexsort((outcomes, *reversed(keys)))
+    ys, w = outcomes[order], w[order]
+    new = np.zeros(n, dtype=bool)
+    new[0] = True
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    starts = np.flatnonzero(new)
+    count = np.diff(starts, append=n)
+    runs = list(zip(starts.tolist(), (starts + count).tolist()))
     if loss.kind == "square":
-        y_star = min(max(float(outcomes @ w / w.sum()), 0.0), 1.0)
+        argmin = np.array([min(max(float(ys[s:e] @ w[s:e] / w[s:e].sum()), 0.0), 1.0)
+                           for s, e in runs])
     else:
         alpha = 0.5 if loss.kind == "absolute" else loss.alpha
-        cum = np.cumsum(w)
-        k = min(int(np.searchsorted(cum, alpha * cum[-1])), outcomes.size - 1)
-        y_star = float(outcomes[k])
-    value = float(loss.value_array(y_star, outcomes) @ w)
-    return Comparator("constant", value, argmin=y_star)
+        if weights is None:  # searchsorted(cumsum(ones(n)), alpha * n), in closed form
+            k = np.minimum(np.ceil(alpha * count).astype(np.int64) - 1, count - 1)
+        else:
+            k = []
+            for s, e in runs:
+                cum = np.cumsum(w[s:e])
+                k.append(min(int(np.searchsorted(cum, alpha * cum[-1])), e - s - 1))
+        argmin = ys[starts + k]
+    losses = loss.value_array(np.repeat(argmin, count), ys)
+    value = np.array([losses[s:e] @ w[s:e] for s, e in runs])
+    return ConstantFits(value, argmin, count, np.minimum.reduceat(order, starts))
+
+
+def best_constant(outcomes, loss: LossSpec, weights=None) -> Comparator:
+    """The best constant of all ``outcomes``: :func:`best_constants` with one group."""
+    fit = best_constants(outcomes, (), loss, weights)
+    return Comparator("constant", float(fit.value[0]), argmin=float(fit.argmin[0]))
 
 
 def best_histogram(xs, ys, n_boxes: int, d: int, loss: LossSpec) -> Comparator:
     """Best piecewise-constant predictor on an equal partition of [0,1]^d.
 
     ``n_boxes`` must be a d-th power, giving the same number of cells per
-    axis; outcomes falling in each box get that box's best constant,
-    empty boxes contribute nothing.
+    axis; outcomes falling in each box get that box's best constant
+    (:func:`best_constants`, one group per box), empty boxes contribute
+    nothing.  Covariates must lie in [0,1]; the face x = 1 belongs to the
+    last cell of its axis.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -87,22 +134,25 @@ def best_histogram(xs, ys, n_boxes: int, d: int, loss: LossSpec) -> Comparator:
         xs = xs[:, None]
     if xs.shape[1] != d:
         raise RejectedInputError(f"covariates have dimension {xs.shape[1]}, expected {d}")
-    if n_boxes < 1:
-        raise RejectedInputError(f"need at least one box, got {n_boxes}")
+    positive_int(n_boxes, "need at least one box: n_boxes")
     per_axis = round(n_boxes ** (1.0 / d))
     if per_axis ** d != n_boxes:
         raise RejectedInputError(f"{n_boxes} boxes cannot tile [0,1]^{d} evenly")
+    if not ((xs >= 0.0) & (xs <= 1.0)).all():  # NaN fails both
+        raise RejectedInputError("covariates must lie in [0, 1]")
+    if ys.shape != xs.shape[:1]:
+        raise RejectedInputError(f"{ys.size} outcomes for {len(xs)} covariate rows")
     idx = np.minimum((xs * per_axis).astype(int), per_axis - 1)
     flat = np.zeros(len(xs), dtype=int)
     for j in range(d):
         flat = flat * per_axis + idx[:, j]
+    fits = best_constants(ys, (flat,), loss)
     total = 0.0
-    fits = {}
-    for box in np.unique(flat):
-        fit = best_constant(ys[flat == box], loss)
-        fits[int(box)] = fit.argmin
-        total += fit.value
-    return Comparator("histogram", total, argmin=fits, params={"n_boxes": n_boxes, "d": d})
+    for value in fits.value.tolist():  # box by box, in sorted order
+        total += value
+    return Comparator("histogram", total,
+                      argmin=dict(zip(flat[fits.first].tolist(), fits.argmin.tolist())),
+                      params={"n_boxes": n_boxes, "d": d})
 
 
 # -- slope-bounded regression on a line ---------------------------------

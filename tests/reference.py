@@ -1,6 +1,11 @@
 """Reference implementations that the tests compare the package against.
 
 * Exhaustive grid twins of the exact comparators in :mod:`egtree.oracles`.
+* One-group-at-a-time twins of the grouped best-constant pass: the
+  closed form on one group by ``argsort``, ``cumsum`` and ``searchsorted``,
+  the histogram by one boolean mask per box, and the per-leaf sums of
+  ``verify_bounds`` by a dict of step lists; the grouped pass must match
+  them bit for bit.
 * Bound formulas that only tests evaluate.
 * The box of a tree node rebuilt from its ``(h, i)`` path bits, the
   independent geometry that routing and the stored cuts are checked against,
@@ -68,6 +73,53 @@ def lipschitz_grid_1d(xs, ys, L: float, loss: LossSpec, step: float = 0.02) -> C
             W[j] = V[mask].min()
         V = cost(i) + W
     return Comparator("lipschitz_grid", float(V.min()), params={"L": L, "step": step})
+
+
+def best_constant_sorted(outcomes, loss: LossSpec, weights=None) -> Comparator:
+    """The best constant of one group: a stable argsort, then the weighted
+    mean (square loss) or the first outcome whose cumulative weight reaches
+    ``alpha`` of the total, by ``cumsum`` and ``searchsorted``."""
+    outcomes = np.asarray(outcomes, dtype=float)
+    w = np.ones(outcomes.size) if weights is None else np.asarray(weights, dtype=float)
+    order = np.argsort(outcomes, kind="stable")
+    outcomes, w = outcomes[order], w[order]
+    if loss.kind == "square":
+        y_star = min(max(float(outcomes @ w / w.sum()), 0.0), 1.0)
+    else:
+        alpha = 0.5 if loss.kind == "absolute" else loss.alpha
+        cum = np.cumsum(w)
+        k = min(int(np.searchsorted(cum, alpha * cum[-1])), outcomes.size - 1)
+        y_star = float(outcomes[k])
+    value = float(loss.value_array(y_star, outcomes) @ w)
+    return Comparator("constant", value, argmin=y_star)
+
+
+def best_histogram_by_box(xs, ys, n_boxes: int, d: int, loss: LossSpec) -> Comparator:
+    """The histogram comparator by one mask per box, boxes in sorted order."""
+    xs, ys = np.asarray(xs, dtype=float).reshape(len(ys), d), np.asarray(ys, dtype=float)
+    per_axis = round(n_boxes ** (1.0 / d))
+    idx = np.minimum((xs * per_axis).astype(int), per_axis - 1)
+    flat = np.zeros(len(xs), dtype=int)
+    for j in range(d):
+        flat = flat * per_axis + idx[:, j]
+    total, fits = 0.0, {}
+    for box in np.unique(flat):
+        fit = best_constant_sorted(ys[flat == box], loss)
+        fits[int(box)] = fit.argmin
+        total += fit.value
+    return Comparator("histogram", total, argmin=fits, params={"n_boxes": n_boxes, "d": d})
+
+
+def leaf_decomposition(log, loss: LossSpec) -> tuple:
+    """``(node_best, sqrt_sum)`` of a tree log: the steps grouped by leaf in a
+    dict of step lists, in the order of first visits, each leaf's best
+    constant and square-rooted visit count summed in that order."""
+    groups: dict = {}
+    for k, leaf in enumerate(zip(log.leaf_h.tolist(), log.leaf_i.tolist())):
+        groups.setdefault(leaf, []).append(k)
+    node_best = sum(best_constant_sorted(log.ys[idx], loss).value for idx in groups.values())
+    sqrt_sum = sum(math.sqrt(len(idx)) for idx in groups.values())
+    return node_best, sqrt_sum
 
 
 # -- bound formulas --------------------------------------------------------

@@ -356,6 +356,17 @@ def test_step_log_integer_beyond_int64_exits_two(tmp_path, capsys):
     assert err == ["error: row 3: n_nodes '99999999999999999999' does not fit in 64 bits"] * 2
 
 
+def test_a_tree_too_deep_for_the_step_log_exits_two(tmp_path, capsys):
+    # a repeated point drives the d=14 tree past depth 64 at step 1328
+    cov = tmp_path / "deep.csv"
+    write_covariates(cov, np.full((2000, 14), 0.3), np.full(2000, 0.5))
+    rundir = tmp_path / "r"
+    assert main(["run", "--forecaster", "tree", "--input", str(cov), "--out", str(rundir)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: step 1328: the leaf at depth 78 ")
+    assert not rundir.exists()
+
+
 @pytest.mark.parametrize("forecaster", ["eg", "meta"])
 def test_save_state_needs_a_tree_run(tmp_path, capsys, forecaster):
     series = tmp_path / "s.csv"

@@ -8,7 +8,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from egtree.errors import RejectedInputError
 from egtree.harness import (
     STEP_COLUMNS,
@@ -99,6 +102,23 @@ class TestRun:
         assert max(m["height"] for m in members) == final["height"] == log.height[-1]
         if max_d is not None:
             assert len(members) == max_d
+
+    def test_a_leaf_index_beyond_64_bits_is_rejected(self):
+        # one repeated point drives the tree past depth 64, where a leaf
+        # index i < 2**h no longer fits the step log's int64 leaf_i
+        T, d = 2000, 14
+        tree = PartitionTree(d, ABS)
+        for t in range(1, T + 1):
+            tree._predict((0.3,) * d)
+            tree.update(0.5)
+            h, i = tree.trace()[:2]
+            if i >= 2**63:
+                break
+        with pytest.raises(RejectedInputError,
+                           match=f"^step {t}: the leaf at depth {h} has index {i}, beyond "
+                                 "the 64 bits of the step log's leaf_i$"):
+            run(RunConfig("tree", ABS, d=d), np.full(T, 0.5), np.full((T, d), 0.3))
+        assert (t, h) == (1328, 78)
 
     def test_save_state_embeds_tree(self):
         xs, ys = uniform(50, 5, d=1)
@@ -254,6 +274,24 @@ class TestDeterminism:
                            match=f"^row 3: {column} '{text}' does not fit in 64 bits$"):
             read_run_log(tmp_path)
 
+    @pytest.mark.parametrize("column", ["leaf_h", "leaf_i", "n_nodes", "height"])
+    @pytest.mark.parametrize("text, fault", [
+        ("abc", "does not parse"), ("1.5", "does not parse"),
+        ("99999999999999999999", "does not fit in 64 bits"),
+        ("-9223372036854775809", "does not fit in 64 bits")])
+    def test_a_bad_cell_repeated_in_many_rows_is_named_at_its_first(self, tmp_path, column,
+                                                                    text, fault):
+        # these columns are parsed once per distinct cell of a block
+        xs, ys = uniform(2500, 10, d=2)
+        write_run_log(run(RunConfig("tree", ABS, d=2), ys, xs), tmp_path)
+        steps = tmp_path / "steps.csv"
+        lines = steps.read_text().splitlines()
+        for row in (1900, 1300, 2000, 1101, 1100, 2400, 1500):
+            lines = with_cell(lines, row, column, text)
+        steps.write_text("\n".join(lines) + "\n")
+        with pytest.raises(RejectedInputError, match=f"^row 1100: {column} '{text}' {fault}$"):
+            read_run_log(tmp_path)
+
     @pytest.mark.parametrize("faults, message", [
         # an earlier block of rows wins, whatever the columns
         ([(1100, "pred", "abc"), (1000, "weights", "x")], "row 1000: weights 'x'"),
@@ -379,6 +417,24 @@ class TestCsvFormats:
 
 
 class TestVerifyBounds:
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 3), effective_range=st.booleans(), T=st.integers(1, 600),
+           seed=st.integers(0, 2**16), dyadic=st.booleans(),
+           loss=st.sampled_from([ABS, LossSpec("square"), LossSpec("pinball", 0.3)]))
+    def test_per_leaf_checks_match_the_dict_of_step_lists(self, d, effective_range, T, seed,
+                                                          dyadic, loss):
+        xs, ys = uniform(T, seed, d=d)
+        if dyadic:  # ties: exact quarters route to cut points and repeat outcomes
+            xs, ys = np.round(4 * xs) / 4, np.round(4 * ys) / 4
+        log = run(RunConfig("tree", loss, d=d, effective_range=effective_range), ys, xs)
+        checks = {c.name: c for c in verify_bounds(log)}
+        node_best, sqrt_sum = reference.leaf_decomposition(log, loss)
+        resummed = checks["cumulative-loss-resummation"].achieved
+        decomposed = checks["per-leaf-decomposition"]
+        assert decomposed.achieved == resummed - node_best
+        assert decomposed.bound == 3.0 * loss.M * sqrt_sum
+        assert checks["visit-concentration"].achieved == sqrt_sum
+
     def test_eg_run_passes_all(self):
         log = run(RunConfig("eg", ABS), uniform(2000, 11))
         checks = verify_bounds(log)

@@ -13,11 +13,18 @@ from egtree.oracles import (
     _group_by_x,
     _pinball_minimizers,
     best_constant,
+    best_constants,
     best_histogram,
     best_lipschitz_1d,
 )
 from egtree.processes import ProcessSpec, generate
-from reference import best_constant_grid, constant_gap_bound, lipschitz_grid_1d
+from reference import (
+    best_constant_grid,
+    best_constant_sorted,
+    best_histogram_by_box,
+    constant_gap_bound,
+    lipschitz_grid_1d,
+)
 
 ABS = LossSpec("absolute")
 SQ = LossSpec("square")
@@ -80,7 +87,99 @@ class TestBestConstant:
         assert fit.value == pytest.approx(0.05, abs=1e-9)
 
 
+def bits(value) -> bytes:
+    """A float's bytes: tells -0.0 from 0.0, where ``==`` does not."""
+    return np.float64(value).tobytes()
+
+
+# outcomes that tie: exact dyadic values, two-digit values, and any float
+dyadic = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+outcome_values = st.one_of(dyadic, st.integers(0, 100).map(lambda k: k / 100),
+                           st.floats(0.0, 1.0))
+losses = st.one_of(st.sampled_from([ABS, SQ, PIN]),
+                   st.floats(0.01, 0.99).map(lambda a: LossSpec("pinball", a)))
+
+
+@st.composite
+def grouped_outcomes(draw):
+    """Outcomes, zero to two key columns (few groups, singletons, or leaf-like
+    (depth, index) pairs with indices near 2**62) and maybe weights."""
+    n = draw(st.integers(1, 60))
+    ys = draw(st.lists(st.one_of(outcome_values, st.just(draw(outcome_values))),
+                       min_size=n, max_size=n))
+    key_values = st.one_of(st.integers(0, 3), st.integers(0, n), st.integers(2**62 - 4, 2**62))
+    keys = [np.array(draw(st.lists(key_values, min_size=n, max_size=n)), dtype=np.int64)
+            for _ in range(draw(st.integers(0, 2)))]
+    weights = draw(st.one_of(st.none(), st.lists(
+        st.one_of(st.floats(1e-3, 10.0), dyadic.filter(bool)), min_size=n, max_size=n)))
+    return np.array(ys), keys, weights
+
+
+class TestBestConstants:
+    @settings(max_examples=400, deadline=None)
+    @given(grouped_outcomes(), losses)
+    def test_each_group_is_its_own_best_constant_bit_for_bit(self, case, loss):
+        ys, keys, weights = case
+        fits = best_constants(ys, keys, loss, weights)
+        groups: dict = {}
+        for k in range(len(ys)):
+            groups.setdefault(tuple(key[k] for key in keys), []).append(k)
+        assert sorted(groups) == [tuple(key[k] for key in keys) for k in fits.first.tolist()]
+        assert fits.count.sum() == len(ys)
+        for value, argmin, count, first in zip(*fits):
+            idx = groups[tuple(key[first] for key in keys)]
+            assert (first, count) == (idx[0], len(idx))
+            w = None if weights is None else np.array(weights)[idx]
+            for fit in (best_constant(ys[idx], loss, w), best_constant_sorted(ys[idx], loss, w)):
+                assert bits(value) == bits(fit.value) and bits(argmin) == bits(fit.argmin)
+
+    def test_signed_zeros_keep_their_input_order(self):
+        ys = np.array([0.0, -0.0, -0.0, 0.0, 0.5, -0.0])
+        keys = [np.array([1, 1, 2, 2, 2, 1])]
+        fits = best_constants(ys, keys, ABS)
+        for argmin, group in zip(fits.argmin, ([0, 1, 5], [2, 3, 4])):
+            assert bits(argmin) == bits(best_constant_sorted(ys[group], ABS).argmin)
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(RejectedInputError):
+            best_constants([0.1, 0.2], [np.array([1, 2, 3])], ABS)
+        with pytest.raises(RejectedInputError):
+            best_constants([0.1, 0.2], [], ABS, weights=[1.0])
+        with pytest.raises(RejectedInputError):
+            best_constants(np.zeros((2, 2)), [], ABS)
+
+
 class TestBestHistogram:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), losses)
+    def test_matches_one_mask_per_box(self, data, loss):
+        d = data.draw(st.integers(1, 2))
+        n = data.draw(st.integers(1, 40))
+        xs = np.array(data.draw(st.lists(outcome_values, min_size=n * d, max_size=n * d)))
+        ys = np.array(data.draw(st.lists(outcome_values, min_size=n, max_size=n)))
+        n_boxes = data.draw(st.sampled_from([1, 2, 4, 16, 64])) ** d
+        fit = best_histogram(xs.reshape(n, d), ys, n_boxes, d, loss)
+        ref = best_histogram_by_box(xs, ys, n_boxes, d, loss)
+        assert bits(fit.value) == bits(ref.value)
+        assert list(fit.argmin) == list(ref.argmin)
+        assert [bits(v) for v in fit.argmin.values()] == [bits(v) for v in ref.argmin.values()]
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -0.5, 1.5])
+    def test_covariates_outside_the_unit_cube_rejected(self, x):
+        with pytest.raises(RejectedInputError, match="covariates must lie in"):
+            best_histogram([[x], [0.2]], [0.1, 0.9], 4, 1, ABS)
+        with pytest.raises(RejectedInputError, match="covariates must lie in"):
+            best_histogram([[0.2, 0.3], [0.4, x]], [0.1, 0.9], 4, 2, ABS)
+
+    @pytest.mark.parametrize("n_boxes", [2.0, True, 0, -4, "4"])
+    def test_box_count_must_be_a_positive_integer(self, n_boxes):
+        with pytest.raises(RejectedInputError, match="need at least one box"):
+            best_histogram([[0.5], [0.2]], [0.1, 0.9], n_boxes, 1, ABS)
+
+    def test_outcome_count_must_match(self):
+        with pytest.raises(RejectedInputError, match="2 outcomes for 3 covariate rows"):
+            best_histogram([0.1, 0.5, 0.9], [0.1, 0.9], 4, 1, ABS)
+
     def test_single_box_equals_best_constant(self):
         rng = np.random.default_rng(23)
         xs, ys = rng.random(50), rng.random(50)
