@@ -25,12 +25,13 @@ split plainly with one ``str.split``; from the first block with a quote,
 a ``\\r``, a wrong field count or an oversized line on, ``csv.reader``
 splits the rest (:func:`_column_blocks`).
 :func:`read_input` tells a series from a covariate file by its header
-alone.  The values of a block are parsed as one array and range-checked at
-once; a block that fails is rescanned row by row for the first bad row,
-field and value.  The step-log reader parses each block as it reads it
-(the leaf and tree-size columns once per distinct cell), names the row
-and column of a cell that does not parse, and checks the
-fields of ``summary.json`` that the verifier and the report read.  A file
+alone.  The numbers of a CSV are parsed by ``np.array(cells, dtype)``,
+which reads each cell as ``int`` or ``float`` does: an input block as one
+array, range-checked at once, a step-log block a column at a time (but a
+member cell as a tuple of floats).  A block that fails is rescanned row by
+row for its first bad row, field and value.  The step-log reader also
+rejects a leaf that is no node of a tree and checks the fields of
+``summary.json`` that the verifier and the report read.  A file
 that does not decode is rejected, naming it.  Every input file this module
 writes holds the text that :func:`data_digest` hashes, as it stands, so
 :func:`input_digest` checks such a file against a run by hashing it block
@@ -226,7 +227,7 @@ def _check_series(ys) -> np.ndarray:
         raise RejectedInputError("need a nonempty one-dimensional series")
     bad = np.nonzero((ys < 0.0) | (ys > 1.0) | ~np.isfinite(ys))[0]
     if bad.size:
-        raise RejectedInputError(f"observation {bad[0] + 1} outside [0, 1]: {ys[bad[0]]!r}")
+        raise RejectedInputError(f"observation {bad[0] + 1} outside [0, 1]: {float(ys[bad[0]])!r}")
     return ys
 
 
@@ -472,18 +473,12 @@ def _row_blocks(lines, width: int, row_no: int):
         row_no += len(block)
 
 
-def _parsed(cells, parse, name: str, first_row: int = 2, few: bool = False) -> list:
+def _parsed(cells, parse, name: str, first_row: int) -> list:
     """``parse`` applied to a step-log column; a cell it cannot parse is rejected by row.
 
     ``first_row`` is the row number of the first cell; the header is row 1.
-    A column that may hold ``few`` distinct cells (a count bounded by the
-    tree) is parsed once per distinct cell where at most half are distinct.
     """
     try:
-        if few:
-            distinct = dict.fromkeys(cells)
-            if 2 * len(distinct) <= len(cells):
-                return list(map(dict(zip(distinct, map(parse, distinct))).__getitem__, cells))
         return list(map(parse, cells))
     except ValueError:
         for row_no, cell in enumerate(cells, start=first_row):
@@ -494,21 +489,27 @@ def _parsed(cells, parse, name: str, first_row: int = 2, few: bool = False) -> l
         raise
 
 
+def _array(cells, dtype, name: str, first_row: int = 2) -> np.ndarray:
+    """The ``dtype`` array of a step-log column, each cell parsed by ``np.array``
+    as ``int`` or ``float`` parses it.  A column it rejects is rescanned: the
+    first cell that does not parse is named, else the first integer beyond 64 bits.
+    """
+    try:
+        return np.array(cells, dtype=dtype)
+    except (ValueError, OverflowError):
+        values = _parsed(cells, int if dtype is np.int64 else float, name, first_row)
+        k = next(k for k, v in enumerate(values) if not -2**63 <= v < 2**63)
+        raise RejectedInputError(f"row {first_row + k}: {name} {cells[k]!r} "
+                                 "does not fit in 64 bits") from None
+
+
 def _floats(cell: str) -> tuple:
-    return tuple(map(float, cell.split(";")))
+    return tuple(map(float, cell.split(";"))) if cell else ()
 
 
-# per step-log column: the parser of a cell, the dtype of the parsed column,
-# what an empty cell stands for where one may be empty (no leaf outside
-# tree runs, no members outside mixtures) and whether the column holds few
-# distinct cells (the leaf and the tree's size, bounded by
-# node_count_bound and height_bound); the x text is kept as is, and the
-# member tuples stay a list
-_STEP_PARSERS = (
-    (int, np.int64, None, False), (None, None, None, False), (float, float, None, False),
-    (float, float, None, False), (float, float, None, False), (int, np.int64, -1, True),
-    (int, np.int64, -1, True), (int, np.int64, None, True), (int, np.int64, None, True),
-    (_floats, None, (), False), (_floats, None, (), False))
+# per step-log column: its dtype; the x text stays text (None), member cells tuples (_floats)
+_STEP_PARSERS = (np.int64, None, float, float, float, np.int64, np.int64, np.int64,
+                 np.int64, _floats, _floats)
 
 
 def read_run_log(outdir) -> RunLog:
@@ -516,11 +517,12 @@ def read_run_log(outdir) -> RunLog:
 
     The rows are parsed a block at a time, and the first block with a fault
     decides which is reported.  A row with the wrong number of fields ends
-    its block, so the rows above it are checked first.  Within a block, a
-    cell that does not parse, or holds an integer beyond 64 bits, comes
-    first (columns in log order, then rows), then a step number out of
-    sequence, then a step with more or fewer ``experts`` than ``weights``.
-    A step count that differs from the summary's ``T`` is found last.
+    its block, so the rows above it are checked first.  Within a block, each
+    column in log order is searched for a cell that does not parse, then for
+    an integer beyond 64 bits; then come a step number out of sequence, a step
+    with more or fewer ``experts`` than ``weights``, and a leaf that is no node
+    of a tree (any leaf, outside a tree run).  A step count that differs from
+    the summary's ``T`` is found last.
     """
     outdir = Path(outdir)
     path = outdir / "summary.json"
@@ -531,6 +533,7 @@ def read_run_log(outdir) -> RunLog:
     config = RunConfig.from_dict(summary["config"])
     for key in ("n_nodes", "height") + (("n_active",) if config.forecaster == "meta" else ()):
         json_field(summary["final"], key, int, f"{path}: final")
+    tree = config.forecaster == "tree"
     # each block of rows is parsed as it is read, so no more than one
     # block of cell strings is held next to the parsed columns
     blocks = [[] for _ in STEP_COLUMNS]
@@ -539,29 +542,15 @@ def read_run_log(outdir) -> RunLog:
         if tuple(header or ()) != STEP_COLUMNS:
             raise RejectedInputError(f"unrecognized step log header: {header}")
         for row_no, columns in _column_blocks(fh, len(STEP_COLUMNS)):
-            for name, (parse, dtype, empty, few), cells, parsed in zip(
-                    STEP_COLUMNS, _STEP_PARSERS, columns, blocks):
-                if parse is None:
-                    parsed.append(cells)
-                    continue
-                # a block of a column that may hold empty cells is all empty
-                # or all set, rarely both
-                if empty is None or all(cells):
-                    values = _parsed(cells, parse, name, row_no, few)
-                elif any(cells):
-                    values = _parsed(cells, lambda cell, parse=parse, empty=empty:
-                                     parse(cell) if cell else empty, name, row_no, few)
-                else:
-                    values = [empty] * len(cells)
+            for name, dtype, cells, parsed in zip(STEP_COLUMNS, _STEP_PARSERS, columns, blocks):
                 if dtype is None:
-                    parsed.append(values)
-                    continue
-                try:
-                    parsed.append(np.array(values, dtype=dtype))
-                except OverflowError:  # an integer column holds a value beyond int64
-                    k = next(k for k, v in enumerate(values) if not -2**63 <= v < 2**63)
-                    raise RejectedInputError(f"row {row_no + k}: {name} {cells[k]!r} "
-                                             "does not fit in 64 bits") from None
+                    parsed.append(cells)
+                elif dtype is _floats:
+                    parsed.append(_parsed(cells, _floats, name, row_no))
+                else:
+                    if name in ("leaf_h", "leaf_i") and not all(cells):
+                        cells = [cell or "-1" for cell in cells]  # an empty cell: no leaf
+                    parsed.append(_array(cells, dtype, name, row_no))
             t = blocks[0][-1]
             bad = np.flatnonzero(t != np.arange(row_no - 1, row_no - 1 + len(t)))
             if bad.size:
@@ -574,11 +563,22 @@ def read_run_log(outdir) -> RunLog:
                 k = next(k for k, (e, w) in enumerate(zip(experts, weights)) if len(e) != len(w))
                 raise RejectedInputError(f"row {row_no + k}: {len(experts[k])} experts but "
                                          f"{len(weights[k])} weights")
+            # a tree run logs a node (h, i), h >= 0 and 1 <= i <= 2**h (numpy shifts
+            # i - 1 >= 0 by 64 or more to 0); any other run no leaf, (-1, -1)
+            h, i = (parsed[-1] for parsed in blocks[5:7])
+            bad = np.flatnonzero((h < 0) | (i < 1) | ((i - 1) >> h != 0) if tree
+                                 else (h != -1) | (i != -1))
+            if bad.size:
+                k = bad[0]
+                raise RejectedInputError(
+                    f"row {row_no + k}: leaf_h {columns[5][k]!r}, leaf_i {columns[6][k]!r} "
+                    + ("is no node of a tree" if tree else f"in a {config.forecaster} run, "
+                       "which logs no leaf"))
     if not blocks[0]:
         raise RejectedInputError("step log is empty")
     t, x, pred, y, loss, leaf_h, leaf_i, n_nodes, height, experts, weights = [
-        np.concatenate(parsed) if dtype is not None else list(itertools.chain(*parsed))
-        for parsed, (_, dtype, _, _) in zip(blocks, _STEP_PARSERS)]
+        list(itertools.chain(*parsed)) if dtype in (None, _floats) else np.concatenate(parsed)
+        for parsed, dtype in zip(blocks, _STEP_PARSERS)]
     if len(t) != summary["T"]:
         raise RejectedInputError(f"step log has {len(t)} steps, its summary says T = "
                                  f"{summary['T']!r}")
@@ -618,9 +618,9 @@ def _read_unit_rows(fh, whats) -> list:
     parsed = [j for j, what in enumerate(whats) if what is not None]
     blocks = []
     for row_no, columns in _column_blocks(fh, len(whats)):
-        cells = itertools.chain.from_iterable(columns[j] for j in parsed)
+        cells = list(itertools.chain.from_iterable(columns[j] for j in parsed))
         try:
-            values = np.array(list(map(float, cells))).reshape(len(parsed), -1)
+            values = np.array(cells, dtype=float).reshape(len(parsed), -1)
         except ValueError:  # some cell is no number
             values = None
         if values is None or not ((values >= 0.0) & (values <= 1.0)).all():  # NaN fails both
@@ -890,7 +890,7 @@ def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCh
     if lipschitz_L is not None:
         L = lipschitz_L
         if config.forecaster == "tree" and config.d == 1:
-            xs, ys = np.array(_parsed(log.x_text, float, "x")), log.ys
+            xs, ys = _array(log.x_text, float, "x"), log.ys
             name, bound = f"lipschitz-regret(L={L})", lipschitz_regret_bound(M, L, 1, T)
         elif config.forecaster == "meta" and T >= 2:
             xs, ys = log.ys[:-1], log.ys[1:]

@@ -367,6 +367,25 @@ def test_a_tree_too_deep_for_the_step_log_exits_two(tmp_path, capsys):
     assert not rundir.exists()
 
 
+def test_a_tree_log_without_leaves_exits_two(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    cov = tmp_path / "pairs.csv"
+    write_covariates(cov, rng.random(1500), rng.random(1500))
+    rundir = tmp_path / "r"
+    assert main(["run", "--forecaster", "tree", "--input", str(cov), "--out", str(rundir)]) == 0
+    steps = rundir / "steps.csv"
+    lines = steps.read_text().splitlines()
+    blank = [",".join(cells[:5] + ["", ""] + cells[7:])
+             for cells in (line.split(",") for line in lines[1:])]
+    steps.write_text("\n".join(lines[:1] + blank) + "\n")
+    capsys.readouterr()
+    for args in (["verify-bounds", "--out", str(rundir), "--input", str(cov)],
+                 ["report", "--out", str(tmp_path / "tables"), str(rundir)]):
+        assert main(args) == 2
+        assert capsys.readouterr().err == ("error: row 2: leaf_h '', leaf_i '' is no node "
+                                           "of a tree\n")
+
+
 @pytest.mark.parametrize("forecaster", ["eg", "meta"])
 def test_save_state_needs_a_tree_run(tmp_path, capsys, forecaster):
     series = tmp_path / "s.csv"

@@ -120,6 +120,17 @@ class TestRun:
             run(RunConfig("tree", ABS, d=d), np.full(T, 0.5), np.full((T, d), 0.3))
         assert (t, h) == (1328, 78)
 
+    def test_leaves_deeper_than_63_levels_read_back(self, tmp_path):
+        # below depth 63 a leaf index still fits in 64 bits if the path
+        # turns left often enough: such a log is a tree's and reads back
+        T, d = 1300, 14
+        log = run(RunConfig("tree", ABS, d=d), np.full(T, 0.5), np.full((T, d), 0.3))
+        assert log.leaf_h.max() > 63
+        write_run_log(log, tmp_path)
+        back = read_run_log(tmp_path)
+        assert np.array_equal(back.leaf_h, log.leaf_h)
+        assert np.array_equal(back.leaf_i, log.leaf_i)
+
     def test_save_state_embeds_tree(self):
         xs, ys = uniform(50, 5, d=1)
         log = run(RunConfig("tree", ABS, d=1), ys, xs, save_state=True)
@@ -131,6 +142,12 @@ class TestRun:
     def test_rejects_out_of_range(self):
         with pytest.raises(RejectedInputError):
             run(RunConfig("eg", ABS), np.array([0.5, 1.5, 0.2]))
+
+    @pytest.mark.parametrize("bad, text", [(1.5, "1.5"), (float("nan"), "nan")])
+    def test_an_observation_out_of_range_is_named_as_a_float(self, bad, text):
+        with pytest.raises(RejectedInputError,
+                           match=rf"^observation 2 outside \[0, 1\]: {text}$"):
+            run(RunConfig("eg", ABS), [0.2, bad])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1.5, -0.1])
     def test_rejects_bad_covariates_before_any_step(self, bad, monkeypatch):
@@ -169,6 +186,11 @@ def with_cell(lines, row, column, text):
     fields = lines[row - 1].split(",")
     fields[STEP_COLUMNS.index(column)] = text
     return lines[:row - 1] + [",".join(fields)] + lines[row:]
+
+
+def blanked(lines, column):
+    """Step-log ``lines`` with the ``column`` cell of every step emptied."""
+    return lines[:1] + [with_cell([line], 1, column, "")[0] for line in lines[1:]]
 
 
 class TestDeterminism:
@@ -281,7 +303,7 @@ class TestDeterminism:
         ("-9223372036854775809", "does not fit in 64 bits")])
     def test_a_bad_cell_repeated_in_many_rows_is_named_at_its_first(self, tmp_path, column,
                                                                     text, fault):
-        # these columns are parsed once per distinct cell of a block
+        # the same bad cell in many rows of a block: the first row is named
         xs, ys = uniform(2500, 10, d=2)
         write_run_log(run(RunConfig("tree", ABS, d=2), ys, xs), tmp_path)
         steps = tmp_path / "steps.csv"
@@ -306,6 +328,16 @@ class TestDeterminism:
         ([(1100, "experts", "0.5"), (1200, "t", "9")], "row 1200: t is 9, expected 1199"),
         ([(1000, "experts", "0.5"), (1100, "t", "9")], "row 1000: 1 experts but 0 weights"),
         ([(1100, "experts", "0.5"), (1200, "pred", "abc")], "row 1200: pred 'abc'"),
+        # within a column, a cell that does not parse before an integer beyond
+        # 64 bits; an earlier column's integer beyond 64 bits first
+        ([(1100, "n_nodes", "99999999999999999999"), (1200, "n_nodes", "abc")],
+         "row 1200: n_nodes 'abc' does not parse$"),
+        ([(1100, "t", "9223372036854775808"), (1050, "pred", "abc")],
+         "row 1100: t '9223372036854775808' does not fit in 64 bits$"),
+        # then a leaf that is no node of a tree, after the member counts
+        ([(1100, "leaf_i", "0"), (1200, "experts", "0.5")], "row 1200: 1 experts but 0"),
+        ([(1100, "leaf_i", "0"), (1050, "t", "9")], "row 1050: t is 9"),
+        ([(1100, "leaf_i", "0"), (1200, "leaf_h", "-1")], "row 1100: leaf_h '"),
     ])
     def test_first_fault_of_a_damaged_step_log(self, tmp_path, faults, message):
         xs, ys = uniform(2500, 10, d=2)
@@ -316,6 +348,40 @@ class TestDeterminism:
             lines = with_cell(lines, row, column, text)
         steps.write_text("\n".join(lines) + "\n")
         with pytest.raises(RejectedInputError, match=f"^{message}"):
+            read_run_log(tmp_path)
+
+    @pytest.mark.parametrize("damage, message", [
+        # no leaf on any row, or a leaf index on none
+        (lambda lines: blanked(blanked(lines, "leaf_h"), "leaf_i"),
+         "^row 2: leaf_h '', leaf_i '' is no node of a tree$"),
+        (lambda lines: blanked(lines, "leaf_i"),
+         "^row 2: leaf_h '0', leaf_i '' is no node of a tree$"),
+        (lambda lines: with_cell(lines, 2500, "leaf_i", ""), "^row 2500: leaf_h '.*', leaf_i ''"),
+        (lambda lines: with_cell(lines, 1800, "leaf_h", "-2"), "^row 1800: leaf_h '-2'"),
+        (lambda lines: with_cell(lines, 3001, "leaf_i", "0"), "^row 3001: .* leaf_i '0' is no"),
+        # (h, 2**h + 1) lies beyond the last node of depth h
+        (lambda lines: with_cell(lines, 900, "leaf_i", str(2**int(lines[899].split(",")[5]) + 1)),
+         "^row 900: .* is no node of a tree$"),
+    ])
+    def test_a_tree_log_with_an_impossible_leaf_is_rejected(self, tmp_path, damage, message):
+        xs, ys = uniform(3000, 12, d=1)
+        write_run_log(run(RunConfig("tree", ABS, d=1), ys, xs), tmp_path)
+        steps = tmp_path / "steps.csv"
+        steps.write_text("\n".join(damage(steps.read_text().splitlines())) + "\n")
+        with pytest.raises(RejectedInputError, match=message):
+            read_run_log(tmp_path)
+
+    @pytest.mark.parametrize("forecaster", ["eg", "meta"])
+    @pytest.mark.parametrize("column, text", [("leaf_h", "0"), ("leaf_i", "1"), ("leaf_h", "-2")])
+    def test_a_leaf_outside_a_tree_run_is_rejected(self, tmp_path, forecaster, column, text):
+        write_run_log(run(RunConfig(forecaster, ABS), uniform(300, 3)), tmp_path)
+        steps = tmp_path / "steps.csv"
+        steps.write_text("\n".join(with_cell(steps.read_text().splitlines(), 200, column, text))
+                         + "\n")
+        cells = {"leaf_h": "''", "leaf_i": "''", column: repr(text)}
+        with pytest.raises(RejectedInputError,
+                           match=f"^row 200: leaf_h {cells['leaf_h']}, leaf_i {cells['leaf_i']} "
+                                 f"in a {forecaster} run, which logs no leaf$"):
             read_run_log(tmp_path)
 
     @pytest.mark.parametrize("damage, message", [

@@ -91,8 +91,9 @@ class TestRoundTrips:
             x_text = [";".join(f"{v:.17g}" for v in data.draw(st.lists(units, min_size=d,
                                                                         max_size=d)))
                       for _ in range(n)]
-            leaf_h, leaf_i = (data.draw(st.lists(ints, min_size=n, max_size=n))
-                              for _ in range(2))
+            # a node (h, i) of a tree: 1 <= i <= 2**h
+            leaf_h = data.draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
+            leaf_i = [data.draw(st.integers(1, 2**h)) for h in leaf_h]
         else:
             hexes = st.text("0123456789abcdef", min_size=12, max_size=12)
             x_text = data.draw(st.lists(hexes, min_size=n, max_size=n)) if kind == "meta" \
@@ -431,3 +432,58 @@ class TestRenderedBlocks:
         weights = (tables / "weights.csv").read_text()
         assert weights == reference.weights_csv(named_logs)
         assert {row[0] for row in csv.reader(io.StringIO(weights))} == {"run", "meta%s"}
+
+
+# cells over digits, signs, "_", ".", "e", spaces, NUL and non-ASCII digits,
+# integers and .17g floats as the log spells them, the words float reads,
+# and integers at the edges of int64
+numeric_cells = st.one_of(
+    st.text("0123456789+-_.e \0٣５", max_size=8),
+    st.integers(-2**64, 2**64).map(str), st.floats().map(lambda v: f"{v:.17g}"),
+    st.sampled_from(["nan", "-inf", "Infinity", " 5", "1_0", str(2**63 - 1), str(2**63),
+                     str(-2**63), str(-2**63 - 1), "1" * 30]))
+
+
+def first_fault(cells, dtype):
+    """Where ``int`` (``np.int64``) or ``float`` first fails on ``cells``: the
+    first cell it cannot parse, else the first integer beyond 64 bits; None
+    where every cell parses."""
+    parse = int if dtype is np.int64 else float
+    for k, cell in enumerate(cells):
+        try:
+            parse(cell)
+        except ValueError:
+            return k, "does not parse"
+    if dtype is np.int64:
+        return next(((k, "does not fit in 64 bits") for k, cell in enumerate(cells)
+                     if not -2**63 <= int(cell) < 2**63), None)
+    return None
+
+
+class TestCellParse:
+    """``np.array(cells, dtype)`` reads a column block as ``int``/``float`` read each cell."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(numeric_cells, min_size=1, max_size=12), st.sampled_from([np.int64, float]))
+    def test_numpy_parses_as_python_does(self, cells, dtype):
+        fault = first_fault(cells, dtype)
+        try:
+            got = np.array(cells, dtype=dtype)
+        except (ValueError, OverflowError):
+            assert fault is not None, cells
+            return
+        assert fault is None, cells
+        parse = int if dtype is np.int64 else float
+        assert same_bits(got, np.array([parse(cell) for cell in cells], dtype=dtype)), cells
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(numeric_cells, min_size=1, max_size=12), st.sampled_from([np.int64, float]))
+    def test_a_rejected_column_names_its_first_fault(self, cells, dtype):
+        fault = first_fault(cells, dtype)
+        if fault is None:
+            assert same_bits(harness._array(cells, dtype, "c", 7), np.array(cells, dtype=dtype))
+            return
+        k, words = fault
+        with pytest.raises(RejectedInputError,
+                           match=f"^row {7 + k}: c {re.escape(repr(cells[k]))} {words}$"):
+            harness._array(cells, dtype, "c", 7)
