@@ -54,6 +54,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    """Run a forecaster over the input and stream its log to ``--out``.
+
+    The config and the input are read and checked before any file is
+    opened; :func:`harness.stream_run` then writes the step log a block of
+    steps at a time and the summary last, so the command never holds the
+    whole log, and a run rejected midway leaves ``--out`` as it found it.
+    """
     config_dict = harness.load_json(args.config) if args.config else {}
     if args.forecaster:
         config_dict["forecaster"] = args.forecaster
@@ -64,21 +71,14 @@ def _cmd_run(args) -> int:
     xs, ys = harness.read_input(args.input)
     if xs is not None:  # the file's width is d unless the config sets one
         config_dict.setdefault("d", xs.shape[1])
-    log = harness.run(harness.RunConfig.from_dict(config_dict), ys, xs,
-                      save_state=args.save_state)
-    outdir = Path(args.out)
-    tree_state = log.summary.pop("tree", None)
-    harness.write_run_log(log, outdir)
-    if tree_state is not None:
-        with open(outdir / "tree.json", "w") as fh:
-            json.dump(tree_state, fh)
-            fh.write("\n")
+    summary = harness.stream_run(harness.RunConfig.from_dict(config_dict), ys, xs, args.out,
+                                 save_state=args.save_state)
     print(json.dumps({
-        "out": str(outdir),
-        "T": log.summary["T"],
-        "cumulative_loss": log.summary["cumulative_loss"],
-        "avg_loss": log.summary["cumulative_loss"] / log.summary["T"],
-        "final": log.summary["final"],
+        "out": str(Path(args.out)),
+        "T": summary["T"],
+        "cumulative_loss": summary["cumulative_loss"],
+        "avg_loss": summary["cumulative_loss"] / summary["T"],
+        "final": summary["final"],
     }, sort_keys=True))
     return 0
 

@@ -8,20 +8,32 @@ aggregated runs.  Logs are written as a CSV of steps plus a JSON summary;
 floats are printed with 17 significant digits so they round-trip exactly
 and two identical runs produce byte-identical step files.
 
-:func:`run` checks its inputs as whole arrays before the first step and
-then drives every forecaster through one loop; a tree takes its checked
-covariate rows through ``PartitionTree._predict``.  Each step's log fields
-(``trace()``) go into one flat list, cut into columns after the loop, where
-the harness renders a tree run's rows as its ``x`` cells (others are empty).
+:func:`run` and :func:`stream_run` check their inputs as whole arrays
+before the first step, and before any file is opened, then drive every
+forecaster through one loop (:func:`_step_blocks`) that produces the step
+log a block of ``_ROW_BLOCK`` steps at a time; a tree takes its checked
+covariate rows through ``PartitionTree._predict``.  Each block's log
+fields (``trace()``) go into one flat list, cut into the block's columns
+after its steps, where the harness renders a tree run's rows as its ``x``
+cells (others are empty), adds the block's losses to the running
+cumulative loss and feeds its rows to the running sha256 of
+:func:`data_digest`.  :func:`stream_run` (``egtree run``) writes each block
+as it arrives and the summary last, so it holds the forecaster and one
+block, never the whole log; :func:`run` joins the same blocks into a
+:class:`RunLog`, which :func:`write_run_log` cuts into blocks again for
+the same block writer.  Both write their files under temporary names and
+rename them into place at the end, so a run rejected midway leaves its
+directory as it found it.
 
 Every value is rendered or parsed once, and a canonical input not even
-once.  The writers (the step log, series and covariate files, the
-report's per-step tables) and :func:`data_digest` take each column once
-(``tolist``) and render a block of ``_ROW_BLOCK`` rows with a single ``%``
-format (:func:`_rendered`); no field but a report's run name ever needs
-CSV quoting, and that one is quoted once per run.  The readers take a
-file a block of lines at a time and cut a block that ``csv.reader`` would
-split plainly with one ``str.split``; from the first block with a quote,
+once.  The writers (series and covariate files, the report's per-step
+tables) and :func:`data_digest` take each column once (``tolist``), the
+step-log writer a block of steps at a time, and all render a block of
+``_ROW_BLOCK`` rows with a single ``%`` format (:func:`_rendered`); no
+field but a report's run name ever needs CSV quoting, and that one is
+quoted once per run.  The readers take a file a block of lines at a time
+and cut a block that ``csv.reader`` would split plainly with one
+``str.split``; from the first block with a quote,
 a ``\\r``, a wrong field count or an oversized line on, ``csv.reader``
 splits the rest (:func:`_column_blocks`).
 :func:`read_input` tells a series from a covariate file by its header
@@ -112,6 +124,19 @@ def _covariate_columns(xs, ys) -> list:
     return xs.T.tolist()
 
 
+def _data_text(ys: list, x_text=None, columns=()):
+    """The text :func:`data_digest` hashes for the rows of ``ys``, a block of rows at a time.
+
+    The covariates are ``x_text``, the rows as ``x1;..;xd`` text, or else
+    ``columns``, one list of floats per covariate.
+    """
+    if x_text is not None:
+        # rows rendered as "x1;..;xd;y\n", then respelled as "x1,..,xd,y;"
+        return (text.replace(";", ",").replace("\n", ";")
+                for text in _rendered("%s;%.17g\n", [x_text, ys]))
+    return _rendered("%.17g," * len(columns) + "%.17g;", [*columns, ys])
+
+
 def data_digest(ys, xs=None, *, x_text=None) -> str:
     """Canonical digest of a dataset, independent of CSV cosmetics.
 
@@ -121,17 +146,11 @@ def data_digest(ys, xs=None, *, x_text=None) -> str:
     the ``x`` cells :func:`run` writes, ``x1;..;xd`` with each value by ``fmt17``.
     """
     ys = np.asarray(ys, dtype=float)
-    if x_text is not None:
-        if len(x_text) != len(ys):
-            raise RejectedInputError(f"{len(x_text)} covariate rows for {len(ys)} observations")
-        # rows rendered as "x1;..;xd;y\n", then respelled as "x1,..,xd,y;"
-        texts = (text.replace(";", ",").replace("\n", ";")
-                 for text in _rendered("%s;%.17g\n", [x_text, ys.tolist()]))
-    else:
-        columns = [] if xs is None else _covariate_columns(xs, ys)
-        texts = _rendered("%.17g," * len(columns) + "%.17g;", columns + [ys.tolist()])
+    if x_text is not None and len(x_text) != len(ys):
+        raise RejectedInputError(f"{len(x_text)} covariate rows for {len(ys)} observations")
+    columns = [] if xs is None or x_text is not None else _covariate_columns(xs, ys)
     h = hashlib.sha256()
-    for text in texts:
+    for text in _data_text(ys.tolist(), x_text, columns):
         h.update(text.encode())
     return h.hexdigest()
 
@@ -240,110 +259,186 @@ def _forecaster(config: RunConfig):
                           config.max_d)
 
 
-def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
-    """Drive the configured forecaster over a series; returns the full log.
+def _checked(config: RunConfig, ys, xs, save_state: bool) -> tuple:
+    """The series and a tree run's covariates, checked as whole arrays: ``(ys, xs)``.
 
     ``xs`` (shape (T, d), values in [0,1]) is required for tree runs and
-    must be absent otherwise.  Both are checked here, as whole arrays,
-    before the first step.  Every forecaster is then driven by one loop:
-    predict with the step's covariate (``None`` without covariates), then
-    ``update(y)``, then ``trace()`` for the step's log fields, so an
-    outcome is never shown before its prediction.  A tree predicts through
-    ``PartitionTree._predict``, which takes the checked rows as tuples of
-    floats and does not check them again.  Each step's fields, in the
-    order of the forecaster's ``TRACED``, go into one flat list that is cut
-    into columns after the loop, where ``LossSpec.value_array`` (the floats
-    of ``LossSpec.value``) computes the losses and a tree run's covariate
-    rows become its ``x`` cells, ``x1;..;xd``.  With ``save_state`` the final
-    tree of a tree run is embedded in the summary for later
-    snapshot/restore; no other forecaster can save its state yet.
+    must be absent otherwise; only a tree run can save its state.
     """
-    started = time.perf_counter()
     if save_state and config.forecaster != "tree":
         raise RejectedInputError(f"only a tree run can save its state, not {config.forecaster!r}")
     ys = _check_series(ys)
-    T = len(ys)
-    if config.forecaster == "tree":
-        if xs is None:
-            raise RejectedInputError("tree runs need covariates")
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim == 1:
-            xs = xs[:, None]
-        if xs.shape != (T, config.d):
-            raise RejectedInputError(f"config sets d = {config.d}, but the covariates have "
-                                     f"shape {xs.shape} for T = {T}")
-        bad = np.argwhere(~((xs >= 0.0) & (xs <= 1.0)))  # NaN fails both
-        if bad.size:
-            k, j = bad[0]
-            raise RejectedInputError(f"observation {k + 1}: covariate {j + 1} outside "
-                                     f"[0, 1]: {float(xs[k, j])!r}")
-    elif xs is not None:
-        raise RejectedInputError(f"{config.forecaster!r} runs take no covariates")
-
-    forecaster = _forecaster(config)
+    if config.forecaster != "tree":
+        if xs is not None:
+            raise RejectedInputError(f"{config.forecaster!r} runs take no covariates")
+        return ys, None
     if xs is None:
-        points, predict = itertools.repeat(None, T), forecaster.predict
+        raise RejectedInputError("tree runs need covariates")
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim == 1:
+        xs = xs[:, None]
+    if xs.shape != (len(ys), config.d):
+        raise RejectedInputError(f"config sets d = {config.d}, but the covariates have "
+                                 f"shape {xs.shape} for T = {len(ys)}")
+    bad = np.argwhere(~((xs >= 0.0) & (xs <= 1.0)))  # NaN fails both
+    if bad.size:
+        k, j = bad[0]
+        raise RejectedInputError(f"observation {k + 1}: covariate {j + 1} outside "
+                                 f"[0, 1]: {float(xs[k, j])!r}")
+    return ys, xs
+
+
+@dataclass
+class _Block:
+    """The step log of up to ``_ROW_BLOCK`` consecutive steps of a run.
+
+    ``columns`` holds one list per entry of ``STEP_COLUMNS`` (``t`` a
+    range): ``leaf_h`` and ``leaf_i`` are -1 where no leaf is logged, and
+    the members are tuples of floats.  A block of a running run also
+    carries the cumulative loss and the :func:`data_digest` of every step
+    up to its last; a block cut from a finished :class:`RunLog` carries
+    neither.
+    """
+
+    columns: list
+    cumulative_loss: float | None = None
+    data_digest: str | None = None
+
+
+def _step_blocks(config: RunConfig, forecaster, ys: np.ndarray, xs):
+    """Drive ``forecaster`` over the checked ``ys`` (and ``xs``), a :class:`_Block` at a time.
+
+    Each step is predicted with its covariate row (``None`` without
+    covariates), then ``update(y)``, then ``trace()`` gives its log fields,
+    so an outcome is never shown before its prediction.  A tree predicts
+    through ``PartitionTree._predict``, which takes the checked rows as
+    tuples of floats and does not check them again.  After each block's
+    loop its fields are cut into columns, ``LossSpec.value_array`` (the
+    floats of ``LossSpec.value``) computes its losses, which are added to
+    the running cumulative loss left to right, a tree run's covariate rows
+    become its ``x`` cells, ``x1;..;xd``, and the block's rows are fed to
+    the running sha256 of :func:`data_digest`.  A leaf index beyond the 64
+    bits of the log's ``leaf_i`` is rejected in the block that reaches it.
+    """
+    if xs is None:
+        predict, x_format = forecaster.predict, None
     else:
-        # the rows checked above, as tuples of Python floats
-        x_columns = xs.T.tolist()
-        points, predict = zip(*x_columns), forecaster._predict
+        predict, x_format = forecaster._predict, ";".join(["%.17g"] * config.d) + "\n"
     update, traced = forecaster.update, forecaster.trace
-    # the fields of every step in one flat list: no container per step
-    # outlives its step, so the loop adds no work for the garbage collector
-    preds, fields = [], []
-    for x, y in zip(points, ys.tolist()):
-        preds.append(predict(x))
-        update(y)
-        fields.extend(traced())
-
-    # a column the forecaster does not trace keeps its default
-    columns = {"x": [""] * T, "leaf_h": [-1] * T, "leaf_i": [-1] * T, "n_nodes": [1] * T,
-               "height": [0] * T, "experts": [()] * T, "weights": [()] * T}
     width = len(forecaster.TRACED)
-    columns.update((name, fields[j::width]) for j, name in enumerate(forecaster.TRACED))
-    del fields  # the columns hold every field now
-    if xs is not None:  # each covariate row as "x1;..;xd", a block of rows per % format
-        x_text = columns["x"] = []
-        for text in _rendered(";".join(["%.17g"] * config.d) + "\n", x_columns):
-            x_text += text[:-1].split("\n")  # no cell after the block's last line end
-    preds = np.array(preds)
-    losses = config.loss.value_array(preds, ys)
-    cumulative = 0.0
-    for v in losses.tolist():
-        cumulative += v  # left to right, as verify_bounds resums it
+    digest, cumulative = hashlib.sha256(), 0.0
+    for start in range(0, len(ys), _ROW_BLOCK):
+        block_ys = ys[start:start + _ROW_BLOCK]
+        y = block_ys.tolist()
+        n = len(y)
+        if x_format is None:
+            points = itertools.repeat(None, n)
+        else:  # the rows checked before the run, as tuples of Python floats
+            x_columns = xs[start:start + n].T.tolist()
+            points = zip(*x_columns)
+        # the fields of every step in one flat list: no container per step
+        # outlives its step, so the loop adds no work for the garbage collector
+        preds, fields = [], []
+        for x, outcome in zip(points, y):
+            preds.append(predict(x))
+            update(outcome)
+            fields.extend(traced())
 
-    final = {"n_nodes": int(columns["n_nodes"][-1]), "height": int(columns["height"][-1]),
-             "total_steps": T}
+        # a column the forecaster does not trace keeps its default
+        columns = {"x": [""] * n, "leaf_h": [-1] * n, "leaf_i": [-1] * n, "n_nodes": [1] * n,
+                   "height": [0] * n, "experts": [()] * n, "weights": [()] * n}
+        columns.update((name, fields[j::width]) for j, name in enumerate(forecaster.TRACED))
+        del fields  # the columns hold every field now
+        if x_format is not None:  # no cell after the last line end
+            columns["x"] = "".join(_rendered(x_format, x_columns))[:-1].split("\n")
+        leaf_i = columns["leaf_i"]
+        if max(leaf_i) >= 2**63:  # only a leaf index passes 2**63, at depth 64 or more
+            k = next(k for k, i in enumerate(leaf_i) if i >= 2**63)
+            raise RejectedInputError(
+                f"step {start + k + 1}: the leaf at depth {columns['leaf_h'][k]} has index "
+                f"{leaf_i[k]}, beyond the 64 bits of the step log's leaf_i")
+        losses = config.loss.value_array(np.array(preds), block_ys).tolist()
+        for v in losses:
+            cumulative += v  # left to right, as verify_bounds resums it
+        for text in _data_text(y, None if x_format is None else columns["x"]):
+            digest.update(text.encode())
+        yield _Block([range(start + 1, start + n + 1), columns["x"], preds, y, losses,
+                      *(columns[name] for name in STEP_COLUMNS[5:])],
+                     cumulative, digest.hexdigest())
+
+
+def _summary(config: RunConfig, forecaster, T: int, last: _Block, started: float) -> dict:
+    """The summary of a run whose last block is ``last``; its wall clock ends now."""
+    n_nodes, height = (column[-1] for column in last.columns[7:9])
+    final = {"n_nodes": n_nodes, "height": height, "total_steps": T}
     if config.forecaster == "meta":
         final["n_active"] = forecaster.n_active  # pool size for step T+1
         final["experts"] = [{"d": tree.d, "start": entry_step(config.schedule, tree.d),
                              "n_nodes": tree.n_nodes, "height": tree.height}
                             for tree in forecaster.experts]
-    summary = {
+    return {
         "format": LOG_FORMAT,
         "T": T,
-        "cumulative_loss": cumulative,
+        "cumulative_loss": last.cumulative_loss,
         "config": config.to_dict(),
         "seed": config.seed,
-        # a tree run's x column already holds its covariates as .17g text
-        "data_digest": (data_digest(ys, x_text=columns["x"]) if xs is not None
-                        else data_digest(ys)),
+        "data_digest": last.data_digest,
         "final": final,
         "wall_clock_sec": time.perf_counter() - started,
     }
+
+
+def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
+    """Drive the configured forecaster over a series; returns the full log.
+
+    ``xs`` (shape (T, d), values in [0,1]) is required for tree runs and
+    must be absent otherwise.  Both are checked here, as whole arrays,
+    before the first step.  The run then yields its step log a block of
+    ``_ROW_BLOCK`` steps at a time (:func:`_step_blocks`), exactly as
+    :func:`stream_run` writes it, and the blocks are joined into one
+    :class:`RunLog`.  With ``save_state`` the final tree of a tree run is
+    embedded in the summary for later snapshot/restore; no other
+    forecaster can save its state yet.
+    """
+    started = time.perf_counter()
+    ys, xs = _checked(config, ys, xs, save_state)
+    forecaster = _forecaster(config)
+    blocks = list(_step_blocks(config, forecaster, ys, xs))
+    summary = _summary(config, forecaster, len(ys), blocks[-1], started)
     if save_state:
         summary["tree"] = forecaster.to_dict()
-    try:
-        ints = {name: np.array(columns[name], dtype=np.int64)
-                for name in ("leaf_h", "leaf_i", "n_nodes", "height")}
-    except OverflowError:  # only a leaf index passes 2**63, at depth 64 or more
-        k = next(k for k, i in enumerate(columns["leaf_i"]) if i >= 2**63)
-        raise RejectedInputError(
-            f"step {k + 1}: the leaf at depth {columns['leaf_h'][k]} has index "
-            f"{columns['leaf_i'][k]}, beyond the 64 bits of the step log's leaf_i") from None
-    return RunLog(np.arange(1, T + 1, dtype=np.int64), columns["x"], preds, ys,
-                  losses, ints["leaf_h"], ints["leaf_i"], ints["n_nodes"],
-                  ints["height"], columns["experts"], columns["weights"], summary)
+    _, x_text, preds, _, losses, *ints, experts, weights = (
+        list(itertools.chain.from_iterable(column))
+        for column in zip(*(block.columns for block in blocks)))
+    del blocks
+    return RunLog(np.arange(1, len(ys) + 1, dtype=np.int64), x_text, np.array(preds), ys,
+                  np.array(losses), *(np.array(column, dtype=np.int64) for column in ints),
+                  experts, weights, summary)
+
+
+def stream_run(config: RunConfig, ys, xs, outdir, save_state: bool = False) -> dict:
+    """Drive a run as :func:`run` does, writing its log to ``outdir`` as it goes.
+
+    The inputs are checked as :func:`run` checks them before any file is
+    opened.  Each block of steps is written to ``steps.csv`` as it arrives
+    and ``summary.json`` last, so no more than the forecaster and one block
+    is held, never the whole log; its ``wall_clock_sec`` covers the writing.
+    With ``save_state`` a tree run's final tree is written as ``tree.json``.
+    The files are written under temporary names and renamed into place
+    together at the end, so a run rejected midway leaves ``outdir`` as it
+    found it.  Returns the summary.
+    """
+    started = time.perf_counter()
+    ys, xs = _checked(config, ys, xs, save_state)
+    forecaster = _forecaster(config)
+    names = ("steps.csv", "summary.json") + (("tree.json",) if save_state else ())
+    with _staged(Path(outdir), names) as paths:
+        last = _write_steps(paths[0], _step_blocks(config, forecaster, ys, xs))
+        summary = _summary(config, forecaster, len(ys), last, started)
+        _write_json(paths[1], summary, indent=2, sort_keys=True)
+        if save_state:
+            _write_json(paths[2], forecaster.to_dict())
+    return summary
 
 
 # -- log persistence -----------------------------------------------------
@@ -353,42 +448,88 @@ def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
 _STEP_ROW = "%d,%s,%.17g,%.17g,%.17g,%s,%s,%d,%d,%s,%s\n"
 
 
-def _joined17(tuples) -> list:
+def _joined17(tuples: list) -> list:
     """The ``;``-joined .17g text of each tuple of floats.
 
-    A block of tuples is rendered by one ``%`` format, joined from the
-    format of each tuple's length with a line end between tuples, and the
-    text is cut at the line ends.
+    The tuples are rendered by one ``%`` format, joined from the format of
+    each tuple's length with a line end between tuples, and the text is cut
+    at the line ends.
     """
     if not any(tuples):  # no run but a mixture logs members
         return [""] * len(tuples)
     formats = {k: ";".join(["%.17g"] * k) for k in set(map(len, tuples))}
-    out = []
-    for k in range(0, len(tuples), _ROW_BLOCK):
-        block = tuples[k:k + _ROW_BLOCK]
-        block_format = "\n".join(map(formats.__getitem__, map(len, block)))
-        out += (block_format % tuple(itertools.chain.from_iterable(block))).split("\n")
-    return out
+    text_format = "\n".join(map(formats.__getitem__, map(len, tuples)))
+    return (text_format % tuple(itertools.chain.from_iterable(tuples))).split("\n")
 
 
-def _leaf_column(values: np.ndarray) -> list:
+def _leaf_cells(values: list) -> list:
     """A leaf column's cells: its integers, and no text where no leaf is logged (-1)."""
-    return np.where(values < 0, "", values.astype(object)).tolist()
+    return ["" if v < 0 else v for v in values]
+
+
+def _write_steps(path, blocks) -> _Block | None:
+    """Write ``steps.csv`` to ``path``, rendering each block as it arrives; returns the last."""
+    block = None
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(STEP_COLUMNS) + "\n")
+        for block in blocks:
+            t, x, pred, y, loss, leaf_h, leaf_i, n_nodes, height, experts, weights = block.columns
+            fh.writelines(_rendered(_STEP_ROW, [
+                t, x, pred, y, loss, _leaf_cells(leaf_h), _leaf_cells(leaf_i), n_nodes, height,
+                _joined17(experts), _joined17(weights)]))
+    return block
+
+
+def _write_json(path, data, **options) -> None:
+    with open(path, "w") as fh:
+        json.dump(data, fh, **options)
+        fh.write("\n")
+
+
+@contextlib.contextmanager
+def _staged(outdir: Path, names):
+    """Temporary paths in ``outdir`` for the files ``names``, renamed into place at the end.
+
+    Each file is written as its name plus ``.partial`` and renamed to its
+    name when the ``with`` block ends without an error.  On an error the
+    partial files are removed, and so is every directory made here, so
+    ``outdir`` is left as it was found: the files it held are untouched.
+    """
+    made = list(itertools.takewhile(lambda path: not path.exists(), (outdir, *outdir.parents)))
+    outdir.mkdir(parents=True, exist_ok=True)
+    partial = [outdir / f"{name}.partial" for name in names]
+    try:
+        yield partial
+    except BaseException:
+        for path in partial:
+            path.unlink(missing_ok=True)
+        for path in made:  # the deepest first
+            path.rmdir()
+        raise
+    for path, name in zip(partial, names):
+        path.replace(outdir / name)
+
+
+def _log_blocks(log: RunLog):
+    """The :class:`_Block` s of a finished log, each column cut and converted a block at a time."""
+    for k in range(0, len(log), _ROW_BLOCK):
+        cut = slice(k, k + _ROW_BLOCK)
+        yield _Block([log.t[cut].tolist(), log.x_text[cut], log.preds[cut].tolist(),
+                      log.ys[cut].tolist(), log.losses[cut].tolist(), log.leaf_h[cut].tolist(),
+                      log.leaf_i[cut].tolist(), log.n_nodes[cut].tolist(),
+                      log.height[cut].tolist(), log.expert_preds[cut], log.expert_weights[cut]])
 
 
 def write_run_log(log: RunLog, outdir) -> None:
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    columns = [log.t.tolist(), log.x_text, log.preds.tolist(), log.ys.tolist(),
-               log.losses.tolist(), _leaf_column(log.leaf_h), _leaf_column(log.leaf_i),
-               log.n_nodes.tolist(), log.height.tolist(), _joined17(log.expert_preds),
-               _joined17(log.expert_weights)]
-    with open(outdir / "steps.csv", "w", newline="") as fh:
-        fh.write(",".join(STEP_COLUMNS) + "\n")
-        fh.writelines(_rendered(_STEP_ROW, columns))
-    with open(outdir / "summary.json", "w") as fh:
-        json.dump(log.summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write ``log`` to ``outdir`` as ``steps.csv`` and ``summary.json``.
+
+    The log is cut into blocks of ``_ROW_BLOCK`` steps and each is written
+    by the block writer of :func:`stream_run`, so no column is converted
+    whole; the files are renamed into place together, as there.
+    """
+    with _staged(Path(outdir), ("steps.csv", "summary.json")) as (steps, summary):
+        _write_steps(steps, _log_blocks(log))
+        _write_json(summary, log.summary, indent=2, sort_keys=True)
 
 
 def _header(fh):
@@ -846,6 +987,9 @@ def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCh
                                  "N_t <= 1 + 8 (d t)^(d/(d+2)) at every step"))
         checks.append(BoundCheck("height-growth", 1.0, float(h_ok), h_ok,
                                  "H_t <= 1 + (d/2) log2(4 d t) at every step"))
+        within = bool(np.all(log.leaf_h <= log.height))
+        checks.append(BoundCheck("leaf-within-height", 1.0, float(within), within,
+                                 "h_t <= H_t: each step's leaf lies in its tree"))
 
         # every visited leaf's best constant, summed in the order of first visits
         fits = best_constants(log.ys, (log.leaf_h, log.leaf_i), loss)

@@ -1,10 +1,13 @@
+import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import reference
 from egtree import harness
 from egtree.cli import main
 from egtree.harness import (
@@ -357,14 +360,111 @@ def test_step_log_integer_beyond_int64_exits_two(tmp_path, capsys):
 
 
 def test_a_tree_too_deep_for_the_step_log_exits_two(tmp_path, capsys):
-    # a repeated point drives the d=14 tree past depth 64 at step 1328
+    # a repeated point drives the d=14 tree past depth 64 at step 1328, in
+    # the second block of steps, after the first has been written
     cov = tmp_path / "deep.csv"
     write_covariates(cov, np.full((2000, 14), 0.3), np.full(2000, 0.5))
+    deep = ["run", "--forecaster", "tree", "--input", str(cov), "--out"]
+    message = "error: step 1328: the leaf at depth 78 "
     rundir = tmp_path / "r"
-    assert main(["run", "--forecaster", "tree", "--input", str(cov), "--out", str(rundir)]) == 2
+    assert main(deep + [str(rundir)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: step 1328: the leaf at depth 78 ")
+    assert len(err) == 1 and err[0].startswith(message)
     assert not rundir.exists()
+    # no directory made for the run is left behind
+    assert main(deep + [str(tmp_path / "a" / "b")]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "a").exists()
+    # a finished run in the directory stays as it was, with no partial file beside it
+    series = tmp_path / "s.csv"
+    write_series(series, np.random.default_rng(5).random(1500))
+    assert main(["run", "--forecaster", "eg", "--input", str(series), "--out", str(rundir)]) == 0
+    before = {path.name: path.read_bytes() for path in rundir.iterdir()}
+    assert sorted(before) == ["steps.csv", "summary.json"]
+    capsys.readouterr()
+    assert main(deep + [str(rundir), "--save-state"]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert {path.name: path.read_bytes() for path in rundir.iterdir()} == before
+
+
+def test_a_leaf_deeper_than_its_tree_fails_verification(tmp_path, capsys):
+    # every leaf_h of a d=1 tree log raised by 20: each leaf is still a node
+    # of some tree, but lies below the height the log records
+    rng = np.random.default_rng(3)
+    cov = tmp_path / "pairs.csv"
+    write_covariates(cov, rng.random(3000), rng.random(3000))
+    rundir = tmp_path / "r"
+    assert main(["run", "--forecaster", "tree", "--input", str(cov), "--out", str(rundir),
+                 "--seed", "3"]) == 0
+    steps = rundir / "steps.csv"
+    lines = steps.read_text().splitlines()
+    raised = [",".join(cells[:5] + [str(int(cells[5]) + 20)] + cells[6:])
+              for cells in (line.split(",") for line in lines[1:])]
+    steps.write_text("\n".join(lines[:1] + raised) + "\n")
+    capsys.readouterr()
+    assert main(["verify-bounds", "--out", str(rundir), "--input", str(cov), "--L", "1.0"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
+    assert len(failed) == 1 and failed[0].startswith("FAIL leaf-within-height: ")
+
+
+STREAM_T = 3500  # three full blocks of steps and a partial one
+
+
+@pytest.mark.parametrize("forecaster, d, effective_range, schedule", [
+    ("eg", 1, False, "powers_of_two"),
+    ("tree", 1, False, "powers_of_two"),
+    ("tree", 1, True, "powers_of_two"),
+    ("tree", 3, False, "powers_of_two"),
+    ("tree", 3, True, "powers_of_two"),
+    ("meta", 1, False, "powers_of_two"),
+    ("meta", 1, False, "quadratic"),
+])
+def test_run_streams_the_log_across_blocks(tmp_path, capsys, forecaster, d, effective_range,
+                                           schedule):
+    assert STREAM_T // harness._ROW_BLOCK == 3 and STREAM_T % harness._ROW_BLOCK
+    config = harness.RunConfig(forecaster, d=d, effective_range=effective_range,
+                               schedule=schedule, seed=7)
+    rng = np.random.default_rng(7)
+    ys = rng.random(STREAM_T)
+    data = tmp_path / "input.csv"
+    if forecaster == "tree":
+        xs = rng.random((STREAM_T, d))
+        write_covariates(data, xs, ys)
+    else:
+        xs = None
+        write_series(data, ys)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config.to_dict()))
+    rundir = tmp_path / "r"
+    assert main(["run", "--config", str(config_path), "--input", str(data),
+                 "--out", str(rundir)]) == 0
+    reference.write_steps_csv(harness.run(config, ys, xs), tmp_path / "reference.csv")
+    assert (rundir / "steps.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    summary = json.loads((rundir / "summary.json").read_text())
+    assert summary["data_digest"] == reference.data_digest(ys, xs)
+    with open(rundir / "steps.csv", newline="") as fh:
+        losses = [float(row["loss"]) for row in csv.DictReader(fh)]
+    total = 0.0
+    for v in losses:
+        total += v
+    assert summary["cumulative_loss"] == total
+    assert sorted(path.name for path in rundir.iterdir()) == ["steps.csv", "summary.json"]
+
+
+def test_run_memory_does_not_grow_with_the_series(tmp_path, capsys):
+    # the command holds one block of steps, not a log of every step
+    peaks = []
+    for T in (10240, 40960):
+        series = tmp_path / f"s{T}.csv"
+        write_series(series, np.random.default_rng(T).random(T))
+        tracemalloc.start()
+        try:
+            assert main(["run", "--forecaster", "eg", "--input", str(series),
+                         "--out", str(tmp_path / f"r{T}")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 * 2**20, peaks
 
 
 def test_a_tree_log_without_leaves_exits_two(tmp_path, capsys):

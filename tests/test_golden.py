@@ -3,7 +3,9 @@
 Each case runs one forecaster over seeded data and pins the sha256 of
 ``steps.csv`` and of ``summary.json`` without its ``wall_clock_sec``
 field, so a refactor or a speed-up of the forecasting path cannot change
-a single byte of a log without this file noticing.  It also pins the
+a single byte of a log without this file noticing.  Each log is written
+twice: from the ``RunLog`` of ``harness.run`` by ``write_run_log``, and
+streamed to disk by ``egtree run``.  It also pins the
 checks that ``verify_bounds`` makes of the run, so the verifier and its
 comparators cannot drift either.  The inputs mix
 uniform draws with exact dyadic values (0, 1/4, 1/2, 3/4, 1), so that
@@ -16,7 +18,9 @@ import json
 import numpy as np
 import pytest
 
-from egtree.harness import RunConfig, run, verify_bounds, write_run_log
+from egtree.cli import main
+from egtree.harness import (RunConfig, run, verify_bounds, write_covariates, write_run_log,
+                            write_series)
 from egtree.losses import LossSpec
 
 LOSSES = {
@@ -35,10 +39,9 @@ def dyadic_mix(rng, shape):
     return values
 
 
-def digests(log, tmp_path):
-    write_run_log(log, tmp_path)
-    steps = hashlib.sha256((tmp_path / "steps.csv").read_bytes()).hexdigest()
-    summary = json.loads((tmp_path / "summary.json").read_text())
+def digests(rundir):
+    steps = hashlib.sha256((rundir / "steps.csv").read_bytes()).hexdigest()
+    summary = json.loads((rundir / "summary.json").read_text())
     summary.pop("wall_clock_sec")
     return steps, hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
 
@@ -133,28 +136,28 @@ GOLDEN = {
 # Lipschitz-comparator check exists (tree d = 1, meta) and None elsewhere
 VERIFY_GOLDEN = {
     "eg-absolute": "7ac100c7f660fb4b6122353577eff9c7acc6c1af9b0f1f443b9b5b91fd69c0b7",
-    "tree-d1-box-absolute": "49ddc20e47b97acd77777e39141e0b4e3b3b60c0de7b32d61d461785d58ed289",
-    "tree-d1-range-absolute": "55dc2b45c83c766e125490220da011ac9089eea215fd3118b563b5334814677e",
-    "tree-d3-box-absolute": "ec1796a3334ba147a4bd59afe155b6e363ce1b38c20a4b58c60e769e082acb54",
-    "tree-d3-range-absolute": "ca9ff7ded218dc759eab9da4ca0945fd88513b505e7f0eda4ef44e3b44af950e",
+    "tree-d1-box-absolute": "6c5cc7cfb5f9488c5ab4eecc50e46739a10a39baf69f30375af475b8345ce8f1",
+    "tree-d1-range-absolute": "15f4403e63998ffa112bb832222b9175a2cedb2b182cdecfda6ef69aa573bcfc",
+    "tree-d3-box-absolute": "a11e5a5dfbc96833a4b554b8b17c2aff97795b48772b4669663e0df8c58a959e",
+    "tree-d3-range-absolute": "011069d7ea12d87cd30ee71bbaabf0ec81a3b20473176a4809de61d24c50b751",
     "meta-powers_of_two-box-absolute": "377aea9030104a5659d1b9b50499ab126a4ae224430211753741c77026625d8b",
     "meta-powers_of_two-range-absolute": "6716cc06ae2a303cf743273b5b455ed9f85b3592a6037a2d5805c2fb087cc12a",
     "meta-quadratic-box-absolute": "7f89af7d09c793de736cbf39cd58a399264e6f7c80aa43b44c1be61bc37c7854",
     "meta-quadratic-range-absolute": "55de54b2e11347fe5b608c2e1a63fdb395a9c7445a719a3a51e851e46a338485",
     "eg-square": "95e0a136cfc685ee0bd190f6c4f7ac0fb7f134daea63f7fa1cb4ec6051a5ecb5",
-    "tree-d1-box-square": "0e887b321b0bec6e47d3a2bebc38d87ec2822db076b3517641e87943754344ca",
-    "tree-d1-range-square": "376eda176f193d82fd11bdd9500b7797c3d7affb52c7829a699eb9ee1db0b8c2",
-    "tree-d3-box-square": "2c26ac4ac0e3c24ea97f434190f394be348cadae1f26189ebd80a6501c025fd4",
-    "tree-d3-range-square": "94ef78af1499458cbee45563edec78ef12479db24aeab7ed490aa458bf89b386",
+    "tree-d1-box-square": "d43582bb1d39f56bbe94d5cbf766a4cd07dce0cb2a2333016b9aae460c6b6e6f",
+    "tree-d1-range-square": "8918427a70d6e19eec09843b63521add5086bf593337f7e49a1546a5a9f7bcbd",
+    "tree-d3-box-square": "117adbbc85368d462bbab54b6cad8beffa7c420778492533c22a0e691f278fe2",
+    "tree-d3-range-square": "daff4e09702a1e3cbe88ee946ac472db91873fbdf3a46854ca9b8bbafaf631a5",
     "meta-powers_of_two-box-square": "d7fb98e513a819bbd2d55869a5b5d39a8422996fd91d44eb0f21e56daa7b7b98",
     "meta-powers_of_two-range-square": "2b31d7cdb137ff81be21db04cced1dc2c7d018c72179f793fe90a3bc009f570a",
     "meta-quadratic-box-square": "c20ea97657f4ce1750c551c41aa0713f76ab339cd9d2a66b8476c2c354c3479e",
     "meta-quadratic-range-square": "fcf4b6011aca68380ecf6b78e8af9e3479064fae4ed089d8dfe8da86caf76693",
     "eg-pinball": "4f1122efcd61cc32c81027df1bc062145631f061867ad3134308764c86532feb",
-    "tree-d1-box-pinball": "7c3a10c71be2005afca5c553f774a9b4cb482b1e6ee58834cf66dbd1dbdcc34c",
-    "tree-d1-range-pinball": "a0ec127760a2d35edf9fe92158509c95b2bbafe9c9a38dbc1bdc9a349ecc6afe",
-    "tree-d3-box-pinball": "729acc9b6ec652ad6a2973f6352280c4963c0573b902d70208ff4c928fba221d",
-    "tree-d3-range-pinball": "5ca5e6ba1942e42d9a0ff40659ad1174ec2c1c05c05fdf11d420258fc277c889",
+    "tree-d1-box-pinball": "bce93b23f3ffa05050e2d868d44f151b6fb55179289b246e925cd972d30f9830",
+    "tree-d1-range-pinball": "61f092e1d35cc604693d80c090dead8a8c31b6cdf48afc2dbfd6f3f8f5d415ba",
+    "tree-d3-box-pinball": "7490c834845b409c5a53f627599f8a8f160cbad97c44d41a61df38c77e4555fd",
+    "tree-d3-range-pinball": "c96a722c35049b15fdd09f8f4e3d005f161e9b5dce52b7a2b74d40b93bb9a158",
     "meta-powers_of_two-box-pinball": "2b6a289130d1efa48f1e96f5fc7a2481d6294336aebfdcd228ecafa3dd172f44",
     "meta-powers_of_two-range-pinball": "e9819b6ed42b38cf811600218d90518b56af5be35ad05414c40721c1a45e7fdc",
     "meta-quadratic-box-pinball": "929d2c21244cddd36ba6747828f42e9328c97beb840870fbc58613ebecfcf3af",
@@ -194,7 +197,24 @@ def case(name):
 
 @pytest.mark.parametrize("name", list(cases()))
 def test_golden_digest(name, tmp_path):
-    assert digests(run(*case(name)), tmp_path) == GOLDEN[name]
+    write_run_log(run(*case(name)), tmp_path)
+    assert digests(tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", list(cases()))
+def test_golden_digest_of_the_streamed_run(name, tmp_path, capsys):
+    # `egtree run` streams the log to disk; its files must match the pins too
+    config, ys, xs = case(name)
+    config_path, data = tmp_path / "config.json", tmp_path / "input.csv"
+    config_path.write_text(json.dumps(config.to_dict()))
+    if xs is None:
+        write_series(data, ys)
+    else:
+        write_covariates(data, xs, ys)
+    rundir = tmp_path / "run"
+    assert main(["run", "--config", str(config_path), "--input", str(data),
+                 "--out", str(rundir)]) == 0
+    assert digests(rundir) == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", list(cases()))

@@ -512,7 +512,7 @@ class TestVerifyBounds:
         checks = verify_bounds(run(RunConfig("tree", ABS, d=2), ys, xs))
         assert all(c.passed for c in checks)
         names = {c.name for c in checks}
-        assert {"node-count-growth", "height-growth",
+        assert {"node-count-growth", "height-growth", "leaf-within-height",
                 "per-leaf-decomposition", "visit-concentration"} <= names
 
     @pytest.mark.parametrize("column, name, cap", [
