@@ -2,11 +2,14 @@
 
 A run follows the strict predict-then-observe protocol step by step and
 records everything needed to re-verify the guarantees offline: the
-prediction, outcome and loss of every step, the active leaf and tree size
-for tree runs, and the member predictions and mixture weights for
-aggregated runs.  Logs are written as a CSV of steps plus a JSON summary;
-floats are printed with 17 significant digits so they round-trip exactly
-and two identical runs produce byte-identical step files.
+prediction and outcome of every step (its loss is not logged: the
+verifier recomputes it from the two), the active leaf and tree size for
+tree runs, and the member predictions and mixture weights for aggregated
+runs.  Logs are written as a CSV of steps plus a JSON summary, in the
+format ``LOG_FORMAT`` (``egtree-runlog-v2``, which is the
+``egtree-runlog-v1`` step log less its ``loss`` column); floats are
+printed with 17 significant digits so they round-trip exactly and two
+identical runs produce byte-identical step files.
 
 :func:`run` and :func:`stream_run` check their inputs as whole arrays
 before the first step, and before any file is opened, then drive every
@@ -14,10 +17,11 @@ forecaster through one loop (:func:`_step_blocks`) that produces the step
 log a block of ``_ROW_BLOCK`` steps at a time; a tree takes its checked
 covariate rows through ``PartitionTree._predict``.  Each block's log
 fields (``trace()``) go into one flat list, cut into the block's columns
-after its steps, where the harness renders a tree run's rows as its ``x``
-cells (others are empty), adds the block's losses to the running
-cumulative loss and feeds its rows to the running sha256 of
-:func:`data_digest`.  :func:`stream_run` (``egtree run``) writes each block
+after its steps, where the harness renders the block's data rows once,
+as the text that both its ``x`` and ``y`` cells (a tree run's ``x``
+cells; others are empty) and the running sha256 of :func:`data_digest`
+are cut from, and adds the block's losses to the running cumulative
+loss.  :func:`stream_run` (``egtree run``) writes each block
 as it arrives and the summary last, so it holds the forecaster and one
 block, never the whole log; :func:`run` joins the same blocks into a
 :class:`RunLog`, which :func:`write_run_log` cuts into blocks again for
@@ -26,36 +30,41 @@ rename them into place at the end, so a run rejected midway leaves its
 directory as it found it.
 
 Every value is rendered or parsed once, and a canonical input not even
-once.  The writers (series and covariate files, the report's per-step
-tables) and :func:`data_digest` take each column once (``tolist``), the
-step-log writer a block of steps at a time, and all render a block of
-``_ROW_BLOCK`` rows with a single ``%`` format (:func:`_rendered`); no
-field but a report's run name ever needs CSV quoting, and that one is
-quoted once per run.  The readers take a file a block of lines at a time
-and cut a block that ``csv.reader`` would split plainly with one
-``str.split``; from the first block with a quote,
-a ``\\r``, a wrong field count or an oversized line on, ``csv.reader``
-splits the rest (:func:`_column_blocks`).
-:func:`read_input` tells a series from a covariate file by its header
-alone.  The numbers of a CSV are parsed by ``np.array(cells, dtype)``,
-which reads each cell as ``int`` or ``float`` does: an input block as one
-array, range-checked at once, a step-log block a column at a time (but a
-member cell as a tuple of floats).  A block that fails is rescanned row by
-row for its first bad row, field and value.  The step-log reader also
-rejects a leaf that is no node of a tree and checks the fields of
-``summary.json`` that the verifier and the report read.  A file
-that does not decode is rejected, naming it.  Every input file this module
-writes holds the text that :func:`data_digest` hashes, as it stands, so
-:func:`input_digest` checks such a file against a run by hashing it block
-by block; it parses and renders only a file that does not hash to the
-run's digest.
+once: a run renders each covariate and outcome once, for its step log
+and its digest alike.  The writers (series and covariate files, the
+report's per-step tables) and :func:`data_digest` take each column once
+(``tolist``), the step-log writer a block of steps at a time, and all
+render a block of ``_ROW_BLOCK`` rows with a single ``%`` format
+(:func:`_rendered`); no field but a report's run name ever needs CSV
+quoting, and that one is quoted once per run.  The readers take a file a
+block of lines at a time and cut a block that ``csv.reader`` would split
+plainly with one ``str.split``; from the first block with a quote, a
+``\\r``, a wrong field count or an oversized line on, ``csv.reader``
+splits the rest (:func:`_column_blocks`).  :func:`read_input` tells a
+series from a covariate file by its header alone.  The numbers of a CSV
+are parsed by ``np.array(cells, dtype)``, which reads each cell as
+``int`` or ``float`` does: an input block as one array, range-checked at
+once, a step-log block a column at a time (but a member cell as a tuple
+of floats, and a block of empty member or leaf cells, as all but a
+mixture's or a tree's log holds, parses no cell).  A block that fails is
+rescanned row by row for its first bad row, field and value.  The
+step-log reader reads ``LOG_FORMAT`` alone, rejects a leaf that is no
+node of a tree and checks the fields of ``summary.json`` that the
+verifier and the report read.  A file that does not decode is rejected,
+naming it.  Every input file this module writes holds the text that
+:func:`data_digest` hashes, as it stands, so :func:`input_digest` checks
+such a file against a run by hashing it block by block; it parses and
+renders only a file that does not hash to the run's digest.
 
 :func:`verify_bounds` replays the inequalities the forecasters are
 guaranteed to satisfy (regret versus the offline comparators, partition
 growth caps, mixture-weight accounting) against a finished log and
 reports bound, achieved value and slack for each.  It works on whole
-columns: a tree run's per-leaf checks fit the best constant of every
-visited leaf in one grouped pass (:func:`oracles.best_constants`).
+columns: it recomputes every step's loss from the logged prediction and
+outcome once, and a tree run's per-leaf checks fit the best constant of
+every visited leaf in one grouped pass (:func:`oracles.best_constants`).
+:func:`report` reads its runs one at a time and writes each run's
+per-step rows as it goes.
 """
 
 from __future__ import annotations
@@ -89,9 +98,9 @@ from .oracles import (best_constant, best_constants, best_lipschitz_1d,
                       lipschitz_regret_bound)
 from .tree import PartitionTree, height_bound, node_count_bound
 
-LOG_FORMAT = "egtree-runlog-v1"
-STEP_COLUMNS = ("t", "x", "pred", "y", "loss", "leaf_h", "leaf_i",
-                "n_nodes", "height", "experts", "weights")
+LOG_FORMAT = "egtree-runlog-v2"
+STEP_COLUMNS = ("t", "x", "pred", "y", "leaf_h", "leaf_i", "n_nodes", "height",
+                "experts", "weights")
 
 
 _ROW_BLOCK = 1024      # CSV rows read, or rendered, at a time
@@ -124,33 +133,16 @@ def _covariate_columns(xs, ys) -> list:
     return xs.T.tolist()
 
 
-def _data_text(ys: list, x_text=None, columns=()):
-    """The text :func:`data_digest` hashes for the rows of ``ys``, a block of rows at a time.
-
-    The covariates are ``x_text``, the rows as ``x1;..;xd`` text, or else
-    ``columns``, one list of floats per covariate.
-    """
-    if x_text is not None:
-        # rows rendered as "x1;..;xd;y\n", then respelled as "x1,..,xd,y;"
-        return (text.replace(";", ",").replace("\n", ";")
-                for text in _rendered("%s;%.17g\n", [x_text, ys]))
-    return _rendered("%.17g," * len(columns) + "%.17g;", [*columns, ys])
-
-
-def data_digest(ys, xs=None, *, x_text=None) -> str:
+def data_digest(ys, xs=None) -> str:
     """Canonical digest of a dataset, independent of CSV cosmetics.
 
     The digest covers the text ``x1,..,xd,y;`` of every row, each value
     rendered by :func:`fmt17`; a one-dimensional ``xs`` is one covariate.
-    ``x_text`` stands in for ``xs`` when the rows are already rendered as
-    the ``x`` cells :func:`run` writes, ``x1;..;xd`` with each value by ``fmt17``.
     """
     ys = np.asarray(ys, dtype=float)
-    if x_text is not None and len(x_text) != len(ys):
-        raise RejectedInputError(f"{len(x_text)} covariate rows for {len(ys)} observations")
-    columns = [] if xs is None or x_text is not None else _covariate_columns(xs, ys)
+    columns = [] if xs is None else _covariate_columns(xs, ys)
     h = hashlib.sha256()
-    for text in _data_text(ys.tolist(), x_text, columns):
+    for text in _rendered("%.17g," * len(columns) + "%.17g;", [*columns, ys.tolist()]):
         h.update(text.encode())
     return h.hexdigest()
 
@@ -227,7 +219,6 @@ class RunLog:
     x_text: list            # a tree run's covariate rows, "x1;..;xd"; "" elsewhere
     preds: np.ndarray
     ys: np.ndarray
-    losses: np.ndarray
     leaf_h: np.ndarray      # -1 where no tree is involved
     leaf_i: np.ndarray
     n_nodes: np.ndarray
@@ -293,11 +284,11 @@ class _Block:
     """The step log of up to ``_ROW_BLOCK`` consecutive steps of a run.
 
     ``columns`` holds one list per entry of ``STEP_COLUMNS`` (``t`` a
-    range): ``leaf_h`` and ``leaf_i`` are -1 where no leaf is logged, and
-    the members are tuples of floats.  A block of a running run also
-    carries the cumulative loss and the :func:`data_digest` of every step
-    up to its last; a block cut from a finished :class:`RunLog` carries
-    neither.
+    range): ``x`` and ``y`` are the cells' text, ``leaf_h`` and ``leaf_i``
+    are -1 where no leaf is logged, and the members are tuples of floats.
+    A block of a running run also carries the cumulative loss and the
+    :func:`data_digest` of every step up to its last; a block cut from a
+    finished :class:`RunLog` carries neither.
     """
 
     columns: list
@@ -313,17 +304,20 @@ def _step_blocks(config: RunConfig, forecaster, ys: np.ndarray, xs):
     so an outcome is never shown before its prediction.  A tree predicts
     through ``PartitionTree._predict``, which takes the checked rows as
     tuples of floats and does not check them again.  After each block's
-    loop its fields are cut into columns, ``LossSpec.value_array`` (the
-    floats of ``LossSpec.value``) computes its losses, which are added to
-    the running cumulative loss left to right, a tree run's covariate rows
-    become its ``x`` cells, ``x1;..;xd``, and the block's rows are fed to
-    the running sha256 of :func:`data_digest`.  A leaf index beyond the 64
-    bits of the log's ``leaf_i`` is rejected in the block that reaches it.
+    loop its fields are cut into columns, and its data rows are rendered
+    once, by one ``%`` format, as ``x1;..;xd,y`` (a tree run's) or ``y``
+    lines: that text, respelled, feeds the running sha256 of
+    :func:`data_digest`, and cut, gives the ``x`` and ``y`` cells.
+    ``LossSpec.value_array`` (the floats of ``LossSpec.value``) computes
+    the block's losses, which are added to the running cumulative loss
+    left to right; the log holds no loss.  A leaf index beyond the 64 bits
+    of the log's ``leaf_i`` is rejected in the block that reaches it.
     """
     if xs is None:
-        predict, x_format = forecaster.predict, None
+        predict, data_format = forecaster.predict, "%.17g\n"
     else:
-        predict, x_format = forecaster._predict, ";".join(["%.17g"] * config.d) + "\n"
+        predict = forecaster._predict
+        data_format = ";".join(["%.17g"] * config.d) + ",%.17g\n"
     update, traced = forecaster.update, forecaster.trace
     width = len(forecaster.TRACED)
     digest, cumulative = hashlib.sha256(), 0.0
@@ -331,8 +325,8 @@ def _step_blocks(config: RunConfig, forecaster, ys: np.ndarray, xs):
         block_ys = ys[start:start + _ROW_BLOCK]
         y = block_ys.tolist()
         n = len(y)
-        if x_format is None:
-            points = itertools.repeat(None, n)
+        if xs is None:
+            x_columns, points = [], itertools.repeat(None, n)
         else:  # the rows checked before the run, as tuples of Python floats
             x_columns = xs[start:start + n].T.tolist()
             points = zip(*x_columns)
@@ -345,31 +339,38 @@ def _step_blocks(config: RunConfig, forecaster, ys: np.ndarray, xs):
             fields.extend(traced())
 
         # a column the forecaster does not trace keeps its default
-        columns = {"x": [""] * n, "leaf_h": [-1] * n, "leaf_i": [-1] * n, "n_nodes": [1] * n,
+        columns = {"t": range(start + 1, start + n + 1), "x": [""] * n, "pred": preds,
+                   "leaf_h": [-1] * n, "leaf_i": [-1] * n, "n_nodes": [1] * n,
                    "height": [0] * n, "experts": [()] * n, "weights": [()] * n}
         columns.update((name, fields[j::width]) for j, name in enumerate(forecaster.TRACED))
         del fields  # the columns hold every field now
-        if x_format is not None:  # no cell after the last line end
-            columns["x"] = "".join(_rendered(x_format, x_columns))[:-1].split("\n")
         leaf_i = columns["leaf_i"]
         if max(leaf_i) >= 2**63:  # only a leaf index passes 2**63, at depth 64 or more
             k = next(k for k, i in enumerate(leaf_i) if i >= 2**63)
             raise RejectedInputError(
                 f"step {start + k + 1}: the leaf at depth {columns['leaf_h'][k]} has index "
                 f"{leaf_i[k]}, beyond the 64 bits of the step log's leaf_i")
+        # "x1;..;xd,y\n" becomes the digest's "x1,..,xd,y;", and the cells
+        # alternate x and y once the line ends are commas
+        text = data_format * n % tuple(itertools.chain.from_iterable(zip(*x_columns, y)))
+        digest.update(text.replace(";", ",").replace("\n", ";").encode())
+        cells = text.replace("\n", ",").split(",")
+        del text
+        cells.pop()  # the empty cell after the last line end
+        if xs is None:
+            columns["y"] = cells
+        else:
+            columns["x"], columns["y"] = cells[0::2], cells[1::2]
         losses = config.loss.value_array(np.array(preds), block_ys).tolist()
         for v in losses:
             cumulative += v  # left to right, as verify_bounds resums it
-        for text in _data_text(y, None if x_format is None else columns["x"]):
-            digest.update(text.encode())
-        yield _Block([range(start + 1, start + n + 1), columns["x"], preds, y, losses,
-                      *(columns[name] for name in STEP_COLUMNS[5:])],
-                     cumulative, digest.hexdigest())
+        yield _Block([columns[name] for name in STEP_COLUMNS], cumulative, digest.hexdigest())
 
 
 def _summary(config: RunConfig, forecaster, T: int, last: _Block, started: float) -> dict:
     """The summary of a run whose last block is ``last``; its wall clock ends now."""
-    n_nodes, height = (column[-1] for column in last.columns[7:9])
+    n_nodes, height = (last.columns[STEP_COLUMNS.index(name)][-1]
+                       for name in ("n_nodes", "height"))
     final = {"n_nodes": n_nodes, "height": height, "total_steps": T}
     if config.forecaster == "meta":
         final["n_active"] = forecaster.n_active  # pool size for step T+1
@@ -407,13 +408,13 @@ def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
     summary = _summary(config, forecaster, len(ys), blocks[-1], started)
     if save_state:
         summary["tree"] = forecaster.to_dict()
-    _, x_text, preds, _, losses, *ints, experts, weights = (
+    _, x_text, preds, _, *ints, experts, weights = (
         list(itertools.chain.from_iterable(column))
         for column in zip(*(block.columns for block in blocks)))
     del blocks
     return RunLog(np.arange(1, len(ys) + 1, dtype=np.int64), x_text, np.array(preds), ys,
-                  np.array(losses), *(np.array(column, dtype=np.int64) for column in ints),
-                  experts, weights, summary)
+                  *(np.array(column, dtype=np.int64) for column in ints), experts, weights,
+                  summary)
 
 
 def stream_run(config: RunConfig, ys, xs, outdir, save_state: bool = False) -> dict:
@@ -444,8 +445,14 @@ def stream_run(config: RunConfig, ys, xs, outdir, save_state: bool = False) -> d
 # -- log persistence -----------------------------------------------------
 
 # Every step-log field is an integer, a float, ";"-joined floats or empty,
-# so no field ever needs CSV quoting and a block of rows is one % format.
-_STEP_ROW = "%d,%s,%.17g,%.17g,%.17g,%s,%s,%d,%d,%s,%s\n"
+# so no field ever needs CSV quoting and a block of rows is one % format;
+# the x and y cells come rendered.
+_STEP_ROW = "%d,%s,%.17g,%s,%s,%s,%d,%d,%s,%s\n"
+
+
+def _cells17(values: list) -> list:
+    """The .17g text of each float of the nonempty ``values``, rendered by one ``%`` format."""
+    return ("%.17g\n" * len(values) % tuple(values))[:-1].split("\n")
 
 
 def _joined17(tuples: list) -> list:
@@ -473,9 +480,9 @@ def _write_steps(path, blocks) -> _Block | None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(STEP_COLUMNS) + "\n")
         for block in blocks:
-            t, x, pred, y, loss, leaf_h, leaf_i, n_nodes, height, experts, weights = block.columns
+            t, x, pred, y, leaf_h, leaf_i, n_nodes, height, experts, weights = block.columns
             fh.writelines(_rendered(_STEP_ROW, [
-                t, x, pred, y, loss, _leaf_cells(leaf_h), _leaf_cells(leaf_i), n_nodes, height,
+                t, x, pred, y, _leaf_cells(leaf_h), _leaf_cells(leaf_i), n_nodes, height,
                 _joined17(experts), _joined17(weights)]))
     return block
 
@@ -491,7 +498,8 @@ def _staged(outdir: Path, names):
     """Temporary paths in ``outdir`` for the files ``names``, renamed into place at the end.
 
     Each file is written as its name plus ``.partial`` and renamed to its
-    name when the ``with`` block ends without an error.  On an error the
+    name when the ``with`` block ends without an error; a name whose file
+    was not written is left as it is in ``outdir``.  On an error the
     partial files are removed, and so is every directory made here, so
     ``outdir`` is left as it was found: the files it held are untouched.
     """
@@ -507,7 +515,8 @@ def _staged(outdir: Path, names):
             path.rmdir()
         raise
     for path, name in zip(partial, names):
-        path.replace(outdir / name)
+        if path.exists():
+            path.replace(outdir / name)
 
 
 def _log_blocks(log: RunLog):
@@ -515,7 +524,7 @@ def _log_blocks(log: RunLog):
     for k in range(0, len(log), _ROW_BLOCK):
         cut = slice(k, k + _ROW_BLOCK)
         yield _Block([log.t[cut].tolist(), log.x_text[cut], log.preds[cut].tolist(),
-                      log.ys[cut].tolist(), log.losses[cut].tolist(), log.leaf_h[cut].tolist(),
+                      _cells17(log.ys[cut].tolist()), log.leaf_h[cut].tolist(),
                       log.leaf_i[cut].tolist(), log.n_nodes[cut].tolist(),
                       log.height[cut].tolist(), log.expert_preds[cut], log.expert_weights[cut]])
 
@@ -645,29 +654,56 @@ def _array(cells, dtype, name: str, first_row: int = 2) -> np.ndarray:
 
 
 def _floats(cell: str) -> tuple:
-    return tuple(map(float, cell.split(";"))) if cell else ()
+    # a tuple of a list is made at its size; one of an iterator is made at a
+    # guessed size and resized, so once freed it fills the free list of
+    # another size than it was taken from, and each log read grows them
+    return tuple(list(map(float, cell.split(";")))) if cell else ()
 
 
 # per step-log column: its dtype; the x text stays text (None), member cells tuples (_floats)
-_STEP_PARSERS = (np.int64, None, float, float, float, np.int64, np.int64, np.int64,
-                 np.int64, _floats, _floats)
+_STEP_PARSERS = (np.int64, None, float, float, np.int64, np.int64, np.int64, np.int64,
+                 _floats, _floats)
+
+
+def _parsed_block(name: str, dtype, cells, first_row: int):
+    """A block of the step-log column ``name``, parsed as ``_STEP_PARSERS`` says.
+
+    A block whose member cells are all empty, or whose leaf cells are (all
+    but a mixture's, and all but a tree's), parses no cell.
+    """
+    if dtype is None:
+        return cells
+    if dtype is _floats:
+        return _parsed(cells, _floats, name, first_row) if any(cells) else [()] * len(cells)
+    if name in ("leaf_h", "leaf_i") and not all(cells):  # an empty cell: no leaf, -1
+        if not any(cells):
+            return np.full(len(cells), -1, np.int64)
+        cells = [cell or "-1" for cell in cells]
+    return _array(cells, dtype, name, first_row)
 
 
 def read_run_log(outdir) -> RunLog:
     """Load a run log; a damaged ``steps.csv`` is rejected at its first fault.
 
-    The rows are parsed a block at a time, and the first block with a fault
-    decides which is reported.  A row with the wrong number of fields ends
-    its block, so the rows above it are checked first.  Within a block, each
-    column in log order is searched for a cell that does not parse, then for
-    an integer beyond 64 bits; then come a step number out of sequence, a step
-    with more or fewer ``experts`` than ``weights``, and a leaf that is no node
-    of a tree (any leaf, outside a tree run).  A step count that differs from
-    the summary's ``T`` is found last.
+    Only a log of ``LOG_FORMAT`` (``egtree-runlog-v2``: no ``loss``
+    column, as :func:`verify_bounds` recomputes every loss from ``pred``
+    and ``y``) is read: a summary of any other format, the ``loss``-logging
+    ``egtree-runlog-v1`` included, is rejected by name before ``steps.csv``
+    is opened.  The rows are parsed a block at a time, and the first block
+    with a fault decides which is reported.  A row with the wrong number of
+    fields ends its block, so the rows above it are checked first.  Within
+    a block, each column in log order is searched for a cell that does not
+    parse, then for an integer beyond 64 bits; then come a step number out
+    of sequence, a step with more or fewer ``experts`` than ``weights``,
+    and a leaf that is no node of a tree (any leaf, outside a tree run).  A
+    step count that differs from the summary's ``T`` is found last.
     """
     outdir = Path(outdir)
     path = outdir / "summary.json"
     summary = load_json(path)
+    if summary.get("format") != LOG_FORMAT:
+        raise RejectedInputError(f"{path}: log format {summary.get('format')!r} is not "
+                                 f"{LOG_FORMAT!r}, the only format this version reads")
     for key, kind in (("T", int), ("cumulative_loss", float), ("data_digest", str),
                       ("config", dict), ("final", dict)):
         json_field(summary, key, kind, str(path))
@@ -675,6 +711,8 @@ def read_run_log(outdir) -> RunLog:
     for key in ("n_nodes", "height") + (("n_active",) if config.forecaster == "meta" else ()):
         json_field(summary["final"], key, int, f"{path}: final")
     tree = config.forecaster == "tree"
+    leaf = [STEP_COLUMNS.index("leaf_h"), STEP_COLUMNS.index("leaf_i")]
+    members = [STEP_COLUMNS.index("experts"), STEP_COLUMNS.index("weights")]
     # each block of rows is parsed as it is read, so no more than one
     # block of cell strings is held next to the parsed columns
     blocks = [[] for _ in STEP_COLUMNS]
@@ -684,14 +722,7 @@ def read_run_log(outdir) -> RunLog:
             raise RejectedInputError(f"unrecognized step log header: {header}")
         for row_no, columns in _column_blocks(fh, len(STEP_COLUMNS)):
             for name, dtype, cells, parsed in zip(STEP_COLUMNS, _STEP_PARSERS, columns, blocks):
-                if dtype is None:
-                    parsed.append(cells)
-                elif dtype is _floats:
-                    parsed.append(_parsed(cells, _floats, name, row_no))
-                else:
-                    if name in ("leaf_h", "leaf_i") and not all(cells):
-                        cells = [cell or "-1" for cell in cells]  # an empty cell: no leaf
-                    parsed.append(_array(cells, dtype, name, row_no))
+                parsed.append(_parsed_block(name, dtype, cells, row_no))
             t = blocks[0][-1]
             bad = np.flatnonzero(t != np.arange(row_no - 1, row_no - 1 + len(t)))
             if bad.size:
@@ -699,32 +730,32 @@ def read_run_log(outdir) -> RunLog:
                 raise RejectedInputError(
                     f"row {row_no + k}: t is {t[k]}, expected {row_no - 1 + k}")
             # equal lists (all () where no step logs members) hold equal counts
-            experts, weights = (parsed[-1] for parsed in blocks[-2:])
+            experts, weights = (blocks[j][-1] for j in members)
             if experts != weights and list(map(len, experts)) != list(map(len, weights)):
                 k = next(k for k, (e, w) in enumerate(zip(experts, weights)) if len(e) != len(w))
                 raise RejectedInputError(f"row {row_no + k}: {len(experts[k])} experts but "
                                          f"{len(weights[k])} weights")
             # a tree run logs a node (h, i), h >= 0 and 1 <= i <= 2**h (numpy shifts
             # i - 1 >= 0 by 64 or more to 0); any other run no leaf, (-1, -1)
-            h, i = (parsed[-1] for parsed in blocks[5:7])
+            h, i = (blocks[j][-1] for j in leaf)
             bad = np.flatnonzero((h < 0) | (i < 1) | ((i - 1) >> h != 0) if tree
                                  else (h != -1) | (i != -1))
             if bad.size:
                 k = bad[0]
+                cell_h, cell_i = (columns[j][k] for j in leaf)
                 raise RejectedInputError(
-                    f"row {row_no + k}: leaf_h {columns[5][k]!r}, leaf_i {columns[6][k]!r} "
+                    f"row {row_no + k}: leaf_h {cell_h!r}, leaf_i {cell_i!r} "
                     + ("is no node of a tree" if tree else f"in a {config.forecaster} run, "
                        "which logs no leaf"))
     if not blocks[0]:
         raise RejectedInputError("step log is empty")
-    t, x, pred, y, loss, leaf_h, leaf_i, n_nodes, height, experts, weights = [
+    t, x, pred, y, leaf_h, leaf_i, n_nodes, height, experts, weights = [
         list(itertools.chain(*parsed)) if dtype in (None, _floats) else np.concatenate(parsed)
         for parsed, dtype in zip(blocks, _STEP_PARSERS)]
     if len(t) != summary["T"]:
         raise RejectedInputError(f"step log has {len(t)} steps, its summary says T = "
                                  f"{summary['T']!r}")
-    return RunLog(t, x, pred, y, loss, leaf_h, leaf_i, n_nodes, height, experts, weights,
-                  summary)
+    return RunLog(t, x, pred, y, leaf_h, leaf_i, n_nodes, height, experts, weights, summary)
 
 
 # -- series / covariate CSV ------------------------------------------------
@@ -916,16 +947,20 @@ def _pool_sizes(members: list) -> np.ndarray:
     return np.fromiter(map(len, members), np.int64, len(members))
 
 
-def expert_regret(log: RunLog, d: int, sizes=None) -> float:
+def expert_regret(log: RunLog, d: int, sizes=None, losses=None) -> float:
     """Cumulative loss gap of the mixture versus its order-d member.
 
     ``sizes`` are the log's pool sizes (:func:`_pool_sizes` of its member
-    predictions), found here when not given: a caller that asks for several
-    orders finds them once.
+    predictions) and ``losses`` the mixture's loss at every step
+    (``value_array`` of the logged predictions and outcomes), found here
+    when not given: a caller that asks for several orders finds them once.
     """
     loss = RunConfig.from_dict(log.summary["config"]).loss
     if sizes is None:
         sizes = _pool_sizes(log.expert_preds)
+    if losses is None:
+        _check_loss_args(loss, log.preds, log.ys)
+        losses = loss.value_array(log.preds, log.ys)
     steps = np.flatnonzero(sizes >= d)
     if not steps.size:
         raise RejectedInputError(f"order-{d} member was never active in this run")
@@ -935,7 +970,7 @@ def expert_regret(log: RunLog, d: int, sizes=None) -> float:
     ys = log.ys[steps]
     _check_loss_args(loss, member, ys)
     total = 0.0
-    for diff in (log.losses[steps] - loss.value_array(member, ys)).tolist():
+    for diff in (losses[steps] - loss.value_array(member, ys)).tolist():
         total += diff  # left to right: sum() rounds differently from 3.12
     return total
 
@@ -943,6 +978,12 @@ def expert_regret(log: RunLog, d: int, sizes=None) -> float:
 def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCheck]:
     """Check every guarantee the logged run is supposed to satisfy.
 
+    The log holds no loss: every step's loss is recomputed once from its
+    logged prediction and outcome (``LossSpec.value_array``, after a check
+    that both lie in [0, 1]), and ``cumulative-loss-resummation`` adds
+    them left to right, as the run did, against the summary's
+    ``cumulative_loss``, so a prediction or outcome that differs from the
+    run's fails it.  The regret checks take the same losses.
     ``lipschitz_L`` adds the regret check against the best L-Lipschitz
     predictor: for tree runs with d = 1 and meta runs with T >= 2; asked
     of any other run, it is rejected, not skipped.  A tree run's
@@ -957,18 +998,14 @@ def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCh
     loss, M, T = config.loss, config.loss.M, len(log)
     checks: list[BoundCheck] = []
 
+    _check_loss_args(loss, log.preds, log.ys)
+    losses = loss.value_array(log.preds, log.ys)
     resummed = 0.0
-    for v in log.losses.tolist():
+    for v in losses.tolist():
         resummed += v
     recorded = log.summary["cumulative_loss"]
     checks.append(BoundCheck("cumulative-loss-resummation", recorded, resummed,
                              resummed == recorded, "exact equality required"))
-
-    _check_loss_args(loss, log.preds, log.ys)
-    # np.max, not max(): a NaN anywhere must make the check fail
-    recomputed = np.max(np.abs(loss.value_array(log.preds, log.ys) - log.losses))
-    checks.append(BoundCheck("per-step-loss-consistency", 0.0, recomputed,
-                             recomputed == 0.0, "log rows must round-trip"))
 
     mono_n = bool(np.all(np.diff(log.n_nodes) >= 0))
     mono_h = bool(np.all(np.diff(log.height) >= 0))
@@ -1020,7 +1057,7 @@ def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCh
         n_active = int(log.summary["final"]["n_active"])
         start_1 = entry_step(config.schedule, 1)
         for d in range(1, int(sizes.max()) + 1):
-            regret = expert_regret(log, d, sizes)
+            regret = expert_regret(log, d, sizes, losses)
             if n_active >= 2:
                 bound = mixture_regret_bound(T, n_active)
                 note = ""
@@ -1058,71 +1095,83 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-2]  # drop the empty field's "," and the line end
 
 
+_WEIGHTS_HEADER = "run,t,d,weight\n"
+
+
+def _report_run(path: Path, growth, weights) -> dict:
+    """Read the run log in ``path`` and write its per-step rows to the open tables
+    ``growth`` and ``weights`` a block at a time; returns its ``runs.csv`` row.
+    The log is let go on return."""
+    log = read_run_log(path)
+    s = log.summary
+    T = s["T"]
+    name = path.name or path.resolve().name  # "." names the directory it stands for
+    row = {
+        "run": name,
+        "forecaster": RunConfig.from_dict(s["config"]).forecaster,
+        "T": T,
+        "seed": s.get("seed"),
+        "cumulative_loss": s["cumulative_loss"],
+        "avg_loss": s["cumulative_loss"] / T,
+        "n_nodes": s["final"]["n_nodes"],
+        "height": s["final"]["height"],
+    }
+    run_field = _csv_field(name).replace("%", "%%")
+    t_col = log.t.tolist()
+    growth.writelines(_rendered(run_field + ",%d,%d,%d\n",
+                                [t_col, log.n_nodes.tolist(), log.height.tolist()]))
+    # one row per member weight: t repeated by the pool size, d = 1..size;
+    # repeating t_col's own ints, not new ones, keeps a column one pointer a row
+    sizes = _pool_sizes(log.expert_weights)
+    if sizes.any():
+        chained = itertools.chain.from_iterable
+        weights.writelines(_rendered(run_field + ",%d,%d,%.17g\n", [
+            list(chained(map(itertools.repeat, t_col, sizes.tolist()))),
+            list(chained(map(range, itertools.repeat(1), (sizes + 1).tolist()))),
+            list(chained(log.expert_weights))]))
+    return row
+
+
 def report(run_dirs, outdir) -> dict:
-    """Aggregate finished runs into summary tables and plot-ready CSVs."""
+    """Aggregate finished runs into summary tables and plot-ready CSVs.
+
+    The runs are read one at a time, and each run's per-step rows are
+    written to ``node_growth.csv`` and ``weights.csv`` (only where some run
+    logs member weights) a block at a time as it is read, so no more than
+    one run's log is held.  The tables are written under temporary names
+    and renamed into place together at the end (:func:`_staged`), so a run
+    rejected midway leaves ``outdir`` as it found it.
+    """
     run_dirs = [Path(p) for p in run_dirs]
     if not run_dirs:
         raise RejectedInputError("report needs at least one run directory")
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    growth_text = []
-    weight_text = []
-    for path in run_dirs:
-        log = read_run_log(path)
-        s = log.summary
-        T = s["T"]
-        name = path.name or path.resolve().name  # "." names the directory it stands for
-        rows.append({
-            "run": name,
-            "forecaster": RunConfig.from_dict(s["config"]).forecaster,
-            "T": T,
-            "seed": s.get("seed"),
-            "cumulative_loss": s["cumulative_loss"],
-            "avg_loss": s["cumulative_loss"] / T,
-            "n_nodes": s["final"]["n_nodes"],
-            "height": s["final"]["height"],
-        })
-        run_field = _csv_field(name).replace("%", "%%")
-        t_col = log.t.tolist()
-        growth_text += _rendered(run_field + ",%d,%d,%d\n",
-                                 [t_col, log.n_nodes.tolist(), log.height.tolist()])
-        # one row per member weight: t repeated by the pool size, d = 1..size;
-        # repeating t_col's own ints, not new ones, keeps a column one pointer a row
-        sizes = _pool_sizes(log.expert_weights)
-        if sizes.any():
-            chained = itertools.chain.from_iterable
-            weight_text += _rendered(run_field + ",%d,%d,%.17g\n", [
-                list(chained(map(itertools.repeat, t_col, sizes.tolist()))),
-                list(chained(map(range, itertools.repeat(1), (sizes + 1).tolist()))),
-                list(chained(log.expert_weights))])
+    names = ("runs.csv", "avg_loss_vs_T.csv", "node_growth.csv", "weights.csv")
+    with _staged(Path(outdir), names) as (runs_path, groups_path, growth_path, weights_path):
+        with open(growth_path, "w", newline="") as growth, \
+                open(weights_path, "w", newline="") as weights:
+            growth.write("run,t,n_nodes,height\n")
+            weights.write(_WEIGHTS_HEADER)
+            rows = [_report_run(path, growth, weights) for path in run_dirs]
+        if weights_path.stat().st_size == len(_WEIGHTS_HEADER):  # no run logs member weights
+            weights_path.unlink()
 
-    with open(outdir / "runs.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("run", "forecaster", "T", "seed", "cumulative_loss",
-                         "avg_loss", "n_nodes", "height"))
+        with open(runs_path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(("run", "forecaster", "T", "seed", "cumulative_loss",
+                             "avg_loss", "n_nodes", "height"))
+            for r in rows:
+                writer.writerow((r["run"], r["forecaster"], r["T"], r["seed"],
+                                 fmt17(r["cumulative_loss"]), fmt17(r["avg_loss"]),
+                                 r["n_nodes"], r["height"]))
+
+        by_group: dict = {}
         for r in rows:
-            writer.writerow((r["run"], r["forecaster"], r["T"], r["seed"],
-                             fmt17(r["cumulative_loss"]), fmt17(r["avg_loss"]),
-                             r["n_nodes"], r["height"]))
-
-    by_group: dict = {}
-    for r in rows:
-        by_group.setdefault((r["forecaster"], r["T"]), []).append(r["avg_loss"])
-    with open(outdir / "avg_loss_vs_T.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("forecaster", "T", "runs", "mean_avg_loss",
-                         "min_avg_loss", "max_avg_loss"))
-        for (fc, T), vals in sorted(by_group.items()):
-            writer.writerow((fc, T, len(vals), fmt17(sum(vals) / len(vals)),
-                             fmt17(min(vals)), fmt17(max(vals))))
-
-    with open(outdir / "node_growth.csv", "w", newline="") as fh:
-        fh.write("run,t,n_nodes,height\n")
-        fh.writelines(growth_text)
-
-    if weight_text:
-        with open(outdir / "weights.csv", "w", newline="") as fh:
-            fh.write("run,t,d,weight\n")
-            fh.writelines(weight_text)
+            by_group.setdefault((r["forecaster"], r["T"]), []).append(r["avg_loss"])
+        with open(groups_path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(("forecaster", "T", "runs", "mean_avg_loss",
+                             "min_avg_loss", "max_avg_loss"))
+            for (fc, T), vals in sorted(by_group.items()):
+                writer.writerow((fc, T, len(vals), fmt17(sum(vals) / len(vals)),
+                                 fmt17(min(vals)), fmt17(max(vals))))
     return {"runs": rows, "groups": {f"{fc}/T={T}": len(v) for (fc, T), v in by_group.items()}}

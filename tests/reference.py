@@ -260,7 +260,6 @@ def write_steps_csv(log, path) -> None:
                 log.x_text[k],
                 fmt17(log.preds[k]),
                 fmt17(log.ys[k]),
-                fmt17(log.losses[k]),
                 int(log.leaf_h[k]) if log.leaf_h[k] >= 0 else "",
                 int(log.leaf_i[k]) if log.leaf_i[k] >= 0 else "",
                 int(log.n_nodes[k]),
@@ -291,14 +290,11 @@ def covariates_csv(xs, ys) -> str:
                     ([fmt17(x) for x in row] + [fmt17(y)] for row, y in zip(xs, ys)))
 
 
-def data_digest(ys, xs=None, x_text=None) -> str:
+def data_digest(ys, xs=None) -> str:
     """sha256 of ``x1,..,xd,y;`` per row, hashed a row at a time."""
     h = hashlib.sha256()
     for k, y in enumerate(ys):
-        if x_text is not None:
-            cells = x_text[k].split(";")
-        else:
-            cells = [] if xs is None else [fmt17(x) for x in xs[k]]
+        cells = [] if xs is None else [fmt17(x) for x in xs[k]]
         h.update((",".join(cells + [fmt17(y)]) + ";").encode())
     return h.hexdigest()
 

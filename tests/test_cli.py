@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -11,6 +12,7 @@ import reference
 from egtree import harness
 from egtree.cli import main
 from egtree.harness import (
+    STEP_COLUMNS,
     BoundCheck,
     data_digest,
     read_input,
@@ -309,7 +311,7 @@ def test_damaged_step_log_cell_exits_two(markov_spec, tmp_path, capsys):
     steps = rundir / "steps.csv"
     lines = steps.read_text().splitlines()
     fields = lines[20].split(",")
-    fields[9] = "x;y"  # the experts cell of row 21
+    fields[STEP_COLUMNS.index("experts")] = "x;y"  # row 21
     steps.write_text("\n".join(lines[:20] + [",".join(fields)] + lines[21:]) + "\n")
     capsys.readouterr()
     assert main(["verify-bounds", "--out", str(rundir)]) == 2
@@ -331,7 +333,7 @@ def test_member_count_mismatch_exits_two(tmp_path, capsys):
     steps = rundir / "steps.csv"
     lines = steps.read_text().splitlines()
     fields = lines[-1].split(",")
-    fields[9] += ";0.5"  # the experts cell of row 301
+    fields[STEP_COLUMNS.index("experts")] += ";0.5"  # row 301
     steps.write_text("\n".join(lines[:-1] + [",".join(fields)]) + "\n")
     capsys.readouterr()
     assert main(["verify-bounds", "--out", str(rundir), "--L", "1.0"]) == 2
@@ -350,7 +352,7 @@ def test_step_log_integer_beyond_int64_exits_two(tmp_path, capsys):
     steps = rundir / "steps.csv"
     lines = steps.read_text().splitlines()
     fields = lines[2].split(",")
-    fields[7] = "99999999999999999999"  # the n_nodes cell of row 3
+    fields[STEP_COLUMNS.index("n_nodes")] = "99999999999999999999"  # row 3
     steps.write_text("\n".join(lines[:2] + [",".join(fields)] + lines[3:]) + "\n")
     capsys.readouterr()
     assert main(["verify-bounds", "--out", str(rundir)]) == 2
@@ -398,7 +400,8 @@ def test_a_leaf_deeper_than_its_tree_fails_verification(tmp_path, capsys):
                  "--seed", "3"]) == 0
     steps = rundir / "steps.csv"
     lines = steps.read_text().splitlines()
-    raised = [",".join(cells[:5] + [str(int(cells[5]) + 20)] + cells[6:])
+    h = STEP_COLUMNS.index("leaf_h")
+    raised = [",".join(cells[:h] + [str(int(cells[h]) + 20)] + cells[h + 1:])
               for cells in (line.split(",") for line in lines[1:])]
     steps.write_text("\n".join(lines[:1] + raised) + "\n")
     capsys.readouterr()
@@ -442,11 +445,13 @@ def test_run_streams_the_log_across_blocks(tmp_path, capsys, forecaster, d, effe
     assert (rundir / "steps.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
     summary = json.loads((rundir / "summary.json").read_text())
     assert summary["data_digest"] == reference.data_digest(ys, xs)
+    # the log holds no loss: the logged pred and y give it, added left to right
     with open(rundir / "steps.csv", newline="") as fh:
-        losses = [float(row["loss"]) for row in csv.DictReader(fh)]
+        rows = list(csv.DictReader(fh))
+    assert "loss" not in rows[0]
     total = 0.0
-    for v in losses:
-        total += v
+    for row in rows:
+        total += config.loss.value(float(row["pred"]), float(row["y"]))
     assert summary["cumulative_loss"] == total
     assert sorted(path.name for path in rundir.iterdir()) == ["steps.csv", "summary.json"]
 
@@ -467,6 +472,57 @@ def test_run_memory_does_not_grow_with_the_series(tmp_path, capsys):
     assert peaks[1] - peaks[0] < 2 * 2**20, peaks
 
 
+def test_report_memory_does_not_grow_with_the_runs(tmp_path, capsys):
+    # each run's per-step rows are written as its log is read, so the report
+    # holds one log at a time, however many runs it tabulates
+    series = tmp_path / "s.csv"
+    write_series(series, np.random.default_rng(12).random(3000))
+    runs = [str(tmp_path / f"r{k}") for k in range(4)]
+    assert main(["run", "--forecaster", "meta", "--input", str(series), "--out", runs[0]]) == 0
+    for copy in runs[1:]:
+        shutil.copytree(runs[0], copy)
+    # a freed tuple goes to the interpreter's free list of its size, where
+    # tracemalloc counts it as held: a first report fills the lists, so that
+    # both peaks are taken from lists full of traced tuples
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n in (1, 1, 4):
+            tracemalloc.reset_peak()
+            assert main(["report", "--out", str(tmp_path / f"tables{n}"), *runs[:n]]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[2] <= 1.1 * peaks[1], peaks
+    weights = (tmp_path / "tables4" / "weights.csv").read_text().splitlines()
+    assert len(weights) == 1 + 4 * (len(
+        (tmp_path / "tables1" / "weights.csv").read_text().splitlines()) - 1)
+
+
+def test_a_report_rejected_midway_leaves_its_out_as_found(tmp_path, capsys):
+    # the second run is damaged in its second block of rows, after the first
+    # run's rows have been written
+    series = tmp_path / "s.csv"
+    write_series(series, np.random.default_rng(13).random(2500))
+    good, bad = str(tmp_path / "good"), str(tmp_path / "bad")
+    for rundir in (good, bad):
+        assert main(["run", "--forecaster", "meta", "--input", str(series),
+                     "--out", rundir]) == 0
+    steps = tmp_path / "bad" / "steps.csv"
+    steps.write_text(steps.read_text().replace("\n2000,", "\n2001,", 1))
+    fresh = tmp_path / "a" / "tables"
+    tables = tmp_path / "tables"
+    assert main(["report", "--out", str(tables), good]) == 0
+    before = {path.name: path.read_bytes() for path in tables.iterdir()}
+    assert sorted(before) == ["avg_loss_vs_T.csv", "node_growth.csv", "runs.csv", "weights.csv"]
+    capsys.readouterr()
+    for out in (fresh, tables):
+        assert main(["report", "--out", str(out), good, bad]) == 2
+        assert capsys.readouterr().err == "error: row 2001: t is 2001, expected 2000\n"
+    assert not (tmp_path / "a").exists()
+    assert {path.name: path.read_bytes() for path in tables.iterdir()} == before
+
+
 def test_a_tree_log_without_leaves_exits_two(tmp_path, capsys):
     rng = np.random.default_rng(4)
     cov = tmp_path / "pairs.csv"
@@ -475,7 +531,8 @@ def test_a_tree_log_without_leaves_exits_two(tmp_path, capsys):
     assert main(["run", "--forecaster", "tree", "--input", str(cov), "--out", str(rundir)]) == 0
     steps = rundir / "steps.csv"
     lines = steps.read_text().splitlines()
-    blank = [",".join(cells[:5] + ["", ""] + cells[7:])
+    h = STEP_COLUMNS.index("leaf_h")  # leaf_i follows it
+    blank = [",".join(cells[:h] + ["", ""] + cells[h + 2:])
              for cells in (line.split(",") for line in lines[1:])]
     steps.write_text("\n".join(lines[:1] + blank) + "\n")
     capsys.readouterr()
@@ -484,6 +541,63 @@ def test_a_tree_log_without_leaves_exits_two(tmp_path, capsys):
         assert main(args) == 2
         assert capsys.readouterr().err == ("error: row 2: leaf_h '', leaf_i '' is no node "
                                            "of a tree\n")
+
+
+def test_a_log_of_another_format_exits_two(tmp_path, capsys):
+    # a v2 step log has no loss column; its summary's format decides, before
+    # steps.csv is read, whether the log is read at all
+    series = tmp_path / "s.csv"
+    write_series(series, np.random.default_rng(8).random(300))
+    rundir = tmp_path / "r"
+    assert main(["run", "--forecaster", "eg", "--input", str(series), "--out", str(rundir)]) == 0
+    steps, summary_path = rundir / "steps.csv", rundir / "summary.json"
+    header, *lines = steps.read_text().splitlines()
+    assert header == "t,x,pred,y,leaf_h,leaf_i,n_nodes,height,experts,weights"
+    summary = json.loads(summary_path.read_text())
+    assert summary["format"] == "egtree-runlog-v2"
+    # the same log in v1: a loss cell after the y cell, and the v1 format
+    loss = harness.RunConfig.from_dict(summary["config"]).loss
+    v1 = [",".join(cells[:4] + [format(loss.value(float(cells[2]), float(cells[3])), ".17g")]
+                   + cells[4:]) for cells in (line.split(",") for line in lines)]
+    v1_header = "t,x,pred,y,loss,leaf_h,leaf_i,n_nodes,height,experts,weights"
+    rejected = (f"error: {summary_path}: log format 'egtree-runlog-v1' is not "
+                "'egtree-runlog-v2', the only format this version reads\n")
+    capsys.readouterr()
+    for step_lines, fmt, message in (
+            ([v1_header] + v1, "egtree-runlog-v1", rejected),
+            ([header] + lines, "egtree-runlog-v1", rejected),  # a v2 step log, a v1 summary
+            ([v1_header] + v1, "egtree-runlog-v2", "error: unrecognized step log header: "
+                                                   f"{v1_header.split(',')}\n")):
+        steps.write_text("\n".join(step_lines) + "\n")
+        summary_path.write_text(json.dumps({**summary, "format": fmt}))
+        for argv in (["verify-bounds", "--out", str(rundir), "--input", str(series)],
+                     ["report", "--out", str(tmp_path / "tables"), str(rundir)]):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err == message, argv
+    assert not (tmp_path / "tables").exists() and not (rundir / "bounds.json").exists()
+
+
+def test_an_edited_prediction_fails_the_resummation(tmp_path, capsys):
+    # the loss is recomputed from the logged pred and y, so an in-range pred
+    # that is not the run's changes the resummed cumulative loss
+    rng = np.random.default_rng(17)
+    cov = tmp_path / "pairs.csv"
+    write_covariates(cov, rng.random(50), rng.random(50))
+    rundir = tmp_path / "r"
+    assert main(["run", "--forecaster", "tree", "--input", str(cov), "--out", str(rundir)]) == 0
+    capsys.readouterr()
+    assert main(["verify-bounds", "--out", str(rundir), "--input", str(cov)]) == 0
+    steps = rundir / "steps.csv"
+    lines = steps.read_text().splitlines()
+    fields = lines[29].split(",")
+    pred, y = STEP_COLUMNS.index("pred"), STEP_COLUMNS.index("y")
+    assert fields[pred] != fields[y]
+    fields[pred] = fields[y]  # row 30 now predicts its outcome: no loss
+    steps.write_text("\n".join(lines[:29] + [",".join(fields)] + lines[30:]) + "\n")
+    capsys.readouterr()
+    assert main(["verify-bounds", "--out", str(rundir), "--input", str(cov)]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
+    assert len(failed) == 1 and failed[0].startswith("FAIL cumulative-loss-resummation: ")
 
 
 @pytest.mark.parametrize("forecaster", ["eg", "meta"])

@@ -49,119 +49,119 @@ def digests(rundir):
 # (steps.csv sha256, summary.json sha256 without wall_clock_sec)
 GOLDEN = {
     "eg-absolute": (
-        "e8e92c6a5d305022ab4810464fcc0c5a5eafcadf8c064a1a8b0a27a4a6545e52",
-        "255030fbf2f3476b93544fc887900b8b19e97c4f1e210facb84e38f69df2cc7b"),
+        "9d061bc76e2a44bbc58208fcb0ed50f0891f3a33544662e84450930c774179f8",
+        "ef73ae2ad214e47dc98f9c33171d99c9afdb7f1fc1640adc9113c6607317ad75"),
     "tree-d1-box-absolute": (
-        "ef9d635e24ecf1d5a6515bd4d46f4fe448580e2a46019e3482ee70013bca6a30",
-        "48041e278f2c2b7e277f106dc99caeb41051c19a45f17b0e5004ccd587cc2666"),
+        "57140f6c3c77c1c4373392b4564640718f91824974f82742fcb233110a653296",
+        "dc0e17af63c100e4b8ba40eae4b3d9ec020eb45353e3e6442b0acb27ae86e877"),
     "tree-d1-range-absolute": (
-        "2c9953ece3a613f8b3bfd0d1765e0793ab63ff42417c210269d513b25a114cad",
-        "224e1e579534848344ca26397f5e7abeef98d1865fc66764035c5784f85d14d9"),
+        "566ae05b253124b5eba3da7a8d057faf6ef06c27ab96f40c6dffc6883faa79f9",
+        "1ca209e8857d8ca5e7f0e7adfe34f8dbd6d1f6875ed3a9424854bf1662114e11"),
     "tree-d3-box-absolute": (
-        "7cb3ce0e6e0d84b35070edf33aeaeb68bd7e998eee647fc88cc3beb9fa41b625",
-        "3636c8003c58cd457aa513f9eba205ac3beeedb23c7a773da9eaa160344699d5"),
+        "6b5bc5a0073a9e7f7cef922c281e71cba49865a40f8aeb5bccc39a704f05a74b",
+        "e813e79087e7a00c989bb0828f9d5fa5993e7402433d554b874b52bfdb040d58"),
     "tree-d3-range-absolute": (
-        "a36598f62749eeb9dd383e2196ad9458af61597c17e90cbb0be6b21928c031d1",
-        "d27d23340daa28fb14e2206a8b7373aa5f1193437ecf9f6fcdd543d13a9c3e81"),
+        "98c466f7cdbd2241607f632dc35b315c130481fa288568f2aca773e1fb13c949",
+        "01d10fb052754df3db0922422e75d91ab8a28030bad3910531767b2ffdc26462"),
     "meta-powers_of_two-box-absolute": (
-        "dbcc329907fbe3827badee75046761e7ed297480ced8dfbe6776f80bac7f4e53",
-        "23fa1d338c84663b085531917572e986d688bf4afa1ed705f687317a04d62634"),
+        "57711735f33d40c644ef97e8614025d74b5d6b2a837d3944e9bdcde584a55c96",
+        "b53e5786d2f5ac5c5395d11bb6b680a31c9c90db80019e69f6d8a3bc1d962ef7"),
     "meta-powers_of_two-range-absolute": (
-        "d5f0a58c370e784b29c0d4e72027407bcd980e614480f19222695dcd20fe9700",
-        "2cb8c67575ec09738cfdb355cf3c059f0370f69bd1be39090e65a0ef881f2662"),
+        "10a3b43e0f56b4c9ca6eb7f2ea6e70ad79e147076ed04ade39830a3f965cd1a9",
+        "d0119d1d7e9f19cb21cd29dde96f6c74aa94a6036ee9d2dfe25d61c85926a2b5"),
     "meta-quadratic-box-absolute": (
-        "c0edcb6d85bc86111aca6a8769b38309c203b0c950d78ca4a3f48c16772e6c6a",
-        "620deb315a924fac17ceb5eae4141aa23bdbe0b02b303087996058a92fe1bd6d"),
+        "2a7862c569938308691c7aceeaeb5210b56e68ba0e2a3b62fe6bce5690cc888c",
+        "d3538bb2e4fe5a474525564f8675421d99b2f825f313a914e6e78d943e6c45e4"),
     "meta-quadratic-range-absolute": (
-        "876840d2c0d356f238edcc454ba85ff340943ea34307ec98606b6e500264fe6a",
-        "dd7420a4aba600f410928a39ff3b8ed9b9e4074665ef6fedb8762159b0d793a9"),
+        "3e8b4ce728fbde13447024c9b5bbadea1a270ab5bcd3db32764fb931ffb2e08b",
+        "e1e60fed3f52b9a49f8514db586961df4bc7fff07eb8ea561f766a047091ddf3"),
     "eg-square": (
-        "c07239e1aba8df5e8a0873f7de11a0be5b4b3e274269d4b3ee0a8fc2bac37295",
-        "49edb3607ed2958253aadc1bd9970d5589e69d0d36a9dafecdbbbbc1a5e1fe38"),
+        "4ded209e7aa68eb381f73c074f2891ae2a0bcc17fb0e87fd122c4764cd7d27d5",
+        "86fa644be8b5c2bcdf91dcfbeb4daaea17c14942bd7aa8668fde2bb8499d115e"),
     "tree-d1-box-square": (
-        "c23f90b657953c5d6bda4e68fa92b3a3fbdb3ea69d0d8f8a60187d6b34583941",
-        "b01f93093eb524cf0ea4e08c400af56440496d149f8a1e389a907fd86aa5f089"),
+        "b8f68c9148364175d1934cf279330cf34e9e8a950384ae87ee44db7a207554a7",
+        "c5643a7b5e4d425ba916d8b76b0dcb2958345f823d561264b5e0e003d2248832"),
     "tree-d1-range-square": (
-        "2b97871749f4fc966b6674fefd2bf34c4f0af748c16fb11e3d889d2360dbd6bb",
-        "df515e633c176eed9faf3a11c187141e6a24bc45446662f7f8e8ee9a4aa7be33"),
+        "579076bac3afa9f1692cc85afdd77ebb9ee316e22db8e9433f394d2e78695727",
+        "e6d3f0981c9acc4843318d8b4533f0b494c71bb6cb7d665cda5dbc4c628e298f"),
     "tree-d3-box-square": (
-        "3f6cda6b5e5ec126ccc3b2df40acfa56c76db3e71e0cd16e42415627500f6478",
-        "aee761edb9e0c77e60a07f583c8949a096a4143ef4023fc7c9722ef80cde5aa9"),
+        "2565cd6e26d394c18f67e7301baa057cc73c119ad6d8aca8838895e49135d0f3",
+        "5a3f4fefdbedb6ab375b27357788b0eb1fb6447c2022afdb8266d278dac48a32"),
     "tree-d3-range-square": (
-        "60fc55e727636ae2eee5cd0fb64c500aec77654a7f903e5cc8ca1d964cb21cb5",
-        "07f6ab3e479d3f918b9dcc821779394205fb8206a2b04b5bb50a71d77a13faeb"),
+        "4eeae2f36a65ffad5a0100d0c4d382f218b3db41edcde4bb4c8c59fcf6afaacf",
+        "df0eb46991c603cefc5066ba4070ea0a0b9db43a7b4a6156b45649a1378edf7c"),
     "meta-powers_of_two-box-square": (
-        "13efb8bea5e4845df536b98203d78c00a96005d901d6e4b174b300cf53fbe395",
-        "f890adbc6edbef847f262a1875249f553af2e9c63962c1b5850335249be27e61"),
+        "b186f506d6b43b476b036818bc15c4f09b28771c6c765e4869410a9d68bddad6",
+        "e09f00551fb3a450b12748d96db2d573a85b3f42189620668f354f582aae13f8"),
     "meta-powers_of_two-range-square": (
-        "c3d95d24d542feb7e872ea75610b8ba24852bb1a99f313c4069c8763697a0062",
-        "ea9de4e6c0444410ec24f11c54ad1b817702b643b002307c76fbef70786c4d42"),
+        "6b8c1063487fdf92c132b5b7ff71137e846885e1b8ea239a5fc4a0631e0f29ac",
+        "0086f173889116c402958e1c7434796e76279e5d956334be42a6b3aebade4b6a"),
     "meta-quadratic-box-square": (
-        "584d9d63e332a5c7f598fc280ac948e4aaa1b88a416e300546488ec0d283bd5d",
-        "cba9cff83d6d349acb4bb0af65f4a851beb19db368190569752c2955c492bfa1"),
+        "3f0a862047cdf23900a49c02656ef107e31c8c203109e06c00cf54d491fd5f2c",
+        "c58be144925fb4c97248d24f553bed968ee6fd40ba6bdecc0913bef78ecda0dc"),
     "meta-quadratic-range-square": (
-        "a3a47d9dce25fbf8f76589581d0a38f4c5bbef87d2feec9431d701dc8b92f0f8",
-        "2dbecf93fab5f82a4ee5b5a9265d9f8a799591167a4867e9cc59bbe94b2020f9"),
+        "532d339a5c1442136270b70310b95e32f3363ea0802f426db4d12b1531173db7",
+        "663e09bc35fec3ead4612bb7e2b4409262f3fb881f3ac6707f4fce506f80a005"),
     "eg-pinball": (
-        "18e07527d7ec156bb1d98840a08cf47eeb134312d0b7a2cc387a1b6ca1e292b8",
-        "11f6933d39da23ef83eb2415b109a94f76e5f72a0a42642862b2366c32324a34"),
+        "939bc913cc9ca739c23c8cee2b69c50af52d5c60e91c33f19dc5827380e9846e",
+        "1db24381d575f94d050e080024cf81809762f7bf207ee785ddc8a3a9e10616c1"),
     "tree-d1-box-pinball": (
-        "20a1cf52bad9be011a01acc5cb316f5c7a8e0d01c80e218ea13564916ba9db77",
-        "6ed4e568f967d7eba54e07a96a2eb0e186dfda90f16ec1d6429270e9777c2f1c"),
+        "dcca01a38da79095a0997e19b5f17cb38ee87fe3be9d0daaf17ec1f4648f7d3b",
+        "2b419349f3e98395c9a6d14dff57990a29aabbcb208fe5976d2e97d190718f75"),
     "tree-d1-range-pinball": (
-        "f16bf75ceaba05e6316c674c015f416080938589e5e5c1fabfa2e55ac0d16197",
-        "0013228eca07d3896b22c78a0236002a2f0efe92e5c650e411fe5415129b7f2f"),
+        "a2b3af6f0ea7552debb74250c97406407438dc56fb122b69ea95276045d94fd0",
+        "21dd909f316bc85e94887873b3c937f926a7e87e74e2a2bff225d45cf45df74b"),
     "tree-d3-box-pinball": (
-        "ffc0e37712f5b2ac390a295c1ad30d79984d6da31886a97e17510a885cc3683d",
-        "6952934a4b60251425fdae6586d21189fcb7ec70b79625c2d9108a9db3326eac"),
+        "087e6edea9628127d3d0ef378dde975b66ab38d4a8337296d95c8a7541fb5af6",
+        "1f872761a2fb606685b94f3cabede76d2b98eb8e0d31e9192146bf25ecb0705b"),
     "tree-d3-range-pinball": (
-        "1f097ff317cff7d819b27b0ce05dd8a66a5379d85132f53e83d7f4c1bd325e3c",
-        "a5b3bc08fa78d9d86bd6953a9f15fb891e693f44f90f191295f130c2f63e5afd"),
+        "2f0f98ebaef4cb6114df7cd186557699116f5200c62f44c3fd96d3a88fc3ecdd",
+        "4b043e3fcd51290fa086ac0f20eca4ccb791607909e3a5647b1bb8e4b9e4f0d4"),
     "meta-powers_of_two-box-pinball": (
-        "d6efc19b64f4d1ee0f9a0d34aa668e4b9deb5efb1e4873a7a7971b1b2335c8fa",
-        "91a0e14024e0eb02a0224f10ed5f1beb109606b98809e92ec70bb75309c470e1"),
+        "0194c3c5a8800edeab8e5791051b9e3f4cf5cf0ca7cd44a5af197321f843a0ae",
+        "76ab19f2bbeb64d5e123dbe19e09cf519f9fbd742d980d912d75af0dd434c151"),
     "meta-powers_of_two-range-pinball": (
-        "8b86beff6e1305b08a8dffdebc2f0934e53ee180a1decf5d8e4cb44ec85081f6",
-        "430f6886b4fd4043f1221171a372fafb0f773d8f2cfc4ad107da40183e1d8de3"),
+        "bdc0b07a03a80dc9093f56e9ee2b2d27c9a0915fbd535940e7fa931b3b94c2be",
+        "03b763edfe709ebedb5d1898e79e5867020bf4a3401b7685e2dd986db8ecca3b"),
     "meta-quadratic-box-pinball": (
-        "d0887198efd02dafb8cc1161ba2314c244808aec2eff69222286f7ceb35b7a13",
-        "284ed38339fc4abe13516ea857604f3f371ea4560eb0cae42f1e356893e685d6"),
+        "332c1c6cce97795e6dd9848e7f756364665931ecd80a5f6ed946d17dc787f8be",
+        "5fe22c45b78d2acae10245532e7c5668d8f5b0115a6726263661de23a80d107c"),
     "meta-quadratic-range-pinball": (
-        "20ba39ccb17027fbd69f17ffc3100f024741a7fa7822b599fa68520be5ec0647",
-        "13d59269917487809fa43698e2a2e1b6cd7c003b90f1fbcb7caaa8f016f09fb1"),
+        "d8f102c9260d41b95ed05c225a5c732b19ef6e8fbd1bfc1a84916f4339ec9e10",
+        "d3c6e72ea0d6e2c98cf00e01aa85927bb8b2ba7a20b07afd378c80cc57c9ac21"),
 }
 
 
 # sha256 of the JSON of verify_bounds(log, L), with L = 1.0 where a
 # Lipschitz-comparator check exists (tree d = 1, meta) and None elsewhere
 VERIFY_GOLDEN = {
-    "eg-absolute": "7ac100c7f660fb4b6122353577eff9c7acc6c1af9b0f1f443b9b5b91fd69c0b7",
-    "tree-d1-box-absolute": "6c5cc7cfb5f9488c5ab4eecc50e46739a10a39baf69f30375af475b8345ce8f1",
-    "tree-d1-range-absolute": "15f4403e63998ffa112bb832222b9175a2cedb2b182cdecfda6ef69aa573bcfc",
-    "tree-d3-box-absolute": "a11e5a5dfbc96833a4b554b8b17c2aff97795b48772b4669663e0df8c58a959e",
-    "tree-d3-range-absolute": "011069d7ea12d87cd30ee71bbaabf0ec81a3b20473176a4809de61d24c50b751",
-    "meta-powers_of_two-box-absolute": "377aea9030104a5659d1b9b50499ab126a4ae224430211753741c77026625d8b",
-    "meta-powers_of_two-range-absolute": "6716cc06ae2a303cf743273b5b455ed9f85b3592a6037a2d5805c2fb087cc12a",
-    "meta-quadratic-box-absolute": "7f89af7d09c793de736cbf39cd58a399264e6f7c80aa43b44c1be61bc37c7854",
-    "meta-quadratic-range-absolute": "55de54b2e11347fe5b608c2e1a63fdb395a9c7445a719a3a51e851e46a338485",
-    "eg-square": "95e0a136cfc685ee0bd190f6c4f7ac0fb7f134daea63f7fa1cb4ec6051a5ecb5",
-    "tree-d1-box-square": "d43582bb1d39f56bbe94d5cbf766a4cd07dce0cb2a2333016b9aae460c6b6e6f",
-    "tree-d1-range-square": "8918427a70d6e19eec09843b63521add5086bf593337f7e49a1546a5a9f7bcbd",
-    "tree-d3-box-square": "117adbbc85368d462bbab54b6cad8beffa7c420778492533c22a0e691f278fe2",
-    "tree-d3-range-square": "daff4e09702a1e3cbe88ee946ac472db91873fbdf3a46854ca9b8bbafaf631a5",
-    "meta-powers_of_two-box-square": "d7fb98e513a819bbd2d55869a5b5d39a8422996fd91d44eb0f21e56daa7b7b98",
-    "meta-powers_of_two-range-square": "2b31d7cdb137ff81be21db04cced1dc2c7d018c72179f793fe90a3bc009f570a",
-    "meta-quadratic-box-square": "c20ea97657f4ce1750c551c41aa0713f76ab339cd9d2a66b8476c2c354c3479e",
-    "meta-quadratic-range-square": "fcf4b6011aca68380ecf6b78e8af9e3479064fae4ed089d8dfe8da86caf76693",
-    "eg-pinball": "4f1122efcd61cc32c81027df1bc062145631f061867ad3134308764c86532feb",
-    "tree-d1-box-pinball": "bce93b23f3ffa05050e2d868d44f151b6fb55179289b246e925cd972d30f9830",
-    "tree-d1-range-pinball": "61f092e1d35cc604693d80c090dead8a8c31b6cdf48afc2dbfd6f3f8f5d415ba",
-    "tree-d3-box-pinball": "7490c834845b409c5a53f627599f8a8f160cbad97c44d41a61df38c77e4555fd",
-    "tree-d3-range-pinball": "c96a722c35049b15fdd09f8f4e3d005f161e9b5dce52b7a2b74d40b93bb9a158",
-    "meta-powers_of_two-box-pinball": "2b6a289130d1efa48f1e96f5fc7a2481d6294336aebfdcd228ecafa3dd172f44",
-    "meta-powers_of_two-range-pinball": "e9819b6ed42b38cf811600218d90518b56af5be35ad05414c40721c1a45e7fdc",
-    "meta-quadratic-box-pinball": "929d2c21244cddd36ba6747828f42e9328c97beb840870fbc58613ebecfcf3af",
-    "meta-quadratic-range-pinball": "81e8468555e51343b3202586ddf3610fbd46217b463869358753decf77a324cd",
+    "eg-absolute": "9d2133209c7658e5941c68dc69d1804bbea9e82af83406be466b3505b1209bcb",
+    "tree-d1-box-absolute": "e073fbc1414fb2c34789cf4a1cd63b70ca0243f9d8f942d22e4511c1abc9089a",
+    "tree-d1-range-absolute": "80cf487fefd01c71e972de10e3f392dba913a5d9feb49509eb7b17c20f3cfb2f",
+    "tree-d3-box-absolute": "d35278a1f2024ae9f9fad316cbdd07f7da196800496083827fa1aba1ce59b64f",
+    "tree-d3-range-absolute": "4a2a3fb9c36665f31196e6568416f050461631250789e8404b176c8b3c4e012c",
+    "meta-powers_of_two-box-absolute": "b97f4cceccf5540231e5ea8b9b91ce3c4b9ec66078e42733ec2eb751143574a9",
+    "meta-powers_of_two-range-absolute": "0d15d97676cb9ac86ebd101c096a871cb3bef1793b27ccb99633d97286ad3252",
+    "meta-quadratic-box-absolute": "ba9f8bb1fe2700623304273dd4929bfc834b9d8d31deeb739be42842784d1dd9",
+    "meta-quadratic-range-absolute": "131f4f95c078c932947fc9aef13323897ca289be6aceda27cdfd38cf59e8c702",
+    "eg-square": "437ba3ddebc0cd26c78c44f0518311f425370387353ba0e7ce3bbb88df1028a6",
+    "tree-d1-box-square": "72924811cfa0a73b6716edf95e539215f325a57c11699967f6a34243933e26e6",
+    "tree-d1-range-square": "24a73962e44cb2992eb4718cd6ab06c4d2cc2940a439ad7e6979f8e3046b0a12",
+    "tree-d3-box-square": "96bf7f1c2d0b8b2fd1b6aff6343f854ded80f4692a2694b17d1967427feed313",
+    "tree-d3-range-square": "6d00a14d19765f060a5217951e640143217e7b6a25b07b879d891adce921f9d2",
+    "meta-powers_of_two-box-square": "5464e32186dd52bee5a373cb894d7527ca418361170f39cece3af39a14a11444",
+    "meta-powers_of_two-range-square": "d7c6779dee4fffbb26e620deeef90634f0d1c9227c11a7b0733436f6e07155aa",
+    "meta-quadratic-box-square": "a2a0284c152ad49509ffea317e8f7cc52de7cdca324a0095bf77d228644d5cd4",
+    "meta-quadratic-range-square": "8de43bcac68d33f412d4421bca3cc55756f8cb7386ed61cf5ee0021765159fe2",
+    "eg-pinball": "9cb2130d53416cd20aec9fd02093bf9d66ba71af87334636dc23030eb4124fb6",
+    "tree-d1-box-pinball": "e824fcf89bc80248c05d79dcde3b7b455c34d5b99b35d7000c0f303bb7ad893c",
+    "tree-d1-range-pinball": "c73a07fff38a836098ea4693dfb79eec756b245e2949acb748994159ed2dfde0",
+    "tree-d3-box-pinball": "cb18a6aa7e30880719ab39b20839f892a150d491d09b0a2230f0449e61e970ec",
+    "tree-d3-range-pinball": "56d7e99c22d709c0e24d8f83812a7755a43113368ae92cd9e43f6e6bf083265e",
+    "meta-powers_of_two-box-pinball": "b1c613e0ef52568501e3863f4ac33575eee694e5b91130c03cdd309eeb82bcc2",
+    "meta-powers_of_two-range-pinball": "127196864152f0c58b44eb9dc55d2ff8e08972606940ab50a0ee9e2439152a1e",
+    "meta-quadratic-box-pinball": "6fb51187be278af41875ec43bf73b89f20ffda8fb5f1614f1a7b22a3ee20b5ce",
+    "meta-quadratic-range-pinball": "d17703b41fe6068b30e01d4fd33ac6540b8fd98b820211926aee301130d743c7",
 }
 
 

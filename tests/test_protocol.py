@@ -143,8 +143,8 @@ def test_traced_fields_are_named_step_columns(kind):
     for y in (0.2, 0.9, 0.4):
         forecaster.predict(x)
         forecaster.update(y)
-    # t, x, pred, y and loss are the harness's own columns
-    assert set(forecaster.TRACED) <= set(STEP_COLUMNS) - {"t", "x", "pred", "y", "loss"}
+    # t, x, pred and y are the harness's own columns
+    assert set(forecaster.TRACED) <= set(STEP_COLUMNS) - {"t", "x", "pred", "y"}
     assert type(forecaster.trace()) is tuple
     assert len(forecaster.trace()) == len(forecaster.TRACED)
 
@@ -195,7 +195,6 @@ def test_run_matches_the_checked_tree_path(d, effective_range, loss):
         losses.append(loss.value(preds[-1], y))
         steps.append(traced(tree))
     assert log.preds.tolist() == preds
-    assert log.losses.tolist() == losses
     assert log.x_text == [";".join([format(v, ".17g") for v in row]) for row in xs.tolist()]
     for name in ("leaf_h", "leaf_i", "n_nodes", "height"):
         assert getattr(log, name).tolist() == [step[name] for step in steps], name
