@@ -13,7 +13,8 @@ from a covariate file (``x1,..,xd,y``) by its header, whatever the
 forecaster.  JSON inputs reject keys they do not know.
 
 Every command is deterministic given its inputs; exit code 0 means all
-requested checks passed, 1 that one failed, 2 that an input was rejected.
+requested checks passed, 1 that one failed, 2 that an input was rejected,
+a path that names no file, or a file of the wrong kind, included.
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ def _cmd_run(args) -> int:
     """Run a forecaster over the input and stream its log to ``--out``.
 
     The config and the input are read and checked before any file is
-    opened; :func:`harness.stream_run` then writes the step log a block of
-    steps at a time and the summary last, so the command never holds the
-    whole log, and a run rejected midway leaves ``--out`` as it found it.
+    opened; :func:`harness.run` then writes the step log a block of steps
+    at a time and the summary last, so the command never holds the whole
+    log, and a run rejected midway leaves ``--out`` as it found it.
     """
     config_dict = harness.load_json(args.config) if args.config else {}
     if args.forecaster:
@@ -71,8 +72,8 @@ def _cmd_run(args) -> int:
     xs, ys = harness.read_input(args.input)
     if xs is not None:  # the file's width is d unless the config sets one
         config_dict.setdefault("d", xs.shape[1])
-    summary = harness.stream_run(harness.RunConfig.from_dict(config_dict), ys, xs, args.out,
-                                 save_state=args.save_state)
+    summary = harness.run(harness.RunConfig.from_dict(config_dict), ys, xs, args.out,
+                          save_state=args.save_state)
     print(json.dumps({
         "out": str(Path(args.out)),
         "T": summary["T"],
@@ -191,6 +192,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a path that names no file, or a file of the wrong kind: what is wrong with it
+_PATH_ERRORS = {
+    FileNotFoundError: "no such file or directory",
+    IsADirectoryError: "is a directory",
+    NotADirectoryError: "not a directory",
+    FileExistsError: "file exists",
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -198,8 +208,8 @@ def main(argv=None) -> int:
     except RejectedInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: no such file or directory: {exc.filename}", file=sys.stderr)
+    except tuple(_PATH_ERRORS) as exc:
+        print(f"error: {_PATH_ERRORS[type(exc)]}: {exc.filename}", file=sys.stderr)
         return 2
 
 

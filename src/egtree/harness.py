@@ -11,8 +11,8 @@ format ``LOG_FORMAT`` (``egtree-runlog-v2``, which is the
 printed with 17 significant digits so they round-trip exactly and two
 identical runs produce byte-identical step files.
 
-:func:`run` and :func:`stream_run` check their inputs as whole arrays
-before the first step, and before any file is opened, then drive every
+:func:`run` (``egtree run``) checks its inputs as whole arrays before
+the first step, and before any file is opened, then drives every
 forecaster through one loop (:func:`_step_blocks`) that produces the step
 log a block of ``_ROW_BLOCK`` steps at a time; a tree takes its checked
 covariate rows through ``PartitionTree._predict``.  Each block's log
@@ -21,13 +21,13 @@ after its steps, where the harness renders the block's data rows once,
 as the text that both its ``x`` and ``y`` cells (a tree run's ``x``
 cells; others are empty) and the running sha256 of :func:`data_digest`
 are cut from, and adds the block's losses to the running cumulative
-loss.  :func:`stream_run` (``egtree run``) writes each block
-as it arrives and the summary last, so it holds the forecaster and one
-block, never the whole log; :func:`run` joins the same blocks into a
-:class:`RunLog`, which :func:`write_run_log` cuts into blocks again for
-the same block writer.  Both write their files under temporary names and
-rename them into place at the end, so a run rejected midway leaves its
-directory as it found it.
+loss.  Each block is written as it arrives and the summary last, so a
+run holds the forecaster and one block, never the whole log; the whole
+log is only ever read back (:func:`read_run_log`).  The files are written
+under temporary names and renamed into place at the end, so a run
+rejected midway leaves its directory as it found it.
+:func:`write_run_log` writes a :class:`RunLog` read back, or built by
+hand, through the same block writer.
 
 Every value is rendered or parsed once, and a canonical input not even
 once: a run renders each covariate and outcome once, for its step log
@@ -251,7 +251,8 @@ def _forecaster(config: RunConfig):
 
 
 def _checked(config: RunConfig, ys, xs, save_state: bool) -> tuple:
-    """The series and a tree run's covariates, checked as whole arrays: ``(ys, xs)``.
+    """The series and a tree run's covariates, checked as whole arrays before
+    :func:`run` opens any file: ``(ys, xs)``.
 
     ``xs`` (shape (T, d), values in [0,1]) is required for tree runs and
     must be absent otherwise; only a tree run can save its state.
@@ -389,51 +390,25 @@ def _summary(config: RunConfig, forecaster, T: int, last: _Block, started: float
     }
 
 
-def run(config: RunConfig, ys, xs=None, save_state: bool = False) -> RunLog:
-    """Drive the configured forecaster over a series; returns the full log.
+def run(config: RunConfig, ys, xs, outdir, save_state: bool = False) -> dict:
+    """Drive the configured forecaster over a series, writing its log to ``outdir``.
 
     ``xs`` (shape (T, d), values in [0,1]) is required for tree runs and
-    must be absent otherwise.  Both are checked here, as whole arrays,
-    before the first step.  The run then yields its step log a block of
-    ``_ROW_BLOCK`` steps at a time (:func:`_step_blocks`), exactly as
-    :func:`stream_run` writes it, and the blocks are joined into one
-    :class:`RunLog`.  With ``save_state`` the final tree of a tree run is
-    embedded in the summary for later snapshot/restore; no other
-    forecaster can save its state yet.
+    must be None otherwise.  Both are checked (:func:`_checked`) before any
+    file is opened.  Each block of steps (:func:`_step_blocks`) is written
+    to ``steps.csv`` as it arrives and ``summary.json`` last, so no more
+    than the forecaster and one block is held, never the whole log; its
+    ``wall_clock_sec`` covers the writing.  With ``save_state`` a tree
+    run's final tree is written as ``tree.json``; no other forecaster can
+    save its state yet, and a run without it removes a ``tree.json`` that
+    an earlier run left in ``outdir``.  The files are written under
+    temporary names and renamed into place together at the end, so a run
+    rejected midway leaves ``outdir`` as it found it.  Returns the summary.
     """
     started = time.perf_counter()
     ys, xs = _checked(config, ys, xs, save_state)
     forecaster = _forecaster(config)
-    blocks = list(_step_blocks(config, forecaster, ys, xs))
-    summary = _summary(config, forecaster, len(ys), blocks[-1], started)
-    if save_state:
-        summary["tree"] = forecaster.to_dict()
-    _, x_text, preds, _, *ints, experts, weights = (
-        list(itertools.chain.from_iterable(column))
-        for column in zip(*(block.columns for block in blocks)))
-    del blocks
-    return RunLog(np.arange(1, len(ys) + 1, dtype=np.int64), x_text, np.array(preds), ys,
-                  *(np.array(column, dtype=np.int64) for column in ints), experts, weights,
-                  summary)
-
-
-def stream_run(config: RunConfig, ys, xs, outdir, save_state: bool = False) -> dict:
-    """Drive a run as :func:`run` does, writing its log to ``outdir`` as it goes.
-
-    The inputs are checked as :func:`run` checks them before any file is
-    opened.  Each block of steps is written to ``steps.csv`` as it arrives
-    and ``summary.json`` last, so no more than the forecaster and one block
-    is held, never the whole log; its ``wall_clock_sec`` covers the writing.
-    With ``save_state`` a tree run's final tree is written as ``tree.json``.
-    The files are written under temporary names and renamed into place
-    together at the end, so a run rejected midway leaves ``outdir`` as it
-    found it.  Returns the summary.
-    """
-    started = time.perf_counter()
-    ys, xs = _checked(config, ys, xs, save_state)
-    forecaster = _forecaster(config)
-    names = ("steps.csv", "summary.json") + (("tree.json",) if save_state else ())
-    with _staged(Path(outdir), names) as paths:
+    with _staged(Path(outdir), ("steps.csv", "summary.json", "tree.json")) as paths:
         last = _write_steps(paths[0], _step_blocks(config, forecaster, ys, xs))
         summary = _summary(config, forecaster, len(ys), last, started)
         _write_json(paths[1], summary, indent=2, sort_keys=True)
@@ -499,9 +474,10 @@ def _staged(outdir: Path, names):
 
     Each file is written as its name plus ``.partial`` and renamed to its
     name when the ``with`` block ends without an error; a name whose file
-    was not written is left as it is in ``outdir``.  On an error the
-    partial files are removed, and so is every directory made here, so
-    ``outdir`` is left as it was found: the files it held are untouched.
+    was not written is then removed from ``outdir``, so no file of an
+    earlier call stays beside the new ones.  On an error the partial files
+    are removed, and so is every directory made here, so ``outdir`` is left
+    as it was found: the files it held are untouched.
     """
     made = list(itertools.takewhile(lambda path: not path.exists(), (outdir, *outdir.parents)))
     outdir.mkdir(parents=True, exist_ok=True)
@@ -517,6 +493,8 @@ def _staged(outdir: Path, names):
     for path, name in zip(partial, names):
         if path.exists():
             path.replace(outdir / name)
+        else:
+            (outdir / name).unlink(missing_ok=True)
 
 
 def _log_blocks(log: RunLog):
@@ -533,7 +511,7 @@ def write_run_log(log: RunLog, outdir) -> None:
     """Write ``log`` to ``outdir`` as ``steps.csv`` and ``summary.json``.
 
     The log is cut into blocks of ``_ROW_BLOCK`` steps and each is written
-    by the block writer of :func:`stream_run`, so no column is converted
+    by the block writer of :func:`run`, so no column is converted
     whole; the files are renamed into place together, as there.
     """
     with _staged(Path(outdir), ("steps.csv", "summary.json")) as (steps, summary):
@@ -1136,11 +1114,13 @@ def report(run_dirs, outdir) -> dict:
     """Aggregate finished runs into summary tables and plot-ready CSVs.
 
     The runs are read one at a time, and each run's per-step rows are
-    written to ``node_growth.csv`` and ``weights.csv`` (only where some run
-    logs member weights) a block at a time as it is read, so no more than
-    one run's log is held.  The tables are written under temporary names
-    and renamed into place together at the end (:func:`_staged`), so a run
-    rejected midway leaves ``outdir`` as it found it.
+    written to ``node_growth.csv`` and ``weights.csv`` a block at a time as
+    it is read, so no more than one run's log is held.  Where no run logs
+    member weights there is no ``weights.csv``, and one that an earlier
+    report left in ``outdir`` is removed.  The tables are written under
+    temporary names and renamed into place together at the end
+    (:func:`_staged`), so a run rejected midway leaves ``outdir`` as it
+    found it.
     """
     run_dirs = [Path(p) for p in run_dirs]
     if not run_dirs:

@@ -15,6 +15,9 @@
   row-by-row data digest: the straightforward versions of the block-wise
   I/O in :mod:`egtree.harness`, which must match them message for message
   and byte for byte.
+* The step log of a run by a hand loop through the public, checking
+  ``predict``, ``update`` and ``trace``: the step-by-step version of the
+  block loop of ``harness.run``.
 """
 
 import csv
@@ -27,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from egtree.errors import RejectedInputError
-from egtree.harness import STEP_COLUMNS, fmt17
+from egtree.harness import STEP_COLUMNS, RunLog, fmt17
 from egtree.losses import LossSpec
 from egtree.oracles import Comparator, _group_by_x
 
@@ -247,6 +250,26 @@ def column_blocks(fh, width: int, block: int):
             raise RejectedInputError(
                 f"row {row_no + short}: expected {width} fields, got {len(chunk[short])}")
         row_no += len(chunk)
+
+
+def hand_run(forecaster, ys, xs=None) -> RunLog:
+    """The step log of ``forecaster`` over ``ys``, each step predicted with
+    its row of ``xs`` (None without covariates); its summary is empty."""
+    T = len(ys)
+    columns = {"leaf_h": [-1] * T, "leaf_i": [-1] * T, "n_nodes": [1] * T, "height": [0] * T,
+               "experts": [()] * T, "weights": [()] * T}
+    preds = []
+    for k, y in enumerate(np.asarray(ys, dtype=float).tolist()):
+        preds.append(forecaster.predict(None if xs is None else xs[k]))
+        forecaster.update(y)
+        for name, value in zip(forecaster.TRACED, forecaster.trace()):
+            columns[name][k] = value
+    x_text = ([""] * T if xs is None
+              else [";".join(map(fmt17, row)) for row in np.asarray(xs, dtype=float).tolist()])
+    ints = (np.array(columns[name], dtype=np.int64)
+            for name in ("leaf_h", "leaf_i", "n_nodes", "height"))
+    return RunLog(np.arange(1, T + 1, dtype=np.int64), x_text, np.array(preds),
+                  np.asarray(ys, dtype=float), *ints, columns["experts"], columns["weights"], {})
 
 
 def write_steps_csv(log, path) -> None:

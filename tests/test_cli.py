@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,6 +142,9 @@ def test_run_tree_on_covariates_with_state(tmp_path, capsys):
     log = read_run_log(rundir)
     assert log.summary["config"]["loss"]["kind"] == "square"
     assert main(["verify-bounds", "--out", str(rundir), "--input", str(cov)]) == 0
+    # a run into the same directory without --save-state leaves no tree of the last one
+    assert main(["run", "--config", str(config), "--input", str(cov), "--out", str(rundir)]) == 0
+    assert not (rundir / "tree.json").exists()
     capsys.readouterr()
 
 
@@ -441,7 +445,9 @@ def test_run_streams_the_log_across_blocks(tmp_path, capsys, forecaster, d, effe
     rundir = tmp_path / "r"
     assert main(["run", "--config", str(config_path), "--input", str(data),
                  "--out", str(rundir)]) == 0
-    reference.write_steps_csv(harness.run(config, ys, xs), tmp_path / "reference.csv")
+    # the log of a hand loop through the public, checking predict, update and trace
+    forecaster = harness._forecaster(config)
+    reference.write_steps_csv(reference.hand_run(forecaster, ys, xs), tmp_path / "reference.csv")
     assert (rundir / "steps.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
     summary = json.loads((rundir / "summary.json").read_text())
     assert summary["data_digest"] == reference.data_digest(ys, xs)
@@ -521,6 +527,32 @@ def test_a_report_rejected_midway_leaves_its_out_as_found(tmp_path, capsys):
         assert capsys.readouterr().err == "error: row 2001: t is 2001, expected 2000\n"
     assert not (tmp_path / "a").exists()
     assert {path.name: path.read_bytes() for path in tables.iterdir()} == before
+
+
+def test_a_report_without_weights_removes_an_old_weights_table(tmp_path, capsys):
+    # a report of a meta run writes weights.csv; a later report, into the
+    # same directory, of runs that log no weights must not leave it there
+    series = tmp_path / "s.csv"
+    write_series(series, np.random.default_rng(14).random(300))
+    runs = {name: str(tmp_path / name) for name in ("m", "ok", "bad")}
+    for name, forecaster in (("m", "meta"), ("ok", "eg"), ("bad", "eg")):
+        assert main(["run", "--forecaster", forecaster, "--input", str(series),
+                     "--out", runs[name]]) == 0
+    steps = tmp_path / "bad" / "steps.csv"
+    steps.write_text(steps.read_text().replace("\n200,", "\n201,", 1))
+    tables = tmp_path / "t"
+    assert main(["report", "--out", str(tables), runs["m"]]) == 0
+    before = {path.name: path.read_bytes() for path in tables.iterdir()}
+    assert "weights.csv" in before
+    # a rejected report leaves the old tables as they were, weights.csv included
+    assert main(["report", "--out", str(tables), runs["ok"], runs["bad"]]) == 2
+    assert {path.name: path.read_bytes() for path in tables.iterdir()} == before
+    assert main(["report", "--out", str(tables), runs["ok"]]) == 0
+    assert sorted(path.name for path in tables.iterdir()) == [
+        "avg_loss_vs_T.csv", "node_growth.csv", "runs.csv"]
+    assert [row.split(",")[0] for row in (tables / "runs.csv").read_text().splitlines()] == [
+        "run", "ok"]
+    capsys.readouterr()
 
 
 def test_a_tree_log_without_leaves_exits_two(tmp_path, capsys):
@@ -637,6 +669,43 @@ def test_missing_files_exit_two_naming_the_path(markov_spec, tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and missing in err[0], argv
+
+
+def _state(path):
+    """What ``path`` holds: a file's bytes, a directory's files by name, or None."""
+    if path.is_dir():
+        return {entry.name: _state(entry) for entry in path.iterdir()}
+    return path.read_bytes() if path.exists() else None
+
+
+@pytest.mark.parametrize("argv, named, error", [
+    (["run", "--forecaster", "eg", "--input", "{dir}", "--out", "{new}"], "{dir}",
+     "is a directory"),
+    (["verify-bounds", "--out", "{run}", "--input", "{dir}"], "{dir}", "is a directory"),
+    (["simulate", "--spec", "{dir}", "--T", "5", "--out", "{new}"], "{dir}", "is a directory"),
+    (["run", "--forecaster", "eg", "--input", "{series}", "--out", "{file}"], "{file}",
+     "file exists"),
+    (["report", "--out", "{file}", "{run}"], "{file}", "file exists"),
+    (["run", "--forecaster", "eg", "--input", "{series}", "--out", "{file}/sub"], "{file}/sub",
+     "not a directory"),
+    (["verify-bounds", "--out", "{file}"], "{file}/summary.json", "not a directory"),
+], ids=["run-input-dir", "verify-input-dir", "simulate-spec-dir", "run-out-file",
+        "report-out-file", "run-out-under-a-file", "verify-out-file"])
+def test_a_path_of_the_wrong_kind_exits_two_naming_it(tmp_path, capsys, argv, named, error):
+    paths = {"dir": tmp_path / "a-dir", "file": tmp_path / "a-file", "new": tmp_path / "new",
+             "series": tmp_path / "s.csv", "run": tmp_path / "run"}
+    paths["dir"].mkdir()
+    paths["file"].write_text("not a directory\n")
+    write_series(paths["series"], [0.2, 0.4, 0.9, 0.1])
+    assert main(["run", "--forecaster", "eg", "--input", str(paths["series"]),
+                 "--out", str(paths["run"])]) == 0
+    argv = [arg.format(**paths) for arg in argv]
+    out = Path(argv[argv.index("--out") + 1])
+    before = _state(out)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {error}: {named.format(**paths)}\n"
+    assert _state(out) == before
 
 
 @pytest.mark.parametrize("spec", [

@@ -4,10 +4,10 @@ Each case runs one forecaster over seeded data and pins the sha256 of
 ``steps.csv`` and of ``summary.json`` without its ``wall_clock_sec``
 field, so a refactor or a speed-up of the forecasting path cannot change
 a single byte of a log without this file noticing.  Each log is written
-twice: from the ``RunLog`` of ``harness.run`` by ``write_run_log``, and
-streamed to disk by ``egtree run``.  It also pins the
-checks that ``verify_bounds`` makes of the run, so the verifier and its
-comparators cannot drift either.  The inputs mix
+by ``harness.run`` and by ``egtree run``, and ``write_run_log`` must write
+back the very bytes of the log that ``read_run_log`` reads.  It also pins
+the checks that ``verify_bounds`` makes of the run's log read back, so the
+verifier and its comparators cannot drift either.  The inputs mix
 uniform draws with exact dyadic values (0, 1/4, 1/2, 3/4, 1), so that
 midpoint ties and the closed upper face x = 1 are routed on every run.
 """
@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 from egtree.cli import main
-from egtree.harness import (RunConfig, run, verify_bounds, write_covariates, write_run_log,
-                            write_series)
+from egtree.harness import (RunConfig, read_run_log, run, verify_bounds, write_covariates,
+                            write_run_log, write_series)
 from egtree.losses import LossSpec
 
 LOSSES = {
@@ -197,8 +197,13 @@ def case(name):
 
 @pytest.mark.parametrize("name", list(cases()))
 def test_golden_digest(name, tmp_path):
-    write_run_log(run(*case(name)), tmp_path)
-    assert digests(tmp_path) == GOLDEN[name]
+    rundir, rewritten = tmp_path / "run", tmp_path / "rewritten"
+    run(*case(name), rundir)
+    assert digests(rundir) == GOLDEN[name]
+    # the writer turns what the reader reads of a log back into its bytes
+    write_run_log(read_run_log(rundir), rewritten)
+    for file in ("steps.csv", "summary.json"):
+        assert (rewritten / file).read_bytes() == (rundir / file).read_bytes(), file
 
 
 @pytest.mark.parametrize("name", list(cases()))
@@ -224,10 +229,10 @@ def test_config_round_trips_through_json(name):
 
 
 @pytest.mark.parametrize("name", list(cases()))
-def test_verify_bounds_digest(name):
+def test_verify_bounds_digest(name, run_log):
     config, ys, xs = case(name)
     L = 1.0 if config.forecaster == "meta" or (config.forecaster, config.d) == ("tree", 1) \
         else None
-    checks = [c.to_dict() for c in verify_bounds(run(config, ys, xs), L)]
+    checks = [c.to_dict() for c in verify_bounds(run_log(config, ys, xs), L)]
     digest = hashlib.sha256(json.dumps(checks, sort_keys=True).encode()).hexdigest()
     assert digest == VERIFY_GOLDEN[name]

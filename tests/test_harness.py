@@ -27,10 +27,10 @@ from egtree.harness import (
     run,
     verify_bounds,
     write_covariates,
-    write_run_log,
     write_series,
     report,
 )
+from egtree.autoregressive import MetaForecaster
 from egtree.losses import LossSpec
 from egtree.tree import PartitionTree, height_bound, node_count_bound
 
@@ -45,39 +45,40 @@ def uniform(T, seed, d=None):
 
 
 class TestRun:
-    def test_constant_half_series_is_free_for_the_tracker(self):
-        log = run(RunConfig("eg", ABS), np.full(500, 0.5))
+    def test_constant_half_series_is_free_for_the_tracker(self, run_log):
+        log = run_log(RunConfig("eg", ABS), np.full(500, 0.5))
         assert np.all(log.preds == 0.5)
         assert log.summary["cumulative_loss"] == 0.0
 
-    def test_cumulative_equals_resummation(self):
-        log = run(RunConfig("tree", ABS, d=2), *reversed(uniform(400, 1, d=2)))
+    def test_cumulative_equals_resummation(self, run_log):
+        log = run_log(RunConfig("tree", ABS, d=2), *reversed(uniform(400, 1, d=2)))
         acc = 0.0
         for pred, y in zip(log.preds.tolist(), log.ys.tolist()):
             acc += ABS.value(pred, y)
         assert acc == log.summary["cumulative_loss"]
 
     @pytest.mark.parametrize("forecaster", ["eg", "tree", "meta"])
-    def test_cumulative_loss_is_a_python_float(self, forecaster):
+    def test_cumulative_loss_is_a_python_float(self, tmp_path, forecaster):
         xs, ys = uniform(200, 6, d=1)
         covariates = xs if forecaster == "tree" else None
-        log = run(RunConfig(forecaster, ABS, d=1), ys, covariates)
-        assert type(log.summary["cumulative_loss"]) is float
+        summary = run(RunConfig(forecaster, ABS, d=1), ys, covariates, tmp_path)
+        assert type(summary["cumulative_loss"]) is float
 
-    def test_covariates_required_for_tree(self):
+    def test_covariates_required_for_tree(self, tmp_path):
         with pytest.raises(RejectedInputError):
-            run(RunConfig("tree", ABS), uniform(10, 0))
+            run(RunConfig("tree", ABS), uniform(10, 0), None, tmp_path / "r")
         with pytest.raises(RejectedInputError):
-            run(RunConfig("eg", ABS), uniform(10, 0), np.zeros((10, 1)))
+            run(RunConfig("eg", ABS), uniform(10, 0), np.zeros((10, 1)), tmp_path / "r")
+        assert not (tmp_path / "r").exists()
 
-    def test_small_tree_run_respects_growth_cap(self):
+    def test_small_tree_run_respects_growth_cap(self, tmp_path):
         xs, ys = uniform(1000, 3, d=1)
-        log = run(RunConfig("tree", ABS, d=1), ys, xs)
-        assert log.summary["final"]["n_nodes"] <= node_count_bound(1, 1000)
-        assert log.summary["final"]["n_nodes"] <= 81
+        summary = run(RunConfig("tree", ABS, d=1), ys, xs, tmp_path)
+        assert summary["final"]["n_nodes"] <= node_count_bound(1, 1000)
+        assert summary["final"]["n_nodes"] <= 81
 
-    def test_meta_run_records_members(self):
-        log = run(RunConfig("meta", ABS), uniform(300, 4))
+    def test_meta_run_records_members(self, run_log):
+        log = run_log(RunConfig("meta", ABS), uniform(300, 4))
         assert log.summary["final"]["n_active"] == 8  # next entry at 512
         assert len(log.expert_preds[-1]) == 8
         assert log.x_text == [""] * 300  # the y column holds the lag windows
@@ -88,8 +89,8 @@ class TestRun:
         ("powers_of_two", 3, 300),
         ("quadratic", 2, 300),
     ])
-    def test_final_members_match_the_log(self, schedule, max_d, T):
-        log = run(RunConfig("meta", ABS, schedule=schedule, max_d=max_d), uniform(T, 7))
+    def test_final_members_match_the_log(self, run_log, schedule, max_d, T):
+        log = run_log(RunConfig("meta", ABS, schedule=schedule, max_d=max_d), uniform(T, 7))
         final = log.summary["final"]
         members = final["experts"]
         assert [m["d"] for m in members] == list(range(1, final["n_active"] + 1))
@@ -103,7 +104,7 @@ class TestRun:
         if max_d is not None:
             assert len(members) == max_d
 
-    def test_a_leaf_index_beyond_64_bits_is_rejected(self):
+    def test_a_leaf_index_beyond_64_bits_is_rejected(self, tmp_path):
         # one repeated point drives the tree past depth 64, where a leaf
         # index i < 2**h no longer fits the step log's int64 leaf_i
         T, d = 2000, 14
@@ -117,48 +118,48 @@ class TestRun:
         with pytest.raises(RejectedInputError,
                            match=f"^step {t}: the leaf at depth {h} has index {i}, beyond "
                                  "the 64 bits of the step log's leaf_i$"):
-            run(RunConfig("tree", ABS, d=d), np.full(T, 0.5), np.full((T, d), 0.3))
+            run(RunConfig("tree", ABS, d=d), np.full(T, 0.5), np.full((T, d), 0.3), tmp_path)
         assert (t, h) == (1328, 78)
 
-    def test_leaves_deeper_than_63_levels_read_back(self, tmp_path):
+    def test_leaves_deeper_than_63_levels_read_back(self, run_log):
         # below depth 63 a leaf index still fits in 64 bits if the path
         # turns left often enough: such a log is a tree's and reads back
         T, d = 1300, 14
-        log = run(RunConfig("tree", ABS, d=d), np.full(T, 0.5), np.full((T, d), 0.3))
+        ys, xs = np.full(T, 0.5), np.full((T, d), 0.3)
+        log = run_log(RunConfig("tree", ABS, d=d), ys, xs)
         assert log.leaf_h.max() > 63
-        write_run_log(log, tmp_path)
-        back = read_run_log(tmp_path)
-        assert np.array_equal(back.leaf_h, log.leaf_h)
-        assert np.array_equal(back.leaf_i, log.leaf_i)
+        steps = reference.hand_run(PartitionTree(d, ABS), ys, xs)
+        assert np.array_equal(log.leaf_h, steps.leaf_h)
+        assert np.array_equal(log.leaf_i, steps.leaf_i)
 
-    def test_save_state_embeds_tree(self):
+    def test_save_state_writes_the_tree(self, tmp_path):
         xs, ys = uniform(50, 5, d=1)
-        log = run(RunConfig("tree", ABS, d=1), ys, xs, save_state=True)
-        assert "tree" in log.summary
-        from egtree.tree import PartitionTree
-        clone = PartitionTree.from_dict(log.summary["tree"])
-        assert clone.n_nodes == log.summary["final"]["n_nodes"]
+        summary = run(RunConfig("tree", ABS, d=1), ys, xs, tmp_path, save_state=True)
+        assert "tree" not in summary
+        assert json.loads((tmp_path / "summary.json").read_text()) == summary
+        clone = PartitionTree.from_dict(json.loads((tmp_path / "tree.json").read_text()))
+        assert clone.n_nodes == summary["final"]["n_nodes"]
 
-    def test_rejects_out_of_range(self):
+    def test_rejects_out_of_range(self, tmp_path):
         with pytest.raises(RejectedInputError):
-            run(RunConfig("eg", ABS), np.array([0.5, 1.5, 0.2]))
+            run(RunConfig("eg", ABS), np.array([0.5, 1.5, 0.2]), None, tmp_path)
 
     @pytest.mark.parametrize("bad, text", [(1.5, "1.5"), (float("nan"), "nan")])
-    def test_an_observation_out_of_range_is_named_as_a_float(self, bad, text):
+    def test_an_observation_out_of_range_is_named_as_a_float(self, tmp_path, bad, text):
         with pytest.raises(RejectedInputError,
                            match=rf"^observation 2 outside \[0, 1\]: {text}$"):
-            run(RunConfig("eg", ABS), [0.2, bad])
+            run(RunConfig("eg", ABS), [0.2, bad], None, tmp_path)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1.5, -0.1])
-    def test_rejects_bad_covariates_before_any_step(self, bad, monkeypatch):
+    def test_rejects_bad_covariates_before_any_step(self, tmp_path, bad, monkeypatch):
         steps = []
         # a tree run predicts through _predict, which trusts its point
         monkeypatch.setattr(PartitionTree, "_predict", lambda self, x: steps.append(x))
         xs = [[0.5, 0.2], [0.4, bad], [bad, 0.3]]
         message = rf"^observation 2: covariate 2 outside \[0, 1\]: {re.escape(repr(bad))}$"
         with pytest.raises(RejectedInputError, match=message):
-            run(RunConfig("tree", ABS, d=2), [0.1, 0.2, 0.3], xs)
-        assert steps == []
+            run(RunConfig("tree", ABS, d=2), [0.1, 0.2, 0.3], xs, tmp_path / "r")
+        assert steps == [] and not (tmp_path / "r").exists()
 
     def test_config_rejects_unknown_schedule(self):
         with pytest.raises(RejectedInputError):
@@ -203,7 +204,7 @@ class TestDeterminism:
             xs, ys = None, uniform(300, 6)
             cfg = RunConfig(forecaster, ABS)
         for name in ("a", "b"):
-            write_run_log(run(cfg, ys, xs), tmp_path / name)
+            run(cfg, ys, xs, tmp_path / name)
         steps_a = (tmp_path / "a" / "steps.csv").read_bytes()
         steps_b = (tmp_path / "b" / "steps.csv").read_bytes()
         assert steps_a == steps_b
@@ -212,24 +213,27 @@ class TestDeterminism:
         sa.pop("wall_clock_sec"), sb.pop("wall_clock_sec")
         assert sa == sb
 
+    # the log read back holds what a hand loop through the public, checking
+    # predict, update and trace logs, and the summary the run returned
     def test_log_round_trip(self, tmp_path):
-        log = run(RunConfig("meta", ABS), uniform(120, 7))
-        write_run_log(log, tmp_path)
+        ys = uniform(120, 7)
+        summary = run(RunConfig("meta", ABS), ys, None, tmp_path)
         back = read_run_log(tmp_path)
-        assert np.array_equal(back.preds, log.preds)
-        assert np.array_equal(back.ys, log.ys)
-        assert back.expert_preds == [tuple(v) for v in log.expert_preds]
-        assert back.expert_weights == [tuple(v) for v in log.expert_weights]
-        assert back.summary == json.loads(json.dumps(log.summary))
+        steps = reference.hand_run(MetaForecaster(ABS), ys)
+        assert np.array_equal(back.preds, steps.preds)
+        assert np.array_equal(back.ys, ys)
+        assert back.expert_preds == steps.expert_preds
+        assert back.expert_weights == steps.expert_weights
+        assert back.summary == json.loads(json.dumps(summary))
 
     def test_long_tree_log_round_trip(self, tmp_path):
         xs, ys = uniform(2500, 10, d=2)
-        log = run(RunConfig("tree", ABS, d=2), ys, xs)
-        write_run_log(log, tmp_path)
+        run(RunConfig("tree", ABS, d=2), ys, xs, tmp_path)
         back = read_run_log(tmp_path)
+        steps = reference.hand_run(PartitionTree(2, ABS), ys, xs)
         for name in ("t", "preds", "ys", "leaf_h", "leaf_i", "n_nodes", "height"):
-            assert np.array_equal(getattr(back, name), getattr(log, name)), name
-        assert back.x_text == log.x_text
+            assert np.array_equal(getattr(back, name), getattr(steps, name)), name
+        assert back.x_text == steps.x_text
         assert back.expert_preds == back.expert_weights == [()] * 2500
 
     @pytest.mark.parametrize("damage, message", [
@@ -269,14 +273,14 @@ class TestDeterminism:
     ])
     def test_damaged_step_log_rejected(self, tmp_path, damage, message):
         xs, ys = uniform(2500, 10, d=2)
-        write_run_log(run(RunConfig("tree", ABS, d=2), ys, xs), tmp_path)
+        run(RunConfig("tree", ABS, d=2), ys, xs, tmp_path)
         steps = tmp_path / "steps.csv"
         steps.write_text("\n".join(damage(steps.read_text().splitlines())) + "\n")
         with pytest.raises(RejectedInputError, match=message):
             read_run_log(tmp_path)
 
     def test_meta_step_with_an_extra_member_prediction_rejected(self, tmp_path):
-        write_run_log(run(RunConfig("meta", ABS), uniform(300, 3)), tmp_path)
+        run(RunConfig("meta", ABS), uniform(300, 3), None, tmp_path)
         steps = tmp_path / "steps.csv"
         lines = steps.read_text().splitlines()
         experts = lines[-1].split(",")[STEP_COLUMNS.index("experts")]
@@ -288,7 +292,7 @@ class TestDeterminism:
         ("n_nodes", "99999999999999999999"), ("height", "-9223372036854775809"),
         ("t", "9223372036854775808"), ("leaf_h", "99999999999999999999")])
     def test_integer_beyond_int64_rejected(self, tmp_path, column, text):
-        write_run_log(run(RunConfig("eg", ABS), [0.2, 0.4, 0.9, 0.1]), tmp_path)
+        run(RunConfig("eg", ABS), [0.2, 0.4, 0.9, 0.1], None, tmp_path)
         steps = tmp_path / "steps.csv"
         steps.write_text("\n".join(with_cell(steps.read_text().splitlines(), 3, column, text))
                          + "\n")
@@ -305,7 +309,7 @@ class TestDeterminism:
                                                                     text, fault):
         # the same bad cell in many rows of a block: the first row is named
         xs, ys = uniform(2500, 10, d=2)
-        write_run_log(run(RunConfig("tree", ABS, d=2), ys, xs), tmp_path)
+        run(RunConfig("tree", ABS, d=2), ys, xs, tmp_path)
         steps = tmp_path / "steps.csv"
         lines = steps.read_text().splitlines()
         for row in (1900, 1300, 2000, 1101, 1100, 2400, 1500):
@@ -341,7 +345,7 @@ class TestDeterminism:
     ])
     def test_first_fault_of_a_damaged_step_log(self, tmp_path, faults, message):
         xs, ys = uniform(2500, 10, d=2)
-        write_run_log(run(RunConfig("tree", ABS, d=2), ys, xs), tmp_path)
+        run(RunConfig("tree", ABS, d=2), ys, xs, tmp_path)
         steps = tmp_path / "steps.csv"
         lines = steps.read_text().splitlines()
         for row, column, text in faults:
@@ -366,7 +370,7 @@ class TestDeterminism:
     ])
     def test_a_tree_log_with_an_impossible_leaf_is_rejected(self, tmp_path, damage, message):
         xs, ys = uniform(3000, 12, d=1)
-        write_run_log(run(RunConfig("tree", ABS, d=1), ys, xs), tmp_path)
+        run(RunConfig("tree", ABS, d=1), ys, xs, tmp_path)
         steps = tmp_path / "steps.csv"
         steps.write_text("\n".join(damage(steps.read_text().splitlines())) + "\n")
         with pytest.raises(RejectedInputError, match=message):
@@ -375,7 +379,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("forecaster", ["eg", "meta"])
     @pytest.mark.parametrize("column, text", [("leaf_h", "0"), ("leaf_i", "1"), ("leaf_h", "-2")])
     def test_a_leaf_outside_a_tree_run_is_rejected(self, tmp_path, forecaster, column, text):
-        write_run_log(run(RunConfig(forecaster, ABS), uniform(300, 3)), tmp_path)
+        run(RunConfig(forecaster, ABS), uniform(300, 3), None, tmp_path)
         steps = tmp_path / "steps.csv"
         steps.write_text("\n".join(with_cell(steps.read_text().splitlines(), 200, column, text))
                          + "\n")
@@ -401,7 +405,7 @@ class TestDeterminism:
     ])
     def test_damaged_summary_rejected(self, tmp_path, damage, message):
         xs, ys = uniform(2500, 10, d=2)
-        write_run_log(run(RunConfig("tree", ABS, d=2), ys, xs), tmp_path)
+        run(RunConfig("tree", ABS, d=2), ys, xs, tmp_path)
         path = tmp_path / "summary.json"
         damaged = damage(json.loads(path.read_text()))
         path.write_text(damaged if isinstance(damaged, str) else json.dumps(damaged))
@@ -488,12 +492,12 @@ class TestVerifyBounds:
     @given(d=st.integers(1, 3), effective_range=st.booleans(), T=st.integers(1, 600),
            seed=st.integers(0, 2**16), dyadic=st.booleans(),
            loss=st.sampled_from([ABS, LossSpec("square"), LossSpec("pinball", 0.3)]))
-    def test_per_leaf_checks_match_the_dict_of_step_lists(self, d, effective_range, T, seed,
-                                                          dyadic, loss):
+    def test_per_leaf_checks_match_the_dict_of_step_lists(self, run_log, d, effective_range, T,
+                                                          seed, dyadic, loss):
         xs, ys = uniform(T, seed, d=d)
         if dyadic:  # ties: exact quarters route to cut points and repeat outcomes
             xs, ys = np.round(4 * xs) / 4, np.round(4 * ys) / 4
-        log = run(RunConfig("tree", loss, d=d, effective_range=effective_range), ys, xs)
+        log = run_log(RunConfig("tree", loss, d=d, effective_range=effective_range), ys, xs)
         checks = {c.name: c for c in verify_bounds(log)}
         node_best, sqrt_sum = reference.leaf_decomposition(log, loss)
         resummed = checks["cumulative-loss-resummation"].achieved
@@ -502,15 +506,15 @@ class TestVerifyBounds:
         assert decomposed.bound == 3.0 * loss.M * sqrt_sum
         assert checks["visit-concentration"].achieved == sqrt_sum
 
-    def test_eg_run_passes_all(self):
-        log = run(RunConfig("eg", ABS), uniform(2000, 11))
+    def test_eg_run_passes_all(self, run_log):
+        log = run_log(RunConfig("eg", ABS), uniform(2000, 11))
         checks = verify_bounds(log)
         assert all(c.passed for c in checks)
         assert any(c.name == "constant-regret" for c in checks)
 
-    def test_tree_run_passes_all(self):
+    def test_tree_run_passes_all(self, run_log):
         xs, ys = uniform(2000, 12, d=2)
-        checks = verify_bounds(run(RunConfig("tree", ABS, d=2), ys, xs))
+        checks = verify_bounds(run_log(RunConfig("tree", ABS, d=2), ys, xs))
         assert all(c.passed for c in checks)
         names = {c.name for c in checks}
         assert {"node-count-growth", "height-growth", "leaf-within-height",
@@ -520,9 +524,9 @@ class TestVerifyBounds:
         ("n_nodes", "node-count-growth", node_count_bound),
         ("height", "height-growth", height_bound),
     ])
-    def test_growth_checks_compare_each_step_with_its_own_cap(self, column, name, cap):
+    def test_growth_checks_compare_each_step_with_its_own_cap(self, run_log, column, name, cap):
         xs, ys = uniform(500, 12, d=2)
-        log = run(RunConfig("tree", ABS, d=2), ys, xs)
+        log = run_log(RunConfig("tree", ABS, d=2), ys, xs)
         # a step t whose successor's cap passes the next integer
         t = next(t for t in range(100, 500) if int(cap(2, t + 1)) > int(cap(2, t)))
         value = int(cap(2, t + 1))
@@ -531,14 +535,14 @@ class TestVerifyBounds:
         getattr(log, column)[t - 1] = value  # step t, over its own cap
         assert not next(c for c in verify_bounds(log) if c.name == name).passed
 
-    def test_tree_run_with_lipschitz_comparator(self):
+    def test_tree_run_with_lipschitz_comparator(self, run_log):
         xs, ys = uniform(1500, 13, d=1)
-        checks = verify_bounds(run(RunConfig("tree", ABS, d=1), ys, xs), lipschitz_L=1.0)
+        checks = verify_bounds(run_log(RunConfig("tree", ABS, d=1), ys, xs), lipschitz_L=1.0)
         assert all(c.passed for c in checks)
         assert any(c.name.startswith("lipschitz-regret") for c in checks)
 
-    def test_meta_run_passes_all(self):
-        checks = verify_bounds(run(RunConfig("meta", ABS), uniform(2000, 14)),
+    def test_meta_run_passes_all(self, run_log):
+        checks = verify_bounds(run_log(RunConfig("meta", ABS), uniform(2000, 14)),
                                lipschitz_L=1.0)
         assert all(c.passed for c in checks)
         names = {c.name for c in checks}
@@ -548,21 +552,21 @@ class TestVerifyBounds:
 
     @pytest.mark.parametrize("forecaster, d, T", [("eg", 1, 50), ("tree", 2, 50),
                                                   ("meta", 1, 1)])
-    def test_lipschitz_check_that_does_not_apply_is_rejected(self, forecaster, d, T):
+    def test_lipschitz_check_that_does_not_apply_is_rejected(self, run_log, forecaster, d, T):
         xs, ys = uniform(T, 24, d=d) if forecaster == "tree" else (None, uniform(T, 24))
-        log = run(RunConfig(forecaster, ABS, d=d), ys, xs)
+        log = run_log(RunConfig(forecaster, ABS, d=d), ys, xs)
         assert verify_bounds(log)
         with pytest.raises(RejectedInputError, match="no Lipschitz-comparator check"):
             verify_bounds(log, lipschitz_L=1.0)
 
-    def test_single_member_pool_uses_raw_form(self):
-        log = run(RunConfig("meta", ABS, max_d=1), uniform(500, 15))
+    def test_single_member_pool_uses_raw_form(self, run_log):
+        log = run_log(RunConfig("meta", ABS, max_d=1), uniform(500, 15))
         checks = verify_bounds(log)
         note = next(c for c in checks if c.name == "mixture-regret(d=1)")
         assert note.passed and "single-member" in note.note
 
-    def test_empty_log_rejected(self):
-        log = run(RunConfig("eg", ABS), uniform(5, 16))
+    def test_empty_log_rejected(self, run_log):
+        log = run_log(RunConfig("eg", ABS), uniform(5, 16))
         empty = RunLog(np.empty(0, dtype=np.int64), [], np.empty(0), np.empty(0),
                        np.empty(0, dtype=np.int64),
                        np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
@@ -570,15 +574,15 @@ class TestVerifyBounds:
         with pytest.raises(RejectedInputError):
             verify_bounds(empty)
 
-    def test_tampered_log_fails(self):
-        log = run(RunConfig("eg", ABS), uniform(50, 17))
+    def test_tampered_log_fails(self, run_log):
+        log = run_log(RunConfig("eg", ABS), uniform(50, 17))
         log.summary["cumulative_loss"] += 0.25
         checks = verify_bounds(log)
         assert not all(c.passed for c in checks)
 
     @pytest.mark.parametrize("weights", [("nan",), ("inf", "-inf")])
     def test_a_weight_without_a_sum_fails_the_simplex_check(self, tmp_path, weights):
-        write_run_log(run(RunConfig("meta", ABS), uniform(60, 17)), tmp_path)
+        run(RunConfig("meta", ABS), uniform(60, 17), None, tmp_path)
         steps = tmp_path / "steps.csv"
         lines = steps.read_text().splitlines()
         cell = lines[39].split(",")[STEP_COLUMNS.index("weights")].split(";")
@@ -592,16 +596,16 @@ class TestVerifyBounds:
 
     @pytest.mark.parametrize("column, named", [("preds", "pred"), ("ys", "outcome")])
     @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan")])
-    def test_an_out_of_range_logged_value_is_rejected(self, column, named, bad):
-        log = run(RunConfig("eg", ABS), uniform(100, 18))
+    def test_an_out_of_range_logged_value_is_rejected(self, run_log, column, named, bad):
+        log = run_log(RunConfig("eg", ABS), uniform(100, 18))
         getattr(log, column)[[40, 70]] = bad, 2.0  # the first bad step is named
         with pytest.raises(RejectedInputError,
                            match=rf"^{named} must lie in \[0, 1\], got {re.escape(repr(bad))}$"):
             verify_bounds(log)
 
     @pytest.mark.parametrize("edit", ["member-leaves", "two-entrants"])
-    def test_a_pool_that_does_not_grow_one_at_a_time_fails(self, edit):
-        log = run(RunConfig("meta", ABS), uniform(100, 18))
+    def test_a_pool_that_does_not_grow_one_at_a_time_fails(self, run_log, edit):
+        log = run_log(RunConfig("meta", ABS), uniform(100, 18))
         k = next(k for k in range(1, 100)
                  if len(log.expert_preds[k]) == len(log.expert_preds[k - 1]) >= 2)
         preds = log.expert_preds[k]
@@ -609,14 +613,14 @@ class TestVerifyBounds:
         checks = verify_bounds(log)
         assert [c.name for c in checks if not c.passed] == ["one-entrant-per-step"]
 
-    def test_expert_regret_requires_active_member(self):
-        log = run(RunConfig("meta", ABS), uniform(100, 18))
+    def test_expert_regret_requires_active_member(self, run_log):
+        log = run_log(RunConfig("meta", ABS), uniform(100, 18))
         with pytest.raises(RejectedInputError):
             expert_regret(log, 25)
 
     @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan")])
-    def test_expert_regret_rejects_an_out_of_range_member_prediction(self, bad):
-        log = run(RunConfig("meta", ABS), uniform(100, 18))
+    def test_expert_regret_rejects_an_out_of_range_member_prediction(self, run_log, bad):
+        log = run_log(RunConfig("meta", ABS), uniform(100, 18))
         k = 60
         preds = list(log.expert_preds[k])
         preds[1] = bad
@@ -627,8 +631,8 @@ class TestVerifyBounds:
 
     @pytest.mark.parametrize("loss", [ABS, LossSpec("square"), LossSpec("pinball", 0.3)],
                              ids=lambda spec: spec.kind)
-    def test_expert_regret_adds_the_per_step_gaps_left_to_right(self, loss):
-        log = run(RunConfig("meta", loss), uniform(700, 23))
+    def test_expert_regret_adds_the_per_step_gaps_left_to_right(self, run_log, loss):
+        log = run_log(RunConfig("meta", loss), uniform(700, 23))
         for d in range(1, len(log.expert_preds[-1]) + 1):
             total = 0.0
             for preds, pred, y in zip(log.expert_preds, log.preds.tolist(), log.ys.tolist()):
@@ -639,12 +643,12 @@ class TestVerifyBounds:
     @pytest.mark.parametrize("loss", [ABS, LossSpec("square"), LossSpec("pinball", 0.3)],
                              ids=lambda spec: spec.kind)
     @pytest.mark.parametrize("forecaster", ["eg", "tree", "meta"])
-    def test_checks_are_json_safe(self, forecaster, loss):
+    def test_checks_are_json_safe(self, run_log, forecaster, loss):
         if forecaster == "tree":
             xs, ys = uniform(200, 21, d=1)
         else:
             xs, ys = None, uniform(200, 21)
-        log = run(RunConfig(forecaster, loss), ys, xs)
+        log = run_log(RunConfig(forecaster, loss), ys, xs)
         checks = verify_bounds(log, lipschitz_L=None if forecaster == "eg" else 1.0)
         for c in checks:
             d = c.to_dict()
@@ -677,11 +681,11 @@ class TestVerifyBounds:
         with pytest.raises(RejectedInputError):
             data_digest(ys, xs[:-1])
 
-    def test_combined_bound_comes_from_autoregressive(self):
+    def test_combined_bound_comes_from_autoregressive(self, run_log):
         from egtree.autoregressive import combined_regret_bound
 
         T = 600
-        log = run(RunConfig("meta", ABS), uniform(T, 23))
+        log = run_log(RunConfig("meta", ABS), uniform(T, 23))
         check = next(c for c in verify_bounds(log, lipschitz_L=1.0)
                      if c.name.startswith("combined-regret"))
         n_active = log.summary["final"]["n_active"]
@@ -690,21 +694,20 @@ class TestVerifyBounds:
 
 class TestReport:
     def test_single_run_tables(self, tmp_path):
-        log = run(RunConfig("meta", ABS), uniform(200, 20))
-        write_run_log(log, tmp_path / "r0")
+        summary = run(RunConfig("meta", ABS), uniform(200, 20), None, tmp_path / "r0")
         tables = report([tmp_path / "r0"], tmp_path / "tables")
         assert (tmp_path / "tables" / "runs.csv").exists()
         assert (tmp_path / "tables" / "avg_loss_vs_T.csv").exists()
         assert (tmp_path / "tables" / "node_growth.csv").exists()
         assert (tmp_path / "tables" / "weights.csv").exists()
         row = tables["runs"][0]
-        assert row["avg_loss"] == pytest.approx(log.summary["cumulative_loss"] / 200)
+        assert row["avg_loss"] == pytest.approx(summary["cumulative_loss"] / 200)
 
     def test_aggregates_across_seeds(self, tmp_path):
         dirs = []
         for seed in range(3):
             cfg = RunConfig("eg", ABS, seed=seed)
-            write_run_log(run(cfg, uniform(100, seed)), tmp_path / f"r{seed}")
+            run(cfg, uniform(100, seed), None, tmp_path / f"r{seed}")
             dirs.append(tmp_path / f"r{seed}")
         tables = report(dirs, tmp_path / "tables")
         assert tables["groups"] == {"eg/T=100": 3}
@@ -715,8 +718,8 @@ class TestReport:
     def test_weights_rows_are_csv_rows(self, tmp_path):
         # the run name is quoted as csv quotes it; a % in it is text
         name = 'a,b"c%d'
-        log = run(RunConfig("meta", ABS), uniform(60, 3))
-        write_run_log(log, tmp_path / name)
+        run(RunConfig("meta", ABS), uniform(60, 3), None, tmp_path / name)
+        log = read_run_log(tmp_path / name)
         report([tmp_path / name], tmp_path / "tables")
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
@@ -738,7 +741,7 @@ class TestReport:
 
     def test_a_rejected_run_leaves_no_tables(self, tmp_path):
         for name in ("good", "bad"):
-            write_run_log(run(RunConfig("meta", ABS), uniform(50, 4)), tmp_path / name)
+            run(RunConfig("meta", ABS), uniform(50, 4), None, tmp_path / name)
         steps = tmp_path / "bad" / "steps.csv"
         steps.write_text(steps.read_text().replace("\n30,", "\n31,", 1))
         with pytest.raises(RejectedInputError, match="row 31: t is 31, expected 30"):
@@ -748,11 +751,10 @@ class TestReport:
     def test_table_bytes_are_pinned(self, tmp_path):
         # digests of the tables written by the row-by-row report this one replaced
         rng = np.random.default_rng(41)
-        write_run_log(run(RunConfig("meta", ABS, seed=41), rng.random(600)),
-                      tmp_path / "meta-run")
+        run(RunConfig("meta", ABS, seed=41), rng.random(600), None, tmp_path / "meta-run")
         rng = np.random.default_rng(42)
         xs, ys = rng.random((600, 2)), rng.random(600)
-        write_run_log(run(RunConfig("tree", ABS, d=2, seed=42), ys, xs), tmp_path / "tree-run")
+        run(RunConfig("tree", ABS, d=2, seed=42), ys, xs, tmp_path / "tree-run")
         report([tmp_path / "meta-run", tmp_path / "tree-run"], tmp_path / "tables")
         pinned = {
             "runs.csv": "90d959ef5dbaa5640fc9949524f41e626a722411f0d04904c86051d18d9fa5de",

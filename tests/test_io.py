@@ -7,7 +7,6 @@ the very same message: same row, same field, same value.
 """
 
 import csv
-import functools
 import io
 import re
 import shutil
@@ -82,8 +81,8 @@ class TestRoundTrips:
         assert same_bits(xs2, xs) and same_bits(ys2, ys)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_run_log(self, tmp_path_factory, data):
+    @given(st.data(), blocks)
+    def test_run_log(self, tmp_path_factory, data, block):
         n = data.draw(st.integers(1, 30))
         kind = data.draw(st.sampled_from(["eg", "tree", "meta"]))
         ints = st.integers(0, 2**40)
@@ -117,7 +116,8 @@ class TestRoundTrips:
                      np.array(data.draw(st.lists(ints, min_size=n, max_size=n))),
                      *tuples, summary)
         out = tmp_path_factory.mktemp("log")
-        write_run_log(log, out)
+        with mock.patch.object(harness, "_ROW_BLOCK", block):
+            write_run_log(log, out)
         reference.write_steps_csv(log, out / "reference.csv")
         assert (out / "steps.csv").read_bytes() == (out / "reference.csv").read_bytes()
         back = read_run_log(out)
@@ -267,8 +267,8 @@ class TestSplitter:
         rng = np.random.default_rng(59)
         xs, ys = rng.random((2100, 2)), rng.random(2100)
         write_covariates(tmp_path / "c.csv", xs, ys)
-        log = run(RunConfig("tree", ABS, d=2), ys, xs)
-        write_run_log(log, tmp_path / "log")
+        run(RunConfig("tree", ABS, d=2), ys, xs, tmp_path / "log")
+        log = read_run_log(tmp_path / "log")
         shutil.copytree(tmp_path / "log", tmp_path / "log-crlf")
         for name, copy in (("c.csv", "c-crlf.csv"), ("log/steps.csv", "log-crlf/steps.csv")):
             (tmp_path / copy).write_bytes((tmp_path / name).read_bytes().replace(b"\n", b"\r\n"))
@@ -306,8 +306,8 @@ class TestInputDigest:
             write_covariates(path, xs, ys)
         want = data_digest(*read_input(path)[::-1])
         # the digest a run records, from its own rendering of the covariates
-        assert run(RunConfig("eg" if d is None else "tree", ABS, d=d or 1),
-                   ys, xs).summary["data_digest"] == want
+        assert run(RunConfig("eg" if d is None else "tree", ABS, d=d or 1), ys, xs,
+                   path.parent / "run")["data_digest"] == want
         with mock.patch.object(harness, "_ROW_BLOCK", block), \
                 mock.patch.object(harness, "read_input", side_effect=AssertionError), \
                 mock.patch.object(harness, "data_digest", side_effect=AssertionError):
@@ -339,7 +339,7 @@ class TestUndecodableInput:
 
     @pytest.mark.parametrize("name", ["steps.csv", "summary.json"])
     def test_run_log(self, tmp_path, name):
-        write_run_log(run(RunConfig("eg", ABS), [0.25, 0.5, 0.75]), tmp_path)
+        run(RunConfig("eg", ABS), [0.25, 0.5, 0.75], None, tmp_path)
         path = tmp_path / name
         path.write_bytes(path.read_bytes() + b"\xff\n")
         with pytest.raises(RejectedInputError, match=self.message(path)):
@@ -356,9 +356,8 @@ def test_log_writer_matches_csv_writer(tmp_path, forecaster, d):
     rng = np.random.default_rng(53)
     ys = rng.random(700)
     xs = rng.random((700, d)) if d else None
-    log = run(RunConfig(forecaster, ABS, d=d or 1), ys, xs)
-    write_run_log(log, tmp_path)
-    reference.write_steps_csv(log, tmp_path / "reference.csv")
+    run(RunConfig(forecaster, ABS, d=d or 1), ys, xs, tmp_path)
+    reference.write_steps_csv(read_run_log(tmp_path), tmp_path / "reference.csv")
     written = (tmp_path / "steps.csv").read_bytes()
     assert written.count(b"\n") == 701
     assert written == (tmp_path / "reference.csv").read_bytes()
@@ -369,13 +368,12 @@ BOUNDARIES = [(block, block + k) for block in (1, 2, 5, harness._ROW_BLOCK)
               for k in (-1, 0, 1) if block + k > 0]
 
 
-@functools.lru_cache(maxsize=None)
-def logged(forecaster: str, T: int) -> RunLog:
-    """A run of ``forecaster`` on T uniform steps; a tree has d = 2."""
+def run_to(outdir, forecaster: str, T: int) -> None:
+    """A run of ``forecaster`` on T uniform steps, logged to ``outdir``; a tree has d = 2."""
     rng = np.random.default_rng(T)
     ys = rng.random(T)
-    return run(RunConfig(forecaster, ABS, d=2), ys,
-               rng.random((T, 2)) if forecaster == "tree" else None)
+    run(RunConfig(forecaster, ABS, d=2), ys, rng.random((T, 2)) if forecaster == "tree" else None,
+        outdir)
 
 
 @pytest.mark.parametrize("block, T", BOUNDARIES)
@@ -406,11 +404,11 @@ class TestRenderedBlocks:
 
     @pytest.mark.parametrize("forecaster", ["eg", "tree", "meta"])
     def test_run_log(self, tmp_path, block, T, forecaster):
-        log = logged(forecaster, T)
+        with mock.patch.object(harness, "_ROW_BLOCK", block):
+            run_to(tmp_path, forecaster, T)
+        log = read_run_log(tmp_path)
         if forecaster == "meta" and min(block, T) > 1:  # a member enters inside a block
             assert len(set(map(len, log.expert_weights[:block]))) > 1
-        with mock.patch.object(harness, "_ROW_BLOCK", block):
-            write_run_log(log, tmp_path)
         reference.write_steps_csv(log, tmp_path / "reference.csv")
         assert (tmp_path / "steps.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
@@ -418,9 +416,9 @@ class TestRenderedBlocks:
         # one run name csv must quote, with a % that is text; only meta logs
         # weights, and its first member enters at step 2
         names = {"eg": "eg", "tree": 'a,b"c%d', "meta": "meta%s"}
-        named_logs = [(names[f], logged(f, T)) for f in ("eg", "tree", "meta")]
-        for name, log in named_logs:
-            write_run_log(log, tmp_path / name)
+        for forecaster, name in names.items():
+            run_to(tmp_path / name, forecaster, T)
+        named_logs = [(name, read_run_log(tmp_path / name)) for name in names.values()]
         tables = tmp_path / "tables"
         with mock.patch.object(harness, "_ROW_BLOCK", block):
             report([tmp_path / name for name, _ in named_logs], tables)

@@ -27,7 +27,7 @@ def test_traced_pipeline_runs(workload, tmp_path):
     assert [op["error"] for op in result["ops"]] == [None] * len(result["ops"])
     # a patched name that no longer reaches the run's code counts nothing
     calls = result["trace"]["calls"]
-    for name in ("tree.update", "eg.predict", "tree._split"):
+    for name in ("tree.update", "eg.predict", "tree._split", "harness.run"):
         assert calls.get(name, 0) > 0, name
     # only the workloads that verify with --L reach the Lipschitz comparator
     lipschitz_calls = calls.get("oracles.best_lipschitz_1d", 0)

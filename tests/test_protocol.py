@@ -3,20 +3,16 @@
 import numpy as np
 import pytest
 
+import reference
 from egtree import eg
 from egtree.autoregressive import LaggedForecaster, MetaForecaster
 from egtree.eg import EgTracker
 from egtree.errors import ContractViolationError, RejectedInputError
-from egtree.harness import STEP_COLUMNS, RunConfig, run
+from egtree.harness import STEP_COLUMNS, RunConfig
 from egtree.losses import LossSpec
 from egtree.tree import PartitionTree
 
 ABS = LossSpec("absolute")
-
-
-def traced(forecaster) -> dict:
-    """The fields of the forecaster's last step, by name."""
-    return dict(zip(forecaster.TRACED, forecaster.trace()))
 
 
 # factory and the x each predict() receives
@@ -71,12 +67,9 @@ def test_protocol(kind):
 
 
 @pytest.mark.parametrize("kind", ["eg", "tree", "meta"])
-def test_one_eg_path(kind, monkeypatch):
+def test_one_eg_path(kind, monkeypatch, run_log):
     # the eg forecaster and every tree leaf run eg.predict and eg.update,
     # once per leaf step each, and have no EG arithmetic of their own
-    from egtree import eg
-    from egtree.harness import RunConfig, run
-
     calls = {"predict": 0, "update": 0}
 
     def counted(name):
@@ -92,7 +85,7 @@ def test_one_eg_path(kind, monkeypatch):
     rng = np.random.default_rng(4)
     T = 300
     xs = rng.random((T, 2)) if kind == "tree" else None
-    log = run(RunConfig(kind, ABS, d=2), rng.random(T), xs)
+    log = run_log(RunConfig(kind, ABS, d=2), rng.random(T), xs)
     leaf_steps = T
     if kind == "meta":
         leaf_steps = sum(map(len, log.expert_preds))
@@ -101,7 +94,7 @@ def test_one_eg_path(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["tree", "meta"])
-def test_each_point_checked_once(kind, monkeypatch):
+def test_each_point_checked_once(kind, monkeypatch, run_log):
     # harness.run checks a tree run's covariates as one array and hands the
     # tree each row through _predict, as a tuple of d Python floats; the
     # mixture checks each outcome as it enters its history, and its members
@@ -124,7 +117,7 @@ def test_each_point_checked_once(kind, monkeypatch):
     rng = np.random.default_rng(5)
     T = 300
     xs = rng.random((T, 2)) if kind == "tree" else None
-    log = run(RunConfig(kind, ABS, d=2), rng.random(T), xs)
+    log = run_log(RunConfig(kind, ABS, d=2), rng.random(T), xs)
     assert checks[0] == 0
     assert all(type(x) is tuple and len(x) == d and all(type(v) is float for v in x)
                for d, x in seen)
@@ -177,7 +170,7 @@ LOSSES = [ABS, LossSpec("square"), LossSpec("pinball", alpha=0.3)]
 @pytest.mark.parametrize("loss", LOSSES, ids=lambda loss: loss.kind)
 @pytest.mark.parametrize("effective_range", [False, True])
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_run_matches_the_checked_tree_path(d, effective_range, loss):
+def test_run_matches_the_checked_tree_path(d, effective_range, loss, run_log):
     # harness.run hands the tree its checked rows through _predict and
     # computes the losses after the loop; a hand loop through the public,
     # checking predict, update and trace must give the same columns
@@ -186,20 +179,13 @@ def test_run_matches_the_checked_tree_path(d, effective_range, loss):
     xs = rng.random((T, d))
     xs[::9] = np.round(xs[::9] * 4) / 4  # box edges, and points at 1
     ys = rng.random(T)
-    log = run(RunConfig("tree", loss, d=d, effective_range=effective_range), ys, xs)
-    tree = PartitionTree(d, loss, effective_range)
-    preds, losses, steps = [], [], []
-    for x, y in zip(xs, ys.tolist()):
-        preds.append(tree.predict(x))
-        tree.update(y)
-        losses.append(loss.value(preds[-1], y))
-        steps.append(traced(tree))
-    assert log.preds.tolist() == preds
-    assert log.x_text == [";".join([format(v, ".17g") for v in row]) for row in xs.tolist()]
-    for name in ("leaf_h", "leaf_i", "n_nodes", "height"):
-        assert getattr(log, name).tolist() == [step[name] for step in steps], name
+    log = run_log(RunConfig("tree", loss, d=d, effective_range=effective_range), ys, xs)
+    steps = reference.hand_run(PartitionTree(d, loss, effective_range), ys, xs)
+    for name in ("preds", "leaf_h", "leaf_i", "n_nodes", "height"):
+        assert getattr(log, name).tolist() == getattr(steps, name).tolist(), name
+    assert log.x_text == steps.x_text
     cumulative = 0.0
-    for value in losses:
-        cumulative += value
+    for pred, y in zip(steps.preds.tolist(), ys.tolist()):
+        cumulative += loss.value(pred, y)
     assert log.summary["cumulative_loss"] == cumulative
     assert log.expert_preds == log.expert_weights == [()] * T
