@@ -25,9 +25,10 @@ and never re-checks it.
 from __future__ import annotations
 
 import math
+import operator
 
 from .errors import ContractViolationError, RejectedInputError, positive_int
-from .losses import LossSpec
+from .losses import LossSpec, left_sum
 from .oracles import lipschitz_regret_bound
 from .tree import PartitionTree
 
@@ -54,10 +55,7 @@ def reweight(logw: list[float], losses: list[float], eta_t: float, eta_next: flo
     ratio = eta_next / eta_t
     out = [ratio * lw - eta_next * l for lw, l in zip(logw, losses)]
     m = max(out)
-    total = 0.0
-    for lw in out:
-        total += math.exp(lw - m)  # left to right: sum() rounds differently from 3.12
-    lse = m + math.log(total)
+    lse = m + math.log(left_sum([math.exp(lw - m) for lw in out]))
     return [lw - lse for lw in out]
 
 
@@ -132,9 +130,7 @@ class MetaForecaster:
         history = self.history  # checked outcomes only: see update()
         preds = tuple([tree._predict(tuple(history[-tree.d:])) for tree in self.experts])
         weights = tuple(map(math.exp, self._logw))
-        y = 0.0
-        for w, f in zip(weights, preds):
-            y += w * f
+        y = left_sum(map(operator.mul, weights, preds))
         self._pending = (preds, weights)
         return min(max(y, 0.0), 1.0)
 
@@ -193,7 +189,7 @@ def mixture_regret_bound(T: int, n_active: int) -> float:
 
 def mixture_regret_bound_raw(T: int, n_active: int, start: int) -> float:
     """Pre-simplification cap: log(D)/eta_{T+1} + (1/8) * sum eta_t."""
-    tail = sum(2.0 / math.sqrt(t) for t in range(start, T + 1))
+    tail = left_sum(2.0 / math.sqrt(t) for t in range(start, T + 1))
     return math.log(n_active) * math.sqrt(T + 1.0) / 2.0 + tail / 8.0
 
 

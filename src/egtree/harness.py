@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import itertools
@@ -93,7 +94,7 @@ from .autoregressive import (
     mixture_regret_bound_raw,
 )
 from .errors import RejectedInputError, json_field, json_keys, positive_int
-from .losses import LossSpec
+from .losses import LossSpec, left_sum
 from .oracles import (best_constant, best_constants, best_lipschitz_1d,
                       lipschitz_regret_bound)
 from .tree import PartitionTree, height_bound, node_count_bound
@@ -363,8 +364,7 @@ def _step_blocks(config: RunConfig, forecaster, ys: np.ndarray, xs):
         else:
             columns["x"], columns["y"] = cells[0::2], cells[1::2]
         losses = config.loss.value_array(np.array(preds), block_ys).tolist()
-        for v in losses:
-            cumulative += v  # left to right, as verify_bounds resums it
+        cumulative = left_sum(losses, cumulative)  # as verify_bounds resums them
         yield _Block([columns[name] for name in STEP_COLUMNS], cumulative, digest.hexdigest())
 
 
@@ -472,29 +472,33 @@ def _write_json(path, data, **options) -> None:
 def _staged(outdir: Path, names):
     """Temporary paths in ``outdir`` for the files ``names``, renamed into place at the end.
 
-    Each file is written as its name plus ``.partial`` and renamed to its
-    name when the ``with`` block ends without an error; a name whose file
-    was not written is then removed from ``outdir``, so no file of an
-    earlier call stays beside the new ones.  On an error the partial files
-    are removed, and so is every directory made here, so ``outdir`` is left
-    as it was found: the files it held are untouched.
+    A name that is a directory in ``outdir`` is rejected first.  Each file
+    is written as its name plus ``.partial`` and renamed to its name when
+    the ``with`` block ends without an error; a name whose file was not
+    written is removed from ``outdir``, so no file of an earlier call stays.
+    On an error, a failed rename included, the partial files are removed,
+    and so is every directory made here that holds no renamed file.
     """
+    for name in names:
+        if (outdir / name).is_dir():
+            raise IsADirectoryError(errno.EISDIR, "Is a directory", str(outdir / name))
     made = list(itertools.takewhile(lambda path: not path.exists(), (outdir, *outdir.parents)))
     outdir.mkdir(parents=True, exist_ok=True)
     partial = [outdir / f"{name}.partial" for name in names]
     try:
         yield partial
+        for path, name in zip(partial, names):
+            if path.exists():
+                path.replace(outdir / name)
+            else:
+                (outdir / name).unlink(missing_ok=True)
     except BaseException:
-        for path in partial:
+        for path in partial:  # those renamed are gone already
             path.unlink(missing_ok=True)
         for path in made:  # the deepest first
-            path.rmdir()
+            if not any(path.iterdir()):
+                path.rmdir()
         raise
-    for path, name in zip(partial, names):
-        if path.exists():
-            path.replace(outdir / name)
-        else:
-            (outdir / name).unlink(missing_ok=True)
 
 
 def _log_blocks(log: RunLog):
@@ -947,10 +951,7 @@ def expert_regret(log: RunLog, d: int, sizes=None, losses=None) -> float:
                          float, steps.size)
     ys = log.ys[steps]
     _check_loss_args(loss, member, ys)
-    total = 0.0
-    for diff in (losses[steps] - loss.value_array(member, ys)).tolist():
-        total += diff  # left to right: sum() rounds differently from 3.12
-    return total
+    return left_sum((losses[steps] - loss.value_array(member, ys)).tolist())
 
 
 def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCheck]:
@@ -978,9 +979,7 @@ def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCh
 
     _check_loss_args(loss, log.preds, log.ys)
     losses = loss.value_array(log.preds, log.ys)
-    resummed = 0.0
-    for v in losses.tolist():
-        resummed += v
+    resummed = left_sum(losses.tolist())
     recorded = log.summary["cumulative_loss"]
     checks.append(BoundCheck("cumulative-loss-resummation", recorded, resummed,
                              resummed == recorded, "exact equality required"))
@@ -1009,8 +1008,8 @@ def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCh
         # every visited leaf's best constant, summed in the order of first visits
         fits = best_constants(log.ys, (log.leaf_h, log.leaf_i), loss)
         visits = np.argsort(fits.first)
-        node_best = sum(fits.value[visits].tolist())
-        sqrt_sum = sum(map(math.sqrt, fits.count[visits].tolist()))
+        node_best = left_sum(fits.value[visits].tolist())
+        sqrt_sum = left_sum(map(math.sqrt, fits.count[visits].tolist()))
         decomposed = resummed - node_best
         checks.append(BoundCheck("per-leaf-decomposition", 3.0 * M * sqrt_sum,
                                  decomposed, decomposed <= 3.0 * M * sqrt_sum,
@@ -1152,6 +1151,6 @@ def report(run_dirs, outdir) -> dict:
             writer.writerow(("forecaster", "T", "runs", "mean_avg_loss",
                              "min_avg_loss", "max_avg_loss"))
             for (fc, T), vals in sorted(by_group.items()):
-                writer.writerow((fc, T, len(vals), fmt17(sum(vals) / len(vals)),
+                writer.writerow((fc, T, len(vals), fmt17(left_sum(vals) / len(vals)),
                                  fmt17(min(vals)), fmt17(max(vals))))
     return {"runs": rows, "groups": {f"{fc}/T={T}": len(v) for (fc, T), v in by_group.items()}}

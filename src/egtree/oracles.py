@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import RejectedInputError, positive_int
-from .losses import LossSpec
+from .losses import LossSpec, left_sum
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,9 @@ def best_constants(outcomes, keys, loss: LossSpec, weights=None) -> ConstantFits
     absolute loss: the lower weighted median); with unit weights that is
     the outcome at index ``ceil(alpha n) - 1`` of a group of n.
     ``weights`` default to 1 (they turn the sum into an expected loss when
-    given).  A group's value is ``loss.value_array(y, outcomes) @ w`` over
-    its sorted run, the same dot on the same floats whatever the grouping.
+    given).  Over its sorted run, a group's mean is the ``left_sum`` of
+    ``w * outcomes`` over that of ``w``, and its value the ``left_sum`` of
+    ``w * loss``: the same sums of the same floats whatever the grouping.
     """
     outcomes = np.asarray(outcomes, dtype=float)
     if outcomes.ndim != 1 or outcomes.size == 0:
@@ -96,7 +97,8 @@ def best_constants(outcomes, keys, loss: LossSpec, weights=None) -> ConstantFits
     count = np.diff(starts, append=n)
     runs = list(zip(starts.tolist(), (starts + count).tolist()))
     if loss.kind == "square":
-        argmin = np.array([min(max(float(ys[s:e] @ w[s:e] / w[s:e].sum()), 0.0), 1.0)
+        moment, weight = (ys * w).tolist(), w.tolist()
+        argmin = np.array([min(max(left_sum(moment[s:e]) / left_sum(weight[s:e]), 0.0), 1.0)
                            for s, e in runs])
     else:
         alpha = 0.5 if loss.kind == "absolute" else loss.alpha
@@ -108,8 +110,8 @@ def best_constants(outcomes, keys, loss: LossSpec, weights=None) -> ConstantFits
                 cum = np.cumsum(w[s:e])
                 k.append(min(int(np.searchsorted(cum, alpha * cum[-1])), e - s - 1))
         argmin = ys[starts + k]
-    losses = loss.value_array(np.repeat(argmin, count), ys)
-    value = np.array([losses[s:e] @ w[s:e] for s, e in runs])
+    losses = (loss.value_array(np.repeat(argmin, count), ys) * w).tolist()
+    value = np.array([left_sum(losses[s:e]) for s, e in runs])
     return ConstantFits(value, argmin, count, np.minimum.reduceat(order, starts))
 
 
@@ -147,10 +149,7 @@ def best_histogram(xs, ys, n_boxes: int, d: int, loss: LossSpec) -> Comparator:
     for j in range(d):
         flat = flat * per_axis + idx[:, j]
     fits = best_constants(ys, (flat,), loss)
-    total = 0.0
-    for value in fits.value.tolist():  # box by box, in sorted order
-        total += value
-    return Comparator("histogram", total,
+    return Comparator("histogram", left_sum(fits.value.tolist()),  # boxes in sorted order
                       argmin=dict(zip(flat[fits.first].tolist(), fits.argmin.tolist())),
                       params={"n_boxes": n_boxes, "d": d})
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RejectedInputError, json_field, json_keys
-from .losses import LossSpec
+from .losses import LossSpec, left_sum
 from .oracles import best_constant
 
 RNG_ALGORITHM = "pcg64"
@@ -143,20 +143,15 @@ def _is_ergodic(P: np.ndarray) -> bool:
 
 
 def stationary_distribution(P) -> np.ndarray:
-    """Stationary row vector of an ergodic chain, refined to 1e-12."""
-    P = np.asarray(P, dtype=float)
-    n = P.shape[0]
-    A = np.vstack([P.T - np.eye(n), np.ones(n)])
-    b = np.concatenate([np.zeros(n), [1.0]])
-    pi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
-    for _ in range(10000):
-        nxt = pi @ P
-        if np.abs(nxt - pi).max() <= 1e-13:
-            pi = nxt
-            break
-        pi = nxt
+    """Stationary row vector of an ergodic chain, by one linear solve.
+
+    The last equation of ``(P^T - I) pi = 0``, implied by the others as the
+    rows of P sum to 1, becomes ``sum(pi) = 1``; ergodicity makes the system
+    nonsingular.  Rounding below 0 is clipped, and pi renormalised.
+    """
+    A = np.asarray(P, dtype=float).T - np.eye(len(P))
+    A[-1] = 1.0
+    pi = np.clip(np.linalg.solve(A, np.eye(len(A))[-1]), 0.0, None)
     return pi / pi.sum()
 
 
@@ -222,9 +217,6 @@ def minimal_expected_loss(spec: ProcessSpec, loss: LossSpec) -> float:
         if np.unique(em).size != em.size:
             raise RejectedInputError("markov emissions repeat a value, so the state is "
                                      "hidden and no exact loss floor is known")
-        pi = stationary_distribution(P)
-        total = 0.0
-        for s in range(P.shape[0]):
-            total += pi[s] * best_constant(em, loss, weights=P[s]).value
-        return float(total)
+        return left_sum(p * best_constant(em, loss, weights=row).value
+                        for p, row in zip(stationary_distribution(P).tolist(), P))
     raise RejectedInputError(f"no closed-form loss floor for kind {spec.kind!r}")

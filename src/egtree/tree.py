@@ -48,7 +48,7 @@ import numpy as np
 
 from . import eg
 from .errors import ContractViolationError, RejectedInputError, json_field, positive_int
-from .losses import LossSpec
+from .losses import LossSpec, left_sum
 
 
 class TreeNode:
@@ -164,9 +164,7 @@ class PartitionTree:
                         leaf.obs_lo[j] = v
                     elif v > leaf.obs_hi[j]:
                         leaf.obs_hi[j] = v
-            diam_sq = 0.0
-            for a, b in zip(leaf.obs_lo, leaf.obs_hi):
-                diam_sq += (b - a) ** 2  # left to right: sum() rounds differently from 3.12
+            diam_sq = left_sum([(b - a) ** 2 for a, b in zip(leaf.obs_lo, leaf.obs_hi)])
             if diam_sq <= 0.0:
                 return  # zero observed range: the split threshold is infinite
             if leaf.count + 1 >= 1.0 / diam_sq:

@@ -6,6 +6,7 @@
   the histogram by one boolean mask per box, and the per-leaf sums of
   ``verify_bounds`` by a dict of step lists; the grouped pass must match
   them bit for bit.
+* The stationary distribution of a chain in exact rational arithmetic.
 * Bound formulas that only tests evaluate.
 * The box of a tree node rebuilt from its ``(h, i)`` path bits, the
   independent geometry that routing and the stored cuts are checked against,
@@ -25,6 +26,7 @@ import hashlib
 import io
 import itertools
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -78,22 +80,35 @@ def lipschitz_grid_1d(xs, ys, L: float, loss: LossSpec, step: float = 0.02) -> C
     return Comparator("lipschitz_grid", float(V.min()), params={"L": L, "step": step})
 
 
+def added_in_order(values) -> float:
+    """The floats ``values`` added one at a time, first to last: the
+    summation rule of ``egtree.losses.left_sum``, written out again so the
+    twins below check that rule rather than share it."""
+    total = 0.0
+    for v in values:
+        total = total + v
+    return total
+
+
 def best_constant_sorted(outcomes, loss: LossSpec, weights=None) -> Comparator:
     """The best constant of one group: a stable argsort, then the weighted
     mean (square loss) or the first outcome whose cumulative weight reaches
-    ``alpha`` of the total, by ``cumsum`` and ``searchsorted``."""
+    ``alpha`` of the total, by ``cumsum`` and ``searchsorted``.  Every sum
+    is taken first to last over the sorted outcomes, of one rounded
+    product per outcome."""
     outcomes = np.asarray(outcomes, dtype=float)
     w = np.ones(outcomes.size) if weights is None else np.asarray(weights, dtype=float)
     order = np.argsort(outcomes, kind="stable")
-    outcomes, w = outcomes[order], w[order]
+    outcomes, w = outcomes[order].tolist(), w[order].tolist()
     if loss.kind == "square":
-        y_star = min(max(float(outcomes @ w / w.sum()), 0.0), 1.0)
+        mean = added_in_order(y * wk for y, wk in zip(outcomes, w)) / added_in_order(w)
+        y_star = min(max(mean, 0.0), 1.0)
     else:
         alpha = 0.5 if loss.kind == "absolute" else loss.alpha
         cum = np.cumsum(w)
-        k = min(int(np.searchsorted(cum, alpha * cum[-1])), outcomes.size - 1)
-        y_star = float(outcomes[k])
-    value = float(loss.value_array(y_star, outcomes) @ w)
+        k = min(int(np.searchsorted(cum, alpha * cum[-1])), len(outcomes) - 1)
+        y_star = outcomes[k]
+    value = added_in_order(loss.value(y_star, y) * wk for y, wk in zip(outcomes, w))
     return Comparator("constant", value, argmin=y_star)
 
 
@@ -105,12 +120,13 @@ def best_histogram_by_box(xs, ys, n_boxes: int, d: int, loss: LossSpec) -> Compa
     flat = np.zeros(len(xs), dtype=int)
     for j in range(d):
         flat = flat * per_axis + idx[:, j]
-    total, fits = 0.0, {}
+    fits, values = {}, []
     for box in np.unique(flat):
         fit = best_constant_sorted(ys[flat == box], loss)
         fits[int(box)] = fit.argmin
-        total += fit.value
-    return Comparator("histogram", total, argmin=fits, params={"n_boxes": n_boxes, "d": d})
+        values.append(fit.value)
+    return Comparator("histogram", added_in_order(values), argmin=fits,
+                      params={"n_boxes": n_boxes, "d": d})
 
 
 def leaf_decomposition(log, loss: LossSpec) -> tuple:
@@ -120,9 +136,29 @@ def leaf_decomposition(log, loss: LossSpec) -> tuple:
     groups: dict = {}
     for k, leaf in enumerate(zip(log.leaf_h.tolist(), log.leaf_i.tolist())):
         groups.setdefault(leaf, []).append(k)
-    node_best = sum(best_constant_sorted(log.ys[idx], loss).value for idx in groups.values())
-    sqrt_sum = sum(math.sqrt(len(idx)) for idx in groups.values())
+    node_best = added_in_order(best_constant_sorted(log.ys[idx], loss).value
+                               for idx in groups.values())
+    sqrt_sum = added_in_order(math.sqrt(len(idx)) for idx in groups.values())
     return node_best, sqrt_sum
+
+
+def stationary_exact(P) -> list:
+    """The stationary distribution of the chain ``P`` (rows of floats, each
+    summing to 1 exactly), in exact rational arithmetic: Gauss-Jordan
+    elimination of ``(P^T - I) pi = 0`` with its last equation replaced by
+    ``sum(pi) = 1``."""
+    n = len(P)
+    rows = [[Fraction(P[j][i]) - (i == j) for j in range(n)] + [Fraction(0)]
+            for i in range(n - 1)]
+    rows.append([Fraction(1)] * (n + 1))
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return [row[n] / row[i] for i, row in enumerate(rows)]
 
 
 # -- bound formulas --------------------------------------------------------

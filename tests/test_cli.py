@@ -708,6 +708,21 @@ def test_a_path_of_the_wrong_kind_exits_two_naming_it(tmp_path, capsys, argv, na
     assert _state(out) == before
 
 
+def test_a_target_that_is_a_directory_exits_two_before_the_run(tmp_path, capsys):
+    cov, series, r = tmp_path / "c.csv", tmp_path / "s.csv", tmp_path / "r"
+    write_covariates(cov, [[0.1], [0.8], [0.5]], [0.0, 1.0, 0.5])
+    write_series(series, [0.2, 0.4, 0.9, 0.1])
+    assert main(["run", "--forecaster", "tree", "--input", str(cov), "--out", str(r)]) == 0
+    steps = (r / "steps.csv").read_bytes()
+    (r / "summary.json").unlink()
+    (r / "summary.json").mkdir()
+    capsys.readouterr()
+    assert main(["run", "--forecaster", "eg", "--input", str(series), "--out", str(r)]) == 2
+    assert capsys.readouterr().err == f"error: is a directory: {r / 'summary.json'}\n"
+    assert (r / "steps.csv").read_bytes() == steps
+    assert not list(r.glob("*.partial"))
+
+
 @pytest.mark.parametrize("spec", [
     {"kind": "ar1", "a": 0.5, "sigma": float("nan")},
     {"kind": "ar1", "a": 0.5, "sigma": float("inf")},

@@ -144,8 +144,8 @@ VERIFY_GOLDEN = {
     "meta-powers_of_two-range-absolute": "0d15d97676cb9ac86ebd101c096a871cb3bef1793b27ccb99633d97286ad3252",
     "meta-quadratic-box-absolute": "ba9f8bb1fe2700623304273dd4929bfc834b9d8d31deeb739be42842784d1dd9",
     "meta-quadratic-range-absolute": "131f4f95c078c932947fc9aef13323897ca289be6aceda27cdfd38cf59e8c702",
-    "eg-square": "437ba3ddebc0cd26c78c44f0518311f425370387353ba0e7ce3bbb88df1028a6",
-    "tree-d1-box-square": "72924811cfa0a73b6716edf95e539215f325a57c11699967f6a34243933e26e6",
+    "eg-square": "a0fc4e2f927d9c1819fee4d0025667d2a811f28083eb34618929798c2edab441",
+    "tree-d1-box-square": "18ea76c1a1420b8d521f7efa638a8d8d109852cacd6184d9f49ba318b5ba40d8",
     "tree-d1-range-square": "24a73962e44cb2992eb4718cd6ab06c4d2cc2940a439ad7e6979f8e3046b0a12",
     "tree-d3-box-square": "96bf7f1c2d0b8b2fd1b6aff6343f854ded80f4692a2694b17d1967427feed313",
     "tree-d3-range-square": "6d00a14d19765f060a5217951e640143217e7b6a25b07b879d891adce921f9d2",
@@ -153,9 +153,9 @@ VERIFY_GOLDEN = {
     "meta-powers_of_two-range-square": "d7c6779dee4fffbb26e620deeef90634f0d1c9227c11a7b0733436f6e07155aa",
     "meta-quadratic-box-square": "a2a0284c152ad49509ffea317e8f7cc52de7cdca324a0095bf77d228644d5cd4",
     "meta-quadratic-range-square": "8de43bcac68d33f412d4421bca3cc55756f8cb7386ed61cf5ee0021765159fe2",
-    "eg-pinball": "9cb2130d53416cd20aec9fd02093bf9d66ba71af87334636dc23030eb4124fb6",
+    "eg-pinball": "8f013f93640f4cd3d84bc97b5c9003841ae09c0ad421d6a545be5848440c99a3",
     "tree-d1-box-pinball": "e824fcf89bc80248c05d79dcde3b7b455c34d5b99b35d7000c0f303bb7ad893c",
-    "tree-d1-range-pinball": "c73a07fff38a836098ea4693dfb79eec756b245e2949acb748994159ed2dfde0",
+    "tree-d1-range-pinball": "bad844e18132473dea7bee53ec01822fee770241bfeae1e702ccfde835b319a0",
     "tree-d3-box-pinball": "cb18a6aa7e30880719ab39b20839f892a150d491d09b0a2230f0449e61e970ec",
     "tree-d3-range-pinball": "56d7e99c22d709c0e24d8f83812a7755a43113368ae92cd9e43f6e6bf083265e",
     "meta-powers_of_two-box-pinball": "b1c613e0ef52568501e3863f4ac33575eee694e5b91130c03cdd309eeb82bcc2",
@@ -228,11 +228,17 @@ def test_config_round_trips_through_json(name):
     assert RunConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
 
-@pytest.mark.parametrize("name", list(cases()))
-def test_verify_bounds_digest(name, run_log):
+def verify_digest(name, rundir) -> str:
+    """The sha256 of what ``verify_bounds`` finds of the golden case ``name``,
+    its log streamed to ``rundir`` and read back."""
     config, ys, xs = case(name)
     L = 1.0 if config.forecaster == "meta" or (config.forecaster, config.d) == ("tree", 1) \
         else None
-    checks = [c.to_dict() for c in verify_bounds(run_log(config, ys, xs), L)]
-    digest = hashlib.sha256(json.dumps(checks, sort_keys=True).encode()).hexdigest()
-    assert digest == VERIFY_GOLDEN[name]
+    run(config, ys, xs, rundir)
+    checks = [c.to_dict() for c in verify_bounds(read_run_log(rundir), L)]
+    return hashlib.sha256(json.dumps(checks, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(cases()))
+def test_verify_bounds_digest(name, tmp_path):
+    assert verify_digest(name, tmp_path) == VERIFY_GOLDEN[name]

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +140,19 @@ class TestRun:
         assert json.loads((tmp_path / "summary.json").read_text()) == summary
         clone = PartitionTree.from_dict(json.loads((tmp_path / "tree.json").read_text()))
         assert clone.n_nodes == summary["final"]["n_nodes"]
+
+    def test_a_failed_rename_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        replace = Path.replace
+
+        def failing(self, target):
+            if Path(target).name == "summary.json":
+                raise PermissionError(13, "Permission denied", str(self))
+            return replace(self, target)
+
+        monkeypatch.setattr(Path, "replace", failing)
+        with pytest.raises(PermissionError):
+            run(RunConfig("eg", ABS), uniform(20, 3), None, tmp_path / "r")
+        assert sorted(path.name for path in (tmp_path / "r").iterdir()) == ["steps.csv"]
 
     def test_rejects_out_of_range(self, tmp_path):
         with pytest.raises(RejectedInputError):

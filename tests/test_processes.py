@@ -1,9 +1,11 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import reference
 from egtree import eg, processes
 from egtree.errors import RejectedInputError
 from egtree.losses import LossSpec
@@ -11,6 +13,7 @@ from egtree.processes import (
     ProcessSpec,
     generate,
     generate_with_info,
+    _is_ergodic,
     minimal_expected_loss,
     stationary_distribution,
 )
@@ -166,6 +169,24 @@ class TestStationary:
         pi = stationary_distribution(P)
         assert np.abs(pi @ P - pi).max() <= 1e-12
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_exact_rational_elimination(self):
+        # slowly mixing chains on the 2^-10 grid: every row sums to 1 exactly,
+        # so the exact answer is that of the float chain itself
+        rng = np.random.default_rng(7)
+        worst, chains = 0.0, 0
+        while chains < 400:
+            n = int(rng.integers(2, 7))
+            P = rng.integers(0, 8, size=(n, n)) * (rng.random((n, n)) < 0.6) / 1024.0
+            np.fill_diagonal(P, 0.0)
+            np.fill_diagonal(P, 1.0 - P.sum(axis=1))
+            if not _is_ergodic(P):
+                continue
+            chains += 1
+            pi = stationary_distribution(P)
+            exact = reference.stationary_exact(P.tolist())
+            worst = max(worst, *(abs(Fraction(p) - q) for p, q in zip(pi.tolist(), exact)))
+        assert worst <= 1e-15
 
     def test_empirical_frequencies_converge(self):
         # mixing chain: binomial three-sigma bands hold at T = 1e5
