@@ -28,7 +28,7 @@ for every other caller.  The members of a ``MetaForecaster`` are plain
 ``PartitionTree`` objects, one per lag order.
 """
 
-from .autoregressive import LaggedForecaster, MetaForecaster
+from .autoregressive import MetaForecaster
 from .eg import EgTracker
 from .errors import ContractViolationError, RejectedInputError
 from .harness import RunConfig, RunLog, run, verify_bounds
@@ -40,7 +40,6 @@ from .tree import PartitionTree
 __all__ = [
     "ContractViolationError",
     "EgTracker",
-    "LaggedForecaster",
     "LossSpec",
     "MetaForecaster",
     "PartitionTree",

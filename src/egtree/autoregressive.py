@@ -178,21 +178,14 @@ class MetaForecaster:
         self._logw.append(-math.log(d_next))
 
 
-def mixture_regret_bound(T: int, n_active: int) -> float:
-    """Gap cap versus any active member: sqrt(T+1) * log(pool size).
-
-    For a single-member pool the cap degenerates to 0; callers should then
-    use :func:`mixture_regret_bound_raw`, whose Hoeffding term is positive.
-    """
-    return math.sqrt(T + 1.0) * math.log(n_active)
-
-
-def mixture_regret_bound_raw(T: int, n_active: int, start: int) -> float:
-    """Pre-simplification cap: log(D)/eta_{T+1} + (1/8) * sum eta_t."""
+def mixture_regret_bound(T: int, D: int, start: int) -> float:
+    """The mixture's loss-gap cap to any of at most D members over T steps, the first from
+    step ``start``: log(D)/eta_(T+1) + (1/8) sum_(t=start..T) eta_t with eta_t = 2/sqrt(t)."""
     tail = left_sum(2.0 / math.sqrt(t) for t in range(start, T + 1))
-    return math.log(n_active) * math.sqrt(T + 1.0) / 2.0 + tail / 8.0
+    return math.log(D) * math.sqrt(T + 1.0) / 2.0 + tail / 8.0
 
 
-def combined_regret_bound(M: float, L: float, d: int, T: int, start: int, n_active: int) -> float:
-    """End-to-end cap versus the order-d Lipschitz comparator."""
-    return start + mixture_regret_bound(T, n_active) + lipschitz_regret_bound(M, L, d, T)
+def combined_regret_bound(M: float, L: float, d: int, T: int, start: int, D: int) -> float:
+    """End-to-end cap versus the order-d Lipschitz comparator: the steps before
+    ``start``, the mixture's gap to its order-d member, and that member's regret."""
+    return start + mixture_regret_bound(T, D, start) + lipschitz_regret_bound(M, L, d, T)

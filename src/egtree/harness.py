@@ -91,7 +91,6 @@ from .autoregressive import (
     combined_regret_bound,
     entry_step,
     mixture_regret_bound,
-    mixture_regret_bound_raw,
 )
 from .errors import RejectedInputError, json_field, json_keys, positive_int
 from .losses import LossSpec, left_sum
@@ -690,7 +689,7 @@ def read_run_log(outdir) -> RunLog:
                       ("config", dict), ("final", dict)):
         json_field(summary, key, kind, str(path))
     config = RunConfig.from_dict(summary["config"])
-    for key in ("n_nodes", "height") + (("n_active",) if config.forecaster == "meta" else ()):
+    for key in ("n_nodes", "height"):
         json_field(summary["final"], key, int, f"{path}: final")
     tree = config.forecaster == "tree"
     leaf = [STEP_COLUMNS.index("leaf_h"), STEP_COLUMNS.index("leaf_i")]
@@ -891,18 +890,24 @@ def _plain_digest(path) -> str | None:
 
 @dataclass(frozen=True)
 class BoundCheck:
+    """One checked guarantee: it passes if and only if ``achieved <= bound``, so a
+    failed check has negative slack and a NaN fails.  A yes/no property of the
+    log counts its violating steps as ``achieved``, against a ``bound`` of 0."""
+
     name: str
     bound: float
     achieved: float
-    passed: bool
     note: str = ""
 
     def __post_init__(self):
-        # Checks compute with numpy scalars; store plain Python values so
+        # Checks compute with numpy scalars; store plain Python floats so
         # to_dict() is JSON-safe whatever a check computes.
         object.__setattr__(self, "bound", float(self.bound))
         object.__setattr__(self, "achieved", float(self.achieved))
-        object.__setattr__(self, "passed", bool(self.passed))
+
+    @property
+    def passed(self) -> bool:
+        return self.achieved <= self.bound
 
     @property
     def slack(self) -> float:
@@ -957,19 +962,18 @@ def expert_regret(log: RunLog, d: int, sizes=None, losses=None) -> float:
 def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCheck]:
     """Check every guarantee the logged run is supposed to satisfy.
 
-    The log holds no loss: every step's loss is recomputed once from its
-    logged prediction and outcome (``LossSpec.value_array``, after a check
-    that both lie in [0, 1]), and ``cumulative-loss-resummation`` adds
-    them left to right, as the run did, against the summary's
-    ``cumulative_loss``, so a prediction or outcome that differs from the
-    run's fails it.  The regret checks take the same losses.
-    ``lipschitz_L`` adds the regret check against the best L-Lipschitz
-    predictor: for tree runs with d = 1 and meta runs with T >= 2; asked
-    of any other run, it is rejected, not skipped.  A tree run's
-    ``per-leaf-decomposition`` and ``visit-concentration`` group the steps
-    by logged leaf ``(leaf_h, leaf_i)`` with one sort
-    (:func:`oracles.best_constants`) and sum the leaves' best-constant
-    losses and square-rooted visit counts in the order of first visits.
+    Every check is a :class:`BoundCheck`: it passes if and only if achieved
+    <= bound, and a yes/no check counts the violating steps, against 0.  The
+    log holds no loss: every step's loss is recomputed once from its logged
+    prediction and outcome (``LossSpec.value_array``, after a check that both
+    lie in [0, 1]); ``cumulative-loss-resummation`` adds them left to right,
+    as the run did, and takes their gap to the summary's ``cumulative_loss``.
+    Each lemma's bound is written once and read from the log:
+    ``per-leaf-decomposition`` adds :func:`eg.regret_bound` over the logged
+    leaves, grouped by one sort (:func:`oracles.best_constants`) in the order
+    of first visits; the mixture checks take D, the largest pool the step log
+    holds.  ``lipschitz_L`` adds the regret check against the best L-Lipschitz
+    predictor (tree runs with d = 1, meta runs with a member), or is rejected.
     """
     if len(log) == 0:
         raise RejectedInputError("cannot verify an empty log")
@@ -980,43 +984,41 @@ def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCh
     _check_loss_args(loss, log.preds, log.ys)
     losses = loss.value_array(log.preds, log.ys)
     resummed = left_sum(losses.tolist())
-    recorded = log.summary["cumulative_loss"]
-    checks.append(BoundCheck("cumulative-loss-resummation", recorded, resummed,
-                             resummed == recorded, "exact equality required"))
+    checks.append(BoundCheck("cumulative-loss-resummation", 0.0,
+                             abs(resummed - log.summary["cumulative_loss"]),
+                             "|step losses added left to right - cumulative_loss|"))
 
-    mono_n = bool(np.all(np.diff(log.n_nodes) >= 0))
-    mono_h = bool(np.all(np.diff(log.height) >= 0))
-    checks.append(BoundCheck("tree-size-monotone", 1.0, float(mono_n and mono_h),
-                             mono_n and mono_h, "N_t and H_t never shrink"))
+    shrinks = (np.diff(log.n_nodes) < 0) | (np.diff(log.height) < 0)
+    checks.append(BoundCheck("tree-size-monotone", 0.0, np.count_nonzero(shrinks),
+                             "steps where N_t or H_t shrinks"))
 
     if config.forecaster == "eg":
         regret = resummed - best_constant(log.ys, loss).value
-        bound = eg.regret_bound(M, T)
-        checks.append(BoundCheck("constant-regret", bound, regret, regret < bound))
+        checks.append(BoundCheck("constant-regret", eg.regret_bound(M, T), regret))
 
     if config.forecaster == "tree":
-        n_ok = bool(np.all(log.n_nodes <= node_count_bound(config.d, log.t)))
-        h_ok = bool(np.all(log.height <= height_bound(config.d, log.t)))
-        checks.append(BoundCheck("node-count-growth", 1.0, float(n_ok), n_ok,
-                                 "N_t <= 1 + 8 (d t)^(d/(d+2)) at every step"))
-        checks.append(BoundCheck("height-growth", 1.0, float(h_ok), h_ok,
-                                 "H_t <= 1 + (d/2) log2(4 d t) at every step"))
-        within = bool(np.all(log.leaf_h <= log.height))
-        checks.append(BoundCheck("leaf-within-height", 1.0, float(within), within,
-                                 "h_t <= H_t: each step's leaf lies in its tree"))
+        checks.append(BoundCheck("node-count-growth", 0.0,
+                                 np.count_nonzero(log.n_nodes > node_count_bound(config.d, log.t)),
+                                 "steps where N_t > 1 + 8 (d t)^(d/(d+2))"))
+        checks.append(BoundCheck("height-growth", 0.0,
+                                 np.count_nonzero(log.height > height_bound(config.d, log.t)),
+                                 "steps where H_t > 1 + (d/2) log2(4 d t)"))
+        checks.append(BoundCheck("leaf-within-height", 0.0,
+                                 np.count_nonzero(log.leaf_h > log.height),
+                                 "steps whose leaf lies deeper than the tree: h_t > H_t"))
 
-        # every visited leaf's best constant, summed in the order of first visits
+        # every visited leaf, in the order of first visits
         fits = best_constants(log.ys, (log.leaf_h, log.leaf_i), loss)
         visits = np.argsort(fits.first)
-        node_best = left_sum(fits.value[visits].tolist())
-        sqrt_sum = left_sum(map(math.sqrt, fits.count[visits].tolist()))
-        decomposed = resummed - node_best
-        checks.append(BoundCheck("per-leaf-decomposition", 3.0 * M * sqrt_sum,
-                                 decomposed, decomposed <= 3.0 * M * sqrt_sum,
+        counts = fits.count[visits].tolist()
+        checks.append(BoundCheck("per-leaf-decomposition",
+                                 left_sum(eg.regret_bound(M, n) for n in counts),
+                                 resummed - left_sum(fits.value[visits].tolist()),
                                  "vs the best constant of every visited node"))
+        sqrt_sum = left_sum(map(math.sqrt, counts))
         cap = math.sqrt(float(log.n_nodes[-1]) * T)
         checks.append(BoundCheck("visit-concentration", cap, sqrt_sum,
-                                 sqrt_sum <= cap, "sum sqrt(T_node) <= sqrt(N_T T)"))
+                                 "sum sqrt(T_node) <= sqrt(N_T T)"))
 
     if config.forecaster == "meta":
         try:
@@ -1024,41 +1026,37 @@ def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCh
         except ValueError:  # fsum of inf and -inf: the weights have no sum
             deviations = [math.nan]
         # np.max, not max(): a NaN weight must make the check fail
-        worst = np.max(deviations or [0.0])
-        checks.append(BoundCheck("weight-simplex", 1e-12, worst, worst <= 1e-12,
+        checks.append(BoundCheck("weight-simplex", 1e-12, np.max(deviations or [0.0]),
                                  "mixture weights sum to 1 at every step"))
         sizes = _pool_sizes(log.expert_preds)
         entrants = np.diff(sizes)
-        steps_ok = bool(np.all((entrants >= 0) & (entrants <= 1)))
-        checks.append(BoundCheck("one-entrant-per-step", 1.0, float(steps_ok), steps_ok))
-        n_active = int(log.summary["final"]["n_active"])
-        start_1 = entry_step(config.schedule, 1)
-        for d in range(1, int(sizes.max()) + 1):
-            regret = expert_regret(log, d, sizes, losses)
-            if n_active >= 2:
-                bound = mixture_regret_bound(T, n_active)
-                note = ""
-            else:
-                bound = mixture_regret_bound_raw(T, n_active, start_1)
-                note = "single-member pool: pre-simplification form"
-            checks.append(BoundCheck(f"mixture-regret(d={d})", bound, regret,
-                                     regret <= bound, note))
+        checks.append(BoundCheck("one-entrant-per-step", 0.0,
+                                 np.count_nonzero((entrants < 0) | (entrants > 1)),
+                                 "steps where the pool loses a member or gains more than one"))
+        D, start_1 = int(sizes.max()), entry_step(config.schedule, 1)
+        if D:  # no member is active before step start_1
+            bound = mixture_regret_bound(T, D, start_1)
+            checks.extend(BoundCheck(f"mixture-regret(d={d})", bound,
+                                     expert_regret(log, d, sizes, losses),
+                                     f"D = {D} members: the largest pool in the log")
+                          for d in range(1, D + 1))
 
     # the Lipschitz comparator comes last, after the checks of the run's kind
     if lipschitz_L is not None:
-        L = lipschitz_L
+        L, note = lipschitz_L, ""
         if config.forecaster == "tree" and config.d == 1:
             xs, ys = _array(log.x_text, float, "x"), log.ys
             name, bound = f"lipschitz-regret(L={L})", lipschitz_regret_bound(M, L, 1, T)
-        elif config.forecaster == "meta" and T >= 2:
+        elif config.forecaster == "meta" and D:
             xs, ys = log.ys[:-1], log.ys[1:]
             name = f"combined-regret(d=1,L={L})"
-            bound = combined_regret_bound(M, L, 1, T, start_1, n_active)
+            bound = combined_regret_bound(M, L, 1, T, start_1, D)
+            note = f"t_1 + the mixture bound (D = {D}) + the order-1 Lipschitz bound"
         else:
             raise RejectedInputError(f"no Lipschitz-comparator check exists for this "
-                                     f"{config.forecaster} run (only tree d = 1, meta T >= 2)")
+                                     f"{config.forecaster} run (tree d = 1, meta with a member)")
         regret = resummed - best_lipschitz_1d(xs, ys, L, loss).value
-        checks.append(BoundCheck(name, bound, regret, regret <= bound))
+        checks.append(BoundCheck(name, bound, regret, note))
     return checks
 
 

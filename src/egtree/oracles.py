@@ -71,9 +71,11 @@ def best_constants(outcomes, keys, loss: LossSpec, weights=None) -> ConstantFits
     absolute loss: the lower weighted median); with unit weights that is
     the outcome at index ``ceil(alpha n) - 1`` of a group of n.
     ``weights`` default to 1 (they turn the sum into an expected loss when
-    given).  Over its sorted run, a group's mean is the ``left_sum`` of
-    ``w * outcomes`` over that of ``w``, and its value the ``left_sum`` of
-    ``w * loss``: the same sums of the same floats whatever the grouping.
+    given); a weight that is negative or not finite, or a group whose
+    weights are all 0, is rejected.  Over its sorted run, a group's mean is
+    the ``left_sum`` of ``w * outcomes`` over that of ``w``, and its value
+    the ``left_sum`` of ``w * loss``: the same sums of the same floats
+    whatever the grouping.
     """
     outcomes = np.asarray(outcomes, dtype=float)
     if outcomes.ndim != 1 or outcomes.size == 0:
@@ -85,6 +87,8 @@ def best_constants(outcomes, keys, loss: LossSpec, weights=None) -> ConstantFits
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     if any(column.shape != outcomes.shape for column in (w, *keys)):
         raise RejectedInputError(f"every weight and group key needs one value per outcome ({n})")
+    if not (np.isfinite(w).all() and w.min() >= 0.0):
+        raise RejectedInputError("weights must be finite and >= 0")
     # the last key of lexsort is its primary one
     order = np.lexsort((outcomes, *reversed(keys)))
     ys, w = outcomes[order], w[order]
@@ -94,6 +98,8 @@ def best_constants(outcomes, keys, loss: LossSpec, weights=None) -> ConstantFits
         key = key[order]
         new[1:] |= key[1:] != key[:-1]
     starts = np.flatnonzero(new)
+    if not np.all(np.maximum.reduceat(w, starts) > 0.0):
+        raise RejectedInputError("every group needs a positive total weight")
     count = np.diff(starts, append=n)
     runs = list(zip(starts.tolist(), (starts + count).tolist()))
     if loss.kind == "square":

@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from egtree import eg
 from egtree.errors import RejectedInputError
 from egtree.harness import STEP_COLUMNS, RunLog, fmt17
 from egtree.losses import LossSpec
@@ -130,16 +131,18 @@ def best_histogram_by_box(xs, ys, n_boxes: int, d: int, loss: LossSpec) -> Compa
 
 
 def leaf_decomposition(log, loss: LossSpec) -> tuple:
-    """``(node_best, sqrt_sum)`` of a tree log: the steps grouped by leaf in a
-    dict of step lists, in the order of first visits, each leaf's best
-    constant and square-rooted visit count summed in that order."""
+    """``(node_best, sqrt_sum, eg_bounds)`` of a tree log: the steps grouped
+    by leaf in a dict of step lists, in the order of first visits, each
+    leaf's best constant, square-rooted visit count and EG regret bound
+    (``eg.regret_bound`` of its visit count) summed in that order."""
     groups: dict = {}
     for k, leaf in enumerate(zip(log.leaf_h.tolist(), log.leaf_i.tolist())):
         groups.setdefault(leaf, []).append(k)
     node_best = added_in_order(best_constant_sorted(log.ys[idx], loss).value
                                for idx in groups.values())
     sqrt_sum = added_in_order(math.sqrt(len(idx)) for idx in groups.values())
-    return node_best, sqrt_sum
+    eg_bounds = added_in_order(eg.regret_bound(loss.M, len(idx)) for idx in groups.values())
+    return node_best, sqrt_sum, eg_bounds
 
 
 def stationary_exact(P) -> list:
@@ -167,6 +170,15 @@ def stationary_exact(P) -> list:
 def constant_gap_bound(M: float, L: float, count: int, diam: float) -> float:
     """Cap on (best constant - best Lipschitz) over one region: M*L*count*diam."""
     return M * L * count * diam
+
+
+def mixture_bound(T: int, D: int, start: int) -> float:
+    """The mixture's gap cap log(D) sqrt(T+1)/2 + (1/8) sum_(t=start..T) 2/sqrt(t),
+    its tail added first to last by a loop of its own."""
+    tail = 0.0
+    for t in range(start, T + 1):
+        tail = tail + 2.0 / math.sqrt(t)
+    return math.log(D) * math.sqrt(T + 1.0) / 2.0 + tail / 8.0
 
 
 def diameter_bound(d: int, h: int) -> float:

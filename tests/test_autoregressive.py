@@ -8,7 +8,6 @@ from egtree.autoregressive import (
     MetaForecaster,
     entry_step,
     mixture_regret_bound,
-    mixture_regret_bound_raw,
     reweight,
 )
 from egtree.errors import ContractViolationError, RejectedInputError
@@ -16,7 +15,7 @@ from egtree.losses import LossSpec
 from egtree.oracles import best_lipschitz_1d, lipschitz_regret_bound
 from egtree.processes import ProcessSpec, generate
 from egtree.tree import PartitionTree
-from reference import built_nodes
+from reference import built_nodes, mixture_bound
 
 ABS = LossSpec("absolute")
 
@@ -250,20 +249,26 @@ class TestRegretGuarantees:
     def test_mixture_tracks_every_member(self, loss):
         rng = np.random.default_rng(11)
         ys = np.where(rng.random(3000) < 0.6, 0.85, 0.1)
-        meta, _, regrets = meta_regrets(loss, ys)
-        T = len(ys)
-        assert meta.n_active >= 3
-        bound = mixture_regret_bound(T, meta.n_active)
+        meta, records, regrets = meta_regrets(loss, ys)
+        D = max(len(preds) for _, preds, _ in records)
+        assert D >= 3
+        bound = mixture_regret_bound(len(ys), D, 2)
         for d, r in regrets.items():
             assert r <= bound
+
+    @pytest.mark.parametrize("T", [17, 300, 6000])
+    def test_mixture_bound_is_the_derived_form_for_every_pool_size(self, T):
+        for D in range(1, 31):
+            assert mixture_regret_bound(T, D, 2) == mixture_bound(T, D, 2)
+        # the short form sqrt(T+1) log D lies below it for two members from T = 17 on
+        assert math.sqrt(T + 1.0) * math.log(2) < mixture_regret_bound(T, 2, 2)
 
     def test_single_member_pool_has_zero_gap(self):
         rng = np.random.default_rng(12)
         ys = rng.random(400)
         meta, _, regrets = meta_regrets(ABS, ys, max_d=1)
         assert regrets[1] == 0.0
-        assert 0.0 <= mixture_regret_bound_raw(len(ys), 1, 2)
-        assert mixture_regret_bound(len(ys), 1) == 0.0
+        assert 0.0 < mixture_regret_bound(len(ys), 1, 2) == mixture_bound(len(ys), 1, 2)
 
     def test_member_regret_vs_lipschitz_comparator(self):
         # order-1 member alone: its gap to the best slope-bounded map of

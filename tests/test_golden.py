@@ -135,33 +135,33 @@ GOLDEN = {
 # sha256 of the JSON of verify_bounds(log, L), with L = 1.0 where a
 # Lipschitz-comparator check exists (tree d = 1, meta) and None elsewhere
 VERIFY_GOLDEN = {
-    "eg-absolute": "9d2133209c7658e5941c68dc69d1804bbea9e82af83406be466b3505b1209bcb",
-    "tree-d1-box-absolute": "e073fbc1414fb2c34789cf4a1cd63b70ca0243f9d8f942d22e4511c1abc9089a",
-    "tree-d1-range-absolute": "80cf487fefd01c71e972de10e3f392dba913a5d9feb49509eb7b17c20f3cfb2f",
-    "tree-d3-box-absolute": "d35278a1f2024ae9f9fad316cbdd07f7da196800496083827fa1aba1ce59b64f",
-    "tree-d3-range-absolute": "4a2a3fb9c36665f31196e6568416f050461631250789e8404b176c8b3c4e012c",
-    "meta-powers_of_two-box-absolute": "b97f4cceccf5540231e5ea8b9b91ce3c4b9ec66078e42733ec2eb751143574a9",
-    "meta-powers_of_two-range-absolute": "0d15d97676cb9ac86ebd101c096a871cb3bef1793b27ccb99633d97286ad3252",
-    "meta-quadratic-box-absolute": "ba9f8bb1fe2700623304273dd4929bfc834b9d8d31deeb739be42842784d1dd9",
-    "meta-quadratic-range-absolute": "131f4f95c078c932947fc9aef13323897ca289be6aceda27cdfd38cf59e8c702",
-    "eg-square": "a0fc4e2f927d9c1819fee4d0025667d2a811f28083eb34618929798c2edab441",
-    "tree-d1-box-square": "18ea76c1a1420b8d521f7efa638a8d8d109852cacd6184d9f49ba318b5ba40d8",
-    "tree-d1-range-square": "24a73962e44cb2992eb4718cd6ab06c4d2cc2940a439ad7e6979f8e3046b0a12",
-    "tree-d3-box-square": "96bf7f1c2d0b8b2fd1b6aff6343f854ded80f4692a2694b17d1967427feed313",
-    "tree-d3-range-square": "6d00a14d19765f060a5217951e640143217e7b6a25b07b879d891adce921f9d2",
-    "meta-powers_of_two-box-square": "5464e32186dd52bee5a373cb894d7527ca418361170f39cece3af39a14a11444",
-    "meta-powers_of_two-range-square": "d7c6779dee4fffbb26e620deeef90634f0d1c9227c11a7b0733436f6e07155aa",
-    "meta-quadratic-box-square": "a2a0284c152ad49509ffea317e8f7cc52de7cdca324a0095bf77d228644d5cd4",
-    "meta-quadratic-range-square": "8de43bcac68d33f412d4421bca3cc55756f8cb7386ed61cf5ee0021765159fe2",
-    "eg-pinball": "8f013f93640f4cd3d84bc97b5c9003841ae09c0ad421d6a545be5848440c99a3",
-    "tree-d1-box-pinball": "e824fcf89bc80248c05d79dcde3b7b455c34d5b99b35d7000c0f303bb7ad893c",
-    "tree-d1-range-pinball": "bad844e18132473dea7bee53ec01822fee770241bfeae1e702ccfde835b319a0",
-    "tree-d3-box-pinball": "cb18a6aa7e30880719ab39b20839f892a150d491d09b0a2230f0449e61e970ec",
-    "tree-d3-range-pinball": "56d7e99c22d709c0e24d8f83812a7755a43113368ae92cd9e43f6e6bf083265e",
-    "meta-powers_of_two-box-pinball": "b1c613e0ef52568501e3863f4ac33575eee694e5b91130c03cdd309eeb82bcc2",
-    "meta-powers_of_two-range-pinball": "127196864152f0c58b44eb9dc55d2ff8e08972606940ab50a0ee9e2439152a1e",
-    "meta-quadratic-box-pinball": "6fb51187be278af41875ec43bf73b89f20ffda8fb5f1614f1a7b22a3ee20b5ce",
-    "meta-quadratic-range-pinball": "d17703b41fe6068b30e01d4fd33ac6540b8fd98b820211926aee301130d743c7",
+    "eg-absolute": "91ce49d7031fa762c5ea46514aacc5186ac7fedb487d11a78f523d908ef2636a",
+    "tree-d1-box-absolute": "d05a2bc70ecca886e30623ac0273832410cb465816f0e98c47ac7e529e8fbf78",
+    "tree-d1-range-absolute": "951ad21d8d94f32bbcd3fb0cf6d3bc9d2cada1ed85289ae985de803ad6a9f5b7",
+    "tree-d3-box-absolute": "e01e07458882ce67201a528dce113bdfa049d6875ea40d0f5271bede0c153e31",
+    "tree-d3-range-absolute": "6b20276d1aa5656ec5f553dff35f3eef5012f02a3fb02d659bc072cfa4885679",
+    "meta-powers_of_two-box-absolute": "fb9ce6a99b0af0906bb67afbb352ab6f7519ba02740612ac8db6606d64483591",
+    "meta-powers_of_two-range-absolute": "6e7dfbad81b7028165d938a6cfc733354e12819b334e0a93d0b74f8d1e567a9b",
+    "meta-quadratic-box-absolute": "f0223c0e20d72ecca1e99e374210f4da5342425f4933f14c6fda4511533aaefe",
+    "meta-quadratic-range-absolute": "100fb813a5d002f0f4e1aa1d9775490340e0ac0d77495f161408c2c4b10f8111",
+    "eg-square": "17a53bcfc0c4bd159ab2296f5f64a59c05ea17616715f23568a1d3b3355b60d8",
+    "tree-d1-box-square": "b989d637bb0f40454f844c6bb273b81c11b84bf09f8b07624063070128019a51",
+    "tree-d1-range-square": "b51bab3dba820141fd2e3e8dafa71cb3d9638b77bb46e8a7265bf8c2b481e9a5",
+    "tree-d3-box-square": "aa9c63c86c0580ac4c60e9fee538a0079fdb006404bc4de76e68e86f1bb9f476",
+    "tree-d3-range-square": "cd04eea23d07f9f3f6cc27f46c8ee61e22b7d9d8524ac410ba849409df8a686e",
+    "meta-powers_of_two-box-square": "cba1fba70974d7c725f677b3c276d8e13fc08c650e3cdc0e1b9446b911ec829e",
+    "meta-powers_of_two-range-square": "54fd3f091b6a9303ecc1ab65932a70e9d53cf4c4ed1beca19cfe2985905fa369",
+    "meta-quadratic-box-square": "c16b1d69c8d54217fa4df6d6c4e48314a81af84a678bef85284ed930192d882a",
+    "meta-quadratic-range-square": "ed57472cfea1505421910ba9c62f09837f6ed845645af5f40871122337ae79a6",
+    "eg-pinball": "b7dc18382ecb63ca419a20d8543a40a879a72a7fa694b799f036ba84228af279",
+    "tree-d1-box-pinball": "8f503dd3db166384da44551a286eb30da254f0130504a9282d87efd10e49df96",
+    "tree-d1-range-pinball": "dfe25e29ef871f7579d9d23d67e2c20479ae797c65f6072e179e58bf6f87efba",
+    "tree-d3-box-pinball": "fc547dad80e5e64a463637adc3e71322274784d562029114d26775b1280e394d",
+    "tree-d3-range-pinball": "e947b02584a70a48edc4ba6d1c7665710e81a015f5151b6995f6014bf0d874cc",
+    "meta-powers_of_two-box-pinball": "642d66a8b6c1a14e8c18626cc20ab71e4ff9704c7558b1a8e63d74771e077462",
+    "meta-powers_of_two-range-pinball": "8b29b122d60002e20120276a28f1978821473261edc432216edb8096b761cbdd",
+    "meta-quadratic-box-pinball": "2ae128c041556db1fabb229d2cce16e8f816fc4dc27751b894a71a78bd366231",
+    "meta-quadratic-range-pinball": "1d8c4dce65640e82e056df77ac0be3fdd92a9e00c04fcf49e10fc6589bca12f4",
 }
 
 

@@ -33,6 +33,7 @@ from egtree.harness import (
 )
 from egtree.autoregressive import MetaForecaster
 from egtree.losses import LossSpec
+from egtree.oracles import lipschitz_regret_bound
 from egtree.tree import PartitionTree, height_bound, node_count_bound
 
 ABS = LossSpec("absolute")
@@ -513,11 +514,12 @@ class TestVerifyBounds:
             xs, ys = np.round(4 * xs) / 4, np.round(4 * ys) / 4
         log = run_log(RunConfig("tree", loss, d=d, effective_range=effective_range), ys, xs)
         checks = {c.name: c for c in verify_bounds(log)}
-        node_best, sqrt_sum = reference.leaf_decomposition(log, loss)
-        resummed = checks["cumulative-loss-resummation"].achieved
+        node_best, sqrt_sum, eg_bounds = reference.leaf_decomposition(log, loss)
+        resummed = log.summary["cumulative_loss"]
+        assert checks["cumulative-loss-resummation"].achieved == 0.0
         decomposed = checks["per-leaf-decomposition"]
         assert decomposed.achieved == resummed - node_best
-        assert decomposed.bound == 3.0 * loss.M * sqrt_sum
+        assert decomposed.bound == eg_bounds
         assert checks["visit-concentration"].achieved == sqrt_sum
 
     def test_eg_run_passes_all(self, run_log):
@@ -545,9 +547,15 @@ class TestVerifyBounds:
         t = next(t for t in range(100, 500) if int(cap(2, t + 1)) > int(cap(2, t)))
         value = int(cap(2, t + 1))
         getattr(log, column)[t] = value  # step t + 1, at its cap: passes
-        assert next(c for c in verify_bounds(log) if c.name == name).passed
+        check = next(c for c in verify_bounds(log) if c.name == name)
+        assert check.passed and check.achieved == 0.0
         getattr(log, column)[t - 1] = value  # step t, over its own cap
-        assert not next(c for c in verify_bounds(log) if c.name == name).passed
+        check = next(c for c in verify_bounds(log) if c.name == name)
+        assert not check.passed and (check.achieved, check.bound) == (1.0, 0.0)
+        assert check.slack < 0
+        getattr(log, column)[-3:] = 10**6  # three more steps, each over its cap
+        check = next(c for c in verify_bounds(log) if c.name == name)
+        assert (check.achieved, check.bound, check.slack) == (4.0, 0.0, -4.0)
 
     def test_tree_run_with_lipschitz_comparator(self, run_log):
         xs, ys = uniform(1500, 13, d=1)
@@ -573,11 +581,18 @@ class TestVerifyBounds:
         with pytest.raises(RejectedInputError, match="no Lipschitz-comparator check"):
             verify_bounds(log, lipschitz_L=1.0)
 
-    def test_single_member_pool_uses_raw_form(self, run_log):
-        log = run_log(RunConfig("meta", ABS, max_d=1), uniform(500, 15))
-        checks = verify_bounds(log)
-        note = next(c for c in checks if c.name == "mixture-regret(d=1)")
-        assert note.passed and "single-member" in note.note
+    @pytest.mark.parametrize("max_d, T", [(1, 500), (2, 300)])
+    def test_every_pool_size_takes_the_derived_mixture_bound(self, run_log, max_d, T):
+        log = run_log(RunConfig("meta", ABS, max_d=max_d), uniform(T, 15))
+        checks = verify_bounds(log, lipschitz_L=1.0)
+        mixture = [c for c in checks if c.name.startswith("mixture-regret")]
+        assert len(mixture) == max_d
+        assert all(c.passed and c.bound == reference.mixture_bound(T, max_d, 2)
+                   for c in mixture)
+        # D is the log's largest pool: the summary's pool size moves no bound
+        log.summary["final"]["n_active"] = 1000
+        assert ([c.to_dict() for c in verify_bounds(log, lipschitz_L=1.0)]
+                == [c.to_dict() for c in checks])
 
     def test_empty_log_rejected(self, run_log):
         log = run_log(RunConfig("eg", ABS), uniform(5, 16))
@@ -590,9 +605,48 @@ class TestVerifyBounds:
 
     def test_tampered_log_fails(self, run_log):
         log = run_log(RunConfig("eg", ABS), uniform(50, 17))
+        recorded = log.summary["cumulative_loss"]
         log.summary["cumulative_loss"] += 0.25
         checks = verify_bounds(log)
-        assert not all(c.passed for c in checks)
+        assert [c.name for c in checks if not c.passed] == ["cumulative-loss-resummation"]
+        check = checks[0]
+        assert check.achieved == abs(recorded - log.summary["cumulative_loss"]) > 0.0
+        assert check.bound == 0.0 and check.slack < 0
+        # a tree whose logged height drops to 0 from step 501 on
+        xs, ys = uniform(1000, 17, d=1)
+        log = run_log(RunConfig("tree", ABS, d=1), ys, xs)
+        log.height[500:] = 0
+        checks = {c.name: c for c in verify_bounds(log, lipschitz_L=1.0)}
+        assert [n for n, c in checks.items() if not c.passed] == ["tree-size-monotone",
+                                                                  "leaf-within-height"]
+        deeper = np.count_nonzero(log.leaf_h[500:] > 0)  # every edited step below the root
+        for name, count in (("tree-size-monotone", 1), ("leaf-within-height", deeper)):
+            check = checks[name]
+            assert (check.achieved, check.bound, check.slack) == (count, 0.0, -count)
+
+    @settings(max_examples=40, deadline=None)
+    @given(forecaster=st.sampled_from(["eg", "tree", "meta"]), T=st.integers(3, 300),
+           seed=st.integers(0, 2**16), at=st.floats(0.0, 1.0),
+           edit=st.sampled_from([None, "cumulative_loss", "pred", "n_nodes", "height",
+                                 "leaf_h", "members", "weights"]))
+    def test_a_check_passes_exactly_when_its_slack_is_not_negative(self, run_log, forecaster,
+                                                                   T, seed, at, edit):
+        xs, ys = uniform(T, seed, d=1) if forecaster == "tree" else (None, uniform(T, seed))
+        log = run_log(RunConfig(forecaster, ABS, d=1), ys, xs)
+        k = min(int(at * T), T - 1)
+        if edit == "cumulative_loss":
+            log.summary["cumulative_loss"] += at
+        elif edit == "pred":
+            log.preds[k] = 1.0 - log.preds[k]
+        elif edit in ("n_nodes", "height", "leaf_h"):
+            getattr(log, edit)[k] += 100
+        elif edit == "members":
+            log.expert_preds[k] = log.expert_preds[k][:-1]
+        elif edit == "weights":
+            log.expert_weights[k] = (math.nan,) * len(log.expert_weights[k])
+        for c in verify_bounds(log, lipschitz_L=None if forecaster == "eg" else 1.0):
+            assert c.passed == (c.achieved <= c.bound) == (c.slack >= 0), c.name
+            assert c.to_dict()["passed"] is c.passed, c.name
 
     @pytest.mark.parametrize("weights", [("nan",), ("inf", "-inf")])
     def test_a_weight_without_a_sum_fails_the_simplex_check(self, tmp_path, weights):
@@ -617,15 +671,23 @@ class TestVerifyBounds:
                            match=rf"^{named} must lie in \[0, 1\], got {re.escape(repr(bad))}$"):
             verify_bounds(log)
 
+    @pytest.mark.parametrize("edited", [1, 3])
     @pytest.mark.parametrize("edit", ["member-leaves", "two-entrants"])
-    def test_a_pool_that_does_not_grow_one_at_a_time_fails(self, run_log, edit):
+    def test_a_pool_that_does_not_grow_one_at_a_time_fails(self, run_log, edit, edited):
         log = run_log(RunConfig("meta", ABS), uniform(100, 18))
-        k = next(k for k in range(1, 100)
-                 if len(log.expert_preds[k]) == len(log.expert_preds[k - 1]) >= 2)
-        preds = log.expert_preds[k]
-        log.expert_preds[k] = preds[:-1] if edit == "member-leaves" else preds + (0.5, 0.5)
+        sizes = list(map(len, log.expert_preds))
+        # steps amid a stretch of one pool size, no two of them adjacent
+        steps = [k for k in range(1, 99) if sizes[k - 1] == sizes[k] == sizes[k + 1] >= 2]
+        for k in steps[::2][:edited]:
+            if edit == "member-leaves":  # the newest member skips one step
+                log.expert_preds[k] = log.expert_preds[k][:-1]
+            else:  # two members enter at once and stay
+                for j in range(k, 100):
+                    log.expert_preds[j] += (0.5, 0.5)
         checks = verify_bounds(log)
         assert [c.name for c in checks if not c.passed] == ["one-entrant-per-step"]
+        check = next(c for c in checks if c.name == "one-entrant-per-step")
+        assert (check.achieved, check.bound, check.slack) == (edited, 0.0, -edited)
 
     def test_expert_regret_requires_active_member(self, run_log):
         log = run_log(RunConfig("meta", ABS), uniform(100, 18))
@@ -702,8 +764,10 @@ class TestVerifyBounds:
         log = run_log(RunConfig("meta", ABS), uniform(T, 23))
         check = next(c for c in verify_bounds(log, lipschitz_L=1.0)
                      if c.name.startswith("combined-regret"))
-        n_active = log.summary["final"]["n_active"]
-        assert check.bound == combined_regret_bound(ABS.M, 1.0, 1, T, 2, n_active)
+        D = max(map(len, log.expert_preds))
+        assert check.bound == combined_regret_bound(ABS.M, 1.0, 1, T, 2, D)
+        assert check.bound == 2 + reference.mixture_bound(T, D, 2) + lipschitz_regret_bound(
+            ABS.M, 1.0, 1, T)
 
 
 class TestReport:

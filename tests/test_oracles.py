@@ -140,6 +140,18 @@ class TestBestConstants:
         for argmin, group in zip(fits.argmin, ([0, 1, 5], [2, 3, 4])):
             assert bits(argmin) == bits(best_constant_sorted(ys[group], ABS).argmin)
 
+    @pytest.mark.parametrize("loss", [ABS, SQ, LossSpec("pinball", 0.3)], ids=lambda l: l.kind)
+    @pytest.mark.parametrize("keys, weights", [
+        ([], [0.0, 0.0, 0.0]),
+        ([], [1.0, -1.0, 0.5]),
+        ([], [math.nan, 1.0, 1.0]),
+        ([], [math.inf, 1.0, 1.0]),
+        ([np.array([0, 0, 1])], [1.0, 1.0, 0.0]),
+    ], ids=["zero-total", "negative", "nan", "inf", "zero-group"])
+    def test_rejects_weights_it_cannot_use(self, loss, keys, weights):
+        with pytest.raises(RejectedInputError, match="weight"):
+            best_constants([0.5, 0.25, 0.75], keys, loss, weights)
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(RejectedInputError):
             best_constants([0.1, 0.2], [np.array([1, 2, 3])], ABS)

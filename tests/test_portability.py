@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import egtree
+import reference
 from egtree.cli import main
 from egtree.harness import RunConfig, read_run_log, run, verify_bounds, write_series
 from egtree.losses import LossSpec
@@ -87,7 +88,9 @@ def test_single_member_bound_holds_under_a_compensated_sum(tmp_path, monkeypatch
     run(config, np.random.default_rng(15).random(500), None, tmp_path)
     log = read_run_log(tmp_path)
     plain = [c.to_dict() for c in verify_bounds(log)]
-    assert any("single-member" in c["note"] for c in plain)
+    # log(1) = 0: the bound is the tail sum alone
+    assert [c["bound"] for c in plain if c["name"] == "mixture-regret(d=1)"] == [
+        reference.mixture_bound(500, 1, 2)]
     compensate(monkeypatch)
     assert [c.to_dict() for c in verify_bounds(log)] == plain
 
