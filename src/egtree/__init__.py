@@ -8,7 +8,8 @@ The package provides, bottom-up:
 * :mod:`egtree.autoregressive`  the growing mixture of lag-window trees
 * :mod:`egtree.oracles`         offline comparators (constant / histogram / Lipschitz)
 * :mod:`egtree.processes`       seeded ergodic generators with a computable loss floor
-* :mod:`egtree.harness`         experiment runner, logs, and bound verification
+* :mod:`egtree.harness`         experiment runner and run logs
+* :mod:`egtree.verify`          the checks of a run's guarantees against its log
 * :mod:`egtree.cli`             the ``egtree`` command
 
 Every forecaster (:class:`~egtree.eg.EgTracker`, :class:`PartitionTree`,
@@ -31,11 +32,12 @@ for every other caller.  The members of a ``MetaForecaster`` are plain
 from .autoregressive import MetaForecaster
 from .eg import EgTracker
 from .errors import ContractViolationError, RejectedInputError
-from .harness import RunConfig, RunLog, run, verify_bounds
+from .harness import RunConfig, RunLog, run
 from .losses import LossSpec
 from .oracles import best_constant, best_histogram, best_lipschitz_1d
 from .processes import ProcessSpec, generate, minimal_expected_loss
 from .tree import PartitionTree
+from .verify import verify_bounds
 
 __all__ = [
     "ContractViolationError",

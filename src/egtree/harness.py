@@ -1,4 +1,4 @@
-"""Experiment driver: run forecasters over series, log, and check bounds.
+"""Experiment driver: run forecasters over series, log them, and report on the logs.
 
 A run follows the strict predict-then-observe protocol step by step and
 records everything needed to re-verify the guarantees offline: the
@@ -56,13 +56,9 @@ naming it.  Every input file this module writes holds the text that
 such a file against a run by hashing it block by block; it parses and
 renders only a file that does not hash to the run's digest.
 
-:func:`verify_bounds` replays the inequalities the forecasters are
-guaranteed to satisfy (regret versus the offline comparators, partition
-growth caps, mixture-weight accounting) against a finished log and
-reports bound, achieved value and slack for each.  It works on whole
-columns: it recomputes every step's loss from the logged prediction and
-outcome once, and a tree run's per-leaf checks fit the best constant of
-every visited leaf in one grouped pass (:func:`oracles.best_constants`).
+A read log's :class:`RunLog` holds its summary's :class:`RunConfig`,
+parsed once.  :mod:`egtree.verify` checks a run's guarantees against it;
+its :func:`verify_bounds` and :func:`expert_regret` are importable here.
 :func:`report` reads its runs one at a time and writes each run's
 per-step rows as it goes.
 """
@@ -76,8 +72,6 @@ import hashlib
 import io
 import itertools
 import json
-import math
-import operator
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -85,18 +79,11 @@ from pathlib import Path
 import numpy as np
 
 from . import eg
-from .autoregressive import (
-    MetaForecaster,
-    POWERS_OF_TWO,
-    combined_regret_bound,
-    entry_step,
-    mixture_regret_bound,
-)
-from .errors import RejectedInputError, json_field, json_keys, positive_int
+from .autoregressive import POWERS_OF_TWO, MetaForecaster, entry_step
+from .errors import RejectedInputError, _array, _parsed, json_field, json_keys, positive_int
 from .losses import LossSpec, left_sum
-from .oracles import (best_constant, best_constants, best_lipschitz_1d,
-                      lipschitz_regret_bound)
-from .tree import PartitionTree, height_bound, node_count_bound
+from .tree import PartitionTree
+from .verify import BoundCheck, _pool_sizes, expert_regret, verify_bounds  # noqa: F401
 
 LOG_FORMAT = "egtree-runlog-v2"
 STEP_COLUMNS = ("t", "x", "pred", "y", "leaf_h", "leaf_i", "n_nodes", "height",
@@ -166,10 +153,10 @@ def load_json(path) -> dict:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise RejectedInputError(f"{path} is not valid JSON: {exc}") from None
         except UnicodeDecodeError as exc:
             raise _undecodable(path, exc) from None
+        except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
+            raise RejectedInputError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise RejectedInputError(f"{path} must hold a JSON object, got {type(data).__name__}")
     return data
@@ -213,7 +200,8 @@ class RunConfig:
 
 @dataclass
 class RunLog:
-    """Per-step records plus the run summary."""
+    """Per-step records plus the run summary, and the summary's config as parsed
+    by :func:`read_run_log` (None in a log built by hand, unless given)."""
 
     t: np.ndarray
     x_text: list            # a tree run's covariate rows, "x1;..;xd"; "" elsewhere
@@ -226,6 +214,7 @@ class RunLog:
     expert_preds: list      # tuple per step, () where not aggregated
     expert_weights: list
     summary: dict
+    config: RunConfig | None = field(default=None, kw_only=True)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -604,36 +593,6 @@ def _row_blocks(lines, width: int, row_no: int):
         row_no += len(block)
 
 
-def _parsed(cells, parse, name: str, first_row: int) -> list:
-    """``parse`` applied to a step-log column; a cell it cannot parse is rejected by row.
-
-    ``first_row`` is the row number of the first cell; the header is row 1.
-    """
-    try:
-        return list(map(parse, cells))
-    except ValueError:
-        for row_no, cell in enumerate(cells, start=first_row):
-            try:
-                parse(cell)
-            except ValueError:
-                raise RejectedInputError(f"row {row_no}: {name} {cell!r} does not parse") from None
-        raise
-
-
-def _array(cells, dtype, name: str, first_row: int = 2) -> np.ndarray:
-    """The ``dtype`` array of a step-log column, each cell parsed by ``np.array``
-    as ``int`` or ``float`` parses it.  A column it rejects is rescanned: the
-    first cell that does not parse is named, else the first integer beyond 64 bits.
-    """
-    try:
-        return np.array(cells, dtype=dtype)
-    except (ValueError, OverflowError):
-        values = _parsed(cells, int if dtype is np.int64 else float, name, first_row)
-        k = next(k for k, v in enumerate(values) if not -2**63 <= v < 2**63)
-        raise RejectedInputError(f"row {first_row + k}: {name} {cells[k]!r} "
-                                 "does not fit in 64 bits") from None
-
-
 def _floats(cell: str) -> tuple:
     # a tuple of a list is made at its size; one of an iterator is made at a
     # guessed size and resized, so once freed it fills the free list of
@@ -736,7 +695,8 @@ def read_run_log(outdir) -> RunLog:
     if len(t) != summary["T"]:
         raise RejectedInputError(f"step log has {len(t)} steps, its summary says T = "
                                  f"{summary['T']!r}")
-    return RunLog(t, x, pred, y, leaf_h, leaf_i, n_nodes, height, experts, weights, summary)
+    return RunLog(t, x, pred, y, leaf_h, leaf_i, n_nodes, height, experts, weights, summary,
+                  config=config)
 
 
 # -- series / covariate CSV ------------------------------------------------
@@ -885,181 +845,6 @@ def _plain_digest(path) -> str | None:
     return h.hexdigest()
 
 
-# -- bound verification ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    """One checked guarantee: it passes if and only if ``achieved <= bound``, so a
-    failed check has negative slack and a NaN fails.  A yes/no property of the
-    log counts its violating steps as ``achieved``, against a ``bound`` of 0."""
-
-    name: str
-    bound: float
-    achieved: float
-    note: str = ""
-
-    def __post_init__(self):
-        # Checks compute with numpy scalars; store plain Python floats so
-        # to_dict() is JSON-safe whatever a check computes.
-        object.__setattr__(self, "bound", float(self.bound))
-        object.__setattr__(self, "achieved", float(self.achieved))
-
-    @property
-    def passed(self) -> bool:
-        return self.achieved <= self.bound
-
-    @property
-    def slack(self) -> float:
-        return self.bound - self.achieved
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "bound": self.bound, "achieved": self.achieved,
-                "slack": self.slack, "passed": self.passed, "note": self.note}
-
-
-def _check_loss_args(loss: LossSpec, preds: np.ndarray, ys: np.ndarray) -> None:
-    """Reject the first step whose prediction or outcome lies outside [0, 1], NaN included.
-
-    ``loss.value_array`` checks nothing; the message is the scalar ``loss.value``'s.
-    """
-    bad = np.flatnonzero(~((preds >= 0.0) & (preds <= 1.0) & (ys >= 0.0) & (ys <= 1.0)))
-    if bad.size:
-        k = bad[0]
-        loss.value(preds[k].item(), ys[k].item())  # raises the scalar check's message
-
-
-def _pool_sizes(members: list) -> np.ndarray:
-    """The number of member values (predictions or weights) logged at each step."""
-    return np.fromiter(map(len, members), np.int64, len(members))
-
-
-def expert_regret(log: RunLog, d: int, sizes=None, losses=None) -> float:
-    """Cumulative loss gap of the mixture versus its order-d member.
-
-    ``sizes`` are the log's pool sizes (:func:`_pool_sizes` of its member
-    predictions) and ``losses`` the mixture's loss at every step
-    (``value_array`` of the logged predictions and outcomes), found here
-    when not given: a caller that asks for several orders finds them once.
-    """
-    loss = RunConfig.from_dict(log.summary["config"]).loss
-    if sizes is None:
-        sizes = _pool_sizes(log.expert_preds)
-    if losses is None:
-        _check_loss_args(loss, log.preds, log.ys)
-        losses = loss.value_array(log.preds, log.ys)
-    steps = np.flatnonzero(sizes >= d)
-    if not steps.size:
-        raise RejectedInputError(f"order-{d} member was never active in this run")
-    member = np.fromiter(map(operator.itemgetter(d - 1),
-                             map(log.expert_preds.__getitem__, steps.tolist())),
-                         float, steps.size)
-    ys = log.ys[steps]
-    _check_loss_args(loss, member, ys)
-    return left_sum((losses[steps] - loss.value_array(member, ys)).tolist())
-
-
-def verify_bounds(log: RunLog, lipschitz_L: float | None = None) -> list[BoundCheck]:
-    """Check every guarantee the logged run is supposed to satisfy.
-
-    Every check is a :class:`BoundCheck`: it passes if and only if achieved
-    <= bound, and a yes/no check counts the violating steps, against 0.  The
-    log holds no loss: every step's loss is recomputed once from its logged
-    prediction and outcome (``LossSpec.value_array``, after a check that both
-    lie in [0, 1]); ``cumulative-loss-resummation`` adds them left to right,
-    as the run did, and takes their gap to the summary's ``cumulative_loss``.
-    Each lemma's bound is written once and read from the log:
-    ``per-leaf-decomposition`` adds :func:`eg.regret_bound` over the logged
-    leaves, grouped by one sort (:func:`oracles.best_constants`) in the order
-    of first visits; the mixture checks take D, the largest pool the step log
-    holds.  ``lipschitz_L`` adds the regret check against the best L-Lipschitz
-    predictor (tree runs with d = 1, meta runs with a member), or is rejected.
-    """
-    if len(log) == 0:
-        raise RejectedInputError("cannot verify an empty log")
-    config = RunConfig.from_dict(log.summary["config"])
-    loss, M, T = config.loss, config.loss.M, len(log)
-    checks: list[BoundCheck] = []
-
-    _check_loss_args(loss, log.preds, log.ys)
-    losses = loss.value_array(log.preds, log.ys)
-    resummed = left_sum(losses.tolist())
-    checks.append(BoundCheck("cumulative-loss-resummation", 0.0,
-                             abs(resummed - log.summary["cumulative_loss"]),
-                             "|step losses added left to right - cumulative_loss|"))
-
-    shrinks = (np.diff(log.n_nodes) < 0) | (np.diff(log.height) < 0)
-    checks.append(BoundCheck("tree-size-monotone", 0.0, np.count_nonzero(shrinks),
-                             "steps where N_t or H_t shrinks"))
-
-    if config.forecaster == "eg":
-        regret = resummed - best_constant(log.ys, loss).value
-        checks.append(BoundCheck("constant-regret", eg.regret_bound(M, T), regret))
-
-    if config.forecaster == "tree":
-        checks.append(BoundCheck("node-count-growth", 0.0,
-                                 np.count_nonzero(log.n_nodes > node_count_bound(config.d, log.t)),
-                                 "steps where N_t > 1 + 8 (d t)^(d/(d+2))"))
-        checks.append(BoundCheck("height-growth", 0.0,
-                                 np.count_nonzero(log.height > height_bound(config.d, log.t)),
-                                 "steps where H_t > 1 + (d/2) log2(4 d t)"))
-        checks.append(BoundCheck("leaf-within-height", 0.0,
-                                 np.count_nonzero(log.leaf_h > log.height),
-                                 "steps whose leaf lies deeper than the tree: h_t > H_t"))
-
-        # every visited leaf, in the order of first visits
-        fits = best_constants(log.ys, (log.leaf_h, log.leaf_i), loss)
-        visits = np.argsort(fits.first)
-        counts = fits.count[visits].tolist()
-        checks.append(BoundCheck("per-leaf-decomposition",
-                                 left_sum(eg.regret_bound(M, n) for n in counts),
-                                 resummed - left_sum(fits.value[visits].tolist()),
-                                 "vs the best constant of every visited node"))
-        sqrt_sum = left_sum(map(math.sqrt, counts))
-        cap = math.sqrt(float(log.n_nodes[-1]) * T)
-        checks.append(BoundCheck("visit-concentration", cap, sqrt_sum,
-                                 "sum sqrt(T_node) <= sqrt(N_T T)"))
-
-    if config.forecaster == "meta":
-        try:
-            deviations = [abs(math.fsum(w) - 1.0) for w in log.expert_weights if w]
-        except ValueError:  # fsum of inf and -inf: the weights have no sum
-            deviations = [math.nan]
-        # np.max, not max(): a NaN weight must make the check fail
-        checks.append(BoundCheck("weight-simplex", 1e-12, np.max(deviations or [0.0]),
-                                 "mixture weights sum to 1 at every step"))
-        sizes = _pool_sizes(log.expert_preds)
-        entrants = np.diff(sizes)
-        checks.append(BoundCheck("one-entrant-per-step", 0.0,
-                                 np.count_nonzero((entrants < 0) | (entrants > 1)),
-                                 "steps where the pool loses a member or gains more than one"))
-        D, start_1 = int(sizes.max()), entry_step(config.schedule, 1)
-        if D:  # no member is active before step start_1
-            bound = mixture_regret_bound(T, D, start_1)
-            checks.extend(BoundCheck(f"mixture-regret(d={d})", bound,
-                                     expert_regret(log, d, sizes, losses),
-                                     f"D = {D} members: the largest pool in the log")
-                          for d in range(1, D + 1))
-
-    # the Lipschitz comparator comes last, after the checks of the run's kind
-    if lipschitz_L is not None:
-        L, note = lipschitz_L, ""
-        if config.forecaster == "tree" and config.d == 1:
-            xs, ys = _array(log.x_text, float, "x"), log.ys
-            name, bound = f"lipschitz-regret(L={L})", lipschitz_regret_bound(M, L, 1, T)
-        elif config.forecaster == "meta" and D:
-            xs, ys = log.ys[:-1], log.ys[1:]
-            name = f"combined-regret(d=1,L={L})"
-            bound = combined_regret_bound(M, L, 1, T, start_1, D)
-            note = f"t_1 + the mixture bound (D = {D}) + the order-1 Lipschitz bound"
-        else:
-            raise RejectedInputError(f"no Lipschitz-comparator check exists for this "
-                                     f"{config.forecaster} run (tree d = 1, meta with a member)")
-        regret = resummed - best_lipschitz_1d(xs, ys, L, loss).value
-        checks.append(BoundCheck(name, bound, regret, note))
-    return checks
-
-
 # -- aggregation -----------------------------------------------------------
 
 
@@ -1083,7 +868,7 @@ def _report_run(path: Path, growth, weights) -> dict:
     name = path.name or path.resolve().name  # "." names the directory it stands for
     row = {
         "run": name,
-        "forecaster": RunConfig.from_dict(s["config"]).forecaster,
+        "forecaster": log.config.forecaster,
         "T": T,
         "seed": s.get("seed"),
         "cumulative_loss": s["cumulative_loss"],

@@ -184,17 +184,18 @@ def generate_with_info(spec: ProcessSpec, T: int) -> tuple[np.ndarray, dict]:
         return em[states], info
     scale = spec.sigma / np.sqrt(1.0 - spec.a ** 2) if spec.sigma > 0 else 0.0
     eps = rng.standard_normal(T)
-    y = np.empty(T)
-    prev = 0.5 + scale * rng.standard_normal()
-    clipped = 0
-    for t in range(T):
-        raw = 0.5 + spec.a * (prev - 0.5) + spec.sigma * eps[t]
-        v = min(max(raw, 0.0), 1.0)
-        clipped += v != raw
-        y[t] = v
-        prev = v
+    prev = float(0.5 + scale * rng.standard_normal())
+    a, sigma = spec.a, spec.sigma
+    # the recursion on Python floats: the same double operations as on
+    # numpy scalars, without indexing an array at every step
+    y, clipped = [], 0
+    for e in eps.tolist():
+        raw = 0.5 + a * (prev - 0.5) + sigma * e
+        prev = min(max(raw, 0.0), 1.0)
+        clipped += prev != raw
+        y.append(prev)
     info["clip_rate"] = clipped / T
-    return y, info
+    return np.array(y), info
 
 
 def generate(spec: ProcessSpec, T: int) -> np.ndarray:

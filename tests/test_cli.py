@@ -365,6 +365,42 @@ def test_step_log_integer_beyond_int64_exits_two(tmp_path, capsys):
     assert err == ["error: row 3: n_nodes '99999999999999999999' does not fit in 64 bits"] * 2
 
 
+def test_summary_number_beyond_a_double_exits_two(tmp_path, capsys):
+    # float() of such an integer raises OverflowError, not a rejection
+    series = tmp_path / "series.csv"
+    write_series(series, np.random.default_rng(4).random(20))
+    rundir = tmp_path / "run"
+    assert main(["run", "--input", str(series), "--out", str(rundir),
+                 "--forecaster", "eg"]) == 0
+    path = rundir / "summary.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "cumulative_loss": 10**400}))
+    capsys.readouterr()
+    assert main(["verify-bounds", "--out", str(rundir)]) == 2
+    assert main(["report", "--out", str(tmp_path / "tables"), str(rundir)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {path}: 'cumulative_loss' must be a number within the range of "
+                   "a double, got an integer of 1329 bits"] * 2
+    assert not (rundir / "bounds.json").exists()
+
+
+BEYOND_A_DOUBLE = "ar1 spec: 'sigma' must be a number within the range of a double"
+
+
+@pytest.mark.parametrize("digits, message", [
+    (401, BEYOND_A_DOUBLE),
+    # more digits than a Python that limits integer parsing (3.10.7 on) reads
+    (4301, "is not valid JSON: Exceeds the limit" if hasattr(sys, "get_int_max_str_digits")
+     else BEYOND_A_DOUBLE),
+])
+def test_spec_integer_beyond_a_double_exits_two(tmp_path, capsys, digits, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"kind": "ar1", "a": 0.5, "sigma": 1' + "0" * (digits - 1) + "}")
+    out = tmp_path / "series.csv"
+    assert main(["simulate", "--spec", str(spec), "--T", "10", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_tree_too_deep_for_the_step_log_exits_two(tmp_path, capsys):
     # a repeated point drives the d=14 tree past depth 64 at step 1328, in
     # the second block of steps, after the first has been written

@@ -5,6 +5,8 @@ import itertools
 import json
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,24 +15,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from egtree import harness, verify
 from egtree.errors import RejectedInputError
 from egtree.harness import (
     STEP_COLUMNS,
     RunConfig,
     RunLog,
     data_digest,
-    expert_regret,
     fmt17,
     input_digest,
     read_covariates,
     read_run_log,
     read_series,
     run,
-    verify_bounds,
     write_covariates,
     write_series,
     report,
 )
+from egtree.verify import expert_regret, verify_bounds
 from egtree.autoregressive import MetaForecaster
 from egtree.losses import LossSpec
 from egtree.oracles import lipschitz_regret_bound
@@ -503,6 +505,17 @@ class TestCsvFormats:
 
 
 class TestVerifyBounds:
+    @pytest.mark.parametrize("first", ["egtree.verify", "egtree.harness"])
+    def test_either_module_imports_first(self, first):
+        # a fresh interpreter, so no import cycle hides behind a module already loaded
+        code = f"import {first}; from egtree import harness, verify; print(harness.verify_bounds)"
+        subprocess.run([sys.executable, "-c", code], capture_output=True, check=True)
+
+    def test_the_harness_names_are_the_verifiers(self):
+        assert harness.verify_bounds is verify.verify_bounds
+        assert harness.expert_regret is verify.expert_regret
+        assert harness.BoundCheck is verify.BoundCheck
+
     @settings(max_examples=40, deadline=None)
     @given(d=st.integers(1, 3), effective_range=st.booleans(), T=st.integers(1, 600),
            seed=st.integers(0, 2**16), dyadic=st.booleans(),
@@ -709,12 +722,16 @@ class TestVerifyBounds:
                              ids=lambda spec: spec.kind)
     def test_expert_regret_adds_the_per_step_gaps_left_to_right(self, run_log, loss):
         log = run_log(RunConfig("meta", loss), uniform(700, 23))
-        for d in range(1, len(log.expert_preds[-1]) + 1):
+        achieved = {c.name: c.achieved for c in verify_bounds(log)}
+        D = len(log.expert_preds[-1])
+        assert [name for name in achieved if name.startswith("mixture-regret")] == [
+            f"mixture-regret(d={d})" for d in range(1, D + 1)]
+        for d in range(1, D + 1):
             total = 0.0
             for preds, pred, y in zip(log.expert_preds, log.preds.tolist(), log.ys.tolist()):
                 if len(preds) >= d:
                     total += loss.value(pred, y) - loss.value(preds[d - 1], y)
-            assert expert_regret(log, d) == total
+            assert expert_regret(log, d) == total == achieved[f"mixture-regret(d={d})"]
 
     @pytest.mark.parametrize("loss", [ABS, LossSpec("square"), LossSpec("pinball", 0.3)],
                              ids=lambda spec: spec.kind)

@@ -158,6 +158,22 @@ class TestGeneration:
         y = generate(ProcessSpec("markov", seed=seed, **BENCH_CHAIN), 6000)
         assert hashlib.sha256(y.tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("seed, a, sigma, digest, clip_rate", [
+        (1, 0.8, 0.1, "c8b8a70c3e5ad099f0b51232deab0566bea10ea078bd28bc081686aeb95ed613",
+         0.0028997100289971),
+        (5, 0.9, 0.4, "79bdf783f8be303124db63eab450ceb720f7169d64549fe6e84bd95b98b98d1d",
+         0.3554644535546445),
+        (111, 0.3, 0.0, "bd8fe736290080339c8d9b12c387d67b3fb6fbd99aef5cbed17d955ac4e8a789",
+         0.0),
+        (2024, 0.5, 0.2, "943fe6ca148512e7ac32fd1d55d4ea5ee8e99d79251bb626aa512c1477e28327",
+         0.028197180281971802),
+    ])
+    def test_ar1_series_bytes_are_pinned(self, seed, a, sigma, digest, clip_rate):
+        # taken from the recursion on numpy scalars: the float loop must draw the same
+        y, info = generate_with_info(ProcessSpec("ar1", seed=seed, a=a, sigma=sigma), 10001)
+        assert hashlib.sha256(y.tobytes()).hexdigest() == digest
+        assert info["clip_rate"] == clip_rate
+
 
 class TestStationary:
     def test_symmetric_chain_is_half_half(self):

@@ -527,6 +527,14 @@ class TestSerialization:
         with pytest.raises(RejectedInputError):
             PartitionTree.from_dict(self._tampered(edit))
 
+    def test_rejects_an_integer_G_beyond_a_double(self):
+        def edit(node):
+            node["eg"]["G"] = 10**400  # float() of it raises OverflowError
+
+        with pytest.raises(RejectedInputError,
+                           match="'G' must be a number within the range of a double"):
+            PartitionTree.from_dict(self._tampered(edit))
+
     def test_rejects_obs_range_of_wrong_dimension(self):
         xs, ys = uniform_stream(2, 40, seed=7)
         data = grow(2, xs, ys, effective_range=True).to_dict()
