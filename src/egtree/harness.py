@@ -29,32 +29,39 @@ rejected midway leaves its directory as it found it.
 :func:`write_run_log` writes a :class:`RunLog` read back, or built by
 hand, through the same block writer.
 
-Every value is rendered or parsed once, and a canonical input not even
-once: a run renders each covariate and outcome once, for its step log
-and its digest alike.  The writers (series and covariate files, the
-report's per-step tables) and :func:`data_digest` take each column once
-(``tolist``), the step-log writer a block of steps at a time, and all
-render a block of ``_ROW_BLOCK`` rows with a single ``%`` format
-(:func:`_rendered`); no field but a report's run name ever needs CSV
-quoting, and that one is quoted once per run.  The readers take a file a
-block of lines at a time and cut a block that ``csv.reader`` would split
-plainly with one ``str.split``; from the first block with a quote, a
-``\\r``, a wrong field count or an oversized line on, ``csv.reader``
-splits the rest (:func:`_column_blocks`).  :func:`read_input` tells a
-series from a covariate file by its header alone.  The numbers of a CSV
-are parsed by ``np.array(cells, dtype)``, which reads each cell as
-``int`` or ``float`` does: an input block as one array, range-checked at
-once, a step-log block a column at a time (but a member cell as a tuple
-of floats, and a block of empty member or leaf cells, as all but a
-mixture's or a tree's log holds, parses no cell).  A block that fails is
-rescanned row by row for its first bad row, field and value.  The
-step-log reader reads ``LOG_FORMAT`` alone, rejects a leaf that is no
-node of a tree and checks the fields of ``summary.json`` that the
-verifier and the report read.  A file that does not decode is rejected,
-naming it.  Every input file this module writes holds the text that
-:func:`data_digest` hashes, as it stands, so :func:`input_digest` checks
-such a file against a run by hashing it block by block; it parses and
-renders only a file that does not hash to the run's digest.
+Every value is rendered or parsed once, and a canonical input or a
+cached step log not even once: a run renders each covariate and outcome
+once, for its step log and its digest alike.  ``steps.csv`` is the log;
+the step-log writer (:func:`_write_steps`) also writes, in the same
+pass, ``steps.cache``: each block's columns as :func:`read_run_log`
+parses them, stamped with the sha256 of ``steps.csv``.  The cache is
+derived, optional and pinned by no digest; :func:`read_run_log` loads a
+log from it where the stamps match, and parses ``steps.csv`` otherwise,
+so deleting it changes only speed.  The writers (series and covariate
+files, the report's per-step tables) and :func:`data_digest` take each
+column once (``tolist``), the step-log writer a block of steps at a
+time, and all render a block of ``_ROW_BLOCK`` rows with a single ``%``
+format (:func:`_rendered`); no field but a report's run name ever needs
+CSV quoting, and that one is quoted once per run.  The readers take a
+file a block of lines at a time and cut a block that ``csv.reader``
+would split plainly with one ``str.split``; from the first block with a
+quote, a ``\\r``, a wrong field count or an oversized line on,
+``csv.reader`` splits the rest (:func:`_column_blocks`).
+:func:`read_input` tells a series from a covariate file by its header
+alone.  The numbers of a CSV are parsed by ``np.array(cells, dtype)``,
+which reads each cell as ``int`` or ``float`` does: an input block as
+one array, range-checked at once, a step-log block a column at a time
+(but a member cell as a tuple of floats, and a block of empty member or
+leaf cells, as all but a mixture's or a tree's log holds, parses no
+cell).  A block that fails is rescanned row by row for its first bad
+row, field and value.  The step-log reader reads ``LOG_FORMAT`` alone,
+rejects a leaf that is no node of a tree and checks the fields of
+``summary.json`` that the verifier and the report read.  A file that
+does not decode is rejected, naming it.  Every input file this module
+writes holds the text that :func:`data_digest` hashes, as it stands, so
+:func:`input_digest` checks such a file against a run by hashing it
+block by block; it parses and renders only a file that does not hash to
+the run's digest.
 
 A read log's :class:`RunLog` holds its summary's :class:`RunConfig`,
 parsed once.  :mod:`egtree.verify` checks a run's guarantees against it;
@@ -72,6 +79,9 @@ import hashlib
 import io
 import itertools
 import json
+import locale
+import math
+import struct
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -276,12 +286,17 @@ class _Block:
     ``columns`` holds one list per entry of ``STEP_COLUMNS`` (``t`` a
     range): ``x`` and ``y`` are the cells' text, ``leaf_h`` and ``leaf_i``
     are -1 where no leaf is logged, and the members are tuples of floats.
-    A block of a running run also carries the cumulative loss and the
-    :func:`data_digest` of every step up to its last; a block cut from a
-    finished :class:`RunLog` carries neither.
+    ``arrays`` holds ``t``, ``pred``, ``y``, ``leaf_h``, ``leaf_i``,
+    ``n_nodes`` and ``height`` as int64 and float64 arrays where the
+    block's producer vouches that its cells read back as their values, and
+    its ``x`` cells as themselves; else it is None, and the log gets no
+    cache (:func:`_write_steps`).  A block of a running run also carries
+    the cumulative loss and the :func:`data_digest` of every step up to
+    its last; a block cut from a finished :class:`RunLog` carries neither.
     """
 
     columns: list
+    arrays: list | None
     cumulative_loss: float | None = None
     data_digest: str | None = None
 
@@ -351,9 +366,15 @@ def _step_blocks(config: RunConfig, forecaster, ys: np.ndarray, xs):
             columns["y"] = cells
         else:
             columns["x"], columns["y"] = cells[0::2], cells[1::2]
-        losses = config.loss.value_array(np.array(preds), block_ys).tolist()
+        pred = np.array(preds)
+        losses = config.loss.value_array(pred, block_ys).tolist()
         cumulative = left_sum(losses, cumulative)  # as verify_bounds resums them
-        yield _Block([columns[name] for name in STEP_COLUMNS], cumulative, digest.hexdigest())
+        # the traced integers are Python ints, as the cells render them
+        arrays = [np.arange(start + 1, start + n + 1), pred, block_ys] + [
+            np.fromiter(columns[name], np.int64, n) if name in forecaster.TRACED
+            else np.full(n, columns[name][0]) for name in ("leaf_h", "leaf_i", "n_nodes", "height")]
+        yield _Block([columns[name] for name in STEP_COLUMNS], arrays, cumulative,
+                     digest.hexdigest())
 
 
 def _summary(config: RunConfig, forecaster, T: int, last: _Block, started: float) -> dict:
@@ -384,20 +405,26 @@ def run(config: RunConfig, ys, xs, outdir, save_state: bool = False) -> dict:
     ``xs`` (shape (T, d), values in [0,1]) is required for tree runs and
     must be None otherwise.  Both are checked (:func:`_checked`) before any
     file is opened.  Each block of steps (:func:`_step_blocks`) is written
-    to ``steps.csv`` as it arrives and ``summary.json`` last, so no more
-    than the forecaster and one block is held, never the whole log; its
-    ``wall_clock_sec`` covers the writing.  With ``save_state`` a tree
-    run's final tree is written as ``tree.json``; no other forecaster can
-    save its state yet, and a run without it removes a ``tree.json`` that
-    an earlier run left in ``outdir``.  The files are written under
-    temporary names and renamed into place together at the end, so a run
-    rejected midway leaves ``outdir`` as it found it.  Returns the summary.
+    to ``steps.csv``, the log, as it arrives, and ``summary.json`` last, so
+    no more than the forecaster and one block is held, never the whole
+    log; its ``wall_clock_sec`` covers the writing.  The same pass writes
+    ``steps.cache``, the blocks as :func:`read_run_log` parses them,
+    stamped with the sha256 of ``steps.csv`` (:func:`_write_steps`): it
+    is derived and optional, it only spares :func:`read_run_log` the
+    parse, and no digest pins it.  With ``save_state`` a tree run's final
+    tree is written as ``tree.json``; no other forecaster can save its
+    state yet, and a run without it removes a ``tree.json`` that an
+    earlier run left in ``outdir``.  The files are written under temporary
+    names and renamed into place together at the end, ``steps.cache``
+    last, so a run rejected midway leaves ``outdir`` as it found it, and a
+    failed rename leaves a ``steps.csv`` that reads.  Returns the summary.
     """
     started = time.perf_counter()
     ys, xs = _checked(config, ys, xs, save_state)
     forecaster = _forecaster(config)
-    with _staged(Path(outdir), ("steps.csv", "summary.json", "tree.json")) as paths:
-        last = _write_steps(paths[0], _step_blocks(config, forecaster, ys, xs))
+    with _staged(Path(outdir), ("steps.csv", "summary.json", "tree.json", "steps.cache")) \
+            as paths:
+        last = _write_steps(paths[0], paths[3], _step_blocks(config, forecaster, ys, xs))
         summary = _summary(config, forecaster, len(ys), last, started)
         _write_json(paths[1], summary, indent=2, sort_keys=True)
         if save_state:
@@ -434,20 +461,99 @@ def _joined17(tuples: list) -> list:
 
 def _leaf_cells(values: list) -> list:
     """A leaf column's cells: its integers, and no text where no leaf is logged (-1)."""
+    if min(values) >= 0:  # a tree's leaves
+        return values
     return ["" if v < 0 else v for v in values]
 
 
-def _write_steps(path, blocks) -> _Block | None:
-    """Write ``steps.csv`` to ``path``, rendering each block as it arrives; returns the last."""
-    block = None
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(STEP_COLUMNS) + "\n")
+def _write_steps(path, cache_path, blocks) -> _Block | None:
+    """Write ``steps.csv`` to ``path`` and its cache to ``cache_path``, a block
+    at a time as the blocks arrive; returns the last block.
+
+    Each block is rendered once, encoded once with the codec that
+    ``open()`` reads text files with, and those bytes are hashed and
+    written.  The cache (``steps.cache``) holds the same blocks as
+    :func:`read_run_log` parses them, so it can load a log without parsing
+    its text; ``steps.csv`` stays the log, and the cache is derived and
+    optional.  All of its numbers are little-endian.  A block of ``n``
+    steps is:
+
+    - four int64: ``n``, the number of expert and of weight values in the
+      block, and the number of bytes of its ``x`` text;
+    - ``pred`` and ``y`` as float64, ``n`` each;
+    - ``leaf_h``, ``leaf_i`` (-1 where no leaf is logged), ``n_nodes`` and
+      ``height`` as int64, ``n`` each;
+    - the number of experts and of weights at each step as int64, ``n``
+      each, then the expert and the weight values as float64, flat;
+    - the ``x`` cells joined by ``\\n``, as ASCII.
+
+    A float is stored as its cell reads back: every NaN as the one NaN
+    that ``float("nan")`` gives.  The blocks are followed by a trailer
+    (``_TRAILER``): the tag ``_CACHE_TAG``, the sha256 of the bytes of
+    ``steps.csv`` and the sha256 of the blocks.  A log with no step, or
+    with a block whose ``arrays`` are None, gets no cache: the partial one
+    is removed.
+    """
+    encoding = locale.getpreferredencoding(False)  # what open() writes text with
+    steps_sha, cache_sha = hashlib.sha256(), hashlib.sha256()
+    block, cached = None, True
+    with open(path, "wb") as fh, open(cache_path, "wb") as cache:
+        data = (",".join(STEP_COLUMNS) + "\n").encode(encoding)
+        steps_sha.update(data)
+        fh.write(data)
         for block in blocks:
             t, x, pred, y, leaf_h, leaf_i, n_nodes, height, experts, weights = block.columns
-            fh.writelines(_rendered(_STEP_ROW, [
+            data = "".join(_rendered(_STEP_ROW, [
                 t, x, pred, y, _leaf_cells(leaf_h), _leaf_cells(leaf_i), n_nodes, height,
-                _joined17(experts), _joined17(weights)]))
+                _joined17(experts), _joined17(weights)])).encode(encoding)
+            steps_sha.update(data)
+            fh.write(data)
+            cached = cached and block.arrays is not None
+            if cached:
+                payload = _cache_block(block)
+                cache_sha.update(payload)
+                cache.write(payload)
+        cached = cached and block is not None
+        if cached:
+            cache.write(_TRAILER.pack(_CACHE_TAG, steps_sha.digest(), cache_sha.digest()))
+    if not cached:
+        Path(cache_path).unlink()
     return block
+
+
+# steps.cache: a block's four counts, and its trailer (see _write_steps)
+_CACHE_TAG = b"egtree-steps-cache-v1\n"
+_CACHE_HEAD = struct.Struct("<4q")
+_TRAILER = struct.Struct(f"<{len(_CACHE_TAG)}s32s32s")
+
+
+def _read_back(values) -> np.ndarray:
+    """Floats as their .17g cells read back: little-endian float64, every NaN ``float("nan")``."""
+    values = np.asarray(values, "<f8")
+    nan = np.isnan(values)
+    return np.asarray(np.where(nan, np.nan, values), "<f8") if nan.any() else values
+
+
+def _member_arrays(tuples: list) -> tuple:
+    """The counts (int64) and the flat values, as read back, of a member column."""
+    if not any(tuples):
+        return np.zeros(len(tuples), np.int64), _read_back([])
+    counts = np.fromiter(map(len, tuples), np.int64, len(tuples))
+    return counts, _read_back(np.fromiter(itertools.chain.from_iterable(tuples), np.float64))
+
+
+def _cache_block(block: _Block) -> bytes:
+    """The bytes of ``block``, whose ``arrays`` are given, in ``steps.cache`` (see
+    :func:`_write_steps`)."""
+    t, pred, y, leaf_h, leaf_i, n_nodes, height = block.arrays
+    x = "\n".join(block.columns[1]).encode("ascii")
+    (expert_counts, experts), (weight_counts, weights) = map(_member_arrays, block.columns[8:])
+    ints = (np.maximum(leaf_h, -1), np.maximum(leaf_i, -1), n_nodes, height, expert_counts,
+            weight_counts)
+    return b"".join([_CACHE_HEAD.pack(len(t), len(experts), len(weights), len(x)),
+                     _read_back(pred).tobytes(), _read_back(y).tobytes(),
+                     *(np.asarray(a, "<i8").tobytes() for a in ints),
+                     experts.tobytes(), weights.tobytes(), x])
 
 
 def _write_json(path, data, **options) -> None:
@@ -490,25 +596,43 @@ def _staged(outdir: Path, names):
 
 
 def _log_blocks(log: RunLog):
-    """The :class:`_Block` s of a finished log, each column cut and converted a block at a time."""
+    """The :class:`_Block` s of a finished log, each column cut and converted a block at a time.
+
+    The blocks' ``arrays`` are cut from the log's own arrays where the log
+    holds what :func:`read_run_log` reads back from its text: arrays of
+    the dtypes it gives, ``t`` the steps in order, and ``x`` cells that are
+    ASCII strings with no character that CSV splits or quotes at.
+    """
+    numbers = [log.t, log.preds, log.ys, log.leaf_h, log.leaf_i, log.n_nodes, log.height]
+    x = "\n".join(log.x_text) if set(map(type, log.x_text)) <= {str} else ","
+    vouched = ([column.dtype for column in numbers] == [np.int64, *[np.float64] * 2,
+                                                         *[np.int64] * 4]
+               and np.array_equal(log.t, np.arange(1, len(log) + 1))
+               and x.isascii() and x.count("\n") == len(log) - 1
+               and not any(c in x for c in ',"\r\0'))
+    del x
     for k in range(0, len(log), _ROW_BLOCK):
         cut = slice(k, k + _ROW_BLOCK)
         yield _Block([log.t[cut].tolist(), log.x_text[cut], log.preds[cut].tolist(),
                       _cells17(log.ys[cut].tolist()), log.leaf_h[cut].tolist(),
                       log.leaf_i[cut].tolist(), log.n_nodes[cut].tolist(),
-                      log.height[cut].tolist(), log.expert_preds[cut], log.expert_weights[cut]])
+                      log.height[cut].tolist(), log.expert_preds[cut], log.expert_weights[cut]],
+                     [column[cut] for column in numbers] if vouched else None)
 
 
 def write_run_log(log: RunLog, outdir) -> None:
-    """Write ``log`` to ``outdir`` as ``steps.csv`` and ``summary.json``.
+    """Write ``log`` to ``outdir`` as ``steps.csv`` and ``summary.json``, and
+    the derived ``steps.cache``.
 
     The log is cut into blocks of ``_ROW_BLOCK`` steps and each is written
-    by the block writer of :func:`run`, so no column is converted
-    whole; the files are renamed into place together, as there.
+    by the block writer of :func:`run` (:func:`_write_steps`), so no column
+    is converted whole; the files are renamed into place together, as
+    there.  A log that :func:`read_run_log` read writes back the very
+    bytes of its ``steps.csv``, and its cache as well.
     """
-    with _staged(Path(outdir), ("steps.csv", "summary.json")) as (steps, summary):
-        _write_steps(steps, _log_blocks(log))
-        _write_json(summary, log.summary, indent=2, sort_keys=True)
+    with _staged(Path(outdir), ("steps.csv", "summary.json", "steps.cache")) as paths:
+        _write_steps(paths[0], paths[2], _log_blocks(log))
+        _write_json(paths[1], log.summary, indent=2, sort_keys=True)
 
 
 def _header(fh):
@@ -625,18 +749,27 @@ def _parsed_block(name: str, dtype, cells, first_row: int):
 def read_run_log(outdir) -> RunLog:
     """Load a run log; a damaged ``steps.csv`` is rejected at its first fault.
 
-    Only a log of ``LOG_FORMAT`` (``egtree-runlog-v2``: no ``loss``
-    column, as :func:`verify_bounds` recomputes every loss from ``pred``
-    and ``y``) is read: a summary of any other format, the ``loss``-logging
-    ``egtree-runlog-v1`` included, is rejected by name before ``steps.csv``
-    is opened.  The rows are parsed a block at a time, and the first block
-    with a fault decides which is reported.  A row with the wrong number of
-    fields ends its block, so the rows above it are checked first.  Within
-    a block, each column in log order is searched for a cell that does not
-    parse, then for an integer beyond 64 bits; then come a step number out
-    of sequence, a step with more or fewer ``experts`` than ``weights``,
-    and a leaf that is no node of a tree (any leaf, outside a tree run).  A
+    ``steps.csv`` is the log.  Only a log of ``LOG_FORMAT``
+    (``egtree-runlog-v2``: no ``loss`` column, as :func:`verify_bounds`
+    recomputes every loss from ``pred`` and ``y``) is read: a summary of
+    any other format, the ``loss``-logging ``egtree-runlog-v1`` included,
+    is rejected by name before ``steps.csv`` is opened.  The rows are
+    parsed a block at a time, and the first block with a fault decides
+    which is reported.  A row with the wrong number of fields ends its
+    block, so the rows above it are checked first.  Within a block, each
+    column in log order is searched for a cell that does not parse, then
+    for an integer beyond 64 bits; then come a step number out of
+    sequence, a step with more or fewer ``experts`` than ``weights``, and
+    a leaf that is no node of a tree (any leaf, outside a tree run).  A
     step count that differs from the summary's ``T`` is found last.
+
+    Where the run directory holds a ``steps.cache`` stamped with the
+    sha256 of this very ``steps.csv`` (see :func:`_write_steps`), the
+    blocks are loaded from it instead of parsed, and go through the same
+    checks.  A missing, stale, damaged or unknown cache, or one whose log
+    fails a check, is passed over: ``steps.csv`` is then parsed, so every
+    log and every error comes as the text gives it.  The stamps catch a
+    cache that is out of date or damaged, not one forged to match.
     """
     outdir = Path(outdir)
     path = outdir / "summary.json"
@@ -650,53 +783,153 @@ def read_run_log(outdir) -> RunLog:
     config = RunConfig.from_dict(summary["config"])
     for key in ("n_nodes", "height"):
         json_field(summary["final"], key, int, f"{path}: final")
-    tree = config.forecaster == "tree"
-    leaf = [STEP_COLUMNS.index("leaf_h"), STEP_COLUMNS.index("leaf_i")]
-    members = [STEP_COLUMNS.index("experts"), STEP_COLUMNS.index("weights")]
-    # each block of rows is parsed as it is read, so no more than one
-    # block of cell strings is held next to the parsed columns
-    blocks = [[] for _ in STEP_COLUMNS]
-    with _open_csv(outdir / "steps.csv") as fh:
+    columns = _cached_columns(outdir, config, summary["T"])
+    if columns is None:
+        columns = _joined(_csv_blocks(outdir / "steps.csv", config))
+        if len(columns[0]) != summary["T"]:
+            raise RejectedInputError(f"step log has {len(columns[0])} steps, its summary says "
+                                     f"T = {summary['T']!r}")
+    return RunLog(*columns, summary, config=config)
+
+
+def _csv_blocks(path, config: RunConfig):
+    """The checked blocks of the step log ``path``, each parsed as it is read,
+    so no more than one block of cell strings is held next to the parsed columns."""
+    with _open_csv(path) as fh:
         header = _header(fh)
         if tuple(header or ()) != STEP_COLUMNS:
             raise RejectedInputError(f"unrecognized step log header: {header}")
-        for row_no, columns in _column_blocks(fh, len(STEP_COLUMNS)):
-            for name, dtype, cells, parsed in zip(STEP_COLUMNS, _STEP_PARSERS, columns, blocks):
-                parsed.append(_parsed_block(name, dtype, cells, row_no))
-            t = blocks[0][-1]
-            bad = np.flatnonzero(t != np.arange(row_no - 1, row_no - 1 + len(t)))
-            if bad.size:
-                k = bad[0]
-                raise RejectedInputError(
-                    f"row {row_no + k}: t is {t[k]}, expected {row_no - 1 + k}")
-            # equal lists (all () where no step logs members) hold equal counts
-            experts, weights = (blocks[j][-1] for j in members)
-            if experts != weights and list(map(len, experts)) != list(map(len, weights)):
-                k = next(k for k, (e, w) in enumerate(zip(experts, weights)) if len(e) != len(w))
-                raise RejectedInputError(f"row {row_no + k}: {len(experts[k])} experts but "
-                                         f"{len(weights[k])} weights")
-            # a tree run logs a node (h, i), h >= 0 and 1 <= i <= 2**h (numpy shifts
-            # i - 1 >= 0 by 64 or more to 0); any other run no leaf, (-1, -1)
-            h, i = (blocks[j][-1] for j in leaf)
-            bad = np.flatnonzero((h < 0) | (i < 1) | ((i - 1) >> h != 0) if tree
-                                 else (h != -1) | (i != -1))
-            if bad.size:
-                k = bad[0]
-                cell_h, cell_i = (columns[j][k] for j in leaf)
-                raise RejectedInputError(
-                    f"row {row_no + k}: leaf_h {cell_h!r}, leaf_i {cell_i!r} "
-                    + ("is no node of a tree" if tree else f"in a {config.forecaster} run, "
-                       "which logs no leaf"))
-    if not blocks[0]:
+        for row_no, cells in _column_blocks(fh, len(STEP_COLUMNS)):
+            block = [_parsed_block(name, dtype, column, row_no)
+                     for name, dtype, column in zip(STEP_COLUMNS, _STEP_PARSERS, cells)]
+            _check_block(block, row_no, config, cells)
+            yield block
+
+
+def _check_block(block: list, row_no: int, config: RunConfig, cells=None) -> None:
+    """Reject the parsed step-log ``block``, its first row being ``row_no``, at
+    its first step out of sequence, step with more or fewer ``experts`` than
+    ``weights``, or leaf that is no node of a tree (any leaf, outside a tree
+    run).  A leaf is named by its ``cells``' text where they are given."""
+    t, _, _, _, h, i, _, _, experts, weights = block
+    bad = np.flatnonzero(t != np.arange(row_no - 1, row_no - 1 + len(t)))
+    if bad.size:
+        k = bad[0]
+        raise RejectedInputError(f"row {row_no + k}: t is {t[k]}, expected {row_no - 1 + k}")
+    # equal lists (all () where no step logs members) hold equal counts
+    if experts != weights and list(map(len, experts)) != list(map(len, weights)):
+        k = next(k for k, (e, w) in enumerate(zip(experts, weights)) if len(e) != len(w))
+        raise RejectedInputError(f"row {row_no + k}: {len(experts[k])} experts but "
+                                 f"{len(weights[k])} weights")
+    # a tree run logs a node (h, i), h >= 0 and 1 <= i <= 2**h (numpy shifts
+    # i - 1 >= 0 by 64 or more to 0); any other run no leaf, (-1, -1)
+    tree = config.forecaster == "tree"
+    bad = np.flatnonzero((h < 0) | (i < 1) | ((i - 1) >> h != 0) if tree
+                         else (h != -1) | (i != -1))
+    if bad.size:
+        k = bad[0]
+        cell_h, cell_i = (column[k] for column in (cells or block)[4:6])
+        raise RejectedInputError(
+            f"row {row_no + k}: leaf_h {cell_h!r}, leaf_i {cell_i!r} "
+            + ("is no node of a tree" if tree else f"in a {config.forecaster} run, "
+               "which logs no leaf"))
+
+
+def _joined(blocks) -> list:
+    """The columns of a step log from its parsed blocks, each joined once."""
+    parts = list(zip(*blocks))
+    if not parts:
         raise RejectedInputError("step log is empty")
-    t, x, pred, y, leaf_h, leaf_i, n_nodes, height, experts, weights = [
-        list(itertools.chain(*parsed)) if dtype in (None, _floats) else np.concatenate(parsed)
-        for parsed, dtype in zip(blocks, _STEP_PARSERS)]
-    if len(t) != summary["T"]:
-        raise RejectedInputError(f"step log has {len(t)} steps, its summary says T = "
-                                 f"{summary['T']!r}")
-    return RunLog(t, x, pred, y, leaf_h, leaf_i, n_nodes, height, experts, weights, summary,
-                  config=config)
+    return [list(itertools.chain(*part)) if dtype in (None, _floats) else np.concatenate(part)
+            for part, dtype in zip(parts, _STEP_PARSERS)]
+
+
+def _cached_columns(outdir: Path, config: RunConfig, T: int) -> list | None:
+    """The columns of the step log in ``outdir`` as loaded from its ``steps.cache``,
+    checked as parsed blocks are; None where ``steps.csv`` must be parsed instead.
+
+    The trailer is read first: its tag must be ``_CACHE_TAG``, and both
+    ``steps.csv`` and the blocks must hash to its digests.  Only then are
+    the blocks loaded, one at a time.  A log with a cache is ASCII text,
+    which every codec that ``open()`` reads with reads alike.
+    """
+    try:
+        with open(outdir / "steps.cache", "rb") as fh:
+            size = fh.seek(0, io.SEEK_END) - _TRAILER.size
+            if size < 0:
+                return None
+            fh.seek(size)
+            tag, steps_sha, cache_sha = _TRAILER.unpack(fh.read(_TRAILER.size))
+            if tag != _CACHE_TAG:
+                return None
+            with open(outdir / "steps.csv", "rb") as steps:
+                if _sha256(steps) != steps_sha:
+                    return None
+            fh.seek(0)
+            if _sha256(fh, size) != cache_sha:
+                return None
+            fh.seek(0)
+            columns = _joined(_cache_blocks(fh, size, config))
+    except (OSError, ValueError):  # an unreadable file, a malformed block, a failed check
+        return None
+    return columns if len(columns[0]) == T else None
+
+
+def _sha256(fh, size: float = math.inf) -> bytes:
+    """The sha256 of the next ``size`` bytes of the open binary file ``fh``, or of
+    all it has left, read a quarter megabyte at a time."""
+    h = hashlib.sha256()
+    while size > 0 and (chunk := fh.read(min(size, 1 << 18))):
+        h.update(chunk)
+        size -= len(chunk)
+    return h.digest()
+
+
+def _cache_blocks(fh, size: int, config: RunConfig):
+    """The blocks of the open ``steps.cache`` ``fh``, whose blocks are its first
+    ``size`` bytes, as :func:`_csv_blocks` yields them: loaded, checked, one at a time.
+
+    A block whose counts do not add up or overrun the blocks, or with a
+    field that ``csv.reader`` would find beyond ``csv.field_size_limit()``,
+    raises ``ValueError``.
+    """
+    row_no = 2
+    while size:
+        if size < _CACHE_HEAD.size:
+            raise ValueError("a malformed steps.cache block")
+        n, n_experts, n_weights, n_x = _CACHE_HEAD.unpack(fh.read(_CACHE_HEAD.size))
+        length = 8 * (8 * n + n_experts + n_weights) + n_x
+        size -= _CACHE_HEAD.size + length
+        if min(n - 1, n_experts, n_weights, n_x, size) < 0:
+            raise ValueError("a malformed steps.cache block")
+        # the columns hold on to the bytes of the numbers alone
+        numbers, rest = fh.read(64 * n), fh.read(length - 64 * n)
+        floats = np.frombuffer(numbers, "<f8", 2 * n)
+        ints = np.frombuffer(numbers, "<i8", 6 * n, 16 * n).reshape(6, n)
+        members = np.frombuffer(rest, "<f8", n_experts + n_weights)
+        x = rest[8 * (n_experts + n_weights):].decode("ascii").split("\n")
+        counts = ints[4:]
+        if len(x) != n or (counts < 0).any() or counts.sum(axis=1).tolist() != [
+                n_experts, n_weights]:
+            raise ValueError("a malformed steps.cache block")
+        # csv.reader rejects a field beyond its limit: a number's cell is at most
+        # 24 characters long, a member cell 25 a value
+        if max(24, 25 * int(counts.max()), *map(len, x)) > csv.field_size_limit():
+            raise ValueError("a field of steps.csv beyond csv.field_size_limit()")
+        block = [np.arange(row_no - 1, row_no - 1 + n), x, floats[:n], floats[n:], *ints[:4],
+                 _tuples(counts[0], members[:n_experts]), _tuples(counts[1], members[n_experts:])]
+        _check_block(block, row_no, config)
+        yield block
+        row_no += n
+
+
+def _tuples(counts: np.ndarray, values: np.ndarray) -> list:
+    """A member column's tuples of floats, ``counts[k]`` of the flat ``values`` at step ``k``."""
+    if not values.size:
+        return [()] * len(counts)
+    values = values.tolist()
+    ends = np.cumsum(counts).tolist()
+    return [tuple(values[a:b]) for a, b in zip([0, *ends[:-1]], ends)]
 
 
 # -- series / covariate CSV ------------------------------------------------

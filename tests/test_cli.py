@@ -422,7 +422,7 @@ def test_a_tree_too_deep_for_the_step_log_exits_two(tmp_path, capsys):
     write_series(series, np.random.default_rng(5).random(1500))
     assert main(["run", "--forecaster", "eg", "--input", str(series), "--out", str(rundir)]) == 0
     before = {path.name: path.read_bytes() for path in rundir.iterdir()}
-    assert sorted(before) == ["steps.csv", "summary.json"]
+    assert sorted(before) == ["steps.cache", "steps.csv", "summary.json"]
     capsys.readouterr()
     assert main(deep + [str(rundir), "--save-state"]) == 2
     assert capsys.readouterr().err.startswith(message)
@@ -495,7 +495,8 @@ def test_run_streams_the_log_across_blocks(tmp_path, capsys, forecaster, d, effe
     for row in rows:
         total += config.loss.value(float(row["pred"]), float(row["y"]))
     assert summary["cumulative_loss"] == total
-    assert sorted(path.name for path in rundir.iterdir()) == ["steps.csv", "summary.json"]
+    assert sorted(path.name for path in rundir.iterdir()) == ["steps.cache", "steps.csv",
+                                                              "summary.json"]
 
 
 def test_run_memory_does_not_grow_with_the_series(tmp_path, capsys):
