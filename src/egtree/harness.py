@@ -51,17 +51,18 @@ quote, a ``\\r``, a wrong field count or an oversized line on,
 alone.  The numbers of a CSV are parsed by ``np.array(cells, dtype)``,
 which reads each cell as ``int`` or ``float`` does: an input block as
 one array, range-checked at once, a step-log block a column at a time
-(but a member cell as a tuple of floats, and a block of empty member or
-leaf cells, as all but a mixture's or a tree's log holds, parses no
-cell).  A block that fails is rescanned row by row for its first bad
-row, field and value.  The step-log reader reads ``LOG_FORMAT`` alone,
-rejects a leaf that is no node of a tree and checks the fields of
-``summary.json`` that the verifier and the report read.  A file that
-does not decode is rejected, naming it.  Every input file this module
-writes holds the text that :func:`data_digest` hashes, as it stands, so
-:func:`input_digest` checks such a file against a run by hashing it
-block by block; it parses and renders only a file that does not hash to
-the run's digest.
+(a member column as one array of its nonempty cells' ``;``-joined
+values, and a block of empty member or leaf cells, as all but a
+mixture's or a tree's log holds, parses no cell).  A block that fails
+is rescanned row by row for its first bad row, field and value.  The
+step-log reader reads ``LOG_FORMAT`` alone, rejects a leaf that is no
+node of a tree and a member outside a mixture run, and checks the
+fields of ``summary.json`` that the verifier and the report read.  A
+file that does not decode is rejected, naming it.  Every input file
+this module writes holds the text that :func:`data_digest` hashes, as
+it stands, so :func:`input_digest` checks such a file against a run by
+hashing it block by block; it parses and renders only a file that does
+not hash to the run's digest.
 
 A read log's :class:`RunLog` holds its summary's :class:`RunConfig`,
 parsed once.  :mod:`egtree.verify` checks a run's guarantees against it;
@@ -93,7 +94,7 @@ from .autoregressive import POWERS_OF_TWO, MetaForecaster, entry_step
 from .errors import RejectedInputError, _array, _parsed, json_field, json_keys, positive_int
 from .losses import LossSpec, left_sum
 from .tree import PartitionTree
-from .verify import BoundCheck, _pool_sizes, expert_regret, verify_bounds  # noqa: F401
+from .verify import BoundCheck, expert_regret, verify_bounds  # noqa: F401
 
 LOG_FORMAT = "egtree-runlog-v2"
 STEP_COLUMNS = ("t", "x", "pred", "y", "leaf_h", "leaf_i", "n_nodes", "height",
@@ -221,8 +222,9 @@ class RunLog:
     leaf_i: np.ndarray
     n_nodes: np.ndarray
     height: np.ndarray
-    expert_preds: list      # tuple per step, () where not aggregated
-    expert_weights: list
+    pool: np.ndarray        # int64: the members logged at each step, 0 where not aggregated
+    expert_preds: np.ndarray    # float64: pool.sum() values, step by step, members in order
+    expert_weights: np.ndarray  # float64: as expert_preds
     summary: dict
     config: RunConfig | None = field(default=None, kw_only=True)
 
@@ -285,7 +287,8 @@ class _Block:
 
     ``columns`` holds one list per entry of ``STEP_COLUMNS`` (``t`` a
     range): ``x`` and ``y`` are the cells' text, ``leaf_h`` and ``leaf_i``
-    are -1 where no leaf is logged, and the members are tuples of floats.
+    are -1 where no leaf is logged, and the members are floats, flat:
+    ``pool[k]`` of each at the block's step ``k``.
     ``arrays`` holds ``t``, ``pred``, ``y``, ``leaf_h``, ``leaf_i``,
     ``n_nodes`` and ``height`` as int64 and float64 arrays where the
     block's producer vouches that its cells read back as their values, and
@@ -296,6 +299,7 @@ class _Block:
     """
 
     columns: list
+    pool: list
     arrays: list | None
     cumulative_loss: float | None = None
     data_digest: str | None = None
@@ -346,9 +350,12 @@ def _step_blocks(config: RunConfig, forecaster, ys: np.ndarray, xs):
         # a column the forecaster does not trace keeps its default
         columns = {"t": range(start + 1, start + n + 1), "x": [""] * n, "pred": preds,
                    "leaf_h": [-1] * n, "leaf_i": [-1] * n, "n_nodes": [1] * n,
-                   "height": [0] * n, "experts": [()] * n, "weights": [()] * n}
+                   "height": [0] * n, "experts": [], "weights": []}
         columns.update((name, fields[j::width]) for j, name in enumerate(forecaster.TRACED))
         del fields  # the columns hold every field now
+        pool = list(map(len, columns["experts"])) if "experts" in forecaster.TRACED else [0] * n
+        for name in ("experts", "weights"):  # a tuple per step, flattened once
+            columns[name] = list(itertools.chain.from_iterable(columns[name]))
         leaf_i = columns["leaf_i"]
         if max(leaf_i) >= 2**63:  # only a leaf index passes 2**63, at depth 64 or more
             k = next(k for k, i in enumerate(leaf_i) if i >= 2**63)
@@ -373,7 +380,7 @@ def _step_blocks(config: RunConfig, forecaster, ys: np.ndarray, xs):
         arrays = [np.arange(start + 1, start + n + 1), pred, block_ys] + [
             np.fromiter(columns[name], np.int64, n) if name in forecaster.TRACED
             else np.full(n, columns[name][0]) for name in ("leaf_h", "leaf_i", "n_nodes", "height")]
-        yield _Block([columns[name] for name in STEP_COLUMNS], arrays, cumulative,
+        yield _Block([columns[name] for name in STEP_COLUMNS], pool, arrays, cumulative,
                      digest.hexdigest())
 
 
@@ -440,23 +447,19 @@ def run(config: RunConfig, ys, xs, outdir, save_state: bool = False) -> dict:
 _STEP_ROW = "%d,%s,%.17g,%s,%s,%s,%d,%d,%s,%s\n"
 
 
-def _cells17(values: list) -> list:
-    """The .17g text of each float of the nonempty ``values``, rendered by one ``%`` format."""
-    return ("%.17g\n" * len(values) % tuple(values))[:-1].split("\n")
+def _joined17(pool: list, values: list) -> list:
+    """The member cells of a block: at its step ``k``, the ``;``-joined .17g
+    text of the next ``pool[k]`` of the flat ``values``.
 
-
-def _joined17(tuples: list) -> list:
-    """The ``;``-joined .17g text of each tuple of floats.
-
-    The tuples are rendered by one ``%`` format, joined from the format of
-    each tuple's length with a line end between tuples, and the text is cut
-    at the line ends.
+    The values are rendered by one ``%`` format, joined from the format of
+    each step's pool size with a line end between steps, and the text is
+    cut at the line ends.
     """
-    if not any(tuples):  # no run but a mixture logs members
-        return [""] * len(tuples)
-    formats = {k: ";".join(["%.17g"] * k) for k in set(map(len, tuples))}
-    text_format = "\n".join(map(formats.__getitem__, map(len, tuples)))
-    return (text_format % tuple(itertools.chain.from_iterable(tuples))).split("\n")
+    if not values:  # no run but a mixture logs members
+        return [""] * len(pool)
+    formats = {k: ";".join(["%.17g"] * k) for k in set(pool)}
+    text_format = "\n".join(map(formats.__getitem__, pool))
+    return (text_format % tuple(values)).split("\n")
 
 
 def _leaf_cells(values: list) -> list:
@@ -478,13 +481,13 @@ def _write_steps(path, cache_path, blocks) -> _Block | None:
     optional.  All of its numbers are little-endian.  A block of ``n``
     steps is:
 
-    - four int64: ``n``, the number of expert and of weight values in the
-      block, and the number of bytes of its ``x`` text;
+    - three int64: ``n``, the number ``m`` of expert values in the block
+      (and of weight values), and the number of bytes of its ``x`` text;
     - ``pred`` and ``y`` as float64, ``n`` each;
-    - ``leaf_h``, ``leaf_i`` (-1 where no leaf is logged), ``n_nodes`` and
-      ``height`` as int64, ``n`` each;
-    - the number of experts and of weights at each step as int64, ``n``
-      each, then the expert and the weight values as float64, flat;
+    - ``leaf_h``, ``leaf_i`` (-1 where no leaf is logged), ``n_nodes``,
+      ``height`` and ``pool`` (the members at each step) as int64, ``n``
+      each;
+    - the expert and the weight values as float64, ``m`` each;
     - the ``x`` cells joined by ``\\n``, as ASCII.
 
     A float is stored as its cell reads back: every NaN as the one NaN
@@ -505,7 +508,7 @@ def _write_steps(path, cache_path, blocks) -> _Block | None:
             t, x, pred, y, leaf_h, leaf_i, n_nodes, height, experts, weights = block.columns
             data = "".join(_rendered(_STEP_ROW, [
                 t, x, pred, y, _leaf_cells(leaf_h), _leaf_cells(leaf_i), n_nodes, height,
-                _joined17(experts), _joined17(weights)])).encode(encoding)
+                _joined17(block.pool, experts), _joined17(block.pool, weights)])).encode(encoding)
             steps_sha.update(data)
             fh.write(data)
             cached = cached and block.arrays is not None
@@ -521,9 +524,9 @@ def _write_steps(path, cache_path, blocks) -> _Block | None:
     return block
 
 
-# steps.cache: a block's four counts, and its trailer (see _write_steps)
-_CACHE_TAG = b"egtree-steps-cache-v1\n"
-_CACHE_HEAD = struct.Struct("<4q")
+# steps.cache: a block's three counts, and its trailer (see _write_steps)
+_CACHE_TAG = b"egtree-steps-cache-v2\n"
+_CACHE_HEAD = struct.Struct("<3q")
 _TRAILER = struct.Struct(f"<{len(_CACHE_TAG)}s32s32s")
 
 
@@ -534,26 +537,16 @@ def _read_back(values) -> np.ndarray:
     return np.asarray(np.where(nan, np.nan, values), "<f8") if nan.any() else values
 
 
-def _member_arrays(tuples: list) -> tuple:
-    """The counts (int64) and the flat values, as read back, of a member column."""
-    if not any(tuples):
-        return np.zeros(len(tuples), np.int64), _read_back([])
-    counts = np.fromiter(map(len, tuples), np.int64, len(tuples))
-    return counts, _read_back(np.fromiter(itertools.chain.from_iterable(tuples), np.float64))
-
-
 def _cache_block(block: _Block) -> bytes:
     """The bytes of ``block``, whose ``arrays`` are given, in ``steps.cache`` (see
     :func:`_write_steps`)."""
     t, pred, y, leaf_h, leaf_i, n_nodes, height = block.arrays
     x = "\n".join(block.columns[1]).encode("ascii")
-    (expert_counts, experts), (weight_counts, weights) = map(_member_arrays, block.columns[8:])
-    ints = (np.maximum(leaf_h, -1), np.maximum(leaf_i, -1), n_nodes, height, expert_counts,
-            weight_counts)
-    return b"".join([_CACHE_HEAD.pack(len(t), len(experts), len(weights), len(x)),
+    ints = (np.maximum(leaf_h, -1), np.maximum(leaf_i, -1), n_nodes, height, block.pool)
+    return b"".join([_CACHE_HEAD.pack(len(t), len(block.columns[8]), len(x)),
                      _read_back(pred).tobytes(), _read_back(y).tobytes(),
                      *(np.asarray(a, "<i8").tobytes() for a in ints),
-                     experts.tobytes(), weights.tobytes(), x])
+                     *(_read_back(a).tobytes() for a in block.columns[8:]), x])
 
 
 def _write_json(path, data, **options) -> None:
@@ -611,12 +604,16 @@ def _log_blocks(log: RunLog):
                and x.isascii() and x.count("\n") == len(log) - 1
                and not any(c in x for c in ',"\r\0'))
     del x
+    ends = np.cumsum(log.pool).tolist()  # the end of each step's members
     for k in range(0, len(log), _ROW_BLOCK):
         cut = slice(k, k + _ROW_BLOCK)
+        members = slice(ends[k - 1] if k else 0, ends[cut][-1])
+        pool = log.pool[cut].tolist()
         yield _Block([log.t[cut].tolist(), log.x_text[cut], log.preds[cut].tolist(),
-                      _cells17(log.ys[cut].tolist()), log.leaf_h[cut].tolist(),
+                      _joined17([1] * len(pool), log.ys[cut].tolist()), log.leaf_h[cut].tolist(),
                       log.leaf_i[cut].tolist(), log.n_nodes[cut].tolist(),
-                      log.height[cut].tolist(), log.expert_preds[cut], log.expert_weights[cut]],
+                      log.height[cut].tolist(), log.expert_preds[members].tolist(),
+                      log.expert_weights[members].tolist()], pool,
                      [column[cut] for column in numbers] if vouched else None)
 
 
@@ -628,8 +625,14 @@ def write_run_log(log: RunLog, outdir) -> None:
     by the block writer of :func:`run` (:func:`_write_steps`), so no column
     is converted whole; the files are renamed into place together, as
     there.  A log that :func:`read_run_log` read writes back the very
-    bytes of its ``steps.csv``, and its cache as well.
+    bytes of its ``steps.csv``, and its cache as well; one whose ``pool``
+    does not cut both member arrays into its steps is rejected first.
     """
+    pool = log.pool
+    if not (pool.dtype.kind == "i" and len(pool) == len(log) and pool.min(initial=0) >= 0
+            and pool.sum() == len(log.expert_preds) == len(log.expert_weights)):
+        raise RejectedInputError(f"pool must hold {len(log)} integers >= 0 adding up to the "
+                                 "length of expert_preds and of expert_weights")
     with _staged(Path(outdir), ("steps.csv", "summary.json", "steps.cache")) as paths:
         _write_steps(paths[0], paths[2], _log_blocks(log))
         _write_json(paths[1], log.summary, indent=2, sort_keys=True)
@@ -717,33 +720,38 @@ def _row_blocks(lines, width: int, row_no: int):
         row_no += len(block)
 
 
-def _floats(cell: str) -> tuple:
-    # a tuple of a list is made at its size; one of an iterator is made at a
-    # guessed size and resized, so once freed it fills the free list of
-    # another size than it was taken from, and each log read grows them
-    return tuple(list(map(float, cell.split(";")))) if cell else ()
-
-
-# per step-log column: its dtype; the x text stays text (None), member cells tuples (_floats)
-_STEP_PARSERS = (np.int64, None, float, float, np.int64, np.int64, np.int64, np.int64,
-                 _floats, _floats)
+# per step-log column before the members: its dtype; the x text stays text (None)
+_STEP_PARSERS = (np.int64, None, float, float, np.int64, np.int64, np.int64, np.int64)
 
 
 def _parsed_block(name: str, dtype, cells, first_row: int):
     """A block of the step-log column ``name``, parsed as ``_STEP_PARSERS`` says.
 
-    A block whose member cells are all empty, or whose leaf cells are (all
-    but a mixture's, and all but a tree's), parses no cell.
+    A block whose leaf cells are all empty (all but a tree's) parses no cell.
     """
     if dtype is None:
         return cells
-    if dtype is _floats:
-        return _parsed(cells, _floats, name, first_row) if any(cells) else [()] * len(cells)
     if name in ("leaf_h", "leaf_i") and not all(cells):  # an empty cell: no leaf, -1
         if not any(cells):
             return np.full(len(cells), -1, np.int64)
         cells = [cell or "-1" for cell in cells]
     return _array(cells, dtype, name, first_row)
+
+
+def _parsed_members(name: str, cells, first_row: int) -> tuple:
+    """A block of the member column ``name``: the number of values in each cell
+    (int64), and the values of its nonempty cells, ``;``-joined and parsed as
+    one float64 array; a block of empty cells (all but a mixture's) parses none.
+    """
+    if not any(cells):
+        return np.zeros(len(cells), np.int64), np.empty(0)
+    counts = np.array([cell.count(";") + 1 if cell else 0 for cell in cells], np.int64)
+    try:
+        return counts, np.array(";".join(filter(None, cells)).split(";"), dtype=float)
+    except ValueError:  # rescanned cell by cell, the first that does not parse named
+        _parsed(cells, lambda cell: [float(v) for v in cell.split(";")] if cell else [], name,
+                first_row)
+        raise
 
 
 def read_run_log(outdir) -> RunLog:
@@ -759,9 +767,10 @@ def read_run_log(outdir) -> RunLog:
     block, so the rows above it are checked first.  Within a block, each
     column in log order is searched for a cell that does not parse, then
     for an integer beyond 64 bits; then come a step number out of
-    sequence, a step with more or fewer ``experts`` than ``weights``, and
-    a leaf that is no node of a tree (any leaf, outside a tree run).  A
-    step count that differs from the summary's ``T`` is found last.
+    sequence, a step with more or fewer ``experts`` than ``weights``, a
+    leaf that is no node of a tree (any leaf, outside a tree run) and a
+    member outside a mixture run.  A step count that differs from the
+    summary's ``T`` is found last.
 
     Where the run directory holds a ``steps.cache`` stamped with the
     sha256 of this very ``steps.csv`` (see :func:`_write_steps`), the
@@ -802,25 +811,30 @@ def _csv_blocks(path, config: RunConfig):
         for row_no, cells in _column_blocks(fh, len(STEP_COLUMNS)):
             block = [_parsed_block(name, dtype, column, row_no)
                      for name, dtype, column in zip(STEP_COLUMNS, _STEP_PARSERS, cells)]
-            _check_block(block, row_no, config, cells)
+            (pool, experts), (weight_pool, weights) = (
+                _parsed_members(name, column, row_no)
+                for name, column in zip(STEP_COLUMNS[8:], cells[8:]))
+            block += [pool, experts, weights]
+            _check_block(block, row_no, config, cells, weight_pool)
             yield block
 
 
-def _check_block(block: list, row_no: int, config: RunConfig, cells=None) -> None:
+def _check_block(block: list, row_no: int, config: RunConfig, cells=None,
+                 weight_pool=None) -> None:
     """Reject the parsed step-log ``block``, its first row being ``row_no``, at
-    its first step out of sequence, step with more or fewer ``experts`` than
-    ``weights``, or leaf that is no node of a tree (any leaf, outside a tree
-    run).  A leaf is named by its ``cells``' text where they are given."""
-    t, _, _, _, h, i, _, _, experts, weights = block
+    its first step out of sequence, step with more or fewer ``experts`` (its
+    pool) than ``weights`` (``weight_pool``, where they were counted apart),
+    leaf that is no node of a tree (any leaf, outside a tree run), or member
+    outside a mixture run.  A leaf is named by its ``cells``' text where given."""
+    t, _, _, _, h, i, _, _, pool, _, _ = block
     bad = np.flatnonzero(t != np.arange(row_no - 1, row_no - 1 + len(t)))
     if bad.size:
         k = bad[0]
         raise RejectedInputError(f"row {row_no + k}: t is {t[k]}, expected {row_no - 1 + k}")
-    # equal lists (all () where no step logs members) hold equal counts
-    if experts != weights and list(map(len, experts)) != list(map(len, weights)):
-        k = next(k for k, (e, w) in enumerate(zip(experts, weights)) if len(e) != len(w))
-        raise RejectedInputError(f"row {row_no + k}: {len(experts[k])} experts but "
-                                 f"{len(weights[k])} weights")
+    if weight_pool is not None and (bad := np.flatnonzero(pool != weight_pool)).size:
+        k = bad[0]
+        raise RejectedInputError(f"row {row_no + k}: {pool[k]} experts but "
+                                 f"{weight_pool[k]} weights")
     # a tree run logs a node (h, i), h >= 0 and 1 <= i <= 2**h (numpy shifts
     # i - 1 >= 0 by 64 or more to 0); any other run no leaf, (-1, -1)
     tree = config.forecaster == "tree"
@@ -833,6 +847,10 @@ def _check_block(block: list, row_no: int, config: RunConfig, cells=None) -> Non
             f"row {row_no + k}: leaf_h {cell_h!r}, leaf_i {cell_i!r} "
             + ("is no node of a tree" if tree else f"in a {config.forecaster} run, "
                "which logs no leaf"))
+    if config.forecaster != "meta" and (bad := np.flatnonzero(pool)).size:
+        k = bad[0]
+        raise RejectedInputError(f"row {row_no + k}: {pool[k]} experts in a "
+                                 f"{config.forecaster} run, which logs no members")
 
 
 def _joined(blocks) -> list:
@@ -840,8 +858,8 @@ def _joined(blocks) -> list:
     parts = list(zip(*blocks))
     if not parts:
         raise RejectedInputError("step log is empty")
-    return [list(itertools.chain(*part)) if dtype in (None, _floats) else np.concatenate(part)
-            for part, dtype in zip(parts, _STEP_PARSERS)]
+    return [np.concatenate(part) if isinstance(part[0], np.ndarray)
+            else list(itertools.chain(*part)) for part in parts]
 
 
 def _cached_columns(outdir: Path, config: RunConfig, T: int) -> list | None:
@@ -897,39 +915,29 @@ def _cache_blocks(fh, size: int, config: RunConfig):
     while size:
         if size < _CACHE_HEAD.size:
             raise ValueError("a malformed steps.cache block")
-        n, n_experts, n_weights, n_x = _CACHE_HEAD.unpack(fh.read(_CACHE_HEAD.size))
-        length = 8 * (8 * n + n_experts + n_weights) + n_x
+        n, m, n_x = _CACHE_HEAD.unpack(fh.read(_CACHE_HEAD.size))
+        length = 8 * (7 * n + 2 * m) + n_x
         size -= _CACHE_HEAD.size + length
-        if min(n - 1, n_experts, n_weights, n_x, size) < 0:
+        if min(n - 1, m, n_x, size) < 0:
             raise ValueError("a malformed steps.cache block")
         # the columns hold on to the bytes of the numbers alone
-        numbers, rest = fh.read(64 * n), fh.read(length - 64 * n)
+        numbers, rest = fh.read(56 * n), fh.read(length - 56 * n)
         floats = np.frombuffer(numbers, "<f8", 2 * n)
-        ints = np.frombuffer(numbers, "<i8", 6 * n, 16 * n).reshape(6, n)
-        members = np.frombuffer(rest, "<f8", n_experts + n_weights)
-        x = rest[8 * (n_experts + n_weights):].decode("ascii").split("\n")
-        counts = ints[4:]
-        if len(x) != n or (counts < 0).any() or counts.sum(axis=1).tolist() != [
-                n_experts, n_weights]:
+        ints = np.frombuffer(numbers, "<i8", 5 * n, 16 * n).reshape(5, n)
+        members = np.frombuffer(rest, "<f8", 2 * m)
+        x = rest[16 * m:].decode("ascii").split("\n")
+        pool = ints[4]
+        if len(x) != n or (pool < 0).any() or int(pool.sum()) != m:
             raise ValueError("a malformed steps.cache block")
         # csv.reader rejects a field beyond its limit: a number's cell is at most
         # 24 characters long, a member cell 25 a value
-        if max(24, 25 * int(counts.max()), *map(len, x)) > csv.field_size_limit():
+        if max(24, 25 * int(pool.max()), *map(len, x)) > csv.field_size_limit():
             raise ValueError("a field of steps.csv beyond csv.field_size_limit()")
-        block = [np.arange(row_no - 1, row_no - 1 + n), x, floats[:n], floats[n:], *ints[:4],
-                 _tuples(counts[0], members[:n_experts]), _tuples(counts[1], members[n_experts:])]
+        block = [np.arange(row_no - 1, row_no - 1 + n), x, floats[:n], floats[n:], *ints,
+                 members[:m], members[m:]]
         _check_block(block, row_no, config)
         yield block
         row_no += n
-
-
-def _tuples(counts: np.ndarray, values: np.ndarray) -> list:
-    """A member column's tuples of floats, ``counts[k]`` of the flat ``values`` at step ``k``."""
-    if not values.size:
-        return [()] * len(counts)
-    values = values.tolist()
-    ends = np.cumsum(counts).tolist()
-    return [tuple(values[a:b]) for a, b in zip([0, *ends[:-1]], ends)]
 
 
 # -- series / covariate CSV ------------------------------------------------
@@ -1115,13 +1123,12 @@ def _report_run(path: Path, growth, weights) -> dict:
                                 [t_col, log.n_nodes.tolist(), log.height.tolist()]))
     # one row per member weight: t repeated by the pool size, d = 1..size;
     # repeating t_col's own ints, not new ones, keeps a column one pointer a row
-    sizes = _pool_sizes(log.expert_weights)
-    if sizes.any():
+    if log.pool.any():
         chained = itertools.chain.from_iterable
         weights.writelines(_rendered(run_field + ",%d,%d,%.17g\n", [
-            list(chained(map(itertools.repeat, t_col, sizes.tolist()))),
-            list(chained(map(range, itertools.repeat(1), (sizes + 1).tolist()))),
-            list(chained(log.expert_weights))]))
+            list(chained(map(itertools.repeat, t_col, log.pool.tolist()))),
+            list(chained(map(range, itertools.repeat(1), (log.pool + 1).tolist()))),
+            log.expert_weights.tolist()]))
     return row
 
 

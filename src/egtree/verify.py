@@ -10,14 +10,13 @@ called through the :mod:`~egtree.oracles` module.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import eg, oracles
 from .autoregressive import combined_regret_bound, entry_step, mixture_regret_bound
-from .errors import RejectedInputError, _array
+from .errors import RejectedInputError, _array, positive_int
 from .losses import LossSpec, left_sum
 from .tree import height_bound, node_count_bound
 
@@ -63,20 +62,14 @@ def _check_loss_args(loss: LossSpec, preds: np.ndarray, ys: np.ndarray) -> None:
         loss.value(preds[k].item(), ys[k].item())  # raises the scalar check's message
 
 
-def _pool_sizes(members: list) -> np.ndarray:
-    """The number of member values (predictions or weights) logged at each step."""
-    return np.fromiter(map(len, members), np.int64, len(members))
-
-
-def _order_regret(log, loss: LossSpec, d: int, sizes: np.ndarray, losses: np.ndarray) -> float:
-    """:func:`expert_regret` of order ``d``, given the log's pool sizes and the
-    mixture's checked loss at every step."""
-    steps = np.flatnonzero(sizes >= d)
+def _order_regret(log, loss: LossSpec, d: int, losses: np.ndarray) -> float:
+    """:func:`expert_regret` of order ``d`` >= 1, given the mixture's checked
+    loss at every step."""
+    steps = np.flatnonzero(log.pool >= d)
     if not steps.size:
         raise RejectedInputError(f"order-{d} member was never active in this run")
-    member = np.fromiter(map(operator.itemgetter(d - 1),
-                             map(log.expert_preds.__getitem__, steps.tolist())),
-                         float, steps.size)
+    starts = np.cumsum(log.pool) - log.pool  # of each step's members in the flat column
+    member = log.expert_preds[starts[steps] + d - 1]
     ys = log.ys[steps]
     _check_loss_args(loss, member, ys)
     return left_sum((losses[steps] - loss.value_array(member, ys)).tolist())
@@ -84,10 +77,10 @@ def _order_regret(log, loss: LossSpec, d: int, sizes: np.ndarray, losses: np.nda
 
 def expert_regret(log, d: int) -> float:
     """Cumulative loss gap of the mixture versus its order-d member."""
+    positive_int(d, "d")
     loss = log.config.loss
     _check_loss_args(loss, log.preds, log.ys)
-    return _order_regret(log, loss, d, _pool_sizes(log.expert_preds),
-                         loss.value_array(log.preds, log.ys))
+    return _order_regret(log, loss, d, loss.value_array(log.preds, log.ys))
 
 
 def verify_bounds(log, lipschitz_L: float | None = None) -> list[BoundCheck]:
@@ -115,11 +108,9 @@ def verify_bounds(log, lipschitz_L: float | None = None) -> list[BoundCheck]:
     checks = _loss_checks(log, config, resummed)
     if config.forecaster == "tree":
         checks += _tree_checks(log, config, resummed)
-    D = 0  # the largest pool the log holds: none outside a mixture
+    D = int(log.pool.max(initial=0))  # the largest pool the log holds: 0 outside a mixture
     if config.forecaster == "meta":
-        sizes = _pool_sizes(log.expert_preds)
-        D = int(sizes.max())
-        checks += _mixture_checks(log, config, losses, sizes)
+        checks += _mixture_checks(log, config, losses, D)
     # the Lipschitz comparator comes last, after the checks of the run's kind
     if lipschitz_L is not None:
         checks.append(_lipschitz_check(log, config, lipschitz_L, resummed, D))
@@ -168,28 +159,29 @@ def _tree_checks(log, config, resummed: float) -> list[BoundCheck]:
     return checks
 
 
-def _mixture_checks(log, config, losses: np.ndarray, sizes: np.ndarray) -> list[BoundCheck]:
+def _mixture_checks(log, config, losses: np.ndarray, D: int) -> list[BoundCheck]:
     """A mixture's weight accounting and its regret against each member.
 
-    ``losses`` are the mixture's checked losses and ``sizes`` the log's pool
-    sizes, found once for every order.
+    ``losses`` are the mixture's checked losses, found once for every order,
+    and ``D`` is the largest pool the log holds.
     """
-    try:
-        deviations = [abs(math.fsum(w) - 1.0) for w in log.expert_weights if w]
+    weights, ends = log.expert_weights.tolist(), np.cumsum(log.pool).tolist()
+    try:  # one fsum per step that logs members, over its slice of the weights
+        deviations = [abs(math.fsum(weights[a:b]) - 1.0)
+                      for a, b in zip([0, *ends], ends) if b > a]
     except ValueError:  # fsum of inf and -inf: the weights have no sum
         deviations = [math.nan]
     # np.max, not max(): a NaN weight must make the check fail
     checks = [BoundCheck("weight-simplex", 1e-12, np.max(deviations or [0.0]),
                          "mixture weights sum to 1 at every step")]
-    entrants = np.diff(sizes)
+    entrants = np.diff(log.pool)
     checks.append(BoundCheck("one-entrant-per-step", 0.0,
                              np.count_nonzero((entrants < 0) | (entrants > 1)),
                              "steps where the pool loses a member or gains more than one"))
-    D = int(sizes.max())
     if D:  # no member is active before step start_1
         bound = mixture_regret_bound(len(log), D, entry_step(config.schedule, 1))
         checks.extend(BoundCheck(f"mixture-regret(d={d})", bound,
-                                 _order_regret(log, config.loss, d, sizes, losses),
+                                 _order_regret(log, config.loss, d, losses),
                                  f"D = {D} members: the largest pool in the log")
                       for d in range(1, D + 1))
     return checks

@@ -316,8 +316,33 @@ def hand_run(forecaster, ys, xs=None) -> RunLog:
               else [";".join(map(fmt17, row)) for row in np.asarray(xs, dtype=float).tolist()])
     ints = (np.array(columns[name], dtype=np.int64)
             for name in ("leaf_h", "leaf_i", "n_nodes", "height"))
+    pool = np.array([len(step) for step in columns["experts"]], dtype=np.int64)
+    members = (np.array([v for step in columns[name] for v in step], dtype=float)
+               for name in ("experts", "weights"))
     return RunLog(np.arange(1, T + 1, dtype=np.int64), x_text, np.array(preds),
-                  np.asarray(ys, dtype=float), *ints, columns["experts"], columns["weights"], {})
+                  np.asarray(ys, dtype=float), *ints, pool, *members, {})
+
+
+def member_rows(log):
+    """Each step's member predictions and weights, two lists of floats, cut from
+    the log's flat columns one step at a time."""
+    start = 0
+    for size in log.pool.tolist():
+        yield (log.expert_preds[start:start + size].tolist(),
+               log.expert_weights[start:start + size].tolist())
+        start += size
+
+
+def set_members(log, k, preds, weights) -> None:
+    """Give step ``k`` (from 0) of the in-memory ``log`` the members ``preds`` and
+    ``weights``: its pool size and both flat columns change together."""
+    assert len(preds) == len(weights)
+    start = int(log.pool[:k].sum())
+    end = start + int(log.pool[k])
+    log.expert_preds = np.concatenate([log.expert_preds[:start], preds, log.expert_preds[end:]])
+    log.expert_weights = np.concatenate([log.expert_weights[:start], weights,
+                                         log.expert_weights[end:]])
+    log.pool[k] = len(preds)
 
 
 def write_steps_csv(log, path) -> None:
@@ -325,7 +350,7 @@ def write_steps_csv(log, path) -> None:
     with open(Path(path), "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(STEP_COLUMNS)
-        for k in range(len(log)):
+        for k, (experts, weights) in enumerate(member_rows(log)):
             writer.writerow((
                 int(log.t[k]),
                 log.x_text[k],
@@ -335,8 +360,8 @@ def write_steps_csv(log, path) -> None:
                 int(log.leaf_i[k]) if log.leaf_i[k] >= 0 else "",
                 int(log.n_nodes[k]),
                 int(log.height[k]),
-                ";".join(fmt17(v) for v in log.expert_preds[k]),
-                ";".join(fmt17(v) for v in log.expert_weights[k]),
+                ";".join(fmt17(v) for v in experts),
+                ";".join(fmt17(v) for v in weights),
             ))
 
 
@@ -380,6 +405,7 @@ def node_growth_csv(named_logs) -> str:
 def weights_csv(named_logs) -> str:
     """The report's ``weights.csv``: one row per logged member weight."""
     return csv_text(("run", "t", "d", "weight"),
-                    ((name, int(log.t[k]), d, fmt17(w))
-                     for name, log in named_logs for k in range(len(log))
-                     for d, w in enumerate(log.expert_weights[k], start=1)))
+                    ((name, int(t), d, fmt17(w))
+                     for name, log in named_logs
+                     for t, (_, weights) in zip(log.t, member_rows(log))
+                     for d, w in enumerate(weights, start=1)))

@@ -84,7 +84,7 @@ class TestRun:
     def test_meta_run_records_members(self, run_log):
         log = run_log(RunConfig("meta", ABS), uniform(300, 4))
         assert log.summary["final"]["n_active"] == 8  # next entry at 512
-        assert len(log.expert_preds[-1]) == 8
+        assert log.pool[-1] == 8
         assert log.x_text == [""] * 300  # the y column holds the lag windows
 
     @pytest.mark.parametrize("schedule, max_d, T", [
@@ -100,8 +100,8 @@ class TestRun:
         assert [m["d"] for m in members] == list(range(1, final["n_active"] + 1))
         for m in members:
             # the first step whose experts cell holds d predictions; T + 1 if none does
-            first = next((t for t, preds in enumerate(log.expert_preds, start=1)
-                          if len(preds) >= m["d"]), T + 1)
+            first = next((t for t, size in enumerate(log.pool.tolist(), start=1)
+                          if size >= m["d"]), T + 1)
             assert m["start"] == first, m
         assert sum(m["n_nodes"] for m in members) == final["n_nodes"] == log.n_nodes[-1]
         assert max(m["height"] for m in members) == final["height"] == log.height[-1]
@@ -239,8 +239,9 @@ class TestDeterminism:
         steps = reference.hand_run(MetaForecaster(ABS), ys)
         assert np.array_equal(back.preds, steps.preds)
         assert np.array_equal(back.ys, ys)
-        assert back.expert_preds == steps.expert_preds
-        assert back.expert_weights == steps.expert_weights
+        for name in ("pool", "expert_preds", "expert_weights"):
+            a, b = getattr(back, name), getattr(steps, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
         assert back.summary == json.loads(json.dumps(summary))
 
     def test_long_tree_log_round_trip(self, tmp_path):
@@ -251,7 +252,8 @@ class TestDeterminism:
         for name in ("t", "preds", "ys", "leaf_h", "leaf_i", "n_nodes", "height"):
             assert np.array_equal(getattr(back, name), getattr(steps, name)), name
         assert back.x_text == steps.x_text
-        assert back.expert_preds == back.expert_weights == [()] * 2500
+        assert back.pool.tolist() == [0] * 2500
+        assert back.expert_preds.shape == back.expert_weights.shape == (0,)
 
     @pytest.mark.parametrize("damage, message", [
         (lambda lines: lines[:1], "step log is empty"),
@@ -287,6 +289,9 @@ class TestDeterminism:
          "row 1700: 1 experts but 0 weights"),
         (lambda lines: with_cell(lines, 2049, "weights", "0.5;0.5"),
          "row 2049: 0 experts but 2 weights"),
+        # a member, with its weight, in a run that logs none
+        (lambda lines: with_cell(with_cell(lines, 6, "experts", "0.5"), 6, "weights", "0.7"),
+         "row 6: 1 experts in a tree run, which logs no members"),
     ])
     def test_damaged_step_log_rejected(self, tmp_path, damage, message):
         xs, ys = uniform(2500, 10, d=2)
@@ -612,7 +617,8 @@ class TestVerifyBounds:
         empty = RunLog(np.empty(0, dtype=np.int64), [], np.empty(0), np.empty(0),
                        np.empty(0, dtype=np.int64),
                        np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                       np.empty(0, dtype=np.int64), [], [], log.summary)
+                       np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                       np.empty(0), np.empty(0), log.summary)
         with pytest.raises(RejectedInputError):
             verify_bounds(empty)
 
@@ -653,10 +659,12 @@ class TestVerifyBounds:
             log.preds[k] = 1.0 - log.preds[k]
         elif edit in ("n_nodes", "height", "leaf_h"):
             getattr(log, edit)[k] += 100
-        elif edit == "members":
-            log.expert_preds[k] = log.expert_preds[k][:-1]
+        elif edit == "members":  # the newest member, with its weight, skips step k
+            preds, weights = list(reference.member_rows(log))[k]
+            reference.set_members(log, k, preds[:-1], weights[:-1])
         elif edit == "weights":
-            log.expert_weights[k] = (math.nan,) * len(log.expert_weights[k])
+            preds, _ = list(reference.member_rows(log))[k]
+            reference.set_members(log, k, preds, [math.nan] * len(preds))
         for c in verify_bounds(log, lipschitz_L=None if forecaster == "eg" else 1.0):
             assert c.passed == (c.achieved <= c.bound) == (c.slack >= 0), c.name
             assert c.to_dict()["passed"] is c.passed, c.name
@@ -688,15 +696,19 @@ class TestVerifyBounds:
     @pytest.mark.parametrize("edit", ["member-leaves", "two-entrants"])
     def test_a_pool_that_does_not_grow_one_at_a_time_fails(self, run_log, edit, edited):
         log = run_log(RunConfig("meta", ABS), uniform(100, 18))
-        sizes = list(map(len, log.expert_preds))
+        sizes = log.pool.tolist()
         # steps amid a stretch of one pool size, no two of them adjacent
         steps = [k for k in range(1, 99) if sizes[k - 1] == sizes[k] == sizes[k + 1] >= 2]
         for k in steps[::2][:edited]:
-            if edit == "member-leaves":  # the newest member skips one step
-                log.expert_preds[k] = log.expert_preds[k][:-1]
-            else:  # two members enter at once and stay
+            if edit == "member-leaves":  # the newest member skips one step; the first
+                # takes its weight, so the weights still sum to 1
+                preds, weights = list(reference.member_rows(log))[k]
+                reference.set_members(log, k, preds[:-1],
+                                      [weights[0] + weights[-1], *weights[1:-1]])
+            else:  # two members enter at once, with no weight, and stay
                 for j in range(k, 100):
-                    log.expert_preds[j] += (0.5, 0.5)
+                    preds, weights = list(reference.member_rows(log))[j]
+                    reference.set_members(log, j, preds + [0.5, 0.5], weights + [0.0, 0.0])
         checks = verify_bounds(log)
         assert [c.name for c in checks if not c.passed] == ["one-entrant-per-step"]
         check = next(c for c in checks if c.name == "one-entrant-per-step")
@@ -706,14 +718,16 @@ class TestVerifyBounds:
         log = run_log(RunConfig("meta", ABS), uniform(100, 18))
         with pytest.raises(RejectedInputError):
             expert_regret(log, 25)
+        # no order below 1: the flat column holds no member before the first
+        for d in (0, -1, True):
+            with pytest.raises(RejectedInputError, match=rf"^d must be an integer >= 1, got {d}$"):
+                expert_regret(log, d)
 
     @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan")])
     def test_expert_regret_rejects_an_out_of_range_member_prediction(self, run_log, bad):
         log = run_log(RunConfig("meta", ABS), uniform(100, 18))
         k = 60
-        preds = list(log.expert_preds[k])
-        preds[1] = bad
-        log.expert_preds[k] = tuple(preds)
+        log.expert_preds[log.pool[:k].sum() + 1] = bad  # step k's order-2 member
         assert math.isfinite(expert_regret(log, 1))  # order 1 is untouched
         with pytest.raises(RejectedInputError, match=rf"pred must lie in \[0, 1\], got {bad!r}"):
             expert_regret(log, 2)
@@ -723,12 +737,13 @@ class TestVerifyBounds:
     def test_expert_regret_adds_the_per_step_gaps_left_to_right(self, run_log, loss):
         log = run_log(RunConfig("meta", loss), uniform(700, 23))
         achieved = {c.name: c.achieved for c in verify_bounds(log)}
-        D = len(log.expert_preds[-1])
+        D = int(log.pool[-1])
         assert [name for name in achieved if name.startswith("mixture-regret")] == [
             f"mixture-regret(d={d})" for d in range(1, D + 1)]
         for d in range(1, D + 1):
             total = 0.0
-            for preds, pred, y in zip(log.expert_preds, log.preds.tolist(), log.ys.tolist()):
+            for (preds, _), pred, y in zip(reference.member_rows(log), log.preds.tolist(),
+                                           log.ys.tolist()):
                 if len(preds) >= d:
                     total += loss.value(pred, y) - loss.value(preds[d - 1], y)
             assert expert_regret(log, d) == total == achieved[f"mixture-regret(d={d})"]
@@ -781,7 +796,7 @@ class TestVerifyBounds:
         log = run_log(RunConfig("meta", ABS), uniform(T, 23))
         check = next(c for c in verify_bounds(log, lipschitz_L=1.0)
                      if c.name.startswith("combined-regret"))
-        D = max(map(len, log.expert_preds))
+        D = int(log.pool.max())
         assert check.bound == combined_regret_bound(ABS.M, 1.0, 1, T, 2, D)
         assert check.bound == 2 + reference.mixture_bound(T, D, 2) + lipschitz_regret_bound(
             ABS.M, 1.0, 1, T)
@@ -819,8 +834,8 @@ class TestReport:
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(("run", "t", "d", "weight"))
-        writer.writerows((name, t, d, "%.17g" % w) for t, weights in
-                         zip(log.t.tolist(), log.expert_weights)
+        writer.writerows((name, t, d, "%.17g" % w) for t, (_, weights) in
+                         zip(log.t.tolist(), reference.member_rows(log))
                          for d, w in enumerate(weights, start=1))
         assert (tmp_path / "tables" / "weights.csv").read_text() == expected.getvalue()
         expected = io.StringIO()

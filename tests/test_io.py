@@ -103,8 +103,9 @@ class TestRoundTrips:
             if kind == "meta" else [0] * n
         floats = [np.array(data.draw(st.lists(finite, min_size=n, max_size=n)))
                   for _ in range(2)]
-        tuples = [[tuple(data.draw(st.lists(finite, min_size=k, max_size=k))) for k in sizes]
-                  for _ in range(2)]
+        pool = np.array(sizes, dtype=np.int64)
+        members = [np.array(data.draw(st.lists(finite, min_size=sum(sizes), max_size=sum(sizes))),
+                            dtype=float) for _ in range(2)]
         # the fields read_run_log requires of a summary
         summary = {"format": LOG_FORMAT, "T": n, "cumulative_loss": 0.0,
                    "data_digest": "0" * 64,
@@ -114,18 +115,21 @@ class TestRoundTrips:
                      np.array(leaf_h, dtype=np.int64), np.array(leaf_i, dtype=np.int64),
                      np.array(data.draw(st.lists(ints, min_size=n, max_size=n))),
                      np.array(data.draw(st.lists(ints, min_size=n, max_size=n))),
-                     *tuples, summary)
+                     pool, *members, summary)
         out = tmp_path_factory.mktemp("log")
         with mock.patch.object(harness, "_ROW_BLOCK", block):
             write_run_log(log, out)
         reference.write_steps_csv(log, out / "reference.csv")
         assert (out / "steps.csv").read_bytes() == (out / "reference.csv").read_bytes()
-        back = read_run_log(out)
-        for name in ("t", "preds", "ys", "leaf_h", "leaf_i", "n_nodes", "height"):
-            assert same_bits(getattr(back, name), getattr(log, name)), name
-        assert back.x_text == x_text
-        assert back.expert_preds == tuples[0] and back.expert_weights == tuples[1]
-        assert back.summary == summary
+        with mock.patch.object(harness, "_csv_blocks", side_effect=AssertionError("parsed")):
+            cached = read_run_log(out)  # from steps.cache
+        (out / "steps.cache").unlink()
+        for back in (cached, read_run_log(out)):
+            for name in ("t", "preds", "ys", "leaf_h", "leaf_i", "n_nodes", "height", "pool",
+                         "expert_preds", "expert_weights"):
+                assert same_bits(getattr(back, name), getattr(log, name)), name
+            assert back.x_text == x_text
+            assert back.summary == summary
 
 
 # replacement cells: not numbers, below 0, above 1, NaN and infinities
@@ -279,7 +283,9 @@ class TestSplitter:
         for name in ("t", "preds", "ys", "leaf_h", "leaf_i", "n_nodes", "height"):
             assert same_bits(getattr(back, name), getattr(log, name)), name
         assert back.x_text == log.x_text
-        assert back.expert_preds == back.expert_weights == [()] * 2100
+        assert same_bits(back.pool, np.zeros(2100, np.int64))
+        assert same_bits(back.expert_preds, np.empty(0)) and same_bits(back.expert_weights,
+                                                                        np.empty(0))
 
 
 ABS = LossSpec("absolute")
@@ -408,7 +414,7 @@ class TestRenderedBlocks:
             run_to(tmp_path, forecaster, T)
         log = read_run_log(tmp_path)
         if forecaster == "meta" and min(block, T) > 1:  # a member enters inside a block
-            assert len(set(map(len, log.expert_weights[:block]))) > 1
+            assert len(set(log.pool[:block].tolist())) > 1
         reference.write_steps_csv(log, tmp_path / "reference.csv")
         assert (tmp_path / "steps.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 

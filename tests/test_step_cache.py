@@ -21,9 +21,11 @@ from egtree import harness
 from egtree.cli import main
 from egtree.errors import RejectedInputError
 from egtree.harness import RunConfig, read_run_log, report, run, write_run_log
+from reference import set_members
 from test_golden import case, cases, dyadic_mix
 
-NUMBERS = ("t", "preds", "ys", "leaf_h", "leaf_i", "n_nodes", "height")
+NUMBERS = ("t", "preds", "ys", "leaf_h", "leaf_i", "n_nodes", "height", "pool",
+           "expert_preds", "expert_weights")
 LONG = "meta-T2500"  # crosses two 1024-row blocks
 
 
@@ -38,7 +40,6 @@ def assert_same_log(a, b):
         x, y = getattr(a, name), getattr(b, name)
         assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
     assert a.x_text == b.x_text
-    assert a.expert_preds == b.expert_preds and a.expert_weights == b.expert_weights
     assert a.summary == b.summary and a.config == b.config
 
 
@@ -159,10 +160,11 @@ def _edit_cache(rundir, edit):
     lambda data: data[:len(data) // 2],
     lambda data: data[:-1],
     lambda data: data.replace(harness._CACHE_TAG, b"egtree-steps-cache-v9\n"),
+    lambda data: data.replace(harness._CACHE_TAG, b"egtree-steps-cache-v1\n"),
     lambda data: data[:-harness._TRAILER.size],
     lambda data: b"",
 ], ids=["a-payload-bit-flipped", "cut-in-half", "a-byte-short", "an-unknown-tag",
-        "no-trailer", "empty"])
+        "the-v1-tag", "no-trailer", "empty"])
 def test_a_damaged_cache_is_passed_over(tree_run, edit):
     _edit_cache(tree_run, edit)
     assert_same_outcome(passed_over(tree_run), csv_read(tree_run))
@@ -199,18 +201,16 @@ def test_a_summary_that_disagrees_with_the_cache_is_parsed(tree_run):
         assert result == csv_read(tree_run)
 
 
-@pytest.mark.parametrize("fault", ["a-leaf-that-is-no-node", "more-experts-than-weights"])
+@pytest.mark.parametrize("fault", ["a-leaf-that-is-no-node", "a-member-in-a-tree-run"])
 def test_a_faulty_log_with_a_cache_fails_as_its_csv_does(tmp_path, fault):
     rng = np.random.default_rng(8)
     source = tmp_path / "source"
+    run(RunConfig("tree", d=1), rng.random(1200), rng.random(1200), source)
+    log = read_run_log(source)
     if fault == "a-leaf-that-is-no-node":
-        run(RunConfig("tree", d=1), rng.random(1200), rng.random(1200), source)
-        log = read_run_log(source)
         log.leaf_i[1100] = 2 ** log.leaf_h[1100] + 1
     else:
-        run(RunConfig("meta"), rng.random(1200), None, source)
-        log = read_run_log(source)
-        log.expert_preds[1100] += (0.5,)
+        set_members(log, 1100, [0.5], [0.7])
     rundir = tmp_path / "faulty"
     write_run_log(log, rundir)
     assert (rundir / "steps.cache").exists()
@@ -218,8 +218,8 @@ def test_a_faulty_log_with_a_cache_fails_as_its_csv_does(tmp_path, fault):
     assert result == csv_read(rundir) == {
         "a-leaf-that-is-no-node": f"row 1102: leaf_h '{log.leaf_h[1100]}', leaf_i "
                                   f"'{log.leaf_i[1100]}' is no node of a tree",
-        "more-experts-than-weights": f"row 1102: {len(log.expert_preds[1100])} experts but "
-                                     f"{len(log.expert_weights[1100])} weights"}[fault]
+        "a-member-in-a-tree-run": "row 1102: 1 experts in a tree run, which logs no members",
+    }[fault]
 
 
 def _hand_log(preds=(0.5,) * 4, **fields):
@@ -231,7 +231,8 @@ def _hand_log(preds=(0.5,) * 4, **fields):
     columns = {"t": np.arange(1, n + 1), "x_text": [""] * n, "preds": np.array(preds),
                "ys": np.full(n, 0.5), "leaf_h": np.full(n, -1), "leaf_i": np.full(n, -1),
                "n_nodes": np.ones(n, np.int64), "height": np.zeros(n, np.int64),
-               "expert_preds": [()] * n, "expert_weights": [()] * n} | fields
+               "pool": np.zeros(n, np.int64), "expert_preds": np.empty(0),
+               "expert_weights": np.empty(0)} | fields
     return harness.RunLog(**columns, summary=summary)
 
 
@@ -263,6 +264,23 @@ def test_a_log_whose_text_reads_back_otherwise_gets_no_cache(tmp_path, fields):
     (tmp_path / "steps.cache").write_bytes(b"an earlier cache")
     write_run_log(_hand_log(**fields), tmp_path)
     assert not (tmp_path / "steps.cache").exists()
+
+
+@pytest.mark.parametrize("fields", [
+    {"pool": np.array([0, -1, 1, 0])},
+    {"pool": np.array([0, 2, 1, 0])},
+    {"pool": np.array([0, 2, 0, 0]), "expert_weights": np.array([0.5])},
+    {"pool": np.zeros(3, np.int64)},
+    {"pool": np.array([0.0, 2.0, 0.0, 0.0])},
+], ids=["negative", "more-than-the-values", "fewer-weights", "a-step-short", "not-integers"])
+def test_a_pool_that_does_not_cut_the_member_columns_is_rejected(tmp_path, fields):
+    (tmp_path / "steps.csv").write_text("an earlier log")
+    before = tables(tmp_path)
+    log = _hand_log(**{"expert_preds": np.array([0.5, 0.5]),
+                       "expert_weights": np.array([0.5, 0.5])} | fields)
+    with pytest.raises(RejectedInputError, match="^pool must hold 4 integers >= 0 adding up"):
+        write_run_log(log, tmp_path)
+    assert tables(tmp_path) == before
 
 
 def test_a_run_replaces_the_cache_of_an_earlier_run(tree_run, tmp_path):
