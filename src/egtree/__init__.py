@@ -21,12 +21,12 @@ forecaster knows as a tuple, in the order of the class-level tuple
 :func:`egtree.harness.run`, the run of ``egtree run``, drives all three
 through one loop that keeps ``trace()`` per step, and writes the step log
 to a directory a block of steps at a time;
-:func:`egtree.harness.read_run_log` reads it back as a :class:`RunLog`.
-The run checks a tree run's covariates once, as an array, hands the rows
-to ``PartitionTree._predict``, which checks nothing again, and writes them
-as the log's ``x`` column itself; the public ``predict`` checks its point
-for every other caller.  The members of a ``MetaForecaster`` are plain
-``PartitionTree`` objects, one per lag order.
+:func:`egtree.harness.read_run_log` reads it back as a :class:`RunLog` of
+arrays.  A run checks a tree's covariates once, as an array, hands the
+rows to ``PartitionTree._predict``, which checks nothing again, and logs
+them as ``x`` (``RunLog.x``: float64, shape (T, d)); the public
+``predict`` checks its point for every other caller.  The members of a
+``MetaForecaster`` are plain ``PartitionTree`` objects, one per lag order.
 """
 
 from .autoregressive import MetaForecaster

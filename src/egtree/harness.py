@@ -2,73 +2,54 @@
 
 A run follows the strict predict-then-observe protocol step by step and
 records everything needed to re-verify the guarantees offline: the
-prediction and outcome of every step (its loss is not logged: the
-verifier recomputes it from the two), the active leaf and tree size for
-tree runs, and the member predictions and mixture weights for aggregated
-runs.  Logs are written as a CSV of steps plus a JSON summary, in the
-format ``LOG_FORMAT`` (``egtree-runlog-v2``, which is the
-``egtree-runlog-v1`` step log less its ``loss`` column); floats are
+prediction and outcome of every step (the verifier recomputes its loss
+from the two), a tree run's covariate rows, active leaf and tree size,
+and a mixture's member predictions and weights.  Logs are a CSV of steps
+plus a JSON summary, in the format ``LOG_FORMAT`` (``egtree-runlog-v2``,
+the ``egtree-runlog-v1`` step log less its ``loss`` column); floats are
 printed with 17 significant digits so they round-trip exactly and two
 identical runs produce byte-identical step files.
 
-:func:`run` (``egtree run``) checks its inputs as whole arrays before
-the first step, and before any file is opened, then drives every
-forecaster through one loop (:func:`_step_blocks`) that produces the step
-log a block of ``_ROW_BLOCK`` steps at a time; a tree takes its checked
-covariate rows through ``PartitionTree._predict``.  Each block's log
-fields (``trace()``) go into one flat list, cut into the block's columns
-after its steps, where the harness renders the block's data rows once,
-as the text that both its ``x`` and ``y`` cells (a tree run's ``x``
-cells; others are empty) and the running sha256 of :func:`data_digest`
-are cut from, and adds the block's losses to the running cumulative
-loss.  Each block is written as it arrives and the summary last, so a
-run holds the forecaster and one block, never the whole log; the whole
-log is only ever read back (:func:`read_run_log`).  The files are written
-under temporary names and renamed into place at the end, so a run
-rejected midway leaves its directory as it found it.
-:func:`write_run_log` writes a :class:`RunLog` read back, or built by
-hand, through the same block writer.
+:func:`run` (``egtree run``) checks its inputs as whole arrays before any
+file is opened, then drives every forecaster through one loop
+(:func:`_step_blocks`) that makes the step log a block of ``_ROW_BLOCK``
+steps at a time.  A block's data rows are rendered once, as the text that
+its ``x`` and ``y`` cells and the running sha256 of :func:`data_digest`
+are cut from.  Each block is written as it arrives and the summary last,
+so a run holds the forecaster and one block, never the whole log; the
+files are written under temporary names and renamed into place at the
+end, so a rejected run leaves its directory as it found it.
+:func:`write_run_log` writes a :class:`RunLog` through the same block
+writer, if :func:`read_run_log` could return it.
 
-Every value is rendered or parsed once, and a canonical input or a
-cached step log not even once: a run renders each covariate and outcome
-once, for its step log and its digest alike.  ``steps.csv`` is the log;
-the step-log writer (:func:`_write_steps`) also writes, in the same
-pass, ``steps.cache``: each block's columns as :func:`read_run_log`
-parses them, stamped with the sha256 of ``steps.csv``.  The cache is
-derived, optional and pinned by no digest; :func:`read_run_log` loads a
-log from it where the stamps match, and parses ``steps.csv`` otherwise,
-so deleting it changes only speed.  The writers (series and covariate
-files, the report's per-step tables) and :func:`data_digest` take each
-column once (``tolist``), the step-log writer a block of steps at a
-time, and all render a block of ``_ROW_BLOCK`` rows with a single ``%``
-format (:func:`_rendered`); no field but a report's run name ever needs
-CSV quoting, and that one is quoted once per run.  The readers take a
-file a block of lines at a time and cut a block that ``csv.reader``
-would split plainly with one ``str.split``; from the first block with a
-quote, a ``\\r``, a wrong field count or an oversized line on,
-``csv.reader`` splits the rest (:func:`_column_blocks`).
-:func:`read_input` tells a series from a covariate file by its header
-alone.  The numbers of a CSV are parsed by ``np.array(cells, dtype)``,
-which reads each cell as ``int`` or ``float`` does: an input block as
-one array, range-checked at once, a step-log block a column at a time
-(a member column as one array of its nonempty cells' ``;``-joined
-values, and a block of empty member or leaf cells, as all but a
-mixture's or a tree's log holds, parses no cell).  A block that fails
-is rescanned row by row for its first bad row, field and value.  The
-step-log reader reads ``LOG_FORMAT`` alone, rejects a leaf that is no
-node of a tree and a member outside a mixture run, and checks the
-fields of ``summary.json`` that the verifier and the report read.  A
-file that does not decode is rejected, naming it.  Every input file
-this module writes holds the text that :func:`data_digest` hashes, as
-it stands, so :func:`input_digest` checks such a file against a run by
-hashing it block by block; it parses and renders only a file that does
-not hash to the run's digest.
+``steps.csv`` is the log.  Its writer (:func:`_write_steps`) also writes,
+in the same pass, ``steps.cache``: each block's columns as
+:func:`read_run_log` parses them, stamped with the sha256 of
+``steps.csv``.  The cache is derived, optional and pinned by no digest:
+:func:`read_run_log` loads a log from it where the stamps match and
+parses ``steps.csv`` otherwise, so deleting it changes only speed.
+Every writer renders a block of ``_ROW_BLOCK`` rows with one ``%`` format
+(:func:`_rendered`).  The readers take a file a block of lines at a time
+and cut a block that ``csv.reader`` would split plainly with one
+``str.split``; from the first block that is not plain on, ``csv.reader``
+splits the rest (:func:`_column_blocks`).  The numbers of a block are
+parsed by ``np.array(cells, dtype)``, a column at a time (``x`` and the
+member columns as one array of their ``;``-joined values), and a block
+that fails is rescanned row by row for its first bad row, field and
+value.  The step-log reader reads ``LOG_FORMAT`` alone, rejects a leaf
+that is no node of a tree, a member outside a mixture run and an ``x``
+cell that is not the run's covariate row (``d`` values in a tree run,
+none elsewhere), and checks the fields of ``summary.json`` that the
+verifier and the report read.  A file that does not decode is rejected,
+naming it.  :func:`input_digest` checks an input file that this module
+wrote against a run by hashing it as it stands.
 
-A read log's :class:`RunLog` holds its summary's :class:`RunConfig`,
-parsed once.  :mod:`egtree.verify` checks a run's guarantees against it;
-its :func:`verify_bounds` and :func:`expert_regret` are importable here.
-:func:`report` reads its runs one at a time and writes each run's
-per-step rows as it goes.
+A :class:`RunLog` holds every column as a numpy array, a tree run's
+covariates as ``x`` (float64, shape (T, d)), and its summary's
+:class:`RunConfig`.  :mod:`egtree.verify` checks a run's guarantees
+against it; its :func:`verify_bounds` and :func:`expert_regret` are
+importable here.  :func:`report` reads its runs one at a time and writes
+each run's per-step rows as it goes.
 """
 
 from __future__ import annotations
@@ -211,11 +192,11 @@ class RunConfig:
 
 @dataclass
 class RunLog:
-    """Per-step records plus the run summary, and the summary's config as parsed
-    by :func:`read_run_log` (None in a log built by hand, unless given)."""
+    """Per-step records plus the run summary, and the :class:`RunConfig` that the
+    summary's ``config`` holds, parsed when the log is built."""
 
     t: np.ndarray
-    x_text: list            # a tree run's covariate rows, "x1;..;xd"; "" elsewhere
+    x: np.ndarray           # float64 (T, d): a tree run's covariate rows; (T, 0) elsewhere
     preds: np.ndarray
     ys: np.ndarray
     leaf_h: np.ndarray      # -1 where no tree is involved
@@ -226,10 +207,18 @@ class RunLog:
     expert_preds: np.ndarray    # float64: pool.sum() values, step by step, members in order
     expert_weights: np.ndarray  # float64: as expert_preds
     summary: dict
-    config: RunConfig | None = field(default=None, kw_only=True)
+    config: RunConfig = field(init=False)
+
+    def __post_init__(self):
+        self.config = RunConfig.from_dict(json_field(self.summary, "config", dict, "summary"))
 
     def __len__(self) -> int:
         return len(self.t)
+
+
+def _x_width(config: RunConfig) -> int:
+    """The values of each ``x`` cell of a run's step log: its ``d`` for a tree run, else 0."""
+    return config.d if config.forecaster == "tree" else 0
 
 
 def _check_series(ys) -> np.ndarray:
@@ -289,18 +278,18 @@ class _Block:
     range): ``x`` and ``y`` are the cells' text, ``leaf_h`` and ``leaf_i``
     are -1 where no leaf is logged, and the members are floats, flat:
     ``pool[k]`` of each at the block's step ``k``.
-    ``arrays`` holds ``t``, ``pred``, ``y``, ``leaf_h``, ``leaf_i``,
-    ``n_nodes`` and ``height`` as int64 and float64 arrays where the
-    block's producer vouches that its cells read back as their values, and
-    its ``x`` cells as themselves; else it is None, and the log gets no
-    cache (:func:`_write_steps`).  A block of a running run also carries
-    the cumulative loss and the :func:`data_digest` of every step up to
-    its last; a block cut from a finished :class:`RunLog` carries neither.
+    ``arrays`` holds ``t``, ``x`` (float64 of shape (n, d) for a tree run,
+    (n, 0) otherwise), ``pred``, ``y``, ``leaf_h``, ``leaf_i``, ``n_nodes``
+    and ``height`` as int64 and float64 arrays, which ``steps.cache``
+    stores as the cells read back (:func:`_write_steps`).  A block of a
+    running run also carries the cumulative loss and the
+    :func:`data_digest` of every step up to its last; a block cut from a
+    finished :class:`RunLog` carries neither.
     """
 
     columns: list
     pool: list
-    arrays: list | None
+    arrays: list
     cumulative_loss: float | None = None
     data_digest: str | None = None
 
@@ -316,7 +305,8 @@ def _step_blocks(config: RunConfig, forecaster, ys: np.ndarray, xs):
     loop its fields are cut into columns, and its data rows are rendered
     once, by one ``%`` format, as ``x1;..;xd,y`` (a tree run's) or ``y``
     lines: that text, respelled, feeds the running sha256 of
-    :func:`data_digest`, and cut, gives the ``x`` and ``y`` cells.
+    :func:`data_digest`, and cut, gives the ``x`` and ``y`` cells.  The
+    block's ``x`` array is the slice of the checked rows itself.
     ``LossSpec.value_array`` (the floats of ``LossSpec.value``) computes
     the block's losses, which are added to the running cumulative loss
     left to right; the log holds no loss.  A leaf index beyond the 64 bits
@@ -335,9 +325,10 @@ def _step_blocks(config: RunConfig, forecaster, ys: np.ndarray, xs):
         y = block_ys.tolist()
         n = len(y)
         if xs is None:
-            x_columns, points = [], itertools.repeat(None, n)
+            rows, x_columns, points = np.empty((n, 0)), [], itertools.repeat(None, n)
         else:  # the rows checked before the run, as tuples of Python floats
-            x_columns = xs[start:start + n].T.tolist()
+            rows = xs[start:start + n]
+            x_columns = rows.T.tolist()
             points = zip(*x_columns)
         # the fields of every step in one flat list: no container per step
         # outlives its step, so the loop adds no work for the garbage collector
@@ -377,7 +368,7 @@ def _step_blocks(config: RunConfig, forecaster, ys: np.ndarray, xs):
         losses = config.loss.value_array(pred, block_ys).tolist()
         cumulative = left_sum(losses, cumulative)  # as verify_bounds resums them
         # the traced integers are Python ints, as the cells render them
-        arrays = [np.arange(start + 1, start + n + 1), pred, block_ys] + [
+        arrays = [np.arange(start + 1, start + n + 1), rows, pred, block_ys] + [
             np.fromiter(columns[name], np.int64, n) if name in forecaster.TRACED
             else np.full(n, columns[name][0]) for name in ("leaf_h", "leaf_i", "n_nodes", "height")]
         yield _Block([columns[name] for name in STEP_COLUMNS], pool, arrays, cumulative,
@@ -412,13 +403,10 @@ def run(config: RunConfig, ys, xs, outdir, save_state: bool = False) -> dict:
     ``xs`` (shape (T, d), values in [0,1]) is required for tree runs and
     must be None otherwise.  Both are checked (:func:`_checked`) before any
     file is opened.  Each block of steps (:func:`_step_blocks`) is written
-    to ``steps.csv``, the log, as it arrives, and ``summary.json`` last, so
-    no more than the forecaster and one block is held, never the whole
-    log; its ``wall_clock_sec`` covers the writing.  The same pass writes
-    ``steps.cache``, the blocks as :func:`read_run_log` parses them,
-    stamped with the sha256 of ``steps.csv`` (:func:`_write_steps`): it
-    is derived and optional, it only spares :func:`read_run_log` the
-    parse, and no digest pins it.  With ``save_state`` a tree run's final
+    to ``steps.csv`` and its derived ``steps.cache`` as it arrives
+    (:func:`_write_steps`), and ``summary.json`` last, so no more than the
+    forecaster and one block is held, never the whole log; its
+    ``wall_clock_sec`` covers the writing.  With ``save_state`` a tree run's final
     tree is written as ``tree.json``; no other forecaster can save its
     state yet, and a run without it removes a ``tree.json`` that an
     earlier run left in ``outdir``.  The files are written under temporary
@@ -469,7 +457,7 @@ def _leaf_cells(values: list) -> list:
     return ["" if v < 0 else v for v in values]
 
 
-def _write_steps(path, cache_path, blocks) -> _Block | None:
+def _write_steps(path, cache_path, blocks) -> _Block:
     """Write ``steps.csv`` to ``path`` and its cache to ``cache_path``, a block
     at a time as the blocks arrive; returns the last block.
 
@@ -482,24 +470,23 @@ def _write_steps(path, cache_path, blocks) -> _Block | None:
     steps is:
 
     - three int64: ``n``, the number ``m`` of expert values in the block
-      (and of weight values), and the number of bytes of its ``x`` text;
+      (and of weight values), and the number ``w`` of values in each
+      ``x`` cell (the ``d`` of a tree run, 0 otherwise);
     - ``pred`` and ``y`` as float64, ``n`` each;
     - ``leaf_h``, ``leaf_i`` (-1 where no leaf is logged), ``n_nodes``,
       ``height`` and ``pool`` (the members at each step) as int64, ``n``
       each;
     - the expert and the weight values as float64, ``m`` each;
-    - the ``x`` cells joined by ``\\n``, as ASCII.
+    - the ``x`` values as float64, ``n * w``, step by step.
 
     A float is stored as its cell reads back: every NaN as the one NaN
     that ``float("nan")`` gives.  The blocks are followed by a trailer
     (``_TRAILER``): the tag ``_CACHE_TAG``, the sha256 of the bytes of
-    ``steps.csv`` and the sha256 of the blocks.  A log with no step, or
-    with a block whose ``arrays`` are None, gets no cache: the partial one
-    is removed.
+    ``steps.csv`` and the sha256 of the blocks.  ``blocks`` yields at
+    least one block.
     """
     encoding = locale.getpreferredencoding(False)  # what open() writes text with
     steps_sha, cache_sha = hashlib.sha256(), hashlib.sha256()
-    block, cached = None, True
     with open(path, "wb") as fh, open(cache_path, "wb") as cache:
         data = (",".join(STEP_COLUMNS) + "\n").encode(encoding)
         steps_sha.update(data)
@@ -511,21 +498,15 @@ def _write_steps(path, cache_path, blocks) -> _Block | None:
                 _joined17(block.pool, experts), _joined17(block.pool, weights)])).encode(encoding)
             steps_sha.update(data)
             fh.write(data)
-            cached = cached and block.arrays is not None
-            if cached:
-                payload = _cache_block(block)
-                cache_sha.update(payload)
-                cache.write(payload)
-        cached = cached and block is not None
-        if cached:
-            cache.write(_TRAILER.pack(_CACHE_TAG, steps_sha.digest(), cache_sha.digest()))
-    if not cached:
-        Path(cache_path).unlink()
+            payload = _cache_block(block)
+            cache_sha.update(payload)
+            cache.write(payload)
+        cache.write(_TRAILER.pack(_CACHE_TAG, steps_sha.digest(), cache_sha.digest()))
     return block
 
 
 # steps.cache: a block's three counts, and its trailer (see _write_steps)
-_CACHE_TAG = b"egtree-steps-cache-v2\n"
+_CACHE_TAG = b"egtree-steps-cache-v3\n"
 _CACHE_HEAD = struct.Struct("<3q")
 _TRAILER = struct.Struct(f"<{len(_CACHE_TAG)}s32s32s")
 
@@ -538,15 +519,14 @@ def _read_back(values) -> np.ndarray:
 
 
 def _cache_block(block: _Block) -> bytes:
-    """The bytes of ``block``, whose ``arrays`` are given, in ``steps.cache`` (see
-    :func:`_write_steps`)."""
-    t, pred, y, leaf_h, leaf_i, n_nodes, height = block.arrays
-    x = "\n".join(block.columns[1]).encode("ascii")
+    """The bytes of ``block`` in ``steps.cache`` (see :func:`_write_steps`)."""
+    t, x, pred, y, leaf_h, leaf_i, n_nodes, height = block.arrays
     ints = (np.maximum(leaf_h, -1), np.maximum(leaf_i, -1), n_nodes, height, block.pool)
-    return b"".join([_CACHE_HEAD.pack(len(t), len(block.columns[8]), len(x)),
+    return b"".join([_CACHE_HEAD.pack(len(t), len(block.columns[8]), x.shape[1]),
                      _read_back(pred).tobytes(), _read_back(y).tobytes(),
                      *(np.asarray(a, "<i8").tobytes() for a in ints),
-                     *(_read_back(a).tobytes() for a in block.columns[8:]), x])
+                     *(_read_back(a).tobytes() for a in block.columns[8:]),
+                     _read_back(x).tobytes()])
 
 
 def _write_json(path, data, **options) -> None:
@@ -589,50 +569,59 @@ def _staged(outdir: Path, names):
 
 
 def _log_blocks(log: RunLog):
-    """The :class:`_Block` s of a finished log, each column cut and converted a block at a time.
-
-    The blocks' ``arrays`` are cut from the log's own arrays where the log
-    holds what :func:`read_run_log` reads back from its text: arrays of
-    the dtypes it gives, ``t`` the steps in order, and ``x`` cells that are
-    ASCII strings with no character that CSV splits or quotes at.
-    """
-    numbers = [log.t, log.preds, log.ys, log.leaf_h, log.leaf_i, log.n_nodes, log.height]
-    x = "\n".join(log.x_text) if set(map(type, log.x_text)) <= {str} else ","
-    vouched = ([column.dtype for column in numbers] == [np.int64, *[np.float64] * 2,
-                                                         *[np.int64] * 4]
-               and np.array_equal(log.t, np.arange(1, len(log) + 1))
-               and x.isascii() and x.count("\n") == len(log) - 1
-               and not any(c in x for c in ',"\r\0'))
-    del x
+    """The :class:`_Block` s of a finished log, each column cut and converted a block at a time."""
+    numbers = [log.t, log.x, log.preds, log.ys, log.leaf_h, log.leaf_i, log.n_nodes, log.height]
+    width = log.x.shape[1]
     ends = np.cumsum(log.pool).tolist()  # the end of each step's members
     for k in range(0, len(log), _ROW_BLOCK):
         cut = slice(k, k + _ROW_BLOCK)
         members = slice(ends[k - 1] if k else 0, ends[cut][-1])
-        pool = log.pool[cut].tolist()
-        yield _Block([log.t[cut].tolist(), log.x_text[cut], log.preds[cut].tolist(),
-                      _joined17([1] * len(pool), log.ys[cut].tolist()), log.leaf_h[cut].tolist(),
-                      log.leaf_i[cut].tolist(), log.n_nodes[cut].tolist(),
-                      log.height[cut].tolist(), log.expert_preds[members].tolist(),
-                      log.expert_weights[members].tolist()], pool,
-                     [column[cut] for column in numbers] if vouched else None)
+        arrays = [column[cut] for column in numbers]
+        t, x, pred, y, *ints = arrays
+        yield _Block([t.tolist(), _joined17([width] * len(t), x.ravel().tolist()), pred.tolist(),
+                      _joined17([1] * len(t), y.tolist()), *(a.tolist() for a in ints),
+                      log.expert_preds[members].tolist(), log.expert_weights[members].tolist()],
+                     log.pool[cut].tolist(), arrays)
+
+
+def _check_writable(log: RunLog) -> None:
+    """Reject ``log`` unless :func:`read_run_log` could return it: its columns
+    of the dtypes and shapes of a :class:`RunLog`, ``t`` the steps 1..T of at
+    least one step, and a ``pool`` that cuts both member columns into the
+    steps.  What the columns hold is not checked."""
+    def typed(column, dtype, shape) -> bool:
+        return getattr(column, "dtype", None) == dtype and np.shape(column) == shape
+
+    t, pool, T = log.t, log.pool, np.size(log.t)
+    if not (T and typed(t, np.int64, (T,)) and np.array_equal(t, np.arange(1, T + 1))):
+        raise RejectedInputError("t must be the int64 steps 1, 2, .., T of at least one step")
+    if not (typed(pool, np.int64, (T,)) and pool.min() >= 0
+            and np.shape(log.expert_preds) == np.shape(log.expert_weights) == (pool.sum(),)):
+        raise RejectedInputError(f"pool must hold {T} integers >= 0 adding up to the "
+                                 "length of expert_preds and of expert_weights")
+    M, ints = pool.sum(), ("leaf_h", "leaf_i", "n_nodes", "height")
+    for name, shape in [("x", (T, _x_width(log.config))), ("preds", (T,)), ("ys", (T,)),
+                        *((name, (T,)) for name in ints),
+                        ("expert_preds", (M,)), ("expert_weights", (M,))]:
+        dtype = np.dtype(np.int64 if name in ints else np.float64)
+        if not typed(getattr(log, name), dtype, shape):
+            raise RejectedInputError(f"{name} must be {dtype} of shape {shape}")
 
 
 def write_run_log(log: RunLog, outdir) -> None:
     """Write ``log`` to ``outdir`` as ``steps.csv`` and ``summary.json``, and
     the derived ``steps.cache``.
 
-    The log is cut into blocks of ``_ROW_BLOCK`` steps and each is written
-    by the block writer of :func:`run` (:func:`_write_steps`), so no column
-    is converted whole; the files are renamed into place together, as
-    there.  A log that :func:`read_run_log` read writes back the very
-    bytes of its ``steps.csv``, and its cache as well; one whose ``pool``
-    does not cut both member arrays into its steps is rejected first.
+    Only a log that :func:`read_run_log` could return is written; any other
+    is rejected first (:func:`_check_writable`).  Faulty content, such as a
+    leaf that is no node of a tree, is written as it is, and both readers
+    reject it alike.  The log is cut into blocks of ``_ROW_BLOCK`` steps
+    and each is written by the block writer of :func:`run`
+    (:func:`_write_steps`), so no column is converted whole; the files are
+    renamed into place together, as there.  A log that :func:`read_run_log`
+    read writes back the very bytes of its ``steps.csv`` and its cache.
     """
-    pool = log.pool
-    if not (pool.dtype.kind == "i" and len(pool) == len(log) and pool.min(initial=0) >= 0
-            and pool.sum() == len(log.expert_preds) == len(log.expert_weights)):
-        raise RejectedInputError(f"pool must hold {len(log)} integers >= 0 adding up to the "
-                                 "length of expert_preds and of expert_weights")
+    _check_writable(log)
     with _staged(Path(outdir), ("steps.csv", "summary.json", "steps.cache")) as paths:
         _write_steps(paths[0], paths[2], _log_blocks(log))
         _write_json(paths[1], log.summary, indent=2, sort_keys=True)
@@ -720,17 +709,17 @@ def _row_blocks(lines, width: int, row_no: int):
         row_no += len(block)
 
 
-# per step-log column before the members: its dtype; the x text stays text (None)
-_STEP_PARSERS = (np.int64, None, float, float, np.int64, np.int64, np.int64, np.int64)
+# the dtype of each step-log column of one number a cell; the others, x and
+# the member columns, hold ;-joined floats (_parsed_members)
+_STEP_PARSERS = {"t": np.int64, "pred": float, "y": float, "leaf_h": np.int64,
+                 "leaf_i": np.int64, "n_nodes": np.int64, "height": np.int64}
 
 
 def _parsed_block(name: str, dtype, cells, first_row: int):
-    """A block of the step-log column ``name``, parsed as ``_STEP_PARSERS`` says.
+    """A block of the step-log column ``name``, parsed as ``dtype``.
 
     A block whose leaf cells are all empty (all but a tree's) parses no cell.
     """
-    if dtype is None:
-        return cells
     if name in ("leaf_h", "leaf_i") and not all(cells):  # an empty cell: no leaf, -1
         if not any(cells):
             return np.full(len(cells), -1, np.int64)
@@ -739,9 +728,10 @@ def _parsed_block(name: str, dtype, cells, first_row: int):
 
 
 def _parsed_members(name: str, cells, first_row: int) -> tuple:
-    """A block of the member column ``name``: the number of values in each cell
-    (int64), and the values of its nonempty cells, ``;``-joined and parsed as
-    one float64 array; a block of empty cells (all but a mixture's) parses none.
+    """A block of the column ``name`` of ``;``-joined floats (``x`` or a member
+    column): the number of values in each cell (int64), and the values of its
+    nonempty cells, ``;``-joined and parsed as one float64 array; a block of
+    empty cells (all but a tree's ``x``, all but a mixture's members) parses none.
     """
     if not any(cells):
         return np.zeros(len(cells), np.int64), np.empty(0)
@@ -757,20 +747,19 @@ def _parsed_members(name: str, cells, first_row: int) -> tuple:
 def read_run_log(outdir) -> RunLog:
     """Load a run log; a damaged ``steps.csv`` is rejected at its first fault.
 
-    ``steps.csv`` is the log.  Only a log of ``LOG_FORMAT``
-    (``egtree-runlog-v2``: no ``loss`` column, as :func:`verify_bounds`
-    recomputes every loss from ``pred`` and ``y``) is read: a summary of
-    any other format, the ``loss``-logging ``egtree-runlog-v1`` included,
-    is rejected by name before ``steps.csv`` is opened.  The rows are
-    parsed a block at a time, and the first block with a fault decides
+    ``steps.csv`` is the log.  Only a log of ``LOG_FORMAT`` is read: a
+    summary of any other format, the ``loss``-logging ``egtree-runlog-v1``
+    included, is rejected by name before ``steps.csv`` is opened.  The rows
+    are parsed a block at a time, and the first block with a fault decides
     which is reported.  A row with the wrong number of fields ends its
     block, so the rows above it are checked first.  Within a block, each
     column in log order is searched for a cell that does not parse, then
     for an integer beyond 64 bits; then come a step number out of
     sequence, a step with more or fewer ``experts`` than ``weights``, a
-    leaf that is no node of a tree (any leaf, outside a tree run) and a
-    member outside a mixture run.  A step count that differs from the
-    summary's ``T`` is found last.
+    leaf that is no node of a tree (any leaf, outside a tree run), a
+    member outside a mixture run and an ``x`` cell that does not hold the
+    run's ``d`` covariates (any value, outside a tree run).  A step count
+    that differs from the summary's ``T`` is found last.
 
     Where the run directory holds a ``steps.cache`` stamped with the
     sha256 of this very ``steps.csv`` (see :func:`_write_steps`), the
@@ -798,35 +787,42 @@ def read_run_log(outdir) -> RunLog:
         if len(columns[0]) != summary["T"]:
             raise RejectedInputError(f"step log has {len(columns[0])} steps, its summary says "
                                      f"T = {summary['T']!r}")
-    return RunLog(*columns, summary, config=config)
+    return RunLog(*columns, summary)
 
 
 def _csv_blocks(path, config: RunConfig):
     """The checked blocks of the step log ``path``, each parsed as it is read,
     so no more than one block of cell strings is held next to the parsed columns."""
+    width = _x_width(config)
     with _open_csv(path) as fh:
         header = _header(fh)
         if tuple(header or ()) != STEP_COLUMNS:
             raise RejectedInputError(f"unrecognized step log header: {header}")
         for row_no, cells in _column_blocks(fh, len(STEP_COLUMNS)):
-            block = [_parsed_block(name, dtype, column, row_no)
-                     for name, dtype, column in zip(STEP_COLUMNS, _STEP_PARSERS, cells)]
-            (pool, experts), (weight_pool, weights) = (
-                _parsed_members(name, column, row_no)
-                for name, column in zip(STEP_COLUMNS[8:], cells[8:]))
-            block += [pool, experts, weights]
-            _check_block(block, row_no, config, cells, weight_pool)
+            # the columns in log order, so the first that does not parse is named
+            t, (x_count, x), *numbers, (pool, experts), (weight_pool, weights) = [
+                _parsed_block(name, _STEP_PARSERS[name], column, row_no)
+                if name in _STEP_PARSERS else _parsed_members(name, column, row_no)
+                for name, column in zip(STEP_COLUMNS, cells)]
+            block = [t, x, *numbers, pool, experts, weights]
+            _check_block(block, row_no, config, cells, (x_count, weight_pool))
+            block[1] = x.reshape(len(t), width)
             yield block
 
 
 def _check_block(block: list, row_no: int, config: RunConfig, cells=None,
-                 weight_pool=None) -> None:
+                 counts=None) -> None:
     """Reject the parsed step-log ``block``, its first row being ``row_no``, at
     its first step out of sequence, step with more or fewer ``experts`` (its
-    pool) than ``weights`` (``weight_pool``, where they were counted apart),
-    leaf that is no node of a tree (any leaf, outside a tree run), or member
-    outside a mixture run.  A leaf is named by its ``cells``' text where given."""
+    pool) than ``weights``, leaf that is no node of a tree (any leaf, outside
+    a tree run), member outside a mixture run, or ``x`` cell that does not
+    hold the run's covariate row (``d`` values in a tree run, none
+    elsewhere).  Where the block was parsed from its ``cells``, ``counts``
+    holds the values counted in each of its ``x`` and ``weights`` cells, and
+    a leaf is named by its text; a cached block has no count but its pool,
+    and ``x`` of the run's width (:func:`_cache_blocks`)."""
     t, _, _, _, h, i, _, _, pool, _, _ = block
+    x_count, weight_pool = counts or (None, None)
     bad = np.flatnonzero(t != np.arange(row_no - 1, row_no - 1 + len(t)))
     if bad.size:
         k = bad[0]
@@ -851,6 +847,12 @@ def _check_block(block: list, row_no: int, config: RunConfig, cells=None,
         k = bad[0]
         raise RejectedInputError(f"row {row_no + k}: {pool[k]} experts in a "
                                  f"{config.forecaster} run, which logs no members")
+    if x_count is not None and (bad := np.flatnonzero(x_count != _x_width(config))).size:
+        k = bad[0]
+        raise RejectedInputError(
+            f"row {row_no + k}: {x_count[k]} x values in a " + (
+                f"tree run of d = {config.d}" if tree
+                else f"{config.forecaster} run, which logs no covariates"))
 
 
 def _joined(blocks) -> list:
@@ -858,8 +860,7 @@ def _joined(blocks) -> list:
     parts = list(zip(*blocks))
     if not parts:
         raise RejectedInputError("step log is empty")
-    return [np.concatenate(part) if isinstance(part[0], np.ndarray)
-            else list(itertools.chain(*part)) for part in parts]
+    return [np.concatenate(part) for part in parts]
 
 
 def _cached_columns(outdir: Path, config: RunConfig, T: int) -> list | None:
@@ -907,34 +908,32 @@ def _cache_blocks(fh, size: int, config: RunConfig):
     """The blocks of the open ``steps.cache`` ``fh``, whose blocks are its first
     ``size`` bytes, as :func:`_csv_blocks` yields them: loaded, checked, one at a time.
 
-    A block whose counts do not add up or overrun the blocks, or with a
-    field that ``csv.reader`` would find beyond ``csv.field_size_limit()``,
-    raises ``ValueError``.
+    A block whose counts do not add up or overrun the blocks, whose ``x``
+    width is not the run's, or with a field that ``csv.reader`` would find
+    beyond ``csv.field_size_limit()``, raises ``ValueError``.
     """
-    row_no = 2
+    width, row_no = _x_width(config), 2
     while size:
         if size < _CACHE_HEAD.size:
             raise ValueError("a malformed steps.cache block")
-        n, m, n_x = _CACHE_HEAD.unpack(fh.read(_CACHE_HEAD.size))
-        length = 8 * (7 * n + 2 * m) + n_x
-        size -= _CACHE_HEAD.size + length
-        if min(n - 1, m, n_x, size) < 0:
+        n, m, w = _CACHE_HEAD.unpack(fh.read(_CACHE_HEAD.size))
+        size -= _CACHE_HEAD.size + 8 * ((7 + w) * n + 2 * m)
+        if min(n - 1, m, size) < 0 or w != width:
             raise ValueError("a malformed steps.cache block")
-        # the columns hold on to the bytes of the numbers alone
-        numbers, rest = fh.read(56 * n), fh.read(length - 56 * n)
+        # each column holds on to the bytes of its own part of the block
+        numbers, members, x = fh.read(56 * n), fh.read(16 * m), fh.read(8 * n * w)
         floats = np.frombuffer(numbers, "<f8", 2 * n)
         ints = np.frombuffer(numbers, "<i8", 5 * n, 16 * n).reshape(5, n)
-        members = np.frombuffer(rest, "<f8", 2 * m)
-        x = rest[16 * m:].decode("ascii").split("\n")
+        members = np.frombuffer(members, "<f8")
         pool = ints[4]
-        if len(x) != n or (pool < 0).any() or int(pool.sum()) != m:
+        if (pool < 0).any() or int(pool.sum()) != m:
             raise ValueError("a malformed steps.cache block")
         # csv.reader rejects a field beyond its limit: a number's cell is at most
-        # 24 characters long, a member cell 25 a value
-        if max(24, 25 * int(pool.max()), *map(len, x)) > csv.field_size_limit():
+        # 24 characters long, a cell of k ;-joined numbers 25 k - 1
+        if 25 * max(1, int(pool.max()), w) - 1 > csv.field_size_limit():
             raise ValueError("a field of steps.csv beyond csv.field_size_limit()")
-        block = [np.arange(row_no - 1, row_no - 1 + n), x, floats[:n], floats[n:], *ints,
-                 members[:m], members[m:]]
+        block = [np.arange(row_no - 1, row_no - 1 + n), np.frombuffer(x, "<f8").reshape(n, w),
+                 floats[:n], floats[n:], *ints, members[:m], members[m:]]
         _check_block(block, row_no, config)
         yield block
         row_no += n

@@ -365,7 +365,7 @@ def best_lipschitz_1d(xs, ys, L: float, loss: LossSpec) -> Comparator:
     ``L * (u_max - u_min)`` and wash out the bits of every outcome.  What
     rounding remains moves breakpoint positions by about (number of
     distinct x) * 2**-52.  The returned value is the loss recomputed at the
-    argmin.
+    argmin, added left to right (``left_sum``) in the order of the sorted x.
     """
     if not 0.0 <= L < math.inf:
         raise RejectedInputError("the slope bound L must be finite and >= 0")
@@ -388,7 +388,7 @@ def best_lipschitz_1d(xs, ys, L: float, loss: LossSpec) -> Comparator:
     for i in range(n - 2, -1, -1):
         f[i] = min(max(f[i], f[i + 1] - caps[i]), f[i + 1] + caps[i])
     f = np.clip(f, 0.0, 1.0)
-    value = float(loss.value_array(f[gidx], ys1).sum())
+    value = left_sum(loss.value_array(f[gidx], ys1).tolist())
     return Comparator("lipschitz", value, argmin=(u, f), params={"L": L})
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import eg, oracles
 from .autoregressive import combined_regret_bound, entry_step, mixture_regret_bound
-from .errors import RejectedInputError, _array, positive_int
+from .errors import RejectedInputError, positive_int
 from .losses import LossSpec, left_sum
 from .tree import height_bound, node_count_bound
 
@@ -193,7 +193,7 @@ def _lipschitz_check(log, config, L: float, resummed: float, D: int) -> BoundChe
     holds ``D`` >= 1 members; any other run is rejected."""
     M, T = config.loss.M, len(log)
     if config.forecaster == "tree" and config.d == 1:
-        xs, ys = _array(log.x_text, float, "x"), log.ys
+        xs, ys = log.x[:, 0], log.ys
         name, bound = f"lipschitz-regret(L={L})", oracles.lipschitz_regret_bound(M, L, 1, T)
         note = ""
     elif config.forecaster == "meta" and D:

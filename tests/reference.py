@@ -33,7 +33,7 @@ import numpy as np
 
 from egtree import eg
 from egtree.errors import RejectedInputError
-from egtree.harness import STEP_COLUMNS, RunLog, fmt17
+from egtree.harness import STEP_COLUMNS, RunLog, _forecaster, fmt17
 from egtree.losses import LossSpec
 from egtree.oracles import Comparator, _group_by_x
 
@@ -300,9 +300,11 @@ def column_blocks(fh, width: int, block: int):
         row_no += len(chunk)
 
 
-def hand_run(forecaster, ys, xs=None) -> RunLog:
-    """The step log of ``forecaster`` over ``ys``, each step predicted with
-    its row of ``xs`` (None without covariates); its summary is empty."""
+def hand_run(config, ys, xs=None) -> RunLog:
+    """The step log of the forecaster of ``config`` over ``ys``, each step
+    predicted with its row of ``xs`` (None without covariates) through the
+    public, checking ``predict``; its summary holds the config alone."""
+    forecaster = _forecaster(config)
     T = len(ys)
     columns = {"leaf_h": [-1] * T, "leaf_i": [-1] * T, "n_nodes": [1] * T, "height": [0] * T,
                "experts": [()] * T, "weights": [()] * T}
@@ -312,15 +314,15 @@ def hand_run(forecaster, ys, xs=None) -> RunLog:
         forecaster.update(y)
         for name, value in zip(forecaster.TRACED, forecaster.trace()):
             columns[name][k] = value
-    x_text = ([""] * T if xs is None
-              else [";".join(map(fmt17, row)) for row in np.asarray(xs, dtype=float).tolist()])
+    x = np.empty((T, 0)) if xs is None else np.asarray(xs, dtype=float).reshape(T, -1)
     ints = (np.array(columns[name], dtype=np.int64)
             for name in ("leaf_h", "leaf_i", "n_nodes", "height"))
     pool = np.array([len(step) for step in columns["experts"]], dtype=np.int64)
     members = (np.array([v for step in columns[name] for v in step], dtype=float)
                for name in ("experts", "weights"))
-    return RunLog(np.arange(1, T + 1, dtype=np.int64), x_text, np.array(preds),
-                  np.asarray(ys, dtype=float), *ints, pool, *members, {})
+    return RunLog(np.arange(1, T + 1, dtype=np.int64), x, np.array(preds),
+                  np.asarray(ys, dtype=float), *ints, pool, *members,
+                  {"config": config.to_dict()})
 
 
 def member_rows(log):
@@ -353,7 +355,7 @@ def write_steps_csv(log, path) -> None:
         for k, (experts, weights) in enumerate(member_rows(log)):
             writer.writerow((
                 int(log.t[k]),
-                log.x_text[k],
+                ";".join(fmt17(v) for v in log.x[k]),
                 fmt17(log.preds[k]),
                 fmt17(log.ys[k]),
                 int(log.leaf_h[k]) if log.leaf_h[k] >= 0 else "",

@@ -482,8 +482,7 @@ def test_run_streams_the_log_across_blocks(tmp_path, capsys, forecaster, d, effe
     assert main(["run", "--config", str(config_path), "--input", str(data),
                  "--out", str(rundir)]) == 0
     # the log of a hand loop through the public, checking predict, update and trace
-    forecaster = harness._forecaster(config)
-    reference.write_steps_csv(reference.hand_run(forecaster, ys, xs), tmp_path / "reference.csv")
+    reference.write_steps_csv(reference.hand_run(config, ys, xs), tmp_path / "reference.csv")
     assert (rundir / "steps.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
     summary = json.loads((rundir / "summary.json").read_text())
     assert summary["data_digest"] == reference.data_digest(ys, xs)

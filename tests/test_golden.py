@@ -136,32 +136,32 @@ GOLDEN = {
 # Lipschitz-comparator check exists (tree d = 1, meta) and None elsewhere
 VERIFY_GOLDEN = {
     "eg-absolute": "91ce49d7031fa762c5ea46514aacc5186ac7fedb487d11a78f523d908ef2636a",
-    "tree-d1-box-absolute": "d05a2bc70ecca886e30623ac0273832410cb465816f0e98c47ac7e529e8fbf78",
-    "tree-d1-range-absolute": "951ad21d8d94f32bbcd3fb0cf6d3bc9d2cada1ed85289ae985de803ad6a9f5b7",
+    "tree-d1-box-absolute": "9968200696b56e161da90d95d1d651d96be8ebd07a88bdee2042d7e865870fe8",
+    "tree-d1-range-absolute": "8ca4c0402b0b5598002de27deae8321d2ed41f87c6e7d40d9b1feb656acb9f9c",
     "tree-d3-box-absolute": "e01e07458882ce67201a528dce113bdfa049d6875ea40d0f5271bede0c153e31",
     "tree-d3-range-absolute": "6b20276d1aa5656ec5f553dff35f3eef5012f02a3fb02d659bc072cfa4885679",
-    "meta-powers_of_two-box-absolute": "fb9ce6a99b0af0906bb67afbb352ab6f7519ba02740612ac8db6606d64483591",
-    "meta-powers_of_two-range-absolute": "6e7dfbad81b7028165d938a6cfc733354e12819b334e0a93d0b74f8d1e567a9b",
-    "meta-quadratic-box-absolute": "f0223c0e20d72ecca1e99e374210f4da5342425f4933f14c6fda4511533aaefe",
-    "meta-quadratic-range-absolute": "100fb813a5d002f0f4e1aa1d9775490340e0ac0d77495f161408c2c4b10f8111",
+    "meta-powers_of_two-box-absolute": "87512dada8c46f291cd47415590a5560ec42c84f7f2d474edf967b770a3430f4",
+    "meta-powers_of_two-range-absolute": "66ee85ae87e4fe28882bf45295b9195a3d1b972d89c4e13c1b61763520c3c0ec",
+    "meta-quadratic-box-absolute": "a9f71483f66ce4d6013a706caf3548b8d3f61ee711abdfafd44375d0bee4422b",
+    "meta-quadratic-range-absolute": "de127f4a40ed8c4b3ff1f44d029c325852e962921af8abc5fb2751d41ed2dc8a",
     "eg-square": "17a53bcfc0c4bd159ab2296f5f64a59c05ea17616715f23568a1d3b3355b60d8",
     "tree-d1-box-square": "b989d637bb0f40454f844c6bb273b81c11b84bf09f8b07624063070128019a51",
     "tree-d1-range-square": "b51bab3dba820141fd2e3e8dafa71cb3d9638b77bb46e8a7265bf8c2b481e9a5",
     "tree-d3-box-square": "aa9c63c86c0580ac4c60e9fee538a0079fdb006404bc4de76e68e86f1bb9f476",
     "tree-d3-range-square": "cd04eea23d07f9f3f6cc27f46c8ee61e22b7d9d8524ac410ba849409df8a686e",
-    "meta-powers_of_two-box-square": "cba1fba70974d7c725f677b3c276d8e13fc08c650e3cdc0e1b9446b911ec829e",
-    "meta-powers_of_two-range-square": "54fd3f091b6a9303ecc1ab65932a70e9d53cf4c4ed1beca19cfe2985905fa369",
-    "meta-quadratic-box-square": "c16b1d69c8d54217fa4df6d6c4e48314a81af84a678bef85284ed930192d882a",
-    "meta-quadratic-range-square": "ed57472cfea1505421910ba9c62f09837f6ed845645af5f40871122337ae79a6",
+    "meta-powers_of_two-box-square": "ccf4a86c8819dd3763872cfd182dc7d1409020385384b8c8197239b93e0426b1",
+    "meta-powers_of_two-range-square": "d565840bdd3dd439920c752bb72dc533397b82594ab3f3ca21b475e8499fc9af",
+    "meta-quadratic-box-square": "e031590e5e7fcf59254e2514f40c0c65be30f394e607dae6c0e863a526234a18",
+    "meta-quadratic-range-square": "01ab67218ec5ec10008604c60d025c06ea94aaf364bd4fbc1135f9b81731af2e",
     "eg-pinball": "b7dc18382ecb63ca419a20d8543a40a879a72a7fa694b799f036ba84228af279",
-    "tree-d1-box-pinball": "8f503dd3db166384da44551a286eb30da254f0130504a9282d87efd10e49df96",
-    "tree-d1-range-pinball": "dfe25e29ef871f7579d9d23d67e2c20479ae797c65f6072e179e58bf6f87efba",
+    "tree-d1-box-pinball": "7d9df7e6946be679dc392d22e381ca55dd6a5f79adb4718c0f2cfb6cc69e9be3",
+    "tree-d1-range-pinball": "99d881e3da9a35082f0c885123437a9cf2b382564ba6ebf58f0061b9b621f21c",
     "tree-d3-box-pinball": "fc547dad80e5e64a463637adc3e71322274784d562029114d26775b1280e394d",
     "tree-d3-range-pinball": "e947b02584a70a48edc4ba6d1c7665710e81a015f5151b6995f6014bf0d874cc",
-    "meta-powers_of_two-box-pinball": "642d66a8b6c1a14e8c18626cc20ab71e4ff9704c7558b1a8e63d74771e077462",
-    "meta-powers_of_two-range-pinball": "8b29b122d60002e20120276a28f1978821473261edc432216edb8096b761cbdd",
-    "meta-quadratic-box-pinball": "2ae128c041556db1fabb229d2cce16e8f816fc4dc27751b894a71a78bd366231",
-    "meta-quadratic-range-pinball": "1d8c4dce65640e82e056df77ac0be3fdd92a9e00c04fcf49e10fc6589bca12f4",
+    "meta-powers_of_two-box-pinball": "ba18b2e16b54360712bcdb3f2cc0e4228082ed5e777f73cf3bd4d89fa49a4baa",
+    "meta-powers_of_two-range-pinball": "775c7611fcd980aa37ed0d2037f22412a8033051a8bed0f521420d6494b3ddef",
+    "meta-quadratic-box-pinball": "a24f6fe8c70953f148b7c0233088eb54c81c8f5c4d598a8a8efcfd7d577a8382",
+    "meta-quadratic-range-pinball": "6f23c74318a42200acb16ec706899c7cf07018400a8d6dd3e5bf91df3085ea98",
 }
 
 

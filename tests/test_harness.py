@@ -33,7 +33,6 @@ from egtree.harness import (
     report,
 )
 from egtree.verify import expert_regret, verify_bounds
-from egtree.autoregressive import MetaForecaster
 from egtree.losses import LossSpec
 from egtree.oracles import lipschitz_regret_bound
 from egtree.tree import PartitionTree, height_bound, node_count_bound
@@ -85,7 +84,7 @@ class TestRun:
         log = run_log(RunConfig("meta", ABS), uniform(300, 4))
         assert log.summary["final"]["n_active"] == 8  # next entry at 512
         assert log.pool[-1] == 8
-        assert log.x_text == [""] * 300  # the y column holds the lag windows
+        assert log.x.shape == (300, 0)  # the y column holds the lag windows
 
     @pytest.mark.parametrize("schedule, max_d, T", [
         ("powers_of_two", None, 255),  # order 8 enters at step 256 = T + 1
@@ -132,7 +131,7 @@ class TestRun:
         ys, xs = np.full(T, 0.5), np.full((T, d), 0.3)
         log = run_log(RunConfig("tree", ABS, d=d), ys, xs)
         assert log.leaf_h.max() > 63
-        steps = reference.hand_run(PartitionTree(d, ABS), ys, xs)
+        steps = reference.hand_run(RunConfig("tree", ABS, d=d), ys, xs)
         assert np.array_equal(log.leaf_h, steps.leaf_h)
         assert np.array_equal(log.leaf_i, steps.leaf_i)
 
@@ -236,22 +235,25 @@ class TestDeterminism:
         ys = uniform(120, 7)
         summary = run(RunConfig("meta", ABS), ys, None, tmp_path)
         back = read_run_log(tmp_path)
-        steps = reference.hand_run(MetaForecaster(ABS), ys)
+        steps = reference.hand_run(RunConfig("meta", ABS), ys)
         assert np.array_equal(back.preds, steps.preds)
         assert np.array_equal(back.ys, ys)
         for name in ("pool", "expert_preds", "expert_weights"):
             a, b = getattr(back, name), getattr(steps, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
         assert back.summary == json.loads(json.dumps(summary))
+        # a log built by hand holds the config of its summary too
+        assert steps.config == back.config
+        assert expert_regret(steps, 2) == expert_regret(back, 2)
 
     def test_long_tree_log_round_trip(self, tmp_path):
         xs, ys = uniform(2500, 10, d=2)
         run(RunConfig("tree", ABS, d=2), ys, xs, tmp_path)
         back = read_run_log(tmp_path)
-        steps = reference.hand_run(PartitionTree(2, ABS), ys, xs)
-        for name in ("t", "preds", "ys", "leaf_h", "leaf_i", "n_nodes", "height"):
-            assert np.array_equal(getattr(back, name), getattr(steps, name)), name
-        assert back.x_text == steps.x_text
+        steps = reference.hand_run(RunConfig("tree", ABS, d=2), ys, xs)
+        for name in ("t", "x", "preds", "ys", "leaf_h", "leaf_i", "n_nodes", "height"):
+            a, b = getattr(back, name), getattr(steps, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
         assert back.pool.tolist() == [0] * 2500
         assert back.expert_preds.shape == back.expert_weights.shape == (0,)
 
@@ -364,6 +366,11 @@ class TestDeterminism:
         ([(1100, "leaf_i", "0"), (1200, "experts", "0.5")], "row 1200: 1 experts but 0"),
         ([(1100, "leaf_i", "0"), (1050, "t", "9")], "row 1050: t is 9"),
         ([(1100, "leaf_i", "0"), (1200, "leaf_h", "-1")], "row 1100: leaf_h '"),
+        # an x cell: parsed in its column's place, its width checked last
+        ([(1100, "pred", "abc"), (1200, "x", "abc")], "row 1200: x 'abc' does not parse$"),
+        ([(1100, "x", "0.5"), (1200, "leaf_i", "0")], "row 1200: leaf_h '"),
+        ([(1100, "x", "0.5"), (2100, "pred", "abc")],
+         "row 1100: 1 x values in a tree run of d = 2$"),
     ])
     def test_first_fault_of_a_damaged_step_log(self, tmp_path, faults, message):
         xs, ys = uniform(2500, 10, d=2)
@@ -614,7 +621,7 @@ class TestVerifyBounds:
 
     def test_empty_log_rejected(self, run_log):
         log = run_log(RunConfig("eg", ABS), uniform(5, 16))
-        empty = RunLog(np.empty(0, dtype=np.int64), [], np.empty(0), np.empty(0),
+        empty = RunLog(np.empty(0, dtype=np.int64), np.empty((0, 0)), np.empty(0), np.empty(0),
                        np.empty(0, dtype=np.int64),
                        np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
                        np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),

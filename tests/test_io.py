@@ -86,18 +86,15 @@ class TestRoundTrips:
         n = data.draw(st.integers(1, 30))
         kind = data.draw(st.sampled_from(["eg", "tree", "meta"]))
         ints = st.integers(0, 2**40)
+        d = data.draw(st.integers(1, 3)) if kind == "tree" else 1
+        width = d if kind == "tree" else 0
+        x = np.array(data.draw(st.lists(finite, min_size=n * width, max_size=n * width)),
+                     dtype=float).reshape(n, width)
         if kind == "tree":
-            d = data.draw(st.integers(1, 3))
-            x_text = [";".join(f"{v:.17g}" for v in data.draw(st.lists(units, min_size=d,
-                                                                        max_size=d)))
-                      for _ in range(n)]
             # a node (h, i) of a tree: 1 <= i <= 2**h
             leaf_h = data.draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
             leaf_i = [data.draw(st.integers(1, 2**h)) for h in leaf_h]
         else:
-            hexes = st.text("0123456789abcdef", min_size=12, max_size=12)
-            x_text = data.draw(st.lists(hexes, min_size=n, max_size=n)) if kind == "meta" \
-                else [""] * n
             leaf_h = leaf_i = [-1] * n
         sizes = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)) \
             if kind == "meta" else [0] * n
@@ -109,9 +106,9 @@ class TestRoundTrips:
         # the fields read_run_log requires of a summary
         summary = {"format": LOG_FORMAT, "T": n, "cumulative_loss": 0.0,
                    "data_digest": "0" * 64,
-                   "config": RunConfig(kind, d=d if kind == "tree" else 1).to_dict(),
+                   "config": RunConfig(kind, d=d).to_dict(),
                    "final": {"n_nodes": 1, "height": 0, "n_active": 1}}
-        log = RunLog(np.arange(1, n + 1, dtype=np.int64), x_text, *floats,
+        log = RunLog(np.arange(1, n + 1, dtype=np.int64), x, *floats,
                      np.array(leaf_h, dtype=np.int64), np.array(leaf_i, dtype=np.int64),
                      np.array(data.draw(st.lists(ints, min_size=n, max_size=n))),
                      np.array(data.draw(st.lists(ints, min_size=n, max_size=n))),
@@ -125,10 +122,9 @@ class TestRoundTrips:
             cached = read_run_log(out)  # from steps.cache
         (out / "steps.cache").unlink()
         for back in (cached, read_run_log(out)):
-            for name in ("t", "preds", "ys", "leaf_h", "leaf_i", "n_nodes", "height", "pool",
-                         "expert_preds", "expert_weights"):
+            for name in ("t", "x", "preds", "ys", "leaf_h", "leaf_i", "n_nodes", "height",
+                         "pool", "expert_preds", "expert_weights"):
                 assert same_bits(getattr(back, name), getattr(log, name)), name
-            assert back.x_text == x_text
             assert back.summary == summary
 
 
@@ -280,9 +276,8 @@ class TestSplitter:
             xs2, ys2 = read_covariates(tmp_path / "c-crlf.csv")
             back = read_run_log(tmp_path / "log-crlf")
         assert same_bits(xs2, xs) and same_bits(ys2, ys)
-        for name in ("t", "preds", "ys", "leaf_h", "leaf_i", "n_nodes", "height"):
+        for name in ("t", "x", "preds", "ys", "leaf_h", "leaf_i", "n_nodes", "height"):
             assert same_bits(getattr(back, name), getattr(log, name)), name
-        assert back.x_text == log.x_text
         assert same_bits(back.pool, np.zeros(2100, np.int64))
         assert same_bits(back.expert_preds, np.empty(0)) and same_bits(back.expert_weights,
                                                                         np.empty(0))

@@ -23,7 +23,8 @@ import egtree
 import reference
 from egtree.cli import main
 from egtree.harness import RunConfig, read_run_log, run, verify_bounds, write_series
-from egtree.losses import LossSpec
+from egtree.losses import LossSpec, left_sum
+from egtree.oracles import best_lipschitz_1d
 from test_golden import GOLDEN, VERIFY_GOLDEN, case, cases, digests, verify_digest
 
 TESTS = Path(__file__).parent
@@ -93,6 +94,19 @@ def test_single_member_bound_holds_under_a_compensated_sum(tmp_path, monkeypatch
         reference.mixture_bound(500, 1, 2)]
     compensate(monkeypatch)
     assert [c.to_dict() for c in verify_bounds(log)] == plain
+
+
+@pytest.mark.parametrize("kind", ["absolute", "square", "pinball"])
+def test_the_lipschitz_comparator_adds_its_losses_left_to_right(kind):
+    # numpy's pairwise .sum() of the same losses rounds otherwise on this input
+    loss = LossSpec(kind, 0.35) if kind == "pinball" else LossSpec(kind)
+    rng = np.random.default_rng(40)
+    xs, ys = rng.random(600), rng.random(600)
+    fit = best_lipschitz_1d(xs, ys, 1.0, loss)
+    u, f = fit.argmin
+    order = np.argsort(xs, kind="stable")  # the points in the order the DP takes them
+    losses = loss.value_array(f[np.searchsorted(u, xs[order])], ys[order])
+    assert fit.value == left_sum(losses.tolist()) != float(losses.sum())
 
 
 def test_verify_pins_hold_under_another_blas_kernel():

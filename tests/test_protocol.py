@@ -180,10 +180,11 @@ def test_run_matches_the_checked_tree_path(d, effective_range, loss, run_log):
     xs[::9] = np.round(xs[::9] * 4) / 4  # box edges, and points at 1
     ys = rng.random(T)
     log = run_log(RunConfig("tree", loss, d=d, effective_range=effective_range), ys, xs)
-    steps = reference.hand_run(PartitionTree(d, loss, effective_range), ys, xs)
+    steps = reference.hand_run(RunConfig("tree", loss, d=d, effective_range=effective_range),
+                               ys, xs)
     for name in ("preds", "leaf_h", "leaf_i", "n_nodes", "height"):
         assert getattr(log, name).tolist() == getattr(steps, name).tolist(), name
-    assert log.x_text == steps.x_text
+    assert (log.x.dtype, log.x.shape, log.x.tobytes()) == (np.float64, (T, d), xs.tobytes())
     cumulative = 0.0
     for pred, y in zip(steps.preds.tolist(), ys.tolist()):
         cumulative += loss.value(pred, y)

@@ -24,7 +24,7 @@ from egtree.harness import RunConfig, read_run_log, report, run, write_run_log
 from reference import set_members
 from test_golden import case, cases, dyadic_mix
 
-NUMBERS = ("t", "preds", "ys", "leaf_h", "leaf_i", "n_nodes", "height", "pool",
+NUMBERS = ("t", "x", "preds", "ys", "leaf_h", "leaf_i", "n_nodes", "height", "pool",
            "expert_preds", "expert_weights")
 LONG = "meta-T2500"  # crosses two 1024-row blocks
 
@@ -39,7 +39,6 @@ def assert_same_log(a, b):
     for name in NUMBERS:
         x, y = getattr(a, name), getattr(b, name)
         assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
-    assert a.x_text == b.x_text
     assert a.summary == b.summary and a.config == b.config
 
 
@@ -161,10 +160,11 @@ def _edit_cache(rundir, edit):
     lambda data: data[:-1],
     lambda data: data.replace(harness._CACHE_TAG, b"egtree-steps-cache-v9\n"),
     lambda data: data.replace(harness._CACHE_TAG, b"egtree-steps-cache-v1\n"),
+    lambda data: data.replace(harness._CACHE_TAG, b"egtree-steps-cache-v2\n"),
     lambda data: data[:-harness._TRAILER.size],
     lambda data: b"",
 ], ids=["a-payload-bit-flipped", "cut-in-half", "a-byte-short", "an-unknown-tag",
-        "the-v1-tag", "no-trailer", "empty"])
+        "the-v1-tag", "the-v2-tag", "no-trailer", "empty"])
 def test_a_damaged_cache_is_passed_over(tree_run, edit):
     _edit_cache(tree_run, edit)
     assert_same_outcome(passed_over(tree_run), csv_read(tree_run))
@@ -194,7 +194,8 @@ def test_a_line_beyond_the_field_size_limit_is_parsed(tmp_path):
 def test_a_summary_that_disagrees_with_the_cache_is_parsed(tree_run):
     summary = tree_run / "summary.json"
     data = json.loads(summary.read_text())
-    for edit in ({"T": 1499}, {"config": {**data["config"], "forecaster": "eg"}}):
+    for edit in ({"T": 1499}, {"config": {**data["config"], "forecaster": "eg"}},
+                 {"config": {**data["config"], "d": 3}}):
         summary.write_text(json.dumps(data | edit))
         result = passed_over(tree_run)
         assert isinstance(result, str)
@@ -228,7 +229,7 @@ def _hand_log(preds=(0.5,) * 4, **fields):
     summary = {"format": harness.LOG_FORMAT, "T": n, "cumulative_loss": 0.0,
                "data_digest": "0" * 64, "config": RunConfig("eg").to_dict(),
                "final": {"n_nodes": 1, "height": 0}}
-    columns = {"t": np.arange(1, n + 1), "x_text": [""] * n, "preds": np.array(preds),
+    columns = {"t": np.arange(1, n + 1), "x": np.empty((n, 0)), "preds": np.array(preds),
                "ys": np.full(n, 0.5), "leaf_h": np.full(n, -1), "leaf_i": np.full(n, -1),
                "n_nodes": np.ones(n, np.int64), "height": np.zeros(n, np.int64),
                "pool": np.zeros(n, np.int64), "expert_preds": np.empty(0),
@@ -249,38 +250,58 @@ def test_a_float_is_cached_as_its_cell_reads_back(tmp_path):
     assert cached.preds[2:4].tobytes() == np.array([float("nan")] * 2).tobytes()
 
 
-@pytest.mark.parametrize("fields", [
-    {"x_text": ["a,b", "", "", ""]},
-    {"x_text": ['"a"', "", "", ""]},
-    {"x_text": ["é", "", "", ""]},
-    {"x_text": ["a\nb", "", "", ""]},
-    {"x_text": [1.5, "", "", ""]},
-    {"leaf_h": np.full(4, -1.0)},
-    {"preds": np.full(4, 0.5, np.float32)},
-    {"t": np.array([1, 2, 4, 3])},
-], ids=["comma", "quote", "not-ascii", "line-end", "not-text", "float-leaf", "float32",
-        "out-of-order"])
-def test_a_log_whose_text_reads_back_otherwise_gets_no_cache(tmp_path, fields):
-    (tmp_path / "steps.cache").write_bytes(b"an earlier cache")
-    write_run_log(_hand_log(**fields), tmp_path)
-    assert not (tmp_path / "steps.cache").exists()
+MEMBERS = {"expert_preds": np.array([0.5, 0.5]), "expert_weights": np.array([0.5, 0.5])}
+POOL = "pool must hold 4 integers >= 0 adding up to the length of expert_preds and of"
 
 
-@pytest.mark.parametrize("fields", [
-    {"pool": np.array([0, -1, 1, 0])},
-    {"pool": np.array([0, 2, 1, 0])},
-    {"pool": np.array([0, 2, 0, 0]), "expert_weights": np.array([0.5])},
-    {"pool": np.zeros(3, np.int64)},
-    {"pool": np.array([0.0, 2.0, 0.0, 0.0])},
-], ids=["negative", "more-than-the-values", "fewer-weights", "a-step-short", "not-integers"])
-def test_a_pool_that_does_not_cut_the_member_columns_is_rejected(tmp_path, fields):
+@pytest.mark.parametrize("fields, message", [
+    ({"leaf_h": np.full(4, -1.0)}, r"leaf_h must be int64 of shape \(4,\)"),
+    ({"preds": np.full(4, 0.5, np.float32)}, r"preds must be float64 of shape \(4,\)"),
+    ({"t": np.array([1, 2, 4, 3])}, "t must be the int64 steps 1, 2"),
+    ({"x": np.full((4, 1), 0.5)}, r"x must be float64 of shape \(4, 0\)"),
+    ({"preds": np.empty(0), "t": np.empty(0, np.int64)}, "t must be the int64 steps 1, 2"),
+    (MEMBERS | {"pool": np.array([0, -1, 1, 0])}, POOL),
+    (MEMBERS | {"pool": np.array([0, 2, 1, 0])}, POOL),
+    (MEMBERS | {"pool": np.array([0, 2, 0, 0]), "expert_weights": np.array([0.5])}, POOL),
+    (MEMBERS | {"pool": np.zeros(3, np.int64)}, POOL),
+    (MEMBERS | {"pool": np.array([0.0, 2.0, 0.0, 0.0])}, POOL),
+], ids=["float-leaf", "float32", "out-of-order", "an-x-column", "empty", "a-negative-pool",
+        "a-pool-of-more-than-the-values", "fewer-weights", "a-pool-a-step-short",
+        "a-pool-not-of-integers"])
+def test_a_log_that_read_run_log_could_not_return_is_rejected(tmp_path, fields, message):
     (tmp_path / "steps.csv").write_text("an earlier log")
+    (tmp_path / "steps.cache").write_bytes(b"an earlier cache")
     before = tables(tmp_path)
-    log = _hand_log(**{"expert_preds": np.array([0.5, 0.5]),
-                       "expert_weights": np.array([0.5, 0.5])} | fields)
-    with pytest.raises(RejectedInputError, match="^pool must hold 4 integers >= 0 adding up"):
-        write_run_log(log, tmp_path)
+    with pytest.raises(RejectedInputError, match=f"^{message}"):
+        write_run_log(_hand_log(**fields), tmp_path)
     assert tables(tmp_path) == before
+
+
+def _with_x(rundir, row, text):
+    """Set the ``x`` cell of ``row`` (the header is row 1) of the log in ``rundir``."""
+    steps = rundir / "steps.csv"
+    lines = steps.read_text().split("\n")
+    cells = lines[row - 1].split(",")
+    cells[1] = text
+    lines[row - 1] = ",".join(cells)
+    steps.write_text("\n".join(lines))
+
+
+@pytest.mark.parametrize("forecaster, text, message", [
+    ("tree", "0.5;0.25;0.75", "row 1200: 3 x values in a tree run of d = 2"),
+    ("tree", "0.5", "row 1200: 1 x values in a tree run of d = 2"),
+    ("tree", "0.5;abc", "row 1200: x '0.5;abc' does not parse"),
+    ("eg", "0.5", "row 1200: 1 x values in a eg run, which logs no covariates"),
+    ("meta", "0.5;0.25", "row 1200: 2 x values in a meta run, which logs no covariates"),
+], ids=["d+1-values", "d-1-values", "not-a-number", "eg", "meta"])
+def test_an_x_cell_that_is_not_the_covariate_row_fails_alike(tree_run, tmp_path, forecaster,
+                                                              text, message):
+    rundir = tree_run
+    if forecaster != "tree":
+        rundir = tmp_path / forecaster
+        run(RunConfig(forecaster), np.random.default_rng(11).random(1500), None, rundir)
+    _with_x(rundir, 1200, text)
+    assert passed_over(rundir) == csv_read(rundir) == message
 
 
 def test_a_run_replaces_the_cache_of_an_earlier_run(tree_run, tmp_path):
