@@ -13,17 +13,18 @@ identical runs produce byte-identical step files.
 :func:`run` (``egtree run``) checks its inputs as whole arrays before any
 file is opened, then drives every forecaster through one loop
 (:func:`_step_blocks`) that makes the step log a block of ``_ROW_BLOCK``
-steps at a time.  A block's data rows are rendered once, as the text that
-its ``x`` and ``y`` cells and the running sha256 of :func:`data_digest`
-are cut from.  Each block is written as it arrives and the summary last,
-so a run holds the forecaster and one block, never the whole log; the
-files are written under temporary names and renamed into place at the
-end, so a rejected run leaves its directory as it found it.
-:func:`write_run_log` writes a :class:`RunLog` through the same block
-writer, if :func:`read_run_log` could return it.
+steps at a time.  A block is the columns of a :class:`RunLog` over its
+steps, as arrays; :func:`write_run_log` cuts a log into the same blocks,
+and both readers yield them.  Each block is written as it arrives and the
+summary last, so a run holds the forecaster and one block, never the
+whole log; the files are written under temporary names and renamed into
+place at the end, so a rejected run leaves its directory as it found it.
 
-``steps.csv`` is the log.  Its writer (:func:`_write_steps`) also writes,
-in the same pass, ``steps.cache``: each block's columns as
+``steps.csv`` is the log.  Its writer (:func:`_write_steps`) renders a
+block's data rows once (:func:`_data_rows`, which :func:`data_digest`
+also renders with): their text gives the ``x`` and ``y`` cells and feeds
+the data digest that the writer returns for the summary.  In the same
+pass it writes ``steps.cache``: each block's columns as
 :func:`read_run_log` parses them, stamped with the sha256 of
 ``steps.csv``.  The cache is derived, optional and pinned by no digest:
 :func:`read_run_log` loads a log from it where the stamps match and
@@ -102,27 +103,42 @@ def _rendered(row_format: str, columns):
         yield row_format * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block)))
 
 
-def _covariate_columns(xs, ys) -> list:
-    """The columns of ``xs``, one row per observation of ``ys``; a 1-D ``xs`` is one column."""
+def _covariate_rows(xs, ys) -> np.ndarray:
+    """``xs`` as float rows, one per observation of ``ys``; a 1-D ``xs`` is one column."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim == 1:
         xs = xs[:, None]
     if len(xs) != len(ys):
         raise RejectedInputError(f"{len(xs)} covariate rows for {len(ys)} observations")
-    return xs.T.tolist()
+    return xs
+
+
+def _data_rows(x: np.ndarray, y: np.ndarray, digest) -> str:
+    """The data rows of a block of steps: the text ``x1;..;xd,y`` (or ``y``,
+    where ``x`` has no column) of each, as ``steps.csv`` spells its cells.
+
+    The text respelled ``x1,..,xd,y;``, its canonical form, is fed to the
+    sha256 ``digest``, so :func:`data_digest` and the step-log writer hash
+    the same text.
+    """
+    row = ";".join(["%.17g"] * x.shape[1]) + ",%.17g\n" if x.shape[1] else "%.17g\n"
+    text = row * len(y) % tuple(np.column_stack([x, y]).ravel().tolist())
+    digest.update(text.replace(";", ",").replace("\n", ";").encode())
+    return text
 
 
 def data_digest(ys, xs=None) -> str:
     """Canonical digest of a dataset, independent of CSV cosmetics.
 
     The digest covers the text ``x1,..,xd,y;`` of every row, each value
-    rendered by :func:`fmt17`; a one-dimensional ``xs`` is one covariate.
+    rendered by :func:`fmt17` (:func:`_data_rows`); a one-dimensional
+    ``xs`` is one covariate.
     """
     ys = np.asarray(ys, dtype=float)
-    columns = [] if xs is None else _covariate_columns(xs, ys)
+    xs = np.empty((len(ys), 0)) if xs is None else _covariate_rows(xs, ys)
     h = hashlib.sha256()
-    for text in _rendered("%.17g," * len(columns) + "%.17g;", [*columns, ys.tolist()]):
-        h.update(text.encode())
+    for k in range(0, len(ys), _ROW_BLOCK):
+        _data_rows(xs[k:k + _ROW_BLOCK], ys[k:k + _ROW_BLOCK], h)
     return h.hexdigest()
 
 
@@ -274,24 +290,17 @@ def _checked(config: RunConfig, ys, xs, save_state: bool) -> tuple:
 class _Block:
     """The step log of up to ``_ROW_BLOCK`` consecutive steps of a run.
 
-    ``columns`` holds one list per entry of ``STEP_COLUMNS`` (``t`` a
-    range): ``x`` and ``y`` are the cells' text, ``leaf_h`` and ``leaf_i``
-    are -1 where no leaf is logged, and the members are floats, flat:
-    ``pool[k]`` of each at the block's step ``k``.
-    ``arrays`` holds ``t``, ``x`` (float64 of shape (n, d) for a tree run,
-    (n, 0) otherwise), ``pred``, ``y``, ``leaf_h``, ``leaf_i``, ``n_nodes``
-    and ``height`` as int64 and float64 arrays, which ``steps.cache``
-    stores as the cells read back (:func:`_write_steps`).  A block of a
-    running run also carries the cumulative loss and the
-    :func:`data_digest` of every step up to its last; a block cut from a
-    finished :class:`RunLog` carries neither.
+    ``columns`` are the columns of a :class:`RunLog` over those steps, as
+    arrays in its field order: ``t``, ``x``, ``preds``, ``ys``,
+    ``leaf_h``, ``leaf_i``, ``n_nodes``, ``height``, ``pool``,
+    ``expert_preds`` and ``expert_weights``.  The readers yield the same
+    columns as plain lists (:func:`_csv_blocks`, :func:`_cache_blocks`).
+    A block of a running run also carries the cumulative loss of every
+    step up to its last; a block cut from a finished :class:`RunLog` none.
     """
 
     columns: list
-    pool: list
-    arrays: list
     cumulative_loss: float | None = None
-    data_digest: str | None = None
 
 
 def _step_blocks(config: RunConfig, forecaster, ys: np.ndarray, xs):
@@ -302,83 +311,63 @@ def _step_blocks(config: RunConfig, forecaster, ys: np.ndarray, xs):
     so an outcome is never shown before its prediction.  A tree predicts
     through ``PartitionTree._predict``, which takes the checked rows as
     tuples of floats and does not check them again.  After each block's
-    loop its fields are cut into columns, and its data rows are rendered
-    once, by one ``%`` format, as ``x1;..;xd,y`` (a tree run's) or ``y``
-    lines: that text, respelled, feeds the running sha256 of
-    :func:`data_digest`, and cut, gives the ``x`` and ``y`` cells.  The
-    block's ``x`` array is the slice of the checked rows itself.
+    loop every column is built once, as an array: ``x`` and ``ys`` are the
+    slices of the checked inputs themselves, the traced fields are cut
+    into their columns, and the members of each step are flattened.
     ``LossSpec.value_array`` (the floats of ``LossSpec.value``) computes
     the block's losses, which are added to the running cumulative loss
     left to right; the log holds no loss.  A leaf index beyond the 64 bits
     of the log's ``leaf_i`` is rejected in the block that reaches it.
     """
-    if xs is None:
-        predict, data_format = forecaster.predict, "%.17g\n"
-    else:
-        predict = forecaster._predict
-        data_format = ";".join(["%.17g"] * config.d) + ",%.17g\n"
+    predict = forecaster.predict if xs is None else forecaster._predict
     update, traced = forecaster.update, forecaster.trace
     width = len(forecaster.TRACED)
-    digest, cumulative = hashlib.sha256(), 0.0
+    cumulative = 0.0
     for start in range(0, len(ys), _ROW_BLOCK):
-        block_ys = ys[start:start + _ROW_BLOCK]
-        y = block_ys.tolist()
+        y = ys[start:start + _ROW_BLOCK]
         n = len(y)
         if xs is None:
-            rows, x_columns, points = np.empty((n, 0)), [], itertools.repeat(None, n)
+            x, points = np.empty((n, 0)), itertools.repeat(None, n)
         else:  # the rows checked before the run, as tuples of Python floats
-            rows = xs[start:start + n]
-            x_columns = rows.T.tolist()
-            points = zip(*x_columns)
+            x = xs[start:start + n]
+            points = zip(*x.T.tolist())
         # the fields of every step in one flat list: no container per step
         # outlives its step, so the loop adds no work for the garbage collector
         preds, fields = [], []
-        for x, outcome in zip(points, y):
-            preds.append(predict(x))
+        for point, outcome in zip(points, y.tolist()):
+            preds.append(predict(point))
             update(outcome)
             fields.extend(traced())
 
-        # a column the forecaster does not trace keeps its default
-        columns = {"t": range(start + 1, start + n + 1), "x": [""] * n, "pred": preds,
-                   "leaf_h": [-1] * n, "leaf_i": [-1] * n, "n_nodes": [1] * n,
-                   "height": [0] * n, "experts": [], "weights": []}
-        columns.update((name, fields[j::width]) for j, name in enumerate(forecaster.TRACED))
+        columns = {name: fields[j::width] for j, name in enumerate(forecaster.TRACED)}
         del fields  # the columns hold every field now
-        pool = list(map(len, columns["experts"])) if "experts" in forecaster.TRACED else [0] * n
-        for name in ("experts", "weights"):  # a tuple per step, flattened once
-            columns[name] = list(itertools.chain.from_iterable(columns[name]))
-        leaf_i = columns["leaf_i"]
+        leaf_i = columns.get("leaf_i", [-1])
         if max(leaf_i) >= 2**63:  # only a leaf index passes 2**63, at depth 64 or more
             k = next(k for k, i in enumerate(leaf_i) if i >= 2**63)
             raise RejectedInputError(
                 f"step {start + k + 1}: the leaf at depth {columns['leaf_h'][k]} has index "
                 f"{leaf_i[k]}, beyond the 64 bits of the step log's leaf_i")
-        # "x1;..;xd,y\n" becomes the digest's "x1,..,xd,y;", and the cells
-        # alternate x and y once the line ends are commas
-        text = data_format * n % tuple(itertools.chain.from_iterable(zip(*x_columns, y)))
-        digest.update(text.replace(";", ",").replace("\n", ";").encode())
-        cells = text.replace("\n", ",").split(",")
-        del text
-        cells.pop()  # the empty cell after the last line end
-        if xs is None:
-            columns["y"] = cells
-        else:
-            columns["x"], columns["y"] = cells[0::2], cells[1::2]
+        # a column that the forecaster does not trace holds its default
+        ints = [np.fromiter(columns[name], np.int64, n) if name in columns
+                else np.full(n, default, np.int64) for name, default in
+                (("leaf_h", -1), ("leaf_i", -1), ("n_nodes", 1), ("height", 0))]
+        pool = (np.fromiter(map(len, columns["experts"]), np.int64, n) if "experts" in columns
+                else np.zeros(n, np.int64))
+        members = [np.fromiter(itertools.chain.from_iterable(columns.get(name, ())), float)
+                   for name in ("experts", "weights")]  # a tuple per step, flattened once
         pred = np.array(preds)
-        losses = config.loss.value_array(pred, block_ys).tolist()
+        losses = config.loss.value_array(pred, y).tolist()
         cumulative = left_sum(losses, cumulative)  # as verify_bounds resums them
-        # the traced integers are Python ints, as the cells render them
-        arrays = [np.arange(start + 1, start + n + 1), rows, pred, block_ys] + [
-            np.fromiter(columns[name], np.int64, n) if name in forecaster.TRACED
-            else np.full(n, columns[name][0]) for name in ("leaf_h", "leaf_i", "n_nodes", "height")]
-        yield _Block([columns[name] for name in STEP_COLUMNS], pool, arrays, cumulative,
-                     digest.hexdigest())
+        del columns, preds, losses  # the arrays hold them: no list is kept while it is written
+        yield _Block([np.arange(start + 1, start + n + 1), x, pred, y, *ints, pool, *members],
+                     cumulative)
 
 
-def _summary(config: RunConfig, forecaster, T: int, last: _Block, started: float) -> dict:
-    """The summary of a run whose last block is ``last``; its wall clock ends now."""
-    n_nodes, height = (last.columns[STEP_COLUMNS.index(name)][-1]
-                       for name in ("n_nodes", "height"))
+def _summary(config: RunConfig, forecaster, T: int, last: _Block, digest: str,
+             started: float) -> dict:
+    """The summary of a run whose last block is ``last`` and whose data has the
+    :func:`data_digest` ``digest``; its wall clock ends now."""
+    n_nodes, height = (int(column[-1]) for column in last.columns[6:8])
     final = {"n_nodes": n_nodes, "height": height, "total_steps": T}
     if config.forecaster == "meta":
         final["n_active"] = forecaster.n_active  # pool size for step T+1
@@ -391,7 +380,7 @@ def _summary(config: RunConfig, forecaster, T: int, last: _Block, started: float
         "cumulative_loss": last.cumulative_loss,
         "config": config.to_dict(),
         "seed": config.seed,
-        "data_digest": last.data_digest,
+        "data_digest": digest,
         "final": final,
         "wall_clock_sec": time.perf_counter() - started,
     }
@@ -403,24 +392,25 @@ def run(config: RunConfig, ys, xs, outdir, save_state: bool = False) -> dict:
     ``xs`` (shape (T, d), values in [0,1]) is required for tree runs and
     must be None otherwise.  Both are checked (:func:`_checked`) before any
     file is opened.  Each block of steps (:func:`_step_blocks`) is written
-    to ``steps.csv`` and its derived ``steps.cache`` as it arrives
-    (:func:`_write_steps`), and ``summary.json`` last, so no more than the
-    forecaster and one block is held, never the whole log; its
-    ``wall_clock_sec`` covers the writing.  With ``save_state`` a tree run's final
-    tree is written as ``tree.json``; no other forecaster can save its
-    state yet, and a run without it removes a ``tree.json`` that an
-    earlier run left in ``outdir``.  The files are written under temporary
-    names and renamed into place together at the end, ``steps.cache``
-    last, so a run rejected midway leaves ``outdir`` as it found it, and a
-    failed rename leaves a ``steps.csv`` that reads.  Returns the summary.
+    to ``steps.csv`` and its derived ``steps.cache`` as it arrives by
+    :func:`_write_steps`, which returns the data digest; ``summary.json``
+    comes last, so no more than the forecaster and one block is held; its
+    ``wall_clock_sec`` covers the writing.  With ``save_state`` a tree
+    run's final tree is written as ``tree.json``; no other forecaster can
+    save its state yet, and a run without it removes a ``tree.json`` that
+    an earlier run left in ``outdir``.  The files are written under
+    temporary names and renamed into place together at the end,
+    ``steps.cache`` last, so a run rejected midway leaves ``outdir`` as it
+    found it, and a failed rename leaves a ``steps.csv`` that reads.
+    Returns the summary.
     """
     started = time.perf_counter()
     ys, xs = _checked(config, ys, xs, save_state)
     forecaster = _forecaster(config)
     with _staged(Path(outdir), ("steps.csv", "summary.json", "tree.json", "steps.cache")) \
             as paths:
-        last = _write_steps(paths[0], paths[3], _step_blocks(config, forecaster, ys, xs))
-        summary = _summary(config, forecaster, len(ys), last, started)
+        last, digest = _write_steps(paths[0], paths[3], _step_blocks(config, forecaster, ys, xs))
+        summary = _summary(config, forecaster, len(ys), last, digest, started)
         _write_json(paths[1], summary, indent=2, sort_keys=True)
         if save_state:
             _write_json(paths[2], forecaster.to_dict())
@@ -450,6 +440,21 @@ def _joined17(pool: list, values: list) -> list:
     return (text_format % tuple(values)).split("\n")
 
 
+def _step_rows(columns: list, digest) -> str:
+    """The ``steps.csv`` rows of a block's ``columns``: the ``x`` and ``y`` cells
+    are cut from its data rows (:func:`_data_rows`, fed to ``digest``)."""
+    t, x, pred, y, leaf_h, leaf_i, n_nodes, height, pool, experts, weights = columns
+    # the cells alternate x and y once the line ends are commas
+    cells = _data_rows(x, y, digest).replace("\n", ",").split(",")
+    cells.pop()  # the empty cell after the last line end
+    x_cells, y_cells = (cells[0::2], cells[1::2]) if x.shape[1] else ([""] * len(t), cells)
+    pool = pool.tolist()
+    return "".join(_rendered(_STEP_ROW, [
+        t.tolist(), x_cells, pred.tolist(), y_cells, _leaf_cells(leaf_h.tolist()),
+        _leaf_cells(leaf_i.tolist()), n_nodes.tolist(), height.tolist(),
+        _joined17(pool, experts.tolist()), _joined17(pool, weights.tolist())]))
+
+
 def _leaf_cells(values: list) -> list:
     """A leaf column's cells: its integers, and no text where no leaf is logged (-1)."""
     if min(values) >= 0:  # a tree's leaves
@@ -457,17 +462,17 @@ def _leaf_cells(values: list) -> list:
     return ["" if v < 0 else v for v in values]
 
 
-def _write_steps(path, cache_path, blocks) -> _Block:
+def _write_steps(path, cache_path, blocks) -> tuple:
     """Write ``steps.csv`` to ``path`` and its cache to ``cache_path``, a block
-    at a time as the blocks arrive; returns the last block.
+    at a time as the :class:`_Block` s arrive; returns the last block and the
+    :func:`data_digest` of the blocks' ``x`` and ``ys``.
 
-    Each block is rendered once, encoded once with the codec that
-    ``open()`` reads text files with, and those bytes are hashed and
-    written.  The cache (``steps.cache``) holds the same blocks as
-    :func:`read_run_log` parses them, so it can load a log without parsing
-    its text; ``steps.csv`` stays the log, and the cache is derived and
-    optional.  All of its numbers are little-endian.  A block of ``n``
-    steps is:
+    Each block's rows are rendered once (:func:`_step_rows`), encoded once
+    with the codec that ``open()`` reads text files with, and those bytes
+    are hashed and written.  The cache (``steps.cache``) holds the same
+    blocks as :func:`read_run_log` parses them, so it can load a log
+    without parsing its text.  All of its numbers are little-endian.  A
+    block of ``n`` steps is:
 
     - three int64: ``n``, the number ``m`` of expert values in the block
       (and of weight values), and the number ``w`` of values in each
@@ -486,23 +491,20 @@ def _write_steps(path, cache_path, blocks) -> _Block:
     least one block.
     """
     encoding = locale.getpreferredencoding(False)  # what open() writes text with
-    steps_sha, cache_sha = hashlib.sha256(), hashlib.sha256()
+    steps_sha, cache_sha, digest = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     with open(path, "wb") as fh, open(cache_path, "wb") as cache:
         data = (",".join(STEP_COLUMNS) + "\n").encode(encoding)
         steps_sha.update(data)
         fh.write(data)
         for block in blocks:
-            t, x, pred, y, leaf_h, leaf_i, n_nodes, height, experts, weights = block.columns
-            data = "".join(_rendered(_STEP_ROW, [
-                t, x, pred, y, _leaf_cells(leaf_h), _leaf_cells(leaf_i), n_nodes, height,
-                _joined17(block.pool, experts), _joined17(block.pool, weights)])).encode(encoding)
+            data = _step_rows(block.columns, digest).encode(encoding)
             steps_sha.update(data)
             fh.write(data)
-            payload = _cache_block(block)
+            payload = _cache_block(block.columns)
             cache_sha.update(payload)
             cache.write(payload)
         cache.write(_TRAILER.pack(_CACHE_TAG, steps_sha.digest(), cache_sha.digest()))
-    return block
+    return block, digest.hexdigest()
 
 
 # steps.cache: a block's three counts, and its trailer (see _write_steps)
@@ -518,15 +520,14 @@ def _read_back(values) -> np.ndarray:
     return np.asarray(np.where(nan, np.nan, values), "<f8") if nan.any() else values
 
 
-def _cache_block(block: _Block) -> bytes:
-    """The bytes of ``block`` in ``steps.cache`` (see :func:`_write_steps`)."""
-    t, x, pred, y, leaf_h, leaf_i, n_nodes, height = block.arrays
-    ints = (np.maximum(leaf_h, -1), np.maximum(leaf_i, -1), n_nodes, height, block.pool)
-    return b"".join([_CACHE_HEAD.pack(len(t), len(block.columns[8]), x.shape[1]),
+def _cache_block(columns: list) -> bytes:
+    """The bytes in ``steps.cache`` of a block's ``columns`` (see :func:`_write_steps`)."""
+    t, x, pred, y, leaf_h, leaf_i, n_nodes, height, pool, experts, weights = columns
+    ints = (np.maximum(leaf_h, -1), np.maximum(leaf_i, -1), n_nodes, height, pool)
+    return b"".join([_CACHE_HEAD.pack(len(t), len(experts), x.shape[1]),
                      _read_back(pred).tobytes(), _read_back(y).tobytes(),
                      *(np.asarray(a, "<i8").tobytes() for a in ints),
-                     *(_read_back(a).tobytes() for a in block.columns[8:]),
-                     _read_back(x).tobytes()])
+                     *(_read_back(a).tobytes() for a in (experts, weights, x))])
 
 
 def _write_json(path, data, **options) -> None:
@@ -569,19 +570,15 @@ def _staged(outdir: Path, names):
 
 
 def _log_blocks(log: RunLog):
-    """The :class:`_Block` s of a finished log, each column cut and converted a block at a time."""
-    numbers = [log.t, log.x, log.preds, log.ys, log.leaf_h, log.leaf_i, log.n_nodes, log.height]
-    width = log.x.shape[1]
+    """The :class:`_Block` s of a finished log: its columns, cut a block of steps at a time."""
+    steps = [log.t, log.x, log.preds, log.ys, log.leaf_h, log.leaf_i, log.n_nodes, log.height,
+             log.pool]
     ends = np.cumsum(log.pool).tolist()  # the end of each step's members
     for k in range(0, len(log), _ROW_BLOCK):
         cut = slice(k, k + _ROW_BLOCK)
         members = slice(ends[k - 1] if k else 0, ends[cut][-1])
-        arrays = [column[cut] for column in numbers]
-        t, x, pred, y, *ints = arrays
-        yield _Block([t.tolist(), _joined17([width] * len(t), x.ravel().tolist()), pred.tolist(),
-                      _joined17([1] * len(t), y.tolist()), *(a.tolist() for a in ints),
-                      log.expert_preds[members].tolist(), log.expert_weights[members].tolist()],
-                     log.pool[cut].tolist(), arrays)
+        yield _Block([column[cut] for column in steps]
+                     + [log.expert_preds[members], log.expert_weights[members]])
 
 
 def _check_writable(log: RunLog) -> None:
@@ -1007,7 +1004,7 @@ def read_series(path) -> np.ndarray:
 def write_covariates(path, xs, ys) -> None:
     """Write an ``x1,..,xd,y`` CSV; a one-dimensional ``xs`` is one covariate."""
     ys = np.asarray(ys, dtype=float)
-    columns = _covariate_columns(xs, ys)
+    columns = _covariate_rows(xs, ys).T.tolist()
     d = len(columns)
     with open(path, "w", newline="") as fh:
         fh.write(",".join([f"x{j + 1}" for j in range(d)] + ["y"]) + "\n")

@@ -9,6 +9,7 @@ them.
 """
 
 import csv
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -20,12 +21,12 @@ import pytest
 from egtree import harness
 from egtree.cli import main
 from egtree.errors import RejectedInputError
-from egtree.harness import RunConfig, read_run_log, report, run, write_run_log
+from egtree.harness import RunConfig, RunLog, read_run_log, report, run, write_run_log
 from reference import set_members
 from test_golden import case, cases, dyadic_mix
 
-NUMBERS = ("t", "x", "preds", "ys", "leaf_h", "leaf_i", "n_nodes", "height", "pool",
-           "expert_preds", "expert_weights")
+# every column of a RunLog, those added later included
+NUMBERS = tuple(f.name for f in dataclasses.fields(RunLog) if f.name not in ("summary", "config"))
 LONG = "meta-T2500"  # crosses two 1024-row blocks
 
 
@@ -277,30 +278,35 @@ def test_a_log_that_read_run_log_could_not_return_is_rejected(tmp_path, fields, 
     assert tables(tmp_path) == before
 
 
-def _with_x(rundir, row, text):
-    """Set the ``x`` cell of ``row`` (the header is row 1) of the log in ``rundir``."""
+def _with_x(rundir, row, *texts):
+    """Set the ``x`` cells of ``row`` (the header is row 1) and of the rows
+    after it, one a text, in the log in ``rundir``."""
     steps = rundir / "steps.csv"
     lines = steps.read_text().split("\n")
-    cells = lines[row - 1].split(",")
-    cells[1] = text
-    lines[row - 1] = ",".join(cells)
+    for k, text in enumerate(texts, start=row - 1):
+        cells = lines[k].split(",")
+        cells[1] = text
+        lines[k] = ",".join(cells)
     steps.write_text("\n".join(lines))
 
 
-@pytest.mark.parametrize("forecaster, text, message", [
-    ("tree", "0.5;0.25;0.75", "row 1200: 3 x values in a tree run of d = 2"),
-    ("tree", "0.5", "row 1200: 1 x values in a tree run of d = 2"),
-    ("tree", "0.5;abc", "row 1200: x '0.5;abc' does not parse"),
-    ("eg", "0.5", "row 1200: 1 x values in a eg run, which logs no covariates"),
-    ("meta", "0.5;0.25", "row 1200: 2 x values in a meta run, which logs no covariates"),
-], ids=["d+1-values", "d-1-values", "not-a-number", "eg", "meta"])
+# balanced: rows 1200 and 1201 hold 3 and 1 values, so their block still
+# holds 2 values a row in all; each x cell is counted on its own
+@pytest.mark.parametrize("forecaster, texts, message", [
+    ("tree", ("0.5;0.25;0.75",), "row 1200: 3 x values in a tree run of d = 2"),
+    ("tree", ("0.5",), "row 1200: 1 x values in a tree run of d = 2"),
+    ("tree", ("0.5;0.25;0.75", "0.5"), "row 1200: 3 x values in a tree run of d = 2"),
+    ("tree", ("0.5;abc",), "row 1200: x '0.5;abc' does not parse"),
+    ("eg", ("0.5",), "row 1200: 1 x values in a eg run, which logs no covariates"),
+    ("meta", ("0.5;0.25",), "row 1200: 2 x values in a meta run, which logs no covariates"),
+], ids=["d+1-values", "d-1-values", "balanced", "not-a-number", "eg", "meta"])
 def test_an_x_cell_that_is_not_the_covariate_row_fails_alike(tree_run, tmp_path, forecaster,
-                                                              text, message):
+                                                              texts, message):
     rundir = tree_run
     if forecaster != "tree":
         rundir = tmp_path / forecaster
         run(RunConfig(forecaster), np.random.default_rng(11).random(1500), None, rundir)
-    _with_x(rundir, 1200, text)
+    _with_x(rundir, 1200, *texts)
     assert passed_over(rundir) == csv_read(rundir) == message
 
 
