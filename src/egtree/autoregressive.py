@@ -12,7 +12,14 @@ losses ``l_d = loss(f_d, y_t)``, the weights evolve as
     p'_d  propto  p_d^(eta_{t+1}/eta_t) * exp(-eta_{t+1} * l_d)
 
 renormalized to sum to ``D_t / D_{t+1}``, while a member entering at step
-``t+1`` receives weight ``1 / D_{t+1}``.  Weights are kept in the log
+``t+1`` receives weight ``1 / D_{t+1}``.  In closed form, the weights at
+step ``s`` are the softmax of ``eta_s * (a_d - L_d(s))`` over the active
+members, with ``L_d(s)`` member d's loss from its entry to step ``s - 1``,
+``a_1 = 0``, and ``a_D = (logsumexp_{d<D} eta_s (a_d - L_d(s)) - ln(D-1)) /
+eta_s`` for a member D that enters at step s.  The step log holds no
+weights: the verifier derives them by the closed form
+(:func:`egtree.verify.mixture_weights`) and its ``mixture-rule`` check
+holds every logged prediction to them.  Weights are kept in the log
 domain; the power-and-normalize update underflows otherwise.  The mixture
 forecasts from its own history and ignores the ``x`` of ``predict(x)``.
 
@@ -92,15 +99,10 @@ class LaggedForecaster:
 class MetaForecaster:
     """Exponentially weighted mixture over a growing pool of lag orders."""
 
-    TRACED = ("n_nodes", "height", "experts", "weights")  # step-log columns, in order
+    TRACED = ("n_nodes", "height", "experts")  # step-log columns, in order
 
-    def __init__(
-        self,
-        loss: LossSpec,
-        schedule: str = POWERS_OF_TWO,
-        effective_range: bool = False,
-        max_d: int | None = None,
-    ):
+    def __init__(self, loss: LossSpec, schedule: str = POWERS_OF_TWO,
+                 effective_range: bool = False, max_d: int | None = None):
         entry_step(schedule, 1)  # rejects an unknown schedule
         self.loss = loss
         self.schedule = schedule
@@ -110,8 +112,8 @@ class MetaForecaster:
         self.experts: list[PartitionTree] = []  # the order-d member is experts[d - 1]
         self._logw: list[float] = []
         self._next_entry = entry_step(schedule, 1)  # None once max_d is reached
-        self._pending = None  # (member predictions, weights) awaiting the outcome
-        self._last = None     # the same pair for the last completed step
+        self._pending = None  # member predictions awaiting the outcome
+        self._last = None     # those of the last completed step
 
     @property
     def n_active(self) -> int:
@@ -125,13 +127,12 @@ class MetaForecaster:
     def predict(self, x=None) -> float:
         """Mixture prediction for the current step (1/2 before any entry)."""
         if not self.experts:
-            self._pending = ((), ())
+            self._pending = ()
             return 0.5
         history = self.history  # checked outcomes only: see update()
         preds = tuple([tree._predict(tuple(history[-tree.d:])) for tree in self.experts])
-        weights = tuple(map(math.exp, self._logw))
-        y = left_sum(map(operator.mul, weights, preds))
-        self._pending = (preds, weights)
+        y = left_sum(map(operator.mul, map(math.exp, self._logw), preds))
+        self._pending = preds
         return min(max(y, 0.0), 1.0)
 
     def update(self, outcome: float) -> None:
@@ -140,20 +141,16 @@ class MetaForecaster:
             raise ContractViolationError("update must follow predict")
         if not 0.0 <= outcome <= 1.0:
             raise RejectedInputError(f"outcome must lie in [0, 1], got {outcome!r}")
-        preds, _ = self._pending
-        self._last, self._pending = self._pending, None
+        preds = self._last = self._pending
+        self._pending = None
         t = len(self.history) + 1  # the step whose outcome this is
 
         if self.experts:
             for tree in self.experts:
                 tree.update(outcome)
             value = self.loss.value
-            self._logw = reweight(
-                self._logw,
-                [value(f, outcome) for f in preds],
-                2.0 / math.sqrt(t),
-                2.0 / math.sqrt(t + 1.0),
-            )
+            self._logw = reweight(self._logw, [value(f, outcome) for f in preds],
+                                  2.0 / math.sqrt(t), 2.0 / math.sqrt(t + 1.0))
 
         self.history.append(float(outcome))
         if t + 1 == self._next_entry:
@@ -161,9 +158,8 @@ class MetaForecaster:
 
     def trace(self) -> tuple:
         """The last step's log fields in ``TRACED`` order; the log's ``y`` has its lag windows."""
-        preds, weights = self._last
         return (sum([tree.n_nodes for tree in self.experts]) or 1,
-                max([tree.height for tree in self.experts], default=0), preds, weights)
+                max([tree.height for tree in self.experts], default=0), self._last)
 
     def _admit(self) -> None:
         """Admit the member of the next order, whose entry step is now, and note the one after."""

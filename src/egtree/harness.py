@@ -4,9 +4,12 @@ A run follows the strict predict-then-observe protocol step by step and
 records everything needed to re-verify the guarantees offline: the
 prediction and outcome of every step (the verifier recomputes its loss
 from the two), a tree run's covariate rows, active leaf and tree size,
-and a mixture's member predictions and weights.  Logs are a CSV of steps
-plus a JSON summary, in the format ``LOG_FORMAT`` (``egtree-runlog-v2``,
-the ``egtree-runlog-v1`` step log less its ``loss`` column); floats are
+and a mixture's member predictions.  Logs are a CSV of steps plus a JSON
+summary, in the format ``LOG_FORMAT`` (``egtree-runlog-v3``: the v1 step
+log less its ``loss`` column, and the v2 log less its ``weights``).  A
+mixture's weights follow from its member predictions and outcomes by a
+closed form (:func:`~egtree.verify.mixture_weights`), so the log leaves
+them out and the verifier and the report derive them; floats are
 printed with 17 significant digits so they round-trip exactly and two
 identical runs produce byte-identical step files.
 
@@ -34,8 +37,8 @@ Every writer renders a block of ``_ROW_BLOCK`` rows with one ``%`` format
 and cut a block that ``csv.reader`` would split plainly with one
 ``str.split``; from the first block that is not plain on, ``csv.reader``
 splits the rest (:func:`_column_blocks`).  The numbers of a block are
-parsed by ``np.array(cells, dtype)``, a column at a time (``x`` and the
-member columns as one array of their ``;``-joined values), and a block
+parsed by ``np.array(cells, dtype)``, a column at a time (``x`` and
+``experts`` as one array of their ``;``-joined values), and a block
 that fails is rescanned row by row for its first bad row, field and
 value.  The step-log reader reads ``LOG_FORMAT`` alone, rejects a leaf
 that is no node of a tree, a member outside a mixture run and an ``x``
@@ -76,11 +79,10 @@ from .autoregressive import POWERS_OF_TWO, MetaForecaster, entry_step
 from .errors import RejectedInputError, _array, _parsed, json_field, json_keys, positive_int
 from .losses import LossSpec, left_sum
 from .tree import PartitionTree
-from .verify import BoundCheck, expert_regret, verify_bounds  # noqa: F401
+from .verify import BoundCheck, expert_regret, mixture_weights, verify_bounds  # noqa: F401
 
-LOG_FORMAT = "egtree-runlog-v2"
-STEP_COLUMNS = ("t", "x", "pred", "y", "leaf_h", "leaf_i", "n_nodes", "height",
-                "experts", "weights")
+LOG_FORMAT = "egtree-runlog-v3"
+STEP_COLUMNS = ("t", "x", "pred", "y", "leaf_h", "leaf_i", "n_nodes", "height", "experts")
 
 
 _ROW_BLOCK = 1024      # CSV rows read, or rendered, at a time
@@ -220,8 +222,7 @@ class RunLog:
     n_nodes: np.ndarray
     height: np.ndarray
     pool: np.ndarray        # int64: the members logged at each step, 0 where not aggregated
-    expert_preds: np.ndarray    # float64: pool.sum() values, step by step, members in order
-    expert_weights: np.ndarray  # float64: as expert_preds
+    expert_preds: np.ndarray  # float64: pool.sum() values, step by step, members in order
     summary: dict
     config: RunConfig = field(init=False)
 
@@ -292,9 +293,9 @@ class _Block:
 
     ``columns`` are the columns of a :class:`RunLog` over those steps, as
     arrays in its field order: ``t``, ``x``, ``preds``, ``ys``,
-    ``leaf_h``, ``leaf_i``, ``n_nodes``, ``height``, ``pool``,
-    ``expert_preds`` and ``expert_weights``.  The readers yield the same
-    columns as plain lists (:func:`_csv_blocks`, :func:`_cache_blocks`).
+    ``leaf_h``, ``leaf_i``, ``n_nodes``, ``height``, ``pool`` and
+    ``expert_preds``.  The readers yield the same columns as plain lists
+    (:func:`_csv_blocks`, :func:`_cache_blocks`).
     A block of a running run also carries the cumulative loss of every
     step up to its last; a block cut from a finished :class:`RunLog` none.
     """
@@ -353,13 +354,13 @@ def _step_blocks(config: RunConfig, forecaster, ys: np.ndarray, xs):
                 (("leaf_h", -1), ("leaf_i", -1), ("n_nodes", 1), ("height", 0))]
         pool = (np.fromiter(map(len, columns["experts"]), np.int64, n) if "experts" in columns
                 else np.zeros(n, np.int64))
-        members = [np.fromiter(itertools.chain.from_iterable(columns.get(name, ())), float)
-                   for name in ("experts", "weights")]  # a tuple per step, flattened once
+        # a tuple of members per step, flattened once
+        members = np.fromiter(itertools.chain.from_iterable(columns.get("experts", ())), float)
         pred = np.array(preds)
         losses = config.loss.value_array(pred, y).tolist()
         cumulative = left_sum(losses, cumulative)  # as verify_bounds resums them
         del columns, preds, losses  # the arrays hold them: no list is kept while it is written
-        yield _Block([np.arange(start + 1, start + n + 1), x, pred, y, *ints, pool, *members],
+        yield _Block([np.arange(start + 1, start + n + 1), x, pred, y, *ints, pool, members],
                      cumulative)
 
 
@@ -422,7 +423,7 @@ def run(config: RunConfig, ys, xs, outdir, save_state: bool = False) -> dict:
 # Every step-log field is an integer, a float, ";"-joined floats or empty,
 # so no field ever needs CSV quoting and a block of rows is one % format;
 # the x and y cells come rendered.
-_STEP_ROW = "%d,%s,%.17g,%s,%s,%s,%d,%d,%s,%s\n"
+_STEP_ROW = "%d,%s,%.17g,%s,%s,%s,%d,%d,%s\n"
 
 
 def _joined17(pool: list, values: list) -> list:
@@ -443,16 +444,15 @@ def _joined17(pool: list, values: list) -> list:
 def _step_rows(columns: list, digest) -> str:
     """The ``steps.csv`` rows of a block's ``columns``: the ``x`` and ``y`` cells
     are cut from its data rows (:func:`_data_rows`, fed to ``digest``)."""
-    t, x, pred, y, leaf_h, leaf_i, n_nodes, height, pool, experts, weights = columns
+    t, x, pred, y, leaf_h, leaf_i, n_nodes, height, pool, experts = columns
     # the cells alternate x and y once the line ends are commas
     cells = _data_rows(x, y, digest).replace("\n", ",").split(",")
     cells.pop()  # the empty cell after the last line end
     x_cells, y_cells = (cells[0::2], cells[1::2]) if x.shape[1] else ([""] * len(t), cells)
-    pool = pool.tolist()
     return "".join(_rendered(_STEP_ROW, [
         t.tolist(), x_cells, pred.tolist(), y_cells, _leaf_cells(leaf_h.tolist()),
         _leaf_cells(leaf_i.tolist()), n_nodes.tolist(), height.tolist(),
-        _joined17(pool, experts.tolist()), _joined17(pool, weights.tolist())]))
+        _joined17(pool.tolist(), experts.tolist())]))
 
 
 def _leaf_cells(values: list) -> list:
@@ -474,14 +474,14 @@ def _write_steps(path, cache_path, blocks) -> tuple:
     without parsing its text.  All of its numbers are little-endian.  A
     block of ``n`` steps is:
 
-    - three int64: ``n``, the number ``m`` of expert values in the block
-      (and of weight values), and the number ``w`` of values in each
-      ``x`` cell (the ``d`` of a tree run, 0 otherwise);
+    - three int64: ``n``, the number ``m`` of expert values in the block,
+      and the number ``w`` of values in each ``x`` cell (the ``d`` of a
+      tree run, 0 otherwise);
     - ``pred`` and ``y`` as float64, ``n`` each;
     - ``leaf_h``, ``leaf_i`` (-1 where no leaf is logged), ``n_nodes``,
       ``height`` and ``pool`` (the members at each step) as int64, ``n``
       each;
-    - the expert and the weight values as float64, ``m`` each;
+    - the expert values as float64, ``m``, step by step;
     - the ``x`` values as float64, ``n * w``, step by step.
 
     A float is stored as its cell reads back: every NaN as the one NaN
@@ -508,7 +508,7 @@ def _write_steps(path, cache_path, blocks) -> tuple:
 
 
 # steps.cache: a block's three counts, and its trailer (see _write_steps)
-_CACHE_TAG = b"egtree-steps-cache-v3\n"
+_CACHE_TAG = b"egtree-steps-cache-v4\n"
 _CACHE_HEAD = struct.Struct("<3q")
 _TRAILER = struct.Struct(f"<{len(_CACHE_TAG)}s32s32s")
 
@@ -522,12 +522,12 @@ def _read_back(values) -> np.ndarray:
 
 def _cache_block(columns: list) -> bytes:
     """The bytes in ``steps.cache`` of a block's ``columns`` (see :func:`_write_steps`)."""
-    t, x, pred, y, leaf_h, leaf_i, n_nodes, height, pool, experts, weights = columns
+    t, x, pred, y, leaf_h, leaf_i, n_nodes, height, pool, experts = columns
     ints = (np.maximum(leaf_h, -1), np.maximum(leaf_i, -1), n_nodes, height, pool)
     return b"".join([_CACHE_HEAD.pack(len(t), len(experts), x.shape[1]),
                      _read_back(pred).tobytes(), _read_back(y).tobytes(),
                      *(np.asarray(a, "<i8").tobytes() for a in ints),
-                     *(_read_back(a).tobytes() for a in (experts, weights, x))])
+                     *(_read_back(a).tobytes() for a in (experts, x))])
 
 
 def _write_json(path, data, **options) -> None:
@@ -577,15 +577,14 @@ def _log_blocks(log: RunLog):
     for k in range(0, len(log), _ROW_BLOCK):
         cut = slice(k, k + _ROW_BLOCK)
         members = slice(ends[k - 1] if k else 0, ends[cut][-1])
-        yield _Block([column[cut] for column in steps]
-                     + [log.expert_preds[members], log.expert_weights[members]])
+        yield _Block([column[cut] for column in steps] + [log.expert_preds[members]])
 
 
 def _check_writable(log: RunLog) -> None:
     """Reject ``log`` unless :func:`read_run_log` could return it: its columns
     of the dtypes and shapes of a :class:`RunLog`, ``t`` the steps 1..T of at
-    least one step, and a ``pool`` that cuts both member columns into the
-    steps.  What the columns hold is not checked."""
+    least one step, and a ``pool`` that cuts ``expert_preds`` into the steps.
+    What the columns hold is not checked."""
     def typed(column, dtype, shape) -> bool:
         return getattr(column, "dtype", None) == dtype and np.shape(column) == shape
 
@@ -593,13 +592,12 @@ def _check_writable(log: RunLog) -> None:
     if not (T and typed(t, np.int64, (T,)) and np.array_equal(t, np.arange(1, T + 1))):
         raise RejectedInputError("t must be the int64 steps 1, 2, .., T of at least one step")
     if not (typed(pool, np.int64, (T,)) and pool.min() >= 0
-            and np.shape(log.expert_preds) == np.shape(log.expert_weights) == (pool.sum(),)):
+            and np.shape(log.expert_preds) == (pool.sum(),)):
         raise RejectedInputError(f"pool must hold {T} integers >= 0 adding up to the "
-                                 "length of expert_preds and of expert_weights")
-    M, ints = pool.sum(), ("leaf_h", "leaf_i", "n_nodes", "height")
+                                 "length of expert_preds")
+    ints = ("leaf_h", "leaf_i", "n_nodes", "height")
     for name, shape in [("x", (T, _x_width(log.config))), ("preds", (T,)), ("ys", (T,)),
-                        *((name, (T,)) for name in ints),
-                        ("expert_preds", (M,)), ("expert_weights", (M,))]:
+                        *((name, (T,)) for name in ints), ("expert_preds", (pool.sum(),))]:
         dtype = np.dtype(np.int64 if name in ints else np.float64)
         if not typed(getattr(log, name), dtype, shape):
             raise RejectedInputError(f"{name} must be {dtype} of shape {shape}")
@@ -707,7 +705,7 @@ def _row_blocks(lines, width: int, row_no: int):
 
 
 # the dtype of each step-log column of one number a cell; the others, x and
-# the member columns, hold ;-joined floats (_parsed_members)
+# experts, hold ;-joined floats (_parsed_members)
 _STEP_PARSERS = {"t": np.int64, "pred": float, "y": float, "leaf_h": np.int64,
                  "leaf_i": np.int64, "n_nodes": np.int64, "height": np.int64}
 
@@ -725,10 +723,11 @@ def _parsed_block(name: str, dtype, cells, first_row: int):
 
 
 def _parsed_members(name: str, cells, first_row: int) -> tuple:
-    """A block of the column ``name`` of ``;``-joined floats (``x`` or a member
-    column): the number of values in each cell (int64), and the values of its
-    nonempty cells, ``;``-joined and parsed as one float64 array; a block of
-    empty cells (all but a tree's ``x``, all but a mixture's members) parses none.
+    """A block of the column ``name`` of ``;``-joined floats (``x`` or
+    ``experts``): the number of values in each cell (int64), and the values
+    of its nonempty cells, ``;``-joined and parsed as one float64 array; a
+    block of empty cells (all but a tree's ``x``, all but a mixture's
+    members) parses none.
     """
     if not any(cells):
         return np.zeros(len(cells), np.int64), np.empty(0)
@@ -745,18 +744,17 @@ def read_run_log(outdir) -> RunLog:
     """Load a run log; a damaged ``steps.csv`` is rejected at its first fault.
 
     ``steps.csv`` is the log.  Only a log of ``LOG_FORMAT`` is read: a
-    summary of any other format, the ``loss``-logging ``egtree-runlog-v1``
-    included, is rejected by name before ``steps.csv`` is opened.  The rows
-    are parsed a block at a time, and the first block with a fault decides
-    which is reported.  A row with the wrong number of fields ends its
+    summary of any other format, the ``weights``-logging ``egtree-runlog-v2``
+    and the ``loss``-logging ``egtree-runlog-v1`` included, is rejected by
+    name before ``steps.csv`` is opened.  The rows are parsed a block at a
+    time, and the first block with a fault decides which is reported.  A row with the wrong number of fields ends its
     block, so the rows above it are checked first.  Within a block, each
     column in log order is searched for a cell that does not parse, then
     for an integer beyond 64 bits; then come a step number out of
-    sequence, a step with more or fewer ``experts`` than ``weights``, a
-    leaf that is no node of a tree (any leaf, outside a tree run), a
-    member outside a mixture run and an ``x`` cell that does not hold the
-    run's ``d`` covariates (any value, outside a tree run).  A step count
-    that differs from the summary's ``T`` is found last.
+    sequence, a leaf that is no node of a tree (any leaf, outside a tree
+    run), a member outside a mixture run and an ``x`` cell that does not
+    hold the run's ``d`` covariates (any value, outside a tree run).  A
+    step count that differs from the summary's ``T`` is found last.
 
     Where the run directory holds a ``steps.cache`` stamped with the
     sha256 of this very ``steps.csv`` (see :func:`_write_steps`), the
@@ -797,37 +795,31 @@ def _csv_blocks(path, config: RunConfig):
             raise RejectedInputError(f"unrecognized step log header: {header}")
         for row_no, cells in _column_blocks(fh, len(STEP_COLUMNS)):
             # the columns in log order, so the first that does not parse is named
-            t, (x_count, x), *numbers, (pool, experts), (weight_pool, weights) = [
+            t, (x_count, x), *numbers, (pool, experts) = [
                 _parsed_block(name, _STEP_PARSERS[name], column, row_no)
                 if name in _STEP_PARSERS else _parsed_members(name, column, row_no)
                 for name, column in zip(STEP_COLUMNS, cells)]
-            block = [t, x, *numbers, pool, experts, weights]
-            _check_block(block, row_no, config, cells, (x_count, weight_pool))
+            block = [t, x, *numbers, pool, experts]
+            _check_block(block, row_no, config, cells, x_count)
             block[1] = x.reshape(len(t), width)
             yield block
 
 
 def _check_block(block: list, row_no: int, config: RunConfig, cells=None,
-                 counts=None) -> None:
+                 x_count=None) -> None:
     """Reject the parsed step-log ``block``, its first row being ``row_no``, at
-    its first step out of sequence, step with more or fewer ``experts`` (its
-    pool) than ``weights``, leaf that is no node of a tree (any leaf, outside
-    a tree run), member outside a mixture run, or ``x`` cell that does not
-    hold the run's covariate row (``d`` values in a tree run, none
-    elsewhere).  Where the block was parsed from its ``cells``, ``counts``
-    holds the values counted in each of its ``x`` and ``weights`` cells, and
-    a leaf is named by its text; a cached block has no count but its pool,
-    and ``x`` of the run's width (:func:`_cache_blocks`)."""
-    t, _, _, _, h, i, _, _, pool, _, _ = block
-    x_count, weight_pool = counts or (None, None)
+    its first step out of sequence, leaf that is no node of a tree (any leaf,
+    outside a tree run), member outside a mixture run, or ``x`` cell that
+    does not hold the run's covariate row (``d`` values in a tree run, none
+    elsewhere).  Where the block was parsed from its ``cells``, ``x_count``
+    holds the values counted in each of its ``x`` cells, and a leaf is named
+    by its text; a cached block has ``x`` of the run's width
+    (:func:`_cache_blocks`)."""
+    t, _, _, _, h, i, _, _, pool, _ = block
     bad = np.flatnonzero(t != np.arange(row_no - 1, row_no - 1 + len(t)))
     if bad.size:
         k = bad[0]
         raise RejectedInputError(f"row {row_no + k}: t is {t[k]}, expected {row_no - 1 + k}")
-    if weight_pool is not None and (bad := np.flatnonzero(pool != weight_pool)).size:
-        k = bad[0]
-        raise RejectedInputError(f"row {row_no + k}: {pool[k]} experts but "
-                                 f"{weight_pool[k]} weights")
     # a tree run logs a node (h, i), h >= 0 and 1 <= i <= 2**h (numpy shifts
     # i - 1 >= 0 by 64 or more to 0); any other run no leaf, (-1, -1)
     tree = config.forecaster == "tree"
@@ -914,11 +906,11 @@ def _cache_blocks(fh, size: int, config: RunConfig):
         if size < _CACHE_HEAD.size:
             raise ValueError("a malformed steps.cache block")
         n, m, w = _CACHE_HEAD.unpack(fh.read(_CACHE_HEAD.size))
-        size -= _CACHE_HEAD.size + 8 * ((7 + w) * n + 2 * m)
+        size -= _CACHE_HEAD.size + 8 * ((7 + w) * n + m)
         if min(n - 1, m, size) < 0 or w != width:
             raise ValueError("a malformed steps.cache block")
         # each column holds on to the bytes of its own part of the block
-        numbers, members, x = fh.read(56 * n), fh.read(16 * m), fh.read(8 * n * w)
+        numbers, members, x = fh.read(56 * n), fh.read(8 * m), fh.read(8 * n * w)
         floats = np.frombuffer(numbers, "<f8", 2 * n)
         ints = np.frombuffer(numbers, "<i8", 5 * n, 16 * n).reshape(5, n)
         members = np.frombuffer(members, "<f8")
@@ -930,7 +922,7 @@ def _cache_blocks(fh, size: int, config: RunConfig):
         if 25 * max(1, int(pool.max()), w) - 1 > csv.field_size_limit():
             raise ValueError("a field of steps.csv beyond csv.field_size_limit()")
         block = [np.arange(row_no - 1, row_no - 1 + n), np.frombuffer(x, "<f8").reshape(n, w),
-                 floats[:n], floats[n:], *ints, members[:m], members[m:]]
+                 floats[:n], floats[n:], *ints, members]
         _check_block(block, row_no, config)
         yield block
         row_no += n
@@ -1117,14 +1109,15 @@ def _report_run(path: Path, growth, weights) -> dict:
     t_col = log.t.tolist()
     growth.writelines(_rendered(run_field + ",%d,%d,%d\n",
                                 [t_col, log.n_nodes.tolist(), log.height.tolist()]))
-    # one row per member weight: t repeated by the pool size, d = 1..size;
-    # repeating t_col's own ints, not new ones, keeps a column one pointer a row
+    # one row per member weight (in closed form, from the members' predictions):
+    # t repeated by the pool size, d = 1..size; repeating t_col's own ints,
+    # not new ones, keeps a column one pointer a row
     if log.pool.any():
         chained = itertools.chain.from_iterable
         weights.writelines(_rendered(run_field + ",%d,%d,%.17g\n", [
             list(chained(map(itertools.repeat, t_col, log.pool.tolist()))),
             list(chained(map(range, itertools.repeat(1), (log.pool + 1).tolist()))),
-            log.expert_weights.tolist()]))
+            mixture_weights(log).tolist()]))
     return row
 
 
@@ -1133,12 +1126,13 @@ def report(run_dirs, outdir) -> dict:
 
     The runs are read one at a time, and each run's per-step rows are
     written to ``node_growth.csv`` and ``weights.csv`` a block at a time as
-    it is read, so no more than one run's log is held.  Where no run logs
-    member weights there is no ``weights.csv``, and one that an earlier
-    report left in ``outdir`` is removed.  The tables are written under
-    temporary names and renamed into place together at the end
-    (:func:`_staged`), so a run rejected midway leaves ``outdir`` as it
-    found it.
+    it is read, so no more than one run's log is held.  The member weights
+    are derived from each mixture's log (:func:`mixture_weights`), which
+    holds none.  Where no run has members there is no ``weights.csv``, and
+    one that an earlier report left in ``outdir`` is removed.  The tables
+    are written under temporary names and renamed into place together at
+    the end (:func:`_staged`), so a run rejected midway leaves ``outdir``
+    as it found it.
     """
     run_dirs = [Path(p) for p in run_dirs]
     if not run_dirs:
@@ -1150,7 +1144,7 @@ def report(run_dirs, outdir) -> dict:
             growth.write("run,t,n_nodes,height\n")
             weights.write(_WEIGHTS_HEADER)
             rows = [_report_run(path, growth, weights) for path in run_dirs]
-        if weights_path.stat().st_size == len(_WEIGHTS_HEADER):  # no run logs member weights
+        if weights_path.stat().st_size == len(_WEIGHTS_HEADER):  # no run has members
             weights_path.unlink()
 
         with open(runs_path, "w", newline="") as fh:

@@ -5,6 +5,13 @@
 :func:`_loss_checks` (every run's), :func:`_tree_checks`,
 :func:`_mixture_checks` and :func:`_lipschitz_check`.  The comparators are
 called through the :mod:`~egtree.oracles` module.
+
+A check of an algorithm's rule does not call the code it checks: the rule
+is stated here in this module's own words.  :func:`mixture_weights` derives
+a mixture's weights from its logged member predictions and outcomes by the
+closed form of exponential weights, without the forecaster or its
+reweighting, and ``mixture-rule`` holds every logged prediction to them;
+the step log holds no weights.  Shared *bound* formulas may stay shared.
 """
 
 from __future__ import annotations
@@ -83,6 +90,52 @@ def expert_regret(log, d: int) -> float:
     return _order_regret(log, loss, d, loss.value_array(log.preds, log.ys))
 
 
+def mixture_weights(log) -> np.ndarray:
+    """A mixture's member weights at every step, derived from its log: one value
+    per member prediction, aligned with the flat ``log.expert_preds``.
+
+    Members 1..``pool[s]`` are active at step s, and member d enters at the
+    first step s_d whose pool holds it.  L_d(s) is its loss from s_d to
+    s - 1, added in step order.  With eta_s = 2/sqrt(s), the weights at step
+    s are the softmax over the active members of eta_s (a_d - L_d(s)), where
+    a_1 = 0 and an entrant D >= 2 gets a_D = (logsumexp_{d<D} eta_s (a_d -
+    L_d(s)) - ln(D - 1)) / eta_s at s = s_D: it takes 1/D of the weight and
+    the incumbents keep their proportions.  Member predictions and outcomes
+    are checked to lie in [0, 1] before any loss is taken.  One Python loop
+    runs per member; the rest is numpy over the flat member values.
+    """
+    pool, values = log.pool, log.expert_preds
+    if not values.size:
+        return np.empty(0)
+    starts = np.cumsum(pool) - pool  # of each step's members in the flat column
+    eta = 2.0 / np.sqrt(np.arange(1.0, len(pool) + 1.0))  # eta_s of each step s
+    ys, loss = np.repeat(log.ys, pool), log.config.loss
+    _check_loss_args(loss, values, ys)
+    losses = loss.value_array(values, ys)
+    del ys
+    before, a = np.zeros(len(values)), np.zeros(int(pool.max()))
+    for d in range(len(a)):
+        active = pool > d
+        at = starts[active] + d  # member d + 1's values, in step order
+        before[at[1:]] = np.cumsum(losses[at[:-1]])  # L_d(s); 0 at its entry
+        if d:  # the entrant's a, from its d incumbents at its entry step s
+            s = active.argmax()
+            z = eta[s] * (a[:d] - before[starts[s]:starts[s] + d])
+            top = z.max()
+            a[d] = (top + math.log(left_sum(np.exp(z - top).tolist())) - math.log(d)) / eta[s]
+    del losses
+    # the softmax over each step's members of eta_s (a_d - L_d(s)), in place
+    w = a[np.arange(len(values)) - np.repeat(starts, pool)]  # each value's a_d
+    w -= before
+    del before
+    w *= np.repeat(eta, pool)
+    heads, size = starts[pool > 0], pool[pool > 0]  # the steps with members
+    w -= np.repeat(np.maximum.reduceat(w, heads), size)
+    np.exp(w, out=w)
+    w /= np.repeat(np.add.reduceat(w, heads), size)
+    return w
+
+
 def verify_bounds(log, lipschitz_L: float | None = None) -> list[BoundCheck]:
     """Check every guarantee the logged run is supposed to satisfy.
 
@@ -96,8 +149,11 @@ def verify_bounds(log, lipschitz_L: float | None = None) -> list[BoundCheck]:
     ``per-leaf-decomposition`` adds :func:`eg.regret_bound` over the logged
     leaves, grouped by one sort (:func:`oracles.best_constants`) in the order
     of first visits; the mixture checks take D, the largest pool the step log
-    holds.  ``lipschitz_L`` adds the regret check against the best L-Lipschitz
-    predictor (tree runs with d = 1, meta runs with a member), or is rejected.
+    holds.  ``mixture-rule`` holds a mixture's every prediction to the
+    weights that :func:`mixture_weights` derives, in this module's own words,
+    from the logged member predictions and outcomes.  ``lipschitz_L`` adds the
+    regret check against the best L-Lipschitz predictor (tree runs with d = 1,
+    meta runs with a member), or is rejected.
     """
     if len(log) == 0:
         raise RejectedInputError("cannot verify an empty log")
@@ -160,20 +216,27 @@ def _tree_checks(log, config, resummed: float) -> list[BoundCheck]:
 
 
 def _mixture_checks(log, config, losses: np.ndarray, D: int) -> list[BoundCheck]:
-    """A mixture's weight accounting and its regret against each member.
+    """A mixture's rule, its pool's growth and its regret against each member.
 
+    ``mixture-rule`` takes every step's prediction to be clip(sum_d w_d f_d)
+    with the weights of :func:`mixture_weights`, and 1/2 before the first
+    member.  Its tolerance, 1e-9, was fixed before any run was checked: the
+    closed form and the run's recursive update reach the same weights by
+    different roundings, whose gap grows about as T * 2^-52 (2e-11 at
+    T = 10^5), while a changed rule moves predictions by far more.
     ``losses`` are the mixture's checked losses, found once for every order,
     and ``D`` is the largest pool the log holds.
     """
-    weights, ends = log.expert_weights.tolist(), np.cumsum(log.pool).tolist()
-    try:  # one fsum per step that logs members, over its slice of the weights
-        deviations = [abs(math.fsum(weights[a:b]) - 1.0)
-                      for a, b in zip([0, *ends], ends) if b > a]
-    except ValueError:  # fsum of inf and -inf: the weights have no sum
-        deviations = [math.nan]
-    # np.max, not max(): a NaN weight must make the check fail
-    checks = [BoundCheck("weight-simplex", 1e-12, np.max(deviations or [0.0]),
-                         "mixture weights sum to 1 at every step")]
+    pool, mixed = log.pool, log.pool > 0  # the steps with members
+    rule = np.full(len(log), 0.5)
+    if mixed.any():
+        shares = mixture_weights(log)
+        shares *= log.expert_preds  # each member's w_d f_d
+        rule[mixed] = np.add.reduceat(shares, (np.cumsum(pool) - pool)[mixed])
+    gaps = np.abs(log.preds - np.clip(rule, 0.0, 1.0))
+    # np.max, not max(): a NaN must make the check fail
+    checks = [BoundCheck("mixture-rule", 1e-9, np.max(gaps),
+                         "|pred - clip(sum_d w_d f_d)|, w in closed form; 1/2 before any member")]
     entrants = np.diff(log.pool)
     checks.append(BoundCheck("one-entrant-per-step", 0.0,
                              np.count_nonzero((entrants < 0) | (entrants > 1)),

@@ -36,6 +36,7 @@ from egtree.errors import RejectedInputError
 from egtree.harness import STEP_COLUMNS, RunLog, _forecaster, fmt17
 from egtree.losses import LossSpec
 from egtree.oracles import Comparator, _group_by_x
+from egtree.verify import mixture_weights
 
 # -- comparator twins ------------------------------------------------------
 
@@ -307,7 +308,7 @@ def hand_run(config, ys, xs=None) -> RunLog:
     forecaster = _forecaster(config)
     T = len(ys)
     columns = {"leaf_h": [-1] * T, "leaf_i": [-1] * T, "n_nodes": [1] * T, "height": [0] * T,
-               "experts": [()] * T, "weights": [()] * T}
+               "experts": [()] * T}
     preds = []
     for k, y in enumerate(np.asarray(ys, dtype=float).tolist()):
         preds.append(forecaster.predict(None if xs is None else xs[k]))
@@ -318,32 +319,39 @@ def hand_run(config, ys, xs=None) -> RunLog:
     ints = (np.array(columns[name], dtype=np.int64)
             for name in ("leaf_h", "leaf_i", "n_nodes", "height"))
     pool = np.array([len(step) for step in columns["experts"]], dtype=np.int64)
-    members = (np.array([v for step in columns[name] for v in step], dtype=float)
-               for name in ("experts", "weights"))
+    members = np.array([v for step in columns["experts"] for v in step], dtype=float)
     return RunLog(np.arange(1, T + 1, dtype=np.int64), x, np.array(preds),
-                  np.asarray(ys, dtype=float), *ints, pool, *members,
+                  np.asarray(ys, dtype=float), *ints, pool, members,
                   {"config": config.to_dict()})
 
 
+def run_weights(config, ys) -> list:
+    """The weights a mixture run predicts with at each step, as lists of floats
+    read off the forecaster itself (``MetaForecaster.weights``)."""
+    forecaster = _forecaster(config)
+    weights = []
+    for y in np.asarray(ys, dtype=float).tolist():
+        forecaster.predict()
+        weights.append(forecaster.weights)
+        forecaster.update(y)
+    return weights
+
+
 def member_rows(log):
-    """Each step's member predictions and weights, two lists of floats, cut from
-    the log's flat columns one step at a time."""
+    """Each step's member predictions, a list of floats, cut from the log's flat
+    column one step at a time."""
     start = 0
     for size in log.pool.tolist():
-        yield (log.expert_preds[start:start + size].tolist(),
-               log.expert_weights[start:start + size].tolist())
+        yield log.expert_preds[start:start + size].tolist()
         start += size
 
 
-def set_members(log, k, preds, weights) -> None:
-    """Give step ``k`` (from 0) of the in-memory ``log`` the members ``preds`` and
-    ``weights``: its pool size and both flat columns change together."""
-    assert len(preds) == len(weights)
+def set_members(log, k, preds) -> None:
+    """Give step ``k`` (from 0) of the in-memory ``log`` the member predictions
+    ``preds``: its pool size and the flat column change together."""
     start = int(log.pool[:k].sum())
     end = start + int(log.pool[k])
     log.expert_preds = np.concatenate([log.expert_preds[:start], preds, log.expert_preds[end:]])
-    log.expert_weights = np.concatenate([log.expert_weights[:start], weights,
-                                         log.expert_weights[end:]])
     log.pool[k] = len(preds)
 
 
@@ -352,7 +360,7 @@ def write_steps_csv(log, path) -> None:
     with open(Path(path), "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(STEP_COLUMNS)
-        for k, (experts, weights) in enumerate(member_rows(log)):
+        for k, experts in enumerate(member_rows(log)):
             writer.writerow((
                 int(log.t[k]),
                 ";".join(fmt17(v) for v in log.x[k]),
@@ -363,7 +371,6 @@ def write_steps_csv(log, path) -> None:
                 int(log.n_nodes[k]),
                 int(log.height[k]),
                 ";".join(fmt17(v) for v in experts),
-                ";".join(fmt17(v) for v in weights),
             ))
 
 
@@ -405,9 +412,13 @@ def node_growth_csv(named_logs) -> str:
 
 
 def weights_csv(named_logs) -> str:
-    """The report's ``weights.csv``: one row per logged member weight."""
+    """The report's ``weights.csv``, one row per member weight of
+    :func:`egtree.verify.mixture_weights`, rendered a row at a time."""
+    def rows(name, log):
+        weights = iter(mixture_weights(log).tolist())
+        for t, preds in zip(log.t.tolist(), member_rows(log)):
+            for d in range(1, len(preds) + 1):
+                yield name, t, d, fmt17(next(weights))
+
     return csv_text(("run", "t", "d", "weight"),
-                    ((name, int(t), d, fmt17(w))
-                     for name, log in named_logs
-                     for t, (_, weights) in zip(log.t, member_rows(log))
-                     for d, w in enumerate(weights, start=1)))
+                    itertools.chain.from_iterable(rows(name, log) for name, log in named_logs))

@@ -77,8 +77,7 @@ def drive(meta, ys):
     for y in ys:
         p = meta.predict()
         meta.update(float(y))
-        step = traced(meta)
-        records.append((p, step["experts"], step["weights"]))
+        records.append((p, traced(meta)["experts"]))
     return records
 
 
@@ -110,9 +109,9 @@ class TestMetaProtocol:
         rng = np.random.default_rng(1)
         for y in rng.random(200):
             p = meta.predict()
+            weights = meta.weights  # those the prediction was made with
             meta.update(float(y))
-            step = traced(meta)
-            preds, weights = step["experts"], step["weights"]
+            preds = traced(meta)["experts"]
             if preds:
                 acc = 0.0
                 for w, f in zip(weights, preds):
@@ -237,7 +236,7 @@ def meta_regrets(loss, ys, schedule="powers_of_two", max_d=None):
     regrets = {}
     for d in range(1, meta.n_active + 1):
         total = 0.0
-        for (p, preds, _), y in zip(records, ys):
+        for (p, preds), y in zip(records, ys):
             if len(preds) >= d:
                 total += loss.value(p, float(y)) - loss.value(preds[d - 1], float(y))
         regrets[d] = total
@@ -250,7 +249,7 @@ class TestRegretGuarantees:
         rng = np.random.default_rng(11)
         ys = np.where(rng.random(3000) < 0.6, 0.85, 0.1)
         meta, records, regrets = meta_regrets(loss, ys)
-        D = max(len(preds) for _, preds, _ in records)
+        D = max(len(preds) for _, preds in records)
         assert D >= 3
         bound = mixture_regret_bound(len(ys), D, 2)
         for d, r in regrets.items():
@@ -280,7 +279,7 @@ class TestRegretGuarantees:
         start = entry_step("powers_of_two", 1)
         member_losses = [
             ABS.value(preds[0], float(y))
-            for (p, preds, _), y in zip(records, ys) if preds
+            for (p, preds), y in zip(records, ys) if preds
         ]
         xs = ys[start - 2:-1]  # y_{t-1} for t = start..T
         fit = best_lipschitz_1d(xs, ys[start - 1:], 1.0, ABS)
@@ -293,7 +292,7 @@ class TestRegretGuarantees:
         per_T = []
         for T in (1000, 10_000):
             meta, records, _ = meta_regrets(ABS, ys[:T])
-            cum = sum(ABS.value(p, float(y)) for (p, _, _), y in zip(records, ys[:T]))
+            cum = sum(ABS.value(p, float(y)) for (p, _), y in zip(records, ys[:T]))
             fit = best_lipschitz_1d(ys[:T - 1], ys[1:T], 1.0, ABS)
             per_T.append((cum - fit.value) / T)
         assert per_T[1] < per_T[0]

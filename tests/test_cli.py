@@ -327,8 +327,9 @@ def test_damaged_step_log_cell_exits_two(markov_spec, tmp_path, capsys):
     assert "is not valid JSON" in capsys.readouterr().err
 
 
-def test_member_count_mismatch_exits_two(tmp_path, capsys):
-    # one member prediction more than the step has weights
+def test_an_extra_member_prediction_fails_the_mixture_rule(tmp_path, capsys):
+    # a ninth member at the last step reads back, but the logged prediction
+    # does not follow from nine members: verify-bounds exits 1, report reads it
     series = tmp_path / "series.csv"
     write_series(series, np.random.default_rng(3).random(300))
     rundir = tmp_path / "run"
@@ -337,14 +338,15 @@ def test_member_count_mismatch_exits_two(tmp_path, capsys):
     steps = rundir / "steps.csv"
     lines = steps.read_text().splitlines()
     fields = lines[-1].split(",")
-    fields[STEP_COLUMNS.index("experts")] += ";0.5"  # row 301
+    fields[STEP_COLUMNS.index("experts")] += ";0.9"  # row 301
     steps.write_text("\n".join(lines[:-1] + [",".join(fields)]) + "\n")
     capsys.readouterr()
-    assert main(["verify-bounds", "--out", str(rundir), "--L", "1.0"]) == 2
-    assert main(["report", "--out", str(tmp_path / "tables"), str(rundir)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["error: row 301: 9 experts but 8 weights"] * 2
-    assert not (rundir / "bounds.json").exists()
+    assert main(["verify-bounds", "--out", str(rundir), "--L", "1.0"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
+    assert len(failed) == 1 and failed[0].startswith("FAIL mixture-rule: ")
+    assert main(["report", "--out", str(tmp_path / "tables"), str(rundir)]) == 0
+    rows = (tmp_path / "tables" / "weights.csv").read_text().splitlines()
+    assert [row.split(",")[1:3] for row in rows[-9:]] == [["300", str(d)] for d in range(1, 10)]
 
 
 def test_step_log_integer_beyond_int64_exits_two(tmp_path, capsys):
@@ -612,30 +614,41 @@ def test_a_tree_log_without_leaves_exits_two(tmp_path, capsys):
 
 
 def test_a_log_of_another_format_exits_two(tmp_path, capsys):
-    # a v2 step log has no loss column; its summary's format decides, before
-    # steps.csv is read, whether the log is read at all
+    # a v3 step log has no loss column (v1 had one) and no weights column
+    # (v1 and v2 had one); its summary's format decides, before steps.csv
+    # is read, whether the log is read at all
     series = tmp_path / "s.csv"
     write_series(series, np.random.default_rng(8).random(300))
     rundir = tmp_path / "r"
     assert main(["run", "--forecaster", "eg", "--input", str(series), "--out", str(rundir)]) == 0
     steps, summary_path = rundir / "steps.csv", rundir / "summary.json"
     header, *lines = steps.read_text().splitlines()
-    assert header == "t,x,pred,y,leaf_h,leaf_i,n_nodes,height,experts,weights"
+    assert header == "t,x,pred,y,leaf_h,leaf_i,n_nodes,height,experts"
     summary = json.loads(summary_path.read_text())
-    assert summary["format"] == "egtree-runlog-v2"
-    # the same log in v1: a loss cell after the y cell, and the v1 format
+    assert summary["format"] == "egtree-runlog-v3"
+    # the same log in v2, with an (empty: no member) weights cell after the
+    # experts cell, and in v1, with a loss cell after the y cell too
     loss = harness.RunConfig.from_dict(summary["config"]).loss
+    v2 = [line + "," for line in lines]
+    v2_header = header + ",weights"
     v1 = [",".join(cells[:4] + [format(loss.value(float(cells[2]), float(cells[3])), ".17g")]
-                   + cells[4:]) for cells in (line.split(",") for line in lines)]
+                   + cells[4:]) for cells in (line.split(",") for line in v2)]
     v1_header = "t,x,pred,y,loss,leaf_h,leaf_i,n_nodes,height,experts,weights"
-    rejected = (f"error: {summary_path}: log format 'egtree-runlog-v1' is not "
-                "'egtree-runlog-v2', the only format this version reads\n")
+
+    def rejected(fmt):
+        return (f"error: {summary_path}: log format '{fmt}' is not "
+                "'egtree-runlog-v3', the only format this version reads\n")
+
     capsys.readouterr()
     for step_lines, fmt, message in (
-            ([v1_header] + v1, "egtree-runlog-v1", rejected),
-            ([header] + lines, "egtree-runlog-v1", rejected),  # a v2 step log, a v1 summary
-            ([v1_header] + v1, "egtree-runlog-v2", "error: unrecognized step log header: "
-                                                   f"{v1_header.split(',')}\n")):
+            ([v1_header] + v1, "egtree-runlog-v1", rejected("egtree-runlog-v1")),
+            ([header] + lines, "egtree-runlog-v1", rejected("egtree-runlog-v1")),
+            ([v2_header] + v2, "egtree-runlog-v2", rejected("egtree-runlog-v2")),
+            ([header] + lines, "egtree-runlog-v2", rejected("egtree-runlog-v2")),
+            ([v1_header] + v1, "egtree-runlog-v3", "error: unrecognized step log header: "
+                                                   f"{v1_header.split(',')}\n"),
+            ([v2_header] + v2, "egtree-runlog-v3", "error: unrecognized step log header: "
+                                                   f"{v2_header.split(',')}\n")):
         steps.write_text("\n".join(step_lines) + "\n")
         summary_path.write_text(json.dumps({**summary, "format": fmt}))
         for argv in (["verify-bounds", "--out", str(rundir), "--input", str(series)],

@@ -49,86 +49,86 @@ def digests(rundir):
 # (steps.csv sha256, summary.json sha256 without wall_clock_sec)
 GOLDEN = {
     "eg-absolute": (
-        "9d061bc76e2a44bbc58208fcb0ed50f0891f3a33544662e84450930c774179f8",
-        "ef73ae2ad214e47dc98f9c33171d99c9afdb7f1fc1640adc9113c6607317ad75"),
+        "7712b1a6896767527608fa7837f1a48aeddf348a4183c45fba1550c02dc82918",
+        "54cf41e587709a1d93f8ae03c7e793a164757caae01df186cfe6591ec2ec4bac"),
     "tree-d1-box-absolute": (
-        "57140f6c3c77c1c4373392b4564640718f91824974f82742fcb233110a653296",
-        "dc0e17af63c100e4b8ba40eae4b3d9ec020eb45353e3e6442b0acb27ae86e877"),
+        "44ca7be0f5177a5faed16883df0ff69d9d0d6662d892e3a530aaa39590e293a5",
+        "2bc137be98dd8b31195dfbe3eb17c5b3dc350f75602929421275f2c7f33b6615"),
     "tree-d1-range-absolute": (
-        "566ae05b253124b5eba3da7a8d057faf6ef06c27ab96f40c6dffc6883faa79f9",
-        "1ca209e8857d8ca5e7f0e7adfe34f8dbd6d1f6875ed3a9424854bf1662114e11"),
+        "f0c34e5e9dd5a7f6afc0b6796d5ae011162783d1a75e27233342656b80ebdd2d",
+        "952d8a87a1f57add7122d0d3b3224dc6010310b4f819224e36b40597a4363fc1"),
     "tree-d3-box-absolute": (
-        "6b5bc5a0073a9e7f7cef922c281e71cba49865a40f8aeb5bccc39a704f05a74b",
-        "e813e79087e7a00c989bb0828f9d5fa5993e7402433d554b874b52bfdb040d58"),
+        "b7d5e3a18ce3b402f28992a423a8859075dc879db24f2f5b021249bba42cecdd",
+        "f5f36324086737cb8935271d75f2116cbf4d68a5bb7b7f4fc4218d807db4abe7"),
     "tree-d3-range-absolute": (
-        "98c466f7cdbd2241607f632dc35b315c130481fa288568f2aca773e1fb13c949",
-        "01d10fb052754df3db0922422e75d91ab8a28030bad3910531767b2ffdc26462"),
+        "3e77f962f02fed063355c983b1fca30b92f1f62708d7381c21810a5e1fee80f3",
+        "01b3fe1740afd428963cc3b0eff75afeabcb373c91cfa2b1f2b2cc2f945aa7c5"),
     "meta-powers_of_two-box-absolute": (
-        "57711735f33d40c644ef97e8614025d74b5d6b2a837d3944e9bdcde584a55c96",
-        "b53e5786d2f5ac5c5395d11bb6b680a31c9c90db80019e69f6d8a3bc1d962ef7"),
+        "6e9c53fb4258f60bb0edcc32b645a60c3393fdf99ba8b2d587f74ee3d510015c",
+        "6de6cb8e22cec5efeeaf604734fdd77c1547edfd9f12ab0b06053cab87f583d5"),
     "meta-powers_of_two-range-absolute": (
-        "10a3b43e0f56b4c9ca6eb7f2ea6e70ad79e147076ed04ade39830a3f965cd1a9",
-        "d0119d1d7e9f19cb21cd29dde96f6c74aa94a6036ee9d2dfe25d61c85926a2b5"),
+        "2cc8502009f55514b7548063a49f27fe2f852780c1c4765f048058ca7aaf4e17",
+        "d0384cf6bf5d0c6597c11d5128f9d145de165b3f1ace3df7728c499a330a24d0"),
     "meta-quadratic-box-absolute": (
-        "2a7862c569938308691c7aceeaeb5210b56e68ba0e2a3b62fe6bce5690cc888c",
-        "d3538bb2e4fe5a474525564f8675421d99b2f825f313a914e6e78d943e6c45e4"),
+        "9547eb66ebfa2cfdf938cdb7f3c2041dd0a5c122e921451ace35dec3e4c9854a",
+        "f3a195ebef5ecf3833557699f0f3ba05326f3c97227685f07cd981db577a3476"),
     "meta-quadratic-range-absolute": (
-        "3e8b4ce728fbde13447024c9b5bbadea1a270ab5bcd3db32764fb931ffb2e08b",
-        "e1e60fed3f52b9a49f8514db586961df4bc7fff07eb8ea561f766a047091ddf3"),
+        "e887ef9e3afe8e6a73b6eb0b53747ee1be61e3073575ee4483351d170848677c",
+        "a674217edb6423c9c7b82638140c14c1d757441b30b1394b3ba5866d3f261e51"),
     "eg-square": (
-        "4ded209e7aa68eb381f73c074f2891ae2a0bcc17fb0e87fd122c4764cd7d27d5",
-        "86fa644be8b5c2bcdf91dcfbeb4daaea17c14942bd7aa8668fde2bb8499d115e"),
+        "9c9573c4b179e2de53fed42daef3facc2dd12c8dc5a3510e489746b44c165682",
+        "3ff7e83b75ff9f0a35717a3438e26bd62be063ce05f68381f6820a73534478ea"),
     "tree-d1-box-square": (
-        "b8f68c9148364175d1934cf279330cf34e9e8a950384ae87ee44db7a207554a7",
-        "c5643a7b5e4d425ba916d8b76b0dcb2958345f823d561264b5e0e003d2248832"),
+        "15ec0f9ef878a71d33da442c86868e8b10296f3e28f1d01cb315d834daa3baba",
+        "22bb150c3b59964510c1bb237b740c6663c36d5d63d3d8b245263c3bf27ac645"),
     "tree-d1-range-square": (
-        "579076bac3afa9f1692cc85afdd77ebb9ee316e22db8e9433f394d2e78695727",
-        "e6d3f0981c9acc4843318d8b4533f0b494c71bb6cb7d665cda5dbc4c628e298f"),
+        "40e6745fc85d5ba540bacd001a9fe878d16dc4811d9ec8905a7973c09f0ef2da",
+        "4cc38a7d5c778d373bd5ae54761efcc78b74238d60e96b2b99413f3f87b682ba"),
     "tree-d3-box-square": (
-        "2565cd6e26d394c18f67e7301baa057cc73c119ad6d8aca8838895e49135d0f3",
-        "5a3f4fefdbedb6ab375b27357788b0eb1fb6447c2022afdb8266d278dac48a32"),
+        "9ce474565cd63a29d63c2926edd41504828a85eeb4266c64e81e925188b95cb7",
+        "7efd20b70e46f515a3931f30bce7940c369169d523904694c740e5d67788fc50"),
     "tree-d3-range-square": (
-        "4eeae2f36a65ffad5a0100d0c4d382f218b3db41edcde4bb4c8c59fcf6afaacf",
-        "df0eb46991c603cefc5066ba4070ea0a0b9db43a7b4a6156b45649a1378edf7c"),
+        "8cc6c2d08b0ebc0d5d3113be3fe386dfb9de1a8f2017f0495e2598ffd307363e",
+        "4fc518d4dfbf5fcf07a346f062f1b8c77fda547d18a1cfc031855b0fc4a91892"),
     "meta-powers_of_two-box-square": (
-        "b186f506d6b43b476b036818bc15c4f09b28771c6c765e4869410a9d68bddad6",
-        "e09f00551fb3a450b12748d96db2d573a85b3f42189620668f354f582aae13f8"),
+        "9701e8258b080e67a9ad4a70507fd954ca677089f768a30facbb586de5497837",
+        "b75ea950e4c761b079702da97994025c8a0e8c9f0fe547384799790df34fbf15"),
     "meta-powers_of_two-range-square": (
-        "6b8c1063487fdf92c132b5b7ff71137e846885e1b8ea239a5fc4a0631e0f29ac",
-        "0086f173889116c402958e1c7434796e76279e5d956334be42a6b3aebade4b6a"),
+        "03e8fc9a6d518388e2f6707395d4cd7df1dbc4f97c73afa4112e8a0534945fe6",
+        "236cb858060c105ca6ceb60a76f0b858e4981db681220dcda16f4b72d02f4270"),
     "meta-quadratic-box-square": (
-        "3f0a862047cdf23900a49c02656ef107e31c8c203109e06c00cf54d491fd5f2c",
-        "c58be144925fb4c97248d24f553bed968ee6fd40ba6bdecc0913bef78ecda0dc"),
+        "bcaf674a2cfe7f9b4b671793d3ee4da56082254048254c0e0e00ffb2396c6eba",
+        "f2db677530f0d0dcfede24e00da813528bfbcde26ee87edd8b3ed0d95ca607d3"),
     "meta-quadratic-range-square": (
-        "532d339a5c1442136270b70310b95e32f3363ea0802f426db4d12b1531173db7",
-        "663e09bc35fec3ead4612bb7e2b4409262f3fb881f3ac6707f4fce506f80a005"),
+        "13068a4adb052278bc32a91781c4c07cca7126d0728e0eba6638298bbf0b8342",
+        "25ba9b92d9ddf11effd3cd6e23e045b50ff773f3ff47bf599268dfaf49e2537d"),
     "eg-pinball": (
-        "939bc913cc9ca739c23c8cee2b69c50af52d5c60e91c33f19dc5827380e9846e",
-        "1db24381d575f94d050e080024cf81809762f7bf207ee785ddc8a3a9e10616c1"),
+        "fa43ddcbe7d53d96f9502960a8d2ae9e0d80444d6e0f1162b163f72d55eb82c7",
+        "99e01e91e9d65433b6557448c69ab8e854b1694383272b911d9d14a97646bcd7"),
     "tree-d1-box-pinball": (
-        "dcca01a38da79095a0997e19b5f17cb38ee87fe3be9d0daaf17ec1f4648f7d3b",
-        "2b419349f3e98395c9a6d14dff57990a29aabbcb208fe5976d2e97d190718f75"),
+        "c48395373a7e97ec593f8ca54e003fb6f8af951ff00f2fc930824d0e15a2ff9b",
+        "ea01c5b4aea37b7c224babfaa0e6194c2f0d1fff955ab62726ec78e1933f8b44"),
     "tree-d1-range-pinball": (
-        "a2b3af6f0ea7552debb74250c97406407438dc56fb122b69ea95276045d94fd0",
-        "21dd909f316bc85e94887873b3c937f926a7e87e74e2a2bff225d45cf45df74b"),
+        "862a33ffe27d55c05348035de1985be816766b9c1dffc8026c83e75404876f0a",
+        "1e6321a22a4620dec074598fed26d24e1603c572172aa3380189bf3e4781ae38"),
     "tree-d3-box-pinball": (
-        "087e6edea9628127d3d0ef378dde975b66ab38d4a8337296d95c8a7541fb5af6",
-        "1f872761a2fb606685b94f3cabede76d2b98eb8e0d31e9192146bf25ecb0705b"),
+        "f20fe379246a1e79850dd1af87d0b0c7a20ae1bc22ed59e7c7a03cff3a5abfa9",
+        "376340c69ef0d24d67a8a3b50b6db7b9bca21543ba97038372a30453ee994d7c"),
     "tree-d3-range-pinball": (
-        "2f0f98ebaef4cb6114df7cd186557699116f5200c62f44c3fd96d3a88fc3ecdd",
-        "4b043e3fcd51290fa086ac0f20eca4ccb791607909e3a5647b1bb8e4b9e4f0d4"),
+        "902484acb05b12af1deaaef74c43f3a13c8c121593056b57d74d94f21a8a72ae",
+        "3ce11320e382fc50be095e0a63453d3512a69977a64709e6c36ea74b163c5bec"),
     "meta-powers_of_two-box-pinball": (
-        "0194c3c5a8800edeab8e5791051b9e3f4cf5cf0ca7cd44a5af197321f843a0ae",
-        "76ab19f2bbeb64d5e123dbe19e09cf519f9fbd742d980d912d75af0dd434c151"),
+        "f71e2e0472ed280d195858e7efadc08a48d432e48fb8ba5d933108a515272a26",
+        "90632d0b2b952f5b8b0aeb0a0b0cba691d88105287df68f71949591e88a440e9"),
     "meta-powers_of_two-range-pinball": (
-        "bdc0b07a03a80dc9093f56e9ee2b2d27c9a0915fbd535940e7fa931b3b94c2be",
-        "03b763edfe709ebedb5d1898e79e5867020bf4a3401b7685e2dd986db8ecca3b"),
+        "1526dc1a4465bab693b93125e7b55c306b2a3acacc59af52bd9c4b3eaa3842be",
+        "510c86222ce0a2eb4683b01f8dad86e430254d04accaa7b6b7d7722f3db96d87"),
     "meta-quadratic-box-pinball": (
-        "332c1c6cce97795e6dd9848e7f756364665931ecd80a5f6ed946d17dc787f8be",
-        "5fe22c45b78d2acae10245532e7c5668d8f5b0115a6726263661de23a80d107c"),
+        "3a09b3fe36504e0910e22f1b1464a4fed6d06b54b8d1778a01596d05cfb45c15",
+        "2f96f63d409ba37fd6976aa38bc91c08987f262f25d985ab7d765a4ebf9c1ab8"),
     "meta-quadratic-range-pinball": (
-        "d8f102c9260d41b95ed05c225a5c732b19ef6e8fbd1bfc1a84916f4339ec9e10",
-        "d3c6e72ea0d6e2c98cf00e01aa85927bb8b2ba7a20b07afd378c80cc57c9ac21"),
+        "0f2c503920d1206c0ec694bcf3e76b22b5c611614d696be9de845879be2a5ab3",
+        "4058fd2af91ce741dd659b817f31fb8d1356abc2e03350abb7a5f6eea5c46173"),
 }
 
 
@@ -140,28 +140,28 @@ VERIFY_GOLDEN = {
     "tree-d1-range-absolute": "8ca4c0402b0b5598002de27deae8321d2ed41f87c6e7d40d9b1feb656acb9f9c",
     "tree-d3-box-absolute": "e01e07458882ce67201a528dce113bdfa049d6875ea40d0f5271bede0c153e31",
     "tree-d3-range-absolute": "6b20276d1aa5656ec5f553dff35f3eef5012f02a3fb02d659bc072cfa4885679",
-    "meta-powers_of_two-box-absolute": "87512dada8c46f291cd47415590a5560ec42c84f7f2d474edf967b770a3430f4",
-    "meta-powers_of_two-range-absolute": "66ee85ae87e4fe28882bf45295b9195a3d1b972d89c4e13c1b61763520c3c0ec",
-    "meta-quadratic-box-absolute": "a9f71483f66ce4d6013a706caf3548b8d3f61ee711abdfafd44375d0bee4422b",
-    "meta-quadratic-range-absolute": "de127f4a40ed8c4b3ff1f44d029c325852e962921af8abc5fb2751d41ed2dc8a",
+    "meta-powers_of_two-box-absolute": "a273643851bfdf762b77eb97446de27b01999c57b3ddbb9402f407e2f0435a89",
+    "meta-powers_of_two-range-absolute": "0dd097bfd201c8c08882463c5d007f5cf3d42387508f1ebb9704664c96faf246",
+    "meta-quadratic-box-absolute": "0b80fc8bbab632eaee4e22237d364dcdd34f6063f652e60720f2f03f05db4240",
+    "meta-quadratic-range-absolute": "51cce7ac7737e4cd8b619e7c971319d88b3c087657643df762939abd5a52d978",
     "eg-square": "17a53bcfc0c4bd159ab2296f5f64a59c05ea17616715f23568a1d3b3355b60d8",
     "tree-d1-box-square": "b989d637bb0f40454f844c6bb273b81c11b84bf09f8b07624063070128019a51",
     "tree-d1-range-square": "b51bab3dba820141fd2e3e8dafa71cb3d9638b77bb46e8a7265bf8c2b481e9a5",
     "tree-d3-box-square": "aa9c63c86c0580ac4c60e9fee538a0079fdb006404bc4de76e68e86f1bb9f476",
     "tree-d3-range-square": "cd04eea23d07f9f3f6cc27f46c8ee61e22b7d9d8524ac410ba849409df8a686e",
-    "meta-powers_of_two-box-square": "ccf4a86c8819dd3763872cfd182dc7d1409020385384b8c8197239b93e0426b1",
-    "meta-powers_of_two-range-square": "d565840bdd3dd439920c752bb72dc533397b82594ab3f3ca21b475e8499fc9af",
-    "meta-quadratic-box-square": "e031590e5e7fcf59254e2514f40c0c65be30f394e607dae6c0e863a526234a18",
-    "meta-quadratic-range-square": "01ab67218ec5ec10008604c60d025c06ea94aaf364bd4fbc1135f9b81731af2e",
+    "meta-powers_of_two-box-square": "3f1d87a78d461b468066064cdd281489b45022de41b557b9a6948b1215d58132",
+    "meta-powers_of_two-range-square": "65d30a880b74f28112dfa358ed577203a4eac83a5ef384f55439be48842b284d",
+    "meta-quadratic-box-square": "94c8e5c3d3683cc133f7b5c689d8af8c7aa205d753c79ce8dd81bb0d24484057",
+    "meta-quadratic-range-square": "e6466ce5ab970e06901a6bc6e3cbed21bc8a6921d2f51e1c140a2b299bd776e4",
     "eg-pinball": "b7dc18382ecb63ca419a20d8543a40a879a72a7fa694b799f036ba84228af279",
     "tree-d1-box-pinball": "7d9df7e6946be679dc392d22e381ca55dd6a5f79adb4718c0f2cfb6cc69e9be3",
     "tree-d1-range-pinball": "99d881e3da9a35082f0c885123437a9cf2b382564ba6ebf58f0061b9b621f21c",
     "tree-d3-box-pinball": "fc547dad80e5e64a463637adc3e71322274784d562029114d26775b1280e394d",
     "tree-d3-range-pinball": "e947b02584a70a48edc4ba6d1c7665710e81a015f5151b6995f6014bf0d874cc",
-    "meta-powers_of_two-box-pinball": "ba18b2e16b54360712bcdb3f2cc0e4228082ed5e777f73cf3bd4d89fa49a4baa",
-    "meta-powers_of_two-range-pinball": "775c7611fcd980aa37ed0d2037f22412a8033051a8bed0f521420d6494b3ddef",
-    "meta-quadratic-box-pinball": "a24f6fe8c70953f148b7c0233088eb54c81c8f5c4d598a8a8efcfd7d577a8382",
-    "meta-quadratic-range-pinball": "6f23c74318a42200acb16ec706899c7cf07018400a8d6dd3e5bf91df3085ea98",
+    "meta-powers_of_two-box-pinball": "71fe051be486e4e9a89ff0344cb1e94739789e4ef15a371b8952d26689c3e877",
+    "meta-powers_of_two-range-pinball": "f532a1f4adedd7cfc0c36b795ebdba7d944a344481420c8390df918773761d18",
+    "meta-quadratic-box-pinball": "f7ecc880db9a569772efc9cfa549b07383dda7c2bbf85ceddbdb88f0d78b7265",
+    "meta-quadratic-range-pinball": "94bcd3f9675913133fc2c54d2267d64717761f074cfbbde4f7711422884ec4a0",
 }
 
 

@@ -101,8 +101,8 @@ class TestRoundTrips:
         floats = [np.array(data.draw(st.lists(finite, min_size=n, max_size=n)))
                   for _ in range(2)]
         pool = np.array(sizes, dtype=np.int64)
-        members = [np.array(data.draw(st.lists(finite, min_size=sum(sizes), max_size=sum(sizes))),
-                            dtype=float) for _ in range(2)]
+        members = np.array(data.draw(st.lists(finite, min_size=sum(sizes), max_size=sum(sizes))),
+                           dtype=float)
         # the fields read_run_log requires of a summary
         summary = {"format": LOG_FORMAT, "T": n, "cumulative_loss": 0.0,
                    "data_digest": "0" * 64,
@@ -112,7 +112,7 @@ class TestRoundTrips:
                      np.array(leaf_h, dtype=np.int64), np.array(leaf_i, dtype=np.int64),
                      np.array(data.draw(st.lists(ints, min_size=n, max_size=n))),
                      np.array(data.draw(st.lists(ints, min_size=n, max_size=n))),
-                     pool, *members, summary)
+                     pool, members, summary)
         out = tmp_path_factory.mktemp("log")
         with mock.patch.object(harness, "_ROW_BLOCK", block):
             write_run_log(log, out)
@@ -123,7 +123,7 @@ class TestRoundTrips:
         (out / "steps.cache").unlink()
         for back in (cached, read_run_log(out)):
             for name in ("t", "x", "preds", "ys", "leaf_h", "leaf_i", "n_nodes", "height",
-                         "pool", "expert_preds", "expert_weights"):
+                         "pool", "expert_preds"):
                 assert same_bits(getattr(back, name), getattr(log, name)), name
             assert back.summary == summary
 
@@ -279,8 +279,7 @@ class TestSplitter:
         for name in ("t", "x", "preds", "ys", "leaf_h", "leaf_i", "n_nodes", "height"):
             assert same_bits(getattr(back, name), getattr(log, name)), name
         assert same_bits(back.pool, np.zeros(2100, np.int64))
-        assert same_bits(back.expert_preds, np.empty(0)) and same_bits(back.expert_weights,
-                                                                        np.empty(0))
+        assert same_bits(back.expert_preds, np.empty(0))
 
 
 ABS = LossSpec("absolute")
@@ -414,8 +413,8 @@ class TestRenderedBlocks:
         assert (tmp_path / "steps.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_report(self, tmp_path, block, T):
-        # one run name csv must quote, with a % that is text; only meta logs
-        # weights, and its first member enters at step 2
+        # one run name csv must quote, with a % that is text; only meta has
+        # member weights, and its first member enters at step 2
         names = {"eg": "eg", "tree": 'a,b"c%d', "meta": "meta%s"}
         for forecaster, name in names.items():
             run_to(tmp_path / name, forecaster, T)

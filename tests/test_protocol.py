@@ -190,4 +190,4 @@ def test_run_matches_the_checked_tree_path(d, effective_range, loss, run_log):
         cumulative += loss.value(pred, y)
     assert log.summary["cumulative_loss"] == cumulative
     assert log.pool.tolist() == [0] * T
-    assert log.expert_preds.shape == log.expert_weights.shape == (0,)
+    assert log.expert_preds.shape == (0,)

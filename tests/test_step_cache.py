@@ -162,10 +162,11 @@ def _edit_cache(rundir, edit):
     lambda data: data.replace(harness._CACHE_TAG, b"egtree-steps-cache-v9\n"),
     lambda data: data.replace(harness._CACHE_TAG, b"egtree-steps-cache-v1\n"),
     lambda data: data.replace(harness._CACHE_TAG, b"egtree-steps-cache-v2\n"),
+    lambda data: data.replace(harness._CACHE_TAG, b"egtree-steps-cache-v3\n"),
     lambda data: data[:-harness._TRAILER.size],
     lambda data: b"",
 ], ids=["a-payload-bit-flipped", "cut-in-half", "a-byte-short", "an-unknown-tag",
-        "the-v1-tag", "the-v2-tag", "no-trailer", "empty"])
+        "the-v1-tag", "the-v2-tag", "the-v3-tag", "no-trailer", "empty"])
 def test_a_damaged_cache_is_passed_over(tree_run, edit):
     _edit_cache(tree_run, edit)
     assert_same_outcome(passed_over(tree_run), csv_read(tree_run))
@@ -212,7 +213,7 @@ def test_a_faulty_log_with_a_cache_fails_as_its_csv_does(tmp_path, fault):
     if fault == "a-leaf-that-is-no-node":
         log.leaf_i[1100] = 2 ** log.leaf_h[1100] + 1
     else:
-        set_members(log, 1100, [0.5], [0.7])
+        set_members(log, 1100, [0.5])
     rundir = tmp_path / "faulty"
     write_run_log(log, rundir)
     assert (rundir / "steps.cache").exists()
@@ -233,8 +234,7 @@ def _hand_log(preds=(0.5,) * 4, **fields):
     columns = {"t": np.arange(1, n + 1), "x": np.empty((n, 0)), "preds": np.array(preds),
                "ys": np.full(n, 0.5), "leaf_h": np.full(n, -1), "leaf_i": np.full(n, -1),
                "n_nodes": np.ones(n, np.int64), "height": np.zeros(n, np.int64),
-               "pool": np.zeros(n, np.int64), "expert_preds": np.empty(0),
-               "expert_weights": np.empty(0)} | fields
+               "pool": np.zeros(n, np.int64), "expert_preds": np.empty(0)} | fields
     return harness.RunLog(**columns, summary=summary)
 
 
@@ -251,8 +251,8 @@ def test_a_float_is_cached_as_its_cell_reads_back(tmp_path):
     assert cached.preds[2:4].tobytes() == np.array([float("nan")] * 2).tobytes()
 
 
-MEMBERS = {"expert_preds": np.array([0.5, 0.5]), "expert_weights": np.array([0.5, 0.5])}
-POOL = "pool must hold 4 integers >= 0 adding up to the length of expert_preds and of"
+MEMBERS = {"expert_preds": np.array([0.5, 0.5])}
+POOL = "pool must hold 4 integers >= 0 adding up to the length of expert_preds$"
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -263,11 +263,12 @@ POOL = "pool must hold 4 integers >= 0 adding up to the length of expert_preds a
     ({"preds": np.empty(0), "t": np.empty(0, np.int64)}, "t must be the int64 steps 1, 2"),
     (MEMBERS | {"pool": np.array([0, -1, 1, 0])}, POOL),
     (MEMBERS | {"pool": np.array([0, 2, 1, 0])}, POOL),
-    (MEMBERS | {"pool": np.array([0, 2, 0, 0]), "expert_weights": np.array([0.5])}, POOL),
+    (MEMBERS | {"pool": np.array([0, 1, 0, 0])}, POOL),
     (MEMBERS | {"pool": np.zeros(3, np.int64)}, POOL),
     (MEMBERS | {"pool": np.array([0.0, 2.0, 0.0, 0.0])}, POOL),
 ], ids=["float-leaf", "float32", "out-of-order", "an-x-column", "empty", "a-negative-pool",
-        "a-pool-of-more-than-the-values", "fewer-weights", "a-pool-a-step-short",
+        "a-pool-of-more-than-the-values", "a-pool-of-fewer-than-the-values",
+        "a-pool-a-step-short",
         "a-pool-not-of-integers"])
 def test_a_log_that_read_run_log_could_not_return_is_rejected(tmp_path, fields, message):
     (tmp_path / "steps.csv").write_text("an earlier log")
