@@ -2,7 +2,9 @@
 
 Subcommands:
 
-* ``simulate``       draw a synthetic series to CSV
+* ``simulate``       draw a synthetic series: ``--out`` gets the CSV, with
+  ``<out>.meta.json`` (its spec and data digest) and ``<out>.cache`` (its
+  values, which ``run`` reads instead of parsing the CSV) beside it
 * ``run``            drive a forecaster over a CSV input, write the log
 * ``oracle``         evaluate an offline comparator on a CSV input
 * ``verify-bounds``  re-check a finished run's guarantees
@@ -44,9 +46,8 @@ def _cmd_simulate(args) -> int:
         spec_dict["seed"] = args.seed
     spec = processes.ProcessSpec.from_dict(spec_dict)
     ys, info = processes.generate_with_info(spec, args.T)
-    harness.write_series(args.out, ys)
-    meta = {"spec": spec.to_dict(), "T": args.T, **info,
-            "digest": harness.data_digest(ys)}
+    digest = harness.write_series(args.out, ys)
+    meta = {"spec": spec.to_dict(), "T": args.T, **info, "digest": digest}
     with open(str(args.out) + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -69,11 +70,11 @@ def _cmd_run(args) -> int:
         config_dict["effective_range"] = True
     if args.seed is not None:
         config_dict["seed"] = args.seed
-    xs, ys = harness.read_input(args.input)
+    xs, ys, text = harness.read_input_text(args.input)
     if xs is not None:  # the file's width is d unless the config sets one
         config_dict.setdefault("d", xs.shape[1])
     summary = harness.run(harness.RunConfig.from_dict(config_dict), ys, xs, args.out,
-                          save_state=args.save_state)
+                          save_state=args.save_state, text=text)
     print(json.dumps({
         "out": str(Path(args.out)),
         "T": summary["T"],

@@ -48,6 +48,21 @@ verifier and the report read.  A file that does not decode is rejected,
 naming it.  :func:`input_digest` checks an input file that this module
 wrote against a run by hashing it as it stands.
 
+The input writers (:func:`write_series`, :func:`write_covariates`, and so
+``egtree simulate``) also write ``<csv>.cache`` beside the CSV
+(:func:`_write_input`): the values as little-endian float64, stamped with
+the sha256 of the CSV bytes just written and of the values' own bytes.
+Like ``steps.cache`` it is derived and optional: the input readers load
+the values from it only where both stamps match and every value lies in
+[0, 1] (:func:`_cached_input`), and parse the CSV otherwise, so every
+rejection comes as the text gives it.  The stamps guard against a cache
+that is out of date or damaged, not against one forged to match.  Where
+the cache was used, ``egtree run`` (:func:`read_input_text`, then
+:func:`run`) cuts the step log's ``x`` and ``y`` cells and the data-digest
+text from the very CSV bytes that matched the stamp, a block of rows at a
+time (:func:`_line_cells`): the writer spelled each value with the
+``%.17g`` of :func:`_data_rows`, so these are the bytes it would render.
+
 A :class:`RunLog` holds every column as a numpy array, a tree run's
 covariates as ``x`` (float64, shape (T, d)), and its summary's
 :class:`RunConfig`.  :mod:`egtree.verify` checks a run's guarantees
@@ -67,6 +82,7 @@ import itertools
 import json
 import locale
 import math
+import os
 import struct
 import time
 from dataclasses import dataclass, field, fields
@@ -298,13 +314,16 @@ class _Block:
     (:func:`_csv_blocks`, :func:`_cache_blocks`).
     A block of a running run also carries the cumulative loss of every
     step up to its last; a block cut from a finished :class:`RunLog` none.
+    A block of a run over an input file whose cache vouched for it carries
+    the file's rows of its steps as ``lines`` (see :func:`_line_cells`).
     """
 
     columns: list
     cumulative_loss: float | None = None
+    lines: str | None = None
 
 
-def _step_blocks(config: RunConfig, forecaster, ys: np.ndarray, xs):
+def _step_blocks(config: RunConfig, forecaster, ys: np.ndarray, xs, text: bytes | None):
     """Drive ``forecaster`` over the checked ``ys`` (and ``xs``), a :class:`_Block` at a time.
 
     Each step is predicted with its covariate row (``None`` without
@@ -319,8 +338,14 @@ def _step_blocks(config: RunConfig, forecaster, ys: np.ndarray, xs):
     the block's losses, which are added to the running cumulative loss
     left to right; the log holds no loss.  A leaf index beyond the 64 bits
     of the log's ``leaf_i`` is rejected in the block that reaches it.
+    Where ``text`` holds the bytes of the input file (see :func:`run`),
+    each block carries its steps' rows of it, decoded a block at a time.
     """
     predict = forecaster.predict if xs is None else forecaster._predict
+    if text is not None:
+        rows = io.BytesIO(text)  # shares the bytes: none is copied
+        rows.readline()  # the header
+        encoding = locale.getpreferredencoding(False)  # what open() reads text with
     update, traced = forecaster.update, forecaster.trace
     width = len(forecaster.TRACED)
     cumulative = 0.0
@@ -360,8 +385,9 @@ def _step_blocks(config: RunConfig, forecaster, ys: np.ndarray, xs):
         losses = config.loss.value_array(pred, y).tolist()
         cumulative = left_sum(losses, cumulative)  # as verify_bounds resums them
         del columns, preds, losses  # the arrays hold them: no list is kept while it is written
+        lines = None if text is None else b"".join(itertools.islice(rows, n)).decode(encoding)
         yield _Block([np.arange(start + 1, start + n + 1), x, pred, y, *ints, pool, members],
-                     cumulative)
+                     cumulative, lines)
 
 
 def _summary(config: RunConfig, forecaster, T: int, last: _Block, digest: str,
@@ -387,7 +413,8 @@ def _summary(config: RunConfig, forecaster, T: int, last: _Block, digest: str,
     }
 
 
-def run(config: RunConfig, ys, xs, outdir, save_state: bool = False) -> dict:
+def run(config: RunConfig, ys, xs, outdir, save_state: bool = False,
+        text: bytes | None = None) -> dict:
     """Drive the configured forecaster over a series, writing its log to ``outdir``.
 
     ``xs`` (shape (T, d), values in [0,1]) is required for tree runs and
@@ -403,14 +430,19 @@ def run(config: RunConfig, ys, xs, outdir, save_state: bool = False) -> dict:
     temporary names and renamed into place together at the end,
     ``steps.cache`` last, so a run rejected midway leaves ``outdir`` as it
     found it, and a failed rename leaves a ``steps.csv`` that reads.
+    ``text``, where given, is the bytes of the input file that
+    :func:`read_input_text` returned with ``xs`` and ``ys``, its cache
+    having vouched for them: the ``x`` and ``y`` cells and the data digest
+    are then cut from its rows (:func:`_line_cells`) instead of rendered.
     Returns the summary.
     """
     started = time.perf_counter()
     ys, xs = _checked(config, ys, xs, save_state)
     forecaster = _forecaster(config)
+    blocks = _step_blocks(config, forecaster, ys, xs, text)
     with _staged(Path(outdir), ("steps.csv", "summary.json", "tree.json", "steps.cache")) \
             as paths:
-        last, digest = _write_steps(paths[0], paths[3], _step_blocks(config, forecaster, ys, xs))
+        last, digest = _write_steps(paths[0], paths[3], blocks)
         summary = _summary(config, forecaster, len(ys), last, digest, started)
         _write_json(paths[1], summary, indent=2, sort_keys=True)
         if save_state:
@@ -441,18 +473,41 @@ def _joined17(pool: list, values: list) -> list:
     return (text_format % tuple(values)).split("\n")
 
 
-def _step_rows(columns: list, digest) -> str:
-    """The ``steps.csv`` rows of a block's ``columns``: the ``x`` and ``y`` cells
-    are cut from its data rows (:func:`_data_rows`, fed to ``digest``)."""
-    t, x, pred, y, leaf_h, leaf_i, n_nodes, height, pool, experts = columns
-    # the cells alternate x and y once the line ends are commas
-    cells = _data_rows(x, y, digest).replace("\n", ",").split(",")
-    cells.pop()  # the empty cell after the last line end
-    x_cells, y_cells = (cells[0::2], cells[1::2]) if x.shape[1] else ([""] * len(t), cells)
+def _step_rows(block: _Block, digest) -> str:
+    """The ``steps.csv`` rows of a :class:`_Block`: the ``x`` and ``y`` cells are
+    cut from its input file's ``lines`` (:func:`_line_cells`) where it has
+    them, else from its data rows (:func:`_data_rows`); either feeds ``digest``."""
+    t, x, pred, y, leaf_h, leaf_i, n_nodes, height, pool, experts = block.columns
+    if block.lines is not None:
+        x_cells, y_cells = _line_cells(block.lines, x.shape[1], digest)
+    else:  # the cells alternate x and y once the line ends are commas
+        cells = _data_rows(x, y, digest).replace("\n", ",").split(",")
+        cells.pop()  # the empty cell after the last line end
+        x_cells, y_cells = (cells[0::2], cells[1::2]) if x.shape[1] else ([""] * len(t), cells)
     return "".join(_rendered(_STEP_ROW, [
         t.tolist(), x_cells, pred.tolist(), y_cells, _leaf_cells(leaf_h.tolist()),
         _leaf_cells(leaf_i.tolist()), n_nodes.tolist(), height.tolist(),
         _joined17(pool.tolist(), experts.tolist())]))
+
+
+def _line_cells(lines: str, d: int, digest) -> tuple:
+    """The ``x`` and ``y`` cells of a block of steps, cut from ``lines``: their
+    rows of an input file that :func:`_write_input` wrote, ``t,y`` for a
+    series (``d`` = 0) and ``x1,..,xd,y`` otherwise.
+
+    Its writer spelled each value with the ``%.17g`` of :func:`_data_rows`,
+    so these are the very cells that :func:`_data_rows` would render; the
+    file's digest text (:func:`_digest_text`), the text that
+    :func:`_data_rows` feeds it, is fed to ``digest``.
+    """
+    digest.update(_digest_text(lines, not d))
+    width = d + 1 if d else 2
+    cells = lines.replace("\n", ",").split(",")
+    cells.pop()  # the empty cell after the last line end
+    y_cells = cells[width - 1::width]
+    if d < 2:
+        return (cells[0::2] if d else [""] * len(y_cells)), y_cells
+    return list(map(";".join, zip(*(cells[j::width] for j in range(d))))), y_cells
 
 
 def _leaf_cells(values: list) -> list:
@@ -497,7 +552,7 @@ def _write_steps(path, cache_path, blocks) -> tuple:
         steps_sha.update(data)
         fh.write(data)
         for block in blocks:
-            data = _step_rows(block.columns, digest).encode(encoding)
+            data = _step_rows(block, digest).encode(encoding)
             steps_sha.update(data)
             fh.write(data)
             payload = _cache_block(block.columns)
@@ -930,12 +985,73 @@ def _cache_blocks(fh, size: int, config: RunConfig):
 
 # -- series / covariate CSV ------------------------------------------------
 
+# <csv>.cache: the trailer after its values (see _write_input)
+_INPUT_TAG = b"egtree-input-cache-v1\n"
+_INPUT_TRAILER = struct.Struct(f"<{len(_INPUT_TAG)}s32s32s")
 
-def write_series(path, ys) -> None:
+
+def _digest_text(lines: str, series: bool) -> bytes:
+    """The data-digest text of ``lines``, rows of an input file that hold no
+    ``;`` and that :func:`_column_blocks` would cut with ``str.split``:
+    every line with ``;`` for its line end, less a series' ``t`` cell."""
+    if series:  # the y cell of every line: the t cells are not data
+        return (";".join(lines.replace("\n", ",").split(",")[1::2]) + ";").encode()
+    return lines.replace("\n", ";").encode()
+
+
+def _write_input(path, header: str, row_format: str, columns: list, values: list) -> str:
+    """Write an input file to ``path`` and its cache to ``<path>.cache``; returns
+    the file's data digest.
+
+    The file is ``header`` and then ``columns`` rendered by ``row_format``
+    (:func:`_rendered`), each block encoded once with the codec that
+    ``open()`` writes text with; those bytes are hashed and written, and
+    their digest text (:func:`_digest_text`) is hashed as
+    :func:`_plain_digest` hashes a canonical file, which gives the
+    :func:`data_digest` of the values.  The cache holds the float64
+    ``values`` arrays, little-endian, one after the other, and then a
+    trailer (``_INPUT_TRAILER``): the tag ``_INPUT_TAG``, the sha256 of the
+    bytes written to ``path`` and the sha256 of the values' bytes.
+    """
+    encoding = locale.getpreferredencoding(False)  # what open() writes text with
+    file_sha, cache_sha, digest = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    series = header == "t,y\n"
+    with open(path, "wb") as fh:
+        data = header.encode(encoding)
+        file_sha.update(data)
+        fh.write(data)
+        for text in _rendered(row_format, columns):
+            data = text.encode(encoding)
+            file_sha.update(data)
+            fh.write(data)
+            digest.update(_digest_text(text, series))
+    with open(f"{path}.cache", "wb") as fh:
+        for array in values:
+            data = np.asarray(array, "<f8").tobytes()
+            cache_sha.update(data)
+            fh.write(data)
+        fh.write(_INPUT_TRAILER.pack(_INPUT_TAG, file_sha.digest(), cache_sha.digest()))
+    return digest.hexdigest()
+
+
+def write_series(path, ys) -> str:
+    """Write the series ``ys`` to ``path`` as a ``t,y`` CSV, and its values to
+    ``<path>.cache`` (:func:`_write_input`); returns its :func:`data_digest`."""
     ys = np.asarray(ys, dtype=float)
-    with open(path, "w", newline="") as fh:
-        fh.write("t,y\n")
-        fh.writelines(_rendered("%d,%.17g\n", [range(1, len(ys) + 1), ys.tolist()]))
+    return _write_input(path, "t,y\n", "%d,%.17g\n", [range(1, len(ys) + 1), ys.tolist()],
+                        [ys])
+
+
+def write_covariates(path, xs, ys) -> str:
+    """Write ``xs`` and ``ys`` to ``path`` as an ``x1,..,xd,y`` CSV, and their
+    values to ``<path>.cache``: ``xs`` row by row, then ``ys``
+    (:func:`_write_input`); returns their :func:`data_digest`.  A
+    one-dimensional ``xs`` is one covariate."""
+    ys = np.asarray(ys, dtype=float)
+    xs = _covariate_rows(xs, ys)
+    d = xs.shape[1]
+    return _write_input(path, ",".join([f"x{j + 1}" for j in range(d)] + ["y"]) + "\n",
+                        "%.17g," * d + "%.17g\n", xs.T.tolist() + [ys.tolist()], [xs, ys])
 
 
 def _parse_unit(cell: str, row_no: int, what: str) -> float:
@@ -981,48 +1097,100 @@ def _is_covariate_header(header) -> bool:
     return header is not None and len(header) >= 2 and header[-1].strip() == "y"
 
 
-def read_series(path) -> np.ndarray:
-    """Read a ``t,y`` CSV; malformed rows raise with their row number."""
+def _cached_input(path) -> tuple | None:
+    """The input file ``path`` as its cache ``<path>.cache`` holds it:
+    ``(d, values, data)``, with ``d`` = 0 for a series and ``data`` the bytes
+    of the file; None where the file must be parsed.
+
+    The trailer is read first: its tag must be ``_INPUT_TAG``, and the file
+    and the values must hash to its digests.  Then the file's header must
+    be one that the readers accept, the values must fill its rows, at least
+    one, one value a cell (``d`` + 1 a row, a series' ``t`` cell not
+    counted), and every value must lie in [0, 1].  The stamps catch a cache
+    that is out of date or damaged, not one forged to match.
+    """
+    try:
+        with open(f"{path}.cache", "rb") as fh:
+            cache = bytearray(os.fstat(fh.fileno()).st_size)  # writable, as parsed arrays are
+            size = fh.readinto(cache) - _INPUT_TRAILER.size
+            if size < 0 or size % 8:
+                return None
+            tag, file_sha, cache_sha = _INPUT_TRAILER.unpack_from(cache, size)
+            if tag != _INPUT_TAG:
+                return None
+        with open(path, "rb") as fh:
+            data = fh.read()
+        header = data[:data.find(b"\n")].decode(locale.getpreferredencoding(False)).split(",")
+    except (OSError, UnicodeDecodeError):
+        return None
+    if (hashlib.sha256(data).digest() != file_sha
+            or hashlib.sha256(memoryview(cache)[:size]).digest() != cache_sha):
+        return None
+    series = _is_series_header(header)
+    if not (series or _is_covariate_header(header)):
+        return None
+    d = 0 if series else len(header) - 1
+    values = np.frombuffer(cache, "<f8", size // 8).astype(float, copy=False)
+    rows = data.count(b"\n") - 1
+    if (rows < 1 or values.size != rows * (d + 1) or not data.endswith(b"\n")
+            or not ((values >= 0.0) & (values <= 1.0)).all()):  # NaN fails both
+        return None
+    return d, values, data
+
+
+def _read_input(path, kind: str | None = None) -> tuple:
+    """``(xs, ys, text)`` of the input file ``path``: read as a series where
+    ``kind`` is ``"series"``, as covariates where it is ``"covariates"``, and
+    as its header says where it is None.
+
+    ``xs`` is None for a series.  Where the file's cache vouches for it
+    (:func:`_cached_input`) and it is of the kind asked for, the arrays are
+    its values and ``text`` is the file's bytes; otherwise ``text`` is None
+    and the file is parsed, so every fault is rejected as the text gives
+    it, with its row number.
+    """
+    cached = _cached_input(path)
+    if cached is not None and kind in (None, "covariates" if cached[0] else "series"):
+        d, values, text = cached
+        T = values.size // (d + 1)
+        return (values[:T * d].reshape(T, d) if d else None), values[T * d:], text
     with _open_csv(path) as fh:
         header = _header(fh)
-        if not _is_series_header(header):
+        series = kind == "series" or kind is None and _is_series_header(header)
+        if series and not _is_series_header(header):
             raise RejectedInputError(f"expected header 't,y', got {header}")
-        (ys,) = _read_unit_rows(fh, (None, "observation"))  # t is not parsed
+        if not (series or _is_covariate_header(header)):
+            raise RejectedInputError(f"expected header 'x1,..,xd,y', got {header}")
+        # a series' t column is not parsed
+        *xs, ys = _read_unit_rows(fh, (None, "observation") if series
+                                  else ("covariate",) * (len(header) - 1) + ("observation",))
     if not ys.size:
-        raise RejectedInputError("series file has no observations")
-    return ys
+        raise RejectedInputError(f"{'series' if series else 'covariate'} file has no "
+                                 "observations")
+    return (np.column_stack(xs) if xs else None), ys, None
 
 
-def write_covariates(path, xs, ys) -> None:
-    """Write an ``x1,..,xd,y`` CSV; a one-dimensional ``xs`` is one covariate."""
-    ys = np.asarray(ys, dtype=float)
-    columns = _covariate_rows(xs, ys).T.tolist()
-    d = len(columns)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join([f"x{j + 1}" for j in range(d)] + ["y"]) + "\n")
-        fh.writelines(_rendered("%.17g," * d + "%.17g\n", columns + [ys.tolist()]))
+def read_series(path) -> np.ndarray:
+    """Read a ``t,y`` CSV into its float64 ``ys``: from its cache where that
+    vouches for them, else parsed, malformed rows raising with their row
+    number (:func:`_read_input`)."""
+    return _read_input(path, "series")[1]
 
 
 def read_covariates(path):
-    """Read an ``x1,..,xd,y`` CSV into (xs, ys) arrays."""
-    with _open_csv(path) as fh:
-        header = _header(fh)
-        if not _is_covariate_header(header):
-            raise RejectedInputError(f"expected header 'x1,..,xd,y', got {header}")
-        d = len(header) - 1
-        *xs, ys = _read_unit_rows(fh, ("covariate",) * d + ("observation",))
-    if not ys.size:
-        raise RejectedInputError("covariate file has no observations")
-    return np.column_stack(xs), ys
+    """Read an ``x1,..,xd,y`` CSV into (xs, ys) arrays, as :func:`read_series` reads."""
+    return _read_input(path, "covariates")[:2]
 
 
 def read_input(path) -> tuple:
     """Read a series (header ``t,y``) as ``(None, ys)`` or a covariate file as ``(xs, ys)``."""
-    with _open_csv(path) as fh:
-        header = _header(fh)
-    if _is_series_header(header):
-        return None, read_series(path)
-    return read_covariates(path)
+    return _read_input(path)[:2]
+
+
+def read_input_text(path) -> tuple:
+    """:func:`read_input`'s ``(xs, ys)`` and the file's bytes, where its cache
+    vouched for the arrays (else None), for :func:`run`: ``(xs, ys, text)``."""
+    return _read_input(path)
 
 
 def input_digest(path, expected: str) -> str:
@@ -1050,8 +1218,8 @@ def _plain_digest(path) -> str | None:
     Only a file that decodes, has a header :func:`read_input` accepts,
     holds no ``;`` and would be cut wholly with ``str.split`` by
     :func:`_column_blocks` is hashed: with no ``;`` in it, its lines are
-    the rows of the text one for one.  It is hashed a block of lines at a
-    time, never as a whole.
+    the rows of the text one for one (:func:`_digest_text`).  It is hashed
+    a block of lines at a time, never as a whole.
     """
     h = hashlib.sha256()
     try:
@@ -1064,11 +1232,7 @@ def _plain_digest(path) -> str | None:
                 text = "".join(lines)
                 if ";" in text or not _is_plain(text, lines, len(header)):
                     return None
-                if series:  # the y cell of every line: the t cells are not data
-                    text = ";".join(text.replace("\n", ",").split(",")[1::2]) + ";"
-                else:
-                    text = text.replace("\n", ";")
-                h.update(text.encode())
+                h.update(_digest_text(text, series))
     except (UnicodeDecodeError, RejectedInputError):  # read_input says what is wrong
         return None
     return h.hexdigest()

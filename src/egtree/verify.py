@@ -69,17 +69,12 @@ def _check_loss_args(loss: LossSpec, preds: np.ndarray, ys: np.ndarray) -> None:
         loss.value(preds[k].item(), ys[k].item())  # raises the scalar check's message
 
 
-def _order_regret(log, loss: LossSpec, d: int, losses: np.ndarray) -> float:
-    """:func:`expert_regret` of order ``d`` >= 1, given the mixture's checked
-    loss at every step."""
-    steps = np.flatnonzero(log.pool >= d)
-    if not steps.size:
-        raise RejectedInputError(f"order-{d} member was never active in this run")
-    starts = np.cumsum(log.pool) - log.pool  # of each step's members in the flat column
-    member = log.expert_preds[starts[steps] + d - 1]
-    ys = log.ys[steps]
-    _check_loss_args(loss, member, ys)
-    return left_sum((losses[steps] - loss.value_array(member, ys)).tolist())
+def _member_losses(log) -> np.ndarray:
+    """The loss of every member prediction, aligned with the flat
+    ``log.expert_preds``; each is checked to lie in [0, 1] with its outcome first."""
+    ys, loss = np.repeat(log.ys, log.pool), log.config.loss
+    _check_loss_args(loss, log.expert_preds, ys)
+    return loss.value_array(log.expert_preds, ys)
 
 
 def expert_regret(log, d: int) -> float:
@@ -87,7 +82,15 @@ def expert_regret(log, d: int) -> float:
     positive_int(d, "d")
     loss = log.config.loss
     _check_loss_args(loss, log.preds, log.ys)
-    return _order_regret(log, loss, d, loss.value_array(log.preds, log.ys))
+    steps = np.flatnonzero(log.pool >= d)
+    if not steps.size:
+        raise RejectedInputError(f"order-{d} member was never active in this run")
+    starts = np.cumsum(log.pool) - log.pool  # of each step's members in the flat column
+    member = log.expert_preds[starts[steps] + d - 1]
+    ys = log.ys[steps]
+    _check_loss_args(loss, member, ys)
+    return left_sum((loss.value_array(log.preds, log.ys)[steps]
+                     - loss.value_array(member, ys)).tolist())
 
 
 def mixture_weights(log) -> np.ndarray:
@@ -109,10 +112,7 @@ def mixture_weights(log) -> np.ndarray:
         return np.empty(0)
     starts = np.cumsum(pool) - pool  # of each step's members in the flat column
     eta = 2.0 / np.sqrt(np.arange(1.0, len(pool) + 1.0))  # eta_s of each step s
-    ys, loss = np.repeat(log.ys, pool), log.config.loss
-    _check_loss_args(loss, values, ys)
-    losses = loss.value_array(values, ys)
-    del ys
+    losses = _member_losses(log)
     before, a = np.zeros(len(values)), np.zeros(int(pool.max()))
     for d in range(len(a)):
         active = pool > d
@@ -224,15 +224,19 @@ def _mixture_checks(log, config, losses: np.ndarray, D: int) -> list[BoundCheck]
     closed form and the run's recursive update reach the same weights by
     different roundings, whose gap grows about as T * 2^-52 (2e-11 at
     T = 10^5), while a changed rule moves predictions by far more.
-    ``losses`` are the mixture's checked losses, found once for every order,
-    and ``D`` is the largest pool the log holds.
+    ``losses`` are the mixture's checked losses, and ``D`` is the largest
+    pool the log holds.  The regret against each order is cut from one
+    array of every member's loss (:func:`_member_losses`), as
+    :func:`expert_regret` finds it for one order.
     """
     pool, mixed = log.pool, log.pool > 0  # the steps with members
+    starts = np.cumsum(pool) - pool  # of each step's members in the flat column
     rule = np.full(len(log), 0.5)
     if mixed.any():
         shares = mixture_weights(log)
         shares *= log.expert_preds  # each member's w_d f_d
-        rule[mixed] = np.add.reduceat(shares, (np.cumsum(pool) - pool)[mixed])
+        rule[mixed] = np.add.reduceat(shares, starts[mixed])
+        del shares
     gaps = np.abs(log.preds - np.clip(rule, 0.0, 1.0))
     # np.max, not max(): a NaN must make the check fail
     checks = [BoundCheck("mixture-rule", 1e-9, np.max(gaps),
@@ -243,10 +247,12 @@ def _mixture_checks(log, config, losses: np.ndarray, D: int) -> list[BoundCheck]
                              "steps where the pool loses a member or gains more than one"))
     if D:  # no member is active before step start_1
         bound = mixture_regret_bound(len(log), D, entry_step(config.schedule, 1))
-        checks.extend(BoundCheck(f"mixture-regret(d={d})", bound,
-                                 _order_regret(log, config.loss, d, losses),
-                                 f"D = {D} members: the largest pool in the log")
-                      for d in range(1, D + 1))
+        member_losses = _member_losses(log)
+        for d in range(1, D + 1):  # order d is active wherever the pool holds d members
+            steps = np.flatnonzero(pool >= d)
+            regret = left_sum((losses[steps] - member_losses[starts[steps] + d - 1]).tolist())
+            checks.append(BoundCheck(f"mixture-regret(d={d})", bound, regret,
+                                     f"D = {D} members: the largest pool in the log"))
     return checks
 
 
