@@ -112,10 +112,11 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_verify(args) -> int:
     outdir = Path(args.out)
+    # the input is digested before the log is loaded, so the two are never held at once
+    digest = harness.input_digest(args.input) if args.input else None
     log = harness.read_run_log(outdir)
-    if args.input:
+    if digest is not None:
         expected = log.summary["data_digest"]
-        digest = harness.input_digest(args.input, expected)
         if digest != expected:
             print(f"REFUSED: input digest {digest[:12]}.. does not match "
                   f"the run's {expected[:12]}..", file=sys.stderr)
@@ -181,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="run directory to verify")
     p.add_argument("--input", default=None,
                    help="original input CSV; its digest must match the run's "
-                        "(a canonical file is hashed as it stands, unparsed)")
+                        "(a file that its cache vouches for is hashed unparsed)")
     p.add_argument("--L", type=float, default=None,
                    help="also check the Lipschitz-comparator bound at this L")
     p.set_defaults(func=_cmd_verify)

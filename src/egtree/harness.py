@@ -23,17 +23,19 @@ summary last, so a run holds the forecaster and one block, never the
 whole log; the files are written under temporary names and renamed into
 place at the end, so a rejected run leaves its directory as it found it.
 
-``steps.csv`` is the log.  Its writer (:func:`_write_steps`) renders a
-block's data rows once (:func:`_data_rows`, which :func:`data_digest`
-also renders with): their text gives the ``x`` and ``y`` cells and feeds
-the data digest that the writer returns for the summary.  In the same
-pass it writes ``steps.cache``: each block's columns as
-:func:`read_run_log` parses them, stamped with the sha256 of
-``steps.csv``.  The cache is derived, optional and pinned by no digest:
-:func:`read_run_log` loads a log from it where the stamps match and
-parses ``steps.csv`` otherwise, so deleting it changes only speed.
-Every writer renders a block of ``_ROW_BLOCK`` rows with one ``%`` format
-(:func:`_rendered`).  The readers take a file a block of lines at a time
+``steps.csv`` is the log.  A dataset has one text: the rows of its input
+file as the input writers spell them (:func:`_input_rows`).  Every block
+carries its steps' rows, and the log's writer (:func:`_write_steps`) cuts
+the ``x`` and ``y`` cells from them (:func:`_line_cells`) and hashes
+their digest text into the data digest that it returns for the summary,
+as :func:`data_digest` hashes it.  In the same pass it writes
+``steps.cache``: each block's columns as :func:`read_run_log` parses
+them, stamped with the sha256 of ``steps.csv``.  The cache is derived,
+optional and pinned by no digest: :func:`read_run_log` loads a log from
+it where the stamps match and parses ``steps.csv`` otherwise, so
+deleting it changes only speed.  Every writer renders a block of
+``_ROW_BLOCK`` rows with one ``%`` format (:func:`_rendered`,
+:func:`_input_rows`).  The readers take a file a block of lines at a time
 and cut a block that ``csv.reader`` would split plainly with one
 ``str.split``; from the first block that is not plain on, ``csv.reader``
 splits the rest (:func:`_column_blocks`).  The numbers of a block are
@@ -45,8 +47,7 @@ that is no node of a tree, a member outside a mixture run and an ``x``
 cell that is not the run's covariate row (``d`` values in a tree run,
 none elsewhere), and checks the fields of ``summary.json`` that the
 verifier and the report read.  A file that does not decode is rejected,
-naming it.  :func:`input_digest` checks an input file that this module
-wrote against a run by hashing it as it stands.
+naming it.
 
 The input writers (:func:`write_series`, :func:`write_covariates`, and so
 ``egtree simulate``) also write ``<csv>.cache`` beside the CSV
@@ -57,11 +58,12 @@ the values from it only where both stamps match and every value lies in
 [0, 1] (:func:`_cached_input`), and parse the CSV otherwise, so every
 rejection comes as the text gives it.  The stamps guard against a cache
 that is out of date or damaged, not against one forged to match.  Where
-the cache was used, ``egtree run`` (:func:`read_input_text`, then
-:func:`run`) cuts the step log's ``x`` and ``y`` cells and the data-digest
-text from the very CSV bytes that matched the stamp, a block of rows at a
-time (:func:`_line_cells`): the writer spelled each value with the
-``%.17g`` of :func:`_data_rows`, so these are the bytes it would render.
+the cache was used, the rows of a block are the very CSV bytes that
+matched the stamp (:func:`_text_rows`), which its writer rendered with
+:func:`_input_rows`: ``egtree run`` (:func:`read_input_text`, then
+:func:`run`) cuts its log from them, and :func:`input_digest` (``egtree
+verify-bounds --input``) hashes them, neither rendering a value.
+Otherwise the rows are rendered from the values, parsed or given.
 
 A :class:`RunLog` holds every column as a numpy array, a tree run's
 covariates as ``x`` (float64, shape (T, d)), and its summary's
@@ -131,32 +133,66 @@ def _covariate_rows(xs, ys) -> np.ndarray:
     return xs
 
 
-def _data_rows(x: np.ndarray, y: np.ndarray, digest) -> str:
-    """The data rows of a block of steps: the text ``x1;..;xd,y`` (or ``y``,
-    where ``x`` has no column) of each, as ``steps.csv`` spells its cells.
+def _input_rows(ys: np.ndarray, xs: np.ndarray | None):
+    """The rows of the input file of the float arrays ``ys`` and ``xs``, past
+    its header, as :func:`write_series` (``xs`` None: ``t,y``) and
+    :func:`write_covariates` (``x1,..,xd,y``) write them, each value
+    rendered by the ``%.17g`` of :func:`fmt17`.
 
-    The text respelled ``x1,..,xd,y;``, its canonical form, is fed to the
-    sha256 ``digest``, so :func:`data_digest` and the step-log writer hash
-    the same text.
+    A block of ``_ROW_BLOCK`` rows is rendered as one string by one ``%``
+    format, and only its slice of the arrays is made a list, so the whole
+    file is never one string.  Every x and y cell of a step log, and every
+    data digest, is cut from these rows or from the bytes of a file that
+    its writer rendered with them (:func:`_text_rows`).
     """
-    row = ";".join(["%.17g"] * x.shape[1]) + ",%.17g\n" if x.shape[1] else "%.17g\n"
-    text = row * len(y) % tuple(np.column_stack([x, y]).ravel().tolist())
-    digest.update(text.replace(";", ",").replace("\n", ";").encode())
-    return text
+    row = "%d,%.17g\n" if xs is None else "%.17g," * xs.shape[1] + "%.17g\n"
+    for k in range(0, len(ys), _ROW_BLOCK):
+        y = ys[k:k + _ROW_BLOCK].tolist()
+        columns = ([range(k + 1, k + 1 + len(y))] if xs is None
+                   else xs[k:k + _ROW_BLOCK].T.tolist())
+        yield row * len(y) % tuple(itertools.chain.from_iterable(zip(*columns, y)))
+
+
+def _text_rows(text: bytes):
+    """The rows of the input file whose bytes are ``text``, past its header,
+    decoded with the codec that ``open()`` reads text with, a block of
+    ``_ROW_BLOCK`` lines at a time, as :func:`_input_rows` yields them."""
+    rows = io.BytesIO(text)  # shares the bytes: none is copied
+    rows.readline()  # the header
+    encoding = locale.getpreferredencoding(False)
+    while lines := b"".join(itertools.islice(rows, _ROW_BLOCK)):
+        yield lines.decode(encoding)
+
+
+def _digest_text(lines: str, series: bool) -> bytes:
+    """The data-digest text of ``lines``, rows of an input file as
+    :func:`_input_rows` spells them: every line with ``;`` for its line
+    end, less a series' ``t`` cell."""
+    if series:  # the y cell of every line: the t cells are not data
+        return (";".join(lines.replace("\n", ",").split(",")[1::2]) + ";").encode()
+    return lines.replace("\n", ";").encode()
 
 
 def data_digest(ys, xs=None) -> str:
     """Canonical digest of a dataset, independent of CSV cosmetics.
 
-    The digest covers the text ``x1,..,xd,y;`` of every row, each value
-    rendered by :func:`fmt17` (:func:`_data_rows`); a one-dimensional
-    ``xs`` is one covariate.
+    The digest covers the text ``x1,..,xd,y;`` of every row (``y;`` for a
+    series), each value rendered by :func:`fmt17`: the rows of the
+    dataset's input file (:func:`_input_rows`) with ``;`` for their line
+    ends, less a series' ``t`` cells (:func:`_digest_text`).  A
+    one-dimensional ``xs`` is one covariate.
     """
     ys = np.asarray(ys, dtype=float)
-    xs = np.empty((len(ys), 0)) if xs is None else _covariate_rows(xs, ys)
+    xs = None if xs is None else _covariate_rows(xs, ys)
+    return _rows_digest(_input_rows(ys, xs), xs is None)
+
+
+def _rows_digest(rows, series: bool) -> str:
+    """The sha256 of the digest text (:func:`_digest_text`) of the blocks of
+    input-file ``rows``, those of a series where ``series``."""
     h = hashlib.sha256()
-    for k in range(0, len(ys), _ROW_BLOCK):
-        _data_rows(xs[k:k + _ROW_BLOCK], ys[k:k + _ROW_BLOCK], h)
+    for lines in rows:
+        h.update(_digest_text(lines, series))
     return h.hexdigest()
 
 
@@ -312,15 +348,17 @@ class _Block:
     ``leaf_h``, ``leaf_i``, ``n_nodes``, ``height``, ``pool`` and
     ``expert_preds``.  The readers yield the same columns as plain lists
     (:func:`_csv_blocks`, :func:`_cache_blocks`).
-    A block of a running run also carries the cumulative loss of every
-    step up to its last; a block cut from a finished :class:`RunLog` none.
-    A block of a run over an input file whose cache vouched for it carries
-    the file's rows of its steps as ``lines`` (see :func:`_line_cells`).
+    ``lines`` are the rows of the run's input file at those steps, from
+    which the ``x`` and ``y`` cells are cut (:func:`_line_cells`): the
+    file's own bytes where its cache vouched for them (:func:`_text_rows`),
+    else rendered from ``x`` and ``ys`` (:func:`_input_rows`).  A block of
+    a running run also carries the cumulative loss of every step up to its
+    last; a block cut from a finished :class:`RunLog` none.
     """
 
     columns: list
+    lines: str
     cumulative_loss: float | None = None
-    lines: str | None = None
 
 
 def _step_blocks(config: RunConfig, forecaster, ys: np.ndarray, xs, text: bytes | None):
@@ -338,14 +376,12 @@ def _step_blocks(config: RunConfig, forecaster, ys: np.ndarray, xs, text: bytes 
     the block's losses, which are added to the running cumulative loss
     left to right; the log holds no loss.  A leaf index beyond the 64 bits
     of the log's ``leaf_i`` is rejected in the block that reaches it.
-    Where ``text`` holds the bytes of the input file (see :func:`run`),
-    each block carries its steps' rows of it, decoded a block at a time.
+    Each block carries its steps' rows of the input file: those of
+    ``text``, the file's bytes, where given (see :func:`run`), else those
+    that its writer would render.
     """
     predict = forecaster.predict if xs is None else forecaster._predict
-    if text is not None:
-        rows = io.BytesIO(text)  # shares the bytes: none is copied
-        rows.readline()  # the header
-        encoding = locale.getpreferredencoding(False)  # what open() reads text with
+    rows = _input_rows(ys, xs) if text is None else _text_rows(text)
     update, traced = forecaster.update, forecaster.trace
     width = len(forecaster.TRACED)
     cumulative = 0.0
@@ -385,9 +421,8 @@ def _step_blocks(config: RunConfig, forecaster, ys: np.ndarray, xs, text: bytes 
         losses = config.loss.value_array(pred, y).tolist()
         cumulative = left_sum(losses, cumulative)  # as verify_bounds resums them
         del columns, preds, losses  # the arrays hold them: no list is kept while it is written
-        lines = None if text is None else b"".join(itertools.islice(rows, n)).decode(encoding)
         yield _Block([np.arange(start + 1, start + n + 1), x, pred, y, *ints, pool, members],
-                     cumulative, lines)
+                     next(rows), cumulative)
 
 
 def _summary(config: RunConfig, forecaster, T: int, last: _Block, digest: str,
@@ -430,11 +465,12 @@ def run(config: RunConfig, ys, xs, outdir, save_state: bool = False,
     temporary names and renamed into place together at the end,
     ``steps.cache`` last, so a run rejected midway leaves ``outdir`` as it
     found it, and a failed rename leaves a ``steps.csv`` that reads.
-    ``text``, where given, is the bytes of the input file that
-    :func:`read_input_text` returned with ``xs`` and ``ys``, its cache
-    having vouched for them: the ``x`` and ``y`` cells and the data digest
-    are then cut from its rows (:func:`_line_cells`) instead of rendered.
-    Returns the summary.
+    The ``x`` and ``y`` cells and the data digest are cut from the rows of
+    the input file (:func:`_line_cells`): those of ``text``, where given,
+    the bytes of the file that :func:`read_input_text` returned with ``xs``
+    and ``ys``, its cache having vouched for them; else the rows that
+    :func:`write_series` or :func:`write_covariates` would write of ``ys``
+    and ``xs`` (:func:`_input_rows`).  Returns the summary.
     """
     started = time.perf_counter()
     ys, xs = _checked(config, ys, xs, save_state)
@@ -474,16 +510,10 @@ def _joined17(pool: list, values: list) -> list:
 
 
 def _step_rows(block: _Block, digest) -> str:
-    """The ``steps.csv`` rows of a :class:`_Block`: the ``x`` and ``y`` cells are
-    cut from its input file's ``lines`` (:func:`_line_cells`) where it has
-    them, else from its data rows (:func:`_data_rows`); either feeds ``digest``."""
+    """The ``steps.csv`` rows of a :class:`_Block`, its ``x`` and ``y`` cells cut
+    from its input file's ``lines`` (:func:`_line_cells`), which feed ``digest``."""
     t, x, pred, y, leaf_h, leaf_i, n_nodes, height, pool, experts = block.columns
-    if block.lines is not None:
-        x_cells, y_cells = _line_cells(block.lines, x.shape[1], digest)
-    else:  # the cells alternate x and y once the line ends are commas
-        cells = _data_rows(x, y, digest).replace("\n", ",").split(",")
-        cells.pop()  # the empty cell after the last line end
-        x_cells, y_cells = (cells[0::2], cells[1::2]) if x.shape[1] else ([""] * len(t), cells)
+    x_cells, y_cells = _line_cells(block.lines, x.shape[1], digest)
     return "".join(_rendered(_STEP_ROW, [
         t.tolist(), x_cells, pred.tolist(), y_cells, _leaf_cells(leaf_h.tolist()),
         _leaf_cells(leaf_i.tolist()), n_nodes.tolist(), height.tolist(),
@@ -492,13 +522,10 @@ def _step_rows(block: _Block, digest) -> str:
 
 def _line_cells(lines: str, d: int, digest) -> tuple:
     """The ``x`` and ``y`` cells of a block of steps, cut from ``lines``: their
-    rows of an input file that :func:`_write_input` wrote, ``t,y`` for a
-    series (``d`` = 0) and ``x1,..,xd,y`` otherwise.
-
-    Its writer spelled each value with the ``%.17g`` of :func:`_data_rows`,
-    so these are the very cells that :func:`_data_rows` would render; the
-    file's digest text (:func:`_digest_text`), the text that
-    :func:`_data_rows` feeds it, is fed to ``digest``.
+    rows of the input file as :func:`_input_rows` spells them, ``t,y`` for a
+    series (``d`` = 0) and ``x1,..,xd,y`` otherwise.  An ``x`` cell is the
+    row's covariates, ``;``-joined.  The rows' digest text
+    (:func:`_digest_text`) is fed to ``digest``.
     """
     digest.update(_digest_text(lines, not d))
     width = d + 1 if d else 2
@@ -562,8 +589,11 @@ def _write_steps(path, cache_path, blocks) -> tuple:
     return block, digest.hexdigest()
 
 
-# steps.cache: a block's three counts, and its trailer (see _write_steps)
+# steps.cache: a block's three counts (see _write_steps).  The trailer of
+# steps.cache and of <csv>.cache (see _write_input): the file's tag, then
+# two sha256 stamps; the two tags are of one length
 _CACHE_TAG = b"egtree-steps-cache-v4\n"
+_INPUT_TAG = b"egtree-input-cache-v1\n"
 _CACHE_HEAD = struct.Struct("<3q")
 _TRAILER = struct.Struct(f"<{len(_CACHE_TAG)}s32s32s")
 
@@ -625,14 +655,16 @@ def _staged(outdir: Path, names):
 
 
 def _log_blocks(log: RunLog):
-    """The :class:`_Block` s of a finished log: its columns, cut a block of steps at a time."""
+    """The :class:`_Block` s of a finished log: its columns, cut a block of steps
+    at a time, and the rows of its input file rendered from ``x`` and ``ys``."""
     steps = [log.t, log.x, log.preds, log.ys, log.leaf_h, log.leaf_i, log.n_nodes, log.height,
              log.pool]
     ends = np.cumsum(log.pool).tolist()  # the end of each step's members
+    rows = _input_rows(log.ys, log.x if log.x.shape[1] else None)
     for k in range(0, len(log), _ROW_BLOCK):
         cut = slice(k, k + _ROW_BLOCK)
         members = slice(ends[k - 1] if k else 0, ends[cut][-1])
-        yield _Block([column[cut] for column in steps] + [log.expert_preds[members]])
+        yield _Block([column[cut] for column in steps] + [log.expert_preds[members]], next(rows))
 
 
 def _check_writable(log: RunLog) -> None:
@@ -985,73 +1017,54 @@ def _cache_blocks(fh, size: int, config: RunConfig):
 
 # -- series / covariate CSV ------------------------------------------------
 
-# <csv>.cache: the trailer after its values (see _write_input)
-_INPUT_TAG = b"egtree-input-cache-v1\n"
-_INPUT_TRAILER = struct.Struct(f"<{len(_INPUT_TAG)}s32s32s")
 
+def _write_input(path, ys: np.ndarray, xs: np.ndarray | None) -> str:
+    """Write the input file of ``ys`` and ``xs`` (None for a series) to ``path``
+    and its cache to ``<path>.cache``; returns the file's data digest.
 
-def _digest_text(lines: str, series: bool) -> bytes:
-    """The data-digest text of ``lines``, rows of an input file that hold no
-    ``;`` and that :func:`_column_blocks` would cut with ``str.split``:
-    every line with ``;`` for its line end, less a series' ``t`` cell."""
-    if series:  # the y cell of every line: the t cells are not data
-        return (";".join(lines.replace("\n", ",").split(",")[1::2]) + ";").encode()
-    return lines.replace("\n", ";").encode()
-
-
-def _write_input(path, header: str, row_format: str, columns: list, values: list) -> str:
-    """Write an input file to ``path`` and its cache to ``<path>.cache``; returns
-    the file's data digest.
-
-    The file is ``header`` and then ``columns`` rendered by ``row_format``
-    (:func:`_rendered`), each block encoded once with the codec that
-    ``open()`` writes text with; those bytes are hashed and written, and
-    their digest text (:func:`_digest_text`) is hashed as
-    :func:`_plain_digest` hashes a canonical file, which gives the
-    :func:`data_digest` of the values.  The cache holds the float64
-    ``values`` arrays, little-endian, one after the other, and then a
-    trailer (``_INPUT_TRAILER``): the tag ``_INPUT_TAG``, the sha256 of the
-    bytes written to ``path`` and the sha256 of the values' bytes.
+    The file is its header and then its rows (:func:`_input_rows`), each
+    block encoded once with the codec that ``open()`` writes text with;
+    those bytes are hashed and written, and their digest text
+    (:func:`_digest_text`) is hashed as :func:`data_digest` hashes it.
+    The cache holds the values as little-endian float64, ``xs`` row by row
+    and then ``ys``, and then a trailer (``_TRAILER``): the tag
+    ``_INPUT_TAG``, the sha256 of the bytes written to ``path`` and the
+    sha256 of the values' bytes.
     """
     encoding = locale.getpreferredencoding(False)  # what open() writes text with
     file_sha, cache_sha, digest = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
-    series = header == "t,y\n"
+    series = xs is None
+    header = "t,y" if series else ",".join([f"x{j + 1}" for j in range(xs.shape[1])] + ["y"])
     with open(path, "wb") as fh:
-        data = header.encode(encoding)
+        data = f"{header}\n".encode(encoding)
         file_sha.update(data)
         fh.write(data)
-        for text in _rendered(row_format, columns):
+        for text in _input_rows(ys, xs):
             data = text.encode(encoding)
             file_sha.update(data)
             fh.write(data)
             digest.update(_digest_text(text, series))
     with open(f"{path}.cache", "wb") as fh:
-        for array in values:
+        for array in ([ys] if series else [xs, ys]):
             data = np.asarray(array, "<f8").tobytes()
             cache_sha.update(data)
             fh.write(data)
-        fh.write(_INPUT_TRAILER.pack(_INPUT_TAG, file_sha.digest(), cache_sha.digest()))
+        fh.write(_TRAILER.pack(_INPUT_TAG, file_sha.digest(), cache_sha.digest()))
     return digest.hexdigest()
 
 
 def write_series(path, ys) -> str:
     """Write the series ``ys`` to ``path`` as a ``t,y`` CSV, and its values to
     ``<path>.cache`` (:func:`_write_input`); returns its :func:`data_digest`."""
-    ys = np.asarray(ys, dtype=float)
-    return _write_input(path, "t,y\n", "%d,%.17g\n", [range(1, len(ys) + 1), ys.tolist()],
-                        [ys])
+    return _write_input(path, np.asarray(ys, dtype=float), None)
 
 
 def write_covariates(path, xs, ys) -> str:
     """Write ``xs`` and ``ys`` to ``path`` as an ``x1,..,xd,y`` CSV, and their
-    values to ``<path>.cache``: ``xs`` row by row, then ``ys``
-    (:func:`_write_input`); returns their :func:`data_digest`.  A
-    one-dimensional ``xs`` is one covariate."""
+    values to ``<path>.cache`` (:func:`_write_input`); returns their
+    :func:`data_digest`.  A one-dimensional ``xs`` is one covariate."""
     ys = np.asarray(ys, dtype=float)
-    xs = _covariate_rows(xs, ys)
-    d = xs.shape[1]
-    return _write_input(path, ",".join([f"x{j + 1}" for j in range(d)] + ["y"]) + "\n",
-                        "%.17g," * d + "%.17g\n", xs.T.tolist() + [ys.tolist()], [xs, ys])
+    return _write_input(path, ys, _covariate_rows(xs, ys))
 
 
 def _parse_unit(cell: str, row_no: int, what: str) -> float:
@@ -1112,10 +1125,10 @@ def _cached_input(path) -> tuple | None:
     try:
         with open(f"{path}.cache", "rb") as fh:
             cache = bytearray(os.fstat(fh.fileno()).st_size)  # writable, as parsed arrays are
-            size = fh.readinto(cache) - _INPUT_TRAILER.size
+            size = fh.readinto(cache) - _TRAILER.size
             if size < 0 or size % 8:
                 return None
-            tag, file_sha, cache_sha = _INPUT_TRAILER.unpack_from(cache, size)
+            tag, file_sha, cache_sha = _TRAILER.unpack_from(cache, size)
             if tag != _INPUT_TAG:
                 return None
         with open(path, "rb") as fh:
@@ -1138,16 +1151,16 @@ def _cached_input(path) -> tuple | None:
     return d, values, data
 
 
-def _read_input(path, kind: str | None = None) -> tuple:
+def read_input_text(path, kind: str | None = None) -> tuple:
     """``(xs, ys, text)`` of the input file ``path``: read as a series where
     ``kind`` is ``"series"``, as covariates where it is ``"covariates"``, and
     as its header says where it is None.
 
     ``xs`` is None for a series.  Where the file's cache vouches for it
     (:func:`_cached_input`) and it is of the kind asked for, the arrays are
-    its values and ``text`` is the file's bytes; otherwise ``text`` is None
-    and the file is parsed, so every fault is rejected as the text gives
-    it, with its row number.
+    its values and ``text`` is the file's bytes, for :func:`run`; otherwise
+    ``text`` is None and the file is parsed, so every fault is rejected as
+    the text gives it, with its row number.
     """
     cached = _cached_input(path)
     if cached is not None and kind in (None, "covariates" if cached[0] else "series"):
@@ -1173,69 +1186,32 @@ def _read_input(path, kind: str | None = None) -> tuple:
 def read_series(path) -> np.ndarray:
     """Read a ``t,y`` CSV into its float64 ``ys``: from its cache where that
     vouches for them, else parsed, malformed rows raising with their row
-    number (:func:`_read_input`)."""
-    return _read_input(path, "series")[1]
+    number (:func:`read_input_text`)."""
+    return read_input_text(path, "series")[1]
 
 
 def read_covariates(path):
     """Read an ``x1,..,xd,y`` CSV into (xs, ys) arrays, as :func:`read_series` reads."""
-    return _read_input(path, "covariates")[:2]
+    return read_input_text(path, "covariates")[:2]
 
 
 def read_input(path) -> tuple:
     """Read a series (header ``t,y``) as ``(None, ys)`` or a covariate file as ``(xs, ys)``."""
-    return _read_input(path)[:2]
+    return read_input_text(path)[:2]
 
 
-def read_input_text(path) -> tuple:
-    """:func:`read_input`'s ``(xs, ys)`` and the file's bytes, where its cache
-    vouched for the arrays (else None), for :func:`run`: ``(xs, ys, text)``."""
-    return _read_input(path)
-
-
-def input_digest(path, expected: str) -> str:
+def input_digest(path) -> str:
     """The :func:`data_digest` of the input file ``path``, as :func:`read_input` reads it.
 
-    ``expected`` is the digest of a run's data, as its summary records it.
-    A file that this module writes holds the digest's canonical text as it
-    stands, with ``\\n`` where the text has ``;``: a covariate file in its
-    body, a series in the part of each line after its first comma.  A file
-    whose text hashes to ``expected`` that way (:func:`_plain_digest`) is
-    the canonical rendering of the run's data, which :func:`read_input`
-    would read back exactly and :func:`data_digest` render to the same
-    text; it is not parsed.  Any other file is read and digested in full,
-    so it is rejected, or gets its digest, exactly as there.
+    Where the file's cache vouched for it (:func:`read_input_text`), its
+    rows are the ones :func:`data_digest` would render, so their digest
+    text (:func:`_digest_text`) is hashed as it stands, a block of rows at
+    a time; any other file is parsed and digested, so it is rejected, or
+    gets its digest, exactly as :func:`read_input` and :func:`data_digest`
+    give them.
     """
-    if _plain_digest(path) == expected:
-        return expected
-    xs, ys = read_input(path)
-    return data_digest(ys, xs)
-
-
-def _plain_digest(path) -> str | None:
-    """sha256 of the canonical text an input file holds as it stands, or None.
-
-    Only a file that decodes, has a header :func:`read_input` accepts,
-    holds no ``;`` and would be cut wholly with ``str.split`` by
-    :func:`_column_blocks` is hashed: with no ``;`` in it, its lines are
-    the rows of the text one for one (:func:`_digest_text`).  It is hashed
-    a block of lines at a time, never as a whole.
-    """
-    h = hashlib.sha256()
-    try:
-        with open(path, newline="") as fh:
-            header = _header(fh)
-            series = _is_series_header(header)
-            if not (series or _is_covariate_header(header)):
-                return None
-            while lines := list(itertools.islice(fh, _ROW_BLOCK)):
-                text = "".join(lines)
-                if ";" in text or not _is_plain(text, lines, len(header)):
-                    return None
-                h.update(_digest_text(text, series))
-    except (UnicodeDecodeError, RejectedInputError):  # read_input says what is wrong
-        return None
-    return h.hexdigest()
+    xs, ys, text = read_input_text(path)
+    return data_digest(ys, xs) if text is None else _rows_digest(_text_rows(text), xs is None)
 
 
 # -- aggregation -----------------------------------------------------------

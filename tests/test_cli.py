@@ -847,7 +847,7 @@ def test_verify_lipschitz_without_a_check_exits_two(tmp_path, capsys):
         assert main(["verify-bounds", "--out", str(rundir)]) == 0
 
 
-# -- verify-bounds --input: a canonical file is hashed as it stands ----------
+# -- verify-bounds --input: a file that its cache vouches for is hashed unparsed
 
 # values whose .17g text is shortest, longest, subnormal and at the ends
 EDGE_VALUES = [0.0, 1.0, 0.5, 1e-300, 5e-324, 0.1, 2 / 3, 0.123456789]
@@ -871,8 +871,8 @@ def _verified_runs(tmp_path):
     return runs
 
 
-def _old_input_digest(path, expected):
-    """The check before inputs were hashed as they stand: parse, then render."""
+def _old_input_digest(path):
+    """The parsing check, the reference for ``input_digest``: parse, then render."""
     xs, ys = read_input(path)
     return data_digest(ys, xs)
 
@@ -950,20 +950,19 @@ def test_verify_input_verdicts_match_the_parsing_check(tmp_path, capsys, monkeyp
     assert outcomes[0] == outcomes[1]
 
 
-@pytest.mark.parametrize("kind, respelling", [
-    (kind, respelling) for kind in ("series", "covariates")
-    for respelling in ("as-written", "spaced-header", "quoted-header")]
-    + [("series", "non-ascii-first-cell")])  # a t cell is no data
+# a respelled input is parsed: test_verify_input_verdicts_match_the_parsing_check
+@pytest.mark.parametrize("kind, respelling", [("series", "as-written"),
+                                              ("covariates", "as-written")])
 def test_verify_hashes_a_canonical_input_as_it_stands(tmp_path, capsys, monkeypatch,
                                                       kind, respelling):
     rundir, path = _verified_runs(tmp_path)[kind]
     path.write_text(RESPELLINGS[respelling](path.read_text()), newline="")
 
     def unused(*args, **kwargs):
-        raise AssertionError("a canonical input is neither parsed nor rendered")
+        raise AssertionError("an input that its cache vouches for is neither parsed nor rendered")
 
-    monkeypatch.setattr(harness, "read_input", unused)
-    monkeypatch.setattr(harness, "data_digest", unused)
+    for name in ("_read_unit_rows", "data_digest", "_input_rows"):
+        monkeypatch.setattr(harness, name, unused)
     capsys.readouterr()
     assert main(["verify-bounds", "--out", str(rundir), "--input", str(path)]) == 0
     assert "FAIL" not in capsys.readouterr().out
@@ -975,7 +974,7 @@ def test_verify_refuses_a_respelled_wrong_file(tmp_path, capsys):
     _, other = runs["series"]
     capsys.readouterr()
     assert main(["verify-bounds", "--out", str(rundir), "--input", str(other)]) == 2
-    want = _old_input_digest(other, None)
+    want = _old_input_digest(other)
     expected = read_run_log(rundir).summary["data_digest"]
     assert capsys.readouterr().err == (f"REFUSED: input digest {want[:12]}.. does not "
                                        f"match the run's {expected[:12]}..\n")
@@ -1003,3 +1002,6 @@ def test_undecodable_bytes_exit_two_naming_the_file(tmp_path, capsys):
                  ["report", "--out", str(tmp_path / "tables"), str(rundir)]):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith(f"error: {steps} is not "), argv
+    # the input is read before the log, so its fault is the one reported
+    assert main(["verify-bounds", "--out", str(rundir), "--input", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad} is not ")

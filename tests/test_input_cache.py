@@ -3,7 +3,9 @@
 ``write_series`` and ``write_covariates`` write ``<csv>.cache`` beside the
 CSV, and the input readers load the values from it where its stamps match
 the CSV and every value lies in [0, 1].  ``egtree run`` then cuts the step
-log's ``x`` and ``y`` cells and the data digest from the CSV's own lines.
+log's ``x`` and ``y`` cells and the data digest from the CSV's own lines,
+and ``input_digest`` hashes them, where both would otherwise render the
+values as the writers do.
 Every input here is read, and run, both ways, with the cache and after
 deleting it: the two must agree bit for bit, or fail with the very same
 error.  The CSV and ``.meta.json`` bytes that the writers produce are
@@ -23,12 +25,15 @@ from egtree.errors import RejectedInputError
 from egtree.harness import (
     RunConfig,
     data_digest,
+    input_digest,
     read_covariates,
     read_input,
     read_input_text,
+    read_run_log,
     read_series,
     run,
     write_covariates,
+    write_run_log,
     write_series,
 )
 from test_cli import EDGE_VALUES
@@ -54,6 +59,11 @@ def test_writer_bytes_are_pinned(tmp_path):
     write_covariates(covariates, xs, ys)
     assert sha256(series) == "1bd7ac44f4bed71dee7586e90ebdcbfe445a03bb92726d635bfee86906aef80f"
     assert sha256(covariates) == "bd34a767b2ce0002f2dce35877eac1c5555d01c2142995a4a99fc91cc700232d"
+    # and their caches, whose trailers are one struct for both kinds of cache
+    assert sha256(tmp_path / "s.csv.cache") == \
+        "fc5ad25786f698306ef956e3198ff7fe7fae210e79ae3aac846e6283a5fa3767"
+    assert sha256(tmp_path / "c.csv.cache") == \
+        "30167736d24646874a9b1bd7174ea28c8d6e45f885a7d48d051b31a8348fdfbf"
 
 
 def test_simulate_bytes_are_pinned(tmp_path):
@@ -172,7 +182,7 @@ def _flip(offset):
     return lambda data: data[:offset] + bytes([data[offset] ^ 1]) + data[offset + 1:]
 
 
-TRAILER = harness._INPUT_TRAILER.size
+TRAILER = harness._TRAILER.size
 CACHE_FAULTS = {
     "cut-in-half": lambda data: data[:len(data) // 2],
     "a-byte-short": lambda data: data[:-1],
@@ -233,7 +243,7 @@ def test_another_files_cache_is_passed_over(inputs):
 def _restamped(path, values):
     """Replace the cache of ``path`` with ``values``, stamped to match as a writer would."""
     data = np.asarray(values, "<f8").tobytes()
-    path.with_name(path.name + ".cache").write_bytes(harness._INPUT_TRAILER.pack(
+    path.with_name(path.name + ".cache").write_bytes(harness._TRAILER.pack(
         harness._INPUT_TAG, hashlib.sha256(path.read_bytes()).digest(),
         hashlib.sha256(data).digest()).join([data, b""]))
 
@@ -291,7 +301,7 @@ def run_cli(path, forecaster, outdir, capsys) -> tuple:
     return rc, capsys.readouterr().err, files
 
 
-@pytest.mark.parametrize("block", [7, 1024])
+@pytest.mark.parametrize("block", [1, 7, 1024])
 @pytest.mark.parametrize("forecaster, d", [("eg", 0), ("meta", 0), ("tree", 1), ("tree", 2),
                                            ("tree", 3)])
 def test_a_run_from_the_cache_writes_the_log_of_a_parsed_run(tmp_path, capsys, forecaster, d,
@@ -299,21 +309,28 @@ def test_a_run_from_the_cache_writes_the_log_of_a_parsed_run(tmp_path, capsys, f
     xs, ys = edge_inputs(47 + d, 1100)
     rng = np.random.default_rng(d)
     path = tmp_path / "input.csv"
-    if d:
-        xs = np.column_stack([xs[:, 0], rng.random((len(ys), d - 1))])
-        write_covariates(path, xs if d > 1 else xs[:, 0], ys)
-    else:
-        write_series(path, ys)
+    xs = np.column_stack([xs[:, 0], rng.random((len(ys), d - 1))]) if d else None
     with mock.patch.object(harness, "_ROW_BLOCK", block):
-        # the run neither parses the CSV nor renders the x and y cells
-        with mock.patch.object(harness, "_data_rows", side_effect=AssertionError("rendered")):
+        written = write_covariates(path, xs if d > 1 else xs[:, 0], ys) if d \
+            else write_series(path, ys)
+        # the run and the digest check neither parse the CSV nor render an input row
+        with mock.patch.object(harness, "_input_rows", side_effect=AssertionError("rendered")):
             with_cache = cached(lambda p: run_cli(p, forecaster, tmp_path / "cached", capsys),
                                 path)
+            digests = [cached(input_digest, path)]
         without = parsed(lambda p: run_cli(p, forecaster, tmp_path / "parsed", capsys), path)
+        digests.append(parsed(input_digest, path))
+        # the run on the arrays alone, and the cached run's log read back and written again
+        digests.append(run(RunConfig(forecaster, d=d or 1), ys, xs, tmp_path / "arrays")
+                       ["data_digest"])
+        write_run_log(read_run_log(tmp_path / "cached"), tmp_path / "rewritten")
     assert with_cache == without
     assert with_cache[0] == 0
-    assert json.loads((path.parent / "parsed" / "summary.json").read_text())["data_digest"] \
-        == data_digest(ys, xs if d else None)
+    for name in ("steps.csv", "steps.cache"):
+        for other in ("parsed", "arrays", "rewritten"):
+            assert (tmp_path / other / name).read_bytes() == with_cache[2][name], (other, name)
+    digests += [written, with_cache[2]["summary.json"]["data_digest"]]
+    assert digests == [data_digest(ys, xs)] * 5
 
 
 def test_the_run_cuts_its_cells_from_the_bytes_it_read(inputs, tmp_path):

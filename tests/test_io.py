@@ -309,11 +309,12 @@ class TestInputDigest:
         assert run(RunConfig("eg" if d is None else "tree", ABS, d=d or 1), ys, xs,
                    path.parent / "run")["data_digest"] == want
         with mock.patch.object(harness, "_ROW_BLOCK", block), \
-                mock.patch.object(harness, "read_input", side_effect=AssertionError), \
+                mock.patch.object(harness, "_read_unit_rows", side_effect=AssertionError), \
                 mock.patch.object(harness, "data_digest", side_effect=AssertionError):
-            assert input_digest(path, want) == want
-        # any other expectation reads the file in full
-        assert input_digest(path, "0" * 64) == want
+            assert input_digest(path) == want
+        # without its cache the file is parsed, and its values rendered
+        path.with_name(path.name + ".cache").unlink()
+        assert input_digest(path) == want
 
 
 class TestUndecodableInput:
@@ -335,7 +336,7 @@ class TestUndecodableInput:
             reader(path)
         if reader is not load_json:  # the digest check reads the file in full
             with pytest.raises(RejectedInputError, match=self.message(path)):
-                input_digest(path, "0" * 64)
+                input_digest(path)
 
     @pytest.mark.parametrize("name", ["steps.csv", "summary.json"])
     def test_run_log(self, tmp_path, name):
