@@ -179,7 +179,7 @@ class MetaForecaster:
 def mixture_regret_bound(T: int, D: int, start: int) -> float:
     """The mixture's loss-gap cap to any of at most D members over T steps, the first from
     step ``start``: log(D)/eta_(T+1) + (1/8) sum_(t=start..T) eta_t with eta_t = 2/sqrt(t)."""
-    tail = left_sum((2.0 / np.sqrt(np.arange(start, T + 1.0))).tolist())
+    tail = left_sum(2.0 / np.sqrt(np.arange(start, T + 1.0)))
     return math.log(D) * math.sqrt(T + 1.0) / 2.0 + tail / 8.0
 
 

@@ -46,11 +46,8 @@ def _cmd_simulate(args) -> int:
         spec_dict["seed"] = args.seed
     spec = processes.ProcessSpec.from_dict(spec_dict)
     ys, info = processes.generate_with_info(spec, args.T)
-    digest = harness.write_series(args.out, ys)
-    meta = {"spec": spec.to_dict(), "T": args.T, **info, "digest": digest}
-    with open(str(args.out) + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    meta = {"spec": spec.to_dict(), "T": args.T, **info}
+    meta["digest"] = harness.write_series(args.out, ys, meta)
     print(json.dumps(meta, sort_keys=True))
     return 0
 

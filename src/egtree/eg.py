@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import ContractViolationError
 from .losses import LossSpec
 
@@ -80,6 +82,6 @@ class EgTracker:
         return ()
 
 
-def regret_bound(M: float, T: int) -> float:
-    """Worst-case gap to the best constant after T steps: 2*M*sqrt(T*log 2)."""
-    return 2.0 * M * math.sqrt(T * _LOG2)
+def regret_bound(M: float, T):
+    """Worst-case gap to the best constant after T (or an array of T) steps: 2*M*sqrt(T*log 2)."""
+    return 2.0 * M * np.sqrt(T * _LOG2)

@@ -418,9 +418,8 @@ def _step_blocks(config: RunConfig, forecaster, ys: np.ndarray, xs, text: bytes 
         # a tuple of members per step, flattened once
         members = np.fromiter(itertools.chain.from_iterable(columns.get("experts", ())), float)
         pred = np.array(preds)
-        losses = config.loss.value_array(pred, y).tolist()
-        cumulative = left_sum(losses, cumulative)  # as verify_bounds resums them
-        del columns, preds, losses  # the arrays hold them: no list is kept while it is written
+        cumulative = left_sum(config.loss.value_array(pred, y), cumulative)  # as verify resums
+        del columns, preds  # the arrays hold them: no list is kept while it is written
         yield _Block([np.arange(start + 1, start + n + 1), x, pred, y, *ints, pool, members],
                      next(rows), cumulative)
 
@@ -1018,7 +1017,7 @@ def _cache_blocks(fh, size: int, config: RunConfig):
 # -- series / covariate CSV ------------------------------------------------
 
 
-def _write_input(path, ys: np.ndarray, xs: np.ndarray | None) -> str:
+def _write_input(path, ys: np.ndarray, xs: np.ndarray | None, meta: dict | None = None) -> str:
     """Write the input file of ``ys`` and ``xs`` (None for a series) to ``path``
     and its cache to ``<path>.cache``; returns the file's data digest.
 
@@ -1029,13 +1028,17 @@ def _write_input(path, ys: np.ndarray, xs: np.ndarray | None) -> str:
     The cache holds the values as little-endian float64, ``xs`` row by row
     and then ``ys``, and then a trailer (``_TRAILER``): the tag
     ``_INPUT_TAG``, the sha256 of the bytes written to ``path`` and the
-    sha256 of the values' bytes.
+    sha256 of the values' bytes.  A ``meta`` dict goes to ``<path>.meta.json``
+    with the digest added.  All are staged (:func:`_staged`) together.
     """
     encoding = locale.getpreferredencoding(False)  # what open() writes text with
     file_sha, cache_sha, digest = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     series = xs is None
     header = "t,y" if series else ",".join([f"x{j + 1}" for j in range(xs.shape[1])] + ["y"])
-    with open(path, "wb") as fh:
+    path = Path(path)
+    names = [path.name, f"{path.name}.cache"] + [f"{path.name}.meta.json"] * (meta is not None)
+    with _staged(path.parent, names) as (csv_path, cache_path, *meta_path), \
+            open(csv_path, "wb") as fh, open(cache_path, "wb") as cache:
         data = f"{header}\n".encode(encoding)
         file_sha.update(data)
         fh.write(data)
@@ -1044,19 +1047,22 @@ def _write_input(path, ys: np.ndarray, xs: np.ndarray | None) -> str:
             file_sha.update(data)
             fh.write(data)
             digest.update(_digest_text(text, series))
-    with open(f"{path}.cache", "wb") as fh:
         for array in ([ys] if series else [xs, ys]):
             data = np.asarray(array, "<f8").tobytes()
             cache_sha.update(data)
-            fh.write(data)
-        fh.write(_TRAILER.pack(_INPUT_TAG, file_sha.digest(), cache_sha.digest()))
+            cache.write(data)
+        cache.write(_TRAILER.pack(_INPUT_TAG, file_sha.digest(), cache_sha.digest()))
+        if meta_path:
+            _write_json(meta_path[0], {**meta, "digest": digest.hexdigest()},
+                        indent=2, sort_keys=True)
     return digest.hexdigest()
 
 
-def write_series(path, ys) -> str:
-    """Write the series ``ys`` to ``path`` as a ``t,y`` CSV, and its values to
-    ``<path>.cache`` (:func:`_write_input`); returns its :func:`data_digest`."""
-    return _write_input(path, np.asarray(ys, dtype=float), None)
+def write_series(path, ys, meta: dict | None = None) -> str:
+    """Write the series ``ys`` to ``path`` as a ``t,y`` CSV, its values to
+    ``<path>.cache`` and any ``meta`` to ``<path>.meta.json`` (:func:`_write_input`);
+    returns its :func:`data_digest`."""
+    return _write_input(path, np.asarray(ys, dtype=float), None, meta)
 
 
 def write_covariates(path, xs, ys) -> str:

@@ -30,10 +30,16 @@ def left_sum(values, total: float = 0.0) -> float:
 
     Every float sum of egtree that reaches a step log, a summary,
     ``bounds.json``, a report table or an oracle result is taken here.  The
-    builtin ``sum()`` is compensated from Python 3.12 on, and a BLAS dot
-    adds in an order that depends on the CPU; this loop rounds alike
-    everywhere.
+    builtin ``sum()`` is compensated from Python 3.12 on, ``np.sum`` adds
+    pairwise, and a BLAS dot adds in an order that depends on the CPU; this
+    rounds alike everywhere.  An array goes through ``np.add.accumulate``:
+    the loop's adds in its order, with no Python float per value, and as
+    silent on overflow and inf - inf.  Any other iterable takes the loop,
+    which costs less than one numpy call for a dozen values.
     """
+    if isinstance(values, np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.add.accumulate(np.concatenate(([total], values)))[-1].item()
     for v in values:
         total += v
     return total

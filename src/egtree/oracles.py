@@ -155,7 +155,7 @@ def best_histogram(xs, ys, n_boxes: int, d: int, loss: LossSpec) -> Comparator:
     for j in range(d):
         flat = flat * per_axis + idx[:, j]
     fits = best_constants(ys, (flat,), loss)
-    return Comparator("histogram", left_sum(fits.value.tolist()),  # boxes in sorted order
+    return Comparator("histogram", left_sum(fits.value),  # boxes in sorted order
                       argmin=dict(zip(flat[fits.first].tolist(), fits.argmin.tolist())),
                       params={"n_boxes": n_boxes, "d": d})
 
@@ -388,7 +388,7 @@ def best_lipschitz_1d(xs, ys, L: float, loss: LossSpec) -> Comparator:
     for i in range(n - 2, -1, -1):
         f[i] = min(max(f[i], f[i + 1] - caps[i]), f[i + 1] + caps[i])
     f = np.clip(f, 0.0, 1.0)
-    value = left_sum(loss.value_array(f[gidx], ys1).tolist())
+    value = left_sum(loss.value_array(f[gidx], ys1))
     return Comparator("lipschitz", value, argmin=(u, f), params={"L": L})
 
 

@@ -12,6 +12,8 @@ a mixture's weights from its logged member predictions and outcomes by the
 closed form of exponential weights, without the forecaster or its
 reweighting, and ``mixture-rule`` holds every logged prediction to them;
 the step log holds no weights.  Shared *bound* formulas may stay shared.
+Each ``mixture-regret(d)`` is :func:`expert_regret`, the one regret to a
+member order; :func:`mixture_weights` alone takes every member's loss.
 """
 
 from __future__ import annotations
@@ -69,16 +71,8 @@ def _check_loss_args(loss: LossSpec, preds: np.ndarray, ys: np.ndarray) -> None:
         loss.value(preds[k].item(), ys[k].item())  # raises the scalar check's message
 
 
-def _member_losses(log) -> np.ndarray:
-    """The loss of every member prediction, aligned with the flat
-    ``log.expert_preds``; each is checked to lie in [0, 1] with its outcome first."""
-    ys, loss = np.repeat(log.ys, log.pool), log.config.loss
-    _check_loss_args(loss, log.expert_preds, ys)
-    return loss.value_array(log.expert_preds, ys)
-
-
 def expert_regret(log, d: int) -> float:
-    """Cumulative loss gap of the mixture versus its order-d member."""
+    """Cumulative loss gap of the mixture versus its order-d member: ``mixture-regret(d)``."""
     positive_int(d, "d")
     loss = log.config.loss
     _check_loss_args(loss, log.preds, log.ys)
@@ -89,8 +83,7 @@ def expert_regret(log, d: int) -> float:
     member = log.expert_preds[starts[steps] + d - 1]
     ys = log.ys[steps]
     _check_loss_args(loss, member, ys)
-    return left_sum((loss.value_array(log.preds, log.ys)[steps]
-                     - loss.value_array(member, ys)).tolist())
+    return left_sum(loss.value_array(log.preds[steps], ys) - loss.value_array(member, ys))
 
 
 def mixture_weights(log) -> np.ndarray:
@@ -103,16 +96,19 @@ def mixture_weights(log) -> np.ndarray:
     s are the softmax over the active members of eta_s (a_d - L_d(s)), where
     a_1 = 0 and an entrant D >= 2 gets a_D = (logsumexp_{d<D} eta_s (a_d -
     L_d(s)) - ln(D - 1)) / eta_s at s = s_D: it takes 1/D of the weight and
-    the incumbents keep their proportions.  Member predictions and outcomes
-    are checked to lie in [0, 1] before any loss is taken.  One Python loop
-    runs per member; the rest is numpy over the flat member values.
+    the incumbents keep their proportions.  The members' losses are taken
+    here, once, after a check that predictions and outcomes lie in [0, 1].
+    One Python loop runs per member; the rest is numpy over the flat values.
     """
     pool, values = log.pool, log.expert_preds
     if not values.size:
         return np.empty(0)
     starts = np.cumsum(pool) - pool  # of each step's members in the flat column
     eta = 2.0 / np.sqrt(np.arange(1.0, len(pool) + 1.0))  # eta_s of each step s
-    losses = _member_losses(log)
+    ys, loss = np.repeat(log.ys, pool), log.config.loss
+    _check_loss_args(loss, values, ys)
+    losses = loss.value_array(values, ys)  # of every member prediction
+    del ys
     before, a = np.zeros(len(values)), np.zeros(int(pool.max()))
     for d in range(len(a)):
         active = pool > d
@@ -122,7 +118,7 @@ def mixture_weights(log) -> np.ndarray:
             s = active.argmax()
             z = eta[s] * (a[:d] - before[starts[s]:starts[s] + d])
             top = z.max()
-            a[d] = (top + math.log(left_sum(np.exp(z - top).tolist())) - math.log(d)) / eta[s]
+            a[d] = (top + math.log(left_sum(np.exp(z - top))) - math.log(d)) / eta[s]
     del losses
     # the softmax over each step's members of eta_s (a_d - L_d(s)), in place
     w = a[np.arange(len(values)) - np.repeat(starts, pool)]  # each value's a_d
@@ -141,7 +137,7 @@ def verify_bounds(log, lipschitz_L: float | None = None) -> list[BoundCheck]:
 
     Every check is a :class:`BoundCheck`: it passes if and only if achieved
     <= bound, and a yes/no check counts the violating steps, against 0.  The
-    log holds no loss: every step's loss is recomputed once from its logged
+    log holds no loss: every step's loss is recomputed from its logged
     prediction and outcome (``LossSpec.value_array``, after a check that both
     lie in [0, 1]); ``cumulative-loss-resummation`` adds them left to right,
     as the run did, and takes their gap to the summary's ``cumulative_loss``.
@@ -159,14 +155,13 @@ def verify_bounds(log, lipschitz_L: float | None = None) -> list[BoundCheck]:
         raise RejectedInputError("cannot verify an empty log")
     config = log.config
     _check_loss_args(config.loss, log.preds, log.ys)
-    losses = config.loss.value_array(log.preds, log.ys)
-    resummed = left_sum(losses.tolist())
+    resummed = left_sum(config.loss.value_array(log.preds, log.ys))
     checks = _loss_checks(log, config, resummed)
     if config.forecaster == "tree":
         checks += _tree_checks(log, config, resummed)
     D = int(log.pool.max(initial=0))  # the largest pool the log holds: 0 outside a mixture
     if config.forecaster == "meta":
-        checks += _mixture_checks(log, config, losses, D)
+        checks += _mixture_checks(log, config, D)
     # the Lipschitz comparator comes last, after the checks of the run's kind
     if lipschitz_L is not None:
         checks.append(_lipschitz_check(log, config, lipschitz_L, resummed, D))
@@ -204,18 +199,17 @@ def _tree_checks(log, config, resummed: float) -> list[BoundCheck]:
     # every visited leaf, in the order of first visits
     fits = oracles.best_constants(log.ys, (log.leaf_h, log.leaf_i), config.loss)
     visits = np.argsort(fits.first)
-    counts = fits.count[visits].tolist()
-    checks.append(BoundCheck("per-leaf-decomposition",
-                             left_sum(eg.regret_bound(M, n) for n in counts),
-                             resummed - left_sum(fits.value[visits].tolist()),
+    counts = fits.count[visits]
+    checks.append(BoundCheck("per-leaf-decomposition", left_sum(eg.regret_bound(M, counts)),
+                             resummed - left_sum(fits.value[visits]),
                              "vs the best constant of every visited node"))
     checks.append(BoundCheck("visit-concentration", math.sqrt(float(log.n_nodes[-1]) * T),
-                             left_sum(map(math.sqrt, counts)),
+                             left_sum(np.sqrt(counts)),
                              "sum sqrt(T_node) <= sqrt(N_T T)"))
     return checks
 
 
-def _mixture_checks(log, config, losses: np.ndarray, D: int) -> list[BoundCheck]:
+def _mixture_checks(log, config, D: int) -> list[BoundCheck]:
     """A mixture's rule, its pool's growth and its regret against each member.
 
     ``mixture-rule`` takes every step's prediction to be clip(sum_d w_d f_d)
@@ -223,36 +217,30 @@ def _mixture_checks(log, config, losses: np.ndarray, D: int) -> list[BoundCheck]
     member.  Its tolerance, 1e-9, was fixed before any run was checked: the
     closed form and the run's recursive update reach the same weights by
     different roundings, whose gap grows about as T * 2^-52 (2e-11 at
-    T = 10^5), while a changed rule moves predictions by far more.
-    ``losses`` are the mixture's checked losses, and ``D`` is the largest
-    pool the log holds.  The regret against each order is cut from one
-    array of every member's loss (:func:`_member_losses`), as
-    :func:`expert_regret` finds it for one order.
+    T = 10^5), while a changed rule moves predictions by far more.  ``D`` is
+    the largest pool the log holds, and each ``mixture-regret(d)`` is
+    :func:`expert_regret` of order d.
     """
     pool, mixed = log.pool, log.pool > 0  # the steps with members
-    starts = np.cumsum(pool) - pool  # of each step's members in the flat column
     rule = np.full(len(log), 0.5)
     if mixed.any():
         shares = mixture_weights(log)
         shares *= log.expert_preds  # each member's w_d f_d
-        rule[mixed] = np.add.reduceat(shares, starts[mixed])
+        rule[mixed] = np.add.reduceat(shares, (np.cumsum(pool) - pool)[mixed])
         del shares
     gaps = np.abs(log.preds - np.clip(rule, 0.0, 1.0))
     # np.max, not max(): a NaN must make the check fail
     checks = [BoundCheck("mixture-rule", 1e-9, np.max(gaps),
                          "|pred - clip(sum_d w_d f_d)|, w in closed form; 1/2 before any member")]
-    entrants = np.diff(log.pool)
+    entrants = np.diff(pool)
     checks.append(BoundCheck("one-entrant-per-step", 0.0,
                              np.count_nonzero((entrants < 0) | (entrants > 1)),
                              "steps where the pool loses a member or gains more than one"))
     if D:  # no member is active before step start_1
         bound = mixture_regret_bound(len(log), D, entry_step(config.schedule, 1))
-        member_losses = _member_losses(log)
-        for d in range(1, D + 1):  # order d is active wherever the pool holds d members
-            steps = np.flatnonzero(pool >= d)
-            regret = left_sum((losses[steps] - member_losses[starts[steps] + d - 1]).tolist())
-            checks.append(BoundCheck(f"mixture-regret(d={d})", bound, regret,
-                                     f"D = {D} members: the largest pool in the log"))
+        checks += [BoundCheck(f"mixture-regret(d={d})", bound, expert_regret(log, d),
+                              f"D = {D} members: the largest pool in the log")
+                   for d in range(1, D + 1)]
     return checks
 
 

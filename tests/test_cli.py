@@ -52,6 +52,13 @@ def test_simulate_writes_series_and_metadata(markov_spec, tmp_path, capsys):
     assert printed["digest"] == meta["digest"]
 
 
+def test_simulate_makes_the_directory_of_its_out(markov_spec, tmp_path):
+    out = tmp_path / "new" / "deeper" / "s.csv"
+    assert main(["simulate", "--spec", str(markov_spec), "--T", "5", "--out", str(out)]) == 0
+    assert sorted(path.name for path in out.parent.iterdir()) == [
+        "s.csv", "s.csv.cache", "s.csv.meta.json"]
+
+
 def test_simulate_is_reproducible(markov_spec, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     main(["simulate", "--spec", str(markov_spec), "--T", "100", "--out", str(a)])
@@ -738,23 +745,26 @@ def _state(path):
     (["run", "--forecaster", "eg", "--input", "{series}", "--out", "{file}/sub"], "{file}/sub",
      "not a directory"),
     (["verify-bounds", "--out", "{file}"], "{file}/summary.json", "not a directory"),
+    (["simulate", "--spec", "{spec}", "--T", "5", "--out", "{series}"], "{series}.meta.json",
+     "is a directory"),
 ], ids=["run-input-dir", "verify-input-dir", "simulate-spec-dir", "run-out-file",
-        "report-out-file", "run-out-under-a-file", "verify-out-file"])
-def test_a_path_of_the_wrong_kind_exits_two_naming_it(tmp_path, capsys, argv, named, error):
+        "report-out-file", "run-out-under-a-file", "verify-out-file", "simulate-meta-dir"])
+def test_a_path_of_the_wrong_kind_exits_two_naming_it(markov_spec, tmp_path, capsys, argv,
+                                                      named, error):
     paths = {"dir": tmp_path / "a-dir", "file": tmp_path / "a-file", "new": tmp_path / "new",
-             "series": tmp_path / "s.csv", "run": tmp_path / "run"}
+             "series": tmp_path / "s.csv", "run": tmp_path / "run", "spec": markov_spec}
     paths["dir"].mkdir()
     paths["file"].write_text("not a directory\n")
     write_series(paths["series"], [0.2, 0.4, 0.9, 0.1])
+    (tmp_path / "s.csv.meta.json").mkdir()
     assert main(["run", "--forecaster", "eg", "--input", str(paths["series"]),
                  "--out", str(paths["run"])]) == 0
     argv = [arg.format(**paths) for arg in argv]
-    out = Path(argv[argv.index("--out") + 1])
-    before = _state(out)
+    before = _state(tmp_path)  # --out, and every file beside it
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {error}: {named.format(**paths)}\n"
-    assert _state(out) == before
+    assert _state(tmp_path) == before
 
 
 def test_a_target_that_is_a_directory_exits_two_before_the_run(tmp_path, capsys):

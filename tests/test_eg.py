@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -114,3 +116,13 @@ class TestRegret:
             t, G = eg.update(t, G, p, float(y), SQ)
             expected += 2.0 * (p - float(y))
         assert G == expected
+
+
+@pytest.mark.parametrize("M", [1.0, 2.0, 0.7])
+def test_regret_bound_of_an_array_is_the_scalar_bound_of_each(M):
+    counts = np.array([1, 2, 3, 7, 100, 12345, 2**31 + 1, 2**40], dtype=np.int64)
+    bounds = eg.regret_bound(M, counts)
+    assert bounds.dtype == np.float64
+    scalar = [eg.regret_bound(M, n) for n in counts.tolist()]
+    assert bounds.tolist() == scalar == [2.0 * M * math.sqrt(n * math.log(2.0))
+                                         for n in counts.tolist()]

@@ -1,10 +1,13 @@
 import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from egtree.errors import RejectedInputError
-from egtree.losses import LossSpec
+from egtree.losses import LossSpec, left_sum
 
 ABS = LossSpec("absolute")
 SQ = LossSpec("square")
@@ -150,3 +153,42 @@ class TestSpecPlumbing:
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_dict_round_trip(self, spec):
         assert LossSpec.from_dict(spec.to_dict()) == spec
+
+
+def _bits(x: float) -> bytes:
+    """The float64 bytes of ``x``: tells -0.0 from 0.0 and one NaN from another."""
+    return struct.pack("<d", x)
+
+
+def _loop_sum(values, total: float) -> float:
+    for v in values:
+        total += v
+    return total
+
+
+# summands that round differently in another order: +-1e16 cancel, and a
+# small value added to one is lost (1e16 + 1 ties to the even 1e16)
+_SUMMANDS = st.one_of(
+    st.sampled_from([1e16, -1e16, 1e16 + 2.0, -1e16 - 2.0, 1.0, -1.0, 0.5, 3.0]),
+    st.floats(-4.0, 4.0),
+    st.floats(),  # every float64: subnormals, +-0.0, +-inf and NaN among them
+)
+
+
+class TestLeftSum:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_SUMMANDS, max_size=40), st.one_of(st.just(0.0), _SUMMANDS))
+    @example([], 0.0)
+    @example([], -2.5)
+    @example([-0.0], -0.0)
+    @example([-0.0, 0.0], -0.0)
+    @example([1e16] + [1.0] * 16, 0.0)  # one at a time, each 1.0 is lost
+    @example([1.0] * 16 + [-1e16], 1e16)
+    @example([5e-324, -5e-324, 2.0**-1030, float("inf")], 1.0)
+    @example([float("inf"), float("-inf"), 1.0], 0.0)
+    @example([float("nan"), 1.0, -0.0], 3.0)
+    def test_an_array_adds_as_the_loop_does(self, values, total):
+        got = left_sum(np.array(values, dtype=float), total)
+        assert type(got) is float
+        assert _bits(got) == _bits(_loop_sum(values, total))
+        assert _bits(left_sum(values, total)) == _bits(_loop_sum(values, total))
