@@ -35,19 +35,20 @@ optional and pinned by no digest: :func:`read_run_log` loads a log from
 it where the stamps match and parses ``steps.csv`` otherwise, so
 deleting it changes only speed.  Every writer renders a block of
 ``_ROW_BLOCK`` rows with one ``%`` format (:func:`_rendered`,
-:func:`_input_rows`).  The readers take a file a block of lines at a time
-and cut a block that ``csv.reader`` would split plainly with one
-``str.split``; from the first block that is not plain on, ``csv.reader``
-splits the rest (:func:`_column_blocks`).  The numbers of a block are
-parsed by ``np.array(cells, dtype)``, a column at a time (``x`` and
-``experts`` as one array of their ``;``-joined values), and a block
-that fails is rescanned row by row for its first bad row, field and
-value.  The step-log reader reads ``LOG_FORMAT`` alone, rejects a leaf
-that is no node of a tree, a member outside a mixture run and an ``x``
-cell that is not the run's covariate row (``d`` values in a tree run,
-none elsewhere), and checks the fields of ``summary.json`` that the
-verifier and the report read.  A file that does not decode is rejected,
-naming it.
+:func:`_input_rows`).  The caches are the readers' fast path: whatever
+they do not vouch for (another tool's input, a CRLF or quoted copy, a
+step log whose cache is missing or stale) is split by ``csv.reader``,
+``_ROW_BLOCK`` rows at a time (:func:`_row_blocks`), with its row
+numbers and messages; a byte-order mark before the header is dropped.
+The numbers of a block are parsed by ``np.array(cells, dtype)``, a
+column at a time (``x`` and ``experts`` as one array of their
+``;``-joined values), and a block that fails is rescanned row by row for
+its first bad row, field and value.  The step-log reader reads
+``LOG_FORMAT`` alone, rejects a leaf that is no node of a tree, a member
+outside a mixture run and an ``x`` cell that is not the run's covariate
+row (``d`` values in a tree run, none elsewhere), and checks the fields
+of ``summary.json`` that the verifier and the report read.  A file that
+does not decode is rejected, naming it.
 
 The input writers (:func:`write_series`, :func:`write_covariates`, and so
 ``egtree simulate``) also write ``<csv>.cache`` beside the CSV
@@ -709,15 +710,11 @@ def write_run_log(log: RunLog, outdir) -> None:
 
 
 def _header(fh):
-    """The first row of ``fh``, or None for an empty file.
-
-    ``csv.reader`` pulls only the lines of that one row, so ``fh`` is left
-    at the first data row.
-    """
-    try:
-        return next(csv.reader(fh), None)
-    except csv.Error as exc:
-        raise RejectedInputError(f"row 1: {exc}") from None
+    """The first row of ``fh``, or None for an empty file; ``fh`` is left at
+    the first data row.  A byte-order mark, which some editors put at the
+    head of a UTF-8 CSV, is dropped before ``csv.reader`` splits the row."""
+    first = fh.readline().removeprefix("\ufeff")
+    return next(_csv_rows(itertools.chain([first], fh), 1), None) if first else None
 
 
 def _csv_rows(lines, row_no: int):
@@ -731,54 +728,11 @@ def _csv_rows(lines, row_no: int):
         raise RejectedInputError(f"row {row_no}: {exc}") from None
 
 
-def _column_blocks(fh, width: int):
-    """Yield ``(row number of the first row, columns)`` per block of rows.
-
-    ``fh`` is an open file past its header row (row 1); every row must
-    have ``width`` >= 2 fields.  The rows are read ``_ROW_BLOCK`` lines at
-    a time: all rows at once would hold every cell string next to the
-    parsed columns.  A block is *plain* when it holds no ``"``, ``\\r`` or
-    NUL, every line ends in ``\\n`` and holds exactly ``width - 1`` commas,
-    and no line is longer than ``csv.field_size_limit()``.  ``csv.reader``
-    splits such a block exactly as ``str.split(",")`` does (a blank line,
-    which it reads as no fields, has no comma), so a plain block is cut
-    into cells by one split, a row per line.  Every file this module
-    writes is plain.  From the first block that is not plain on, the rest
-    of the file goes through ``csv.reader`` and :func:`_row_blocks`, so
-    quoted fields, CRLF line ends and damaged rows read exactly as the csv
-    module reads them, with the same row numbers and messages.
-    """
-    row_no = 2
-    while lines := list(itertools.islice(fh, _ROW_BLOCK)):
-        text = "".join(lines)
-        if not _is_plain(text, lines, width):
-            yield from _row_blocks(itertools.chain(lines, fh), width, row_no)
-            return
-        # one copy of the block's text at a time, and none once it is cut
-        n = len(lines)
-        del lines
-        text = text.replace("\n", ",")
-        flat = text.split(",")
-        del text
-        flat.pop()  # the empty cell after the last line end
-        yield row_no, [flat[j::width] for j in range(width)]
-        row_no += n
-
-
-def _is_plain(text: str, lines: list, width: int) -> bool:
-    """Whether ``csv.reader`` would split ``lines`` (joined: ``text``) as
-    ``str.split(",")`` does, into ``width`` fields a line."""
-    limit = csv.field_size_limit()
-    return not ('"' in text or "\r" in text or "\0" in text or text[-1] != "\n"
-                or list(map(str.count, lines, itertools.repeat(","))).count(width - 1)
-                != len(lines)
-                or len(text) > limit and max(map(len, lines)) > limit)
-
-
 def _row_blocks(lines, width: int, row_no: int):
-    """:func:`_column_blocks` by ``csv.reader``: the rows of ``lines``, the
-    first being row ``row_no``, transposed a block at a time.  A row without
-    ``width`` fields raises, after the rows before it have been yielded."""
+    """Yield ``(row number of the first row, columns)`` per ``_ROW_BLOCK``
+    rows of ``lines``, the first being row ``row_no``: every row split by
+    ``csv.reader`` (:func:`_csv_rows`), a block transposed at a time.  A
+    row without ``width`` fields raises, after the rows before it."""
     rows = _csv_rows(lines, row_no)
     while block := list(itertools.islice(rows, _ROW_BLOCK)):
         short = next((k for k, row in enumerate(block) if len(row) != width), None)
@@ -797,13 +751,9 @@ _STEP_PARSERS = {"t": np.int64, "pred": float, "y": float, "leaf_h": np.int64,
 
 
 def _parsed_block(name: str, dtype, cells, first_row: int):
-    """A block of the step-log column ``name``, parsed as ``dtype``.
-
-    A block whose leaf cells are all empty (all but a tree's) parses no cell.
-    """
-    if name in ("leaf_h", "leaf_i") and not all(cells):  # an empty cell: no leaf, -1
-        if not any(cells):
-            return np.full(len(cells), -1, np.int64)
+    """A block of the step-log column ``name``, parsed as ``dtype``; an empty
+    leaf cell (no leaf: all but a tree's) is -1."""
+    if name in ("leaf_h", "leaf_i") and not all(cells):
         cells = [cell or "-1" for cell in cells]
     return _array(cells, dtype, name, first_row)
 
@@ -872,14 +822,14 @@ def read_run_log(outdir) -> RunLog:
 
 
 def _csv_blocks(path, config: RunConfig):
-    """The checked blocks of the step log ``path``, each parsed as it is read,
-    so no more than one block of cell strings is held next to the parsed columns."""
+    """The checked blocks of the step log ``path``, split (:func:`_row_blocks`) and parsed
+    a block at a time, so no more than one block of cell strings is held next to the columns."""
     width = _x_width(config)
     with _open_csv(path) as fh:
         header = _header(fh)
         if tuple(header or ()) != STEP_COLUMNS:
             raise RejectedInputError(f"unrecognized step log header: {header}")
-        for row_no, cells in _column_blocks(fh, len(STEP_COLUMNS)):
+        for row_no, cells in _row_blocks(fh, len(STEP_COLUMNS), 2):
             # the columns in log order, so the first that does not parse is named
             t, (x_count, x), *numbers, (pool, experts) = [
                 _parsed_block(name, _STEP_PARSERS[name], column, row_no)
@@ -1084,7 +1034,7 @@ def _parse_unit(cell: str, row_no: int, what: str) -> float:
 
 
 def _read_unit_rows(fh, whats) -> list:
-    """Parse the rows left in the open file ``fh``: ``len(whats)`` fields per row.
+    """Parse the rows that :func:`_row_blocks` splits from ``fh``: ``len(whats)`` fields a row.
 
     Column ``j`` holds values in [0, 1] named ``whats[j]`` in messages, or
     is left unparsed where ``whats[j]`` is None; returns one float array per
@@ -1094,7 +1044,7 @@ def _read_unit_rows(fh, whats) -> list:
     """
     parsed = [j for j, what in enumerate(whats) if what is not None]
     blocks = []
-    for row_no, columns in _column_blocks(fh, len(whats)):
+    for row_no, columns in _row_blocks(fh, len(whats), 2):
         cells = list(itertools.chain.from_iterable(columns[j] for j in parsed))
         try:
             values = np.array(cells, dtype=float).reshape(len(parsed), -1)

@@ -72,18 +72,19 @@ def _check_loss_args(loss: LossSpec, preds: np.ndarray, ys: np.ndarray) -> None:
 
 
 def expert_regret(log, d: int) -> float:
-    """Cumulative loss gap of the mixture versus its order-d member: ``mixture-regret(d)``."""
+    """Cumulative loss gap of the mixture versus its order-d member: ``mixture-regret(d)``.
+    Only the steps it reads are checked to lie in [0, 1]; :func:`verify_bounds` checks all."""
     positive_int(d, "d")
     loss = log.config.loss
-    _check_loss_args(loss, log.preds, log.ys)
     steps = np.flatnonzero(log.pool >= d)
     if not steps.size:
         raise RejectedInputError(f"order-{d} member was never active in this run")
     starts = np.cumsum(log.pool) - log.pool  # of each step's members in the flat column
     member = log.expert_preds[starts[steps] + d - 1]
-    ys = log.ys[steps]
+    preds, ys = log.preds[steps], log.ys[steps]
+    _check_loss_args(loss, preds, ys)
     _check_loss_args(loss, member, ys)
-    return left_sum(loss.value_array(log.preds[steps], ys) - loss.value_array(member, ys))
+    return left_sum(loss.value_array(preds, ys) - loss.value_array(member, ys))
 
 
 def mixture_weights(log) -> np.ndarray:

@@ -16,8 +16,10 @@ from egtree.harness import (
     STEP_COLUMNS,
     BoundCheck,
     data_digest,
+    read_covariates,
     read_input,
     read_run_log,
+    read_series,
     write_covariates,
     write_series,
 )
@@ -91,6 +93,29 @@ def test_run_verify_report_pipeline(markov_spec, tmp_path, capsys):
     tables = tmp_path / "tables"
     assert main(["report", "--out", str(tables), str(rundir)]) == 0
     assert (tables / "runs.csv").exists()
+
+
+def test_the_files_egtree_writes_load_unparsed(markov_spec, tmp_path, capsys, monkeypatch):
+    """Every input and step log of a pipeline on egtree's own files loads from
+    its cache: no CSV row is split."""
+    def unused(*args, **kwargs):
+        raise AssertionError("a file that egtree wrote was parsed")
+
+    series, cov = tmp_path / "series.csv", tmp_path / "cov.csv"
+    assert main(["simulate", "--spec", str(markov_spec), "--T", "1500",
+                 "--out", str(series)]) == 0
+    rng = np.random.default_rng(3)
+    write_covariates(cov, rng.random((1500, 2)), rng.random(1500))
+    monkeypatch.setattr(harness, "_row_blocks", unused)
+    for forecaster, path, lipschitz in (("meta", series, ["--L", "1.0"]), ("tree", cov, [])):
+        rundir = tmp_path / forecaster
+        assert main(["run", "--input", str(path), "--out", str(rundir),
+                     "--forecaster", forecaster]) == 0
+        assert main(["verify-bounds", "--out", str(rundir), "--input", str(path),
+                     *lipschitz]) == 0
+        assert main(["report", "--out", str(tmp_path / f"tables-{forecaster}"),
+                     str(rundir)]) == 0
+    capsys.readouterr()
 
 
 def test_report_from_inside_the_run_directory(markov_spec, tmp_path, capsys, monkeypatch):
@@ -295,6 +320,36 @@ def test_spaced_series_header_is_one_rule_for_every_command(tmp_path, capsys):
     assert main(["oracle", "--input", str(series), "--kind", "lipschitz", "--lag", "1"]) == 0
     out = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert out["loss"] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_a_byte_order_mark_before_the_header_is_dropped(tmp_path, capsys):
+    rng = np.random.default_rng(41)
+    ys, xs = rng.random(300), rng.random((300, 2))
+    series, cov = tmp_path / "s.csv", tmp_path / "c.csv"
+    write_series(series, ys)
+    write_covariates(cov, xs, ys)
+    marked = {}
+    for path in (series, cov):  # as editors save "CSV UTF-8"; no cache beside the copy
+        marked[path] = tmp_path / f"bom-{path.name}"
+        marked[path].write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert np.array_equal(read_series(marked[series]), ys)
+    assert read_input(marked[series])[0] is None
+    for got in (read_covariates(marked[cov]), read_input(marked[cov])):
+        assert np.array_equal(got[0], xs) and np.array_equal(got[1], ys)
+    for name, path in (("run", series), ("run-bom", marked[series])):
+        assert main(["run", "--input", str(path), "--out", str(tmp_path / name),
+                     "--forecaster", "meta"]) == 0
+    assert (tmp_path / "run-bom" / "steps.csv").read_bytes() == (
+        tmp_path / "run" / "steps.csv").read_bytes()
+    assert main(["verify-bounds", "--out", str(tmp_path / "run"), "--input",
+                 str(marked[series]), "--L", "1.0"]) == 0
+    assert main(["oracle", "--input", str(marked[series]), "--kind", "lipschitz",
+                 "--lag", "1"]) == 0
+    # a step log so marked is parsed (its cache no longer vouches for it), and reads too
+    steps = tmp_path / "run-bom" / "steps.csv"
+    steps.write_bytes(b"\xef\xbb\xbf" + steps.read_bytes())
+    assert main(["verify-bounds", "--out", str(tmp_path / "run-bom"), "--L", "1.0"]) == 0
+    capsys.readouterr()
 
 
 def test_config_d_must_match_the_covariate_file(tmp_path, capsys):

@@ -776,6 +776,16 @@ class TestVerifyBounds:
         with pytest.raises(RejectedInputError, match=rf"pred must lie in \[0, 1\], got {bad!r}"):
             expert_regret(log, 2)
 
+    @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan")])
+    def test_expert_regret_checks_only_the_steps_it_reads(self, run_log, bad):
+        log = run_log(RunConfig("meta", ABS), uniform(100, 18))
+        regret = expert_regret(log, 2)
+        log.preds[np.flatnonzero(log.pool < 2)[-1]] = bad  # a step before order 2 enters
+        assert expert_regret(log, 2) == regret
+        with pytest.raises(RejectedInputError,
+                           match=rf"^pred must lie in \[0, 1\], got {re.escape(repr(bad))}$"):
+            verify_bounds(log)
+
     @pytest.mark.parametrize("loss", [ABS, LossSpec("square"), LossSpec("pinball", 0.3)],
                              ids=lambda spec: spec.kind)
     def test_expert_regret_adds_the_per_step_gaps_left_to_right(self, run_log, loss):

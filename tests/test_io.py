@@ -216,7 +216,7 @@ class TestDamagedInput:
 
 @st.composite
 def csv_texts(draw):
-    """A width and the text after a header: rows that split plainly mixed with
+    """A width and the text after a header: rows of plain cells mixed with
     rows and lines of commas, quotes, CRs, NULs, long cells and blanks, the
     final newline optional."""
     width = draw(st.integers(2, 4))
@@ -255,7 +255,7 @@ class TestSplitter:
         old_limit = csv.field_size_limit(limit) if limit else None
         try:
             with mock.patch.object(harness, "_ROW_BLOCK", block):
-                got = blocks_of(harness._column_blocks, text, width)
+                got = blocks_of(lambda fh, w: harness._row_blocks(fh, w, 2), text, width)
             want = blocks_of(lambda fh, w: reference.column_blocks(fh, w, block), text, width)
         finally:
             if old_limit is not None:
